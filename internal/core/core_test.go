@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -275,5 +276,42 @@ func TestRetryGridShape(t *testing.T) {
 			cells[i].skew != again[i].skew || cells[i].bs != again[i].bs {
 			t.Fatalf("grid order unstable at %d: %+v vs %+v", i, cells[i], again[i])
 		}
+	}
+}
+
+// TestResultIsAllFloat64 guards the assumption behind Result.add and
+// Result.scale: they loop over the fields as float64, so a field of
+// any other type must be aggregated some other way first.
+func TestResultIsAllFloat64(t *testing.T) {
+	rt := reflect.TypeOf(Result{})
+	for i := 0; i < rt.NumField(); i++ {
+		if f := rt.Field(i); f.Type.Kind() != reflect.Float64 {
+			t.Errorf("Result.%s is %v: add/scale only aggregate float64 fields", f.Name, f.Type)
+		}
+	}
+}
+
+// TestResultAddScaleTouchEveryField catches the "forgot the new metric"
+// bug: with a distinct value in every field, add and scale must change
+// every one of them.
+func TestResultAddScaleTouchEveryField(t *testing.T) {
+	var a, b Result
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetFloat(float64(i + 1))
+		bv.Field(i).SetFloat(float64(100 * (i + 1)))
+	}
+	sum, half := reflect.ValueOf(a.add(b)), reflect.ValueOf(a.scale(0.5))
+	for i := 0; i < av.NumField(); i++ {
+		name := av.Type().Field(i).Name
+		if got, want := sum.Field(i).Float(), float64(101*(i+1)); got != want {
+			t.Errorf("add: %s = %g, want %g", name, got, want)
+		}
+		if got, want := half.Field(i).Float(), float64(i+1)/2; got != want {
+			t.Errorf("scale: %s = %g, want %g", name, got, want)
+		}
+	}
+	if a.Total != 1 || b.Total != 100 {
+		t.Error("add/scale mutated their receiver or argument")
 	}
 }

@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 
 	"repro/internal/chaincode"
@@ -323,87 +324,22 @@ func fromReport(r metrics.Report) Result {
 	return res
 }
 
+// add and scale average reports over seeds. Result is all float64
+// (TestResultIsAllFloat64 keeps it so), so one loop over the fields
+// covers every metric, including the next one added.
 func (r Result) add(o Result) Result {
-	r.Total += o.Total
-	r.Committed += o.Committed
-	r.FailurePct += o.FailurePct
-	r.EndorsementPct += o.EndorsementPct
-	r.IntraPct += o.IntraPct
-	r.InterPct += o.InterPct
-	r.MVCCPct += o.MVCCPct
-	r.PhantomPct += o.PhantomPct
-	r.AbortedPct += o.AbortedPct
-	r.LatencySec += o.LatencySec
-	r.Throughput += o.Throughput
-	r.Goodput += o.Goodput
-	r.RetryAmp += o.RetryAmp
-	r.EndToEndSec += o.EndToEndSec
-	r.GaveUpPct += o.GaveUpPct
-	r.BudgetExhausted += o.BudgetExhausted
-	r.DeferredRetries += o.DeferredRetries
-	r.MaxDeferred += o.MaxDeferred
-	r.AdaptiveBackSec += o.AdaptiveBackSec
-	r.HintAvg += o.HintAvg
-	r.HintFinal += o.HintFinal
-	r.Paced += o.Paced
-	r.PacedSec += o.PacedSec
-	r.GossipMsgs += o.GossipMsgs
-	r.GossipMerges += o.GossipMerges
-	r.GossipEstAvg += o.GossipEstAvg
-	r.GossipEstFinal += o.GossipEstFinal
-	r.GossipStaleSec += o.GossipStaleSec
-	r.ConflictEstAvg += o.ConflictEstAvg
-	r.ConflictEstFinal += o.ConflictEstFinal
-	r.CongestEstAvg += o.CongestEstAvg
-	r.CongestEstFinal += o.CongestEstFinal
-	r.FaultWindows += o.FaultWindows
-	r.DowntimeSec += o.DowntimeSec
-	r.EndorseTOs += o.EndorseTOs
-	r.SubmitTOs += o.SubmitTOs
-	r.Orphans += o.Orphans
-	r.RecoverySec += o.RecoverySec
+	rv, ov := reflect.ValueOf(&r).Elem(), reflect.ValueOf(o)
+	for i := 0; i < rv.NumField(); i++ {
+		rv.Field(i).SetFloat(rv.Field(i).Float() + ov.Field(i).Float())
+	}
 	return r
 }
 
 func (r Result) scale(f float64) Result {
-	r.Total *= f
-	r.Committed *= f
-	r.FailurePct *= f
-	r.EndorsementPct *= f
-	r.IntraPct *= f
-	r.InterPct *= f
-	r.MVCCPct *= f
-	r.PhantomPct *= f
-	r.AbortedPct *= f
-	r.LatencySec *= f
-	r.Throughput *= f
-	r.Goodput *= f
-	r.RetryAmp *= f
-	r.EndToEndSec *= f
-	r.GaveUpPct *= f
-	r.BudgetExhausted *= f
-	r.DeferredRetries *= f
-	r.MaxDeferred *= f
-	r.AdaptiveBackSec *= f
-	r.HintAvg *= f
-	r.HintFinal *= f
-	r.Paced *= f
-	r.PacedSec *= f
-	r.GossipMsgs *= f
-	r.GossipMerges *= f
-	r.GossipEstAvg *= f
-	r.GossipEstFinal *= f
-	r.GossipStaleSec *= f
-	r.ConflictEstAvg *= f
-	r.ConflictEstFinal *= f
-	r.CongestEstAvg *= f
-	r.CongestEstFinal *= f
-	r.FaultWindows *= f
-	r.DowntimeSec *= f
-	r.EndorseTOs *= f
-	r.SubmitTOs *= f
-	r.Orphans *= f
-	r.RecoverySec *= f
+	rv := reflect.ValueOf(&r).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		rv.Field(i).SetFloat(rv.Field(i).Float() * f)
+	}
 	return r
 }
 

@@ -125,22 +125,20 @@ func (p AdaptivePolicy) Name() string {
 	return "adaptive"
 }
 
-// NextDelay implements RetryPolicy on the bare config value: with no
-// per-client state it backs off at the Floor level. Inside a Network
-// each client consults its own *adaptiveState instead.
+// NextDelay implements RetryPolicy on the bare config value: a
+// controller that has seen nothing yet, so it backs off at the Floor
+// level. Inside a Network each client consults its own *adaptiveState.
 func (p AdaptivePolicy) NextDelay(attempts int, rng *rand.Rand) (time.Duration, bool) {
-	if p.MaxAttempts > 0 && attempts >= p.MaxAttempts {
-		return 0, false
-	}
 	d := p.withDefaults()
-	return jitterDelay(d.Floor, d.Jitter, rng), true
+	return (&adaptiveState{cfg: d, cur: d.Floor}).NextDelay(attempts, rng)
 }
 
-// perClient implements perClientPolicy: every client gets a fresh
-// controller seeded at the floor.
-func (p AdaptivePolicy) perClient() RetryPolicy {
+// newController gives every driver a fresh controller seeded at the
+// floor.
+func (p AdaptivePolicy) newController() controller {
 	d := p.withDefaults()
-	return &adaptiveState{cfg: d, cur: d.Floor, window: newOutcomeWindow(d.Window)}
+	return &adaptiveState{cfg: d, cur: d.Floor,
+		conflictWin: newOutcomeWindow(d.Window), congestWin: newOutcomeWindow(d.Window)}
 }
 
 // outcomeWindow is a sliding ring over a client's last Size attempt
@@ -196,18 +194,15 @@ type adaptiveState struct {
 	cfg AdaptivePolicy // defaults resolved
 	cur time.Duration  // current backoff level
 
-	// hint is the latest orderer congestion hint, blended into delays
-	// when cfg.HintWeight > 0 (zero otherwise).
+	// hint is the latest shared-signal value, blended into delays when
+	// cfg.HintWeight > 0.
 	hint float64
 
-	// window holds the last cfg.Window outcomes behind FailureRate.
-	window outcomeWindow
-
-	// split enables per-class windows (Config.SplitSignal): the AIMD
-	// increase gates on the conflict window only, so congestion-class
-	// failures (CLIENT_TIMEOUT) stop inflating the backoff a conflict
-	// controller is supposed to manage — pacing handles them instead.
-	split       bool
+	// One window of the last cfg.Window outcomes per signal class. The
+	// AIMD increase gates on the conflict window only, so
+	// congestion-class failures (CLIENT_TIMEOUT under Config.SplitSignal)
+	// do not inflate the backoff a conflict controller is supposed to
+	// manage — pacing handles them instead.
 	conflictWin outcomeWindow
 	congestWin  outcomeWindow
 }
@@ -232,81 +227,50 @@ func (s *adaptiveState) NextDelay(attempts int, rng *rand.Rand) (time.Duration, 
 	return jitterDelay(d, s.cfg.Jitter, rng), true
 }
 
-// observeHint implements hintObserver: remember the shared signal for
+// observeHint implements controller: remember the shared signal for
 // the next delay computation. The AIMD state itself is untouched —
 // the hint shifts delays, it does not rewrite the controller.
 func (s *adaptiveState) observeHint(h float64) { s.hint = h }
 
-// observe implements outcomeObserver: slide the window and run the
-// AIMD update.
-func (s *adaptiveState) observe(failed bool) {
-	s.window.observe(failed)
-	if failed {
-		if s.FailureRate() >= s.cfg.Target {
-			s.increase()
-		}
-		return
-	}
-	s.decrease()
-}
+// consumesHint implements controller. True even at HintWeight 0: the
+// shared estimate is consulted on the controller's behalf either way.
+func (s *adaptiveState) consumesHint() bool { return true }
 
-// enableSplit implements splitAware: outcomes arrive classified via
-// observeClass, with the AIMD increase gated on the conflict window.
-func (s *adaptiveState) enableSplit() {
-	s.split = true
-	s.conflictWin = newOutcomeWindow(s.cfg.Window)
-	s.congestWin = newOutcomeWindow(s.cfg.Window)
-}
-
-// observeClass implements classObserver (split mode): every outcome
-// slides both per-class windows, but only a conflict-class failure at
-// or above the Target conflict rate runs the multiplicative increase.
-// A congestion-class failure (CLIENT_TIMEOUT) leaves the level alone —
-// backing off one client cannot drain a backlog; the pacing path
-// handles it — and a commit decreases additively as in scalar mode.
+// observeClass implements controller: every outcome slides both
+// per-class windows, but only a conflict-class failure at or above the
+// Target conflict rate runs the multiplicative increase (capped at the
+// ceiling). A congestion-class failure leaves the level alone — backing
+// off one client cannot drain a backlog; the pacing path handles it —
+// and a commit decreases additively (floored).
 func (s *adaptiveState) observeClass(class SignalClass) {
 	s.conflictWin.observe(class == SignalConflict)
 	s.congestWin.observe(class == SignalCongestion)
 	switch class {
 	case SignalConflict:
 		if s.conflictWin.failureRate() >= s.cfg.Target {
-			s.increase()
+			s.cur = time.Duration(float64(s.cur) * s.cfg.Increase)
+			if s.cur > s.cfg.Ceiling {
+				s.cur = s.cfg.Ceiling
+			}
 		}
 	case SignalNone:
-		s.decrease()
+		s.cur -= s.cfg.Decrease
+		if s.cur < s.cfg.Floor {
+			s.cur = s.cfg.Floor
+		}
 	}
 }
 
-// increase runs the multiplicative backoff increase, capped at the
-// ceiling.
-func (s *adaptiveState) increase() {
-	s.cur = time.Duration(float64(s.cur) * s.cfg.Increase)
-	if s.cur > s.cfg.Ceiling {
-		s.cur = s.cfg.Ceiling
-	}
-}
-
-// decrease runs the additive backoff decrease, floored.
-func (s *adaptiveState) decrease() {
-	s.cur -= s.cfg.Decrease
-	if s.cur < s.cfg.Floor {
-		s.cur = s.cfg.Floor
-	}
-}
-
-// currentBackoff implements backoffReporter.
-func (s *adaptiveState) currentBackoff() time.Duration { return s.cur }
+// backoffLevel implements controller: the level is sampled after every
+// observed outcome so reports can summarize the AIMD trajectory.
+func (s *adaptiveState) backoffLevel() (time.Duration, bool) { return s.cur, true }
 
 // FailureRate reports the failure fraction over the sliding window
-// (see outcomeWindow for the fill-phase denominator convention). In
-// split mode it is the sum of the per-class rates — the classes
-// partition the failure codes, so the sum equals the scalar rate the
-// same outcome stream would have produced.
+// (see outcomeWindow for the fill-phase denominator convention): the
+// sum of the per-class rates, since the classes partition the failure
+// codes.
 func (s *adaptiveState) FailureRate() float64 {
-	if s.split {
-		return s.conflictWin.failureRate() + s.congestWin.failureRate()
-	}
-	return s.window.failureRate()
+	return s.conflictWin.failureRate() + s.congestWin.failureRate()
 }
 
 // jitterDelay applies a uniform ±frac factor to d using the
@@ -322,28 +286,4 @@ func jitterDelay(d time.Duration, frac float64, rng *rand.Rand) time.Duration {
 		return 0
 	}
 	return j
-}
-
-// perClientPolicy is implemented by stateful retry policies: the
-// network hands every client its own instance so that per-client
-// adaptation (AIMD levels, failure windows) never aliases across
-// clients.
-type perClientPolicy interface {
-	RetryPolicy
-	perClient() RetryPolicy
-}
-
-// outcomeObserver is implemented by policies that want to see every
-// attempt outcome of their client — commits as well as the failures
-// they are consulted about — mirroring an SDK client reacting to its
-// own commit-event stream.
-type outcomeObserver interface {
-	observe(failed bool)
-}
-
-// backoffReporter is implemented by policies whose backoff level
-// evolves over the run; the client samples it into the collector after
-// every observed outcome so reports can summarize the trajectory.
-type backoffReporter interface {
-	currentBackoff() time.Duration
 }

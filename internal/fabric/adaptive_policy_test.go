@@ -10,11 +10,20 @@ import (
 // newState builds a per-client controller from a config.
 func newState(t *testing.T, p AdaptivePolicy) *adaptiveState {
 	t.Helper()
-	s, ok := p.perClient().(*adaptiveState)
+	s, ok := newController(p).(*adaptiveState)
 	if !ok {
-		t.Fatal("perClient did not return an adaptiveState")
+		t.Fatal("newController did not return an adaptiveState")
 	}
 	return s
+}
+
+// scalarClass is the scalar-mode classifier (clientCore.classify
+// without Config.SplitSignal): every failure is conflict-class.
+func scalarClass(failed bool) SignalClass {
+	if failed {
+		return SignalConflict
+	}
+	return SignalNone
 }
 
 func TestAdaptiveGrowsUnderFailures(t *testing.T) {
@@ -23,7 +32,7 @@ func TestAdaptiveGrowsUnderFailures(t *testing.T) {
 		Increase: 2, Decrease: 10 * time.Millisecond, Window: 8, Target: 0.1,
 	}
 	s := newState(t, p)
-	if got := s.currentBackoff(); got != p.Floor {
+	if got := s.cur; got != p.Floor {
 		t.Fatalf("initial backoff %v, want floor %v", got, p.Floor)
 	}
 	// Sustained failures: multiplicative growth 100ms -> 200 -> 400 ->
@@ -33,8 +42,8 @@ func TestAdaptiveGrowsUnderFailures(t *testing.T) {
 		1600 * time.Millisecond, 2 * time.Second, 2 * time.Second,
 	}
 	for i, w := range want {
-		s.observe(true)
-		if got := s.currentBackoff(); got != w {
+		s.observeClass(scalarClass(true))
+		if got := s.cur; got != w {
 			t.Errorf("after %d failures: backoff %v, want %v", i+1, got, w)
 		}
 	}
@@ -49,11 +58,11 @@ func TestAdaptiveWarmupFailureNotOverweighted(t *testing.T) {
 	// the default 10% target and a window of 32, a couple of isolated
 	// early conflicts must not trigger the multiplicative increase.
 	s := newState(t, AdaptivePolicy{Floor: 100 * time.Millisecond})
-	s.observe(true)
+	s.observeClass(scalarClass(true))
 	if got := s.FailureRate(); got != 1.0/32 {
 		t.Errorf("first-failure rate %g, want 1/32", got)
 	}
-	if got := s.currentBackoff(); got != 100*time.Millisecond {
+	if got := s.cur; got != 100*time.Millisecond {
 		t.Errorf("backoff %v grew on the warm-up failure, want floor", got)
 	}
 }
@@ -65,17 +74,17 @@ func TestAdaptiveShrinksToFloorOnCommits(t *testing.T) {
 	}
 	s := newState(t, p)
 	for i := 0; i < 4; i++ {
-		s.observe(true)
+		s.observeClass(scalarClass(true))
 	}
-	if got := s.currentBackoff(); got != time.Second {
+	if got := s.cur; got != time.Second {
 		t.Fatalf("backoff %v after failure burst, want ceiling 1s", got)
 	}
 	// All-commits: additive decrease walks it back down and clamps at
 	// the floor (1s / 100ms steps = 10 commits; give it 12).
 	for i := 0; i < 12; i++ {
-		s.observe(false)
+		s.observeClass(scalarClass(false))
 	}
-	if got := s.currentBackoff(); got != p.Floor {
+	if got := s.cur; got != p.Floor {
 		t.Errorf("backoff %v after commit streak, want floor %v", got, p.Floor)
 	}
 }
@@ -89,10 +98,10 @@ func TestAdaptiveTargetGatesIsolatedFailures(t *testing.T) {
 	}
 	s := newState(t, p)
 	for i := 0; i < 9; i++ {
-		s.observe(false)
+		s.observeClass(scalarClass(false))
 	}
-	s.observe(true) // 1/10 failures, below the 50% target
-	if got := s.currentBackoff(); got != p.Floor {
+	s.observeClass(scalarClass(true)) // 1/10 failures, below the 50% target
+	if got := s.cur; got != p.Floor {
 		t.Errorf("backoff %v grew on an isolated sub-target failure, want floor %v", got, p.Floor)
 	}
 }
@@ -101,14 +110,14 @@ func TestAdaptiveWindowSlides(t *testing.T) {
 	p := AdaptivePolicy{Window: 4, Target: 0.5}
 	s := newState(t, p)
 	for i := 0; i < 4; i++ {
-		s.observe(true)
+		s.observeClass(scalarClass(true))
 	}
 	if got := s.FailureRate(); got != 1 {
 		t.Fatalf("rate %g, want 1", got)
 	}
 	// Four commits push the failures out of the 4-slot window.
 	for i := 0; i < 4; i++ {
-		s.observe(false)
+		s.observeClass(scalarClass(false))
 	}
 	if got := s.FailureRate(); got != 0 {
 		t.Errorf("rate %g after window slid past the failures, want 0", got)
@@ -197,13 +206,13 @@ func TestGiveUpAfterPreservesAdaptation(t *testing.T) {
 	wrapped := GiveUpAfter(AdaptivePolicy{
 		Floor: 50 * time.Millisecond, Ceiling: 2 * time.Second, Jitter: 0.2,
 	}, 5)
-	pc, ok := wrapped.(perClientPolicy)
-	if !ok {
-		t.Fatal("GiveUpAfter(AdaptivePolicy) lost the per-client facet")
+	a, b := newController(wrapped), newController(wrapped)
+	if a.(cappedController).controller == b.(cappedController).controller {
+		t.Error("newController returned a shared instance")
 	}
-	a, b := pc.perClient(), pc.perClient()
-	if a == b {
-		t.Error("perClient returned a shared instance")
+	a.observeClass(SignalNone)
+	if _, ok := a.backoffLevel(); !ok || !a.consumesHint() {
+		t.Error("GiveUpAfter(AdaptivePolicy) lost the inner controller's hooks")
 	}
 	if a.Name() != "adaptive-cap5" {
 		t.Errorf("name = %q", a.Name())

@@ -190,25 +190,24 @@ func (p BackpressurePolicy) Name() string {
 	return "hinted"
 }
 
-// NextDelay implements RetryPolicy on the bare config value: with no
-// per-client hint state it backs off at the Floor level. Inside a
-// Network each client consults its own *backpressureState instead.
+// NextDelay implements RetryPolicy on the bare config value: a
+// controller that has seen no hint yet, so it backs off at the Floor
+// level. Inside a Network each client consults its own
+// *backpressureState.
 func (p BackpressurePolicy) NextDelay(attempts int, rng *rand.Rand) (time.Duration, bool) {
-	if p.MaxAttempts > 0 && attempts >= p.MaxAttempts {
-		return 0, false
-	}
-	d := p.withDefaults()
-	return jitterDelay(d.Floor, d.Jitter, rng), true
+	return (&backpressureState{cfg: p.withDefaults()}).NextDelay(attempts, rng)
 }
 
-// perClient implements perClientPolicy: every client tracks the hint
-// it last observed on its own commit-event stream.
-func (p BackpressurePolicy) perClient() RetryPolicy {
+// newController gives every driver its own view of the shared signal.
+func (p BackpressurePolicy) newController() controller {
 	return &backpressureState{cfg: p.withDefaults()}
 }
 
-// backpressureState is one client's view of the shared signal.
+// backpressureState is one client's view of the shared signal. It
+// learns nothing from outcomes and has no evolving level, so those
+// hooks stay no-ops.
 type backpressureState struct {
+	noHooks
 	cfg  BackpressurePolicy // defaults resolved
 	hint float64            // latest observed congestion hint
 }
@@ -226,12 +225,8 @@ func (s *backpressureState) NextDelay(attempts int, rng *rand.Rand) (time.Durati
 	return jitterDelay(d, s.cfg.Jitter, rng), true
 }
 
-// observeHint implements hintObserver.
+// observeHint implements controller.
 func (s *backpressureState) observeHint(h float64) { s.hint = h }
 
-// hintObserver is implemented by retry policies that consume the
-// orderer's congestion hint delivered with commit events
-// (BackpressurePolicy always, AdaptivePolicy when HintWeight > 0).
-type hintObserver interface {
-	observeHint(h float64)
-}
+// consumesHint implements controller.
+func (s *backpressureState) consumesHint() bool { return true }

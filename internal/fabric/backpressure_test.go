@@ -118,7 +118,7 @@ func TestBackpressurePolicyDelayScalesWithHint(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	s := p.perClient().(*backpressureState)
+	s := newController(p).(*backpressureState)
 	rng := sim.NewEngine(1).Rand()
 	if d, ok := s.NextDelay(1, rng); !ok || d != 100*time.Millisecond {
 		t.Errorf("delay at hint 0 = %v ok=%v, want the 100ms floor", d, ok)
@@ -131,7 +131,7 @@ func TestBackpressurePolicyDelayScalesWithHint(t *testing.T) {
 	if d, _ := s.NextDelay(1, rng); d != 1100*time.Millisecond {
 		t.Errorf("delay at hint 1 = %v, want the 1.1s ceiling", d)
 	}
-	capped := BackpressurePolicy{MaxAttempts: 2}.perClient()
+	capped := newController(BackpressurePolicy{MaxAttempts: 2})
 	if _, ok := capped.NextDelay(2, rng); ok {
 		t.Error("policy retried past MaxAttempts")
 	}
@@ -147,7 +147,7 @@ func TestAdaptiveHintWeightBlending(t *testing.T) {
 	base := AdaptivePolicy{Floor: 100 * time.Millisecond, Ceiling: 1100 * time.Millisecond}
 	rng := sim.NewEngine(1).Rand()
 
-	unweighted := base.perClient().(*adaptiveState)
+	unweighted := newController(base).(*adaptiveState)
 	unweighted.observeHint(1)
 	if d, _ := unweighted.NextDelay(1, rng); d != 100*time.Millisecond {
 		t.Errorf("HintWeight 0 delay = %v, want the untouched 100ms floor", d)
@@ -155,7 +155,7 @@ func TestAdaptiveHintWeightBlending(t *testing.T) {
 
 	weighted := base
 	weighted.HintWeight = 0.5
-	s := weighted.perClient().(*adaptiveState)
+	s := newController(weighted).(*adaptiveState)
 	s.observeHint(1)
 	// Half the headroom above the current level: 100ms + 0.5×1s.
 	if d, _ := s.NextDelay(1, rng); d != 600*time.Millisecond {

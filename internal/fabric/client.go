@@ -45,19 +45,9 @@ type clientCore struct {
 	// outcomes.
 	pending map[string]*pendingTx
 
-	// policy is this driver's retry policy instance. Stateful policies
-	// (AdaptivePolicy) get one instance per driver — a cohort's members
-	// share one controller, the mean-field approximation — while
-	// stateless ones are shared with the network.
-	policy RetryPolicy
-	// observer/reporter are the optional adaptive facets of policy,
-	// resolved once at construction. classObs is the split-mode variant
-	// of observer: outcomes arrive classified per SignalClass instead
-	// of as a scalar failed bit. When the split is on and the policy
-	// supports it, classObs supersedes observer.
-	observer outcomeObserver
-	classObs classObserver
-	reporter backoffReporter
+	// ctl is this driver's retry controller: the configured policy plus
+	// the hooks the signal path below feeds (see controller).
+	ctl controller
 	// bucket is the retry budget (nil = unlimited). A cohort shares
 	// one bucket across its members with refill rate and burst scaled
 	// by member count, so the aggregate retry allowance matches the
@@ -68,25 +58,22 @@ type clientCore struct {
 	// enables the orderer's congestion signal and tracks outcomes (the
 	// hint arrives on outcome events); nil otherwise. hints holds the
 	// latest congestion hint observed per channel on this driver's
-	// event stream — each channel's ordering service computes its own —
-	// and hintObs is the optional hint-consuming facet of the policy.
-	pacer   *Backpressure
-	hints   []float64
-	hintObs hintObserver
+	// event stream — each channel's ordering service computes its own.
+	pacer *Backpressure
+	hints []float64
 
-	// gossip is this driver's view of the client-to-client congestion
-	// signal (nil without Config.Gossip or outcome tracking), and
-	// hintSrc selects which producer — orderer hint, gossip estimate,
-	// or their max — feeds pacing and the hint-consuming policies. A
-	// cohort is one gossip participant: its members pool their outcome
-	// window and estimate.
-	gossip  *gossipState
-	hintSrc HintSource
-
-	// split is the resolved split-signal mode (nil = scalar): outcome
-	// classification per SignalClass, a two-component gossip estimate,
-	// and conflict→backoff / congestion→pacing signal routing.
-	split *SplitSignal
+	// gossip is this driver's view of the client-to-client signal (nil
+	// without Config.Gossip or outcome tracking); Network.hintSrc
+	// selects which producer — orderer hint, gossip estimate, or their
+	// max — feeds pacing and the hint-consuming controllers. A cohort
+	// is one gossip participant: its members pool their outcome windows
+	// and estimate.
+	//
+	// There is one signal path whatever Network.split says; nil (scalar
+	// mode) only swaps the data at its two ends: classify files every
+	// failure under SignalConflict, and signals collapses the resolved
+	// pair to its max so controller and pacer read the same number.
+	gossip *gossipState
 
 	// resubmissions counts retry submissions issued (diagnostics).
 	resubmissions int
@@ -126,29 +113,7 @@ func (c *clientCore) init(nw *Network, index, firstID, members int, name string)
 	c.rotation = make([]int, members)
 	c.pending = map[string]*pendingTx{}
 	c.hints = make([]float64, nw.channels)
-	c.policy = nw.retry
-	if pc, ok := c.policy.(perClientPolicy); ok {
-		c.policy = pc.perClient()
-	}
-	// The observer/trajectory facets may sit behind wrappers
-	// (GiveUpAfter): unwrap to find them.
-	base := c.policy
-	for {
-		u, ok := base.(interface{ unwrap() RetryPolicy })
-		if !ok {
-			break
-		}
-		base = u.unwrap()
-	}
-	c.observer, _ = base.(outcomeObserver)
-	c.reporter, _ = base.(backoffReporter)
-	c.split = nw.split
-	if c.split != nil {
-		if sa, ok := base.(splitAware); ok {
-			sa.enableSplit()
-			c.classObs, _ = base.(classObserver)
-		}
-	}
+	c.ctl = newController(nw.retry)
 	if nw.tracking && nw.cfg.RetryBudget != nil {
 		b := *nw.cfg.RetryBudget
 		if members > 1 {
@@ -164,15 +129,11 @@ func (c *clientCore) init(nw *Network, index, firstID, members int, name string)
 		}
 		c.bucket = newTokenBucket(b)
 	}
-	c.hintSrc = nw.hintSrc
 	if nw.tracking && nw.bp != nil {
 		c.pacer = nw.bp
 	}
 	if nw.gossip != nil {
-		c.gossip = newGossipState(*nw.gossip, c.split != nil)
-	}
-	if c.pacer != nil || c.gossip != nil {
-		c.hintObs, _ = base.(hintObserver)
+		c.gossip = newGossipState(*nw.gossip)
 	}
 }
 
@@ -375,14 +336,17 @@ func (c *clientCore) assemble(j *pendingTx, tx *ledger.Transaction, channel int,
 // fresh regardless of which attempt carried it — but are otherwise
 // ignored (the attempt was already resolved locally).
 func (c *clientCore) onOutcome(txID string, code ledger.ValidationCode, hint float64, channel int) {
-	if c.pacer != nil && c.hintSrc.usesOrderer() {
+	if c.pacer != nil && c.nw.hintSrc.usesOrderer() {
 		c.hints[channel] = hint
-		// In split mode the orderer's hint is pure congestion evidence:
-		// it feeds pacing via currentSignals but must not slide the
-		// hint-consuming policies' backoff, which the conflict estimate
+		// The one mode branch on the path. Scalar mode pushes the raw
+		// hint to the controller on every outcome event (on multi-channel
+		// runs "last hint seen", which is not the max over channels that
+		// signals resolves). In split mode the orderer's hint is pure
+		// congestion evidence: it feeds pacing via signals but must not
+		// slide the controller's backoff, which the conflict estimate
 		// drives instead.
-		if c.hintObs != nil && c.split == nil {
-			c.hintObs.observeHint(hint)
+		if c.nw.split == nil {
+			c.ctl.observeHint(hint)
 		}
 	}
 	j, ok := c.pending[txID]
@@ -429,8 +393,7 @@ func (c *clientCore) legDone(j *pendingTx, txID string, code ledger.ValidationCo
 // read).
 func (c *clientCore) attemptResolved(j *pendingTx) {
 	c.nw.col.RecordAttempt(j.attempts, ledger.Valid)
-	c.observe(ledger.Valid)
-	c.gossipObserve(ledger.Valid, j)
+	c.observe(ledger.Valid, j)
 	c.nw.col.RecordJob(j.attempts, true, j.firstSubmit, c.nw.eng.Now())
 	c.jobDone(j.member)
 }
@@ -447,34 +410,24 @@ func (c *clientCore) attemptResolved(j *pendingTx) {
 // paced backoff (in part or in full) absorbs that much of the pause.
 func (c *clientCore) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
 	c.nw.col.RecordAttempt(j.attempts, code)
-	c.observe(code)
-	c.gossipObserve(code, j)
+	c.observe(code, j)
 	// The gossip estimate is pulled, not pushed: consult the signal once
-	// per failure, refresh the policy's view right before it decides
+	// per failure, refresh the controller's view right before it decides
 	// the backoff (so the delay reflects the fleet's current alarm,
-	// decay included), and reuse the same value for the pacer below.
-	// In split mode the consultation yields two values routed apart:
-	// the conflict estimate slides the hint-consuming policy's backoff,
-	// the congestion estimate (orderer hints included) drives the pacer.
-	gossipFeeds := c.hintObs != nil && c.gossip != nil && c.hintSrc.usesGossip()
+	// decay included), and reuse the same consultation for the pacer
+	// below. The two values route apart: the conflict signal slides the
+	// hint-consuming controller's backoff, the congestion signal
+	// (orderer hints included) drives the pacer.
+	gossipFeeds := c.ctl.consumesHint() && c.gossip != nil && c.nw.hintSrc.usesGossip()
 	var hint float64
-	if c.split != nil {
-		if gossipFeeds || c.pacer != nil {
-			conflict, congestion := c.currentSignals()
-			if gossipFeeds {
-				c.hintObs.observeHint(conflict)
-			}
-			hint = congestion
-		}
-	} else {
-		if gossipFeeds || c.pacer != nil {
-			hint = c.currentHint()
-		}
+	if gossipFeeds || c.pacer != nil {
+		conflict, congestion := c.signals()
 		if gossipFeeds {
-			c.hintObs.observeHint(hint)
+			c.ctl.observeHint(conflict)
 		}
+		hint = congestion
 	}
-	if delay, ok := c.policy.NextDelay(j.attempts, c.nw.eng.Rand()); ok {
+	if delay, ok := c.ctl.NextDelay(j.attempts, c.nw.eng.Rand()); ok {
 		var pause time.Duration
 		if c.pacer != nil {
 			pause = c.pacer.pause(hint)
@@ -518,87 +471,69 @@ func (c *clientCore) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
 	c.jobDone(j.member)
 }
 
-// pacePause converts the current congestion hint into the extra delay
-// the backpressure pacer adds to the next submission: hint×Gain,
-// capped at MaxPause. Zero without backpressure or when the selected
-// producer reports no congestion, so the default configuration never
-// alters scheduling. In split mode only the congestion component
-// paces — a conflict storm no longer throttles fresh load.
-func (c *clientCore) pacePause() time.Duration {
-	if c.pacer == nil {
-		return 0
-	}
-	if c.split != nil {
-		_, congestion := c.currentSignals()
-		return c.pacer.pause(congestion)
-	}
-	return c.pacer.pause(c.currentHint())
-}
-
-// currentHint resolves the congestion hint the configured producer(s)
-// currently report: the highest per-channel orderer hint last seen on
-// this driver's event stream, the live (decayed) gossip estimate, or
-// their max. Each consultation of a gossip estimate records the age
-// of the information behind it — the staleness-at-use metric.
-func (c *clientCore) currentHint() float64 {
-	var h float64
-	if c.hintSrc.usesOrderer() {
-		for _, ch := range c.hints {
-			if ch > h {
-				h = ch
-			}
-		}
-	}
-	if c.gossip != nil && c.hintSrc.usesGossip() {
-		g, stale := c.gossip.estimate(c.nw.eng.Now())
-		c.nw.col.RecordGossipUse(stale)
-		if g > h {
-			h = g
-		}
-	}
-	return h
-}
-
-// currentSignals resolves the two split-mode signals from the
-// configured producer(s): the conflict estimate (gossip only — the
-// orderer has no conflict view) and the congestion estimate (the max
-// of the per-channel orderer hints and the gossiped congestion
-// component, per HintSource). Consultations of the gossip estimate
-// record staleness-at-use exactly like the scalar path.
-func (c *clientCore) currentSignals() (conflict, congestion float64) {
-	if c.hintSrc.usesOrderer() {
+// signals resolves the two client signals from the configured
+// producer(s): the conflict estimate (gossip only — the orderer has no
+// conflict view) and the congestion estimate (the max of the
+// per-channel orderer hints last seen on this driver's event stream
+// and the gossiped congestion component, per HintSource). Each
+// consultation of the gossip estimate records the age of the
+// information behind it — the staleness-at-use metric. Scalar mode
+// collapses the pair to its max: one number for backoff and pacing
+// alike.
+func (c *clientCore) signals() (conflict, congestion float64) {
+	if c.nw.hintSrc.usesOrderer() {
 		for _, ch := range c.hints {
 			if ch > congestion {
 				congestion = ch
 			}
 		}
 	}
-	if c.gossip != nil && c.hintSrc.usesGossip() {
-		e, stale := c.gossip.splitEstimate(c.nw.eng.Now())
+	if c.gossip != nil && c.nw.hintSrc.usesGossip() {
+		e, stale := c.gossip.estimate(c.nw.eng.Now())
 		c.nw.col.RecordGossipUse(stale)
 		conflict = e.Conflict
 		if e.Congestion > congestion {
 			congestion = e.Congestion
 		}
 	}
+	if c.nw.split == nil {
+		if congestion > conflict {
+			conflict = congestion
+		}
+		return conflict, conflict
+	}
 	return conflict, congestion
 }
 
-// gossipObserve slides one attempt outcome into the gossip window
-// (no-op without Config.Gossip). In split mode the outcome lands in
-// the per-class windows, with the attempt's submit→resolution latency
-// checked against the CongestLatency threshold as congestion evidence.
-func (c *clientCore) gossipObserve(code ledger.ValidationCode, j *pendingTx) {
-	if c.gossip == nil {
-		return
+// classify files one attempt outcome under its signal class. Split
+// mode uses the total ClassifyOutcome map and additionally checks the
+// attempt's submit→resolution latency against the CongestLatency
+// threshold as congestion evidence; scalar mode files every failure
+// under SignalConflict and never applies the latency rule.
+func (c *clientCore) classify(code ledger.ValidationCode, j *pendingTx) (class SignalClass, congested bool) {
+	if c.nw.split == nil {
+		if code != ledger.Valid {
+			return SignalConflict, false
+		}
+		return SignalNone, false
 	}
-	if c.split != nil {
-		latency := time.Duration(c.nw.eng.Now() - j.lastSubmit)
-		congested := c.split.CongestLatency > 0 && latency >= c.split.CongestLatency
-		c.gossip.observeSplit(ClassifyOutcome(code), congested)
-		return
+	latency := time.Duration(c.nw.eng.Now() - j.lastSubmit)
+	return ClassifyOutcome(code), c.nw.split.CongestLatency > 0 && latency >= c.nw.split.CongestLatency
+}
+
+// observe feeds one classified attempt outcome to the controller —
+// sampling its resulting backoff level, if it has one, for the
+// trajectory summary — and slides it into the gossip windows. Inert
+// (and rng-neutral) for stateless policies without Config.Gossip.
+func (c *clientCore) observe(code ledger.ValidationCode, j *pendingTx) {
+	class, congested := c.classify(code, j)
+	c.ctl.observeClass(class)
+	if d, ok := c.ctl.backoffLevel(); ok {
+		c.nw.col.RecordBackoffSample(d)
 	}
-	c.gossip.observe(code != ledger.Valid)
+	if c.gossip != nil {
+		c.gossip.observe(class, congested)
+	}
 }
 
 // startGossip schedules this driver's gossip rounds: every Period the
@@ -609,10 +544,10 @@ func (c *clientCore) gossipObserve(code ledger.ValidationCode, j *pendingTx) {
 // the signal must too); the engine simply stops executing them at the
 // deadline.
 func (c *clientCore) startGossip() {
-	period := c.gossip.cfg.Period
-	if period <= 0 || len(c.nw.drivers) < 2 {
+	if c.gossip == nil || c.gossip.cfg.Period <= 0 || len(c.nw.drivers) < 2 {
 		return
 	}
+	period := c.gossip.cfg.Period
 	var round func()
 	round = func() {
 		c.gossipRound()
@@ -629,16 +564,11 @@ func (c *clientCore) startGossip() {
 // driver count, not the simulated client count.
 func (c *clientCore) gossipRound() {
 	now := c.nw.eng.Now()
-	var est float64
-	var se SplitEstimate
-	if c.split != nil {
-		se, _ = c.gossip.splitEstimate(now)
-		c.nw.col.RecordSplitSample(se.Conflict, se.Congestion)
-		est = se.Max()
-	} else {
-		est, _ = c.gossip.estimate(now)
+	est, _ := c.gossip.estimate(now)
+	if c.nw.split != nil {
+		c.nw.col.RecordSplitSample(est.Conflict, est.Congestion)
 	}
-	c.nw.col.RecordGossipSample(est)
+	c.nw.col.RecordGossipSample(est.Max())
 	n := len(c.nw.drivers)
 	fanout := c.gossip.cfg.Fanout
 	if fanout > n-1 {
@@ -656,54 +586,20 @@ func (c *clientCore) gossipRound() {
 		}
 		peer := c.nw.drivers[p]
 		c.nw.col.RecordGossipMessage()
-		if c.split != nil {
-			c.nw.net.Send(c.name, peer.Name(), func() { peer.onGossipSplit(se, now) })
-		} else {
-			c.nw.net.Send(c.name, peer.Name(), func() { peer.onGossip(est, now) })
-		}
+		c.nw.net.Send(c.name, peer.Name(), func() { peer.onGossip(est, now) })
 	}
 }
 
-// onGossip receives one peer driver's estimate (worth value at the
+// onGossip receives one peer driver's estimate (worth e at the
 // sender's sentAt) and merges it by max-with-decay. Merges only update
-// this driver's view; the hint-consuming policies read it lazily at
+// this driver's view; the hint-consuming controllers read it lazily at
 // their next backoff decision, and the pacer at its next pause.
-func (c *clientCore) onGossip(value float64, sentAt sim.Time) {
+func (c *clientCore) onGossip(e SplitEstimate, sentAt sim.Time) {
 	if c.gossip == nil {
 		return
 	}
-	if c.gossip.merge(value, sentAt, c.nw.eng.Now()) {
+	if c.gossip.merge(e, sentAt, c.nw.eng.Now()) {
 		c.nw.col.RecordGossipMerge()
-	}
-}
-
-// onGossipSplit receives one peer driver's two-component estimate
-// (split mode) and merges it component-wise by max-with-decay.
-func (c *clientCore) onGossipSplit(e SplitEstimate, sentAt sim.Time) {
-	if c.gossip == nil || !c.gossip.split {
-		return
-	}
-	if c.gossip.mergeSplit(e, sentAt, c.nw.eng.Now()) {
-		c.nw.col.RecordGossipMerge()
-	}
-}
-
-// observe feeds an attempt outcome to an adaptive policy and samples
-// its resulting backoff level for the trajectory summary. Inert (and
-// rng-neutral) for stateless policies. In split mode the outcome
-// arrives classified per SignalClass when the policy supports it, so
-// the controller can gate its increase on conflict-class failures.
-func (c *clientCore) observe(code ledger.ValidationCode) {
-	fed := false
-	if c.classObs != nil {
-		c.classObs.observeClass(ClassifyOutcome(code))
-		fed = true
-	} else if c.observer != nil {
-		c.observer.observe(code != ledger.Valid)
-		fed = true
-	}
-	if fed && c.reporter != nil {
-		c.nw.col.RecordBackoffSample(c.reporter.currentBackoff())
 	}
 }
 
@@ -711,17 +607,22 @@ func (c *clientCore) observe(code ledger.ValidationCode) {
 // the member's in-flight window full while the send window is open,
 // waiting out the configured think time first. The backpressure pacer
 // delays new closed-loop work too — the shared signal throttles fresh
-// load, not just retries. With no think time and no pacing the next
-// job starts synchronously — the historical behaviour, with no extra
-// events and no extra rng draws.
+// load, not just retries — but only the congestion signal paces: under
+// Config.SplitSignal a conflict storm does not throttle fresh load.
+// With no think time and no pacing the next job starts synchronously —
+// the historical behaviour, with no extra events and no extra rng
+// draws.
 func (c *clientCore) jobDone(member int) {
 	if !c.nw.cfg.ClosedLoop || c.nw.eng.Now() >= sim.Time(c.nw.cfg.Duration) {
 		return
 	}
 	think := c.nw.cfg.ThinkTime.sample(c.nw.eng)
-	if pause := c.pacePause(); pause > 0 {
-		c.nw.col.RecordPaced(pause)
-		think += pause
+	if c.pacer != nil {
+		_, congestion := c.signals()
+		if pause := c.pacer.pause(congestion); pause > 0 {
+			c.nw.col.RecordPaced(pause)
+			think += pause
+		}
 	}
 	if think <= 0 {
 		c.submitJob(member)
@@ -774,9 +675,7 @@ func newClient(nw *Network, id int) *Client {
 // time-varying) configured rate. Closed loop: the initial in-flight
 // window is opened and each resolved transaction triggers the next.
 func (c *Client) start() {
-	if c.gossip != nil {
-		c.startGossip()
-	}
+	c.startGossip()
 	if c.nw.cfg.ClosedLoop {
 		c.openWindow()
 		return

@@ -55,9 +55,7 @@ func newCohort(nw *Network, index, firstID, members int) *Cohort {
 // arrivals (superposition), drawing the submitting member uniformly
 // per arrival.
 func (c *Cohort) start() {
-	if c.gossip != nil {
-		c.startGossip()
-	}
+	c.startGossip()
 	if c.nw.cfg.ClosedLoop {
 		c.openWindow()
 		return

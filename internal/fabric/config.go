@@ -215,7 +215,10 @@ type Config struct {
 
 	// StripAfterCommit frees heavy transaction payloads (endorsement
 	// lists, range observations) once a block is committed and
-	// measured, bounding memory on range-heavy workloads.
+	// measured, bounding memory on range-heavy workloads. The block
+	// hash covers the range observations, so a chain stripped of any
+	// can no longer be re-hashed: Chain.Verify then reports
+	// ledger.ErrStripped (not a tamper mismatch). Turn it off to audit.
 	StripAfterCommit bool
 }
 

@@ -34,11 +34,8 @@ type ClientDriver interface {
 	// onOutcome delivers a commit (or early-abort) event for one
 	// transaction id, with the channel's congestion hint.
 	onOutcome(txID string, code ledger.ValidationCode, hint float64, channel int)
-	// onGossip delivers one peer driver's congestion estimate.
-	onGossip(value float64, sentAt sim.Time)
-	// onGossipSplit delivers one peer driver's two-component estimate
-	// (split-signal mode, Config.SplitSignal).
-	onGossipSplit(e SplitEstimate, sentAt sim.Time)
+	// onGossip delivers one peer driver's signal estimate.
+	onGossip(e SplitEstimate, sentAt sim.Time)
 }
 
 var (

@@ -1,9 +1,12 @@
 package fabric
 
 import (
+	"errors"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/chaincodes/dv"
 	"repro/internal/chaincodes/ehr"
 	"repro/internal/gen"
 	"repro/internal/ledger"
@@ -142,6 +145,43 @@ func TestPolicyP3CollectsQuorum(t *testing.T) {
 	// unless stripped; check via the chain's validation codes only.
 	if err := nw.Chain().Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStrippedRangeChainIsNotReportedTampered is the regression for the
+// false tamper report: on a range-reading (DV) run at the default
+// config, StripAfterCommit frees observations the block hashes cover,
+// and Verify on that healthy chain used to answer "hash mismatch". It
+// must name the stripping instead; the same run with stripping off
+// verifies. The marker must not cost the transaction its size class.
+func TestStrippedRangeChainIsNotReportedTampered(t *testing.T) {
+	dvConfig := func() Config {
+		cfg := testConfig(11)
+		cfg.Duration, cfg.Drain = 5*time.Second, 10*time.Second
+		cfg.Chaincode = dv.New()
+		cfg.Workload = dv.NewWorkload(1)
+		return cfg
+	}
+	cfg := dvConfig()
+	if !cfg.StripAfterCommit {
+		t.Fatal("StripAfterCommit is no longer the default: this test pins the default config")
+	}
+	nw, rep := run(t, cfg)
+	if rep.Committed == 0 {
+		t.Fatal("no transactions committed")
+	}
+	err := nw.Chain().Verify()
+	if !errors.Is(err, ledger.ErrStripped) {
+		t.Errorf("Verify on a healthy stripped DV chain = %v, want ledger.ErrStripped", err)
+	}
+	kept := dvConfig()
+	kept.StripAfterCommit = false
+	nw, _ = run(t, kept)
+	if err := nw.Chain().Verify(); err != nil {
+		t.Errorf("unstripped DV chain does not verify: %v", err)
+	}
+	if size := unsafe.Sizeof(ledger.Transaction{}); size > 128 {
+		t.Errorf("ledger.Transaction is %d bytes, outgrew its 128-byte size class", size)
 	}
 }
 

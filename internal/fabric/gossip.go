@@ -225,96 +225,88 @@ func MergeEstimates(a, b float64) float64 {
 	return b
 }
 
-// gossipState is one client's view of the gossiped congestion signal:
-// the sliding outcome window behind its local estimate, plus the most
-// alarmed remote estimate it has adopted (timestamped so it decays).
+// gossipState is one client's view of the gossiped signal: per signal
+// class, the sliding outcome window behind its local estimate plus the
+// most alarmed remote estimate it has adopted (timestamped so it
+// decays). The classes never mix — a peer's conflict storm can raise
+// only the conflict view, its backlog alarm only the congestion view.
 //
-// In split-signal mode (Config.SplitSignal) the scalar window and
-// remote view are replaced by a per-class pair: a conflict window and
-// a congestion window feed a SplitEstimate whose components merge and
-// decay independently. The scalar fields stay untouched in that mode
-// and vice versa, so scalar-mode runs are byte-identical to builds
-// without the split machinery.
+// The state has no notion of scalar vs split mode: which class an
+// outcome lands in is the caller's classifier (clientCore.classify).
+// Under the scalar classifier every failure is conflict-class, so the
+// congestion window stays all-false, the congestion remote view is never
+// adopted (merge refuses a zero into an empty view), and the estimate is
+// {rate, 0} — the one-number signal of PR 5.
 type gossipState struct {
-	cfg   Gossip // defaults resolved
-	split bool   // two-component mode (Config.SplitSignal)
+	cfg                  Gossip // defaults resolved
+	conflict, congestion signalView
+}
 
-	// window holds the last cfg.Window outcomes behind the local
-	// estimate — the same outcomeWindow ring adaptiveState uses.
+// signalView is one signal class's half of a gossipState.
+type signalView struct {
+	// window holds the last cfg.Window outcomes of this class — the
+	// same outcomeWindow ring adaptiveState uses.
 	window outcomeWindow
-
-	// remote is the adopted remote estimate as it was worth at
-	// remoteAt (the sender's send time); its current value decays from
-	// there. hasRemote distinguishes "no estimate yet" from zero.
-	remote    float64
-	remoteAt  sim.Time
-	hasRemote bool
-
-	// Split mode: one window and one adopted remote component per
-	// signal class.
-	conflictWin outcomeWindow
-	congestWin  outcomeWindow
-	remoteCflt  remoteComponent
-	remoteCngst remoteComponent
+	remote remoteComponent
 }
 
-func newGossipState(cfg Gossip, split bool) *gossipState {
-	g := &gossipState{cfg: cfg, split: split, window: newOutcomeWindow(cfg.Window)}
-	if split {
-		g.conflictWin = newOutcomeWindow(cfg.Window)
-		g.congestWin = newOutcomeWindow(cfg.Window)
+func newGossipState(cfg Gossip) *gossipState {
+	return &gossipState{
+		cfg:        cfg,
+		conflict:   signalView{window: newOutcomeWindow(cfg.Window)},
+		congestion: signalView{window: newOutcomeWindow(cfg.Window)},
 	}
-	return g
 }
 
-// observe slides one attempt outcome into the window.
-func (g *gossipState) observe(failed bool) { g.window.observe(failed) }
-
-// localRate is the windowed failure fraction (see outcomeWindow for
-// the fill-phase denominator convention).
-func (g *gossipState) localRate() float64 { return g.window.failureRate() }
-
-// estimate returns the client's current congestion estimate at now —
-// the max of the live local failure rate and the age-decayed remote
-// view — together with the age of the information that produced it
-// (zero when the local window dominates: a client's own outcomes are
-// fresh by construction).
-func (g *gossipState) estimate(now sim.Time) (val float64, staleness time.Duration) {
-	local := g.localRate()
-	if !g.hasRemote {
-		return ClampEstimate(local), 0
-	}
-	age := time.Duration(now - g.remoteAt)
-	rem := DecayEstimate(g.remote, age, g.cfg.Decay)
-	if rem > local {
+// estimate returns the class's current estimate at now — the max of
+// the live local window rate and the age-decayed remote view — with the
+// age of the information that produced it (zero when the local window
+// dominates: a client's own outcomes are fresh by construction).
+func (v *signalView) estimate(now sim.Time, decayPerSec float64) (val float64, staleness time.Duration) {
+	val = ClampEstimate(v.window.failureRate())
+	if rem, age := v.remote.decayed(now, decayPerSec); rem > val {
 		return rem, age
 	}
-	return ClampEstimate(local), 0
+	return val, 0
 }
 
-// merge folds one received estimate (worth value at the sender's
-// sentAt) into the state: it is adopted iff its decayed value beats
-// the current decayed remote view — max-with-decay. Reports whether
-// the remote view advanced.
-func (g *gossipState) merge(value float64, sentAt, now sim.Time) bool {
-	incoming := DecayEstimate(value, time.Duration(now-sentAt), g.cfg.Decay)
-	if g.hasRemote {
-		cur := DecayEstimate(g.remote, time.Duration(now-g.remoteAt), g.cfg.Decay)
-		if incoming <= cur {
-			return false
-		}
-	} else if incoming <= 0 {
-		return false
+// observe slides one classified attempt outcome into the per-class
+// windows. congested marks latency-based congestion evidence — the
+// attempt resolved only after the configured CongestLatency threshold,
+// whatever its validation code — so a jammed orderer raises the
+// congestion estimate even while commits (slowly) succeed and no
+// deadline ever expires.
+func (g *gossipState) observe(class SignalClass, congested bool) {
+	g.conflict.window.observe(class == SignalConflict)
+	g.congestion.window.observe(class == SignalCongestion || congested)
+}
+
+// estimate returns the client's current estimate at now, one component
+// per class, together with the age of the oldest remote information
+// that produced a dominating component (zero when the local windows
+// dominate both).
+func (g *gossipState) estimate(now sim.Time) (est SplitEstimate, staleness time.Duration) {
+	est.Conflict, staleness = g.conflict.estimate(now, g.cfg.Decay)
+	var age time.Duration
+	est.Congestion, age = g.congestion.estimate(now, g.cfg.Decay)
+	if age > staleness {
+		staleness = age
 	}
-	g.remote = ClampEstimate(value)
-	g.remoteAt = sentAt
-	g.hasRemote = true
-	return true
+	return est, staleness
 }
 
-// remoteComponent is one adopted remote component of the split
-// estimate: its value as of the sender's send time, so it decays from
-// there. has distinguishes "no estimate yet" from zero.
+// merge folds one received estimate (worth e at the sender's sentAt)
+// into the view, component by component. Reports whether either
+// component advanced.
+func (g *gossipState) merge(e SplitEstimate, sentAt, now sim.Time) bool {
+	cflt := g.conflict.remote.merge(e.Conflict, sentAt, now, g.cfg.Decay)
+	cngst := g.congestion.remote.merge(e.Congestion, sentAt, now, g.cfg.Decay)
+	return cflt || cngst
+}
+
+// remoteComponent is one adopted remote component of the estimate: its
+// value as of the sender's send time, so it decays from there. has
+// distinguishes "no estimate yet" from zero.
 type remoteComponent struct {
 	value float64
 	at    sim.Time
@@ -332,63 +324,17 @@ func (r *remoteComponent) decayed(now sim.Time, decayPerSec float64) (float64, t
 }
 
 // merge folds one received component value (worth value at sentAt)
-// into the view by max-with-decay, exactly like the scalar merge:
-// adopted iff its decayed value beats the current decayed view, and a
-// zero is never adopted into an empty view.
+// into the view by max-with-decay: adopted iff its decayed value beats
+// the current decayed view — so stale panic cannot displace a fresher,
+// currently stronger alarm — and a zero is never adopted into an empty
+// view.
 func (r *remoteComponent) merge(value float64, sentAt, now sim.Time, decayPerSec float64) bool {
 	incoming := DecayEstimate(value, time.Duration(now-sentAt), decayPerSec)
-	if r.has {
-		cur, _ := r.decayed(now, decayPerSec)
-		if incoming <= cur {
-			return false
-		}
-	} else if incoming <= 0 {
-		return false
+	if cur, _ := r.decayed(now, decayPerSec); incoming <= cur {
+		return false // an empty view is worth 0
 	}
 	r.value = ClampEstimate(value)
 	r.at = sentAt
 	r.has = true
 	return true
-}
-
-// observeSplit slides one classified attempt outcome into the
-// per-class windows (split mode). congested marks latency-based
-// congestion evidence — the attempt resolved only after the configured
-// CongestLatency threshold, whatever its validation code — so a jammed
-// orderer raises the congestion estimate even while commits (slowly)
-// succeed and no deadline ever expires.
-func (g *gossipState) observeSplit(class SignalClass, congested bool) {
-	g.conflictWin.observe(class == SignalConflict)
-	g.congestWin.observe(class == SignalCongestion || congested)
-}
-
-// splitEstimate returns the client's current two-component estimate at
-// now — each component the max of its live local window rate and its
-// age-decayed remote view — together with the age of the oldest remote
-// information that produced a dominating component (zero when the
-// local windows dominate both).
-func (g *gossipState) splitEstimate(now sim.Time) (est SplitEstimate, staleness time.Duration) {
-	est.Conflict = ClampEstimate(g.conflictWin.failureRate())
-	if rem, age := g.remoteCflt.decayed(now, g.cfg.Decay); rem > est.Conflict {
-		est.Conflict = rem
-		staleness = age
-	}
-	est.Congestion = ClampEstimate(g.congestWin.failureRate())
-	if rem, age := g.remoteCngst.decayed(now, g.cfg.Decay); rem > est.Congestion {
-		est.Congestion = rem
-		if age > staleness {
-			staleness = age
-		}
-	}
-	return est, staleness
-}
-
-// mergeSplit folds one received split estimate into the view,
-// component by component: a peer's conflict storm can raise only the
-// conflict view, its backlog alarm only the congestion view. Reports
-// whether either component advanced.
-func (g *gossipState) mergeSplit(e SplitEstimate, sentAt, now sim.Time) bool {
-	cflt := g.remoteCflt.merge(e.Conflict, sentAt, now, g.cfg.Decay)
-	cngst := g.remoteCngst.merge(e.Congestion, sentAt, now, g.cfg.Decay)
-	return cflt || cngst
 }

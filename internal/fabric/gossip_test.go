@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -120,59 +121,183 @@ func TestDecayAndMergeMath(t *testing.T) {
 	}
 }
 
+// conflictOnly is a gossip message under the scalar classifier: every
+// failure is conflict-class, so the congestion component is 0.
+func conflictOnly(v float64) SplitEstimate { return SplitEstimate{Conflict: v} }
+
 func TestGossipStateWindowAndEstimate(t *testing.T) {
-	g := newGossipState(Gossip{Window: 4}.withDefaults(), false)
-	if est, stale := g.estimate(0); est != 0 || stale != 0 {
-		t.Fatalf("fresh state estimate = %g stale=%v", est, stale)
+	g := newGossipState(Gossip{Window: 4}.withDefaults())
+	if est, stale := g.estimate(0); est != (SplitEstimate{}) || stale != 0 {
+		t.Fatalf("fresh state estimate = %+v stale=%v", est, stale)
 	}
-	// One failure over a window of 4 reads as 1/4 even while filling.
-	g.observe(true)
-	if est, _ := g.estimate(0); est != 0.25 {
-		t.Errorf("estimate after 1 failure = %g, want 0.25", est)
+	// One failure over a window of 4 reads as 1/4 even while filling,
+	// in its own class only.
+	g.observe(SignalConflict, false)
+	if est, _ := g.estimate(0); est != conflictOnly(0.25) {
+		t.Errorf("estimate after 1 conflict failure = %+v, want {0.25 0}", est)
 	}
-	g.observe(false)
-	g.observe(false)
-	g.observe(false)
-	g.observe(false) // evicts the failure
-	if est, _ := g.estimate(0); est != 0 {
-		t.Errorf("estimate after window slid clean = %g, want 0", est)
+	for i := 0; i < 4; i++ {
+		g.observe(SignalNone, false) // the last one evicts the failure
+	}
+	if est, _ := g.estimate(0); est != (SplitEstimate{}) {
+		t.Errorf("estimate after window slid clean = %+v, want zero", est)
+	}
+	// Congestion evidence — the class itself or the latency rule on any
+	// outcome — lands in the congestion window only.
+	g.observe(SignalCongestion, false)
+	g.observe(SignalNone, true)
+	if est, _ := g.estimate(0); est != (SplitEstimate{Congestion: 0.5}) {
+		t.Errorf("estimate after 2 congestion observations = %+v, want {0 0.5}", est)
+	}
+	// A slow conflict failure counts in both.
+	g.observe(SignalConflict, true)
+	if est, _ := g.estimate(0); est != (SplitEstimate{Conflict: 0.25, Congestion: 0.75}) {
+		t.Errorf("estimate after a congested conflict = %+v, want {0.25 0.75}", est)
 	}
 }
 
 func TestGossipStateMergeMaxWithDecay(t *testing.T) {
-	g := newGossipState(Gossip{Decay: math.Ln2}.withDefaults(), false) // half-life 1s
+	g := newGossipState(Gossip{Decay: math.Ln2}.withDefaults()) // half-life 1s
 	now := sim.Time(10 * time.Second)
-	if !g.merge(0.8, now-sim.Time(time.Second), now) {
+	if !g.merge(conflictOnly(0.8), now-sim.Time(time.Second), now) {
 		t.Fatal("first estimate not adopted")
 	}
 	// Decayed one half-life: worth 0.4 now.
-	if est, stale := g.estimate(now); math.Abs(est-0.4) > 1e-12 || stale != time.Second {
-		t.Errorf("estimate = %g stale=%v, want 0.4 / 1s", est, stale)
+	if est, stale := g.estimate(now); math.Abs(est.Conflict-0.4) > 1e-12 || stale != time.Second {
+		t.Errorf("estimate = %+v stale=%v, want 0.4 / 1s", est, stale)
 	}
 	// A weaker incoming estimate is not adopted.
-	if g.merge(0.3, now, now) {
+	if g.merge(conflictOnly(0.3), now, now) {
 		t.Error("weaker estimate displaced a stronger one")
 	}
 	// A fresher estimate that beats the decayed view is adopted even
 	// though its raw value is below the stored raw value.
-	if !g.merge(0.5, now, now) {
+	if !g.merge(conflictOnly(0.5), now, now) {
 		t.Error("fresher stronger-now estimate rejected")
 	}
-	if est, stale := g.estimate(now); est != 0.5 || stale != 0 {
-		t.Errorf("estimate after re-merge = %g stale=%v, want 0.5 / 0", est, stale)
+	if est, stale := g.estimate(now); est != conflictOnly(0.5) || stale != 0 {
+		t.Errorf("estimate after re-merge = %+v stale=%v, want {0.5 0} / 0", est, stale)
 	}
 	// Local beats remote once the remote has decayed below it: the
 	// staleness at use is then zero (own outcomes are live).
-	g.observe(true) // 1/32 with the default window... use a long horizon instead
+	g.observe(SignalConflict, false) // 1/32 with the default window... use a long horizon instead
 	far := now + sim.Time(time.Minute)
-	if est, stale := g.estimate(far); stale != 0 || est != g.localRate() {
-		t.Errorf("after a minute of decay estimate = %g stale=%v, want the local rate %g",
-			est, stale, g.localRate())
+	local := g.conflict.window.failureRate()
+	if est, stale := g.estimate(far); stale != 0 || est != conflictOnly(local) {
+		t.Errorf("after a minute of decay estimate = %+v stale=%v, want the local rate %g",
+			est, stale, local)
 	}
-	// Zero estimates are never "adopted" into an empty view.
-	fresh := newGossipState(Gossip{}.withDefaults(), false)
-	if fresh.merge(0, now, now) {
+	// Zero estimates are never "adopted" into an empty view — which is
+	// what keeps the congestion view empty under conflict-only messages.
+	fresh := newGossipState(Gossip{}.withDefaults())
+	if fresh.merge(SplitEstimate{}, now, now) {
 		t.Error("zero estimate adopted into an empty view")
+	}
+	if g.congestion.remote.has {
+		t.Error("conflict-only messages populated the congestion view")
+	}
+	// Components merge independently, and the reported staleness is the
+	// oldest information behind a dominating component.
+	old := far - sim.Time(2*time.Second)
+	if !g.merge(SplitEstimate{Conflict: 0.9, Congestion: 0.6}, old, far) {
+		t.Fatal("stronger two-component estimate not adopted")
+	}
+	if !g.merge(SplitEstimate{Conflict: 0.1, Congestion: 0.7}, far, far) {
+		t.Error("congestion component did not advance on its own")
+	}
+	est, stale := g.estimate(far)
+	if math.Abs(est.Conflict-0.9/4) > 1e-12 || est.Congestion != 0.7 || stale != 2*time.Second {
+		t.Errorf("estimate = %+v stale=%v, want {0.225 0.7} / 2s", est, stale)
+	}
+}
+
+// scalarGossipRef is the pre-unification scalar gossip state, kept
+// verbatim as the reference TestScalarIsDegenerateSplit compares
+// against: one outcome window, one remote view merged by
+// max-with-decay, estimate = max(local rate, decayed remote).
+type scalarGossipRef struct {
+	cfg       Gossip
+	window    outcomeWindow
+	remote    float64
+	remoteAt  sim.Time
+	hasRemote bool
+}
+
+func (g *scalarGossipRef) estimate(now sim.Time) (float64, time.Duration) {
+	local := g.window.failureRate()
+	if !g.hasRemote {
+		return ClampEstimate(local), 0
+	}
+	age := time.Duration(now - g.remoteAt)
+	rem := DecayEstimate(g.remote, age, g.cfg.Decay)
+	if rem > local {
+		return rem, age
+	}
+	return ClampEstimate(local), 0
+}
+
+func (g *scalarGossipRef) merge(value float64, sentAt, now sim.Time) bool {
+	incoming := DecayEstimate(value, time.Duration(now-sentAt), g.cfg.Decay)
+	if g.hasRemote {
+		cur := DecayEstimate(g.remote, time.Duration(now-g.remoteAt), g.cfg.Decay)
+		if incoming <= cur {
+			return false
+		}
+	} else if incoming <= 0 {
+		return false
+	}
+	g.remote = ClampEstimate(value)
+	g.remoteAt = sentAt
+	g.hasRemote = true
+	return true
+}
+
+// TestScalarIsDegenerateSplit drives random outcome/merge/time streams
+// through the unified state the way scalar mode does — every failure
+// conflict-class, never the latency rule, messages carrying what
+// estimate returned — and requires the congestion component to stay
+// exactly 0 and everything else to match the old scalar rule float for
+// float: estimate, staleness, and which merges are adopted.
+func TestScalarIsDegenerateSplit(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Gossip{Window: 1 + rng.Intn(40), Decay: []float64{0.5, math.Ln2, 3, 1e-9}[rng.Intn(4)]}.withDefaults()
+		g := newGossipState(cfg)
+		ref := &scalarGossipRef{cfg: cfg, window: newOutcomeWindow(cfg.Window)}
+		// A second unified state plays the remote peer whose messages
+		// arrive: its estimates are what scalar-mode gossip carries.
+		peer := newGossipState(cfg)
+		now := sim.Time(0)
+		for step := 0; step < 2000; step++ {
+			switch rng.Intn(4) {
+			case 0:
+				now += sim.Time(rng.Int63n(int64(3 * time.Second)))
+			case 1:
+				failed := rng.Intn(3) == 0
+				g.observe(scalarClass(failed), false)
+				ref.window.observe(failed)
+			case 2:
+				peer.observe(scalarClass(rng.Intn(2) == 0), false)
+			case 3:
+				sentAt := now - sim.Time(rng.Int63n(int64(5*time.Second)))
+				msg, _ := peer.estimate(sentAt)
+				if msg.Congestion != 0 {
+					t.Fatalf("seed %d step %d: scalar message carries congestion %g", seed, step, msg.Congestion)
+				}
+				if got, want := g.merge(msg, sentAt, now), ref.merge(msg.Max(), sentAt, now); got != want {
+					t.Fatalf("seed %d step %d: merge adopted=%v, scalar rule says %v", seed, step, got, want)
+				}
+			}
+			est, stale := g.estimate(now)
+			wantVal, wantStale := ref.estimate(now)
+			if est.Congestion != 0 {
+				t.Fatalf("seed %d step %d: congestion component = %g, want exactly 0", seed, step, est.Congestion)
+			}
+			if est.Conflict != wantVal || est.Max() != wantVal || stale != wantStale {
+				t.Fatalf("seed %d step %d: estimate %+v stale=%v, scalar rule gives %v stale=%v",
+					seed, step, est, stale, wantVal, wantStale)
+			}
+		}
 	}
 }
 
@@ -313,16 +438,18 @@ func TestGossipBothSourceCombinesSignals(t *testing.T) {
 // estimate stays in [0,1], the max-merge is monotone (never below
 // either clamped input), decay never increases an estimate and is
 // monotone in age, and a gossipState fed the same sequence keeps its
-// own view in range. The same laws are checked component-wise on the
-// two-component split algebra (SplitEstimate), with the inputs
-// crossed so the conflict and congestion components exercise
-// different values.
+// own view in range. The same laws are checked on the state's
+// per-class views, with the inputs crossed so the conflict and
+// congestion components exercise different values: each component
+// follows the scalar algebra on its own inputs and never sees the
+// other's.
 func FuzzGossipMerge(f *testing.F) {
 	f.Add(0.5, 0.25, int64(time.Second), 0.5)
 	f.Add(0.0, 1.0, int64(0), 0.0)
 	f.Add(1.5, -0.5, int64(-time.Second), 2.0)
 	f.Add(0.9, 0.9, int64(time.Hour), math.MaxFloat64)
 	f.Add(math.Inf(1), math.NaN(), int64(time.Millisecond), math.NaN())
+	f.Add(5e-324, 44.0, int64(math.MaxInt64-36), 40.000000002) // age+1s wraps
 	f.Fuzz(func(t *testing.T, a, b float64, ageNs int64, decay float64) {
 		age := time.Duration(ageNs)
 
@@ -341,69 +468,81 @@ func FuzzGossipMerge(f *testing.F) {
 		if d > merged {
 			t.Fatalf("decay(%g,%v,%g) = %g grew the estimate", merged, age, decay, d)
 		}
-		if age >= 0 {
+		if age >= 0 && age <= math.MaxInt64-time.Second { // age+1s must not wrap
 			if older := DecayEstimate(merged, age+time.Second, decay); older > d+1e-15 {
 				t.Fatalf("decay not monotone in age: %g at %v vs %g at %v",
 					d, age, older, age+time.Second)
 			}
 		}
 
-		// The split algebra must obey the same laws component-wise.
+		// Collapsing a two-component estimate is the scalar merge of its
+		// components.
 		sa := SplitEstimate{Conflict: a, Congestion: b}
 		sb := SplitEstimate{Conflict: b, Congestion: a}
-		sm := MergeSplitEstimates(sa, sb)
-		for _, c := range []float64{sm.Conflict, sm.Congestion} {
-			if c < 0 || c > 1 || math.IsNaN(c) {
-				t.Fatalf("split merge component %g out of [0,1] (merge %+v + %+v)", c, sa, sb)
-			}
-		}
-		if sm.Conflict != merged || sm.Congestion != merged {
-			t.Fatalf("split merge %+v != scalar merge %g of the same inputs", sm, merged)
-		}
-		sd := DecaySplitEstimate(sm, age, decay)
-		if sd.Conflict > sm.Conflict || sd.Congestion > sm.Congestion {
-			t.Fatalf("split decay grew a component: %+v from %+v", sd, sm)
-		}
-		for _, c := range []float64{sd.Conflict, sd.Congestion} {
-			if c < 0 || c > 1 || math.IsNaN(c) {
-				t.Fatalf("split decay component %g out of [0,1]", c)
-			}
-		}
-		if sd.Conflict != d || sd.Congestion != d {
-			t.Fatalf("split decay %+v != scalar decay %g of the same inputs", sd, d)
-		}
-		if mx := sm.Max(); mx != merged {
+		if mx := sa.Max(); mx != merged {
 			t.Fatalf("SplitEstimate.Max() = %g, scalar merge = %g", mx, merged)
 		}
 
-		// A state fed the same raw inputs must keep its view in range.
 		decayCfg := decay
 		if decayCfg < 0 || math.IsNaN(decayCfg) || math.IsInf(decayCfg, 0) {
 			decayCfg = 0.5 // state configs are validated; clamp for the harness
 		}
-		g := newGossipState(Gossip{Decay: decayCfg}.withDefaults(), false)
 		now := sim.Time(2 * time.Hour)
 		sent := now - sim.Time(age)
 		if sent > now {
 			sent = now
 		}
-		g.merge(a, sent, now)
-		g.merge(b, now, now)
-		g.observe(true)
-		if est, stale := g.estimate(now); est < 0 || est > 1 || math.IsNaN(est) || stale < 0 {
-			t.Fatalf("state estimate = %g stale=%v out of range", est, stale)
+
+		// An adopted remote component is worth exactly the scalar decay
+		// of its clamped value, and never more than that value.
+		var rc remoteComponent
+		if rc.merge(merged, sent, now, decayCfg) {
+			val, rage := rc.decayed(now, decayCfg)
+			if want := DecayEstimate(merged, time.Duration(now-sent), decayCfg); val != want || rage != time.Duration(now-sent) {
+				t.Fatalf("adopted component worth %g age %v, scalar decay gives %g age %v",
+					val, rage, want, time.Duration(now-sent))
+			}
+			if val > merged {
+				t.Fatalf("adopted component %g grew past its value %g", val, merged)
+			}
 		}
 
-		// And a split state fed the same sequence keeps both components
-		// in range.
-		gs := newGossipState(Gossip{Decay: decayCfg}.withDefaults(), true)
-		gs.mergeSplit(sa, sent, now)
-		gs.mergeSplit(sb, now, now)
-		gs.observeSplit(SignalConflict, true)
-		se, stale := gs.splitEstimate(now)
+		// A state fed the same raw inputs as one-class (scalar-mode)
+		// messages must keep its view in range and its congestion
+		// component at exactly zero.
+		g := newGossipState(Gossip{Decay: decayCfg}.withDefaults())
+		g.merge(conflictOnly(a), sent, now)
+		g.merge(conflictOnly(b), now, now)
+		g.observe(SignalConflict, false)
+		est, stale := g.estimate(now)
+		if est.Conflict < 0 || est.Conflict > 1 || math.IsNaN(est.Conflict) || stale < 0 {
+			t.Fatalf("state estimate = %+v stale=%v out of range", est, stale)
+		}
+		if est.Congestion != 0 {
+			t.Fatalf("one-class inputs produced congestion %g", est.Congestion)
+		}
+
+		// And a state fed the crossed two-component sequence keeps both
+		// components in range, each equal to what a state fed only that
+		// component's inputs computes.
+		gs := newGossipState(Gossip{Decay: decayCfg}.withDefaults())
+		gs.merge(sa, sent, now)
+		gs.merge(sb, now, now)
+		gs.observe(SignalConflict, true)
+		se, stale := gs.estimate(now)
 		if se.Conflict < 0 || se.Conflict > 1 || math.IsNaN(se.Conflict) ||
 			se.Congestion < 0 || se.Congestion > 1 || math.IsNaN(se.Congestion) || stale < 0 {
 			t.Fatalf("split state estimate %+v stale=%v out of range", se, stale)
+		}
+		if se.Conflict != est.Conflict {
+			t.Fatalf("conflict component %g depends on the congestion inputs (alone: %g)", se.Conflict, est.Conflict)
+		}
+		gc := newGossipState(Gossip{Decay: decayCfg}.withDefaults())
+		gc.merge(SplitEstimate{Congestion: b}, sent, now)
+		gc.merge(SplitEstimate{Congestion: a}, now, now)
+		gc.observe(SignalNone, true)
+		if alone, _ := gc.estimate(now); se.Congestion != alone.Congestion || alone.Conflict != 0 {
+			t.Fatalf("congestion component %g depends on the conflict inputs (alone: %+v)", se.Congestion, alone)
 		}
 	})
 }

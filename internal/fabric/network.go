@@ -63,8 +63,8 @@ type Network struct {
 	hintSrc HintSource
 	// split is the resolved split-signal mode (CongestLatency
 	// defaulted against the block timeout), nil when Config.SplitSignal
-	// is unset or the run does not track outcomes — the scalar signal
-	// path then runs byte-identically to builds without the split.
+	// is unset or the run does not track outcomes — scalar mode (see
+	// clientCore.gossip).
 	split *SplitSignal
 	// faults is the resolved fault schedule (scenario expanded into
 	// events), nil when Config.Faults is unset — the subsystem is then

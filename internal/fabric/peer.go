@@ -299,10 +299,7 @@ func (p *Peer) restart() {
 // reads (DV scans all 1000 voters per vote).
 func stripTx(tx *ledger.Transaction) {
 	tx.Endorsements = nil
-	if tx.RWSet == nil {
-		return
-	}
-	for i := range tx.RWSet.RangeQueries {
-		tx.RWSet.RangeQueries[i].Reads = nil
+	if tx.RWSet != nil {
+		tx.RWSet.StripRangeReads()
 	}
 }

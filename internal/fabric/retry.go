@@ -110,8 +110,7 @@ func (p ExponentialBackoff) NextDelay(attempts int, rng *rand.Rand) (time.Durati
 // transaction is abandoned regardless of what the inner policy says.
 // It turns an unlimited policy into a give-up-after-N one. Stateful
 // inner policies (AdaptivePolicy) keep their per-client adaptation:
-// the wrapper clones the inner policy per client and exposes its
-// observer/trajectory facets through unwrap.
+// inside a Network the cap wraps the inner policy's controller.
 func GiveUpAfter(inner RetryPolicy, n int) RetryPolicy {
 	return giveUpAfter{inner: inner, n: n}
 }
@@ -141,15 +140,74 @@ func (g giveUpAfter) Validate() error {
 	return nil
 }
 
-// perClient implements perClientPolicy: a stateful inner policy is
-// cloned per client and re-wrapped so the attempt cap still applies.
-func (g giveUpAfter) perClient() RetryPolicy {
-	if pc, ok := g.inner.(perClientPolicy); ok {
-		return giveUpAfter{inner: pc.perClient(), n: g.n}
-	}
-	return g
+// newController caps the inner policy's controller, so its hooks and
+// per-driver state pass through the wrapper.
+func (g giveUpAfter) newController() controller {
+	inner := newController(g.inner)
+	return cappedController{giveUpAfter{inner: inner, n: g.n}, inner}
 }
 
-// unwrap exposes the inner policy so the client can find its
-// observer/trajectory facets through the wrapper.
-func (g giveUpAfter) unwrap() RetryPolicy { return g.inner }
+// cappedController is giveUpAfter's per-driver form: the capped
+// schedule over the inner controller, plus that controller's hooks.
+type cappedController struct {
+	giveUpAfter
+	controller
+}
+
+// Name implements RetryPolicy (both embedded values have one; the
+// capped one applies).
+func (c cappedController) Name() string { return c.giveUpAfter.Name() }
+
+// NextDelay implements RetryPolicy (likewise).
+func (c cappedController) NextDelay(attempts int, rng *rand.Rand) (time.Duration, bool) {
+	return c.giveUpAfter.NextDelay(attempts, rng)
+}
+
+// controller is one client driver's retry controller: the RetryPolicy
+// consulted on failures plus the hooks through which the client signal
+// path feeds it. Stateful policies build one per driver (newController)
+// so adaptation never aliases across clients — a cohort's members share
+// one, the mean-field approximation. Every other policy, user-supplied
+// ones included, runs behind statelessController: the hooks do nothing,
+// the shared estimate is never consulted on its behalf, and no rng is
+// drawn beyond what its own NextDelay draws.
+type controller interface {
+	RetryPolicy
+	// observeClass feeds one classified attempt outcome — commits as
+	// well as the failures NextDelay is then consulted about — mirroring
+	// an SDK client reacting to its own commit-event stream.
+	observeClass(class SignalClass)
+	// observeHint hands over the current shared-signal value in [0,1]
+	// (orderer hint or gossip estimate) ahead of the next NextDelay.
+	observeHint(h float64)
+	// consumesHint reports whether the controller reads observeHint.
+	// Only then is the gossip estimate consulted for it, and every
+	// consultation is a GossipUses/staleness sample in the report.
+	consumesHint() bool
+	// backoffLevel reports the controller's evolving backoff level,
+	// sampled into the collector after every observed outcome; ok is
+	// false for controllers without one.
+	backoffLevel() (d time.Duration, ok bool)
+}
+
+// noHooks is the embeddable no-op default for the controller hooks.
+type noHooks struct{}
+
+func (noHooks) observeClass(SignalClass)            {}
+func (noHooks) observeHint(float64)                 {}
+func (noHooks) consumesHint() bool                  { return false }
+func (noHooks) backoffLevel() (time.Duration, bool) { return 0, false }
+
+// statelessController runs a policy that keeps no per-client state.
+type statelessController struct {
+	RetryPolicy
+	noHooks
+}
+
+// newController instantiates p's controller for one driver.
+func newController(p RetryPolicy) controller {
+	if s, ok := p.(interface{ newController() controller }); ok {
+		return s.newController()
+	}
+	return statelessController{RetryPolicy: p}
+}

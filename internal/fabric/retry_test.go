@@ -285,3 +285,71 @@ func TestServedReadsCountedConsistentlyAcrossModes(t *testing.T) {
 			withTracking.EventualValid, withTracking.Valid, withTracking.ServedReads)
 	}
 }
+
+// userPolicy is a policy the package has never seen: a user-supplied
+// stateless RetryPolicy with ImmediateRetry{MaxAttempts: 4}'s schedule.
+type userPolicy struct{}
+
+func (userPolicy) Name() string { return "user" }
+func (userPolicy) NextDelay(attempts int, _ *rand.Rand) (time.Duration, bool) {
+	return 0, attempts < 4
+}
+
+// TestUserPolicyGetsNoopController pins what a user-supplied stateless
+// policy — bare or behind GiveUpAfter — gets from the control plane:
+// the no-op controller. It is not a hint consumer, reports no backoff
+// level, and its run is the run of the equivalent built-in policy field
+// for field, so the hooks drew no rng and moved no schedule.
+func TestUserPolicyGetsNoopController(t *testing.T) {
+	bare := newController(userPolicy{})
+	if _, ok := bare.(statelessController); !ok {
+		t.Fatalf("user policy got %T, want statelessController", bare)
+	}
+	capped := newController(GiveUpAfter(userPolicy{}, 3))
+	if inner, ok := capped.(cappedController); !ok {
+		t.Fatalf("capped user policy got %T, want cappedController", capped)
+	} else if _, ok := inner.controller.(statelessController); !ok {
+		t.Fatalf("cap wraps %T, want statelessController", inner.controller)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, ctl := range []controller{bare, capped} {
+		ctl.observeClass(SignalConflict)
+		ctl.observeHint(1)
+		if ctl.consumesHint() {
+			t.Errorf("%s consumes hints", ctl.Name())
+		}
+		if _, ok := ctl.backoffLevel(); ok {
+			t.Errorf("%s reports a backoff level", ctl.Name())
+		}
+		if d, ok := ctl.NextDelay(1, rng); !ok || d != 0 {
+			t.Errorf("%s: hint moved the delay to %v ok=%v", ctl.Name(), d, ok)
+		}
+	}
+	if _, ok := capped.NextDelay(3, rng); ok || capped.Name() != "user-cap3" {
+		t.Errorf("cap lost: name %q", capped.Name())
+	}
+
+	// Every signal producer on, so each hook is reachable.
+	signalled := func(p RetryPolicy) Config {
+		cfg := gossipConfig(8)
+		cfg.Retry = p
+		cfg.HintSource = HintBoth
+		return cfg
+	}
+	_, user := run(t, signalled(userPolicy{}))
+	_, builtin := run(t, signalled(ImmediateRetry{MaxAttempts: 4}))
+	if !reflect.DeepEqual(user, builtin) {
+		t.Errorf("user policy run diverged from the equivalent built-in:\n%+v\n%+v", user, builtin)
+	}
+	if user.AdaptiveBackoffMax != 0 || user.AdaptiveBackoffAvg != 0 || user.AdaptiveBackoffFinal != 0 {
+		t.Errorf("stateless policy recorded backoff samples: %+v", user)
+	}
+	// With no pacer either, nothing consults the gossip estimate.
+	cfg := signalled(GiveUpAfter(userPolicy{}, 3))
+	cfg.Backpressure = nil
+	cfg.HintSource = HintGossip
+	_, rep := run(t, cfg)
+	if rep.GossipMessages == 0 || rep.GossipUses != 0 {
+		t.Errorf("msgs=%d uses=%d, want gossip running and never consulted", rep.GossipMessages, rep.GossipUses)
+	}
+}

@@ -79,8 +79,11 @@ func ClassifyOutcome(code ledger.ValidationCode) SignalClass {
 // congestion to pacing (the backpressure pacer, whatever HintSource
 // feeds it).
 //
-// Nil (the default) keeps the scalar behaviour byte-identical to
-// builds without the field.
+// Nil (the default) is scalar mode, the same path with a one-class
+// classifier — every failure is conflict-class, the latency rule never
+// applies — and the two resolved signals collapsed to their max, so
+// backoff and pacing read one number as they did before the split
+// existed (byte-identical, pinned by every pre-split golden).
 type SplitSignal struct {
 	// CongestLatency is the attempt-latency threshold at or above
 	// which an outcome counts as congestion evidence in the gossiped
@@ -141,10 +144,12 @@ func ParseSplitSignal(s string) (*SplitSignal, error) {
 	return &sp, sp.Validate()
 }
 
-// SplitEstimate is the two-component client signal the split mode
-// gossips: the conflict and congestion estimates, each in [0,1] and
-// each merged and decayed independently — a fleet-wide conflict storm
-// must not manufacture congestion alarm, and vice versa.
+// SplitEstimate is the client signal every gossip message carries: the
+// conflict and congestion estimates, each in [0,1] and each merged and
+// decayed independently — a fleet-wide conflict storm must not
+// manufacture congestion alarm, and vice versa. Without
+// Config.SplitSignal every failure is conflict-class, so Congestion is
+// exactly 0 and Max() is the scalar estimate of PR 5.
 type SplitEstimate struct {
 	Conflict   float64
 	Congestion float64
@@ -154,49 +159,4 @@ type SplitEstimate struct {
 // scalar view used for the shared gossip-estimate trajectory metric.
 func (e SplitEstimate) Max() float64 {
 	return MergeEstimates(e.Conflict, e.Congestion)
-}
-
-// ClampSplitEstimate bounds both components to [0,1] (NaN maps to 0),
-// component-wise ClampEstimate.
-func ClampSplitEstimate(e SplitEstimate) SplitEstimate {
-	return SplitEstimate{
-		Conflict:   ClampEstimate(e.Conflict),
-		Congestion: ClampEstimate(e.Congestion),
-	}
-}
-
-// DecaySplitEstimate ages both components by age at the given
-// per-second decay rate, component-wise DecayEstimate: the result
-// never exceeds the undecayed (clamped) estimate in either component.
-func DecaySplitEstimate(e SplitEstimate, age time.Duration, decayPerSec float64) SplitEstimate {
-	return SplitEstimate{
-		Conflict:   DecayEstimate(e.Conflict, age, decayPerSec),
-		Congestion: DecayEstimate(e.Congestion, age, decayPerSec),
-	}
-}
-
-// MergeSplitEstimates is the split-mode gossip merge operator:
-// component-wise max of the clamped estimates, so a merged view is
-// never less alarmed than either input in either component — and never
-// more alarmed in one component because of the other.
-func MergeSplitEstimates(a, b SplitEstimate) SplitEstimate {
-	return SplitEstimate{
-		Conflict:   MergeEstimates(a.Conflict, b.Conflict),
-		Congestion: MergeEstimates(a.Congestion, b.Congestion),
-	}
-}
-
-// classObserver is implemented by policy state that wants outcomes
-// classified per SignalClass when the split-signal mode is on
-// (adaptiveState): conflict-class failures gate the AIMD increase,
-// congestion-class failures leave the backoff level alone.
-type classObserver interface {
-	observeClass(class SignalClass)
-}
-
-// splitAware is implemented by per-client policy state whose windows
-// split per signal class; the network flips it on after instantiation
-// when Config.SplitSignal is set.
-type splitAware interface {
-	enableSplit()
 }

@@ -84,17 +84,15 @@ func TestAdaptiveSplitGatesOnConflictOnly(t *testing.T) {
 	mk := func() *adaptiveState {
 		p := AdaptivePolicy{Floor: 100 * time.Millisecond, Ceiling: 4 * time.Second,
 			Increase: 2, Decrease: 50 * time.Millisecond, Window: 4, Target: 0.25}
-		s := p.perClient().(*adaptiveState)
-		s.enableSplit()
-		return s
+		return newController(p).(*adaptiveState)
 	}
 
 	s := mk()
 	for i := 0; i < 16; i++ {
 		s.observeClass(SignalCongestion)
 	}
-	if s.currentBackoff() != 100*time.Millisecond {
-		t.Errorf("congestion-class failures moved the backoff to %v, want floor", s.currentBackoff())
+	if s.cur != 100*time.Millisecond {
+		t.Errorf("congestion-class failures moved the backoff to %v, want floor", s.cur)
 	}
 	if got := s.congestWin.failureRate(); got != 1 {
 		t.Errorf("congestion window rate = %g, want 1", got)
@@ -107,8 +105,8 @@ func TestAdaptiveSplitGatesOnConflictOnly(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		s.observeClass(SignalConflict)
 	}
-	if s.currentBackoff() != 4*time.Second {
-		t.Errorf("conflict-class failures left the backoff at %v, want the ceiling", s.currentBackoff())
+	if s.cur != 4*time.Second {
+		t.Errorf("conflict-class failures left the backoff at %v, want the ceiling", s.cur)
 	}
 	// FailureRate partitions: with only conflict failures the split sum
 	// equals the scalar rate the same stream would produce.
@@ -118,8 +116,8 @@ func TestAdaptiveSplitGatesOnConflictOnly(t *testing.T) {
 
 	// Commits decrease additively in split mode exactly as in scalar.
 	s.observeClass(SignalNone)
-	if want := 4*time.Second - 50*time.Millisecond; s.currentBackoff() != want {
-		t.Errorf("commit decreased to %v, want %v", s.currentBackoff(), want)
+	if want := 4*time.Second - 50*time.Millisecond; s.cur != want {
+		t.Errorf("commit decreased to %v, want %v", s.cur, want)
 	}
 }
 

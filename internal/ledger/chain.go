@@ -46,6 +46,25 @@ func (c *Chain) Block(n uint64) *Block {
 // mutate it.
 func (c *Chain) Blocks() []*Block { return c.blocks }
 
+// ErrStripped is what Verify reports for a block whose hash cannot be
+// recomputed because range-query observations it covers were freed
+// after commit (RWSet.StripRangeReads, fabric's Config.StripAfterCommit
+// default). Such a block is unverifiable, not tampered: run with
+// StripAfterCommit off to audit the chain.
+var ErrStripped = errors.New("range-query observations were stripped after commit (StripAfterCommit), hash not recomputable")
+
+// stripped reports whether any transaction lost hashed observations.
+func (b *Block) stripped() bool {
+	for _, tx := range b.Transactions {
+		for _, rq := range tx.RWSet.RangeQueries {
+			if rq.Stripped {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Verify re-checks the whole hash chain, returning the first error.
 func (c *Chain) Verify() error {
 	var prev [32]byte
@@ -57,6 +76,9 @@ func (c *Chain) Verify() error {
 			return fmt.Errorf("ledger: block %d prev-hash mismatch", i)
 		}
 		if got := b.ComputeHash(); got != b.Hash {
+			if b.stripped() {
+				return fmt.Errorf("ledger: block %d: %w", i, ErrStripped)
+			}
 			return fmt.Errorf("ledger: block %d hash mismatch", i)
 		}
 		prev = b.Hash

@@ -71,6 +71,10 @@ type RangeQueryInfo struct {
 	// they can never produce a phantom read conflict (Table 2
 	// footnote and §5.1.2).
 	Unchecked bool
+	// Stripped records that StripRangeReads dropped this scan's
+	// observations: Reads no longer matches what Digest — and through it
+	// the block hash — was computed over.
+	Stripped bool
 }
 
 // RWSet is the read/write set generated by simulating a transaction on
@@ -79,6 +83,19 @@ type RWSet struct {
 	Reads        []KVRead
 	Writes       []KVWrite
 	RangeQueries []RangeQueryInfo
+}
+
+// StripRangeReads frees the range-query observations once the
+// transaction is committed and measured (a DV vote observes all 1000
+// voters). Each scan that loses observations is marked, so Chain.Verify
+// can tell a stripped block from a tampered one.
+func (rw *RWSet) StripRangeReads() {
+	for i := range rw.RangeQueries {
+		if rq := &rw.RangeQueries[i]; len(rq.Reads) > 0 {
+			rq.Reads = nil
+			rq.Stripped = true
+		}
+	}
 }
 
 // ReadKeys returns the plain read-key list (including range reads).

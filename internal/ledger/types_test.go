@@ -1,7 +1,9 @@
 package ledger
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -208,6 +210,44 @@ func TestChainDetectsTamper(t *testing.T) {
 	b0.Transactions[0].RWSet.Writes[0].Key = "evil"
 	if err := c.Verify(); err == nil {
 		t.Fatal("Verify did not detect tampering")
+	}
+}
+
+// TestVerifyNamesStrippingNotTamper: freeing hashed range observations
+// after commit makes a block unverifiable, which Verify must report as
+// ErrStripped — never as the hash mismatch that means tampering.
+// Stripping a scan that observed nothing changes no hashed byte and
+// still verifies.
+func TestVerifyNamesStrippingNotTamper(t *testing.T) {
+	scan := func(id string, reads ...KVRead) *Transaction {
+		tx := mkTx(id)
+		tx.RWSet.RangeQueries = []RangeQueryInfo{{StartKey: "a", EndKey: "z", Reads: reads}}
+		return tx
+	}
+	c := NewChain()
+	b0 := mkBlock(0, [32]byte{}, scan("empty"))
+	b1 := mkBlock(1, b0.Hash, mkTx("plain"), scan("full", KVRead{Key: "k1"}, KVRead{Key: "k2"}))
+	for _, b := range []*Block{b0, b1} {
+		if err := c.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b0.Transactions[0].RWSet.StripRangeReads()
+	if err := c.Verify(); err != nil {
+		t.Fatalf("stripping an empty scan broke verification: %v", err)
+	}
+	b1.Transactions[1].RWSet.StripRangeReads()
+	err := c.Verify()
+	if !errors.Is(err, ErrStripped) || !strings.Contains(err.Error(), "block 1") {
+		t.Fatalf("Verify on a stripped chain = %v, want block 1 ErrStripped", err)
+	}
+	if strings.Contains(err.Error(), "mismatch") {
+		t.Errorf("stripped chain reported as tampered: %v", err)
+	}
+	// Tampering with an unstripped block is still a hash mismatch.
+	b0.Transactions[0].RWSet.Writes[0].Key = "evil"
+	if err := c.Verify(); err == nil || errors.Is(err, ErrStripped) {
+		t.Errorf("tampered block 0 reported as %v, want a hash mismatch", err)
 	}
 }
 

@@ -92,45 +92,27 @@ type Collector struct {
 
 	// Adaptive-backoff trajectory (AdaptivePolicy): one sample per
 	// observed outcome, across all clients.
-	backoffSamples int
-	backoffSum     time.Duration
-	backoffMax     time.Duration
-	backoffLast    time.Duration
+	backoff series[time.Duration]
 
 	// Orderer-backpressure accounting (Config.Backpressure): the
 	// congestion-hint trajectory sampled at every block cut, and the
 	// pacing delay clients added to submissions from the shared signal.
-	hintSamples int
-	hintSum     float64
-	hintMax     float64
-	hintLast    float64
-	pacedCount  int
-	pacedTime   time.Duration
-	pacedMax    time.Duration
+	hint  series[float64]
+	paced series[time.Duration]
 
 	// Gossip accounting (Config.Gossip): message/merge counters, the
 	// estimate trajectory sampled once per client round, and the
 	// staleness of the gossip estimate at each point of use.
-	gossipMsgs     int
-	gossipMerges   int
-	gossipSamples  int
-	gossipSum      float64
-	gossipMax      float64
-	gossipLast     float64
-	gossipUses     int
-	gossipStaleSum time.Duration
-	gossipStaleMax time.Duration
+	gossipMsgs   int
+	gossipMerges int
+	gossipEst    series[float64]
+	gossipStale  series[time.Duration]
 
 	// Split-signal accounting (Config.SplitSignal): the two-component
 	// estimate trajectory sampled once per gossip round, conflict and
 	// congestion components tracked separately.
-	splitSamples int
-	conflictSum  float64
-	conflictMax  float64
-	conflictLast float64
-	congestSum   float64
-	congestMax   float64
-	congestLast  float64
+	conflict series[float64]
+	congest  series[float64]
 
 	// Fault-injection accounting (Config.Faults): opened fault
 	// windows, node crashes and their scheduled downtime, client-side
@@ -142,9 +124,33 @@ type Collector struct {
 	endorseTimeouts int
 	submitTimeouts  int
 	orphans         int
-	recoveries      int
-	recoverySum     time.Duration
-	recoveryMax     time.Duration
+	recovery        series[time.Duration]
+}
+
+// series is a streaming summary of one sampled quantity: count, sum,
+// peak and latest sample. Peaks start at zero, which suits every
+// stream here (durations and [0,1] estimates are non-negative).
+type series[T time.Duration | float64] struct {
+	n              int
+	sum, max, last T
+}
+
+func (s *series[T]) add(v T) {
+	s.n++
+	s.sum += v
+	if v > s.max {
+		s.max = v
+	}
+	s.last = v
+}
+
+// avg is the mean sample, zero for an empty series. Durations divide
+// as integers (nanosecond truncation), floats as floats.
+func (s *series[T]) avg() T {
+	if s.n == 0 {
+		return 0
+	}
+	return s.sum / T(s.n)
 }
 
 // NewCollector returns an empty collector.
@@ -274,37 +280,17 @@ func (c *Collector) RecordDeferEnd() {
 // RecordBackoffSample records the current backoff level of an
 // adaptive retry controller after it processed an outcome. The report
 // summarizes the sample stream as the AIMD trajectory.
-func (c *Collector) RecordBackoffSample(d time.Duration) {
-	c.backoffSamples++
-	c.backoffSum += d
-	if d > c.backoffMax {
-		c.backoffMax = d
-	}
-	c.backoffLast = d
-}
+func (c *Collector) RecordBackoffSample(d time.Duration) { c.backoff.add(d) }
 
 // RecordHintSample records the ordering service's smoothed congestion
 // hint at one block cut. The report summarizes the sample stream as
 // the backpressure-hint trajectory.
-func (c *Collector) RecordHintSample(h float64) {
-	c.hintSamples++
-	c.hintSum += h
-	if h > c.hintMax {
-		c.hintMax = h
-	}
-	c.hintLast = h
-}
+func (c *Collector) RecordHintSample(h float64) { c.hint.add(h) }
 
 // RecordPaced counts one submission (a resubmission or a new
 // closed-loop job) the backpressure pacer delayed, accumulating the
 // extra delay it added on top of policy backoff and think time.
-func (c *Collector) RecordPaced(d time.Duration) {
-	c.pacedCount++
-	c.pacedTime += d
-	if d > c.pacedMax {
-		c.pacedMax = d
-	}
-}
+func (c *Collector) RecordPaced(d time.Duration) { c.paced.add(d) }
 
 // RecordGossipMessage counts one gossip message handed to the network
 // (one per sampled peer per round).
@@ -317,44 +303,22 @@ func (c *Collector) RecordGossipMerge() { c.gossipMerges++ }
 // RecordGossipSample records one client's congestion estimate at the
 // start of one of its gossip rounds. The report summarizes the sample
 // stream as the gossip-estimate trajectory.
-func (c *Collector) RecordGossipSample(e float64) {
-	c.gossipSamples++
-	c.gossipSum += e
-	if e > c.gossipMax {
-		c.gossipMax = e
-	}
-	c.gossipLast = e
-}
+func (c *Collector) RecordGossipSample(e float64) { c.gossipEst.add(e) }
 
 // RecordSplitSample records one client's two-component signal
 // estimate at the start of one of its gossip rounds (split-signal
 // mode). The report summarizes the streams as the conflict and
 // congestion estimate trajectories.
 func (c *Collector) RecordSplitSample(conflict, congestion float64) {
-	c.splitSamples++
-	c.conflictSum += conflict
-	if conflict > c.conflictMax {
-		c.conflictMax = conflict
-	}
-	c.conflictLast = conflict
-	c.congestSum += congestion
-	if congestion > c.congestMax {
-		c.congestMax = congestion
-	}
-	c.congestLast = congestion
+	c.conflict.add(conflict)
+	c.congest.add(congestion)
 }
 
 // RecordGossipUse records one consultation of a client's gossip
 // estimate (for pacing or a hint-driven backoff) together with the
 // age of the remote information behind it — zero when the client's
 // own fresh window dominated the estimate.
-func (c *Collector) RecordGossipUse(staleness time.Duration) {
-	c.gossipUses++
-	c.gossipStaleSum += staleness
-	if staleness > c.gossipStaleMax {
-		c.gossipStaleMax = staleness
-	}
-}
+func (c *Collector) RecordGossipUse(staleness time.Duration) { c.gossipStale.add(staleness) }
 
 // RecordFaultWindow counts one fault window opening (any kind).
 func (c *Collector) RecordFaultWindow() { c.faultWindows++ }
@@ -379,13 +343,7 @@ func (c *Collector) RecordOrphan() { c.orphans++ }
 
 // RecordRecovery records one peer finishing its post-restart ledger
 // replay, d after the restart.
-func (c *Collector) RecordRecovery(d time.Duration) {
-	c.recoveries++
-	c.recoverySum += d
-	if d > c.recoveryMax {
-		c.recoveryMax = d
-	}
-}
+func (c *Collector) RecordRecovery(d time.Duration) { c.recovery.add(d) }
 
 // RecordJob records the final resolution of a tracked logical
 // transaction: after `attempts` submissions it either committed
@@ -634,50 +592,38 @@ func (c *Collector) Report() Report {
 	r.BudgetExhausted = c.budgetExhausted
 	r.DeferredRetries = c.deferred
 	r.MaxDeferredDepth = c.maxDeferDepth
-	if c.backoffSamples > 0 {
-		r.AdaptiveBackoffAvg = c.backoffSum / time.Duration(c.backoffSamples)
-		r.AdaptiveBackoffMax = c.backoffMax
-		r.AdaptiveBackoffFinal = c.backoffLast
-	}
-	if c.hintSamples > 0 {
-		r.BackpressureHintAvg = c.hintSum / float64(c.hintSamples)
-		r.BackpressureHintMax = c.hintMax
-		r.BackpressureHintFinal = c.hintLast
-	}
-	r.PacedSubmissions = c.pacedCount
-	r.TimePaced = c.pacedTime
-	r.MaxPacedPause = c.pacedMax
+	r.AdaptiveBackoffAvg = c.backoff.avg()
+	r.AdaptiveBackoffMax = c.backoff.max
+	r.AdaptiveBackoffFinal = c.backoff.last
+	r.BackpressureHintAvg = c.hint.avg()
+	r.BackpressureHintMax = c.hint.max
+	r.BackpressureHintFinal = c.hint.last
+	r.PacedSubmissions = c.paced.n
+	r.TimePaced = c.paced.sum
+	r.MaxPacedPause = c.paced.max
 	r.GossipMessages = c.gossipMsgs
 	r.GossipMerges = c.gossipMerges
-	if c.gossipSamples > 0 {
-		r.GossipEstimateAvg = c.gossipSum / float64(c.gossipSamples)
-		r.GossipEstimateMax = c.gossipMax
-		r.GossipEstimateFinal = c.gossipLast
-	}
-	if c.splitSamples > 0 {
-		r.ConflictEstAvg = c.conflictSum / float64(c.splitSamples)
-		r.ConflictEstMax = c.conflictMax
-		r.ConflictEstFinal = c.conflictLast
-		r.CongestEstAvg = c.congestSum / float64(c.splitSamples)
-		r.CongestEstMax = c.congestMax
-		r.CongestEstFinal = c.congestLast
-	}
-	r.GossipUses = c.gossipUses
-	if c.gossipUses > 0 {
-		r.GossipStalenessAvg = c.gossipStaleSum / time.Duration(c.gossipUses)
-		r.GossipStalenessMax = c.gossipStaleMax
-	}
+	r.GossipEstimateAvg = c.gossipEst.avg()
+	r.GossipEstimateMax = c.gossipEst.max
+	r.GossipEstimateFinal = c.gossipEst.last
+	r.ConflictEstAvg = c.conflict.avg()
+	r.ConflictEstMax = c.conflict.max
+	r.ConflictEstFinal = c.conflict.last
+	r.CongestEstAvg = c.congest.avg()
+	r.CongestEstMax = c.congest.max
+	r.CongestEstFinal = c.congest.last
+	r.GossipUses = c.gossipStale.n
+	r.GossipStalenessAvg = c.gossipStale.avg()
+	r.GossipStalenessMax = c.gossipStale.max
 	r.FaultWindows = c.faultWindows
 	r.NodeCrashes = c.crashes
 	r.NodeDowntime = c.downtime
 	r.EndorseTimeouts = c.endorseTimeouts
 	r.SubmitTimeouts = c.submitTimeouts
 	r.OrphanedTxs = c.orphans
-	r.Recoveries = c.recoveries
-	if c.recoveries > 0 {
-		r.RecoveryAvg = c.recoverySum / time.Duration(c.recoveries)
-		r.RecoveryMax = c.recoveryMax
-	}
+	r.Recoveries = c.recovery.n
+	r.RecoveryAvg = c.recovery.avg()
+	r.RecoveryMax = c.recovery.max
 	return r
 }
 
