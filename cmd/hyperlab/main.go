@@ -48,7 +48,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -59,79 +58,101 @@ import (
 	"repro/internal/statedb"
 )
 
-func main() {
-	var (
-		list       = flag.Bool("list", false, "list experiments and exit")
-		exp        = flag.String("exp", "", "experiment id (table2, table4, fig4..fig26, retry-policies, or 'all')")
-		runID      = flag.String("run", "", "experiment id to run (alias of -exp)")
-		full       = flag.Bool("full", false, "paper regime: 3 virtual minutes x 3 seeds")
-		quick      = flag.Bool("quick", false, "quick regime: 30 virtual s, 1 seed (the default; overrides -full)")
-		smoke      = flag.Bool("smoke", false, "smoke regime: 5 virtual s, shrunken grids (CI; overrides -full and -quick)")
-		parallel   = flag.Int("parallel", 0, "simulations run concurrently per experiment (0 = all cores)")
-		render     = flag.Bool("render", false, "print a generated genChain chaincode and exit")
-		adhocRun   = flag.Bool("adhoc", false, "run one ad-hoc configuration")
-		ccName     = flag.String("chaincode", "ehr", "ad-hoc run: ehr|dv|scm|drm|genchain")
-		rate       = flag.Float64("rate", 100, "ad-hoc run: arrival rate in tps")
-		blockSize  = flag.Int("block", 100, "ad-hoc run: block size")
-		db         = flag.String("db", "couchdb", "ad-hoc run: couchdb|leveldb")
-		system     = flag.String("system", "fabric", "ad-hoc run: fabric|fabric++|streamchain|fabricsharp")
-		cluster    = flag.String("cluster", "C1", "ad-hoc run: C1|C2")
-		skew       = flag.Float64("skew", 1, "ad-hoc run: Zipfian key skew")
-		duration   = flag.Duration("duration", 30*time.Second, "ad-hoc run: virtual send window")
-		seed       = flag.Int64("seed", 1, "ad-hoc run: random seed")
-		dump       = flag.Int("dump", 0, "ad-hoc run: print JSON summaries of the first N blocks")
-		retry      = flag.String("retry", "none", "ad-hoc run: retry policy none|immediate|backoff|adaptive|hinted")
-		budget     = flag.String("budget", "", "ad-hoc run: retry budget 'rate:burst[:drop|defer][:adaptive]', e.g. 1:3, 2:5:drop, 1:3:drop:adaptive (empty = unlimited; default mode defer)")
-		backpress  = flag.String("backpressure", "", "ad-hoc run: orderer congestion hints off|on|'smoothing:gain[:maxpause]', e.g. 0.5:1s:2s (empty = off)")
-		gossip     = flag.String("gossip", "", "ad-hoc run: client-to-client congestion gossip off|on|'fanout:period[:decay]', e.g. 2:500ms:0.5 (empty = off)")
-		hintSource = flag.String("hintsource", "", "ad-hoc run: congestion hint producer orderer|gossip|both (empty = orderer)")
-		split      = flag.String("split", "", "ad-hoc run: split conflict/congestion signal off|on|<latency>, e.g. 3s sets the congestion-latency threshold (empty = off)")
-		closedLoop = flag.Bool("closedloop", false, "ad-hoc run: closed-loop clients instead of Poisson arrivals")
-		inflight   = flag.Int("inflight", 1, "ad-hoc run: closed-loop in-flight window per client")
-		think      = flag.String("think", "none", "ad-hoc run: closed-loop think time none|fixed:<dur>|exp:<dur>|lognormal:<dur>[:sigma]")
-		clients    = flag.Int("clients", 0, "ad-hoc run: simulated client population (0 = cluster default)")
-		cohort     = flag.Int("cohort", 0, "ad-hoc run: clients per cohort driver (0/1 = exact per-client simulation)")
-		channels   = flag.Int("channels", 1, "ad-hoc run: channel count; each channel gets its own orderer and ledger")
-		crossCh    = flag.Float64("crosschannel", 0, "ad-hoc run: fraction of transactions spanning two channels (needs -channels >= 2)")
-		faults     = flag.String("faults", "", "ad-hoc run: fault schedule off|crash|partition|flaky|straggler|slowdb|chaos or 'kind[:target]@start+dur[:param][,...]' with etimeout=/stimeout= clauses (empty = off)")
-		verbose    = flag.Bool("v", false, "print per-seed progress")
-	)
-	flag.Parse()
+// cli is the parsed command line. The ad-hoc flags that are
+// fabric.Config fields bind straight onto cfg; the mode switches and
+// the spec strings adhocConfig resolves are the other fields.
+type cli struct {
+	list, render, adhoc, full, quick, smoke, verbose bool
 
-	id := *exp
-	if *runID != "" {
-		if id != "" && id != *runID {
-			fatal(fmt.Errorf("conflicting -exp %q and -run %q", *exp, *runID))
-		}
-		id = *runID
+	exp, runID            string
+	parallel, dump        int
+	chaincode, db, system string
+	cluster, retry        string
+	budget, backpressure  string
+	gossip, hintSource    string
+	split, think, faults  string
+	skew                  float64
+	clients               int
+
+	cfg fabric.Config
+}
+
+// parseFlags defines every flag on fs and parses args into a cli.
+func parseFlags(fs *flag.FlagSet, args []string) (*cli, error) {
+	c := &cli{cfg: fabric.DefaultConfig()}
+	fs.BoolVar(&c.list, "list", false, "list experiments and exit")
+	fs.StringVar(&c.exp, "exp", "", "experiment id (table2, table4, fig4..fig26, retry-policies, or 'all')")
+	fs.StringVar(&c.runID, "run", "", "experiment id to run (alias of -exp)")
+	fs.BoolVar(&c.full, "full", false, "paper regime: 3 virtual minutes x 3 seeds")
+	fs.BoolVar(&c.quick, "quick", false, "quick regime: 30 virtual s, 1 seed (the default; overrides -full)")
+	fs.BoolVar(&c.smoke, "smoke", false, "smoke regime: 5 virtual s, shrunken grids (CI; overrides -full and -quick)")
+	fs.IntVar(&c.parallel, "parallel", 0, "simulations run concurrently per experiment (0 = all cores)")
+	fs.BoolVar(&c.render, "render", false, "print a generated genChain chaincode and exit")
+	fs.BoolVar(&c.adhoc, "adhoc", false, "run one ad-hoc configuration")
+	fs.StringVar(&c.chaincode, "chaincode", "ehr", "ad-hoc run: ehr|dv|scm|drm|genchain")
+	fs.Float64Var(&c.cfg.Rate, "rate", 100, "ad-hoc run: arrival rate in tps")
+	fs.IntVar(&c.cfg.BlockSize, "block", 100, "ad-hoc run: block size")
+	fs.StringVar(&c.db, "db", "couchdb", "ad-hoc run: couchdb|leveldb")
+	fs.StringVar(&c.system, "system", "fabric", "ad-hoc run: fabric|fabric++|streamchain|fabricsharp")
+	fs.StringVar(&c.cluster, "cluster", "C1", "ad-hoc run: C1|C2")
+	fs.Float64Var(&c.skew, "skew", 1, "ad-hoc run: Zipfian key skew")
+	fs.DurationVar(&c.cfg.Duration, "duration", 30*time.Second, "ad-hoc run: virtual send window")
+	fs.Int64Var(&c.cfg.Seed, "seed", 1, "ad-hoc run: random seed")
+	fs.IntVar(&c.dump, "dump", 0, "ad-hoc run: print JSON summaries of the first N blocks")
+	fs.StringVar(&c.retry, "retry", "none", "ad-hoc run: retry policy none|immediate|backoff|adaptive|hinted")
+	fs.StringVar(&c.budget, "budget", "", "ad-hoc run: retry budget 'rate:burst[:drop|defer][:adaptive]', e.g. 1:3, 2:5:drop, 1:3:drop:adaptive (empty = unlimited; default mode defer)")
+	fs.StringVar(&c.backpressure, "backpressure", "", "ad-hoc run: orderer congestion hints off|on|'smoothing:gain[:maxpause]', e.g. 0.5:1s:2s (empty = off)")
+	fs.StringVar(&c.gossip, "gossip", "", "ad-hoc run: client-to-client congestion gossip off|on|'fanout:period[:decay]', e.g. 2:500ms:0.5 (empty = off)")
+	fs.StringVar(&c.hintSource, "hintsource", "", "ad-hoc run: congestion hint producer orderer|gossip|both (empty = orderer)")
+	fs.StringVar(&c.split, "split", "", "ad-hoc run: split conflict/congestion signal off|on|<latency>, e.g. 3s sets the congestion-latency threshold (empty = off)")
+	fs.BoolVar(&c.cfg.ClosedLoop, "closedloop", false, "ad-hoc run: closed-loop clients instead of Poisson arrivals")
+	fs.IntVar(&c.cfg.InFlightPerClient, "inflight", 1, "ad-hoc run: closed-loop in-flight window per client")
+	fs.StringVar(&c.think, "think", "none", "ad-hoc run: closed-loop think time none|fixed:<dur>|exp:<dur>|lognormal:<dur>[:sigma]")
+	fs.IntVar(&c.clients, "clients", 0, "ad-hoc run: simulated client population (0 = cluster default)")
+	fs.IntVar(&c.cfg.CohortSize, "cohort", 0, "ad-hoc run: clients per cohort driver (0/1 = exact per-client simulation)")
+	fs.IntVar(&c.cfg.Channels, "channels", 1, "ad-hoc run: channel count; each channel gets its own orderer and ledger")
+	fs.Float64Var(&c.cfg.CrossChannel, "crosschannel", 0, "ad-hoc run: fraction of transactions spanning two channels (needs -channels >= 2)")
+	fs.StringVar(&c.faults, "faults", "", "ad-hoc run: fault schedule off|crash|partition|flaky|straggler|slowdb|chaos or 'kind[:target]@start+dur[:param][,...]' with etimeout=/stimeout= clauses (empty = off)")
+	fs.BoolVar(&c.verbose, "v", false, "print per-seed progress")
+	return c, fs.Parse(args)
+}
+
+// experiment resolves -exp and its alias -run to one id ("" = none).
+func (c *cli) experiment() (string, error) {
+	if c.runID != "" && c.exp != "" && c.exp != c.runID {
+		return "", fmt.Errorf("conflicting -exp %q and -run %q", c.exp, c.runID)
+	}
+	if c.runID != "" {
+		return c.runID, nil
+	}
+	return c.exp, nil
+}
+
+func main() {
+	c, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
+	id, err := c.experiment()
+	if err != nil {
+		fatal(err)
 	}
 	switch {
-	case *list:
+	case c.list:
 		fmt.Println("Available experiments (paper table/figure -> id):")
 		for _, e := range lab.Experiments() {
 			fmt.Printf("  %-14s %s\n", e.ID, e.Title)
 		}
-	case *render:
+	case c.render:
 		src, err := lab.RenderChaincode(lab.GenChainSpec(), true)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Println(src)
+	case c.adhoc:
+		adhoc(c)
 	case id != "":
-		runExperiments(id, *full && !*quick, *smoke, *verbose, *parallel)
-	case *adhocRun:
-		adhoc(adhocOptions{
-			ccName: *ccName, rate: *rate, blockSize: *blockSize,
-			db: *db, system: *system, cluster: *cluster, skew: *skew,
-			duration: *duration, seed: *seed, dump: *dump,
-			retry: *retry, budget: *budget, think: *think,
-			backpressure: *backpress, gossip: *gossip, hintSource: *hintSource,
-			split:      *split,
-			closedLoop: *closedLoop, inflight: *inflight,
-			clients: *clients, cohort: *cohort,
-			channels: *channels, crossChannel: *crossCh,
-			faults: *faults,
-		})
+		runExperiments(id, c.full && !c.quick, c.smoke, c.verbose, c.parallel)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -180,188 +201,128 @@ func runExperiments(id string, full, smoke, verbose bool, parallel int) {
 	}
 }
 
-// adhocOptions bundles the ad-hoc runner's knobs.
-type adhocOptions struct {
-	ccName, db, system, cluster, retry string
-	budget, think, backpressure        string
-	gossip, hintSource, faults, split  string
-	rate, skew, crossChannel           float64
-	blockSize, dump, inflight          int
-	clients, cohort, channels          int
-	duration                           time.Duration
-	seed                               int64
-	closedLoop                         bool
+// parseSystem resolves the -system spellings.
+func parseSystem(s string) (core.System, error) {
+	switch strings.ToLower(s) {
+	case "fabric", "fabric-1.4":
+		return core.Fabric14, nil
+	case "fabric++", "fabricpp":
+		return core.FabricPP, nil
+	case "streamchain":
+		return core.Streamchain, nil
+	case "fabricsharp", "fabric#":
+		return core.FabricSharp, nil
+	}
+	return 0, fmt.Errorf("unknown system %q", s)
 }
 
-// parseBudget parses the -budget syntax
-// "rate:burst[:drop|defer][:adaptive]" into a RetryBudget ("" = no
-// budget).
-func parseBudget(s string) (*fabric.RetryBudget, error) {
-	if s == "" {
-		return nil, nil
+// adhocConfig resolves the ad-hoc flags into the config to run: the
+// bound fields are already in c.cfg, the named choices and spec
+// strings are looked up and parsed here, and the result is validated so
+// that every bad flag value is an error before anything runs.
+func adhocConfig(c *cli) (fabric.Config, error) {
+	cfg := c.cfg
+	if id, _ := c.experiment(); id != "" {
+		return cfg, fmt.Errorf("-adhoc runs one ad-hoc configuration and cannot be combined with -exp/-run %q", id)
 	}
-	parts := strings.Split(s, ":")
-	if len(parts) < 2 || len(parts) > 4 {
-		return nil, fmt.Errorf("budget %q: want rate:burst[:drop|defer][:adaptive]", s)
-	}
-	var b fabric.RetryBudget
-	rate, err := strconv.ParseFloat(parts[0], 64)
-	if err != nil {
-		return nil, fmt.Errorf("budget rate %q: %w", parts[0], err)
-	}
-	if rate <= 0 {
-		return nil, fmt.Errorf("budget rate must be > 0 (got %g); omit -budget for no budget", rate)
-	}
-	b.RefillPerSec = rate
-	burst, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil {
-		return nil, fmt.Errorf("budget burst %q: %w", parts[1], err)
-	}
-	if burst <= 0 {
-		return nil, fmt.Errorf("budget burst must be > 0 (got %g)", burst)
-	}
-	b.Burst = burst
-	for _, part := range parts[2:] {
-		switch part {
-		case "drop":
-			b.DropOnEmpty = true
-		case "defer":
-		case "adaptive":
-			b.Adaptive = true
-		default:
-			return nil, fmt.Errorf("budget mode %q: want drop, defer or adaptive", part)
-		}
-	}
-	return &b, b.Validate()
-}
 
-func adhoc(o adhocOptions) {
-	cfg := fabric.DefaultConfig()
-
-	switch strings.ToUpper(o.cluster) {
+	switch strings.ToUpper(c.cluster) {
 	case "C1":
 		core.C1.Apply(&cfg)
 	case "C2":
 		core.C2.Apply(&cfg)
 	default:
-		fatal(fmt.Errorf("unknown cluster %q", o.cluster))
+		return cfg, fmt.Errorf("unknown cluster %q", c.cluster)
+	}
+	if c.clients > 0 {
+		cfg.Clients = c.clients
 	}
 
-	switch strings.ToLower(o.db) {
+	switch strings.ToLower(c.db) {
 	case "couchdb":
 		cfg.DBKind = statedb.CouchDB
 	case "leveldb":
 		cfg.DBKind = statedb.LevelDB
 	default:
-		fatal(fmt.Errorf("unknown database %q", o.db))
+		return cfg, fmt.Errorf("unknown database %q", c.db)
 	}
 
-	var sys core.System
-	switch strings.ToLower(o.system) {
-	case "fabric", "fabric-1.4":
-		sys = core.Fabric14
-	case "fabric++", "fabricpp":
-		sys = core.FabricPP
-	case "streamchain":
-		sys = core.Streamchain
-	case "fabricsharp", "fabric#":
-		sys = core.FabricSharp
-	default:
-		fatal(fmt.Errorf("unknown system %q", o.system))
+	sys, err := parseSystem(c.system)
+	if err != nil {
+		return cfg, err
 	}
 	cfg.Variant = sys.Variant()
 
-	switch strings.ToLower(o.retry) {
+	switch strings.ToLower(c.retry) {
 	case "none", "":
 		cfg.Retry = fabric.NoRetry{}
 	case "immediate":
 		cfg.Retry = fabric.ImmediateRetry{MaxAttempts: 3}
 	case "backoff":
-		cfg.Retry = fabric.ExponentialBackoff{
-			Initial: 200 * time.Millisecond, Cap: 2 * time.Second,
-			MaxAttempts: 5, Jitter: 0.2,
-		}
+		cfg.Retry = core.StaticBackoff
 	case "adaptive":
 		cfg.Retry = fabric.AdaptivePolicy{MaxAttempts: 5, Jitter: 0.2}
 	case "hinted":
 		cfg.Retry = fabric.BackpressurePolicy{MaxAttempts: 5, Jitter: 0.2}
 	default:
-		fatal(fmt.Errorf("unknown retry policy %q", o.retry))
+		return cfg, fmt.Errorf("unknown retry policy %q", c.retry)
 	}
-	budget, err := parseBudget(o.budget)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.RetryBudget = budget
-	bp, err := fabric.ParseBackpressure(o.backpressure)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Backpressure = bp
-	gp, err := fabric.ParseGossip(o.gossip)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Gossip = gp
-	src, err := fabric.ParseHintSource(o.hintSource)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.HintSource = src
-	sp, err := fabric.ParseSplitSignal(o.split)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.SplitSignal = sp
-	// The hinted policy needs a signal that actually reaches the hint
-	// path: the orderer's (requires -backpressure) or the gossip
-	// estimate (requires -gossip AND a -hintsource that uses it).
-	ordererFeeds := bp != nil && src != fabric.HintGossip
-	gossipFeeds := gp != nil && src != fabric.HintOrderer
-	if _, hinted := cfg.Retry.(fabric.BackpressurePolicy); hinted && !ordererFeeds && !gossipFeeds {
-		fmt.Fprintln(os.Stderr, "hyperlab: note: -retry hinted without a hint producer (-backpressure, or -gossip with -hintsource gossip|both) degenerates to a constant floor backoff")
-	}
-	flt, err := fabric.ParseFaults(o.faults)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Faults = flt
-	thinkTime, err := fabric.ParseThinkTime(o.think)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.ThinkTime = thinkTime
-	cfg.ClosedLoop = o.closedLoop
-	cfg.InFlightPerClient = o.inflight
-	if o.clients > 0 {
-		cfg.Clients = o.clients
-	}
-	cfg.CohortSize = o.cohort
-	cfg.Channels = o.channels
-	cfg.CrossChannel = o.crossChannel
 
-	switch strings.ToLower(o.ccName) {
-	case "genchain":
-		spec := gen.GenChainSpec()
-		cfg.Chaincode = gen.MustChaincode(spec)
-		cfg.Workload = gen.NewWorkload(spec, gen.UpdateHeavy, o.skew)
-	default:
-		f, err := core.UseCase(strings.ToLower(o.ccName))
-		if err != nil {
-			fatal(err)
+	// The spec strings share one grammar (internal/fabric/spec.go).
+	if cfg.RetryBudget, err = fabric.ParseRetryBudget(c.budget); err != nil {
+		return cfg, err
+	}
+	if cfg.Backpressure, err = fabric.ParseBackpressure(c.backpressure); err != nil {
+		return cfg, err
+	}
+	if cfg.Gossip, err = fabric.ParseGossip(c.gossip); err != nil {
+		return cfg, err
+	}
+	if cfg.HintSource, err = fabric.ParseHintSource(c.hintSource); err != nil {
+		return cfg, err
+	}
+	if cfg.SplitSignal, err = fabric.ParseSplitSignal(c.split); err != nil {
+		return cfg, err
+	}
+	if cfg.Faults, err = fabric.ParseFaults(c.faults); err != nil {
+		return cfg, err
+	}
+	if cfg.ThinkTime, err = fabric.ParseThinkTime(c.think); err != nil {
+		return cfg, err
+	}
+
+	cc := core.GenChain(gen.UpdateHeavy, 0)
+	if name := strings.ToLower(c.chaincode); name != "genchain" {
+		if cc, err = core.UseCase(name); err != nil {
+			return cfg, err
 		}
-		cfg.Chaincode = f.New()
-		cfg.Workload = f.Workload(o.skew)
+	}
+	cfg.Chaincode = cc.New()
+	if cfg.Workload, err = cc.Generator(c.skew); err != nil {
+		return cfg, err
 	}
 
-	cfg.Rate = o.rate
-	cfg.BlockSize = o.blockSize
-	cfg.Duration = o.duration
-	cfg.Drain = o.duration
-	cfg.Seed = o.seed
+	cfg.Drain = cfg.Duration
 	// Keep full transaction payloads so the hash chain can be
 	// re-verified after the run.
 	cfg.StripAfterCommit = false
+	return cfg, cfg.Validate()
+}
+
+func adhoc(c *cli) {
+	cfg, err := adhocConfig(c)
+	if err != nil {
+		fatal(err)
+	}
+	sys, _ := parseSystem(c.system) // adhocConfig accepted it
+	// The hinted policy needs a signal that actually reaches the hint
+	// path: the orderer's (requires -backpressure) or the gossip
+	// estimate (requires -gossip AND a -hintsource that uses it).
+	ordererFeeds := cfg.Backpressure != nil && cfg.HintSource != fabric.HintGossip
+	gossipFeeds := cfg.Gossip != nil && cfg.HintSource != fabric.HintOrderer
+	if _, hinted := cfg.Retry.(fabric.BackpressurePolicy); hinted && !ordererFeeds && !gossipFeeds {
+		fmt.Fprintln(os.Stderr, "hyperlab: note: -retry hinted without a hint producer (-backpressure, or -gossip with -hintsource gossip|both) degenerates to a constant floor backoff")
+	}
 
 	nw, err := fabric.NewNetwork(cfg)
 	if err != nil {
@@ -370,19 +331,19 @@ func adhoc(o adhocOptions) {
 	start := time.Now()
 	rep := nw.Run()
 	mode := "open-loop"
-	if o.closedLoop {
-		mode = fmt.Sprintf("closed-loop(%d)", o.inflight)
+	if cfg.ClosedLoop {
+		mode = fmt.Sprintf("closed-loop(%d)", cfg.InFlightPerClient)
 	}
-	if o.cohort > 1 {
-		mode += fmt.Sprintf(", %d clients in cohorts of %d", cfg.Clients, o.cohort)
+	if cfg.CohortSize > 1 {
+		mode += fmt.Sprintf(", %d clients in cohorts of %d", cfg.Clients, cfg.CohortSize)
 	}
-	if o.channels > 1 {
-		mode += fmt.Sprintf(", %d channels (%.0f%% cross-channel)", o.channels, 100*o.crossChannel)
+	if cfg.Channels > 1 {
+		mode += fmt.Sprintf(", %d channels (%.0f%% cross-channel)", cfg.Channels, 100*cfg.CrossChannel)
 	}
 	fmt.Printf("%s on %s, %s, rate %.0f tps, block %d, db %s, skew %.1f, retry %s, %s (%v virtual, %v real)\n",
-		sys, o.cluster, o.ccName, o.rate, o.blockSize, cfg.DBKind, o.skew,
+		sys, c.cluster, c.chaincode, cfg.Rate, cfg.BlockSize, cfg.DBKind, c.skew,
 		cfg.Retry.Name(), mode,
-		o.duration, time.Since(start).Round(time.Millisecond))
+		cfg.Duration, time.Since(start).Round(time.Millisecond))
 	fmt.Println(rep)
 	if _, none := cfg.Retry.(fabric.NoRetry); !none || cfg.ClosedLoop {
 		fmt.Printf("effective: jobs=%d eventual-valid=%d gave-up=%d attempts=%d e2e=%v\n",
@@ -441,7 +402,7 @@ func adhoc(o adhocOptions) {
 		fmt.Printf("chain: %d blocks, %d transactions, hash chain verified\n",
 			nw.Chain().Height(), nw.Chain().TxCount())
 	}
-	for n := uint64(1); n <= uint64(o.dump) && n < nw.Chain().Height(); n++ {
+	for n := uint64(1); n <= uint64(c.dump) && n < nw.Chain().Height(); n++ {
 		summary, err := nw.Chain().Block(n).MarshalSummary()
 		if err != nil {
 			fatal(err)

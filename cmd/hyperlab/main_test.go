@@ -1,0 +1,71 @@
+package main
+
+import (
+	"flag"
+	"io"
+	"strings"
+	"testing"
+)
+
+// config parses one command line the way main does and resolves it.
+func config(t *testing.T, line string) error {
+	t.Helper()
+	fs := flag.NewFlagSet("hyperlab", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	c, err := parseFlags(fs, strings.Fields(line))
+	if err != nil {
+		return err
+	}
+	_, err = adhocConfig(c)
+	return err
+}
+
+// TestAdhocConfigSmokeLines resolves the ad-hoc command lines CI
+// smoke-runs (.github/workflows/ci.yml) and the usage examples: each
+// must build a config that validates.
+func TestAdhocConfigSmokeLines(t *testing.T) {
+	for _, line := range []string{
+		"-adhoc",
+		"-adhoc -faults chaos -retry backoff -duration 5s",
+		"-adhoc -retry hinted -backpressure on -gossip 2:500ms -hintsource gossip -duration 5s",
+		"-adhoc -retry hinted -backpressure on -gossip on -hintsource gossip -split on -budget 1:3:drop:adaptive -duration 5s",
+		"-adhoc -clients 100000 -cohort 1000 -channels 4 -crosschannel 0.1 -retry backoff -duration 5s",
+		"-adhoc -chaincode ehr -rate 100 -block 50 -db leveldb -system fabric++",
+		"-adhoc -retry adaptive -budget 1:3:drop -closedloop -think exp:500ms",
+		"-adhoc -chaincode genchain -cluster C2 -skew 0 -system streamchain",
+		"-adhoc -faults partition:1@5s+10s,etimeout=2s",
+	} {
+		if err := config(t, line); err != nil {
+			t.Errorf("%s: %v", line, err)
+		}
+	}
+}
+
+// TestAdhocConfigRejectsHostileLines pins the robustness list: each of
+// these used to hang the simulator, panic in the Zipfian sampler, run
+// with NaN in a control loop, or silently ignore -adhoc. Each must now
+// be an error naming the offending field.
+func TestAdhocConfigRejectsHostileLines(t *testing.T) {
+	for _, c := range []struct{ line, want string }{
+		{"-adhoc -rate NaN", "arrival rate"},
+		{"-adhoc -rate Inf", "arrival rate"},
+		{"-adhoc -rate -3", "arrival rate"},
+		{"-adhoc -skew -1", "skew"},
+		{"-adhoc -skew NaN", "skew"},
+		{"-adhoc -skew Inf", "skew"},
+		{"-adhoc -budget NaN:3", "retry budget rate"},
+		{"-adhoc -budget 1:NaN", "retry budget burst"},
+		{"-adhoc -budget 1:Inf", "retry budget burst"},
+		{"-adhoc -backpressure NaN:1s", "backpressure smoothing"},
+		{"-adhoc -think lognormal:1s:NaN -closedloop", "think time sigma"},
+		{"-adhoc -exp fig7", "-exp/-run"},
+		{"-adhoc -run scale", "-exp/-run"},
+		{"-adhoc -chaincode nope", "unknown chaincode"},
+		{"-adhoc -system fabric3", "unknown system"},
+	} {
+		err := config(t, c.line)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %q", c.line, err, c.want)
+		}
+	}
+}

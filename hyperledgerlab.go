@@ -58,8 +58,7 @@
 // pacing signal), so a contention-bound workload no longer paces
 // against an idle orderer; RetryBudget.Adaptive calibrates the token
 // bucket per workload from the same classes. Config.ClosedLoop
-// switches from
-// open-loop Poisson arrivals to a closed loop with
+// switches from open-loop Poisson arrivals to a closed loop with
 // Config.InFlightPerClient outstanding transactions per client and an
 // optional Config.ThinkTime distribution (fixed, exponential or
 // log-normal) between jobs.
@@ -262,9 +261,8 @@ type (
 	ThinkTime = fabric.ThinkTime
 	// ThinkTimeKind selects the think-time distribution.
 	ThinkTimeKind = fabric.ThinkTimeKind
-	// ClientDriver is the common surface of the exact per-client
-	// simulation and the cohort drivers selected by Config.CohortSize
-	// (see Network.Drivers).
+	// ClientDriver is one client-side node: it drives one simulated
+	// client, or a cohort of Config.CohortSize (see Network.Drivers).
 	ClientDriver = fabric.ClientDriver
 )
 
@@ -336,23 +334,25 @@ func GiveUpAfter(inner RetryPolicy, n int) RetryPolicy { return fabric.GiveUpAft
 // retry-policies experiment.
 func RetryPolicies() []RetryPolicy { return core.RetryPolicies() }
 
-// CotunePolicy is one rung of the retry-control ladder compared by
-// the retry-cotune experiment: a named policy + optional budget.
-type CotunePolicy = core.CotunePolicy
+// Control is one rung of a retry-control ladder: a label plus a retry
+// policy and the optional budget, backpressure, gossip, hint-source
+// and split-signal configs, with Apply to wire it into a Config.
+type Control = core.Control
 
 // CotunePolicies returns the retry-control strategies (static,
-// adaptive, budgeted, paced) compared by the retry-cotune experiment.
-func CotunePolicies() []CotunePolicy { return core.CotunePolicies() }
-
-// CoordinationPolicy is one rung of the coordination ladder compared
-// by the retry-coordination experiment: a named policy + optional
-// budget + optional orderer backpressure signal.
-type CoordinationPolicy = core.CoordinationPolicy
+// adaptive, budgeted, paced, budgeted-adaptive) compared by the
+// retry-cotune experiment.
+func CotunePolicies() []Control { return core.CotunePolicies() }
 
 // CoordinationPolicies returns the retry-control strategies (aimd,
-// budgeted, hinted, hinted+budgeted) compared by the
-// retry-coordination experiment.
-func CoordinationPolicies() []CoordinationPolicy { return core.CoordinationPolicies() }
+// hinted-orderer, hinted-gossip, hinted-both and the two split rungs)
+// compared by the retry-coordination experiment.
+func CoordinationPolicies() []Control { return core.CoordinationPolicies() }
+
+// ParseRetryBudget parses a retry-budget spec such as "1:3" or
+// "2:5:drop:adaptive" (the CLI's -budget syntax); "" returns nil (no
+// budget).
+func ParseRetryBudget(s string) (*RetryBudget, error) { return fabric.ParseRetryBudget(s) }
 
 // ParseThinkTime parses a think-time spec such as "exp:500ms" or
 // "lognormal:1s:0.8" (the CLI's -think syntax).

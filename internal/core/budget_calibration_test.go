@@ -17,35 +17,25 @@ import (
 // collapse, while leaving a workload that fits its base rate roughly
 // alone.
 func TestBudgetCalibrationPerChaincode(t *testing.T) {
-	backoff := fabric.ExponentialBackoff{
-		Initial:     200 * time.Millisecond,
-		Cap:         2 * time.Second,
-		MaxAttempts: 5,
-		Jitter:      0.2,
-	}
 	fixed := fabric.RetryBudget{RefillPerSec: 1, Burst: 3, DropOnEmpty: true}
 	adaptive := fabric.RetryBudget{RefillPerSec: 1, Burst: 3, DropOnEmpty: true, Adaptive: true}
 
 	grid := []struct {
-		cc     string
+		cc     CCFactory
 		budget fabric.RetryBudget
 	}{
-		{"ehr", fixed},
-		{"ehr", adaptive},
-		{"dv", fixed},
-		{"dv", adaptive},
+		{EHR, fixed},
+		{EHR, adaptive},
+		{DV, fixed},
+		{DV, adaptive},
 	}
 	builds := make([]Builder, len(grid))
 	for i, cell := range grid {
-		cc, err := UseCase(cell.cc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		budget := cell.budget
+		cc, budget := cell.cc, cell.budget
 		builds[i] = func(seed int64) fabric.Config {
 			cfg := baseConfig(C1, cc, 1, Fabric14)(seed)
 			cfg.BlockSize = 100
-			cfg.Retry = backoff
+			cfg.Retry = StaticBackoff
 			cfg.RetryBudget = &budget
 			return cfg
 		}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -16,7 +14,7 @@ import (
 // byte-identical to the values PR 4's "hinted" rung produced: a
 // HintSource=orderer run must not change when the gossip subsystem
 // merely exists in the build.
-func goldenCoordinationLine(pol CoordinationPolicy, r Result) string {
+func goldenCoordinationLine(pol Control, r Result) string {
 	line := fmt.Sprintf(
 		"ehr/%s/bs100: goodput=%.4f tput=%.4f amp=%.4f e2e=%.6f paced=%.0f pacedsec=%.6f hintavg=%.6f hint=%.6f gmsgs=%.0f gmerges=%.0f gest=%.6f gstale=%.6f gaveup=%.4f fail=%.4f",
 		pol.Label, r.Goodput, r.Throughput, r.RetryAmp, r.EndToEndSec,
@@ -42,15 +40,7 @@ func goldenCoordinationLine(pol CoordinationPolicy, r Result) string {
 // and justify the diff in the commit.
 func TestGoldenCoordinationRow(t *testing.T) {
 	pols := CoordinationPolicies()
-	cc, err := UseCase("ehr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	builds := make([]Builder, len(pols))
-	for i, pol := range pols {
-		builds[i] = coordinationConfig(cc, coordinationCell{"ehr", Fabric14, pol, 100})
-	}
-	results, err := QuickOptions().RunAll(builds)
+	results, err := runCells(QuickOptions(), cross(on(C1, EHR), byControl(pols...)), cell.build)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,38 +48,5 @@ func TestGoldenCoordinationRow(t *testing.T) {
 	for i, pol := range pols {
 		lines = append(lines, goldenCoordinationLine(pol, results[i]))
 	}
-	got := strings.Join(lines, "\n") + "\n"
-
-	path := filepath.Join("testdata", "golden_coordination.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-	}
-	if got == string(want) {
-		return
-	}
-	gotLines := strings.Split(strings.TrimRight(got, "\n"), "\n")
-	wantLines := strings.Split(strings.TrimRight(string(want), "\n"), "\n")
-	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
-		var g, w string
-		if i < len(gotLines) {
-			g = gotLines[i]
-		}
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if g != w {
-			t.Errorf("coordination golden drift line %d:\n got: %s\nwant: %s", i+1, g, w)
-		}
-	}
+	checkGolden(t, "golden_coordination.txt", strings.Join(lines, "\n")+"\n")
 }

@@ -38,14 +38,14 @@ func TestRetryCoordinationTableShape(t *testing.T) {
 }
 
 func TestRetryCoordinationFullGridEnumeration(t *testing.T) {
-	cells := coordinationGrid(false)
+	cells := ladderGrid(false, CoordinationPolicies(), CoordinationBlockSizes)
 	want := 4 * 2 * len(CoordinationPolicies()) * len(CoordinationBlockSizes)
 	if len(cells) != want {
 		t.Fatalf("full grid has %d cells, want %d", len(cells), want)
 	}
 	seen := map[string]bool{}
 	for _, c := range cells {
-		seen[c.ccName] = true
+		seen[c.cc.Name] = true
 	}
 	for _, cc := range []string{"ehr", "dv", "scm", "drm"} {
 		if !seen[cc] {
@@ -95,32 +95,21 @@ func TestCoordinationPoliciesWireTheSignal(t *testing.T) {
 // rungs actually gossip in the smoke regime — messages flow, merges
 // happen — while the orderer rung keeps every gossip metric at zero.
 func TestCoordinationGossipRungsExchangeEstimates(t *testing.T) {
-	cc, err := UseCase("ehr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cells []coordinationCell
-	for _, pol := range CoordinationPolicies() {
-		cells = append(cells, coordinationCell{"ehr", Fabric14, pol, 100})
-	}
-	builds := make([]Builder, len(cells))
-	for i, c := range cells {
-		builds[i] = coordinationConfig(cc, c)
-	}
-	results, err := cotuneOpts(0).RunAll(builds)
+	cells := cross(on(C1, EHR), byControl(CoordinationPolicies()...))
+	results, err := runCells(cotuneOpts(0), cells, cell.build)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range cells {
 		r := results[i]
-		if c.pol.Gossip != nil {
+		if c.ctl.Gossip != nil {
 			if r.GossipMsgs == 0 || r.GossipMerges == 0 {
 				t.Errorf("%s: gossip configured but msgs=%.0f merges=%.0f",
-					c.pol.Label, r.GossipMsgs, r.GossipMerges)
+					c.ctl.Label, r.GossipMsgs, r.GossipMerges)
 			}
 		} else if r.GossipMsgs != 0 || r.GossipMerges != 0 || r.GossipEstFinal != 0 {
 			t.Errorf("%s: gossip disabled but msgs=%.0f merges=%.0f est=%g",
-				c.pol.Label, r.GossipMsgs, r.GossipMerges, r.GossipEstFinal)
+				c.ctl.Label, r.GossipMsgs, r.GossipMerges, r.GossipEstFinal)
 		}
 	}
 }

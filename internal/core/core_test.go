@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -71,6 +72,22 @@ func TestUseCaseFactories(t *testing.T) {
 	}
 }
 
+// TestGeneratorValidatesSkew pins the outside-input path: a skew the
+// Zipfian sampler would panic on (or silently accept as NaN) is an
+// error, for the use-case and the generated chaincodes alike.
+func TestGeneratorValidatesSkew(t *testing.T) {
+	for _, f := range append([]CCFactory{GenChain(gen.UniformRU, 500)}, useCases...) {
+		for _, skew := range []float64{-1, math.NaN(), math.Inf(1)} {
+			if g, err := f.Generator(skew); err == nil || g != nil {
+				t.Errorf("%s: Generator(%v) = %v, %v; want an error", f.Name, skew, g, err)
+			}
+		}
+		if g, err := f.Generator(0); err != nil || g == nil {
+			t.Errorf("%s: Generator(0) = %v, %v", f.Name, g, err)
+		}
+	}
+}
+
 func TestGenChainFactory(t *testing.T) {
 	f := GenChain(gen.UpdateHeavy, 500)
 	if f.New().Name() != "genChain" {
@@ -81,12 +98,8 @@ func TestGenChainFactory(t *testing.T) {
 func TestRunAveragesSeeds(t *testing.T) {
 	o := tinyOptions()
 	o.Seeds = []int64{1, 2}
-	cc, err := UseCase("ehr")
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := o.Run(func(seed int64) fabric.Config {
-		cfg := baseConfig(C1, cc, 1, Fabric14)(seed)
+		cfg := baseConfig(C1, EHR, 1, Fabric14)(seed)
 		cfg.Rate = 30
 		return cfg
 	})
@@ -160,15 +173,11 @@ func TestLookup(t *testing.T) {
 // TestFig7ShapeQuick checks the inverse relation of inter vs
 // intra-block conflicts with block size on a reduced sweep.
 func TestFig7ShapeQuick(t *testing.T) {
-	cc, err := UseCase("ehr")
-	if err != nil {
-		t.Fatal(err)
-	}
 	o := tinyOptions()
 	o.Duration = 15 * time.Second
 	runBS := func(bs int) Result {
 		res, err := o.Run(func(seed int64) fabric.Config {
-			cfg := baseConfig(C1, cc, 1, Fabric14)(seed)
+			cfg := baseConfig(C1, EHR, 1, Fabric14)(seed)
 			cfg.Rate = 100
 			cfg.BlockSize = bs
 			return cfg
@@ -245,7 +254,7 @@ func TestRetryGridShape(t *testing.T) {
 	}
 	seen := map[pair]bool{}
 	for _, c := range cells {
-		seen[pair{c.ccName, c.policy.Name(), c.skew}] = true
+		seen[pair{c.cc.Name, c.ctl.Policy.Name(), c.skew}] = true
 	}
 	for _, cc := range []string{"ehr", "dv", "scm", "drm"} {
 		for _, p := range RetryPolicies() {
@@ -259,7 +268,7 @@ func TestRetryGridShape(t *testing.T) {
 	// The block-size axis is exercised on the cheap chaincodes.
 	bs := map[int]bool{}
 	for _, c := range cells {
-		if c.ccName == "ehr" {
+		if c.cc.Name == "ehr" {
 			bs[c.bs] = true
 		}
 	}
@@ -272,7 +281,7 @@ func TestRetryGridShape(t *testing.T) {
 		t.Fatalf("grid size unstable: %d vs %d", len(again), len(cells))
 	}
 	for i := range cells {
-		if cells[i].ccName != again[i].ccName || cells[i].policy.Name() != again[i].policy.Name() ||
+		if cells[i].cc.Name != again[i].cc.Name || cells[i].ctl.Policy.Name() != again[i].ctl.Policy.Name() ||
 			cells[i].skew != again[i].skew || cells[i].bs != again[i].bs {
 			t.Fatalf("grid order unstable at %d: %+v vs %+v", i, cells[i], again[i])
 		}

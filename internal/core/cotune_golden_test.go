@@ -2,12 +2,8 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/fabric"
 )
 
 // goldenCotuneCells is the locked retry-cotune slab: the EHR rows on
@@ -15,7 +11,7 @@ import (
 // strategy, under QuickOptions. It pins exactly the budget/adaptive
 // code paths the QuickOptions golden grid (fire-and-forget clients)
 // cannot see.
-func goldenCotuneCells() []CotunePolicy {
+func goldenCotuneCells() []Control {
 	return CotunePolicies()
 }
 
@@ -25,7 +21,7 @@ func goldenCotuneCells() []CotunePolicy {
 // the cotune grid never enables Config.Backpressure, so any non-zero
 // value — or any shift in the other columns — means the backpressure
 // subsystem stopped being inert when disabled.
-func goldenCotuneLine(pol CotunePolicy, r Result) string {
+func goldenCotuneLine(pol Control, r Result) string {
 	return fmt.Sprintf(
 		"ehr/%s/bs100: goodput=%.4f tput=%.4f amp=%.4f e2e=%.6f exhausted=%.0f deferred=%.0f maxdefer=%.0f aimd=%.6f gaveup=%.4f fail=%.4f paced=%.0f pacedsec=%.6f hint=%.6f",
 		pol.Label, r.Goodput, r.Throughput, r.RetryAmp, r.EndToEndSec,
@@ -45,22 +41,7 @@ func goldenCotuneLine(pol CotunePolicy, r Result) string {
 // and justify the diff in the commit.
 func TestGoldenCotuneRow(t *testing.T) {
 	pols := goldenCotuneCells()
-	cc, err := UseCase("ehr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	builds := make([]Builder, len(pols))
-	for i, pol := range pols {
-		pol := pol
-		builds[i] = func(seed int64) fabric.Config {
-			cfg := baseConfig(C1, cc, 1, Fabric14)(seed)
-			cfg.BlockSize = 100
-			cfg.Retry = pol.Policy
-			cfg.RetryBudget = pol.Budget
-			return cfg
-		}
-	}
-	results, err := QuickOptions().RunAll(builds)
+	results, err := runCells(QuickOptions(), cross(on(C1, EHR), byControl(pols...)), cell.build)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,38 +49,5 @@ func TestGoldenCotuneRow(t *testing.T) {
 	for i, pol := range pols {
 		lines = append(lines, goldenCotuneLine(pol, results[i]))
 	}
-	got := strings.Join(lines, "\n") + "\n"
-
-	path := filepath.Join("testdata", "golden_cotune.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-	}
-	if got == string(want) {
-		return
-	}
-	gotLines := strings.Split(strings.TrimRight(got, "\n"), "\n")
-	wantLines := strings.Split(strings.TrimRight(string(want), "\n"), "\n")
-	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
-		var g, w string
-		if i < len(gotLines) {
-			g = gotLines[i]
-		}
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if g != w {
-			t.Errorf("cotune golden drift line %d:\n got: %s\nwant: %s", i+1, g, w)
-		}
-	}
+	checkGolden(t, "golden_cotune.txt", strings.Join(lines, "\n")+"\n")
 }

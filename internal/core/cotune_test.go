@@ -45,14 +45,14 @@ func TestRetryCotuneTableShape(t *testing.T) {
 }
 
 func TestRetryCotuneFullGridEnumeration(t *testing.T) {
-	cells := cotuneGrid(false)
+	cells := ladderGrid(false, CotunePolicies(), CotuneBlockSizes)
 	want := 4 * 2 * len(CotunePolicies()) * len(CotuneBlockSizes)
 	if len(cells) != want {
 		t.Fatalf("full grid has %d cells, want %d", len(cells), want)
 	}
 	seen := map[string]bool{}
 	for _, c := range cells {
-		seen[c.ccName] = true
+		seen[c.cc.Name] = true
 	}
 	for _, cc := range []string{"ehr", "dv", "scm", "drm"} {
 		if !seen[cc] {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/chaincodes/drm"
@@ -47,44 +46,34 @@ func Table2(Options) (string, error) {
 	return t.String(), nil
 }
 
+// namedMix pairs a §4.4 workload abbreviation with its genChain mix.
+type namedMix struct {
+	name string
+	mix  gen.Mix
+}
+
+var (
+	mixRH  = namedMix{"RH", gen.ReadHeavy}
+	mixIH  = namedMix{"IH", gen.InsertHeavy}
+	mixUH  = namedMix{"UH", gen.UpdateHeavy}
+	mixRaH = namedMix{"RaH", gen.RangeHeavy}
+	mixDH  = namedMix{"DH", gen.DeleteHeavy}
+
+	heavyMixes = []namedMix{mixRH, mixIH, mixUH, mixRaH, mixDH}
+)
+
 // Table4 reproduces the database-type study: average latency and
 // failure percentage per workload on CouchDB vs LevelDB, plus the
 // calibrated per-function-call latencies.
 func Table4(o Options) (string, error) {
-	var sb strings.Builder
-	t := metrics.NewTable("workload", "db", "avg latency (s)", "failures %")
-	type cell struct {
-		wl   string
-		kind statedb.Kind
-	}
-	var cells []cell
-	var builds []Builder
-	for _, wl := range []string{"RH", "IH", "UH", "RaH", "DH"} {
-		mix, err := gen.MixByName(wl)
-		if err != nil {
-			return "", err
-		}
-		for _, kind := range []statedb.Kind{statedb.CouchDB, statedb.LevelDB} {
-			kind := kind
-			cc := GenChain(mix, o.GenKeys)
-			cells = append(cells, cell{wl, kind})
-			builds = append(builds, func(seed int64) fabric.Config {
-				cfg := baseConfig(C1, cc, 1, Fabric14)(seed)
-				cfg.DBKind = kind
-				return cfg
-			})
-		}
-	}
-	results, err := o.RunAll(builds)
+	runs, err := table(o,
+		cross(on(C1, CCFactory{}), byMix(o.GenKeys, heavyMixes...), byDB(statedb.CouchDB, statedb.LevelDB)),
+		cell.build,
+		[]string{"workload", "db", "avg latency (s)", "failures %"},
+		func(c cell, r Result) []any { return []any{c.wl, c.db.String(), r.LatencySec, r.FailurePct} })
 	if err != nil {
 		return "", err
 	}
-	for i, c := range cells {
-		res := results[i]
-		t.AddRow(c.wl, c.kind.String(), fmt.Sprintf("%.2f", res.LatencySec), res.FailurePct)
-	}
-	sb.WriteString(t.String())
-	sb.WriteString("\nFunction call latency (cost model, calibrated to the paper):\n")
 	ft := metrics.NewTable("function", "CouchDB (ms)", "LevelDB (ms)")
 	cdb, ldb := costmodel.ForKind(statedb.CouchDB), costmodel.ForKind(statedb.LevelDB)
 	ms := func(d time.Duration) string { return fmt.Sprintf("%.1f", float64(d)/float64(time.Millisecond)) }
@@ -92,43 +81,27 @@ func Table4(o Options) (string, error) {
 	ft.AddRow("PutState", ms(cdb.Put), ms(ldb.Put))
 	ft.AddRow("GetRange", ms(cdb.RangeBase), ms(ldb.RangeBase))
 	ft.AddRow("DeleteState", ms(cdb.Delete), ms(ldb.Delete))
-	sb.WriteString(ft.String())
-	return sb.String(), nil
+	return runs + "\nFunction call latency (cost model, calibrated to the paper):\n" + ft.String(), nil
 }
 
 // blockSizeSweep runs one chaincode on one cluster over rates × block
 // sizes and returns the result grid. All rate × block-size × seed
 // cells fan out across the worker pool; the grid is assembled in
 // sweep order, so its contents do not depend on Parallelism.
-func blockSizeSweep(o Options, cluster Cluster, ccName string, sys System) (map[float64]map[int]Result, error) {
-	cc, err := UseCase(ccName)
-	if err != nil {
-		return nil, err
-	}
-	builds := make([]Builder, 0, len(Rates)*len(BlockSizes))
-	for _, rate := range Rates {
-		for _, bs := range BlockSizes {
-			rate, bs := rate, bs
-			builds = append(builds, func(seed int64) fabric.Config {
-				cfg := baseConfig(cluster, cc, 1, sys)(seed)
-				cfg.Rate = rate
-				cfg.BlockSize = bs
-				return cfg
-			})
-		}
-	}
-	results, err := o.RunAll(builds)
+func blockSizeSweep(o Options, cluster Cluster, cc CCFactory, sys System) (map[float64]map[int]Result, error) {
+	base := on(cluster, cc)
+	base.sys = sys
+	cells := cross(base, byRate(Rates...), byBlockSize(BlockSizes...))
+	results, err := runCells(o, cells, cell.build)
 	if err != nil {
 		return nil, err
 	}
 	grid := map[float64]map[int]Result{}
-	i := 0
-	for _, rate := range Rates {
-		grid[rate] = map[int]Result{}
-		for _, bs := range BlockSizes {
-			grid[rate][bs] = results[i]
-			i++
+	for i, c := range cells {
+		if grid[c.rate] == nil {
+			grid[c.rate] = map[int]Result{}
 		}
+		grid[c.rate][c.bs] = results[i]
 	}
 	return grid, nil
 }
@@ -157,15 +130,15 @@ func bestWorst(row map[int]Result) (bestBS, worstBS int, least, most float64) {
 // and DRM on both clusters.
 func Fig4(o Options) (string, error) {
 	t := metrics.NewTable("chaincode", "cluster", "rate (tps)", "best block size", "failures %")
-	for _, ccName := range []string{"ehr", "dv", "drm"} {
+	for _, cc := range []CCFactory{EHR, DV, DRM} {
 		for _, cluster := range []Cluster{C1, C2} {
-			grid, err := blockSizeSweep(o, cluster, ccName, Fabric14)
+			grid, err := blockSizeSweep(o, cluster, cc, Fabric14)
 			if err != nil {
 				return "", err
 			}
 			for _, rate := range Rates {
 				best, _, least, _ := bestWorst(grid[rate])
-				t.AddRow(ccName, cluster, rate, best, least)
+				t.AddRow(cc.Name, cluster, rate, best, least)
 			}
 		}
 	}
@@ -176,8 +149,8 @@ func Fig4(o Options) (string, error) {
 // block-size sweep at each rate on C2.
 func Fig5(o Options) (string, error) {
 	t := metrics.NewTable("chaincode", "rate (tps)", "least failures %", "most failures %", "reduction %")
-	for _, ccName := range []string{"ehr", "dv", "drm"} {
-		grid, err := blockSizeSweep(o, C2, ccName, Fabric14)
+	for _, cc := range []CCFactory{EHR, DV, DRM} {
+		grid, err := blockSizeSweep(o, C2, cc, Fabric14)
 		if err != nil {
 			return "", err
 		}
@@ -187,289 +160,119 @@ func Fig5(o Options) (string, error) {
 			if most > 0 {
 				reduction = 100 * (most - least) / most
 			}
-			t.AddRow(ccName, rate, least, most, reduction)
+			t.AddRow(cc.Name, rate, least, most, reduction)
 		}
 	}
 	return t.String(), nil
+}
+
+// overBlockSizes is the sweep Figs 6, 7, 9 and 10 print different
+// columns of: one chaincode on C2 at 100 tps over BlockSizes.
+func overBlockSizes(o Options, cc CCFactory, header []string, row func(cell, Result) []any) (string, error) {
+	return table(o, cross(on(C2, cc), byBlockSize(BlockSizes...)), cell.build, header, row)
 }
 
 // Fig6 prints latency and committed throughput vs block size (EHR at
 // 100 tps on C2).
 func Fig6(o Options) (string, error) {
-	cc, err := UseCase("ehr")
-	if err != nil {
-		return "", err
-	}
-	t := metrics.NewTable("block size", "avg latency (s)", "throughput (tps)", "failures %")
-	results, err := sweep(o, BlockSizes, func(bs int) Builder {
-		return func(seed int64) fabric.Config {
-			cfg := baseConfig(C2, cc, 1, Fabric14)(seed)
-			cfg.BlockSize = bs
-			return cfg
-		}
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, bs := range BlockSizes {
-		res := results[i]
-		t.AddRow(bs, fmt.Sprintf("%.2f", res.LatencySec), res.Throughput, res.FailurePct)
-	}
-	return t.String(), nil
+	return overBlockSizes(o, EHR,
+		[]string{"block size", "avg latency (s)", "throughput (tps)", "failures %"},
+		func(c cell, r Result) []any { return []any{c.bs, r.LatencySec, r.Throughput, r.FailurePct} })
 }
 
 // Fig7 prints inter- vs intra-block MVCC conflicts vs block size
 // (EHR, C2, 100 tps).
 func Fig7(o Options) (string, error) {
-	cc, err := UseCase("ehr")
-	if err != nil {
-		return "", err
-	}
-	t := metrics.NewTable("block size", "inter-block %", "intra-block %")
-	results, err := sweep(o, BlockSizes, func(bs int) Builder {
-		return func(seed int64) fabric.Config {
-			cfg := baseConfig(C2, cc, 1, Fabric14)(seed)
-			cfg.BlockSize = bs
-			return cfg
-		}
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, bs := range BlockSizes {
-		t.AddRow(bs, results[i].InterPct, results[i].IntraPct)
-	}
-	return t.String(), nil
+	return overBlockSizes(o, EHR,
+		[]string{"block size", "inter-block %", "intra-block %"},
+		func(c cell, r Result) []any { return []any{c.bs, r.InterPct, r.IntraPct} })
 }
 
 // Fig8 prints inter- vs intra-block MVCC conflicts vs arrival rate
 // (EHR, C2, block size 100).
 func Fig8(o Options) (string, error) {
-	cc, err := UseCase("ehr")
-	if err != nil {
-		return "", err
-	}
-	t := metrics.NewTable("rate (tps)", "inter-block %", "intra-block %")
-	results, err := sweep(o, Rates, func(rate float64) Builder {
-		return func(seed int64) fabric.Config {
-			cfg := baseConfig(C2, cc, 1, Fabric14)(seed)
-			cfg.Rate = rate
-			return cfg
-		}
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, rate := range Rates {
-		t.AddRow(rate, results[i].InterPct, results[i].IntraPct)
-	}
-	return t.String(), nil
+	return table(o, cross(on(C2, EHR), byRate(Rates...)), cell.build,
+		[]string{"rate (tps)", "inter-block %", "intra-block %"},
+		func(c cell, r Result) []any { return []any{c.rate, r.InterPct, r.IntraPct} })
 }
 
 // Fig9 prints endorsement policy failures vs block size (EHR, C2).
 func Fig9(o Options) (string, error) {
-	cc, err := UseCase("ehr")
-	if err != nil {
-		return "", err
-	}
-	t := metrics.NewTable("block size", "endorsement failures %")
-	results, err := sweep(o, BlockSizes, func(bs int) Builder {
-		return func(seed int64) fabric.Config {
-			cfg := baseConfig(C2, cc, 1, Fabric14)(seed)
-			cfg.BlockSize = bs
-			return cfg
-		}
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, bs := range BlockSizes {
-		t.AddRow(bs, results[i].EndorsementPct)
-	}
-	return t.String(), nil
+	return overBlockSizes(o, EHR,
+		[]string{"block size", "endorsement failures %"},
+		func(c cell, r Result) []any { return []any{c.bs, r.EndorsementPct} })
 }
 
 // Fig10 prints phantom read conflicts vs block size (SCM, C2).
 func Fig10(o Options) (string, error) {
-	cc, err := UseCase("scm")
-	if err != nil {
-		return "", err
-	}
-	t := metrics.NewTable("block size", "phantom read conflicts %")
-	results, err := sweep(o, BlockSizes, func(bs int) Builder {
-		return func(seed int64) fabric.Config {
-			cfg := baseConfig(C2, cc, 1, Fabric14)(seed)
-			cfg.BlockSize = bs
-			return cfg
-		}
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, bs := range BlockSizes {
-		t.AddRow(bs, results[i].PhantomPct)
-	}
-	return t.String(), nil
+	return overBlockSizes(o, SCM,
+		[]string{"block size", "phantom read conflicts %"},
+		func(c cell, r Result) []any { return []any{c.bs, r.PhantomPct} })
 }
 
 // Fig11 prints the database-type comparison on the EHR chaincode:
 // latency, endorsement failures, inter/intra MVCC conflicts.
 func Fig11(o Options) (string, error) {
-	cc, err := UseCase("ehr")
-	if err != nil {
-		return "", err
-	}
-	t := metrics.NewTable("db", "avg latency (s)", "endorsement %", "inter-block %", "intra-block %")
-	kinds := []statedb.Kind{statedb.CouchDB, statedb.LevelDB}
-	results, err := sweep(o, kinds, func(kind statedb.Kind) Builder {
-		return func(seed int64) fabric.Config {
-			cfg := baseConfig(C2, cc, 1, Fabric14)(seed)
-			cfg.DBKind = kind
-			return cfg
-		}
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, kind := range kinds {
-		res := results[i]
-		t.AddRow(kind.String(), fmt.Sprintf("%.2f", res.LatencySec),
-			res.EndorsementPct, res.InterPct, res.IntraPct)
-	}
-	return t.String(), nil
+	return table(o, cross(on(C2, EHR), byDB(statedb.CouchDB, statedb.LevelDB)), cell.build,
+		[]string{"db", "avg latency (s)", "endorsement %", "inter-block %", "intra-block %"},
+		func(c cell, r Result) []any {
+			return []any{c.db.String(), r.LatencySec, r.EndorsementPct, r.InterPct, r.IntraPct}
+		})
 }
 
 // Fig12 prints the effect of the number of organizations (4 peers
 // each): latency and endorsement failures.
 func Fig12(o Options) (string, error) {
-	cc, err := UseCase("ehr")
-	if err != nil {
-		return "", err
-	}
-	t := metrics.NewTable("orgs", "peers", "avg latency (s)", "endorsement failures %")
-	orgCounts := []int{2, 4, 6, 8, 10}
-	results, err := sweep(o, orgCounts, func(orgs int) Builder {
-		return func(seed int64) fabric.Config {
-			cfg := baseConfig(C2, cc, 1, Fabric14)(seed)
-			cfg.Orgs = orgs
-			cfg.PeersPerOrg = 4
-			return cfg
-		}
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, orgs := range orgCounts {
-		t.AddRow(orgs, orgs*4, fmt.Sprintf("%.2f", results[i].LatencySec), results[i].EndorsementPct)
-	}
-	return t.String(), nil
+	return table(o, []int{2, 4, 6, 8, 10},
+		func(orgs int) Builder {
+			return on(C2, EHR).with(func(cfg *fabric.Config) { cfg.Orgs, cfg.PeersPerOrg = orgs, 4 })
+		},
+		[]string{"orgs", "peers", "avg latency (s)", "endorsement failures %"},
+		func(orgs int, r Result) []any { return []any{orgs, orgs * 4, r.LatencySec, r.EndorsementPct} })
 }
 
 // Fig13 prints the effect of the endorsement policies P0–P3.
 func Fig13(o Options) (string, error) {
-	cc, err := UseCase("ehr")
-	if err != nil {
-		return "", err
-	}
-	t := metrics.NewTable("policy", "avg latency (s)", "endorsement failures %")
-	policies := policy.AllNames()
-	results, err := sweep(o, policies, func(p policy.Name) Builder {
-		return func(seed int64) fabric.Config {
-			cfg := baseConfig(C2, cc, 1, Fabric14)(seed)
-			cfg.Policy = p
-			return cfg
-		}
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, p := range policies {
-		t.AddRow(p.String(), fmt.Sprintf("%.2f", results[i].LatencySec), results[i].EndorsementPct)
-	}
-	return t.String(), nil
+	return table(o, policy.AllNames(),
+		func(p policy.Name) Builder {
+			return on(C2, EHR).with(func(cfg *fabric.Config) { cfg.Policy = p })
+		},
+		[]string{"policy", "avg latency (s)", "endorsement failures %"},
+		func(p policy.Name, r Result) []any { return []any{p.String(), r.LatencySec, r.EndorsementPct} })
 }
 
 // Fig14 prints failures per workload mix (genChain, C2).
 func Fig14(o Options) (string, error) {
-	t := metrics.NewTable("workload", "failures %")
-	mixes := []string{"RH", "IH", "UH", "RaH", "DH"}
-	var builds []Builder
-	for _, wl := range mixes {
-		mix, err := gen.MixByName(wl)
-		if err != nil {
-			return "", err
-		}
-		cc := GenChain(mix, o.GenKeys)
-		builds = append(builds, baseConfig(C2, cc, 1, Fabric14))
-	}
-	results, err := o.RunAll(builds)
-	if err != nil {
-		return "", err
-	}
-	for i, wl := range mixes {
-		t.AddRow(wl, results[i].FailurePct)
-	}
-	return t.String(), nil
+	return table(o, cross(on(C2, CCFactory{}), byMix(o.GenKeys, heavyMixes...)), cell.build,
+		[]string{"workload", "failures %"},
+		func(c cell, r Result) []any { return []any{c.wl, r.FailurePct} })
 }
+
+// uniformRU is the genChain uniform read/update mix of the Zipf-skew
+// sweeps, on a keys-sized world state.
+func uniformRU(keys int) CCFactory { return GenChain(gen.UniformRU, keys) }
 
 // Fig15 prints failures per Zipfian skew (genChain uniform
 // read/update mix, C2).
 func Fig15(o Options) (string, error) {
-	t := metrics.NewTable("zipf skew", "failures %")
-	skews := []float64{0, 1, 2}
-	results, err := sweep(o, skews, func(skew float64) Builder {
-		cc := GenChain(gen.UniformRU, o.GenKeys)
-		return baseConfig(C2, cc, skew, Fabric14)
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, skew := range skews {
-		t.AddRow(skew, results[i].FailurePct)
-	}
-	return t.String(), nil
+	return table(o, cross(on(C2, uniformRU(o.GenKeys)), bySkew(0, 1, 2)), cell.build,
+		[]string{"zipf skew", "failures %"},
+		func(c cell, r Result) []any { return []any{c.skew, r.FailurePct} })
 }
 
 // Fig16 prints the network-delay emulation: Fabric 1.4 with and
 // without 100±10 ms injected on one organization, at 10/50/100 tps.
 func Fig16(o Options) (string, error) {
-	cc, err := UseCase("ehr")
-	if err != nil {
-		return "", err
-	}
-	t := metrics.NewTable("rate (tps)", "delay", "avg latency (s)", "endorsement %", "MVCC %")
-	type cell struct {
-		rate    float64
-		delayed bool
-	}
-	var cells []cell
-	for _, rate := range []float64{10, 50, 100} {
-		for _, delayed := range []bool{false, true} {
-			cells = append(cells, cell{rate, delayed})
-		}
-	}
-	results, err := sweep(o, cells, func(c cell) Builder {
-		return func(seed int64) fabric.Config {
-			cfg := baseConfig(C1, cc, 1, Fabric14)(seed)
-			cfg.Rate = c.rate
-			if c.delayed {
-				cfg.DelayOrg = 0
-				cfg.DelayLink = netem.Link{Base: 100 * time.Millisecond, Jitter: 10 * time.Millisecond}
+	delays := []netem.Link{{}, {Base: 100 * time.Millisecond, Jitter: 10 * time.Millisecond}}
+	return table(o,
+		cross(on(C1, EHR), byRate(10, 50, 100), axis(delays, func(c *cell, l netem.Link) { c.delay = l })),
+		cell.build,
+		[]string{"rate (tps)", "delay", "avg latency (s)", "endorsement %", "MVCC %"},
+		func(c cell, r Result) []any {
+			label := "no"
+			if c.delay != (netem.Link{}) {
+				label = "100±10ms"
 			}
-			return cfg
-		}
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, c := range cells {
-		res := results[i]
-		label := "no"
-		if c.delayed {
-			label = "100±10ms"
-		}
-		t.AddRow(c.rate, label, fmt.Sprintf("%.2f", res.LatencySec),
-			res.EndorsementPct, res.MVCCPct)
-	}
-	return t.String(), nil
+			return []any{c.rate, label, r.LatencySec, r.EndorsementPct, r.MVCCPct}
+		})
 }

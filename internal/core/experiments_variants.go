@@ -1,313 +1,118 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/fabric"
-	"repro/internal/gen"
-	"repro/internal/metrics"
-)
-
-// rateSysCell is one cell of the rate × system grids shared by the
-// variant-comparison figures (Figs 20, 23, 24, 26).
-type rateSysCell struct {
-	rate float64
-	sys  System
-}
-
-// rateSysGrid enumerates rates × systems in row order.
-func rateSysGrid(rates []float64, systems []System) []rateSysCell {
-	var cells []rateSysCell
-	for _, rate := range rates {
-		for _, sys := range systems {
-			cells = append(cells, rateSysCell{rate, sys})
-		}
-	}
-	return cells
-}
+import "fmt"
 
 // Fig17 compares Fabric 1.4 and Fabric++ across block sizes (EHR):
 // total failures and endorsement failures.
 func Fig17(o Options) (string, error) {
-	cc, err := UseCase("ehr")
-	if err != nil {
-		return "", err
-	}
-	t := metrics.NewTable("system", "block size", "failures %", "endorsement %")
-	type cell struct {
-		sys System
-		bs  int
-	}
-	var cells []cell
-	for _, sys := range []System{Fabric14, FabricPP} {
-		for _, bs := range []int{10, 50, 100} {
-			cells = append(cells, cell{sys, bs})
-		}
-	}
-	results, err := sweep(o, cells, func(c cell) Builder {
-		return func(seed int64) fabric.Config {
-			cfg := baseConfig(C1, cc, 1, c.sys)(seed)
-			cfg.BlockSize = c.bs
-			return cfg
-		}
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, c := range cells {
-		t.AddRow(c.sys, c.bs, results[i].FailurePct, results[i].EndorsementPct)
-	}
-	return t.String(), nil
+	return table(o, cross(on(C1, EHR), bySystem(Fabric14, FabricPP), byBlockSize(10, 50, 100)), cell.build,
+		[]string{"system", "block size", "failures %", "endorsement %"},
+		func(c cell, r Result) []any { return []any{c.sys, c.bs, r.FailurePct, r.EndorsementPct} })
 }
 
 // Fig18 compares Fabric 1.4 and Fabric++ across the four use-case
 // chaincodes: latency and total failures. DV and SCM carry very large
 // range reads, which make Fabric++'s conflict graphs explode.
 func Fig18(o Options) (string, error) {
-	t := metrics.NewTable("chaincode", "system", "avg latency (s)", "failures %")
-	type cell struct {
-		ccName string
-		sys    System
-	}
-	var cells []cell
-	var builds []Builder
-	for _, ccName := range []string{"ehr", "dv", "scm", "drm"} {
-		cc, err := UseCase(ccName)
-		if err != nil {
-			return "", err
-		}
-		for _, sys := range []System{Fabric14, FabricPP} {
-			cells = append(cells, cell{ccName, sys})
-			builds = append(builds, baseConfig(C1, cc, 1, sys))
-		}
-	}
-	results, err := o.RunAll(builds)
-	if err != nil {
-		return "", err
-	}
-	for i, c := range cells {
-		t.AddRow(c.ccName, c.sys, fmt.Sprintf("%.2f", results[i].LatencySec), results[i].FailurePct)
-	}
-	return t.String(), nil
+	return table(o, cross(on(C1, EHR), byCC(useCases...), bySystem(Fabric14, FabricPP)), cell.build,
+		[]string{"chaincode", "system", "avg latency (s)", "failures %"},
+		func(c cell, r Result) []any { return []any{c.cc.Name, c.sys, r.LatencySec, r.FailurePct} })
 }
 
 // variantWorkloadSweep prints failures per workload mix and per skew
-// for one system vs stock Fabric (Figs 19, 22, 25). rate overrides
-// the arrival rate when positive (0 keeps the Table 3 default).
-func variantWorkloadSweep(o Options, sys System, mixes []string, rate float64) (string, error) {
-	t := metrics.NewTable("workload", "system", "failures %")
-	type mixCell struct {
-		wl string
-		s  System
+// for one system vs stock Fabric (Figs 19, 22, 25), both tables from
+// one batch. rate overrides the arrival rate when positive (0 keeps
+// the Table 3 default).
+func variantWorkloadSweep(o Options, sys System, mixes []namedMix, rate float64) (string, error) {
+	base := on(C2, uniformRU(o.GenKeys))
+	if rate > 0 {
+		base.rate = rate
 	}
-	var mixCells []mixCell
-	var builds []Builder
-	for _, wl := range mixes {
-		mix, err := gen.MixByName(wl)
-		if err != nil {
-			return "", err
-		}
-		for _, s := range []System{Fabric14, sys} {
-			s := s
-			cc := GenChain(mix, o.GenKeys)
-			mixCells = append(mixCells, mixCell{wl, s})
-			builds = append(builds, func(seed int64) fabric.Config {
-				cfg := baseConfig(C2, cc, 1, s)(seed)
-				if rate > 0 {
-					cfg.Rate = rate
-				}
-				return cfg
-			})
-		}
-	}
-	type skewCell struct {
-		skew float64
-		s    System
-	}
-	var skewCells []skewCell
-	for _, skew := range []float64{0, 1, 2} {
-		for _, s := range []System{Fabric14, sys} {
-			s, skew := s, skew
-			cc := GenChain(gen.UniformRU, o.GenKeys)
-			skewCells = append(skewCells, skewCell{skew, s})
-			builds = append(builds, func(seed int64) fabric.Config {
-				cfg := baseConfig(C2, cc, skew, s)(seed)
-				if rate > 0 {
-					cfg.Rate = rate
-				}
-				return cfg
-			})
-		}
-	}
-	results, err := o.RunAll(builds)
+	vs := bySystem(Fabric14, sys)
+	cells := cross(base, byMix(o.GenKeys, mixes...), vs)
+	n := len(cells) // mix cells first, then the skew cells
+	cells = append(cells, cross(base, bySkew(0, 1, 2), vs)...)
+	results, err := runCells(o, cells, cell.build)
 	if err != nil {
 		return "", err
 	}
-	for i, c := range mixCells {
-		t.AddRow(c.wl, c.s, results[i].FailurePct)
-	}
-	skewT := metrics.NewTable("zipf skew", "system", "failures %")
-	for i, c := range skewCells {
-		skewT.AddRow(c.skew, c.s, results[len(mixCells)+i].FailurePct)
-	}
-	return t.String() + "\n" + skewT.String(), nil
+	return render([]string{"workload", "system", "failures %"}, cells[:n], results[:n],
+		func(c cell, r Result) []any { return []any{c.wl, c.sys, r.FailurePct} }) + "\n" +
+		render([]string{"zipf skew", "system", "failures %"}, cells[n:], results[n:],
+			func(c cell, r Result) []any { return []any{c.skew, c.sys, r.FailurePct} }), nil
 }
 
 // Fig19 compares Fabric++ across workloads and skews.
 func Fig19(o Options) (string, error) {
-	return variantWorkloadSweep(o, FabricPP, []string{"RH", "IH", "UH", "RaH", "DH"}, 0)
+	return variantWorkloadSweep(o, FabricPP, heavyMixes, 0)
+}
+
+// rateSystemHeader and rateSystemRow are the table Figs 20 and 23
+// share: latency, endorsement failures and MVCC conflicts per (rate,
+// system).
+var rateSystemHeader = []string{"rate (tps)", "system", "avg latency (s)", "endorsement %", "MVCC %"}
+
+func rateSystemRow(c cell, r Result) []any {
+	return []any{c.rate, c.sys, r.LatencySec, r.EndorsementPct, r.MVCCPct}
 }
 
 // Fig20 compares Streamchain and Fabric 1.4 at 10/50/100 tps on C1:
 // latency, endorsement failures, MVCC conflicts.
 func Fig20(o Options) (string, error) {
-	cc, err := UseCase("ehr")
-	if err != nil {
-		return "", err
-	}
-	t := metrics.NewTable("rate (tps)", "system", "avg latency (s)", "endorsement %", "MVCC %")
-	cells := rateSysGrid([]float64{10, 50, 100}, []System{Fabric14, Streamchain})
-	results, err := sweep(o, cells, func(c rateSysCell) Builder {
-		return func(seed int64) fabric.Config {
-			cfg := baseConfig(C1, cc, 1, c.sys)(seed)
-			cfg.Rate = c.rate
-			cfg.BlockSize = 10
-			return cfg
-		}
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, c := range cells {
-		t.AddRow(c.rate, c.sys, fmt.Sprintf("%.2f", results[i].LatencySec),
-			results[i].EndorsementPct, results[i].MVCCPct)
-	}
-	return t.String(), nil
+	return table(o,
+		cross(on(C1, EHR), byBlockSize(10), byRate(10, 50, 100), bySystem(Fabric14, Streamchain)),
+		cell.build, rateSystemHeader, rateSystemRow)
 }
 
 // Fig21 prints committed transaction throughput at high rates: 150
 // and 200 tps on C1, 100 tps on C2.
 func Fig21(o Options) (string, error) {
-	cc, err := UseCase("ehr")
-	if err != nil {
-		return "", err
-	}
-	t := metrics.NewTable("cluster", "rate (tps)", "system", "committed throughput (tps)")
-	type cell struct {
-		cluster Cluster
-		rate    float64
-		sys     System
-	}
-	var cells []cell
-	for _, pt := range []cell{{cluster: C1, rate: 150}, {cluster: C1, rate: 200}, {cluster: C2, rate: 100}} {
-		for _, sys := range []System{Fabric14, Streamchain} {
-			cells = append(cells, cell{pt.cluster, pt.rate, sys})
-		}
-	}
-	results, err := sweep(o, cells, func(c cell) Builder {
-		return func(seed int64) fabric.Config {
-			cfg := baseConfig(c.cluster, cc, 1, c.sys)(seed)
-			cfg.Rate = c.rate
-			cfg.BlockSize = 100
-			return cfg
-		}
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, c := range cells {
-		t.AddRow(c.cluster, c.rate, c.sys, results[i].Throughput)
-	}
-	return t.String(), nil
+	points := []cell{{cluster: C1, rate: 150}, {cluster: C1, rate: 200}, {cluster: C2, rate: 100}}
+	return table(o,
+		cross(on(C1, EHR), axis(points, func(c *cell, p cell) { c.cluster, c.rate = p.cluster, p.rate }),
+			bySystem(Fabric14, Streamchain)),
+		cell.build,
+		[]string{"cluster", "rate (tps)", "system", "committed throughput (tps)"},
+		func(c cell, r Result) []any { return []any{c.cluster, c.rate, c.sys, r.Throughput} })
 }
 
 // Fig22 compares Streamchain across workloads and skews (50 tps, C2).
 func Fig22(o Options) (string, error) {
-	return variantWorkloadSweep(o, Streamchain, []string{"RH", "IH", "UH", "RaH", "DH"}, 50)
+	return variantWorkloadSweep(o, Streamchain, heavyMixes, 50)
 }
 
 // Fig23 is the RAM-disk ablation: Streamchain with and without it,
 // and Fabric 1.4, at 10 and 50 tps.
 func Fig23(o Options) (string, error) {
-	cc, err := UseCase("ehr")
-	if err != nil {
-		return "", err
-	}
-	t := metrics.NewTable("rate (tps)", "system", "avg latency (s)", "endorsement %", "MVCC %")
-	cells := rateSysGrid([]float64{10, 50}, []System{Fabric14, Streamchain, StreamchainNoRAM})
-	results, err := sweep(o, cells, func(c rateSysCell) Builder {
-		return func(seed int64) fabric.Config {
-			cfg := baseConfig(C1, cc, 1, c.sys)(seed)
-			cfg.Rate = c.rate
-			cfg.BlockSize = 10
-			return cfg
-		}
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, c := range cells {
-		t.AddRow(c.rate, c.sys, fmt.Sprintf("%.2f", results[i].LatencySec),
-			results[i].EndorsementPct, results[i].MVCCPct)
-	}
-	return t.String(), nil
+	return table(o,
+		cross(on(C1, EHR), byBlockSize(10), byRate(10, 50), bySystem(Fabric14, Streamchain, StreamchainNoRAM)),
+		cell.build, rateSystemHeader, rateSystemRow)
 }
 
 // Fig24 compares FabricSharp and Fabric 1.4 at 10/50/100 tps: total
 // failures, endorsement failures and committed throughput.
 func Fig24(o Options) (string, error) {
-	cc, err := UseCase("ehr")
-	if err != nil {
-		return "", err
-	}
-	t := metrics.NewTable("rate (tps)", "system", "failures %", "endorsement %", "committed tput (tps)")
-	cells := rateSysGrid([]float64{10, 50, 100}, []System{Fabric14, FabricSharp})
-	results, err := sweep(o, cells, func(c rateSysCell) Builder {
-		return func(seed int64) fabric.Config {
-			cfg := baseConfig(C1, cc, 1, c.sys)(seed)
-			cfg.Rate = c.rate
-			return cfg
-		}
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, c := range cells {
-		t.AddRow(c.rate, c.sys, results[i].FailurePct, results[i].EndorsementPct, results[i].Throughput)
-	}
-	return t.String(), nil
+	return table(o, cross(on(C1, EHR), byRate(10, 50, 100), bySystem(Fabric14, FabricSharp)), cell.build,
+		[]string{"rate (tps)", "system", "failures %", "endorsement %", "committed tput (tps)"},
+		func(c cell, r Result) []any {
+			return []any{c.rate, c.sys, r.FailurePct, r.EndorsementPct, r.Throughput}
+		})
 }
 
 // Fig25 compares FabricSharp across workloads (no range-heavy —
 // FabricSharp does not support range queries) and skews.
 func Fig25(o Options) (string, error) {
-	return variantWorkloadSweep(o, FabricSharp, []string{"RH", "IH", "UH", "DH"}, 0)
+	return variantWorkloadSweep(o, FabricSharp, []namedMix{mixRH, mixIH, mixUH, mixDH}, 0)
 }
 
 // Fig26 compares all four systems on the C1 cluster (EHR): latency,
 // endorsement failures and MVCC conflicts at 10/50/100 tps.
 func Fig26(o Options) (string, error) {
-	cc, err := UseCase("ehr")
-	if err != nil {
-		return "", err
-	}
-	t := metrics.NewTable("rate (tps)", "system", "avg latency (s)", "endorsement %", "MVCC %", "failures %")
-	cells := rateSysGrid([]float64{10, 50, 100}, AllSystems())
-	results, err := sweep(o, cells, func(c rateSysCell) Builder {
-		return func(seed int64) fabric.Config {
-			cfg := baseConfig(C1, cc, 1, c.sys)(seed)
-			cfg.Rate = c.rate
-			return cfg
-		}
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, c := range cells {
-		t.AddRow(c.rate, c.sys, fmt.Sprintf("%.2f", results[i].LatencySec),
-			results[i].EndorsementPct, results[i].MVCCPct, results[i].FailurePct)
-	}
-	return t.String(), nil
+	return table(o, cross(on(C1, EHR), byRate(10, 50, 100), bySystem(AllSystems()...)), cell.build,
+		[]string{"rate (tps)", "system", "avg latency (s)", "endorsement %", "MVCC %", "failures %"},
+		func(c cell, r Result) []any {
+			return []any{c.rate, c.sys, r.LatencySec, r.EndorsementPct, r.MVCCPct, r.FailurePct}
+		})
 }
 
 // Experiment is a runnable reproduction of one table or figure.

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -12,10 +10,10 @@ import (
 // precision that any drift in the lifecycle machinery, the netem
 // fault primitives, the client deadlines or the fault-window
 // accounting changes the line.
-func goldenFaultsLine(c faultsCell, r Result) string {
+func goldenFaultsLine(c cell, r Result) string {
 	return fmt.Sprintf(
 		"%s/%s/%s: total=%.0f committed=%.0f fail=%.4f lat=%.6f tput=%.4f goodput=%.4f amp=%.4f e2e=%.6f gaveup=%.4f eto=%.0f sto=%.0f orphans=%.0f down=%.2f recov=%.6f",
-		c.ccName, c.scenario, c.mode.Label,
+		c.cc.Name, c.scenario, c.ctl.Label,
 		r.Total, r.Committed, r.FailurePct, r.LatencySec, r.Throughput,
 		r.Goodput, r.RetryAmp, r.EndToEndSec, r.GaveUpPct,
 		r.EndorseTOs, r.SubmitTOs, r.Orphans, r.DowntimeSec, r.RecoverySec)
@@ -31,16 +29,7 @@ func goldenFaultsLine(c faultsCell, r Result) string {
 // and justify the diff in the commit.
 func TestGoldenFaultsRows(t *testing.T) {
 	cells := faultsGrid(true)
-	builds := make([]Builder, len(cells))
-	for i, c := range cells {
-		cc, err := UseCase(c.ccName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		builds[i] = faultsConfig(cc, c)
-	}
-	o := QuickOptions()
-	results, err := o.RunAll(builds)
+	results, err := runCells(QuickOptions(), cells, cell.build)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,38 +37,5 @@ func TestGoldenFaultsRows(t *testing.T) {
 	for i, c := range cells {
 		lines = append(lines, goldenFaultsLine(c, results[i]))
 	}
-	got := strings.Join(lines, "\n") + "\n"
-
-	path := filepath.Join("testdata", "golden_faults.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-	}
-	if got == string(want) {
-		return
-	}
-	gotLines := strings.Split(strings.TrimRight(got, "\n"), "\n")
-	wantLines := strings.Split(strings.TrimRight(string(want), "\n"), "\n")
-	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
-		var g, w string
-		if i < len(gotLines) {
-			g = gotLines[i]
-		}
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if g != w {
-			t.Errorf("faults golden drift line %d:\n got: %s\nwant: %s", i+1, g, w)
-		}
-	}
+	checkGolden(t, "golden_faults.txt", strings.Join(lines, "\n")+"\n")
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -78,38 +76,5 @@ func TestGoldenQuickReports(t *testing.T) {
 	for i, c := range cells {
 		lines = append(lines, goldenLine(c.cc, c.kind, results[i]))
 	}
-	got := strings.Join(lines, "\n") + "\n"
-
-	path := filepath.Join("testdata", "golden_quick.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-	}
-	if got == string(want) {
-		return
-	}
-	gotLines := strings.Split(strings.TrimRight(got, "\n"), "\n")
-	wantLines := strings.Split(strings.TrimRight(string(want), "\n"), "\n")
-	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
-		var g, w string
-		if i < len(gotLines) {
-			g = gotLines[i]
-		}
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if g != w {
-			t.Errorf("golden drift line %d:\n got: %s\nwant: %s", i+1, g, w)
-		}
-	}
+	checkGolden(t, "golden_quick.txt", strings.Join(lines, "\n")+"\n")
 }

@@ -2,9 +2,10 @@
 // presets (C1/C2, §4.2), system selection (Fabric 1.4, Fabric++,
 // Streamchain, FabricSharp), multi-seed averaged runs, and one
 // experiment function per table and figure of the paper's evaluation
-// (§5). The CLI (cmd/hyperlab) and the benchmark suite regenerate any
-// result through this package, which lives at repro/internal/core
-// (the module path is "repro").
+// (§5) — each a list of cells, a header and a row function handed to
+// the one runner in table.go. The CLI (cmd/hyperlab) and the benchmark
+// suite regenerate any result through this package, which lives at
+// repro/internal/core (the module path is "repro").
 //
 // Experiments execute on a shared worker pool (see RunAll): every
 // (config, seed) cell of a sweep is an independent simulation with
@@ -16,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"time"
 
@@ -129,28 +131,35 @@ type CCFactory struct {
 	Workload func(skew float64) workload.Generator
 }
 
-// UseCase returns the factory for one of the paper's chaincodes
-// ("ehr", "dv", "scm", "drm").
+// The paper's four use-case chaincodes (§4.3, Table 2).
+var (
+	EHR = CCFactory{ehr.Name, func() chaincode.Chaincode { return ehr.New() }, ehr.NewWorkload}
+	DV  = CCFactory{dv.Name, func() chaincode.Chaincode { return dv.New() }, dv.NewWorkload}
+	SCM = CCFactory{scm.Name, func() chaincode.Chaincode { return scm.New() }, scm.NewWorkload}
+	DRM = CCFactory{drm.Name, func() chaincode.Chaincode { return drm.New() }, drm.NewWorkload}
+
+	useCases = []CCFactory{EHR, DV, SCM, DRM}
+)
+
+// UseCase looks a use-case chaincode up by the name the CLI and other
+// outside input spell it ("ehr", "dv", "scm", "drm").
 func UseCase(name string) (CCFactory, error) {
-	switch name {
-	case ehr.Name:
-		return CCFactory{Name: name,
-			New:      func() chaincode.Chaincode { return ehr.New() },
-			Workload: ehr.NewWorkload}, nil
-	case dv.Name:
-		return CCFactory{Name: name,
-			New:      func() chaincode.Chaincode { return dv.New() },
-			Workload: dv.NewWorkload}, nil
-	case scm.Name:
-		return CCFactory{Name: name,
-			New:      func() chaincode.Chaincode { return scm.New() },
-			Workload: scm.NewWorkload}, nil
-	case drm.Name:
-		return CCFactory{Name: name,
-			New:      func() chaincode.Chaincode { return drm.New() },
-			Workload: drm.NewWorkload}, nil
+	for _, f := range useCases {
+		if f.Name == name {
+			return f, nil
+		}
 	}
 	return CCFactory{}, fmt.Errorf("core: unknown chaincode %q", name)
+}
+
+// Generator is Workload for a skew that arrives from outside the
+// program: it rejects the exponents the Zipfian sampler cannot take
+// instead of letting them panic inside it.
+func (f CCFactory) Generator(skew float64) (workload.Generator, error) {
+	if math.IsNaN(skew) || math.IsInf(skew, 0) || skew < 0 {
+		return nil, fmt.Errorf("core: Zipfian skew must be a finite exponent >= 0, got %g", skew)
+	}
+	return f.Workload(skew), nil
 }
 
 // GenChain returns the genChain factory for a workload mix. keys

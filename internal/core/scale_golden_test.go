@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -12,7 +10,7 @@ import (
 // that any drift in the cohort drivers, the channel router, the
 // cross-channel legs or the streaming latency aggregation changes the
 // line.
-func goldenScaleLine(c scaleCell, r Result) string {
+func goldenScaleLine(c cell, r Result) string {
 	return fmt.Sprintf(
 		"clients%d/ch%d: total=%.0f committed=%.0f fail=%.4f aborted=%.4f lat=%.6f tput=%.4f goodput=%.4f amp=%.4f e2e=%.6f gaveup=%.4f",
 		c.clients, c.channels, r.Total, r.Committed, r.FailurePct, r.AbortedPct,
@@ -29,16 +27,7 @@ func goldenScaleLine(c scaleCell, r Result) string {
 // and justify the diff in the commit.
 func TestGoldenScaleRows(t *testing.T) {
 	cells := scaleGrid(true)
-	cc, err := UseCase("ehr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	builds := make([]Builder, len(cells))
-	for i, c := range cells {
-		builds[i] = scaleConfig(cc, c)
-	}
-	o := QuickOptions()
-	results, err := o.RunAll(builds)
+	results, err := runCells(QuickOptions(), cells, scaleConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,38 +35,5 @@ func TestGoldenScaleRows(t *testing.T) {
 	for i, c := range cells {
 		lines = append(lines, goldenScaleLine(c, results[i]))
 	}
-	got := strings.Join(lines, "\n") + "\n"
-
-	path := filepath.Join("testdata", "golden_scale.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-	}
-	if got == string(want) {
-		return
-	}
-	gotLines := strings.Split(strings.TrimRight(got, "\n"), "\n")
-	wantLines := strings.Split(strings.TrimRight(string(want), "\n"), "\n")
-	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
-		var g, w string
-		if i < len(gotLines) {
-			g = gotLines[i]
-		}
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if g != w {
-			t.Errorf("scale golden drift line %d:\n got: %s\nwant: %s", i+1, g, w)
-		}
-	}
+	checkGolden(t, "golden_scale.txt", strings.Join(lines, "\n")+"\n")
 }

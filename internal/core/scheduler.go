@@ -143,16 +143,6 @@ func (o Options) RunAllContext(ctx context.Context, builds []Builder) ([]Result,
 	return results, nil
 }
 
-// sweep fans one builder per item of a sweep axis out across the
-// pool and returns the seed-averaged results in axis order.
-func sweep[T any](o Options, items []T, build func(item T) Builder) ([]Result, error) {
-	builds := make([]Builder, len(items))
-	for i, item := range items {
-		builds[i] = build(item)
-	}
-	return o.RunAll(builds)
-}
-
 // workerCount resolves the Parallelism knob against the job count:
 // 0 (or negative) means one worker per CPU, and the pool never
 // exceeds the number of jobs.

@@ -13,12 +13,8 @@ import (
 // ehrBuilder is a small valid cell for scheduler tests.
 func ehrBuilder(t testing.TB, rate float64, bs int) Builder {
 	t.Helper()
-	cc, err := UseCase("ehr")
-	if err != nil {
-		t.Fatal(err)
-	}
 	return func(seed int64) fabric.Config {
-		cfg := baseConfig(C1, cc, 1, Fabric14)(seed)
+		cfg := baseConfig(C1, EHR, 1, Fabric14)(seed)
 		cfg.Rate = rate
 		cfg.BlockSize = bs
 		return cfg
@@ -34,11 +30,11 @@ func TestParallelMatchesSequentialGolden(t *testing.T) {
 	par := QuickOptions()
 	par.Parallelism = 4
 
-	seqGrid, err := blockSizeSweep(seq, C1, "ehr", Fabric14)
+	seqGrid, err := blockSizeSweep(seq, C1, EHR, Fabric14)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parGrid, err := blockSizeSweep(par, C1, "ehr", Fabric14)
+	parGrid, err := blockSizeSweep(par, C1, EHR, Fabric14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +188,7 @@ func BenchmarkBlockSizeSweepParallelism(b *testing.B) {
 			o := tinyOptions()
 			o.Parallelism = p
 			for i := 0; i < b.N; i++ {
-				if _, err := blockSizeSweep(o, C1, "ehr", Fabric14); err != nil {
+				if _, err := blockSizeSweep(o, C1, EHR, Fabric14); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -100,16 +101,18 @@ func (p AdaptivePolicy) Validate() error {
 		return fmt.Errorf("fabric: adaptive floor must be >= 0, got %v", p.Floor)
 	case p.Ceiling < 0:
 		return fmt.Errorf("fabric: adaptive ceiling must be >= 0, got %v", p.Ceiling)
-	case p.Increase < 0 || (p.Increase > 0 && p.Increase < 1):
-		return fmt.Errorf("fabric: adaptive increase factor must be >= 1, got %g", p.Increase)
+	case p.Increase != 0 && !inRange(p.Increase, 1, math.MaxFloat64):
+		return fmt.Errorf("fabric: adaptive increase factor must be a finite factor >= 1, got %g", p.Increase)
 	case p.Decrease < 0:
 		return fmt.Errorf("fabric: adaptive decrease step must be >= 0, got %v", p.Decrease)
 	case p.Window < 0:
 		return fmt.Errorf("fabric: adaptive window must be >= 0, got %d", p.Window)
-	case p.Target < 0 || p.Target > 1:
+	case !inRange(p.Target, 0, 1):
 		return fmt.Errorf("fabric: adaptive target rate must be in [0,1], got %g", p.Target)
-	case p.HintWeight < 0 || p.HintWeight > 1:
+	case !inRange(p.HintWeight, 0, 1):
 		return fmt.Errorf("fabric: adaptive hint weight must be in [0,1], got %g", p.HintWeight)
+	case !finiteNonNeg(p.Jitter):
+		return fmt.Errorf("fabric: adaptive jitter must be a finite fraction >= 0, got %g", p.Jitter)
 	}
 	if d := p.withDefaults(); d.Floor > d.Ceiling {
 		return fmt.Errorf("fabric: adaptive floor %v above ceiling %v", d.Floor, d.Ceiling)

@@ -17,7 +17,7 @@ func newState(t *testing.T, p AdaptivePolicy) *adaptiveState {
 	return s
 }
 
-// scalarClass is the scalar-mode classifier (clientCore.classify
+// scalarClass is the scalar-mode classifier (ClientDriver.classify
 // without Config.SplitSignal): every failure is conflict-class.
 func scalarClass(failed bool) SignalClass {
 	if failed {

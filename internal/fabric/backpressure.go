@@ -3,8 +3,6 @@ package fabric
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -66,7 +64,7 @@ func (b Backpressure) withDefaults() Backpressure {
 // Validate reports configuration errors.
 func (b Backpressure) Validate() error {
 	switch {
-	case b.Smoothing < 0 || b.Smoothing > 1:
+	case !inRange(b.Smoothing, 0, 1):
 		return fmt.Errorf("fabric: backpressure smoothing must be in [0,1], got %g", b.Smoothing)
 	case b.Gain < 0:
 		return fmt.Errorf("fabric: backpressure gain must be >= 0, got %v", b.Gain)
@@ -100,35 +98,9 @@ func (b Backpressure) pause(hint float64) time.Duration {
 // defaults, and "smoothing:gain[:maxpause]" — e.g. "0.5:1s:2s" — sets
 // the knobs explicitly.
 func ParseBackpressure(s string) (*Backpressure, error) {
-	switch strings.ToLower(s) {
-	case "", "off":
-		return nil, nil
-	case "on", "default":
-		return &Backpressure{}, nil
-	}
-	parts := strings.Split(s, ":")
-	if len(parts) < 2 || len(parts) > 3 {
-		return nil, fmt.Errorf("fabric: backpressure %q: want off, on or smoothing:gain[:maxpause]", s)
-	}
 	var b Backpressure
-	smooth, err := strconv.ParseFloat(parts[0], 64)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: backpressure smoothing %q: %w", parts[0], err)
-	}
-	b.Smoothing = smooth
-	gain, err := time.ParseDuration(parts[1])
-	if err != nil {
-		return nil, fmt.Errorf("fabric: backpressure gain %q: %w", parts[1], err)
-	}
-	b.Gain = gain
-	if len(parts) == 3 {
-		maxPause, err := time.ParseDuration(parts[2])
-		if err != nil {
-			return nil, fmt.Errorf("fabric: backpressure max pause %q: %w", parts[2], err)
-		}
-		b.MaxPause = maxPause
-	}
-	return &b, b.Validate()
+	return parseToggled(&b, "backpressure", "smoothing:gain[:maxpause]", s,
+		req("smoothing", &b.Smoothing), req("gain", &b.Gain), opt("max pause", &b.MaxPause))
 }
 
 // BackpressurePolicy is the orderer-hinted retry policy: instead of a
@@ -175,6 +147,8 @@ func (p BackpressurePolicy) Validate() error {
 		return fmt.Errorf("fabric: backpressure policy floor must be >= 0, got %v", p.Floor)
 	case p.Ceiling < 0:
 		return fmt.Errorf("fabric: backpressure policy ceiling must be >= 0, got %v", p.Ceiling)
+	case !finiteNonNeg(p.Jitter):
+		return fmt.Errorf("fabric: backpressure policy jitter must be a finite fraction >= 0, got %g", p.Jitter)
 	}
 	if d := p.withDefaults(); d.Floor > d.Ceiling {
 		return fmt.Errorf("fabric: backpressure policy floor %v above ceiling %v", d.Floor, d.Ceiling)

@@ -271,7 +271,7 @@ func TestBackpressurePolicyBacksOffHarderUnderCongestion(t *testing.T) {
 // absorbs the whole pause (nothing is recorded as pacer-added time),
 // and a shorter wait absorbs exactly the part it covers.
 func TestBudgetWaitAbsorbsPacingTime(t *testing.T) {
-	mkNet := func(seed int64) (*Network, *Client) {
+	mkNet := func(seed int64) (*Network, *ClientDriver) {
 		cfg := retryConfig(seed, ImmediateRetry{MaxAttempts: 5})
 		cfg.RetryBudget = &RetryBudget{RefillPerSec: 0.1, Burst: 1}
 		cfg.Backpressure = &Backpressure{Gain: time.Second, MaxPause: 2 * time.Second}
@@ -279,7 +279,7 @@ func TestBudgetWaitAbsorbsPacingTime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := nw.clients[0]
+		c := nw.drivers[0]
 		c.hints[0] = 1 // pause = Gain = 1s
 		return nw, c
 	}

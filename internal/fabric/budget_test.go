@@ -126,7 +126,7 @@ func TestDeferModeWithoutRefillCountsAsExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cl := range nw.Clients() {
+	for _, cl := range nw.Drivers() {
 		cl.bucket = &tokenBucket{rate: 0, burst: 2, tokens: 2}
 	}
 	rep := nw.Run()

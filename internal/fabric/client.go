@@ -9,22 +9,62 @@ import (
 	"repro/internal/workload"
 )
 
-// clientCore is the client-behavior machinery shared by every
-// ClientDriver implementation: the exact per-client Client and the
-// Cohort that drives many statistically identical clients from one
-// state object. It owns the submission pipeline (draw invocation,
-// collect endorsements, assemble, order), the pending-transaction
-// table, and the whole coordination stack — retry policy, budget
-// bucket, backpressure pacing, gossip estimate. The only thing a
-// driver adds on top is its arrival process (start).
+// ClientDriver is one client-side network node: it drives one or more
+// simulated Caliper-style load generators (§4.2: 5 on C1, 25 on C2)
+// through the submit/endorse/order/commit loop. It draws invocations
+// from the workload, runs the execution phase (collect endorsements
+// from a policy-satisfying set of peers), assembles the envelope and
+// submits it to an orderer node, and it owns the pending-transaction
+// table and the whole coordination stack — retry policy, budget
+// bucket, backpressure pacing, gossip estimate. The driver list is
+// also the gossip mesh: each driver is one gossip participant
+// regardless of how many members it speaks for.
 //
-// The core drives `members` simulated clients starting at global
-// client index firstID. Per-member state is deliberately tiny — one
-// endorser-rotation counter — so a driver's memory cost is amortized
-// across its members; everything heavy (pending map, policy, bucket,
-// gossip window) is shared. With members == 1 the behaviour is the
-// historical per-client simulation, bit for bit.
-type clientCore struct {
+// Two arrival modes exist. Open loop (the paper's §4.5 setup): Poisson
+// arrivals at rate/clients tps per member, and — unless a RetryPolicy
+// is configured — failed transactions are never resent. Closed loop:
+// every member keeps Config.InFlightPerClient logical transactions
+// outstanding and submits the next as soon as one resolves.
+//
+// When the run needs outcome tracking (a retry policy or closed-loop
+// mode), the driver registers every submission in its pending table
+// and listens for commit events delivered over the network by the
+// metrics peer (and for early-abort events from the ordering
+// service), exactly like a Fabric SDK client subscribed to a peer's
+// block events. A failed attempt is resubmitted — re-endorsed from
+// scratch with a fresh transaction id, same invocation — per the
+// retry policy's backoff schedule.
+//
+// The driver speaks for `members` simulated clients starting at global
+// client index firstID. With Config.CohortSize <= 1 that is one: the
+// exact simulation, one state object per client ("client3"). A larger
+// cohort size makes one driver ("cohort0") stand in for that many
+// statistically identical clients. Per-member state is deliberately
+// tiny — one endorser-rotation counter — so memory and event-queue
+// pressure scale with the driver count (clients / CohortSize), not
+// the client count, which is what makes 10^6-client sweeps tractable;
+// everything heavy (pending map, policy, bucket, gossip window) is
+// shared. The approximations are explicit and small:
+//
+//   - Open loop: members share one aggregate Poisson arrival process
+//     at members × the per-client rate. By superposition this is
+//     exactly the sum of the members' independent Poisson processes;
+//     the submitting member is drawn uniformly per arrival.
+//   - Closed loop: each member keeps its own in-flight window, driven
+//     through the shared machinery — the same event cadence as exact
+//     clients, amortized onto one object.
+//   - Stateful retry policies (AdaptivePolicy), the retry budget and
+//     the gossip window are shared: the cohort reacts to its members'
+//     pooled outcome stream (a mean-field approximation). The budget's
+//     refill rate and burst are scaled by the member count so the
+//     aggregate retry allowance matches the exact simulation.
+//
+// With a stateless retry policy and no budget/gossip/backpressure,
+// closed-loop cohort runs are byte-identical to the exact simulation
+// (locked by TestCohortExactEquivalence); shared-state runs track the
+// exact aggregates within tolerances instead. With one member the
+// behaviour is the historical per-client simulation, bit for bit.
+type ClientDriver struct {
 	nw *Network
 	// index is the driver's position in the network's driver list
 	// (gossip peer sampling); firstID is the global index of the first
@@ -102,18 +142,22 @@ type pendingTx struct {
 	failCode  ledger.ValidationCode
 }
 
-// init wires the shared machinery; each driver type calls it from its
-// constructor.
-func (c *clientCore) init(nw *Network, index, firstID, members int, name string) {
-	c.nw = nw
-	c.index = index
-	c.firstID = firstID
-	c.members = members
-	c.name = name
-	c.rotation = make([]int, members)
-	c.pending = map[string]*pendingTx{}
-	c.hints = make([]float64, nw.channels)
-	c.ctl = newController(nw.retry)
+// newDriver builds the driver for members simulated clients whose
+// global indices start at firstID; index is its position in the
+// network's driver list. Node names enter Transaction.ClientID, so an
+// exact per-client run keeps the historical "client%d".
+func newDriver(nw *Network, index, firstID, members int) *ClientDriver {
+	name := fmt.Sprintf("client%d", index)
+	if nw.cfg.cohortSize() > 1 {
+		name = fmt.Sprintf("cohort%d", index)
+	}
+	c := &ClientDriver{
+		nw: nw, index: index, firstID: firstID, members: members, name: name,
+		rotation: make([]int, members),
+		pending:  map[string]*pendingTx{},
+		hints:    make([]float64, nw.channels),
+		ctl:      newController(nw.retry),
+	}
 	if nw.tracking && nw.cfg.RetryBudget != nil {
 		b := *nw.cfg.RetryBudget
 		if members > 1 {
@@ -135,26 +179,60 @@ func (c *clientCore) init(nw *Network, index, firstID, members int, name string)
 	if nw.gossip != nil {
 		c.gossip = newGossipState(*nw.gossip)
 	}
+	return c
+}
+
+// start schedules the driver's arrival process for the send window.
+// Closed loop: every member's in-flight window opens, in member order,
+// and each resolved transaction triggers the next. Open loop: Poisson
+// arrivals whose mean inter-arrival time tracks the (possibly
+// time-varying) configured rate — one aggregate process standing in
+// for the members' independent arrivals (superposition), the
+// submitting member drawn uniformly per arrival.
+func (c *ClientDriver) start() {
+	c.startGossip()
+	if c.nw.cfg.ClosedLoop {
+		c.openWindow()
+		return
+	}
+	mean := func() time.Duration {
+		rate := c.nw.cfg.RateAt(time.Duration(c.nw.eng.Now()))
+		return time.Duration(float64(time.Second) * float64(c.nw.cfg.Clients) /
+			(rate * float64(c.members)))
+	}
+	var arrive func()
+	arrive = func() {
+		if c.nw.eng.Now() >= sim.Time(c.nw.cfg.Duration) {
+			return // send window over
+		}
+		member := 0
+		if c.members > 1 {
+			member = c.nw.eng.Rand().Intn(c.members)
+		}
+		c.submitJob(member)
+		c.nw.eng.After(c.nw.eng.Exponential(mean()), arrive)
+	}
+	c.nw.eng.After(c.nw.eng.Exponential(mean()), arrive)
 }
 
 // Name returns the driver's network node name.
-func (c *clientCore) Name() string { return c.name }
+func (c *ClientDriver) Name() string { return c.name }
 
 // Members reports how many simulated clients this driver drives.
-func (c *clientCore) Members() int { return c.members }
+func (c *ClientDriver) Members() int { return c.members }
 
 // Resubmissions reports how many retry submissions this driver issued.
-func (c *clientCore) Resubmissions() int { return c.resubmissions }
+func (c *ClientDriver) Resubmissions() int { return c.resubmissions }
 
 // Pending reports how many of this driver's attempts are still
 // awaiting an outcome event (diagnostics; in-flight work at the end
 // of a run).
-func (c *clientCore) Pending() int { return len(c.pending) }
+func (c *ClientDriver) Pending() int { return len(c.pending) }
 
 // openWindow submits the initial closed-loop window for every driven
 // member, in member order — exactly the submission order the exact
 // simulation produces when its clients start in sequence.
-func (c *clientCore) openWindow() {
+func (c *ClientDriver) openWindow() {
 	window := c.nw.cfg.InFlightPerClient
 	if window < 1 {
 		window = 1
@@ -170,7 +248,7 @@ func (c *clientCore) openWindow() {
 // its home channel, decides whether it spans a second channel
 // (Config.CrossChannel), and submits its first attempt on behalf of
 // the given member.
-func (c *clientCore) submitJob(member int) {
+func (c *ClientDriver) submitJob(member int) {
 	j := &pendingTx{
 		inv:         c.nw.cfg.Workload.Next(c.nw.eng.Rand()),
 		firstSubmit: c.nw.eng.Now(),
@@ -196,7 +274,7 @@ func (c *clientCore) submitJob(member int) {
 // replay the same invocation under fresh transaction ids (a retried
 // Fabric transaction is a new proposal: new endorsements, new read set
 // against current state).
-func (c *clientCore) submitAttempt(j *pendingTx) {
+func (c *ClientDriver) submitAttempt(j *pendingTx) {
 	j.attempts++
 	j.lastSubmit = c.nw.eng.Now()
 	j.legsLeft = j.legs
@@ -209,7 +287,7 @@ func (c *clientCore) submitAttempt(j *pendingTx) {
 // submitLeg submits one channel's proposal of the current attempt:
 // collect endorsements from a policy-satisfying set of peers against
 // the leg channel's replicas, then assemble and order on that channel.
-func (c *clientCore) submitLeg(j *pendingTx, channel int) {
+func (c *ClientDriver) submitLeg(j *pendingTx, channel int) {
 	inv := j.inv
 	tx := &ledger.Transaction{
 		ID:         c.nw.nextTxID(c.firstID + j.member),
@@ -279,7 +357,7 @@ func (c *clientCore) submitLeg(j *pendingTx, channel int) {
 
 // assemble builds the envelope from the collected endorsements and
 // sends it to an orderer node of the leg's channel (§2 step 3).
-func (c *clientCore) assemble(j *pendingTx, tx *ledger.Transaction, channel int, ends []*ledger.Endorsement) {
+func (c *ClientDriver) assemble(j *pendingTx, tx *ledger.Transaction, channel int, ends []*ledger.Endorsement) {
 	tx.EndorseTime = c.nw.eng.Now()
 	tx.Endorsements = ends
 	tx.RWSet = ends[0].RWSet
@@ -335,7 +413,7 @@ func (c *clientCore) assemble(j *pendingTx, tx *ledger.Transaction, channel int,
 // refresh the channel's congestion hint — the orderer's signal is
 // fresh regardless of which attempt carried it — but are otherwise
 // ignored (the attempt was already resolved locally).
-func (c *clientCore) onOutcome(txID string, code ledger.ValidationCode, hint float64, channel int) {
+func (c *ClientDriver) onOutcome(txID string, code ledger.ValidationCode, hint float64, channel int) {
 	if c.pacer != nil && c.nw.hintSrc.usesOrderer() {
 		c.hints[channel] = hint
 		// The one mode branch on the path. Scalar mode pushes the raw
@@ -368,7 +446,7 @@ func (c *clientCore) onOutcome(txID string, code ledger.ValidationCode, hint flo
 // immediately; a cross-channel attempt waits for both legs and fails
 // with the first leg failure (both commits are required). It is a
 // no-op unless the run tracks outcomes.
-func (c *clientCore) legDone(j *pendingTx, txID string, code ledger.ValidationCode) {
+func (c *ClientDriver) legDone(j *pendingTx, txID string, code ledger.ValidationCode) {
 	if !c.nw.tracking {
 		return
 	}
@@ -391,7 +469,7 @@ func (c *clientCore) legDone(j *pendingTx, txID string, code ledger.ValidationCo
 // attemptResolved finishes a logical transaction successfully: every
 // leg of the attempt committed as valid (or was served directly as a
 // read).
-func (c *clientCore) attemptResolved(j *pendingTx) {
+func (c *ClientDriver) attemptResolved(j *pendingTx) {
 	c.nw.col.RecordAttempt(j.attempts, ledger.Valid)
 	c.observe(ledger.Valid, j)
 	c.nw.col.RecordJob(j.attempts, true, j.firstSubmit, c.nw.eng.Now())
@@ -408,7 +486,7 @@ func (c *clientCore) attemptResolved(j *pendingTx) {
 // recorded only to the extent the pause actually moved the schedule:
 // a dropped retry never waited, and a token wait that covers the
 // paced backoff (in part or in full) absorbs that much of the pause.
-func (c *clientCore) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
+func (c *ClientDriver) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
 	c.nw.col.RecordAttempt(j.attempts, code)
 	c.observe(code, j)
 	// The gossip estimate is pulled, not pushed: consult the signal once
@@ -480,7 +558,7 @@ func (c *clientCore) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
 // information behind it — the staleness-at-use metric. Scalar mode
 // collapses the pair to its max: one number for backoff and pacing
 // alike.
-func (c *clientCore) signals() (conflict, congestion float64) {
+func (c *ClientDriver) signals() (conflict, congestion float64) {
 	if c.nw.hintSrc.usesOrderer() {
 		for _, ch := range c.hints {
 			if ch > congestion {
@@ -510,7 +588,7 @@ func (c *clientCore) signals() (conflict, congestion float64) {
 // attempt's submit→resolution latency against the CongestLatency
 // threshold as congestion evidence; scalar mode files every failure
 // under SignalConflict and never applies the latency rule.
-func (c *clientCore) classify(code ledger.ValidationCode, j *pendingTx) (class SignalClass, congested bool) {
+func (c *ClientDriver) classify(code ledger.ValidationCode, j *pendingTx) (class SignalClass, congested bool) {
 	if c.nw.split == nil {
 		if code != ledger.Valid {
 			return SignalConflict, false
@@ -525,7 +603,7 @@ func (c *clientCore) classify(code ledger.ValidationCode, j *pendingTx) (class S
 // sampling its resulting backoff level, if it has one, for the
 // trajectory summary — and slides it into the gossip windows. Inert
 // (and rng-neutral) for stateless policies without Config.Gossip.
-func (c *clientCore) observe(code ledger.ValidationCode, j *pendingTx) {
+func (c *ClientDriver) observe(code ledger.ValidationCode, j *pendingTx) {
 	class, congested := c.classify(code, j)
 	c.ctl.observeClass(class)
 	if d, ok := c.ctl.backoffLevel(); ok {
@@ -543,7 +621,7 @@ func (c *clientCore) observe(code ledger.ValidationCode, j *pendingTx) {
 // for the whole simulation (retries continue through the drain, so
 // the signal must too); the engine simply stops executing them at the
 // deadline.
-func (c *clientCore) startGossip() {
+func (c *ClientDriver) startGossip() {
 	if c.gossip == nil || c.gossip.cfg.Period <= 0 || len(c.nw.drivers) < 2 {
 		return
 	}
@@ -562,7 +640,7 @@ func (c *clientCore) startGossip() {
 // decision. In cohort mode each cohort is one gossip node — its
 // members share the estimate they spread — so the mesh size is the
 // driver count, not the simulated client count.
-func (c *clientCore) gossipRound() {
+func (c *ClientDriver) gossipRound() {
 	now := c.nw.eng.Now()
 	est, _ := c.gossip.estimate(now)
 	if c.nw.split != nil {
@@ -594,7 +672,7 @@ func (c *clientCore) gossipRound() {
 // sender's sentAt) and merges it by max-with-decay. Merges only update
 // this driver's view; the hint-consuming controllers read it lazily at
 // their next backoff decision, and the pacer at its next pause.
-func (c *clientCore) onGossip(e SplitEstimate, sentAt sim.Time) {
+func (c *ClientDriver) onGossip(e SplitEstimate, sentAt sim.Time) {
 	if c.gossip == nil {
 		return
 	}
@@ -612,7 +690,7 @@ func (c *clientCore) onGossip(e SplitEstimate, sentAt sim.Time) {
 // With no think time and no pacing the next job starts synchronously —
 // the historical behaviour, with no extra events and no extra rng
 // draws.
-func (c *clientCore) jobDone(member int) {
+func (c *ClientDriver) jobDone(member int) {
 	if !c.nw.cfg.ClosedLoop || c.nw.eng.Now() >= sim.Time(c.nw.cfg.Duration) {
 		return
 	}
@@ -634,63 +712,4 @@ func (c *clientCore) jobDone(member int) {
 			c.submitJob(member)
 		}
 	})
-}
-
-// Client is one Caliper-style load generator process (§4.2: 5 on C1,
-// 25 on C2): the exact simulation, one driver object per simulated
-// client. It draws invocations from the workload, runs the execution
-// phase (collect endorsements from a policy-satisfying set of peers),
-// assembles the envelope and submits it to an orderer node.
-//
-// Two arrival modes exist. Open loop (the paper's §4.5 setup):
-// Poisson arrivals at rate/clients tps, and — unless a RetryPolicy is
-// configured — failed transactions are never resent. Closed loop:
-// the client keeps Config.InFlightPerClient logical transactions
-// outstanding and submits the next as soon as one resolves.
-//
-// When the run needs outcome tracking (a retry policy or closed-loop
-// mode), the client registers every submission in its pending table
-// and listens for commit events delivered over the network by the
-// metrics peer (and for early-abort events from the ordering
-// service), exactly like a Fabric SDK client subscribed to a peer's
-// block events. A failed attempt is resubmitted — re-endorsed from
-// scratch with a fresh transaction id, same invocation — per the
-// retry policy's backoff schedule.
-//
-// For sweeps where client count is a parameter rather than a cast of
-// characters, see Cohort — the driver that amortizes one state object
-// across many clients.
-type Client struct {
-	clientCore
-}
-
-func newClient(nw *Network, id int) *Client {
-	c := &Client{}
-	c.init(nw, id, id, 1, fmt.Sprintf("client%d", id))
-	return c
-}
-
-// start schedules the arrival process for the send window. Open loop:
-// Poisson arrivals whose mean inter-arrival time tracks the (possibly
-// time-varying) configured rate. Closed loop: the initial in-flight
-// window is opened and each resolved transaction triggers the next.
-func (c *Client) start() {
-	c.startGossip()
-	if c.nw.cfg.ClosedLoop {
-		c.openWindow()
-		return
-	}
-	mean := func() time.Duration {
-		rate := c.nw.cfg.RateAt(time.Duration(c.nw.eng.Now()))
-		return time.Duration(float64(time.Second) * float64(c.nw.cfg.Clients) / rate)
-	}
-	var arrive func()
-	arrive = func() {
-		if c.nw.eng.Now() >= sim.Time(c.nw.cfg.Duration) {
-			return // send window over
-		}
-		c.submitJob(0)
-		c.nw.eng.After(c.nw.eng.Exponential(mean()), arrive)
-	}
-	c.nw.eng.After(c.nw.eng.Exponential(mean()), arrive)
 }

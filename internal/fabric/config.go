@@ -62,7 +62,7 @@ type Config struct {
 	// member drawn from the sim rng; closed-loop cohorts drive each
 	// member's window exactly and reproduce the per-client simulation
 	// byte-identically when the shared state is stateless (see
-	// cohort.go). 0 or 1 keeps the exact one-object-per-client
+	// ClientDriver). 0 or 1 keeps the exact one-object-per-client
 	// simulation.
 	CohortSize int
 
@@ -266,8 +266,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("fabric: block size must be positive")
 	case c.BlockTimeout <= 0:
 		return fmt.Errorf("fabric: block timeout must be positive")
-	case c.Rate <= 0:
-		return fmt.Errorf("fabric: arrival rate must be positive")
+	case !validRate(c.Rate):
+		return fmt.Errorf("fabric: arrival rate must be a finite rate > 0 tps, got %g", c.Rate)
 	case c.Duration <= 0:
 		return fmt.Errorf("fabric: duration must be positive")
 	case c.Chaincode == nil:
@@ -286,6 +286,11 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("fabric: cross-channel fraction must be in [0,1), got %g", c.CrossChannel)
 	case c.CrossChannel > 0 && c.Channels < 2:
 		return fmt.Errorf("fabric: cross-channel fraction %g needs >= 2 channels, got %d", c.CrossChannel, c.Channels)
+	}
+	for i, p := range c.RateSchedule {
+		if !validRate(p.Rate) {
+			return fmt.Errorf("fabric: rate schedule phase %d: arrival rate must be a finite rate > 0 tps, got %g", i, p.Rate)
+		}
 	}
 	if c.Channels > 1 && c.Variant != nil && c.Variant.Name() != (Vanilla{}).Name() {
 		return fmt.Errorf("fabric: multi-channel sharding (%d channels) supports only the vanilla fabric-1.4 variant, got %q", c.Channels, c.Variant.Name())
@@ -336,6 +341,11 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// validRate reports whether r can drive a Poisson arrival process: a
+// zero, negative or non-finite rate has no finite positive mean
+// inter-arrival time, and the arrival loop would never advance.
+func validRate(r float64) bool { return r > 0 && !math.IsInf(r, 1) }
 
 // channels resolves the configured channel count (0 means 1).
 func (c *Config) channels() int {

@@ -3,7 +3,6 @@ package fabric
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 	"strings"
 	"time"
 
@@ -300,19 +299,15 @@ func ParseFaults(s string) (*Faults, error) {
 			return nil, fmt.Errorf("fabric: faults %q: empty clause", s)
 		}
 		if v, ok := strings.CutPrefix(clause, "etimeout="); ok {
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				return nil, fmt.Errorf("fabric: faults endorsement timeout %q: %w", v, err)
+			if err := parseValue("faults endorsement timeout", v, &f.EndorseTimeout); err != nil {
+				return nil, err
 			}
-			f.EndorseTimeout = d
 			continue
 		}
 		if v, ok := strings.CutPrefix(clause, "stimeout="); ok {
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				return nil, fmt.Errorf("fabric: faults submission timeout %q: %w", v, err)
+			if err := parseValue("faults submission timeout", v, &f.SubmitTimeout); err != nil {
+				return nil, err
 			}
-			f.SubmitTimeout = d
 			continue
 		}
 		ev, err := parseFaultEvent(clause)
@@ -321,7 +316,10 @@ func ParseFaults(s string) (*Faults, error) {
 		}
 		f.Events = append(f.Events, ev)
 	}
-	return &f, f.Validate()
+	if err := f.Validate(); err != nil {
+		return nil, err
+	}
+	return &f, nil
 }
 
 // parseFaultEvent parses one `kind[:target]@start+dur[:param]` clause.
@@ -334,70 +332,51 @@ func parseFaultEvent(clause string) (FaultEvent, error) {
 	kind, target, hasTarget := strings.Cut(head, ":")
 	ev.Kind = FaultKind(kind)
 	if hasTarget {
-		n, err := strconv.Atoi(target)
-		if err != nil {
-			return ev, fmt.Errorf("fabric: fault target %q: %w", target, err)
+		if err := parseValue("fault target", target, &ev.Target); err != nil {
+			return ev, err
 		}
-		ev.Target = n
 	}
 	startStr, durStr, ok := strings.Cut(tail, "+")
 	if !ok {
 		return ev, fmt.Errorf("fabric: fault window %q: want start+dur", tail)
 	}
-	start, err := time.ParseDuration(startStr)
-	if err != nil {
-		return ev, fmt.Errorf("fabric: fault window start %q: %w", startStr, err)
-	}
-	ev.At = start
 	durStr, param, hasParam := strings.Cut(durStr, ":")
-	d, err := time.ParseDuration(durStr)
-	if err != nil {
-		return ev, fmt.Errorf("fabric: fault window length %q: %w", durStr, err)
+	if err := parseValue("fault window start", startStr, &ev.At); err != nil {
+		return ev, err
 	}
-	ev.For = d
+	if err := parseValue("fault window length", durStr, &ev.For); err != nil {
+		return ev, err
+	}
 
+	// Each kind's parameter is one more typed field with a default.
+	var err error
 	switch ev.Kind {
 	case FaultStraggler:
 		ev.Extra = netem.Link{Base: 100 * time.Millisecond, Jitter: 10 * time.Millisecond}
 		if hasParam {
-			baseStr, jitStr, hasJitter := strings.Cut(param, "~")
-			base, err := time.ParseDuration(baseStr)
-			if err != nil {
-				return ev, fmt.Errorf("fabric: straggler delay %q: %w", baseStr, err)
-			}
-			ev.Extra = netem.Link{Base: base}
-			if hasJitter {
-				jit, err := time.ParseDuration(jitStr)
-				if err != nil {
-					return ev, fmt.Errorf("fabric: straggler jitter %q: %w", jitStr, err)
-				}
-				ev.Extra.Jitter = jit
-			}
+			ev.Extra.Jitter = 0
+			err = parseFields("straggler", "base[~jitter]", strings.Split(param, "~"),
+				req("delay", &ev.Extra.Base), opt("jitter", &ev.Extra.Jitter))
 		}
 	case FaultLoss:
 		ev.Factor = 0.1
 		if hasParam {
-			p, err := strconv.ParseFloat(param, 64)
-			if err != nil {
-				return ev, fmt.Errorf("fabric: loss probability %q: %w", param, err)
-			}
-			ev.Factor = p
+			err = parseValue("loss probability", param, &ev.Factor)
 		}
 	case FaultSlowDB:
 		ev.Factor = 4
 		if hasParam {
-			x, err := strconv.ParseFloat(param, 64)
-			if err != nil {
-				return ev, fmt.Errorf("fabric: slowdb multiplier %q: %w", param, err)
-			}
-			ev.Factor = x
+			err = parseValue("slowdb multiplier", param, &ev.Factor)
 		}
 	default:
 		if hasParam {
-			return ev, fmt.Errorf("fabric: fault kind %q takes no parameter, got %q", string(ev.Kind), param)
+			err = fmt.Errorf("fabric: fault kind %q takes no parameter, got %q", string(ev.Kind), param)
 		}
 	}
-	return ev, ev.validate()
+	if err == nil {
+		err = ev.validate()
+	}
+	return ev, err
 }
 
 // scheduleFaults arms the resolved fault schedule on the virtual

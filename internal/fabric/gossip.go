@@ -3,7 +3,6 @@ package fabric
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"time"
 
@@ -81,7 +80,7 @@ func (g Gossip) Validate() error {
 		return fmt.Errorf("fabric: gossip fanout must be >= 0, got %d", g.Fanout)
 	case g.Period < 0:
 		return fmt.Errorf("fabric: gossip period must be >= 0, got %v", g.Period)
-	case g.Decay < 0 || math.IsNaN(g.Decay) || math.IsInf(g.Decay, 0):
+	case !finiteNonNeg(g.Decay):
 		return fmt.Errorf("fabric: gossip decay must be a finite rate >= 0, got %g", g.Decay)
 	case g.Window < 0:
 		return fmt.Errorf("fabric: gossip window must be >= 0, got %d", g.Window)
@@ -100,35 +99,9 @@ func (g Gossip) Name() string {
 // "fanout:period[:decay]" — e.g. "2:500ms:0.5" — sets the knobs
 // explicitly.
 func ParseGossip(s string) (*Gossip, error) {
-	switch strings.ToLower(s) {
-	case "", "off":
-		return nil, nil
-	case "on", "default":
-		return &Gossip{}, nil
-	}
-	parts := strings.Split(s, ":")
-	if len(parts) < 2 || len(parts) > 3 {
-		return nil, fmt.Errorf("fabric: gossip %q: want off, on or fanout:period[:decay]", s)
-	}
 	var g Gossip
-	fanout, err := strconv.Atoi(parts[0])
-	if err != nil {
-		return nil, fmt.Errorf("fabric: gossip fanout %q: %w", parts[0], err)
-	}
-	g.Fanout = fanout
-	period, err := time.ParseDuration(parts[1])
-	if err != nil {
-		return nil, fmt.Errorf("fabric: gossip period %q: %w", parts[1], err)
-	}
-	g.Period = period
-	if len(parts) == 3 {
-		decay, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("fabric: gossip decay %q: %w", parts[2], err)
-		}
-		g.Decay = decay
-	}
-	return &g, g.Validate()
+	return parseToggled(&g, "gossip", "fanout:period[:decay]", s,
+		req("fanout", &g.Fanout), req("period", &g.Period), opt("decay", &g.Decay))
 }
 
 // HintSource selects which producer feeds the congestion hint that
@@ -185,8 +158,11 @@ func (s HintSource) Validate() error {
 // ParseHintSource parses the CLI syntax for Config.HintSource ("" and
 // "orderer" both mean the default orderer producer).
 func ParseHintSource(s string) (HintSource, error) {
-	src := HintSource(strings.ToLower(s))
-	return src.resolve(), src.Validate()
+	src := HintSource(strings.ToLower(s)).resolve()
+	if err := src.Validate(); err != nil {
+		return "", err
+	}
+	return src, nil
 }
 
 // ClampEstimate bounds a congestion estimate to [0,1]; NaN maps to 0
@@ -232,7 +208,7 @@ func MergeEstimates(a, b float64) float64 {
 // only the conflict view, its backlog alarm only the congestion view.
 //
 // The state has no notion of scalar vs split mode: which class an
-// outcome lands in is the caller's classifier (clientCore.classify).
+// outcome lands in is the caller's classifier (ClientDriver.classify).
 // Under the scalar classifier every failure is conflict-class, so the
 // congestion window stays all-false, the congestion remote view is never
 // adopted (merge refuses a zero into an empty view), and the estimate is

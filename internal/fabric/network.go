@@ -34,8 +34,6 @@ type Network struct {
 	pol      *policy.Policy
 	orgs     []string
 	peers    []*Peer
-	clients  []*Client
-	cohorts  []*Cohort
 	orderers []*OrderingService
 	vals     []*validator
 	chains   []*ledger.Chain
@@ -64,7 +62,7 @@ type Network struct {
 	// split is the resolved split-signal mode (CongestLatency
 	// defaulted against the block timeout), nil when Config.SplitSignal
 	// is unset or the run does not track outcomes — scalar mode (see
-	// clientCore.gossip).
+	// ClientDriver.gossip).
 	split *SplitSignal
 	// faults is the resolved fault schedule (scenario expanded into
 	// events), nil when Config.Faults is unset — the subsystem is then
@@ -80,13 +78,13 @@ type Network struct {
 	// plumbing is fully inert and runs behave exactly like the
 	// paper's fire-and-forget clients.
 	tracking bool
-	// drivers is the full client-driver list — exact clients or
-	// cohorts, whichever the config selects — in start order. It is
-	// also the gossip mesh.
-	drivers []ClientDriver
+	// drivers is the client-driver list — one per client, or one per
+	// cohort of Config.CohortSize clients — in start order. It is also
+	// the gossip mesh.
+	drivers []*ClientDriver
 	// driversByName resolves a transaction's ClientID to its driver
 	// for commit-event delivery.
-	driversByName map[string]ClientDriver
+	driversByName map[string]*ClientDriver
 }
 
 // NewNetwork validates the config and builds the deployment: MSP
@@ -120,7 +118,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		variant:       cfg.Variant,
 		retry:         retry,
 		tracking:      cfg.ClosedLoop || !noRetry,
-		driversByName: map[string]ClientDriver{},
+		driversByName: map[string]*ClientDriver{},
 	}
 	if cfg.Backpressure != nil {
 		b := cfg.Backpressure.withDefaults()
@@ -222,28 +220,12 @@ func NewNetwork(cfg Config) (*Network, error) {
 		nw.orderers = append(nw.orderers, newOrderingService(nw, cons, ch))
 	}
 
-	// Client drivers: exact per-client simulation when the cohort size
-	// is 1, otherwise cohorts of CohortSize members (the last cohort
-	// takes the remainder).
-	if size := cfg.cohortSize(); size == 1 {
-		for c := 0; c < cfg.Clients; c++ {
-			cl := newClient(nw, c)
-			nw.clients = append(nw.clients, cl)
-			nw.drivers = append(nw.drivers, cl)
-			nw.driversByName[cl.name] = cl
-		}
-	} else {
-		for first, idx := 0, 0; first < cfg.Clients; idx++ {
-			n := size
-			if rest := cfg.Clients - first; n > rest {
-				n = rest
-			}
-			co := newCohort(nw, idx, first, n)
-			nw.cohorts = append(nw.cohorts, co)
-			nw.drivers = append(nw.drivers, co)
-			nw.driversByName[co.name] = co
-			first += n
-		}
+	// Client drivers: one per CohortSize clients (the last takes the
+	// remainder); size 1 is the exact per-client simulation.
+	for first, size := 0, cfg.cohortSize(); first < cfg.Clients; first += size {
+		d := newDriver(nw, len(nw.drivers), first, min(size, cfg.Clients-first))
+		nw.drivers = append(nw.drivers, d)
+		nw.driversByName[d.name] = d
 	}
 
 	// Fault schedule last: the topology is known, so scenarios expand
@@ -276,7 +258,7 @@ func (nw *Network) deliverOutcome(src string, tx *ledger.Transaction, code ledge
 	if cl == nil {
 		return
 	}
-	nw.net.Send(src, cl.Name(), func() { cl.onOutcome(tx.ID, code, hint, channel) })
+	nw.net.Send(src, cl.name, func() { cl.onOutcome(tx.ID, code, hint, channel) })
 }
 
 // channelOf routes an invocation to its home channel by hashing its
@@ -362,14 +344,9 @@ func (nw *Network) Collector() *metrics.Collector { return nw.col }
 // Peers returns all peers.
 func (nw *Network) Peers() []*Peer { return nw.peers }
 
-// Clients returns the exact per-client drivers. Empty in cohort mode
-// (Config.CohortSize > 1) — use Drivers for the mode-independent
-// view.
-func (nw *Network) Clients() []*Client { return nw.clients }
-
-// Drivers returns every client driver — exact clients or cohorts — in
-// start order.
-func (nw *Network) Drivers() []ClientDriver { return nw.drivers }
+// Drivers returns every client driver — one per client, or one per
+// cohort — in start order.
+func (nw *Network) Drivers() []*ClientDriver { return nw.drivers }
 
 // metricsPeer is the peer whose commits define the canonical chain and
 // latency measurements (the first peer of the first org).

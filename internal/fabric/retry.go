@@ -74,6 +74,14 @@ type ExponentialBackoff struct {
 	Jitter      float64       // uniform ± fraction applied to each backoff
 }
 
+// Validate reports configuration errors.
+func (p ExponentialBackoff) Validate() error {
+	if !finiteNonNeg(p.Jitter) {
+		return fmt.Errorf("fabric: backoff jitter must be a finite fraction >= 0, got %g", p.Jitter)
+	}
+	return nil
+}
+
 // Name implements RetryPolicy.
 func (p ExponentialBackoff) Name() string {
 	if p.MaxAttempts > 0 {

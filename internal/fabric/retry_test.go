@@ -168,7 +168,7 @@ func TestClosedLoopKeepsWindow(t *testing.T) {
 	// 5 clients × 2 in flight: at any instant at most 10 attempts are
 	// outstanding, including at the end of the run.
 	pending := 0
-	for _, c := range nw.Clients() {
+	for _, c := range nw.Drivers() {
 		pending += c.Pending()
 	}
 	if max := cfg.Clients * cfg.InFlightPerClient; pending > max {
@@ -188,7 +188,7 @@ func TestClosedLoopStopsAtWindowEnd(t *testing.T) {
 	cfg.Retry = ImmediateRetry{MaxAttempts: 2}
 	nw, _ := run(t, cfg)
 	resub := 0
-	for _, c := range nw.Clients() {
+	for _, c := range nw.Drivers() {
 		resub += c.Resubmissions()
 	}
 	if resub == 0 {

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/ledger"
@@ -130,18 +129,9 @@ func (s SplitSignal) Name() string {
 // defaults, and a duration — e.g. "3s" — sets the congestion-latency
 // threshold explicitly.
 func ParseSplitSignal(s string) (*SplitSignal, error) {
-	switch strings.ToLower(s) {
-	case "", "off":
-		return nil, nil
-	case "on", "default":
-		return &SplitSignal{}, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: split signal %q: want off, on or a latency threshold duration", s)
-	}
-	sp := SplitSignal{CongestLatency: d}
-	return &sp, sp.Validate()
+	var sp SplitSignal
+	return parseToggled(&sp, "split signal", "a latency threshold duration", s,
+		req("congestion latency", &sp.CongestLatency))
 }
 
 // SplitEstimate is the client signal every gossip message carries: the

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -69,8 +68,8 @@ func (t ThinkTime) Validate() error {
 		if t.Mean <= 0 {
 			return fmt.Errorf("fabric: %s think time needs a positive mean, got %v", t.Kind, t.Mean)
 		}
-		if t.Sigma < 0 {
-			return fmt.Errorf("fabric: think time sigma must be >= 0, got %g", t.Sigma)
+		if !finiteNonNeg(t.Sigma) {
+			return fmt.Errorf("fabric: think time sigma must be a finite shape >= 0, got %g", t.Sigma)
 		}
 		return nil
 	default:
@@ -118,6 +117,7 @@ func (t ThinkTime) sample(eng *sim.Engine) time.Duration {
 func ParseThinkTime(s string) (ThinkTime, error) {
 	parts := strings.Split(s, ":")
 	var t ThinkTime
+	fields := []specField{req("mean", &t.Mean)}
 	switch strings.ToLower(parts[0]) {
 	case "", "none":
 		if len(parts) > 1 {
@@ -130,26 +130,16 @@ func ParseThinkTime(s string) (ThinkTime, error) {
 		t.Kind = ThinkExponential
 	case "lognormal":
 		t.Kind = ThinkLogNormal
+		fields = append(fields, opt("sigma", &t.Sigma))
 	default:
 		return ThinkTime{}, fmt.Errorf("fabric: unknown think time distribution %q", parts[0])
 	}
-	if len(parts) < 2 {
-		return ThinkTime{}, fmt.Errorf("fabric: think time %q needs a mean, e.g. %s:500ms", s, parts[0])
+	err := parseFields(parts[0]+" think time", "a mean, e.g. "+parts[0]+":500ms (lognormal takes an optional :sigma)", parts[1:], fields...)
+	if err == nil {
+		err = t.Validate()
 	}
-	mean, err := time.ParseDuration(parts[1])
 	if err != nil {
-		return ThinkTime{}, fmt.Errorf("fabric: think time mean %q: %w", parts[1], err)
+		return ThinkTime{}, err
 	}
-	t.Mean = mean
-	if t.Kind == ThinkLogNormal && len(parts) >= 3 {
-		sigma, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil {
-			return ThinkTime{}, fmt.Errorf("fabric: think time sigma %q: %w", parts[2], err)
-		}
-		t.Sigma = sigma
-	}
-	if len(parts) > 3 || (t.Kind != ThinkLogNormal && len(parts) > 2) {
-		return ThinkTime{}, fmt.Errorf("fabric: think time %q has trailing fields", s)
-	}
-	return t, t.Validate()
+	return t, nil
 }
