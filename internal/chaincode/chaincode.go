@@ -20,6 +20,7 @@
 package chaincode
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -156,27 +157,22 @@ func (s *Stub) GetQueryResult(query string) ([]statedb.KV, error) {
 	return kvs, nil
 }
 
-// Registry maps chaincode names to constructors so experiments can
-// instantiate contracts by name.
-type Registry struct {
-	byName map[string]func() Chaincode
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: map[string]func() Chaincode{}}
-}
-
-// Register adds a constructor under name, replacing any previous one.
-func (r *Registry) Register(name string, ctor func() Chaincode) {
-	r.byName[name] = ctor
-}
-
-// New instantiates the named chaincode.
-func (r *Registry) New(name string) (Chaincode, error) {
-	ctor, ok := r.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("chaincode: unknown chaincode %q", name)
+// GetJSON reads key and decodes it into out. An absent key leaves out
+// as it was (upsert semantics: an absent entity starts zeroed) and
+// reports found = false.
+func GetJSON(stub *Stub, key string, out interface{}) (found bool, err error) {
+	raw, err := stub.GetState(key)
+	if err != nil || raw == nil {
+		return false, err
 	}
-	return ctor(), nil
+	return true, json.Unmarshal(raw, out)
+}
+
+// PutJSON encodes v and buffers it as the write of key.
+func PutJSON(stub *Stub, key string, v interface{}) error {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	return stub.PutState(key, raw)
 }

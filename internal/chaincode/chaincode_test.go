@@ -139,20 +139,27 @@ func TestRichQueryFailsOnLevelDB(t *testing.T) {
 	}
 }
 
-type fakeCC struct{ name string }
-
-func (f *fakeCC) Name() string                         { return f.name }
-func (f *fakeCC) Init(*Stub) error                     { return nil }
-func (f *fakeCC) Invoke(*Stub, string, []string) error { return nil }
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Register("fake", func() Chaincode { return &fakeCC{name: "fake"} })
-	cc, err := r.New("fake")
-	if err != nil || cc.Name() != "fake" {
-		t.Fatalf("New = %v, %v", cc, err)
+func TestGetPutJSON(t *testing.T) {
+	type doc struct{ N int }
+	s := NewStub(seeded(statedb.LevelDB))
+	d := doc{N: 7}
+	if found, err := GetJSON(s, "absent", &d); found || err != nil || d.N != 7 {
+		t.Fatalf("absent key: found=%v err=%v out=%+v, want out untouched", found, err, d)
 	}
-	if _, err := r.New("nope"); err == nil {
-		t.Fatal("unknown chaincode instantiated")
+	if found, err := GetJSON(s, "k2", &d); !found || err != nil || d.N != 2 {
+		t.Fatalf("present key: found=%v err=%v out=%+v", found, err, d)
+	}
+	if err := PutJSON(s, "k9", &doc{N: 9}); err != nil {
+		t.Fatal(err)
+	}
+	rw := s.RWSet()
+	if len(rw.Reads) != 2 || len(rw.Writes) != 1 || string(rw.Writes[0].Value) != `{"N":9}` {
+		t.Fatalf("rwset = %+v", rw)
+	}
+	if _, err := GetJSON(s, "", &d); err == nil {
+		t.Fatal("empty key accepted")
+	}
+	if err := PutJSON(s, "k", make(chan int)); err == nil {
+		t.Fatal("unencodable value accepted")
 	}
 }

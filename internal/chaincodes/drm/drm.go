@@ -6,7 +6,6 @@
 package drm
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 
@@ -59,7 +58,7 @@ func (c *Chaincode) Name() string { return Name }
 // Init seeds the artworks and right holders.
 func (c *Chaincode) Init(stub *chaincode.Stub) error {
 	for h := 0; h < Holders; h++ {
-		if err := putJSON(stub, HolderKey(h), &holderDoc{IPI: IPI(h)}); err != nil {
+		if err := chaincode.PutJSON(stub, HolderKey(h), &holderDoc{IPI: IPI(h)}); err != nil {
 			return err
 		}
 	}
@@ -70,7 +69,7 @@ func (c *Chaincode) Init(stub *chaincode.Stub) error {
 			Owner:  IPI(a % Holders),
 			Rate:   1 + a%9,
 		}
-		if err := putJSON(stub, ArtKey(a), doc); err != nil {
+		if err := chaincode.PutJSON(stub, ArtKey(a), doc); err != nil {
 			return err
 		}
 	}
@@ -81,25 +80,25 @@ func (c *Chaincode) Init(stub *chaincode.Stub) error {
 func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error {
 	switch fn {
 	case "initLedger": // 2xW
-		if err := putJSON(stub, HolderKey(0), &holderDoc{IPI: IPI(0)}); err != nil {
+		if err := chaincode.PutJSON(stub, HolderKey(0), &holderDoc{IPI: IPI(0)}); err != nil {
 			return err
 		}
-		return putJSON(stub, ArtKey(0), &artworkDoc{ArtID: "0", Format: "dotBC", Owner: IPI(0)})
+		return chaincode.PutJSON(stub, ArtKey(0), &artworkDoc{ArtID: "0", Format: "dotBC", Owner: IPI(0)})
 	case "create": // 1xR, 2xW: register a new artwork for a holder
 		art, holder, err := artHolderArgs(args)
 		if err != nil {
 			return err
 		}
 		var h holderDoc
-		if err := getJSON(stub, HolderKey(holder), &h); err != nil {
+		if _, err := chaincode.GetJSON(stub, HolderKey(holder), &h); err != nil {
 			return err
 		}
 		h.IPI = IPI(holder)
 		h.Works++
-		if err := putJSON(stub, HolderKey(holder), &h); err != nil {
+		if err := chaincode.PutJSON(stub, HolderKey(holder), &h); err != nil {
 			return err
 		}
-		return putJSON(stub, ArtKey(art), &artworkDoc{
+		return chaincode.PutJSON(stub, ArtKey(art), &artworkDoc{
 			ArtID: fmt.Sprint(art), Format: "dotBC", Owner: IPI(holder), Rate: 1,
 		})
 	case "play": // 2xR, 1xW: bump the play count
@@ -108,15 +107,15 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 			return err
 		}
 		var a artworkDoc
-		if err := getJSON(stub, ArtKey(art), &a); err != nil {
+		if _, err := chaincode.GetJSON(stub, ArtKey(art), &a); err != nil {
 			return err
 		}
 		var h holderDoc
-		if err := getJSON(stub, HolderKey(holder), &h); err != nil {
+		if _, err := chaincode.GetJSON(stub, HolderKey(holder), &h); err != nil {
 			return err
 		}
 		a.Plays++
-		return putJSON(stub, ArtKey(art), &a)
+		return chaincode.PutJSON(stub, ArtKey(art), &a)
 	case "queryRghts": // 2xR
 		art, holder, err := artHolderArgs(args)
 		if err != nil {
@@ -174,25 +173,6 @@ func artHolderArgs(args []string) (int, int, error) {
 		return 0, 0, fmt.Errorf("drm: bad holder %q", args[1])
 	}
 	return a, h % Holders, nil
-}
-
-func getJSON(stub *chaincode.Stub, key string, out interface{}) error {
-	raw, err := stub.GetState(key)
-	if err != nil {
-		return err
-	}
-	if raw == nil {
-		return nil
-	}
-	return json.Unmarshal(raw, out)
-}
-
-func putJSON(stub *chaincode.Stub, key string, v interface{}) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return stub.PutState(key, raw)
 }
 
 // Functions lists the Table 2 rows for DRM.

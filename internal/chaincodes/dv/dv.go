@@ -68,36 +68,36 @@ func (c *Chaincode) Name() string { return Name }
 // Init seeds the electorate, the parties and the open election flag.
 func (c *Chaincode) Init(stub *chaincode.Stub) error {
 	for v := 0; v < Voters; v++ {
-		if err := putJSON(stub, VoterKey(v), &voterDoc{VoterID: fmt.Sprint(v)}); err != nil {
+		if err := chaincode.PutJSON(stub, VoterKey(v), &voterDoc{VoterID: fmt.Sprint(v)}); err != nil {
 			return err
 		}
 	}
 	for p := 0; p < Parties; p++ {
-		if err := putJSON(stub, PartyKey(p), &partyDoc{PartyID: fmt.Sprint(p)}); err != nil {
+		if err := chaincode.PutJSON(stub, PartyKey(p), &partyDoc{PartyID: fmt.Sprint(p)}); err != nil {
 			return err
 		}
 	}
-	return putJSON(stub, electionKey, &electionDoc{Open: true})
+	return chaincode.PutJSON(stub, electionKey, &electionDoc{Open: true})
 }
 
 // Invoke dispatches the functions of Table 2.
 func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error {
 	switch fn {
 	case "initLedger": // 3xW: election flag + one voter + one party
-		if err := putJSON(stub, electionKey, &electionDoc{Open: true}); err != nil {
+		if err := chaincode.PutJSON(stub, electionKey, &electionDoc{Open: true}); err != nil {
 			return err
 		}
-		if err := putJSON(stub, VoterKey(0), &voterDoc{VoterID: "0"}); err != nil {
+		if err := chaincode.PutJSON(stub, VoterKey(0), &voterDoc{VoterID: "0"}); err != nil {
 			return err
 		}
-		return putJSON(stub, PartyKey(0), &partyDoc{PartyID: "0"})
+		return chaincode.PutJSON(stub, PartyKey(0), &partyDoc{PartyID: "0"})
 	case "vote": // 1xR, 2xRR, 2xW
 		if len(args) < 2 {
 			return fmt.Errorf("dv: vote needs voter and party")
 		}
 		voter, party := args[0], args[1]
 		var e electionDoc
-		if err := getJSON(stub, electionKey, &e); err != nil {
+		if _, err := chaincode.GetJSON(stub, electionKey, &e); err != nil {
 			return err
 		}
 		if !e.Open {
@@ -129,7 +129,7 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 			return nil // blocked from casting twice
 		}
 		vd.VoterID, vd.Voted, vd.Party = voter, true, party
-		if err := putJSON(stub, "voter_"+voter, &vd); err != nil {
+		if err := chaincode.PutJSON(stub, "voter_"+voter, &vd); err != nil {
 			return err
 		}
 		// The party's current tally comes from the range scan above —
@@ -145,17 +145,17 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 		}
 		pd.PartyID = party
 		pd.Votes++
-		return putJSON(stub, "party_"+party, &pd)
+		return chaincode.PutJSON(stub, "party_"+party, &pd)
 	case "closeElctn": // 1xR, 1xW
 		var e electionDoc
-		if err := getJSON(stub, electionKey, &e); err != nil {
+		if _, err := chaincode.GetJSON(stub, electionKey, &e); err != nil {
 			return err
 		}
 		e.Open = false
-		return putJSON(stub, electionKey, &e)
+		return chaincode.PutJSON(stub, electionKey, &e)
 	case "qryParties", "seeResults": // 1xR, 1xRR
 		var e electionDoc
-		if err := getJSON(stub, electionKey, &e); err != nil {
+		if _, err := chaincode.GetJSON(stub, electionKey, &e); err != nil {
 			return err
 		}
 		_, err := stub.GetStateByRange("party_", partyRangeEnd)
@@ -163,25 +163,6 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 	default:
 		return fmt.Errorf("dv: unknown function %q", fn)
 	}
-}
-
-func getJSON(stub *chaincode.Stub, key string, out interface{}) error {
-	raw, err := stub.GetState(key)
-	if err != nil {
-		return err
-	}
-	if raw == nil {
-		return nil
-	}
-	return json.Unmarshal(raw, out)
-}
-
-func putJSON(stub *chaincode.Stub, key string, v interface{}) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return stub.PutState(key, raw)
 }
 
 // Functions lists the Table 2 rows for DV.

@@ -11,7 +11,6 @@
 package ehr
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 
@@ -62,12 +61,12 @@ func actorName(i int) string { return fmt.Sprintf("actor%02d", i) }
 // Init seeds the 100 profiles and 100 EHRs.
 func (c *Chaincode) Init(stub *chaincode.Stub) error {
 	for p := 0; p < Patients; p++ {
-		if err := putJSON(stub, ProfileKey(p), &profile{
+		if err := chaincode.PutJSON(stub, ProfileKey(p), &profile{
 			PatientID: fmt.Sprint(p), Access: map[string]bool{},
 		}); err != nil {
 			return err
 		}
-		if err := putJSON(stub, RecordKey(p), &record{
+		if err := chaincode.PutJSON(stub, RecordKey(p), &record{
 			PatientID: fmt.Sprint(p), Access: map[string]bool{},
 		}); err != nil {
 			return err
@@ -84,12 +83,12 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 		if err != nil {
 			return err
 		}
-		if err := putJSON(stub, ProfileKey(patient), &profile{
+		if err := chaincode.PutJSON(stub, ProfileKey(patient), &profile{
 			PatientID: fmt.Sprint(patient), Access: map[string]bool{},
 		}); err != nil {
 			return err
 		}
-		return putJSON(stub, RecordKey(patient), &record{
+		return chaincode.PutJSON(stub, RecordKey(patient), &record{
 			PatientID: fmt.Sprint(patient), Access: map[string]bool{},
 		})
 	case "addEhr": // 2xR, 2xW
@@ -98,26 +97,26 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 			return err
 		}
 		var p profile
-		if err := getJSON(stub, ProfileKey(patient), &p); err != nil {
+		if _, err := chaincode.GetJSON(stub, ProfileKey(patient), &p); err != nil {
 			return err
 		}
 		var r record
-		if err := getJSON(stub, RecordKey(patient), &r); err != nil {
+		if _, err := chaincode.GetJSON(stub, RecordKey(patient), &r); err != nil {
 			return err
 		}
 		r.Entries++
 		p.Updates++
-		if err := putJSON(stub, RecordKey(patient), &r); err != nil {
+		if err := chaincode.PutJSON(stub, RecordKey(patient), &r); err != nil {
 			return err
 		}
-		return putJSON(stub, ProfileKey(patient), &p)
+		return chaincode.PutJSON(stub, ProfileKey(patient), &p)
 	case "grantProfileAccess", "revokeProfileAccess": // 1xR, 1xW
 		patient, actor, err := patientActorArgs(args)
 		if err != nil {
 			return err
 		}
 		var p profile
-		if err := getJSON(stub, ProfileKey(patient), &p); err != nil {
+		if _, err := chaincode.GetJSON(stub, ProfileKey(patient), &p); err != nil {
 			return err
 		}
 		if p.Access == nil {
@@ -128,18 +127,18 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 		} else {
 			delete(p.Access, actor)
 		}
-		return putJSON(stub, ProfileKey(patient), &p)
+		return chaincode.PutJSON(stub, ProfileKey(patient), &p)
 	case "grantEhrAccess", "revokeEhrAccess": // 2xR, 2xW
 		patient, actor, err := patientActorArgs(args)
 		if err != nil {
 			return err
 		}
 		var p profile
-		if err := getJSON(stub, ProfileKey(patient), &p); err != nil {
+		if _, err := chaincode.GetJSON(stub, ProfileKey(patient), &p); err != nil {
 			return err
 		}
 		var r record
-		if err := getJSON(stub, RecordKey(patient), &r); err != nil {
+		if _, err := chaincode.GetJSON(stub, RecordKey(patient), &r); err != nil {
 			return err
 		}
 		if p.Access == nil {
@@ -155,10 +154,10 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 			delete(r.Access, actor)
 			delete(p.Access, actor)
 		}
-		if err := putJSON(stub, RecordKey(patient), &r); err != nil {
+		if err := chaincode.PutJSON(stub, RecordKey(patient), &r); err != nil {
 			return err
 		}
-		return putJSON(stub, ProfileKey(patient), &p)
+		return chaincode.PutJSON(stub, ProfileKey(patient), &p)
 	case "readProfile", "viewPartialProfile": // 1xR
 		patient, err := patientArg(args)
 		if err != nil {
@@ -198,25 +197,6 @@ func patientActorArgs(args []string) (int, string, error) {
 		return 0, "", fmt.Errorf("ehr: missing actor argument")
 	}
 	return p, args[1], nil
-}
-
-func getJSON(stub *chaincode.Stub, key string, out interface{}) error {
-	raw, err := stub.GetState(key)
-	if err != nil {
-		return err
-	}
-	if raw == nil {
-		return nil // upsert semantics: absent entity starts zeroed
-	}
-	return json.Unmarshal(raw, out)
-}
-
-func putJSON(stub *chaincode.Stub, key string, v interface{}) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return stub.PutState(key, raw)
 }
 
 // Functions lists the invocable functions with their operation counts

@@ -8,7 +8,6 @@
 package scm
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 
@@ -89,7 +88,7 @@ func (c *Chaincode) Name() string { return Name }
 func (c *Chaincode) Init(stub *chaincode.Stub) error {
 	for i := 0; i < LSPs; i++ {
 		lsp := LSPName(i)
-		if err := putJSON(stub, LSPKey(i), &lspDoc{LSPID: lsp}); err != nil {
+		if err := chaincode.PutJSON(stub, LSPKey(i), &lspDoc{LSPID: lsp}); err != nil {
 			return err
 		}
 		for u := 0; u < unitsOf(i); u++ {
@@ -99,7 +98,7 @@ func (c *Chaincode) Init(stub *chaincode.Stub) error {
 				LSP:   lsp,
 				Items: 1 + u%5,
 			}
-			if err := putJSON(stub, UnitKey(lsp, u), doc); err != nil {
+			if err := chaincode.PutJSON(stub, UnitKey(lsp, u), doc); err != nil {
 				return err
 			}
 		}
@@ -111,27 +110,27 @@ func (c *Chaincode) Init(stub *chaincode.Stub) error {
 func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error {
 	switch fn {
 	case "initLedger": // 2xW: one provider + one unit
-		if err := putJSON(stub, LSPKey(0), &lspDoc{LSPID: LSPName(0)}); err != nil {
+		if err := chaincode.PutJSON(stub, LSPKey(0), &lspDoc{LSPID: LSPName(0)}); err != nil {
 			return err
 		}
-		return putJSON(stub, UnitKey(LSPName(0), 0), &unitDoc{LSP: LSPName(0), Items: 1})
+		return chaincode.PutJSON(stub, UnitKey(LSPName(0), 0), &unitDoc{LSP: LSPName(0), Items: 1})
 	case "pushASN": // 1xW
 		if len(args) < 3 {
 			return fmt.Errorf("scm: pushASN needs id, from, to")
 		}
-		return putJSON(stub, "asn_"+args[0], &asnDoc{ASNID: args[0], From: args[1], To: args[2]})
+		return chaincode.PutJSON(stub, "asn_"+args[0], &asnDoc{ASNID: args[0], From: args[1], To: args[2]})
 	case "Ship": // 2xR, 2xW: move a unit between providers
 		if len(args) < 3 {
 			return fmt.Errorf("scm: Ship needs unitKey, srcLSP, dstLSP")
 		}
 		unitKey, dst := args[0], args[2]
 		var u unitDoc
-		found, err := getJSON(stub, unitKey, &u)
+		found, err := chaincode.GetJSON(stub, unitKey, &u)
 		if err != nil {
 			return err
 		}
 		var d lspDoc
-		if _, err := getJSON(stub, "lsp_"+dst, &d); err != nil {
+		if _, err := chaincode.GetJSON(stub, "lsp_"+dst, &d); err != nil {
 			return err
 		}
 		if !found {
@@ -139,7 +138,7 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 			// record the attempt on the destination provider only.
 			d.LSPID = dst
 			d.Moves++
-			return putJSON(stub, "lsp_"+dst, &d)
+			return chaincode.PutJSON(stub, "lsp_"+dst, &d)
 		}
 		// Delete at the source prefix, insert at the destination
 		// prefix (upon successful shipping the unit is removed from
@@ -149,31 +148,31 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 		}
 		u.LSP = dst
 		newKey := fmt.Sprintf("lu_%s_%s", dst, u.SSCC)
-		return putJSON(stub, newKey, &u)
+		return chaincode.PutJSON(stub, newKey, &u)
 	case "Unload": // 2xR, 2xW: extract the embedded trade items
 		if len(args) < 2 {
 			return fmt.Errorf("scm: Unload needs unitKey and lsp")
 		}
 		unitKey, lsp := args[0], args[1]
 		var u unitDoc
-		found, err := getJSON(stub, unitKey, &u)
+		found, err := chaincode.GetJSON(stub, unitKey, &u)
 		if err != nil {
 			return err
 		}
 		var l lspDoc
-		if _, err := getJSON(stub, "lsp_"+lsp, &l); err != nil {
+		if _, err := chaincode.GetJSON(stub, "lsp_"+lsp, &l); err != nil {
 			return err
 		}
 		l.LSPID = lsp
 		l.Moves++
-		if err := putJSON(stub, "lsp_"+lsp, &l); err != nil {
+		if err := chaincode.PutJSON(stub, "lsp_"+lsp, &l); err != nil {
 			return err
 		}
 		if !found {
-			return putJSON(stub, unitKey+"_items", &unitDoc{})
+			return chaincode.PutJSON(stub, unitKey+"_items", &unitDoc{})
 		}
 		u.Items = 0
-		return putJSON(stub, unitKey, &u)
+		return chaincode.PutJSON(stub, unitKey, &u)
 	case "queryASN": // 1xRR: all units of one provider (400–800 keys)
 		if len(args) < 1 {
 			return fmt.Errorf("scm: queryASN needs lsp")
@@ -196,22 +195,6 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 	default:
 		return fmt.Errorf("scm: unknown function %q", fn)
 	}
-}
-
-func getJSON(stub *chaincode.Stub, key string, out interface{}) (bool, error) {
-	raw, err := stub.GetState(key)
-	if err != nil || raw == nil {
-		return false, err
-	}
-	return true, json.Unmarshal(raw, out)
-}
-
-func putJSON(stub *chaincode.Stub, key string, v interface{}) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return stub.PutState(key, raw)
 }
 
 // Functions lists the Table 2 rows for SCM.

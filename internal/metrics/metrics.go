@@ -522,6 +522,23 @@ type Report struct {
 	RecoveryMax     time.Duration
 }
 
+// fillPercentages derives Valid and the failure-class percentages from
+// Counts and Total.
+func (r *Report) fillPercentages() {
+	r.Valid = r.Counts[ledger.Valid]
+	if r.Total == 0 {
+		return
+	}
+	pct := func(n int) float64 { return 100 * float64(n) / float64(r.Total) }
+	r.FailurePct = pct(r.Total - r.Valid)
+	r.EndorsementPct = pct(r.Counts[ledger.EndorsementPolicyFailure])
+	r.IntraBlockPct = pct(r.Counts[ledger.MVCCConflictIntraBlock])
+	r.InterBlockPct = pct(r.Counts[ledger.MVCCConflictInterBlock])
+	r.MVCCPct = r.IntraBlockPct + r.InterBlockPct
+	r.PhantomPct = pct(r.Counts[ledger.PhantomReadConflict])
+	r.AbortedPct = pct(r.Counts[ledger.AbortedInOrdering])
+}
+
 // Report computes the summary.
 func (c *Collector) Report() Report {
 	r := Report{
@@ -534,17 +551,7 @@ func (c *Collector) Report() Report {
 		r.Counts[code] = n
 		r.Total += n
 	}
-	r.Valid = r.Counts[ledger.Valid]
-	if r.Total > 0 {
-		pct := func(n int) float64 { return 100 * float64(n) / float64(r.Total) }
-		r.FailurePct = pct(r.Total - r.Valid)
-		r.EndorsementPct = pct(r.Counts[ledger.EndorsementPolicyFailure])
-		r.IntraBlockPct = pct(r.Counts[ledger.MVCCConflictIntraBlock])
-		r.InterBlockPct = pct(r.Counts[ledger.MVCCConflictInterBlock])
-		r.MVCCPct = r.IntraBlockPct + r.InterBlockPct
-		r.PhantomPct = pct(r.Counts[ledger.PhantomReadConflict])
-		r.AbortedPct = pct(r.Counts[ledger.AbortedInOrdering])
-	}
+	r.fillPercentages()
 	if c.latCount > 0 {
 		r.AvgLatency = c.latencySum / time.Duration(c.latCount)
 		r.MaxLatency = c.latMax
@@ -655,16 +662,7 @@ func ParseChain(chain *ledger.Chain) Report {
 			r.Committed++
 		}
 	}
-	r.Valid = r.Counts[ledger.Valid]
-	if r.Total > 0 {
-		pct := func(n int) float64 { return 100 * float64(n) / float64(r.Total) }
-		r.FailurePct = pct(r.Total - r.Valid)
-		r.EndorsementPct = pct(r.Counts[ledger.EndorsementPolicyFailure])
-		r.IntraBlockPct = pct(r.Counts[ledger.MVCCConflictIntraBlock])
-		r.InterBlockPct = pct(r.Counts[ledger.MVCCConflictInterBlock])
-		r.MVCCPct = r.IntraBlockPct + r.InterBlockPct
-		r.PhantomPct = pct(r.Counts[ledger.PhantomReadConflict])
-	}
+	r.fillPercentages() // AbortedPct stays 0: aborts never reach the chain
 	return r
 }
 

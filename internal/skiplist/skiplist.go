@@ -2,11 +2,12 @@
 // O(log n) expected search, insert and delete, plus forward iterators
 // and half-open range scans.
 //
-// It is the memtable substrate for the simulated LevelDB state
-// database: Hyperledger Fabric's default embedded store keeps its
-// working set in exactly this kind of sorted structure, and range
-// queries (the source of phantom read conflicts in the paper) map to
-// iterator scans here.
+// It is the index of the simulated state database: Hyperledger
+// Fabric's default embedded store (LevelDB) keeps its working set in
+// exactly this kind of sorted structure, and range queries (the source
+// of phantom read conflicts in the paper) map to iterator scans here.
+// The list is generic over its value so the database can store typed
+// entries instead of encoded bytes.
 //
 // The list is not safe for concurrent use; in the discrete-event
 // simulation every peer owns its replica and all events run on one
@@ -21,15 +22,15 @@ const (
 	pBranchDenom = 4
 )
 
-type node struct {
+type node[V any] struct {
 	key   string
-	value []byte
-	next  []*node
+	value V
+	next  []*node[V]
 }
 
-// List is an ordered string→[]byte map. Construct with New.
-type List struct {
-	head   *node
+// List is an ordered string→V map. Construct with New.
+type List[V any] struct {
+	head   *node[V]
 	height int
 	length int
 	rng    *rand.Rand
@@ -37,18 +38,18 @@ type List struct {
 
 // New returns an empty list. The seed fixes tower heights so that runs
 // are deterministic.
-func New(seed int64) *List {
-	return &List{
-		head:   &node{next: make([]*node, maxHeight)},
+func New[V any](seed int64) *List[V] {
+	return &List[V]{
+		head:   &node[V]{next: make([]*node[V], maxHeight)},
 		height: 1,
 		rng:    rand.New(rand.NewSource(seed)),
 	}
 }
 
 // Len reports the number of keys stored.
-func (l *List) Len() int { return l.length }
+func (l *List[V]) Len() int { return l.length }
 
-func (l *List) randomHeight() int {
+func (l *List[V]) randomHeight() int {
 	h := 1
 	for h < maxHeight && l.rng.Intn(pBranchDenom) == 0 {
 		h++
@@ -59,7 +60,7 @@ func (l *List) randomHeight() int {
 // findGreaterOrEqual returns the first node with node.key >= key, and
 // fills prev with the rightmost node before that position on every
 // level (used for insert/delete splicing).
-func (l *List) findGreaterOrEqual(key string, prev []*node) *node {
+func (l *List[V]) findGreaterOrEqual(key string, prev []*node[V]) *node[V] {
 	x := l.head
 	for level := l.height - 1; level >= 0; level-- {
 		for x.next[level] != nil && x.next[level].key < key {
@@ -73,24 +74,26 @@ func (l *List) findGreaterOrEqual(key string, prev []*node) *node {
 }
 
 // Get returns the value stored under key. The boolean reports whether
-// the key was present. The returned slice must not be modified.
-func (l *List) Get(key string) ([]byte, bool) {
+// the key was present. A returned slice or pointer must not be
+// modified: values are shared between clones.
+func (l *List[V]) Get(key string) (V, bool) {
 	n := l.findGreaterOrEqual(key, nil)
 	if n != nil && n.key == key {
 		return n.value, true
 	}
-	return nil, false
+	var zero V
+	return zero, false
 }
 
 // Has reports whether key is present.
-func (l *List) Has(key string) bool {
+func (l *List[V]) Has(key string) bool {
 	_, ok := l.Get(key)
 	return ok
 }
 
 // Put stores value under key, replacing any previous value.
-func (l *List) Put(key string, value []byte) {
-	prev := make([]*node, maxHeight)
+func (l *List[V]) Put(key string, value V) {
+	prev := make([]*node[V], maxHeight)
 	n := l.findGreaterOrEqual(key, prev)
 	if n != nil && n.key == key {
 		n.value = value
@@ -103,7 +106,7 @@ func (l *List) Put(key string, value []byte) {
 		}
 		l.height = h
 	}
-	nn := &node{key: key, value: value, next: make([]*node, h)}
+	nn := &node[V]{key: key, value: value, next: make([]*node[V], h)}
 	for level := 0; level < h; level++ {
 		nn.next[level] = prev[level].next[level]
 		prev[level].next[level] = nn
@@ -112,8 +115,8 @@ func (l *List) Put(key string, value []byte) {
 }
 
 // Delete removes key and reports whether it was present.
-func (l *List) Delete(key string) bool {
-	prev := make([]*node, maxHeight)
+func (l *List[V]) Delete(key string) bool {
+	prev := make([]*node[V], maxHeight)
 	n := l.findGreaterOrEqual(key, prev)
 	if n == nil || n.key != key {
 		return false
@@ -131,13 +134,13 @@ func (l *List) Delete(key string) bool {
 }
 
 // Iterator walks keys in ascending order. Use Valid/Next/Key/Value.
-type Iterator struct {
-	n   *node
+type Iterator[V any] struct {
+	n   *node[V]
 	end string // exclusive bound; empty means unbounded
 }
 
 // Valid reports whether the iterator is positioned on an entry.
-func (it *Iterator) Valid() bool {
+func (it *Iterator[V]) Valid() bool {
 	if it.n == nil {
 		return false
 	}
@@ -145,39 +148,39 @@ func (it *Iterator) Valid() bool {
 }
 
 // Next advances to the following entry.
-func (it *Iterator) Next() {
+func (it *Iterator[V]) Next() {
 	if it.n != nil {
 		it.n = it.n.next[0]
 	}
 }
 
 // Key returns the current key. Only valid while Valid() is true.
-func (it *Iterator) Key() string { return it.n.key }
+func (it *Iterator[V]) Key() string { return it.n.key }
 
 // Value returns the current value. Only valid while Valid() is true.
-func (it *Iterator) Value() []byte { return it.n.value }
+func (it *Iterator[V]) Value() V { return it.n.value }
 
 // Iter returns an iterator over all entries in ascending key order.
-func (l *List) Iter() *Iterator {
-	return &Iterator{n: l.head.next[0]}
+func (l *List[V]) Iter() *Iterator[V] {
+	return &Iterator[V]{n: l.head.next[0]}
 }
 
 // Range returns an iterator over the half-open interval [start, end).
 // An empty start begins at the first key; an empty end is unbounded.
 // This is the primitive behind Fabric's GetStateByRange.
-func (l *List) Range(start, end string) *Iterator {
-	var first *node
+func (l *List[V]) Range(start, end string) *Iterator[V] {
+	var first *node[V]
 	if start == "" {
 		first = l.head.next[0]
 	} else {
 		first = l.findGreaterOrEqual(start, nil)
 	}
-	return &Iterator{n: first, end: end}
+	return &Iterator[V]{n: first, end: end}
 }
 
 // Keys returns all keys in ascending order. Intended for tests and
 // post-run analysis, not the hot path.
-func (l *List) Keys() []string {
+func (l *List[V]) Keys() []string {
 	out := make([]string, 0, l.length)
 	for it := l.Iter(); it.Valid(); it.Next() {
 		out = append(out, it.Key())
@@ -187,8 +190,8 @@ func (l *List) Keys() []string {
 
 // Clone returns a deep copy of the list structure (values are shared,
 // which is safe because values are treated as immutable).
-func (l *List) Clone(seed int64) *List {
-	c := New(seed)
+func (l *List[V]) Clone(seed int64) *List[V] {
+	c := New[V](seed)
 	for it := l.Iter(); it.Valid(); it.Next() {
 		c.Put(it.Key(), it.Value())
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestPutGetDelete(t *testing.T) {
-	l := New(1)
+	l := New[[]byte](1)
 	if _, ok := l.Get("a"); ok {
 		t.Fatal("empty list returned a value")
 	}
@@ -37,7 +37,7 @@ func TestPutGetDelete(t *testing.T) {
 }
 
 func TestIterAscending(t *testing.T) {
-	l := New(1)
+	l := New[[]byte](1)
 	keys := []string{"delta", "alpha", "charlie", "bravo", "echo"}
 	for i, k := range keys {
 		l.Put(k, []byte{byte(i)})
@@ -56,7 +56,7 @@ func TestIterAscending(t *testing.T) {
 }
 
 func TestRangeHalfOpen(t *testing.T) {
-	l := New(1)
+	l := New[[]byte](1)
 	for i := 0; i < 10; i++ {
 		l.Put(fmt.Sprintf("k%02d", i), nil)
 	}
@@ -71,7 +71,7 @@ func TestRangeHalfOpen(t *testing.T) {
 }
 
 func TestRangeOpenEnds(t *testing.T) {
-	l := New(1)
+	l := New[[]byte](1)
 	for i := 0; i < 5; i++ {
 		l.Put(fmt.Sprintf("k%d", i), nil)
 	}
@@ -95,7 +95,7 @@ func TestRangeOpenEnds(t *testing.T) {
 }
 
 func TestRangeStartNotPresent(t *testing.T) {
-	l := New(1)
+	l := New[[]byte](1)
 	l.Put("b", nil)
 	l.Put("d", nil)
 	it := l.Range("c", "")
@@ -105,7 +105,7 @@ func TestRangeStartNotPresent(t *testing.T) {
 }
 
 func TestCloneIsIndependent(t *testing.T) {
-	l := New(1)
+	l := New[[]byte](1)
 	l.Put("a", []byte("1"))
 	c := l.Clone(2)
 	c.Put("b", []byte("2"))
@@ -127,7 +127,7 @@ func TestAgainstReferenceMap(t *testing.T) {
 		Delete bool
 	}
 	f := func(ops []op) bool {
-		l := New(99)
+		l := New[[]byte](99)
 		ref := map[string]string{}
 		for _, o := range ops {
 			k := fmt.Sprintf("key%03d", o.Key)
@@ -164,7 +164,7 @@ func TestAgainstReferenceMap(t *testing.T) {
 // in that interval, in order.
 func TestRangeProperty(t *testing.T) {
 	f := func(keys []uint8, a, b uint8) bool {
-		l := New(3)
+		l := New[[]byte](3)
 		ref := map[string]bool{}
 		for _, k := range keys {
 			s := fmt.Sprintf("k%03d", k)
@@ -191,7 +191,7 @@ func TestRangeProperty(t *testing.T) {
 }
 
 func TestLargeVolume(t *testing.T) {
-	l := New(4)
+	l := New[[]byte](4)
 	const n = 20000
 	for i := 0; i < n; i++ {
 		l.Put(fmt.Sprintf("key%06d", i), []byte{byte(i)})
@@ -214,7 +214,7 @@ func TestLargeVolume(t *testing.T) {
 }
 
 func BenchmarkPut(b *testing.B) {
-	l := New(1)
+	l := New[[]byte](1)
 	keys := make([]string, 1024)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key%06d", i)
@@ -226,7 +226,7 @@ func BenchmarkPut(b *testing.B) {
 }
 
 func BenchmarkGet(b *testing.B) {
-	l := New(1)
+	l := New[[]byte](1)
 	keys := make([]string, 1024)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key%06d", i)

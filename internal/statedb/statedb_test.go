@@ -180,14 +180,121 @@ func TestCouchDBNonJSONValueOverwrite(t *testing.T) {
 	}
 }
 
-// Property: both backends agree with each other and with a reference
-// map under random batches.
+// queryKeys runs a rich query and returns the matched keys with their
+// values, in result order.
+func queryKeys(t *testing.T, db VersionedDB, query string) string {
+	t.Helper()
+	kvs, err := db.ExecuteQuery(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := ""
+	for _, kv := range kvs {
+		out += kv.Key + "=" + string(kv.Value) + ";"
+	}
+	return out
+}
+
+// commit applies writes as block height, stamping each with that height.
+func commit(t *testing.T, db VersionedDB, height uint64, writes ...Write) {
+	t.Helper()
+	for i := range writes {
+		writes[i].Version = ledger.Height{BlockNum: height, TxNum: uint64(i)}
+	}
+	if err := db.ApplyUpdates(&UpdateBatch{Writes: writes}, height); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Get hands out the stored entry without copying it, and a write
+// decodes nothing whatever the kind: documents are decoded on first
+// selector use only.
+func TestNoAllocOnGetNoDecodeOnApply(t *testing.T) {
+	batch := &UpdateBatch{}
+	batch.Put("k", []byte(`{"owner":"alice","plays":[1,2,3],"meta":{"a":"b"}}`), ledger.Height{BlockNum: 1})
+	applyAllocs := map[Kind]float64{}
+	for _, k := range allKinds() {
+		db := New(k, 1)
+		if err := db.ApplyUpdates(batch, 1); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { db.Get("k") }); n != 0 {
+			t.Errorf("%v: Get of a present key allocates %.0f objects, want 0", k, n)
+		}
+		// Overwrites only, so the skip list never grows a node.
+		applyAllocs[k] = testing.AllocsPerRun(100, func() { db.ApplyUpdates(batch, 1) })
+	}
+	if applyAllocs[CouchDB] != applyAllocs[LevelDB] {
+		t.Errorf("ApplyUpdates of a JSON object allocates %.0f objects on CouchDB, %.0f on LevelDB; want equal",
+			applyAllocs[CouchDB], applyAllocs[LevelDB])
+	}
+}
+
+// Clones share entries, and with them the decoded-document memo. A
+// write replaces the entry, so the memo a query left on replica A must
+// never answer for what replica B wrote afterwards, nor the reverse.
+func TestCloneIsolationUnderSharedMemo(t *testing.T) {
+	const alice, bob = `{"owner":"alice"}`, `{"owner":"bob"}`
+	a := New(CouchDB, 1)
+	commit(t, a, 1, Write{Key: "k", Value: []byte(alice)}, Write{Key: "other", Value: []byte(alice)})
+	b := a.Clone(2)
+	const both = `k={"owner":"alice"};other={"owner":"alice"};`
+
+	// Query A first: every shared entry now carries its memo.
+	if got := queryKeys(t, a, alice); got != both {
+		t.Fatalf("A before any write: %q", got)
+	}
+	if got := queryKeys(t, b, alice); got != both {
+		t.Fatalf("B reading A's memo: %q", got)
+	}
+
+	commit(t, b, 2, Write{Key: "k", Value: []byte(bob)})
+	if got := queryKeys(t, b, bob); got != `k={"owner":"bob"};` {
+		t.Errorf("B after overwrite does not see its new document: %q", got)
+	}
+	if got := queryKeys(t, b, alice); got != `other={"owner":"alice"};` {
+		t.Errorf("B after overwrite still matches A's memo: %q", got)
+	}
+
+	commit(t, b, 3, Write{Key: "k", Value: []byte(`raw-bytes`)})
+	if got := queryKeys(t, b, bob) + queryKeys(t, b, alice); got != `other={"owner":"alice"};` {
+		t.Errorf("B after non-JSON overwrite: %q", got)
+	}
+
+	commit(t, b, 4, Write{Key: "k", IsDelete: true})
+	if got := queryKeys(t, b, alice); got != `other={"owner":"alice"};` {
+		t.Errorf("B after delete: %q", got)
+	}
+	if b.Get("k") != nil {
+		t.Error("B still reads the deleted key")
+	}
+
+	// A saw none of it.
+	if got := queryKeys(t, a, alice); got != both {
+		t.Errorf("A after B's writes: %q", got)
+	}
+	if got := queryKeys(t, a, bob); got != "" {
+		t.Errorf("A matches B's document: %q", got)
+	}
+	if vv := a.Get("k"); vv == nil || string(vv.Value) != alice || a.Savepoint() != 1 {
+		t.Errorf("A's key or savepoint moved: %v, savepoint %d", vv, a.Savepoint())
+	}
+}
+
+// Property: both kinds agree with each other and with a reference map
+// under random batches, while the CouchDB side is repeatedly swapped
+// for a clone of itself and asked rich queries (which leave memos on
+// the entries the clones share).
 func TestBackendsAgree(t *testing.T) {
 	type wr struct {
-		Key uint8
-		Val uint16
-		Del bool
+		Key   uint8
+		Val   uint16
+		Del   bool
+		Clone bool
+		Query bool
 	}
+	// Four distinct documents, so a selector matches many keys.
+	doc := func(v uint16) string { return fmt.Sprintf(`{"v":%d}`, v%4) }
 	f := func(batches [][]wr) bool {
 		ldb, cdb := New(LevelDB, 7), New(CouchDB, 7)
 		ref := map[string]string{}
@@ -200,7 +307,7 @@ func TestBackendsAgree(t *testing.T) {
 					b.Delete(key, ledger.Height{BlockNum: h, TxNum: uint64(ti)})
 					delete(ref, key)
 				} else {
-					val := fmt.Sprintf(`{"v":%d}`, o.Val)
+					val := doc(o.Val)
 					b.Put(key, []byte(val), ledger.Height{BlockNum: h, TxNum: uint64(ti)})
 					ref[key] = val
 				}
@@ -208,8 +315,39 @@ func TestBackendsAgree(t *testing.T) {
 			if ldb.ApplyUpdates(b, h) != nil || cdb.ApplyUpdates(b, h) != nil {
 				return false
 			}
+			for _, o := range ops {
+				if o.Clone {
+					stale := cdb
+					cdb = cdb.Clone(int64(o.Val))
+					// Writes to the abandoned original must not reach the clone.
+					wipe := &UpdateBatch{}
+					for k := range ref {
+						wipe.Put(k, []byte(`{"v":99}`), ledger.Height{BlockNum: h + 1})
+					}
+					if stale.ApplyUpdates(wipe, h+1) != nil {
+						return false
+					}
+				}
+				if o.Query {
+					want := 0
+					for _, v := range ref {
+						if v == doc(o.Val) {
+							want++
+						}
+					}
+					kvs, err := cdb.ExecuteQuery(doc(o.Val))
+					if err != nil || len(kvs) != want {
+						return false
+					}
+					for _, kv := range kvs {
+						if ref[kv.Key] != string(kv.Value) {
+							return false
+						}
+					}
+				}
+			}
 		}
-		if ldb.Len() != len(ref) || cdb.Len() != len(ref) {
+		if ldb.Len() != len(ref) || cdb.Len() != len(ref) || ldb.Savepoint() != cdb.Savepoint() {
 			return false
 		}
 		for k, v := range ref {
@@ -218,6 +356,15 @@ func TestBackendsAgree(t *testing.T) {
 				return false
 			}
 			if lv.Version != cv.Version {
+				return false
+			}
+		}
+		lr, cr := ldb.GetRange("", ""), cdb.GetRange("", "")
+		if len(lr) != len(ref) || len(cr) != len(ref) {
+			return false
+		}
+		for i := range lr {
+			if lr[i].Key != cr[i].Key || lr[i].Version != cr[i].Version {
 				return false
 			}
 		}
