@@ -8,6 +8,7 @@ package drm
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/chaincode"
 	"repro/internal/dist"
@@ -153,8 +154,8 @@ func artArg(args []string) (int, error) {
 	if len(args) < 1 {
 		return 0, fmt.Errorf("drm: missing artwork argument")
 	}
-	var a int
-	if _, err := fmt.Sscanf(args[0], "%d", &a); err != nil || a < 0 {
+	a, err := strconv.Atoi(args[0])
+	if err != nil || a < 0 {
 		return 0, fmt.Errorf("drm: bad artwork %q", args[0])
 	}
 	return a % Artworks, nil
@@ -168,8 +169,8 @@ func artHolderArgs(args []string) (int, int, error) {
 	if len(args) < 2 {
 		return 0, 0, fmt.Errorf("drm: missing holder argument")
 	}
-	var h int
-	if _, err := fmt.Sscanf(args[1], "%d", &h); err != nil || h < 0 {
+	h, err := strconv.Atoi(args[1])
+	if err != nil || h < 0 {
 		return 0, 0, fmt.Errorf("drm: bad holder %q", args[1])
 	}
 	return a, h % Holders, nil

@@ -163,3 +163,29 @@ func TestWorkloadProducesValidInvocations(t *testing.T) {
 		}
 	}
 }
+
+// Artwork and holder arguments are whole non-negative decimal integers:
+// trailing garbage, blanks and signs are errors.
+func TestArtAndHolderArgParsing(t *testing.T) {
+	for _, tc := range []struct {
+		arg  string
+		want int
+		ok   bool
+	}{
+		{"7", 7, true},
+		{"207", 7, true}, // wraps onto the 200 seeded artworks / holders
+		{"7abc", 0, false},
+		{"", 0, false},
+		{"-1", 0, false},
+		{" 7", 0, false},
+	} {
+		art, err := artArg([]string{tc.arg})
+		if (err == nil) != tc.ok || art != tc.want {
+			t.Errorf("artArg(%q) = %d, %v; want %d, ok=%v", tc.arg, art, err, tc.want, tc.ok)
+		}
+		_, holder, err := artHolderArgs([]string{"1", tc.arg})
+		if (err == nil) != tc.ok || holder != tc.want {
+			t.Errorf("artHolderArgs(1, %q) holder = %d, %v; want %d, ok=%v", tc.arg, holder, err, tc.want, tc.ok)
+		}
+	}
+}

@@ -13,6 +13,7 @@ package ehr
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/chaincode"
 	"repro/internal/dist"
@@ -181,8 +182,8 @@ func patientArg(args []string) (int, error) {
 	if len(args) < 1 {
 		return 0, fmt.Errorf("ehr: missing patient argument")
 	}
-	var p int
-	if _, err := fmt.Sscanf(args[0], "%d", &p); err != nil || p < 0 {
+	p, err := strconv.Atoi(args[0])
+	if err != nil || p < 0 {
 		return 0, fmt.Errorf("ehr: bad patient %q", args[0])
 	}
 	return p % Patients, nil

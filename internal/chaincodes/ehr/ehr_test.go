@@ -181,3 +181,25 @@ func sscan(s string, p *int) (int, error) {
 	*p = n
 	return 1, nil
 }
+
+// A patient argument is a whole non-negative decimal integer: trailing
+// garbage, blanks and signs are errors, not patient 7.
+func TestPatientArgParsing(t *testing.T) {
+	for _, tc := range []struct {
+		arg  string
+		want int
+		ok   bool
+	}{
+		{"7", 7, true},
+		{"107", 7, true}, // wraps onto the seeded patients
+		{"7abc", 0, false},
+		{"", 0, false},
+		{"-1", 0, false},
+		{" 7", 0, false},
+	} {
+		got, err := patientArg([]string{tc.arg})
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("patientArg(%q) = %d, %v; want %d, ok=%v", tc.arg, got, err, tc.want, tc.ok)
+		}
+	}
+}

@@ -5,28 +5,37 @@
 // that are verifiable and bound to an identity, not a particular
 // cipher, so a keyed MAC stands in for X.509/ECDSA (documented
 // substitution in DESIGN.md).
+//
+// An MSP and its identities are not safe for concurrent use: like a
+// state database they belong to one network, and a network runs on the
+// one goroutine of its discrete-event engine.
 package fabcrypto
 
 import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"fmt"
+	"hash"
 	"sort"
 )
 
 // Identity is a signing principal: a peer (or client) belonging to an
-// organization.
+// organization. Identities come from MSP.Register.
 type Identity struct {
 	Org string
 	ID  string
-	key []byte
+	// mac is the identity's keyed hasher, built once and Reset per
+	// signature: virtual time is charged by the cost model, so real
+	// hashing only buys verifiable chains and need not re-derive the
+	// key pads for every signature.
+	mac hash.Hash
 }
 
 // Sign produces a signature over digest.
 func (id *Identity) Sign(digest []byte) []byte {
-	m := hmac.New(sha256.New, id.key)
-	m.Write(digest)
-	return m.Sum(nil)
+	id.mac.Reset()
+	id.mac.Write(digest)
+	return id.mac.Sum(nil)
 }
 
 // MSP is the membership service provider: it registers identities and
@@ -57,7 +66,7 @@ func (m *MSP) Register(org, id string) *Identity {
 	}
 	mac := hmac.New(sha256.New, m.secret)
 	mac.Write([]byte(q))
-	ident := &Identity{Org: org, ID: id, key: mac.Sum(nil)}
+	ident := &Identity{Org: org, ID: id, mac: hmac.New(sha256.New, mac.Sum(nil))}
 	m.identities[q] = ident
 	m.orgs[org] = append(m.orgs[org], id)
 	sort.Strings(m.orgs[org])

@@ -1,6 +1,9 @@
 package fabcrypto
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -104,5 +107,52 @@ func TestSignVerifyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(31))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// An identity reuses one keyed hasher; its signatures must be the bytes
+// a fresh HMAC over the identity's derived key produces, whatever was
+// signed before and by whom.
+func TestSignMatchesFreshHMAC(t *testing.T) {
+	const secret = "fresh"
+	msp := NewMSP(secret)
+	fresh := func(org, id string, digest []byte) []byte {
+		k := hmac.New(sha256.New, []byte(secret))
+		k.Write([]byte(qualify(org, id)))
+		m := hmac.New(sha256.New, k.Sum(nil))
+		m.Write(digest)
+		return m.Sum(nil)
+	}
+	var ids []*Identity
+	for o := 0; o < 3; o++ {
+		for p := 0; p < 2; p++ {
+			ids = append(ids, msp.Register(OrgName(o), PeerName(OrgName(o), p)))
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		id := ids[rng.Intn(len(ids))]
+		digest := make([]byte, rng.Intn(100)) // empty, sub-block and multi-block inputs
+		rng.Read(digest)
+		want := fresh(id.Org, id.ID, digest)
+		if got := id.Sign(digest); !bytes.Equal(got, want) {
+			t.Fatalf("signature %d by %s/%s over %d bytes differs from a fresh HMAC", i, id.Org, id.ID, len(digest))
+		}
+		if !msp.Verify(id.Org, id.ID, digest, want) {
+			t.Fatalf("signature %d: Verify rejected the fresh HMAC", i)
+		}
+		other := ids[rng.Intn(len(ids))]
+		if other != id && msp.Verify(other.Org, other.ID, digest, want) {
+			t.Fatalf("signature %d by %s verified as %s", i, id.ID, other.ID)
+		}
+	}
+}
+
+func BenchmarkSign(b *testing.B) {
+	id := NewMSP("bench").Register("Org0", "peer0")
+	digest := sha256.Sum256([]byte("payload"))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		id.Sign(digest[:])
 	}
 }

@@ -288,12 +288,12 @@ func (c *ClientDriver) submitAttempt(j *pendingTx) {
 // collect endorsements from a policy-satisfying set of peers against
 // the leg channel's replicas, then assemble and order on that channel.
 func (c *ClientDriver) submitLeg(j *pendingTx, channel int) {
-	inv := j.inv
+	prop := &proposal{inv: j.inv, channel: channel}
 	tx := &ledger.Transaction{
 		ID:         c.nw.nextTxID(c.firstID + j.member),
 		ClientID:   c.name,
-		Chaincode:  inv.Chaincode,
-		Function:   inv.Function,
+		Chaincode:  j.inv.Chaincode,
+		Function:   j.inv.Function,
 		SubmitTime: c.nw.eng.Now(),
 	}
 	if c.nw.tracking {
@@ -332,7 +332,7 @@ func (c *ClientDriver) submitLeg(j *pendingTx, channel int) {
 	for _, org := range endorserOrgs {
 		peer := c.nw.peerOf(org, peerInOrg)
 		c.nw.net.Send(c.name, peer.name, func() {
-			peer.Endorse(inv, channel, func(e *ledger.Endorsement, err error) {
+			peer.endorse(prop, func(e *ledger.Endorsement, err error) {
 				c.nw.net.Send(peer.name, c.name, func() { respond(e, err) })
 			})
 		})
@@ -362,12 +362,12 @@ func (c *ClientDriver) assemble(j *pendingTx, tx *ledger.Transaction, channel in
 	tx.Endorsements = ends
 	tx.RWSet = ends[0].RWSet
 	// Deduplicate identical rwsets so a transaction holds one copy
-	// (DV endorsements carry 1000-key range observations).
-	first := ends[0].RWSet.Digest()
+	// (DV endorsements carry 1000-key range observations). Endorsers
+	// that reused the proposal's simulation already share the pointer.
 	consistent := true
 	for _, e := range ends[1:] {
-		if e.RWSet.Digest() == first {
-			e.RWSet = ends[0].RWSet
+		if e.RWSet.Equal(tx.RWSet) {
+			e.RWSet = tx.RWSet
 		} else {
 			consistent = false
 		}

@@ -220,14 +220,16 @@ func TestPeersConvergeAfterDrain(t *testing.T) {
 }
 
 func TestEndorsementFailuresAppear(t *testing.T) {
-	// Over a long enough window with hot keys, replica skew should
-	// produce at least some endorsement policy failures.
+	// Over a long enough window with hot keys, replica skew produces
+	// endorsement policy failures (18 of 1998 on this seed). Endorsers
+	// share simulations while their replicas agree (see proposal), so
+	// their absence would mean the sharing hides replica skew.
 	cfg := testConfig(10)
 	cfg.Duration = 40 * time.Second
 	cfg.Drain = 20 * time.Second
 	_, rep := run(t, cfg)
 	if rep.Counts[ledger.EndorsementPolicyFailure] == 0 {
-		t.Log("no endorsement failures in this window (acceptable but unexpected)")
+		t.Error("no endorsement policy failures in this window")
 	}
 	t.Logf("report: %v", rep)
 }

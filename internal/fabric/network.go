@@ -44,6 +44,12 @@ type Network struct {
 	dbCosts costmodel.DBCosts
 	variant Variant
 	txSeq   uint64
+	// memoHits counts endorsements that reused their proposal's first
+	// simulation, memoMisses those that found one and had to simulate
+	// anyway because their replica differed on something it read (tests
+	// only: a change that disables the reuse must fail a test, not just a
+	// benchmark).
+	memoHits, memoMisses uint64
 
 	// retry is the normalized resubmission policy (never nil).
 	retry RetryPolicy

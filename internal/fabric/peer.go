@@ -3,7 +3,6 @@ package fabric
 import (
 	"time"
 
-	"repro/internal/chaincode"
 	"repro/internal/costmodel"
 	"repro/internal/fabcrypto"
 	"repro/internal/ledger"
@@ -95,6 +94,15 @@ func (p *Peer) CommittedBlocks() int { return p.committedBlocks }
 // simulations (CouchDB range scans) saturate the pool and the queue
 // grows — the §5.1.2 collapse.
 func (p *Peer) Endorse(inv workload.Invocation, channel int, respond func(*ledger.Endorsement, error)) {
+	p.endorse(&proposal{inv: inv, channel: channel}, respond)
+}
+
+// endorse is Endorse on a proposal the client shares between its
+// endorsers: a peer whose replica agrees with the proposal's first
+// simulation on everything that simulation read signs its result
+// instead of re-running the chaincode (see proposal). Virtual time is
+// charged from the operation trace either way.
+func (p *Peer) endorse(prop *proposal, respond func(*ledger.Endorsement, error)) {
 	if p.state == NodeCrashed {
 		// The process is gone; the proposal is silently lost (the
 		// client's endorsement deadline is the recovery path).
@@ -117,20 +125,17 @@ func (p *Peer) Endorse(inv workload.Invocation, channel int, respond func(*ledge
 		if p.epoch != epoch {
 			return // the peer crashed; queued proposals died with it
 		}
-		stub := chaincode.NewStub(p.dbs[channel])
-		err := p.nw.cfg.Chaincode.Invoke(stub, inv.Function, inv.Args)
+		res, err := prop.resultOn(p.nw, p.dbs[prop.channel])
 		var end *ledger.Endorsement
 		cost := p.nw.cfg.PeerCosts.EndorseBase
 		if err == nil {
-			rw := stub.RWSet()
-			digest := rw.Digest()
 			end = &ledger.Endorsement{
 				Org:       p.org,
 				PeerID:    p.name,
-				RWSet:     rw,
-				Signature: p.identity.Sign(digest[:]),
+				RWSet:     res.rwset,
+				Signature: p.identity.Sign(res.digest[:]),
 			}
-			cost = costmodel.EndorseCost(p.nw.dbCosts, p.nw.cfg.PeerCosts, stub.Trace())
+			cost = costmodel.EndorseCost(p.nw.dbCosts, p.nw.cfg.PeerCosts, res.trace)
 		}
 		cost = p.nw.eng.Jittered(cost, p.nw.cfg.PeerCosts.Jitter)
 		p.endorserSlots[slot] = p.nw.eng.Now() + sim.Time(cost)

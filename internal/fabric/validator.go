@@ -112,9 +112,16 @@ func (v *validator) vscc(tx *ledger.Transaction) ledger.ValidationCode {
 		return ledger.EndorsementPolicyFailure
 	}
 	orgs := map[string]bool{}
-	first := tx.Endorsements[0].RWSet.Digest()
+	// Endorsers that agreed share one RWSet (the client deduplicates in
+	// assemble), so the digest is recomputed once per distinct rwset, not
+	// once per endorsement; every signature is still verified against it.
+	rw := tx.Endorsements[0].RWSet
+	first := rw.Digest()
+	d := first
 	for _, e := range tx.Endorsements {
-		d := e.RWSet.Digest()
+		if e.RWSet != rw {
+			rw, d = e.RWSet, e.RWSet.Digest()
+		}
 		if !v.nw.msp.Verify(e.Org, e.PeerID, d[:], e.Signature) {
 			return ledger.EndorsementPolicyFailure
 		}
@@ -158,11 +165,12 @@ func (v *validator) mvcc(rw *ledger.RWSet, overlay map[string]ledger.Height, ove
 		}
 	}
 	// Checked range queries: re-execute the scan (Equation 5).
-	for _, rq := range rw.RangeQueries {
+	for i := range rw.RangeQueries {
+		rq := &rw.RangeQueries[i]
 		if rq.Unchecked {
 			continue
 		}
-		if !v.rangeUnchanged(rq, overlay, overlayDel) {
+		if !rangeUnchanged(v.db, rq, overlay, overlayDel) {
 			return ledger.PhantomReadConflict
 		}
 	}
@@ -178,45 +186,4 @@ func (v *validator) checkCommitted(r ledger.KVRead) ledger.ValidationCode {
 		return ledger.MVCCConflictInterBlock
 	}
 	return ledger.Valid
-}
-
-// rangeUnchanged re-executes a range scan against committed state plus
-// the block overlay and compares it with the endorsement-time
-// observation: any inserted, deleted or updated key fails it.
-func (v *validator) rangeUnchanged(rq ledger.RangeQueryInfo, overlay map[string]ledger.Height, overlayDel map[string]bool) bool {
-	current := v.db.GetRange(rq.StartKey, rq.EndKey)
-	// Merge the overlay into the committed view.
-	merged := make([]ledger.KVRead, 0, len(current))
-	seen := map[string]bool{}
-	for _, kv := range current {
-		if overlayDel[kv.Key] {
-			continue
-		}
-		ver := kv.Version
-		if h, ok := overlay[kv.Key]; ok {
-			ver = h
-		}
-		merged = append(merged, ledger.KVRead{Key: kv.Key, Version: ver})
-		seen[kv.Key] = true
-	}
-	// Overlay inserts of keys absent from committed state.
-	inserted := false
-	for key := range overlay {
-		if !seen[key] && key >= rq.StartKey && (rq.EndKey == "" || key < rq.EndKey) {
-			inserted = true
-			break
-		}
-	}
-	if inserted {
-		return false
-	}
-	if len(merged) != len(rq.Reads) {
-		return false
-	}
-	for i, r := range rq.Reads {
-		if merged[i].Key != r.Key || merged[i].Version != r.Version {
-			return false
-		}
-	}
-	return true
 }

@@ -152,9 +152,8 @@ func endorsementsConsistent(tx *ledger.Transaction) bool {
 	if len(tx.Endorsements) < 2 {
 		return true
 	}
-	first := tx.Endorsements[0].RWSet.Digest()
 	for _, e := range tx.Endorsements[1:] {
-		if e.RWSet.Digest() != first {
+		if !e.RWSet.Equal(tx.Endorsements[0].RWSet) {
 			return false
 		}
 	}

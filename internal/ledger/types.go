@@ -201,9 +201,10 @@ func (rw *RWSet) Digest() [32]byte {
 }
 
 // Equal reports whether two rwsets are identical (same reads with same
-// versions, same writes, same range observations).
+// versions, same writes, same range observations). One rwset shared by
+// pointer is identical without hashing it.
 func (rw *RWSet) Equal(other *RWSet) bool {
-	return rw.Digest() == other.Digest()
+	return rw == other || rw.Digest() == other.Digest()
 }
 
 // ValidationCode is the per-transaction outcome recorded on the chain,

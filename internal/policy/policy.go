@@ -14,15 +14,23 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
-// Policy is an endorsement policy tree node.
+// Policy is an endorsement policy tree node. A tree must not change
+// once RequiredEndorsers has been asked of it.
 type Policy struct {
 	// N is the number of satisfied children required. For a leaf it
 	// is 0 and Org is set instead.
 	N        int
 	Children []*Policy
 	Org      string // leaf: the organization whose signature is required
+
+	// endorsers[r] is the endorser set for every rotation congruent to r
+	// modulo len(endorsers), filled on first use. The Once makes the
+	// fill safe for a policy shared by networks on parallel goroutines.
+	once      sync.Once
+	endorsers [][]string
 }
 
 // SignedBy returns a leaf requiring a signature from org.
@@ -77,10 +85,42 @@ func (p *Policy) SubPolicies() int {
 
 // RequiredEndorsers returns a minimal set of organizations that
 // satisfies the policy, preferring the orgs listed earlier (which
-// matches how a client SDK picks endorsers). rotation shifts the
+// matches how a client SDK picks endorsers). rotation (>= 0) shifts the
 // choice among equally valid options so that load spreads across
 // orgs, like a round-robin client would.
+//
+// Every node picks among its children by rotation modulo its child
+// count, so the answer depends only on rotation modulo the least common
+// multiple of the child counts in the tree; the sets for those residues
+// are computed once per policy. The returned slice is shared between
+// callers and must not be modified.
 func (p *Policy) RequiredEndorsers(rotation int) []string {
+	p.once.Do(func() {
+		p.endorsers = make([][]string, p.rotationPeriod())
+		for r := range p.endorsers {
+			p.endorsers[r] = p.requiredEndorsers(r)
+		}
+	})
+	return p.endorsers[rotation%len(p.endorsers)]
+}
+
+// rotationPeriod is the least common multiple of the child counts in
+// the tree (1 for a leaf).
+func (p *Policy) rotationPeriod() int {
+	period := max(len(p.Children), 1)
+	for _, c := range p.Children {
+		cp := c.rotationPeriod()
+		gcd, r := period, cp
+		for r != 0 {
+			gcd, r = r, gcd%r
+		}
+		period = period / gcd * cp
+	}
+	return period
+}
+
+// requiredEndorsers computes one rotation's endorser set, sorted.
+func (p *Policy) requiredEndorsers(rotation int) []string {
 	set := p.minimalSet(rotation)
 	out := make([]string, 0, len(set))
 	for o := range set {

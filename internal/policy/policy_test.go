@@ -3,6 +3,8 @@ package policy
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -186,5 +188,51 @@ func TestSatisfactionMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(21))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The per-residue table must answer exactly what the uncached
+// computation answers, beyond one full period of rotations.
+func TestRequiredEndorsersTableMatchesUncached(t *testing.T) {
+	for _, name := range AllNames() {
+		for n := 2; n <= 10; n++ {
+			p := Build(name, orgs(n))
+			period := p.rotationPeriod()
+			for rot := 0; rot <= 2*period; rot++ {
+				got, want := p.RequiredEndorsers(rot), p.requiredEndorsers(rot)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v n=%d rot=%d (period %d): table %v, uncached %v", name, n, rot, period, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Networks run on parallel goroutines (core.RunAll); a policy they
+// share must fill its table race-free. Run with -race.
+func TestRequiredEndorsersConcurrentFirstUse(t *testing.T) {
+	p := Build(P1, orgs(6))
+	period := p.rotationPeriod()
+	want := p.requiredEndorsers(3)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rot := 0; rot < 100; rot++ {
+				if got := p.RequiredEndorsers(rot*period + 3); !reflect.DeepEqual(got, want) {
+					t.Errorf("rot %d: %v, want %v", rot*period+3, got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func BenchmarkRequiredEndorsers(b *testing.B) {
+	p := Build(P0, orgs(2))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.RequiredEndorsers(i)
 	}
 }

@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -34,24 +33,63 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether a runs before b: (at, seq) is a total order,
+// so the execution order does not depend on the queue's layout.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// eventHeap is a binary min-heap of events held by value: scheduling an
+// event allocates nothing beyond the occasional growth of the slice
+// (container/heap would box every event into an interface).
+type eventHeap []event
+
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	*h = q
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+}
+
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // release the callback
+	q = q[:n]
+	*h = q
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if child+1 < n && q[child+1].before(&q[child]) {
+			child++
+		}
+		if !q[child].before(&last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	return top
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not
@@ -89,7 +127,7 @@ func (e *Engine) At(t Time, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.pq, &event{at: t, seq: e.seq, fn: fn})
+	e.pq.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d after the current virtual time. Negative
@@ -126,7 +164,7 @@ func (e *Engine) RunUntil(deadline Time) {
 }
 
 func (e *Engine) step() {
-	ev := heap.Pop(&e.pq).(*event)
+	ev := e.pq.pop()
 	if ev.at > e.now {
 		e.now = ev.at
 	}

@@ -280,3 +280,80 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 		e.Run()
 	}
 }
+
+// The queue is a hand-written heap. Interleave At and After — from
+// outside and from inside running events, with mostly equal timestamps —
+// and check every step against a reference: the event that runs is the
+// least by (effective timestamp, scheduling order) among those scheduled
+// so far and not yet run.
+func TestHeapMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	e := NewEngine(1)
+	var at []Time   // effective timestamp by event id; ids are in scheduling order
+	var ran []int   // event ids in execution order
+	var known []int // known[k]: events scheduled before the k-th one ran
+	var add func(depth int)
+	add = func(depth int) {
+		id := len(at)
+		fn := func() {
+			ran = append(ran, id)
+			// Events schedule more events while the queue is live, like
+			// every component of the network does.
+			for k := rng.Intn(3); depth < 3 && k > 0; k-- {
+				add(depth + 1)
+			}
+			known = append(known, len(at))
+		}
+		if rng.Intn(2) == 0 {
+			d := time.Duration(rng.Intn(4)-1) * time.Millisecond // -1ms clamps to 0
+			at = append(at, e.Now()+Time(max(d, 0)))
+			e.After(d, fn)
+			return
+		}
+		// A handful of distinct timestamps, so most events tie; those in
+		// the past are clamped to now.
+		when := Time(rng.Intn(8)) * Time(time.Millisecond)
+		at = append(at, max(when, e.Now()))
+		e.At(when, fn)
+	}
+	for i := 0; i < 400; i++ {
+		add(0)
+	}
+	known = append(known, len(at))
+	e.Run()
+	if len(ran) != len(at) || e.Pending() != 0 {
+		t.Fatalf("ran %d of %d events, %d pending", len(ran), len(at), e.Pending())
+	}
+	done := make([]bool, len(at))
+	for k, got := range ran {
+		want := -1
+		for id := 0; id < known[k]; id++ {
+			if !done[id] && (want < 0 || at[id] < at[want]) {
+				want = id // ids ascend, so the first of equal timestamps wins
+			}
+		}
+		if got != want {
+			t.Fatalf("step %d ran event %d (at %v), reference says %d (at %v)", k, got, at[got], want, at[want])
+		}
+		done[got] = true
+	}
+}
+
+// Scheduling and running an event whose callback captures nothing must
+// not allocate once the queue's backing array has grown.
+func TestAtAndStepAllocateNothing(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	for i := 0; i < 64; i++ { // steady-state queue depth
+		e.At(Time(i), fn)
+	}
+	next := Time(64)
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.At(next, fn)
+		next++
+		e.step()
+	})
+	if allocs != 0 {
+		t.Fatalf("At + step allocated %v objects per event, want 0", allocs)
+	}
+}
