@@ -1,29 +1,22 @@
-// Benchmarks that regenerate every table and figure of the paper's
-// evaluation (§5). Each benchmark runs the corresponding experiment on
-// a reduced regime (shorter virtual window, one seed) and prints the
-// resulting rows once, so
-//
-//	go test -bench=. -benchmem
-//
-// reproduces the whole study. For the paper's full regime use the CLI:
+// Root benchmarks: one end-to-end simulated run, the largest scale
+// cell, and the harness scheduler at one worker vs all cores (the
+// ablations are in ablation_test.go). Every experiment's table is pinned
+// row by row by internal/core's TestGoldenExperimentTables and timed by
+// bench/'s sweep-systems workload; to regenerate the study use the CLI:
 //
 //	go run ./cmd/hyperlab -exp all -full
 package hyperledgerlab
 
 import (
 	"fmt"
-	"os"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 )
 
-// benchOptions is a reduced regime so the full suite completes in
-// minutes: 12 virtual seconds, one seed, a 10k-key genChain. Sweeps
-// fan their (config, seed) cells across all cores (Parallelism 0);
-// the printed tables are identical to a sequential run.
+// benchOptions is a reduced regime: 12 virtual seconds, one seed, a
+// 10k-key genChain.
 func benchOptions() core.Options {
 	return core.Options{
 		Duration:    12 * time.Second,
@@ -33,76 +26,6 @@ func benchOptions() core.Options {
 		Parallelism: 0, // one worker per CPU
 	}
 }
-
-var printedMu sync.Mutex
-var printed = map[string]bool{}
-
-// runExperiment executes the experiment once per benchmark iteration
-// and logs its table on the first run.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	exp, err := core.Lookup(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		out, err := exp.Run(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		printedMu.Lock()
-		if !printed[id] {
-			printed[id] = true
-			// Straight to stdout: the tables are the artifact this
-			// suite produces, and test-log buffers may be truncated.
-			fmt.Fprintf(os.Stdout, "\n%s — %s\n%s\n", exp.ID, exp.Title, out)
-		}
-		printedMu.Unlock()
-	}
-}
-
-func BenchmarkTable2_ChaincodeOps(b *testing.B)         { runExperiment(b, "table2") }
-func BenchmarkTable4_DatabaseType(b *testing.B)         { runExperiment(b, "table4") }
-func BenchmarkFig4_BestBlockSize(b *testing.B)          { runExperiment(b, "fig4") }
-func BenchmarkFig5_MinMaxFailures(b *testing.B)         { runExperiment(b, "fig5") }
-func BenchmarkFig6_LatencyThroughput(b *testing.B)      { runExperiment(b, "fig6") }
-func BenchmarkFig7_MVCCvsBlockSize(b *testing.B)        { runExperiment(b, "fig7") }
-func BenchmarkFig8_MVCCvsRate(b *testing.B)             { runExperiment(b, "fig8") }
-func BenchmarkFig9_EndorsementVsBlockSize(b *testing.B) { runExperiment(b, "fig9") }
-func BenchmarkFig10_PhantomVsBlockSize(b *testing.B)    { runExperiment(b, "fig10") }
-func BenchmarkFig11_DatabaseTypeEHR(b *testing.B)       { runExperiment(b, "fig11") }
-func BenchmarkFig12_Organizations(b *testing.B)         { runExperiment(b, "fig12") }
-func BenchmarkFig13_Policies(b *testing.B)              { runExperiment(b, "fig13") }
-func BenchmarkFig14_Workloads(b *testing.B)             { runExperiment(b, "fig14") }
-func BenchmarkFig15_Skew(b *testing.B)                  { runExperiment(b, "fig15") }
-func BenchmarkFig16_NetworkDelay(b *testing.B)          { runExperiment(b, "fig16") }
-func BenchmarkFig17_FabricPPBlockSize(b *testing.B)     { runExperiment(b, "fig17") }
-func BenchmarkFig18_FabricPPChaincodes(b *testing.B)    { runExperiment(b, "fig18") }
-func BenchmarkFig19_FabricPPWorkloads(b *testing.B)     { runExperiment(b, "fig19") }
-func BenchmarkFig20_Streamchain(b *testing.B)           { runExperiment(b, "fig20") }
-func BenchmarkFig21_StreamchainThroughput(b *testing.B) { runExperiment(b, "fig21") }
-func BenchmarkFig22_StreamchainWorkloads(b *testing.B)  { runExperiment(b, "fig22") }
-func BenchmarkFig23_Ramdisk(b *testing.B)               { runExperiment(b, "fig23") }
-func BenchmarkFig24_FabricSharp(b *testing.B)           { runExperiment(b, "fig24") }
-func BenchmarkFig25_FabricSharpWorkloads(b *testing.B)  { runExperiment(b, "fig25") }
-func BenchmarkFig26_AllSystems(b *testing.B)            { runExperiment(b, "fig26") }
-
-// BenchmarkRetryPolicies_Goodput exercises the client retry
-// subsystem: the policy × skew × block-size sweep with its goodput,
-// amplification and end-to-end-latency columns.
-func BenchmarkRetryPolicies_Goodput(b *testing.B) { runExperiment(b, "retry-policies") }
-
-// BenchmarkRetryCoordination_Backpressure exercises the orderer-driven
-// backpressure subsystem: the coordination ladder × block size ×
-// variant sweep with its paced/hint columns.
-func BenchmarkRetryCoordination_Backpressure(b *testing.B) {
-	runExperiment(b, "retry-coordination")
-}
-
-// BenchmarkScale_CohortsChannels exercises the million-client scale
-// machinery: the client-population × channel-count sweep driven by
-// cohort drivers, cross-channel legs included.
-func BenchmarkScale_CohortsChannels(b *testing.B) { runExperiment(b, "scale") }
 
 // BenchmarkMillionClients_SingleRun measures one 10^6-client run on 4
 // channels — the largest single cell the scale experiment holds — to

@@ -51,7 +51,6 @@ import (
 	"strings"
 	"time"
 
-	lab "repro"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/gen"
@@ -140,11 +139,11 @@ func main() {
 	switch {
 	case c.list:
 		fmt.Println("Available experiments (paper table/figure -> id):")
-		for _, e := range lab.Experiments() {
+		for _, e := range core.Experiments() {
 			fmt.Printf("  %-14s %s\n", e.ID, e.Title)
 		}
 	case c.render:
-		src, err := lab.RenderChaincode(lab.GenChainSpec(), true)
+		src, err := gen.Render(gen.GenChainSpec(), true)
 		if err != nil {
 			fatal(err)
 		}
@@ -165,29 +164,29 @@ func fatal(err error) {
 }
 
 func runExperiments(id string, full, smoke, verbose bool, parallel int) {
-	opts := lab.QuickOptions()
+	opts := core.QuickOptions()
 	regime := "quick regime (30 virtual s, 1 seed)"
 	if full {
-		opts = lab.FullOptions()
+		opts = core.FullOptions()
 		regime = "paper regime (3 virtual min, 3 seeds)"
 	}
 	if smoke {
-		opts = lab.SmokeOptions()
+		opts = core.SmokeOptions()
 		regime = "smoke regime (5 virtual s, shrunken grid)"
 	}
 	opts.Parallelism = parallel
 	if verbose {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  "+line) }
 	}
-	var exps []lab.Experiment
+	var exps []core.Experiment
 	if id == "all" {
-		exps = lab.Experiments()
+		exps = core.Experiments()
 	} else {
-		e, err := lab.LookupExperiment(id)
+		e, err := core.Lookup(id)
 		if err != nil {
 			fatal(err)
 		}
-		exps = []lab.Experiment{e}
+		exps = []core.Experiment{e}
 	}
 	for _, e := range exps {
 		start := time.Now()
@@ -216,6 +215,15 @@ func parseSystem(s string) (core.System, error) {
 	return 0, fmt.Errorf("unknown system %q", s)
 }
 
+// retryPolicies are the -retry spellings.
+var retryPolicies = map[string]fabric.RetryPolicy{
+	"": fabric.NoRetry{}, "none": fabric.NoRetry{},
+	"immediate": fabric.ImmediateRetry{MaxAttempts: 3},
+	"backoff":   core.StaticBackoff,
+	"adaptive":  fabric.AdaptivePolicy{MaxAttempts: 5, Jitter: 0.2},
+	"hinted":    fabric.BackpressurePolicy{MaxAttempts: 5, Jitter: 0.2},
+}
+
 // adhocConfig resolves the ad-hoc flags into the config to run: the
 // bound fields are already in c.cfg, the named choices and spec
 // strings are looked up and parsed here, and the result is validated so
@@ -234,8 +242,14 @@ func adhocConfig(c *cli) (fabric.Config, error) {
 	default:
 		return cfg, fmt.Errorf("unknown cluster %q", c.cluster)
 	}
-	if c.clients > 0 {
+	switch {
+	case c.clients < 0:
+		return cfg, fmt.Errorf("-clients must be >= 0 clients (0 = cluster default), got %d", c.clients)
+	case c.clients > 0:
 		cfg.Clients = c.clients
+	}
+	if c.dump < 0 {
+		return cfg, fmt.Errorf("-dump must be >= 0 blocks, got %d", c.dump)
 	}
 
 	switch strings.ToLower(c.db) {
@@ -253,22 +267,13 @@ func adhocConfig(c *cli) (fabric.Config, error) {
 	}
 	cfg.Variant = sys.Variant()
 
-	switch strings.ToLower(c.retry) {
-	case "none", "":
-		cfg.Retry = fabric.NoRetry{}
-	case "immediate":
-		cfg.Retry = fabric.ImmediateRetry{MaxAttempts: 3}
-	case "backoff":
-		cfg.Retry = core.StaticBackoff
-	case "adaptive":
-		cfg.Retry = fabric.AdaptivePolicy{MaxAttempts: 5, Jitter: 0.2}
-	case "hinted":
-		cfg.Retry = fabric.BackpressurePolicy{MaxAttempts: 5, Jitter: 0.2}
-	default:
+	// The six control flags resolve onto cfg.Control. Their spec strings,
+	// -faults and -think share one grammar (internal/fabric/spec.go), and
+	// cfg.Validate at the end judges the combination.
+	var known bool
+	if cfg.Retry, known = retryPolicies[strings.ToLower(c.retry)]; !known {
 		return cfg, fmt.Errorf("unknown retry policy %q", c.retry)
 	}
-
-	// The spec strings share one grammar (internal/fabric/spec.go).
 	if cfg.RetryBudget, err = fabric.ParseRetryBudget(c.budget); err != nil {
 		return cfg, err
 	}
@@ -318,8 +323,7 @@ func adhoc(c *cli) {
 	// The hinted policy needs a signal that actually reaches the hint
 	// path: the orderer's (requires -backpressure) or the gossip
 	// estimate (requires -gossip AND a -hintsource that uses it).
-	ordererFeeds := cfg.Backpressure != nil && cfg.HintSource != fabric.HintGossip
-	gossipFeeds := cfg.Gossip != nil && cfg.HintSource != fabric.HintOrderer
+	ordererFeeds, gossipFeeds := cfg.HintProducers()
 	if _, hinted := cfg.Retry.(fabric.BackpressurePolicy); hinted && !ordererFeeds && !gossipFeeds {
 		fmt.Fprintln(os.Stderr, "hyperlab: note: -retry hinted without a hint producer (-backpressure, or -gossip with -hintsource gossip|both) degenerates to a constant floor backoff")
 	}

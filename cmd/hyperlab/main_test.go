@@ -62,6 +62,10 @@ func TestAdhocConfigRejectsHostileLines(t *testing.T) {
 		{"-adhoc -run scale", "-exp/-run"},
 		{"-adhoc -chaincode nope", "unknown chaincode"},
 		{"-adhoc -system fabric3", "unknown system"},
+		// -clients -5 used to fall back to the cluster default and
+		// -dump -1 to wrap through uint64 and dump every block.
+		{"-adhoc -clients -5", "-clients must be >= 0 clients"},
+		{"-adhoc -dump -1", "-dump must be >= 0 blocks"},
 	} {
 		err := config(t, c.line)
 		if err == nil || !strings.Contains(err.Error(), c.want) {

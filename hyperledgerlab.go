@@ -29,117 +29,32 @@
 // the Execute-Order-Validate protocol running against the calibrated
 // cost model.
 //
-// # Client retries and effective metrics
+// # The client control plane
 //
 // The paper's clients are fire-and-forget: a failed transaction is
 // simply gone (§4.5). Real applications must detect the failure from
-// commit events and resubmit — so the lab also models the client side
-// of the story. Config.Retry selects a RetryPolicy (NoRetry,
-// ImmediateRetry, ExponentialBackoff with deterministic jitter, any
-// policy truncated by GiveUpAfter, or the AIMD AdaptivePolicy that
-// watches each client's windowed failure rate and grows/shrinks its
-// backoff); clients then track pending transactions, listen for
-// commit events from the metrics peer, and resubmit failures on the
-// policy's backoff schedule. Config.RetryBudget adds a per-client
-// token bucket that rate-limits resubmissions regardless of policy
-// (deferring or dropping over-budget retries). Config.Backpressure
-// adds the coordinated half: the ordering service condenses its own
-// backlog into a congestion hint stamped onto commit events, clients
-// pace resubmissions and new closed-loop work by hint×gain, and the
-// hint feeds the orderer-hinted BackpressurePolicy (or blends into
-// AdaptivePolicy via HintWeight). Config.Gossip adds the
-// decentralized alternative — clients gossip their own windowed
-// failure-rate estimates to sampled peers, merged by max-with-decay —
-// and Config.HintSource selects which producer (orderer, gossip or
-// their max) feeds the shared-hint path. Config.SplitSignal splits
-// that scalar estimate into a conflict component (MVCC, phantom and
-// endorsement failures — the backoff signal) and a congestion
-// component (client timeouts, slow commits, orderer pressure — the
-// pacing signal), so a contention-bound workload no longer paces
-// against an idle orderer; RetryBudget.Adaptive calibrates the token
-// bucket per workload from the same classes. Config.ClosedLoop
-// switches from open-loop Poisson arrivals to a closed loop with
-// Config.InFlightPerClient outstanding transactions per client and an
-// optional Config.ThinkTime distribution (fixed, exponential or
-// log-normal) between jobs.
+// commit events and resubmit, so the lab also models the client side.
+// All of it is one value, Config.Control (embedded, so cfg.Retry,
+// cfg.RetryBudget, ... are its fields): a RetryPolicy, an optional
+// per-client RetryBudget, the orderer-driven Backpressure hint, the
+// client-to-client Gossip estimate, the HintSource that picks which of
+// the two feeds the shared hint, and the SplitSignal that routes
+// conflicts to backoff and congestion to pacing. The zero Control is the
+// paper's client. Control.Validate holds every rule about the
+// combination; a Rung is a labelled Control, and Rung.Apply replaces a
+// config's whole control plane. examples/retry-control walks a ladder of
+// them.
 //
-// # Million-client scale: cohort drivers and channel sharding
+// Everything else — cohort drivers and channel sharding, fault
+// injection, closed-loop clients and think time, the effective metrics
+// (goodput, retry amplification, end-to-end latency), the experiment
+// registry and the test matrix — is described in docs/ARCHITECTURE.md
+// and docs/EXPERIMENTS.md.
 //
-// Config.CohortSize switches the client layer from one simulated
-// state object per client to cohort drivers: one object drives N
-// statistically identical clients, sharing the retry policy, token
-// bucket, pacer and gossip state across the cohort while keeping
-// per-member identity (transaction ids, rotation counters) exact.
-// With a stateless retry policy and no shared-state subsystems a
-// cohorted closed-loop run is byte-identical to the exact simulation
-// — the equivalence is locked by a golden test — and memory stays
-// within a constant factor as the population grows four orders of
-// magnitude. Config.Channels shards the deployment the way production
-// Fabric does: each channel gets its own ordering service, its own
-// hash chain and its own world-state replica per peer, with chaincode
-// keyspaces partitioned across channels by a deterministic hash and
-// Config.CrossChannel injecting two-leg transactions that must
-// succeed on both channels. The "scale" experiment (cmd/hyperlab -run
-// scale) sweeps 10^2..10^6 clients over 1, 4 and 16 channels at a
-// fixed total arrival rate.
-//
-// # Fault injection and node lifecycle
-//
-// Config.Faults arms a deterministic, seed-derived fault schedule:
-// named scenarios (crash, partition, flaky, straggler, slowdb, chaos)
-// or explicit FaultEvents that crash and restart peers or the ordering
-// service, partition an organization away, inject stragglers, drop
-// messages, or slow the state database for a window. Nodes carry a
-// lifecycle state (up, crashed, restarting): a crash drops in-flight
-// endorsements and queued work; a restart replays the missed ledger
-// suffix before the node rejoins, and the replay latency is reported
-// as recovery time. Clients gain endorsement/submission deadlines that
-// surface as a CLIENT_TIMEOUT failure class feeding the retry path,
-// and reports account per-fault-window downtime, deadline expiries,
-// orphaned transactions (committed after their client gave up) and
-// recovery latency. Schedules are virtual-time driven, so runs stay
-// byte-for-byte deterministic at any parallelism, and a nil
-// Config.Faults is byte-identical to a build without the subsystem.
-// The "faults" experiment (cmd/hyperlab -run faults) sweeps scenario ×
-// retry/coordination mode × chaincode; ad-hoc runs take -faults.
-//
-// Reports expose the resulting effective metrics next to the paper's
-// chain-level ones: Goodput (first-submission success throughput),
-// RetryAmplification (submissions per logical transaction),
-// AvgEndToEnd (latency through every resubmission), GaveUp, a
-// per-attempt failure breakdown, budget exhaustion/deferral counts,
-// the adaptive-backoff trajectory summary, and the backpressure
-// summary (hint trajectory, time spent paced). The "retry-policies"
-// experiment (cmd/hyperlab -run retry-policies) sweeps policy × skew
-// × block size over the four use-case chaincodes to answer what a
-// failure actually costs end-to-end; "retry-cotune" co-tunes block
-// size × retry-control strategy (static vs adaptive vs budgeted vs
-// paced) × variant (Fabric 1.4 vs Fabric++ early abort);
-// "retry-coordination" compares client-local control against the
-// orderer-driven backpressure hints head-to-head. See
-// docs/ARCHITECTURE.md and docs/EXPERIMENTS.md.
-//
-// # Test matrix
-//
-// Tier-1 is `go build ./... && go test ./...`. Beyond unit tests the
-// suite pins behaviour four ways: golden-report regression tests lock
-// the QuickOptions reports of all four use-case chaincodes on both
-// database backends (internal/core/golden_test.go, -update-golden to
-// regenerate); a conservation-invariant property test checks that
-// every block's validation codes partition its transactions and that
-// committed world-state versions advance strictly monotonically per
-// key; determinism tests require identical reports for the same
-// (config, seed) at any Options.Parallelism, with and without
-// retries; and a fuzz test (go test -fuzz=FuzzGenChaincode
-// ./internal/gen) with a checked-in seed corpus guards the chaincode
-// generator. CI additionally smoke-runs every benchmark at
-// -benchtime=1x and replays the fuzz corpus on every push.
-//
-// The module's import path is "repro"; this root package re-exports
-// the public surface of the internal packages. Experiment sweeps run
-// on a shared worker pool — see Options.Parallelism and
-// Options.RunAll — and stay deterministic at any worker count because
-// every (config, seed) cell owns its own rng.
+// The module's import path is "repro". This root package re-exports
+// what examples/ and the root tests use of the internal packages, plus
+// the type names needed to spell those signatures and Config's fields;
+// cmd/hyperlab and bench/ import the internal packages directly.
 package hyperledgerlab
 
 import (
@@ -153,8 +68,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/ledger"
 	"repro/internal/metrics"
-	"repro/internal/netem"
-	"repro/internal/policy"
 	"repro/internal/statedb"
 	"repro/internal/workload"
 )
@@ -162,39 +75,27 @@ import (
 // Core simulation types.
 type (
 	// Config describes one experiment run (topology, ordering
-	// parameters, database type, endorsement policy, load, variant).
+	// parameters, database type, endorsement policy, load, client
+	// control plane, variant).
 	Config = fabric.Config
 	// Network is a fully wired simulated Fabric deployment.
 	Network = fabric.Network
 	// Report is the run summary: failure percentages by type,
-	// latency, committed throughput.
+	// latency, committed throughput, and the effective client metrics.
 	Report = metrics.Report
-	// Variant is a pluggable Fabric fork (Fabric++, Streamchain,
-	// FabricSharp); nil means stock Fabric 1.4.
-	Variant = fabric.Variant
 	// Chaincode is the smart-contract interface.
 	Chaincode = chaincode.Chaincode
-	// Stub is the world-state access object handed to chaincodes.
-	Stub = chaincode.Stub
 	// WorkloadGenerator produces the invocation stream of a run.
 	WorkloadGenerator = workload.Generator
-	// Invocation is one chaincode call.
-	Invocation = workload.Invocation
-	// ValidationCode is the per-transaction outcome on the chain.
-	ValidationCode = ledger.ValidationCode
-	// NetworkLink is a latency distribution for netem injection.
-	NetworkLink = netem.Link
 )
 
-// Validation codes (§3 of the paper).
+// Validation codes (§3 of the paper), the keys of Report.Counts.
 const (
 	Valid                    = ledger.Valid
 	MVCCConflictInterBlock   = ledger.MVCCConflictInterBlock
 	MVCCConflictIntraBlock   = ledger.MVCCConflictIntraBlock
 	PhantomReadConflict      = ledger.PhantomReadConflict
 	EndorsementPolicyFailure = ledger.EndorsementPolicyFailure
-	AbortedInOrdering        = ledger.AbortedInOrdering
-	ClientTimeout            = ledger.ClientTimeout
 )
 
 // Database backends (§5.1.2).
@@ -203,16 +104,15 @@ const (
 	CouchDB = statedb.CouchDB
 )
 
-// Endorsement policies (Table 5).
-const (
-	P0 = policy.P0
-	P1 = policy.P1
-	P2 = policy.P2
-	P3 = policy.P3
-)
-
-// Client retry/resubmission subsystem.
+// The client control plane (Config.Control) and its parts.
 type (
+	// Control is the client control plane of a run as one value: retry
+	// policy, retry budget, backpressure, gossip, hint source and split
+	// signal. The zero value is the paper's fire-and-forget client.
+	Control = fabric.Control
+	// Rung is one rung of a retry-control ladder: a label plus a
+	// Control, with Apply to replace a Config's control plane.
+	Rung = core.Rung
 	// RetryPolicy decides whether a client resubmits a failed
 	// transaction and after what backoff.
 	RetryPolicy = fabric.RetryPolicy
@@ -225,167 +125,44 @@ type (
 	ExponentialBackoff = fabric.ExponentialBackoff
 	// AdaptivePolicy is the AIMD controller: each client watches its
 	// own failure rate over a sliding window and grows/shrinks its
-	// backoff (multiplicative increase on aborts, additive decrease on
-	// commits).
+	// backoff; HintWeight blends the shared hint in.
 	AdaptivePolicy = fabric.AdaptivePolicy
-	// RetryBudget rate-limits resubmissions per client with a token
-	// bucket (Config.RetryBudget), independent of the retry policy.
-	RetryBudget = fabric.RetryBudget
-	// Backpressure enables the orderer-driven congestion signal
-	// (Config.Backpressure): the ordering service publishes a smoothed
-	// hint with each cut block and clients pace submissions from it.
-	Backpressure = fabric.Backpressure
-	// BackpressurePolicy is the orderer-hinted retry policy: backoff
-	// slides from Floor to Ceiling with the shared congestion hint.
+	// BackpressurePolicy is the hinted retry policy: backoff slides
+	// from Floor to Ceiling with the shared congestion hint.
 	BackpressurePolicy = fabric.BackpressurePolicy
-	// Gossip enables the client-to-client congestion signal
-	// (Config.Gossip): clients exchange windowed failure-rate
-	// estimates with sampled peers, merged by max-with-decay.
+	// RetryBudget rate-limits resubmissions per client with a token
+	// bucket, independent of the retry policy.
+	RetryBudget = fabric.RetryBudget
+	// Backpressure enables the orderer-driven congestion hint: the
+	// ordering service publishes it with each cut block and clients
+	// pace submissions from it.
+	Backpressure = fabric.Backpressure
+	// Gossip enables the client-to-client congestion estimate,
+	// exchanged with sampled peers and merged by max-with-decay.
 	Gossip = fabric.Gossip
-	// HintSource selects which producer feeds the congestion hint
-	// (Config.HintSource): orderer, gossip, or their max.
+	// HintSource selects which producer feeds the congestion hint:
+	// orderer, gossip, or their max.
 	HintSource = fabric.HintSource
 	// SplitSignal splits the client-side outcome estimate into a
 	// conflict component (drives backoff) and a congestion component
-	// (drives pacing) — see Config.SplitSignal; nil keeps the scalar
-	// signal byte-identically.
+	// (drives pacing); nil keeps the scalar signal.
 	SplitSignal = fabric.SplitSignal
-	// SignalClass is the control-theoretic class of a transaction
-	// outcome: none (success), conflict, or congestion.
-	SignalClass = fabric.SignalClass
-	// SplitEstimate is a two-component windowed estimate (conflict,
-	// congestion) gossiped and merged component-wise.
-	SplitEstimate = fabric.SplitEstimate
-	// ThinkTime is the closed-loop think-time distribution
-	// (Config.ThinkTime): fixed, exponential or log-normal.
-	ThinkTime = fabric.ThinkTime
-	// ThinkTimeKind selects the think-time distribution.
-	ThinkTimeKind = fabric.ThinkTimeKind
-	// ClientDriver is one client-side node: it drives one simulated
-	// client, or a cohort of Config.CohortSize (see Network.Drivers).
-	ClientDriver = fabric.ClientDriver
 )
 
-// Fault-injection subsystem (Config.Faults).
-type (
-	// Faults is the deterministic fault-injection schedule: a named
-	// scenario or explicit events, plus client-side endorsement and
-	// submission deadlines. nil disables the subsystem byte-identically.
-	Faults = fabric.Faults
-	// FaultEvent is one scheduled fault window (kind, onset, duration,
-	// target, kind-specific parameters).
-	FaultEvent = fabric.FaultEvent
-	// FaultKind names a fault primitive (crash-peer, crash-orderer,
-	// partition, straggler, loss, slowdb).
-	FaultKind = fabric.FaultKind
-	// NodeState is a node's lifecycle state (up, crashed, restarting).
-	NodeState = fabric.NodeState
-)
-
-// Fault kinds for FaultEvent.Kind.
-const (
-	FaultCrashPeer    = fabric.FaultCrashPeer
-	FaultCrashOrderer = fabric.FaultCrashOrderer
-	FaultPartition    = fabric.FaultPartition
-	FaultStraggler    = fabric.FaultStraggler
-	FaultLoss         = fabric.FaultLoss
-	FaultSlowDB       = fabric.FaultSlowDB
-)
-
-// Node lifecycle states.
-const (
-	NodeUp         = fabric.NodeUp
-	NodeCrashed    = fabric.NodeCrashed
-	NodeRestarting = fabric.NodeRestarting
-)
-
-// Think-time distributions for Config.ThinkTime.
-const (
-	ThinkNone        = fabric.ThinkNone
-	ThinkFixed       = fabric.ThinkFixed
-	ThinkExponential = fabric.ThinkExponential
-	ThinkLogNormal   = fabric.ThinkLogNormal
-)
-
-// Congestion-hint producers for Config.HintSource.
+// Congestion-hint producers for Control.HintSource.
 const (
 	HintOrderer = fabric.HintOrderer
 	HintGossip  = fabric.HintGossip
 	HintBoth    = fabric.HintBoth
 )
 
-// Signal classes for SplitSignal (ClassifyOutcome).
-const (
-	SignalNone       = fabric.SignalNone
-	SignalConflict   = fabric.SignalConflict
-	SignalCongestion = fabric.SignalCongestion
-)
-
-// ClassifyOutcome maps a transaction outcome to its control class:
-// Valid is SignalNone, CLIENT_TIMEOUT is SignalCongestion, and every
-// chain-reported failure (MVCC, phantom, endorsement, ordering abort)
-// is SignalConflict.
-func ClassifyOutcome(code ValidationCode) SignalClass { return fabric.ClassifyOutcome(code) }
-
 // GiveUpAfter truncates any retry policy to at most n submissions.
 func GiveUpAfter(inner RetryPolicy, n int) RetryPolicy { return fabric.GiveUpAfter(inner, n) }
 
-// RetryPolicies returns the policy ladder compared by the
-// retry-policies experiment.
-func RetryPolicies() []RetryPolicy { return core.RetryPolicies() }
-
-// Control is one rung of a retry-control ladder: a label plus a retry
-// policy and the optional budget, backpressure, gossip, hint-source
-// and split-signal configs, with Apply to wire it into a Config.
-type Control = core.Control
-
-// CotunePolicies returns the retry-control strategies (static,
-// adaptive, budgeted, paced, budgeted-adaptive) compared by the
-// retry-cotune experiment.
-func CotunePolicies() []Control { return core.CotunePolicies() }
-
-// CoordinationPolicies returns the retry-control strategies (aimd,
-// hinted-orderer, hinted-gossip, hinted-both and the two split rungs)
-// compared by the retry-coordination experiment.
-func CoordinationPolicies() []Control { return core.CoordinationPolicies() }
-
-// ParseRetryBudget parses a retry-budget spec such as "1:3" or
-// "2:5:drop:adaptive" (the CLI's -budget syntax); "" returns nil (no
-// budget).
-func ParseRetryBudget(s string) (*RetryBudget, error) { return fabric.ParseRetryBudget(s) }
-
-// ParseThinkTime parses a think-time spec such as "exp:500ms" or
-// "lognormal:1s:0.8" (the CLI's -think syntax).
-func ParseThinkTime(s string) (ThinkTime, error) { return fabric.ParseThinkTime(s) }
-
-// ParseBackpressure parses a backpressure spec such as "on" or
-// "0.5:1s:2s" (the CLI's -backpressure syntax); "off" and "" return
-// nil (disabled).
-func ParseBackpressure(s string) (*Backpressure, error) { return fabric.ParseBackpressure(s) }
-
-// ParseGossip parses a gossip spec such as "on" or "2:500ms:0.5" (the
-// CLI's -gossip syntax); "off" and "" return nil (disabled).
-func ParseGossip(s string) (*Gossip, error) { return fabric.ParseGossip(s) }
-
-// ParseHintSource parses a hint-source spec (the CLI's -hintsource
-// syntax): "orderer" (also ""), "gossip" or "both".
-func ParseHintSource(s string) (HintSource, error) { return fabric.ParseHintSource(s) }
-
-// ParseSplitSignal parses a split-signal spec (the CLI's -split
-// syntax): "on"/"default" enables the split with the default
-// congestion-latency threshold, a duration such as "3s" overrides it,
-// and "off"/"" return nil (scalar signal, byte-identical).
-func ParseSplitSignal(s string) (*SplitSignal, error) { return fabric.ParseSplitSignal(s) }
-
-// ParseFaults parses a fault spec (the CLI's -faults syntax): a
-// scenario name ("crash", "chaos", ...), or comma-separated event
-// clauses such as "crash-peer:1@5s+10s,partition@20s+5s,etimeout=2s";
-// "off" and "" return nil (disabled).
-func ParseFaults(s string) (*Faults, error) { return fabric.ParseFaults(s) }
-
-// FaultScenarios lists the predefined fault scenario names accepted by
-// Faults.Scenario and the -faults flag.
-func FaultScenarios() []string { return fabric.FaultScenarios() }
+// Faults is the deterministic fault-injection schedule (Config.Faults):
+// a named scenario or explicit events, plus client-side endorsement and
+// submission deadlines. nil disables the subsystem byte-identically.
+type Faults = fabric.Faults
 
 // DefaultConfig returns the paper's Table 3 defaults on the C1
 // cluster. Chaincode and Workload must still be set.
@@ -438,7 +215,6 @@ var (
 	UpdateHeavy = gen.UpdateHeavy
 	DeleteHeavy = gen.DeleteHeavy
 	RangeHeavy  = gen.RangeHeavy
-	UniformRU   = gen.UniformRU
 )
 
 // GenChainSpec returns the paper's default generated chaincode: five
@@ -462,8 +238,6 @@ func GenWorkload(spec ChaincodeSpec, mix Mix, skew float64) WorkloadGenerator {
 type (
 	// System selects a Fabric build for comparison runs.
 	System = core.System
-	// Cluster is one of the two testbeds of §4.2.
-	Cluster = core.Cluster
 	// Options scales an experiment (virtual duration, seeds,
 	// parallelism).
 	Options = core.Options
@@ -476,22 +250,12 @@ type (
 	Builder = core.Builder
 )
 
-// Systems and clusters.
+// The compared systems.
 const (
-	Fabric14         = core.Fabric14
-	FabricPP         = core.FabricPP
-	Streamchain      = core.Streamchain
-	StreamchainNoRAM = core.StreamchainNoRAM
-	FabricSharp      = core.FabricSharp
-	C1               = core.C1
-	C2               = core.C2
-)
-
-// Scale-sweep axes of the "scale" experiment: client population and
-// channel count.
-var (
-	ScaleClients  = core.ScaleClients
-	ScaleChannels = core.ScaleChannels
+	Fabric14    = core.Fabric14
+	FabricPP    = core.FabricPP
+	Streamchain = core.Streamchain
+	FabricSharp = core.FabricSharp
 )
 
 // Experiments lists every reproducible table and figure.
@@ -505,6 +269,3 @@ func FullOptions() Options { return core.FullOptions() }
 
 // QuickOptions is a fast smoke regime (30 virtual seconds, 1 seed).
 func QuickOptions() Options { return core.QuickOptions() }
-
-// SmokeOptions is the CI regime (5 virtual seconds, shrunken grids).
-func SmokeOptions() Options { return core.SmokeOptions() }

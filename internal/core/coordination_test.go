@@ -32,14 +32,14 @@ func TestRetryCoordinationTableShape(t *testing.T) {
 		t.Error("smoke grid still sweeps the full chaincode axis")
 	}
 	rows := len(strings.Split(strings.TrimSpace(out), "\n")) - 2 // header + rule
-	if want := 2 * len(CoordinationPolicies()) * len(CoordinationBlockSizes); rows != want {
+	if want := 2 * len(coordinationLadder) * len(CoordinationBlockSizes); rows != want {
 		t.Errorf("smoke grid has %d rows, want %d", rows, want)
 	}
 }
 
 func TestRetryCoordinationFullGridEnumeration(t *testing.T) {
-	cells := ladderGrid(false, CoordinationPolicies(), CoordinationBlockSizes)
-	want := 4 * 2 * len(CoordinationPolicies()) * len(CoordinationBlockSizes)
+	cells := ladderGrid(false, coordinationLadder, CoordinationBlockSizes)
+	want := 4 * 2 * len(coordinationLadder) * len(CoordinationBlockSizes)
 	if len(cells) != want {
 		t.Fatalf("full grid has %d cells, want %d", len(cells), want)
 	}
@@ -60,7 +60,7 @@ func TestRetryCoordinationFullGridEnumeration(t *testing.T) {
 // with each rung's HintSource matching the signals it configures.
 func TestCoordinationPoliciesWireTheSignal(t *testing.T) {
 	var sawLocal, sawOrderer, sawGossip, sawBoth bool
-	for _, p := range CoordinationPolicies() {
+	for _, p := range coordinationLadder {
 		src := p.HintSource
 		if src.Validate() != nil {
 			t.Errorf("%s: invalid hint source %q", p.Label, src)
@@ -95,7 +95,7 @@ func TestCoordinationPoliciesWireTheSignal(t *testing.T) {
 // rungs actually gossip in the smoke regime — messages flow, merges
 // happen — while the orderer rung keeps every gossip metric at zero.
 func TestCoordinationGossipRungsExchangeEstimates(t *testing.T) {
-	cells := cross(on(C1, EHR), byControl(CoordinationPolicies()...))
+	cells := cross(on(C1, EHR), byControl(coordinationLadder...))
 	results, err := runCells(cotuneOpts(0), cells, cell.build)
 	if err != nil {
 		t.Fatal(err)

@@ -254,7 +254,7 @@ func TestRetryGridShape(t *testing.T) {
 	}
 	seen := map[pair]bool{}
 	for _, c := range cells {
-		seen[pair{c.cc.Name, c.ctl.Policy.Name(), c.skew}] = true
+		seen[pair{c.cc.Name, c.ctl.Retry.Name(), c.skew}] = true
 	}
 	for _, cc := range []string{"ehr", "dv", "scm", "drm"} {
 		for _, p := range RetryPolicies() {
@@ -281,7 +281,7 @@ func TestRetryGridShape(t *testing.T) {
 		t.Fatalf("grid size unstable: %d vs %d", len(again), len(cells))
 	}
 	for i := range cells {
-		if cells[i].cc.Name != again[i].cc.Name || cells[i].ctl.Policy.Name() != again[i].ctl.Policy.Name() ||
+		if cells[i].cc.Name != again[i].cc.Name || cells[i].ctl.Retry.Name() != again[i].ctl.Retry.Name() ||
 			cells[i].skew != again[i].skew || cells[i].bs != again[i].bs {
 			t.Fatalf("grid order unstable at %d: %+v vs %+v", i, cells[i], again[i])
 		}
@@ -291,6 +291,43 @@ func TestRetryGridShape(t *testing.T) {
 // TestResultIsAllFloat64 guards the assumption behind Result.add and
 // Result.scale: they loop over the fields as float64, so a field of
 // any other type must be aggregated some other way first.
+// TestControlApplyReplacesWholeStack: applying a rung replaces the
+// config's whole control plane, so a rung that leaves a subsystem out
+// switches it off whatever rung was applied before — on every ladder,
+// and for whatever field fabric.Control grows next.
+func TestControlApplyReplacesWholeStack(t *testing.T) {
+	var both Rung
+	for _, r := range coordinationLadder {
+		if r.Label == "hinted-both" {
+			both = r
+		}
+	}
+	if both.Backpressure == nil || both.Gossip == nil || both.HintSource != fabric.HintBoth {
+		t.Fatalf("hinted-both rung not found or not a full stack: %+v", both)
+	}
+	cfg := fabric.DefaultConfig()
+	both.Apply(&cfg)
+	cfg.SplitSignal = &fabric.SplitSignal{}
+	cfg.RetryBudget = &fabric.RetryBudget{}
+
+	rungAIMD.Apply(&cfg)
+	if cfg.Backpressure != nil || cfg.Gossip != nil || cfg.HintSource != "" || cfg.SplitSignal != nil || cfg.RetryBudget != nil {
+		t.Errorf("aimd after hinted-both left a subsystem behind: %+v", cfg.Control)
+	}
+	for _, ladder := range [][]Rung{cotuneLadder, coordinationLadder, faultLadder} {
+		for _, r := range ladder {
+			both.Apply(&cfg)
+			r.Apply(&cfg)
+			if !reflect.DeepEqual(cfg.Control, r.Control) {
+				t.Errorf("%s: config control %+v, want the rung's %+v", r.Label, cfg.Control, r.Control)
+			}
+		}
+	}
+	if d := fabric.DefaultConfig(); cfg.BlockSize != d.BlockSize || cfg.Rate != d.Rate {
+		t.Error("Apply touched a non-control field")
+	}
+}
+
 func TestResultIsAllFloat64(t *testing.T) {
 	rt := reflect.TypeOf(Result{})
 	for i := 0; i < rt.NumField(); i++ {

@@ -11,8 +11,8 @@ import (
 // strategy, under QuickOptions. It pins exactly the budget/adaptive
 // code paths the QuickOptions golden grid (fire-and-forget clients)
 // cannot see.
-func goldenCotuneCells() []Control {
-	return CotunePolicies()
+func goldenCotuneCells() []Rung {
+	return cotuneLadder
 }
 
 // goldenCotuneLine renders one cell with enough precision that any
@@ -21,7 +21,7 @@ func goldenCotuneCells() []Control {
 // the cotune grid never enables Config.Backpressure, so any non-zero
 // value — or any shift in the other columns — means the backpressure
 // subsystem stopped being inert when disabled.
-func goldenCotuneLine(pol Control, r Result) string {
+func goldenCotuneLine(pol Rung, r Result) string {
 	return fmt.Sprintf(
 		"ehr/%s/bs100: goodput=%.4f tput=%.4f amp=%.4f e2e=%.6f exhausted=%.0f deferred=%.0f maxdefer=%.0f aimd=%.6f gaveup=%.4f fail=%.4f paced=%.0f pacedsec=%.6f hint=%.6f",
 		pol.Label, r.Goodput, r.Throughput, r.RetryAmp, r.EndToEndSec,

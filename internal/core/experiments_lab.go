@@ -42,9 +42,9 @@ func labChaincodes(smoke bool) []CCFactory {
 // retryGrid enumerates the retry-policies sweep in deterministic row
 // order: chaincode, policy, skew, block size.
 func retryGrid(smoke bool) []cell {
-	var rungs []Control
+	var rungs []Rung
 	for _, p := range RetryPolicies() {
-		rungs = append(rungs, Control{Label: p.Name(), Policy: p})
+		rungs = append(rungs, Rung{p.Name(), fabric.Control{Retry: p}})
 	}
 	var cells []cell
 	for _, cc := range labChaincodes(smoke) {
@@ -78,7 +78,7 @@ func RetryPoliciesExp(o Options) (string, error) {
 
 // ladderGrid enumerates a control-ladder study in deterministic row
 // order: chaincode, system, rung, block size, at the default skew.
-func ladderGrid(smoke bool, ladder []Control, sizes []int) []cell {
+func ladderGrid(smoke bool, ladder []Rung, sizes []int) []cell {
 	return cross(on(C1, EHR), byCC(labChaincodes(smoke)...), bySystem(earlyAbortSystems...),
 		byControl(ladder...), byBlockSize(sizes...))
 }
@@ -223,7 +223,7 @@ func scaleGrid(smoke bool) []cell {
 		clients, channels = []int{100, 1_000}, []int{1, 4}
 	}
 	base := on(C1, EHR)
-	base.skew, base.rate, base.ctl = 2, 200, Control{Policy: StaticBackoff}
+	base.skew, base.rate, base.ctl.Retry = 2, 200, StaticBackoff
 	return cross(base,
 		axis(clients, func(c *cell, n int) { c.clients = n }),
 		axis(channels, func(c *cell, n int) { c.channels = n }))

@@ -20,7 +20,7 @@ type cell struct {
 	rate    float64
 	bs      int
 	db      statedb.Kind
-	ctl     Control
+	ctl     Rung
 	// delay is extra latency injected on org 0's links (§5.1.7); the
 	// zero Link injects nothing.
 	delay netem.Link
@@ -105,8 +105,8 @@ func byDB(v ...statedb.Kind) []func(*cell) {
 	return axis(v, func(c *cell, k statedb.Kind) { c.db = k })
 }
 
-func byControl(v ...Control) []func(*cell) {
-	return axis(v, func(c *cell, ctl Control) { c.ctl = ctl })
+func byControl(v ...Rung) []func(*cell) {
+	return axis(v, func(c *cell, ctl Rung) { c.ctl = ctl })
 }
 
 func byScenario(v ...string) []func(*cell) {

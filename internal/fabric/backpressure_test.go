@@ -77,7 +77,7 @@ func TestParseBackpressure(t *testing.T) {
 func TestUpdateHintBacklogAndSmoothing(t *testing.T) {
 	nw := harness(t)
 	bp := Backpressure{Smoothing: 0.5}.withDefaults()
-	nw.bp = &bp
+	nw.ctl.Backpressure = &bp
 	os := nw.orderers[0]
 	// A backlog far past the block timeout saturates the raw sample at
 	// 1; the EWMA walks the smoothed hint toward it in halves.

@@ -103,16 +103,17 @@ type ClientDriver struct {
 	hints []float64
 
 	// gossip is this driver's view of the client-to-client signal (nil
-	// without Config.Gossip or outcome tracking); Network.hintSrc
-	// selects which producer — orderer hint, gossip estimate, or their
-	// max — feeds pacing and the hint-consuming controllers. A cohort
-	// is one gossip participant: its members pool their outcome windows
-	// and estimate.
+	// without Config.Gossip or outcome tracking); the network's resolved
+	// HintSource selects which producer — orderer hint, gossip estimate,
+	// or their max — feeds pacing and the hint-consuming controllers. A
+	// cohort is one gossip participant: its members pool their outcome
+	// windows and estimate.
 	//
-	// There is one signal path whatever Network.split says; nil (scalar
-	// mode) only swaps the data at its two ends: classify files every
-	// failure under SignalConflict, and signals collapses the resolved
-	// pair to its max so controller and pacer read the same number.
+	// There is one signal path whatever the resolved SplitSignal says;
+	// nil (scalar mode) only swaps the data at its two ends: classify
+	// files every failure under SignalConflict, and signals collapses the
+	// resolved pair to its max so controller and pacer read the same
+	// number.
 	gossip *gossipState
 
 	// resubmissions counts retry submissions issued (diagnostics).
@@ -156,10 +157,10 @@ func newDriver(nw *Network, index, firstID, members int) *ClientDriver {
 		rotation: make([]int, members),
 		pending:  map[string]*pendingTx{},
 		hints:    make([]float64, nw.channels),
-		ctl:      newController(nw.retry),
+		ctl:      newController(nw.ctl.Retry),
 	}
-	if nw.tracking && nw.cfg.RetryBudget != nil {
-		b := *nw.cfg.RetryBudget
+	if nw.ctl.RetryBudget != nil {
+		b := *nw.ctl.RetryBudget
 		if members > 1 {
 			// One bucket serves the whole cohort: scale the refill
 			// stream and capacity so the aggregate retry allowance
@@ -173,11 +174,11 @@ func newDriver(nw *Network, index, firstID, members int) *ClientDriver {
 		}
 		c.bucket = newTokenBucket(b)
 	}
-	if nw.tracking && nw.bp != nil {
-		c.pacer = nw.bp
+	if nw.ctl.tracking {
+		c.pacer = nw.ctl.Backpressure
 	}
-	if nw.gossip != nil {
-		c.gossip = newGossipState(*nw.gossip)
+	if nw.ctl.Gossip != nil {
+		c.gossip = newGossipState(*nw.ctl.Gossip)
 	}
 	return c
 }
@@ -296,7 +297,7 @@ func (c *ClientDriver) submitLeg(j *pendingTx, channel int) {
 		Function:   j.inv.Function,
 		SubmitTime: c.nw.eng.Now(),
 	}
-	if c.nw.tracking {
+	if c.nw.ctl.tracking {
 		c.pending[tx.ID] = j
 	}
 	c.rotation[j.member]++
@@ -343,7 +344,7 @@ func (c *ClientDriver) submitLeg(j *pendingTx, channel int) {
 	// timeout, the attempt fails as CLIENT_TIMEOUT and feeds the
 	// normal retry path. Inert without fault injection or outcome
 	// tracking.
-	if ft := c.nw.faults; ft != nil && ft.EndorseTimeout > 0 && c.nw.tracking {
+	if ft := c.nw.faults; ft != nil && ft.EndorseTimeout > 0 && c.nw.ctl.tracking {
 		c.nw.eng.After(ft.EndorseTimeout, func() {
 			if done {
 				return
@@ -398,7 +399,7 @@ func (c *ClientDriver) assemble(j *pendingTx, tx *ledger.Transaction, channel in
 	// CLIENT_TIMEOUT and is retried. The pending-table check makes a
 	// late deadline a no-op; a transaction that commits after its
 	// client gave up is counted orphaned in onOutcome.
-	if ft := c.nw.faults; ft != nil && ft.SubmitTimeout > 0 && c.nw.tracking {
+	if ft := c.nw.faults; ft != nil && ft.SubmitTimeout > 0 && c.nw.ctl.tracking {
 		c.nw.eng.After(ft.SubmitTimeout, func() {
 			if cur, ok := c.pending[tx.ID]; ok && cur == j {
 				c.nw.col.RecordSubmitTimeout()
@@ -414,7 +415,7 @@ func (c *ClientDriver) assemble(j *pendingTx, tx *ledger.Transaction, channel in
 // fresh regardless of which attempt carried it — but are otherwise
 // ignored (the attempt was already resolved locally).
 func (c *ClientDriver) onOutcome(txID string, code ledger.ValidationCode, hint float64, channel int) {
-	if c.pacer != nil && c.nw.hintSrc.usesOrderer() {
+	if c.pacer != nil && c.nw.ctl.HintSource.usesOrderer() {
 		c.hints[channel] = hint
 		// The one mode branch on the path. Scalar mode pushes the raw
 		// hint to the controller on every outcome event (on multi-channel
@@ -423,7 +424,7 @@ func (c *ClientDriver) onOutcome(txID string, code ledger.ValidationCode, hint f
 		// congestion evidence: it feeds pacing via signals but must not
 		// slide the controller's backoff, which the conflict estimate
 		// drives instead.
-		if c.nw.split == nil {
+		if c.nw.ctl.SplitSignal == nil {
 			c.ctl.observeHint(hint)
 		}
 	}
@@ -447,7 +448,7 @@ func (c *ClientDriver) onOutcome(txID string, code ledger.ValidationCode, hint f
 // with the first leg failure (both commits are required). It is a
 // no-op unless the run tracks outcomes.
 func (c *ClientDriver) legDone(j *pendingTx, txID string, code ledger.ValidationCode) {
-	if !c.nw.tracking {
+	if !c.nw.ctl.tracking {
 		return
 	}
 	delete(c.pending, txID)
@@ -496,7 +497,7 @@ func (c *ClientDriver) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
 	// below. The two values route apart: the conflict signal slides the
 	// hint-consuming controller's backoff, the congestion signal
 	// (orderer hints included) drives the pacer.
-	gossipFeeds := c.ctl.consumesHint() && c.gossip != nil && c.nw.hintSrc.usesGossip()
+	gossipFeeds := c.ctl.consumesHint() && c.gossip != nil && c.nw.ctl.HintSource.usesGossip()
 	var hint float64
 	if gossipFeeds || c.pacer != nil {
 		conflict, congestion := c.signals()
@@ -559,14 +560,14 @@ func (c *ClientDriver) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
 // collapses the pair to its max: one number for backoff and pacing
 // alike.
 func (c *ClientDriver) signals() (conflict, congestion float64) {
-	if c.nw.hintSrc.usesOrderer() {
+	if c.nw.ctl.HintSource.usesOrderer() {
 		for _, ch := range c.hints {
 			if ch > congestion {
 				congestion = ch
 			}
 		}
 	}
-	if c.gossip != nil && c.nw.hintSrc.usesGossip() {
+	if c.gossip != nil && c.nw.ctl.HintSource.usesGossip() {
 		e, stale := c.gossip.estimate(c.nw.eng.Now())
 		c.nw.col.RecordGossipUse(stale)
 		conflict = e.Conflict
@@ -574,7 +575,7 @@ func (c *ClientDriver) signals() (conflict, congestion float64) {
 			congestion = e.Congestion
 		}
 	}
-	if c.nw.split == nil {
+	if c.nw.ctl.SplitSignal == nil {
 		if congestion > conflict {
 			conflict = congestion
 		}
@@ -589,14 +590,15 @@ func (c *ClientDriver) signals() (conflict, congestion float64) {
 // threshold as congestion evidence; scalar mode files every failure
 // under SignalConflict and never applies the latency rule.
 func (c *ClientDriver) classify(code ledger.ValidationCode, j *pendingTx) (class SignalClass, congested bool) {
-	if c.nw.split == nil {
+	split := c.nw.ctl.SplitSignal
+	if split == nil {
 		if code != ledger.Valid {
 			return SignalConflict, false
 		}
 		return SignalNone, false
 	}
 	latency := time.Duration(c.nw.eng.Now() - j.lastSubmit)
-	return ClassifyOutcome(code), c.nw.split.CongestLatency > 0 && latency >= c.nw.split.CongestLatency
+	return ClassifyOutcome(code), split.CongestLatency > 0 && latency >= split.CongestLatency
 }
 
 // observe feeds one classified attempt outcome to the controller —
@@ -643,7 +645,7 @@ func (c *ClientDriver) startGossip() {
 func (c *ClientDriver) gossipRound() {
 	now := c.nw.eng.Now()
 	est, _ := c.gossip.estimate(now)
-	if c.nw.split != nil {
+	if c.nw.ctl.SplitSignal != nil {
 		c.nw.col.RecordSplitSample(est.Conflict, est.Congestion)
 	}
 	c.nw.col.RecordGossipSample(est.Max())

@@ -113,70 +113,10 @@ type Config struct {
 	// instead of chain transactions.
 	SkipReadOnlySubmission bool
 
-	// Retry selects the client resubmission policy. Nil (or NoRetry,
-	// the default) reproduces the paper's fire-and-forget clients:
-	// failed transactions are never resent (§4.5). Any other policy
-	// makes clients track pending transactions, listen for commit
-	// events, and resubmit failures per the policy's backoff schedule.
-	// Stateful policies (AdaptivePolicy) are instantiated once per
-	// client so each client adapts to its own failure rate.
-	Retry RetryPolicy
-
-	// RetryBudget rate-limits resubmissions per client with a token
-	// bucket (RefillPerSec tokens/s of virtual time, capacity Burst),
-	// on top of — and regardless of — whatever Retry policy is
-	// configured. Nil (the default) means unlimited: the policy alone
-	// decides. An empty bucket defers the retry until a token accrues,
-	// or drops the transaction when DropOnEmpty is set. Ignored when
-	// no retry policy is configured.
-	RetryBudget *RetryBudget
-
-	// Backpressure enables the orderer-driven congestion signal: the
-	// ordering service condenses its backlog and arrival-vs-service
-	// pressure into a smoothed hint per cut block, stamps it onto
-	// commit events, and clients pace resubmissions and new closed-loop
-	// submissions by hint×Gain (see the Backpressure type). It also
-	// feeds the hint-driven retry policies (BackpressurePolicy,
-	// AdaptivePolicy.HintWeight). Nil (the default) disables the
-	// subsystem completely — runs are byte-identical to a build
-	// without it. Pacing requires outcome tracking (a retry policy or
-	// closed-loop mode).
-	Backpressure *Backpressure
-
-	// Gossip enables the client-to-client congestion signal: every
-	// client condenses its own outcome stream into a windowed
-	// failure-rate estimate and periodically exchanges it with Fanout
-	// sampled peers over the network model, merging by max-with-decay
-	// (see the Gossip type). The merged estimate feeds the same hint
-	// path as the orderer's signal, selected by HintSource. Nil (the
-	// default) disables the subsystem completely — runs are
-	// byte-identical to a build without it. Like backpressure pacing,
-	// gossip requires outcome tracking (a retry policy or closed-loop
-	// mode) and is inert on fire-and-forget runs.
-	Gossip *Gossip
-
-	// HintSource selects which producer feeds the congestion hint
-	// clients pace by and that hint-consuming policies read: "orderer"
-	// (the default; also the empty string) for the backpressure hint
-	// on commit events, "gossip" for the client-to-client estimate
-	// (the orderer then computes no hints at all), or "both" to
-	// max-combine the two. "gossip" and "both" require Config.Gossip.
-	HintSource HintSource
-
-	// SplitSignal splits the client-side outcome signal into a conflict
-	// estimate and a congestion estimate and routes each to the control
-	// it can help: conflict (MVCC/phantom/endorsement failures) drives
-	// backoff — AdaptivePolicy's AIMD increase gates on the conflict
-	// rate, and the hint-consuming policies (BackpressurePolicy,
-	// AdaptivePolicy.HintWeight) slide on the gossiped conflict
-	// estimate — while congestion (CLIENT_TIMEOUT, slow attempts past
-	// CongestLatency, the orderer's hint) drives the backpressure
-	// pacing path. The gossip mesh then carries a two-component
-	// estimate with per-component decay and max-merge. Nil (the
-	// default) keeps the scalar signal: runs are byte-identical to
-	// builds without the field. Like the signals it routes, the split
-	// requires outcome tracking (a retry policy or closed-loop mode).
-	SplitSignal *SplitSignal
+	// Control is the client control plane: retry policy, retry budget,
+	// backpressure, gossip, hint source and split signal. It is embedded,
+	// so cfg.Retry, cfg.RetryBudget, ... read and write its fields.
+	Control
 
 	// ClosedLoop switches clients from open-loop Poisson arrivals to
 	// a closed loop: each client keeps InFlightPerClient logical
@@ -270,6 +210,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("fabric: arrival rate must be a finite rate > 0 tps, got %g", c.Rate)
 	case c.Duration <= 0:
 		return fmt.Errorf("fabric: duration must be positive")
+	case c.Drain < 0:
+		return fmt.Errorf("fabric: drain must be >= 0 of virtual time, got %v", c.Drain)
+	case c.DelayOrg < -1 || c.DelayOrg >= c.Orgs:
+		return fmt.Errorf("fabric: delayed org index %d out of range for %d orgs; -1 = none", c.DelayOrg, c.Orgs)
 	case c.Chaincode == nil:
 		return fmt.Errorf("fabric: chaincode not set")
 	case c.Workload == nil:
@@ -300,36 +244,8 @@ func (c *Config) Validate() error {
 	default:
 		return fmt.Errorf("fabric: unknown consensus %q", c.Consensus)
 	}
-	if v, ok := c.Retry.(interface{ Validate() error }); ok {
-		if err := v.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.RetryBudget != nil {
-		if err := c.RetryBudget.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.Backpressure != nil {
-		if err := c.Backpressure.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.Gossip != nil {
-		if err := c.Gossip.Validate(); err != nil {
-			return err
-		}
-	}
-	if err := c.HintSource.Validate(); err != nil {
+	if err := c.Control.Validate(); err != nil {
 		return err
-	}
-	if c.HintSource.usesGossip() && c.Gossip == nil {
-		return fmt.Errorf("fabric: hint source %q needs Config.Gossip", string(c.HintSource))
-	}
-	if c.SplitSignal != nil {
-		if err := c.SplitSignal.Validate(); err != nil {
-			return err
-		}
 	}
 	if err := c.ThinkTime.Validate(); err != nil {
 		return err
@@ -379,6 +295,134 @@ func (c *Config) RateAt(t time.Duration) float64 {
 		t -= p.Duration
 	}
 	return c.Rate
+}
+
+// Control is the client control plane of a run, one value: what a
+// client does about a failed transaction (Retry, RetryBudget) and which
+// shared signals it steers by (Backpressure, Gossip, HintSource,
+// SplitSignal). The zero value is the paper's fire-and-forget client
+// with every subsystem off, byte-identical to a build without them.
+//
+// Everything here acts on the client's outcome stream, so it needs
+// outcome tracking: a Retry policy other than NoRetry, or
+// Config.ClosedLoop. Without it the budget, pacing, gossip and the split
+// are inert rather than an error (resolve drops them); only the
+// orderer's hint computation, which needs no client, still runs.
+//
+// Config embeds Control, so its field names are Config's, and it must
+// not grow a Name or String method: that would be promoted onto Config.
+type Control struct {
+	// Retry is the resubmission policy. Nil means NoRetry, the paper's
+	// clients: failed transactions are never resent (§4.5). Any other
+	// policy makes clients track pending transactions, listen for commit
+	// events and resubmit failures on the policy's backoff schedule.
+	// Stateful policies (AdaptivePolicy) are instantiated once per
+	// client driver.
+	Retry RetryPolicy
+	// RetryBudget rate-limits resubmissions per client with a token
+	// bucket, whatever Retry decides (see the RetryBudget type). Nil
+	// means unlimited.
+	RetryBudget *RetryBudget
+	// Backpressure enables the orderer-driven congestion hint, stamped
+	// onto commit events; clients pace resubmissions and new closed-loop
+	// work by hint×Gain, and it feeds the hint-driven policies
+	// (BackpressurePolicy, AdaptivePolicy.HintWeight). See the
+	// Backpressure type. Nil disables it.
+	Backpressure *Backpressure
+	// Gossip enables the client-to-client congestion estimate, merged by
+	// max-with-decay (see the Gossip type). It feeds the same hint path
+	// as the orderer's signal, selected by HintSource. Nil disables it.
+	Gossip *Gossip
+	// HintSource selects which producer feeds the hint clients pace by
+	// and hint-consuming policies read: "orderer" (the default, also
+	// ""), "gossip" (the orderer then computes no hints at all) or
+	// "both" (their max). "gossip" and "both" require Gossip.
+	HintSource HintSource
+	// SplitSignal splits the outcome signal into a conflict estimate,
+	// which drives backoff, and a congestion estimate, which drives
+	// pacing (see the SplitSignal type). Nil keeps the scalar signal.
+	SplitSignal *SplitSignal
+}
+
+// Validate reports configuration errors in the control stack. It is the
+// one place control rules live; Config.Validate calls it.
+func (c Control) Validate() error {
+	if err := validatePolicy(c.Retry); err != nil {
+		return err
+	}
+	if c.RetryBudget != nil {
+		if err := c.RetryBudget.Validate(); err != nil {
+			return err
+		}
+	}
+	if c.Backpressure != nil {
+		if err := c.Backpressure.Validate(); err != nil {
+			return err
+		}
+	}
+	if c.Gossip != nil {
+		if err := c.Gossip.Validate(); err != nil {
+			return err
+		}
+	}
+	if err := c.HintSource.Validate(); err != nil {
+		return err
+	}
+	if c.HintSource.usesGossip() && c.Gossip == nil {
+		return fmt.Errorf("fabric: hint source %q needs Config.Gossip", string(c.HintSource))
+	}
+	if c.SplitSignal != nil {
+		return c.SplitSignal.Validate()
+	}
+	return nil
+}
+
+// HintProducers reports which producers actually feed the hint path:
+// the orderer's when backpressure is on and HintSource includes it, the
+// gossip estimate when gossip is on and HintSource includes it. With
+// neither, a hint-consuming policy sees a constant zero.
+func (c Control) HintProducers() (orderer, gossip bool) {
+	return c.Backpressure != nil && c.HintSource.usesOrderer(),
+		c.Gossip != nil && c.HintSource.usesGossip()
+}
+
+// resolvedControl is the control stack a network runs: Retry never nil,
+// the signal subsystems with their defaults applied (the token bucket
+// applies the budget's when it is built), and every subsystem that
+// would be inert on this run nil — no events, no rng draws. tracking
+// reports whether clients track pending transactions and receive commit
+// events at all; when false the commit-event plumbing is inert and the
+// run is the paper's fire-and-forget one.
+type resolvedControl struct {
+	Control
+	tracking bool
+}
+
+// resolve applies defaults and the outcome-tracking rule (see Control).
+// Backpressure survives without tracking because the ordering service
+// computes and reports its hint regardless of who listens.
+func (c Control) resolve(closedLoop bool, blockTimeout time.Duration) resolvedControl {
+	if c.Retry == nil {
+		c.Retry = NoRetry{}
+	}
+	_, noRetry := c.Retry.(NoRetry)
+	tracking := closedLoop || !noRetry
+	if c.Backpressure != nil {
+		b := c.Backpressure.withDefaults()
+		c.Backpressure = &b
+	}
+	if !tracking {
+		c.RetryBudget, c.Gossip, c.SplitSignal = nil, nil, nil
+	}
+	if c.Gossip != nil {
+		g := c.Gossip.withDefaults()
+		c.Gossip = &g
+	}
+	if c.SplitSignal != nil {
+		s := c.SplitSignal.withDefaults(blockTimeout)
+		c.SplitSignal = &s
+	}
+	return resolvedControl{c, tracking}
 }
 
 // Variant is a pluggable Fabric fork. The zero behaviour (vanilla

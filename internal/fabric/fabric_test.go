@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -186,22 +187,110 @@ func TestStrippedRangeChainIsNotReportedTampered(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := []func(*Config){
-		func(c *Config) { c.Orgs = 1 },
-		func(c *Config) { c.PeersPerOrg = 0 },
-		func(c *Config) { c.BlockSize = 0 },
-		func(c *Config) { c.Rate = 0 },
-		func(c *Config) { c.Chaincode = nil },
-		func(c *Config) { c.Workload = nil },
-		func(c *Config) { c.Consensus = "pbft" },
-		func(c *Config) { c.SpeedFactor = 0 },
+	// want is a fragment of the expected message; "" accepts any error.
+	bad := []struct {
+		want   string
+		mutate func(*Config)
+	}{
+		{"", func(c *Config) { c.Orgs = 1 }},
+		{"", func(c *Config) { c.PeersPerOrg = 0 }},
+		{"", func(c *Config) { c.BlockSize = 0 }},
+		{"", func(c *Config) { c.Rate = 0 }},
+		{"", func(c *Config) { c.Chaincode = nil }},
+		{"", func(c *Config) { c.Workload = nil }},
+		{"", func(c *Config) { c.Consensus = "pbft" }},
+		{"", func(c *Config) { c.SpeedFactor = 0 }},
+		// Each of these used to be accepted: the first nil-dereferenced
+		// mid-run, the last ended the run before its send window.
+		{"give-up-after wraps no retry policy", func(c *Config) { c.Retry = GiveUpAfter(nil, 3) }},
+		{"retry cap must be >= 1 submission, got 0", func(c *Config) { c.Retry = GiveUpAfter(NoRetry{}, 0) }},
+		{"delayed org index 7 out of range for 2 orgs; -1 = none", func(c *Config) { c.DelayOrg = 7 }},
+		{"delayed org index -2 out of range", func(c *Config) { c.DelayOrg = -2 }},
+		{"drain must be >= 0 of virtual time, got -2s", func(c *Config) { c.Drain = -2 * time.Second }},
 	}
-	for i, mutate := range bad {
+	for i, c := range bad {
 		cfg := testConfig(1)
-		mutate(&cfg)
-		if _, err := NewNetwork(cfg); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
+		c.mutate(&cfg)
+		if _, err := NewNetwork(cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: NewNetwork = %v, want an error containing %q", i, err, c.want)
 		}
+	}
+}
+
+// TestControlValidate has one row per control rule. Every row must fail
+// the same way through Config.Validate, and the zero Control and a full
+// valid stack must pass both.
+func TestControlValidate(t *testing.T) {
+	for _, ok := range []Control{
+		{},
+		{Retry: GiveUpAfter(ExponentialBackoff{}, 1), RetryBudget: &RetryBudget{}, Backpressure: &Backpressure{},
+			Gossip: &Gossip{}, HintSource: HintBoth, SplitSignal: &SplitSignal{}},
+		// Inert on a fire-and-forget run, not invalid (see Control).
+		{Gossip: &Gossip{}, HintSource: HintGossip, SplitSignal: &SplitSignal{}, RetryBudget: &RetryBudget{}},
+	} {
+		cfg := testConfig(1)
+		cfg.Control = ok
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v: Control.Validate = %v, want nil", ok, err)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v: Config.Validate = %v, want nil", ok, err)
+		}
+	}
+	for _, c := range []struct {
+		name, want string
+		ctl        Control
+	}{
+		{"policy", "backoff jitter must be a finite fraction >= 0, got -1", Control{Retry: ExponentialBackoff{Jitter: -1}}},
+		{"cap without policy", "give-up-after wraps no retry policy", Control{Retry: GiveUpAfter(nil, 3)}},
+		{"nested cap without policy", "give-up-after wraps no retry policy", Control{Retry: GiveUpAfter(GiveUpAfter(nil, 3), 2)}},
+		{"zero cap", "retry cap must be >= 1 submission, got 0", Control{Retry: GiveUpAfter(ImmediateRetry{}, 0)}},
+		{"capped policy", "increase factor", Control{Retry: GiveUpAfter(AdaptivePolicy{Increase: -2}, 3)}},
+		{"budget", "refill rate must be a finite rate >= 0 tokens/s, got -1", Control{RetryBudget: &RetryBudget{RefillPerSec: -1}}},
+		{"backpressure", "smoothing must be in [0,1], got 2", Control{Backpressure: &Backpressure{Smoothing: 2}}},
+		{"gossip", "gossip period must be >= 0, got -1s", Control{Gossip: &Gossip{Period: -time.Second}}},
+		{"hint source", `hint source "fleet": want orderer, gossip or both`, Control{HintSource: "fleet"}},
+		{"hint source without mesh", `hint source "gossip" needs Config.Gossip`, Control{HintSource: HintGossip}},
+		{"both without mesh", `hint source "both" needs Config.Gossip`, Control{HintSource: HintBoth, Backpressure: &Backpressure{}}},
+		{"split", "congestion latency must be >= 0, got -3s", Control{SplitSignal: &SplitSignal{CongestLatency: -3 * time.Second}}},
+	} {
+		cfg := testConfig(1)
+		cfg.Control = c.ctl
+		for via, err := range map[string]error{"Control": c.ctl.Validate(), "Config": cfg.Validate()} {
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: %s.Validate = %v, want an error containing %q", c.name, via, err, c.want)
+			}
+		}
+	}
+}
+
+// TestResolveDropsInertSubsystems pins the outcome-tracking rule in the
+// one place it is implemented: without a retry policy or closed loop the
+// client-side subsystems resolve to nil, the orderer's hint survives,
+// and with tracking every configured subsystem comes back defaulted.
+func TestResolveDropsInertSubsystems(t *testing.T) {
+	full := Control{RetryBudget: &RetryBudget{}, Backpressure: &Backpressure{}, Gossip: &Gossip{},
+		HintSource: HintBoth, SplitSignal: &SplitSignal{}}
+	r := full.resolve(false, 2*time.Second)
+	if _, none := r.Retry.(NoRetry); !none || r.tracking {
+		t.Errorf("fire-and-forget resolved to retry %v, tracking %v", r.Retry, r.tracking)
+	}
+	if r.RetryBudget != nil || r.Gossip != nil || r.SplitSignal != nil {
+		t.Errorf("inert subsystems survived: %+v", r.Control)
+	}
+	if orderer, gossip := r.HintProducers(); !orderer || gossip || r.Backpressure.Gain != time.Second {
+		t.Errorf("orderer hint must survive defaulted and alone: orderer=%v gossip=%v %+v", orderer, gossip, r.Backpressure)
+	}
+	for _, r := range []resolvedControl{
+		full.resolve(true, 2*time.Second),
+		func() resolvedControl { c := full; c.Retry = ImmediateRetry{}; return c.resolve(false, 2*time.Second) }(),
+	} {
+		if !r.tracking || r.RetryBudget == nil || r.Gossip.Fanout != 2 || r.SplitSignal.CongestLatency != 4*time.Second {
+			t.Errorf("tracked stack not defaulted: %+v", r)
+		}
+	}
+	if full.Gossip.Fanout != 0 || full.Backpressure.Gain != 0 {
+		t.Error("resolve wrote through the caller's pointers")
 	}
 }
 

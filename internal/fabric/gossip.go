@@ -126,30 +126,17 @@ const (
 	HintBoth HintSource = "both"
 )
 
-// resolve maps the zero value to the default producer.
-func (s HintSource) resolve() HintSource {
-	if s == "" {
-		return HintOrderer
-	}
-	return s
-}
-
-// usesOrderer reports whether the orderer's hint feeds clients.
-func (s HintSource) usesOrderer() bool {
-	s = s.resolve()
-	return s == HintOrderer || s == HintBoth
-}
+// usesOrderer reports whether the orderer's hint feeds clients (the
+// zero value is the orderer).
+func (s HintSource) usesOrderer() bool { return s != HintGossip }
 
 // usesGossip reports whether the gossip estimate feeds clients.
-func (s HintSource) usesGossip() bool {
-	s = s.resolve()
-	return s == HintGossip || s == HintBoth
-}
+func (s HintSource) usesGossip() bool { return s == HintGossip || s == HintBoth }
 
 // Validate reports unknown hint sources.
 func (s HintSource) Validate() error {
-	switch s.resolve() {
-	case HintOrderer, HintGossip, HintBoth:
+	switch s {
+	case "", HintOrderer, HintGossip, HintBoth:
 		return nil
 	}
 	return fmt.Errorf("fabric: hint source %q: want orderer, gossip or both", string(s))
@@ -158,7 +145,10 @@ func (s HintSource) Validate() error {
 // ParseHintSource parses the CLI syntax for Config.HintSource ("" and
 // "orderer" both mean the default orderer producer).
 func ParseHintSource(s string) (HintSource, error) {
-	src := HintSource(strings.ToLower(s)).resolve()
+	src := HintSource(strings.ToLower(s))
+	if src == "" {
+		src = HintOrderer
+	}
 	if err := src.Validate(); err != nil {
 		return "", err
 	}

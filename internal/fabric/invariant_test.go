@@ -276,7 +276,7 @@ func checkHintRange(t *testing.T, name string, cfg Config, rep metrics.Report) {
 		t.Errorf("%s: no pacer configured but paced=%d time=%v max=%v",
 			name, rep.PacedSubmissions, rep.TimePaced, rep.MaxPacedPause)
 	}
-	ordererOn := cfg.Backpressure != nil && cfg.HintSource.resolve() != HintGossip
+	ordererOn := cfg.Backpressure != nil && cfg.HintSource.usesOrderer()
 	if !ordererOn && (rep.BackpressureHintAvg != 0 || rep.BackpressureHintMax != 0 || rep.BackpressureHintFinal != 0) {
 		t.Errorf("%s: orderer hints off but trajectory non-zero: %+v", name, rep)
 	}

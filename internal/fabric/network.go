@@ -51,25 +51,8 @@ type Network struct {
 	// benchmark).
 	memoHits, memoMisses uint64
 
-	// retry is the normalized resubmission policy (never nil).
-	retry RetryPolicy
-	// bp is the resolved backpressure config (defaults applied), nil
-	// when Config.Backpressure is unset — the subsystem is then fully
-	// inert: the orderer computes no hints and clients never pace.
-	bp *Backpressure
-	// gossip is the resolved gossip config (defaults applied), nil
-	// when Config.Gossip is unset or the run does not track outcomes —
-	// the subsystem is then fully inert: no rounds are scheduled and
-	// no rng is drawn.
-	gossip *Gossip
-	// hintSrc is the resolved hint producer (Config.HintSource; the
-	// zero value resolves to the orderer, the PR-4 behaviour).
-	hintSrc HintSource
-	// split is the resolved split-signal mode (CongestLatency
-	// defaulted against the block timeout), nil when Config.SplitSignal
-	// is unset or the run does not track outcomes — scalar mode (see
-	// ClientDriver.gossip).
-	split *SplitSignal
+	// ctl is the resolved client control plane (see resolvedControl).
+	ctl resolvedControl
 	// faults is the resolved fault schedule (scenario expanded into
 	// events), nil when Config.Faults is unset — the subsystem is then
 	// fully inert: no events are scheduled, no rng is drawn, and the
@@ -78,12 +61,6 @@ type Network struct {
 	// savedDBCosts holds the pre-window cost profile during a slowdb
 	// fault window.
 	savedDBCosts costmodel.DBCosts
-	// tracking reports whether clients track pending transactions and
-	// receive commit events — true when a real retry policy or the
-	// closed-loop mode is configured. When false the commit-event
-	// plumbing is fully inert and runs behave exactly like the
-	// paper's fire-and-forget clients.
-	tracking bool
 	// drivers is the client-driver list — one per client, or one per
 	// cohort of Config.CohortSize clients — in start order. It is also
 	// the gossip mesh.
@@ -109,11 +86,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 		cfg.LAN = netem.DefaultLAN()
 	}
 
-	retry := cfg.Retry
-	if retry == nil {
-		retry = NoRetry{}
-	}
-	_, noRetry := retry.(NoRetry)
 	nw := &Network{
 		cfg:           cfg,
 		eng:           sim.NewEngine(cfg.Seed),
@@ -122,22 +94,8 @@ func NewNetwork(cfg Config) (*Network, error) {
 		channels:      cfg.channels(),
 		dbCosts:       costmodel.ForKind(cfg.DBKind),
 		variant:       cfg.Variant,
-		retry:         retry,
-		tracking:      cfg.ClosedLoop || !noRetry,
+		ctl:           cfg.Control.resolve(cfg.ClosedLoop, cfg.BlockTimeout),
 		driversByName: map[string]*ClientDriver{},
-	}
-	if cfg.Backpressure != nil {
-		b := cfg.Backpressure.withDefaults()
-		nw.bp = &b
-	}
-	nw.hintSrc = cfg.HintSource.resolve()
-	if cfg.Gossip != nil && nw.tracking {
-		g := cfg.Gossip.withDefaults()
-		nw.gossip = &g
-	}
-	if cfg.SplitSignal != nil && nw.tracking {
-		s := cfg.SplitSignal.withDefaults(cfg.BlockTimeout)
-		nw.split = &s
 	}
 	nw.net = netem.New(nw.eng, cfg.LAN)
 	nw.applySpeedFactor()
@@ -257,7 +215,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 // closed-loop mode), so the default fire-and-forget configuration
 // pays no extra events and no extra rng draws.
 func (nw *Network) deliverOutcome(src string, tx *ledger.Transaction, code ledger.ValidationCode, hint float64, channel int) {
-	if !nw.tracking {
+	if !nw.ctl.tracking {
 		return
 	}
 	cl := nw.driversByName[tx.ClientID]
@@ -293,14 +251,6 @@ func (nw *Network) channelOf(inv workload.Invocation) int {
 	}
 	return int(h % uint64(nw.channels))
 }
-
-// ordererHints reports whether the ordering services compute and
-// publish congestion hints: backpressure is configured and the hint
-// source includes the orderer. With HintSource "gossip" the orderer
-// stays fully out of the signal path — blocks carry a zero hint and
-// no hint samples are recorded — so any coordination effect is
-// attributable to the clients sharing their own estimates.
-func (nw *Network) ordererHints() bool { return nw.bp != nil && nw.hintSrc.usesOrderer() }
 
 // applySpeedFactor scales fixed per-block costs for the cluster size.
 func (nw *Network) applySpeedFactor() {

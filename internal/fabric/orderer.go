@@ -193,10 +193,13 @@ func txBytes(tx *ledger.Transaction) int {
 }
 
 // cut assembles the pending batch into a block, runs the variant's
-// reordering hook, validates the block, and schedules delivery. With
-// backpressure enabled it first refreshes the congestion hint, so the
-// hint published with this block (and with this batch's early aborts)
-// reflects the orderer's load at cut time.
+// reordering hook, validates the block, and schedules delivery. When
+// the orderer is a hint producer it first refreshes the congestion
+// hint, so the hint published with this block (and with this batch's
+// early aborts) reflects the orderer's load at cut time. Under
+// HintSource "gossip" it is not: blocks carry a zero hint and no hint
+// samples are recorded, so any coordination effect is attributable to
+// the clients sharing their own estimates.
 func (os *OrderingService) cut(reason string) {
 	_ = reason
 	batch := os.pending
@@ -204,7 +207,7 @@ func (os *OrderingService) cut(reason string) {
 	os.pendingBytes = 0
 	os.timerArmed = false
 	os.timerEpoch++
-	if os.nw.ordererHints() {
+	if orderer, _ := os.nw.ctl.HintProducers(); orderer {
 		os.updateHint()
 	}
 
@@ -287,7 +290,8 @@ func (os *OrderingService) updateHint() {
 	if raw > 1 {
 		raw = 1
 	}
-	os.hint = os.nw.bp.Smoothing*raw + (1-os.nw.bp.Smoothing)*os.hint
+	smoothing := os.nw.ctl.Backpressure.Smoothing
+	os.hint = smoothing*raw + (1-smoothing)*os.hint
 	os.lastCutAt = now
 	os.lastOrdered = os.orderedCount
 	os.nw.col.RecordHintSample(os.hint)

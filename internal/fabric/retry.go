@@ -139,10 +139,23 @@ func (g giveUpAfter) NextDelay(attempts int, rng *rand.Rand) (time.Duration, boo
 	return g.inner.NextDelay(attempts, rng)
 }
 
-// Validate forwards the inner policy's validation (Config.Validate
-// checks it through the optional Validate interface).
+// Validate checks the wrapper and forwards the inner policy's
+// validation.
 func (g giveUpAfter) Validate() error {
-	if v, ok := g.inner.(interface{ Validate() error }); ok {
+	switch {
+	case g.inner == nil:
+		return fmt.Errorf("fabric: give-up-after wraps no retry policy")
+	case g.n < 1:
+		return fmt.Errorf("fabric: retry cap must be >= 1 submission, got %d", g.n)
+	}
+	return validatePolicy(g.inner)
+}
+
+// validatePolicy runs a policy's Validate if it has one: the interface
+// does not require it, so user-supplied policies need none. Nil (no
+// policy) is valid.
+func validatePolicy(p RetryPolicy) error {
+	if v, ok := p.(interface{ Validate() error }); ok {
 		return v.Validate()
 	}
 	return nil

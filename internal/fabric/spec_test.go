@@ -133,7 +133,9 @@ func floatsFinite(v reflect.Value, path string) string {
 // FuzzSpecs feeds one string to every CLI spec parser. None may panic,
 // none may return both a value and an error, and whatever one accepts
 // must pass its own Validate with every float finite — the contract
-// that lets the CLI hand a parsed spec straight to NewNetwork.
+// that lets the CLI hand a parsed spec straight to NewNetwork. The
+// accepted control values are also assembled into one Control, whose
+// Validate may reject the combination but must not panic on it.
 func FuzzSpecs(f *testing.F) {
 	for _, seed := range []string{
 		"", "off", "on", "default", "ON",
@@ -159,6 +161,14 @@ func FuzzSpecs(f *testing.F) {
 		"faults":       func(s string) (any, error) { return ParseFaults(s) },
 	}
 	f.Fuzz(func(t *testing.T, s string) {
+		var ctl Control
+		ctl.RetryBudget, _ = ParseRetryBudget(s)
+		ctl.Backpressure, _ = ParseBackpressure(s)
+		ctl.Gossip, _ = ParseGossip(s)
+		ctl.HintSource, _ = ParseHintSource(s)
+		ctl.SplitSignal, _ = ParseSplitSignal(s)
+		_ = ctl.Validate() // error or nil, never a panic
+
 		for name, parse := range parsers {
 			got, err := parse(s)
 			v := reflect.ValueOf(got)

@@ -213,7 +213,7 @@ func insertOnlyCongestedConfig(seed int64, src HintSource) Config {
 func TestSplitSeparatesConflictFromCongestion(t *testing.T) {
 	for _, src := range []HintSource{HintOrderer, HintGossip, HintBoth} {
 		src := src
-		t.Run("contention/"+string(src.resolve()), func(t *testing.T) {
+		t.Run("contention/"+string(src), func(t *testing.T) {
 			cfg := splitStackConfig(31, src)
 			_, rep := run(t, cfg)
 			if rep.ConflictEstMax < 0.2 {
@@ -223,7 +223,7 @@ func TestSplitSeparatesConflictFromCongestion(t *testing.T) {
 				t.Errorf("congestion estimate max %g with an idle orderer, want ~0", rep.CongestEstMax)
 			}
 		})
-		t.Run("congestion/"+string(src.resolve()), func(t *testing.T) {
+		t.Run("congestion/"+string(src), func(t *testing.T) {
 			cfg := insertOnlyCongestedConfig(32, src)
 			_, rep := run(t, cfg)
 			if rep.CongestEstMax < 0.2 {
