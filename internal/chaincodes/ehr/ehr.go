@@ -51,11 +51,37 @@ func New() *Chaincode { return &Chaincode{} }
 // Name implements chaincode.Chaincode.
 func (c *Chaincode) Name() string { return Name }
 
+// keyTable is one entity's key space: the keys of the seeded patients
+// formatted once — an invocation looks each key up once per read and
+// once per write, and every workload draws patients below Patients —
+// and the format itself for any other patient.
+type keyTable struct {
+	format string
+	keys   [Patients]string
+}
+
+func newKeyTable(format string) *keyTable {
+	t := &keyTable{format: format}
+	for p := range t.keys {
+		t.keys[p] = fmt.Sprintf(format, p)
+	}
+	return t
+}
+
+func (t *keyTable) key(patient int) string {
+	if uint(patient) < Patients {
+		return t.keys[patient]
+	}
+	return fmt.Sprintf(t.format, patient)
+}
+
+var profileKeys, recordKeys = newKeyTable("profile_%03d"), newKeyTable("ehr_%03d")
+
 // ProfileKey is the world-state key of a patient's profile.
-func ProfileKey(patient int) string { return fmt.Sprintf("profile_%03d", patient) }
+func ProfileKey(patient int) string { return profileKeys.key(patient) }
 
 // RecordKey is the world-state key of a patient's EHR.
-func RecordKey(patient int) string { return fmt.Sprintf("ehr_%03d", patient) }
+func RecordKey(patient int) string { return recordKeys.key(patient) }
 
 func actorName(i int) string { return fmt.Sprintf("actor%02d", i) }
 

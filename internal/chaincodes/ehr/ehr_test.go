@@ -2,6 +2,7 @@ package ehr
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -19,6 +20,28 @@ func TestInitSeedsAllEntities(t *testing.T) {
 	}
 	if db.Get(ProfileKey(0)) == nil || db.Get(RecordKey(Patients-1)) == nil {
 		t.Fatal("expected profile/ehr keys missing")
+	}
+}
+
+// TestKeysMatchSprintf pins every key byte to the formatted form, inside
+// the precomputed table (all of it), at its edge and outside it, and
+// that a table hit allocates nothing.
+func TestKeysMatchSprintf(t *testing.T) {
+	patients := []int{-1, Patients, 1000}
+	for p := 0; p < Patients; p++ {
+		patients = append(patients, p)
+	}
+	for _, p := range patients {
+		if got, want := ProfileKey(p), fmt.Sprintf("profile_%03d", p); got != want {
+			t.Errorf("ProfileKey(%d) = %q, want %q", p, got, want)
+		}
+		if got, want := RecordKey(p), fmt.Sprintf("ehr_%03d", p); got != want {
+			t.Errorf("RecordKey(%d) = %q, want %q", p, got, want)
+		}
+	}
+	var profile, record string
+	if n := testing.AllocsPerRun(100, func() { profile, record = ProfileKey(42), RecordKey(99) }); n != 0 {
+		t.Errorf("table keys %q and %q cost %v allocations", profile, record, n)
 	}
 }
 

@@ -168,13 +168,16 @@ func ClampEstimate(e float64) float64 {
 }
 
 // DecayEstimate ages a congestion estimate by age at the given
-// per-second decay rate: ClampEstimate(e)·exp(−decay·age). Non-positive
-// (or non-finite) decay rates and non-positive ages leave the clamped
-// estimate unchanged, so the result is always in [0,1] and never
-// exceeds the undecayed value.
+// per-second decay rate: ClampEstimate(e)·exp(−decay·age). A
+// non-positive age and a non-positive or NaN rate (−Inf included) leave
+// the clamped estimate unchanged; a +Inf rate is the formula's limit
+// and takes any aged estimate to 0 (Gossip.Validate admits neither into
+// a run). A zero stays zero at any age and rate and skips the
+// exponential. The result is always in [0,1] and never exceeds the
+// undecayed value.
 func DecayEstimate(e float64, age time.Duration, decayPerSec float64) float64 {
 	e = ClampEstimate(e)
-	if age <= 0 || decayPerSec <= 0 || math.IsNaN(decayPerSec) {
+	if e == 0 || age <= 0 || decayPerSec <= 0 || math.IsNaN(decayPerSec) {
 		return e
 	}
 	return ClampEstimate(e * math.Exp(-decayPerSec*age.Seconds()))
@@ -292,14 +295,20 @@ func (r *remoteComponent) decayed(now sim.Time, decayPerSec float64) (float64, t
 // merge folds one received component value (worth value at sentAt)
 // into the view by max-with-decay: adopted iff its decayed value beats
 // the current decayed view — so stale panic cannot displace a fresher,
-// currently stronger alarm — and a zero is never adopted into an empty
-// view.
+// currently stronger alarm — and a zero is never adopted, into an empty
+// view or any other: it decays to zero and no view is worth less, so it
+// is refused before the current view is computed (under the scalar
+// classifier that is every message's congestion component).
 func (r *remoteComponent) merge(value float64, sentAt, now sim.Time, decayPerSec float64) bool {
+	value = ClampEstimate(value)
+	if value == 0 {
+		return false
+	}
 	incoming := DecayEstimate(value, time.Duration(now-sentAt), decayPerSec)
 	if cur, _ := r.decayed(now, decayPerSec); incoming <= cur {
 		return false // an empty view is worth 0
 	}
-	r.value = ClampEstimate(value)
+	r.value = value
 	r.at = sentAt
 	r.has = true
 	return true

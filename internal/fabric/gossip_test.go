@@ -113,11 +113,52 @@ func TestDecayAndMergeMath(t *testing.T) {
 	if got := DecayEstimate(math.NaN(), time.Second, 0.5); got != 0 {
 		t.Errorf("NaN estimate = %g, want 0", got)
 	}
+	// The decay-rate contract at the edges Gossip.Validate keeps out of
+	// runs: NaN and non-positive rates (-Inf included) pass the estimate
+	// through, +Inf is the formula's limit and zeroes anything aged.
+	for _, c := range []struct {
+		rate float64
+		age  time.Duration
+		want float64
+	}{
+		{math.NaN(), time.Second, 0.8},
+		{math.Inf(-1), time.Second, 0.8},
+		{-2, time.Second, 0.8},
+		{math.Inf(1), time.Nanosecond, 0},
+		{math.Inf(1), 0, 0.8},
+		{math.Inf(1), -time.Second, 0.8},
+	} {
+		if got := DecayEstimate(0.8, c.age, c.rate); got != c.want {
+			t.Errorf("decay(0.8, %v, %g) = %g, want %g", c.age, c.rate, got, c.want)
+		}
+	}
+	// A zero stays zero at any age and rate.
+	for _, rate := range []float64{0.5, math.MaxFloat64, math.Inf(1), math.NaN()} {
+		if got := DecayEstimate(0, time.Hour, rate); got != 0 {
+			t.Errorf("decay(0, 1h, %g) = %g, want 0", rate, got)
+		}
+	}
 	if got := MergeEstimates(0.3, 0.7); got != 0.7 {
 		t.Errorf("merge = %g, want 0.7", got)
 	}
 	if got := MergeEstimates(-3, 1.5); got != 1 {
 		t.Errorf("merge of out-of-range inputs = %g, want 1", got)
+	}
+	// A zero incoming component (anything that clamps to zero) never
+	// advances a view and never changes it: empty, live, or decayed all
+	// the way to zero itself.
+	now := sim.Time(time.Hour)
+	for _, view := range []remoteComponent{
+		{},
+		{value: 0.4, at: now - sim.Time(time.Second), has: true},
+		{value: 5e-324, at: 0, has: true}, // worth exactly 0 by now
+	} {
+		for _, zero := range []float64{0, math.Copysign(0, -1), -0.3, math.NaN()} {
+			got := view
+			if got.merge(zero, now, now, 0.5) || got != view {
+				t.Errorf("merging %g into %+v: adopted, or view changed to %+v", zero, view, got)
+			}
+		}
 	}
 }
 
@@ -433,6 +474,82 @@ func TestGossipBothSourceCombinesSignals(t *testing.T) {
 	}
 }
 
+// TestGossipPermPrefixMatchesPerm pins peer sampling to rand.Perm draw
+// for draw: for every mesh size and fanout (clamped to the n-1 other
+// drivers the way the network sizes its scratch) the sampled indices
+// are Perm's head and the rng is left where Perm leaves it — which is
+// what keeps every digest pinned before the sampler existed valid.
+func TestGossipPermPrefixMatchesPerm(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		scratch := make([]int, 9)
+		for n := 2; n <= 260; n++ {
+			for fanout := 1; fanout <= 9; fanout++ {
+				prefix := scratch[:min(fanout, n-1)] // reused dirty, as in a run
+				permPrefix(got, n-1, prefix)
+				if perm := want.Perm(n - 1)[:len(prefix)]; !reflect.DeepEqual(prefix, perm) {
+					t.Fatalf("seed %d n %d fanout %d: sampled %v, Perm's head is %v", seed, n, fanout, prefix, perm)
+				}
+				if g, w := got.Int63(), want.Int63(); g != w {
+					t.Fatalf("seed %d n %d fanout %d: rng diverged after sampling (%d vs %d)", seed, n, fanout, g, w)
+				}
+			}
+		}
+	}
+}
+
+// gossipMesh builds an idle network of n gossiping drivers (nothing
+// started, so the only events are the ones the caller's rounds send) and
+// returns a step that runs one driver's round and delivers its messages.
+func gossipMesh(tb testing.TB, n, fanout int) (nw *Network, round func(i int)) {
+	tb.Helper()
+	cfg := retryConfig(1, ImmediateRetry{MaxAttempts: 3})
+	cfg.Clients = n
+	cfg.Gossip = &Gossip{Fanout: fanout}
+	nw, err := NewNetwork(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, d := range nw.drivers[:n/2] {
+		d.gossip.observe(SignalConflict, false) // half the mesh has something to spread
+	}
+	return nw, func(i int) {
+		nw.drivers[i%n].gossipRound()
+		nw.eng.RunUntil(nw.eng.Now() + sim.Time(time.Second))
+	}
+}
+
+// TestGossipRoundAllocsIndependentOfMesh holds a round to its fanout:
+// one closure per message and nothing that grows with the driver count
+// (the permutation slice did: 8 bytes per driver per round).
+func TestGossipRoundAllocsIndependentOfMesh(t *testing.T) {
+	allocs := func(n int) float64 {
+		nw, round := gossipMesh(t, n, 3)
+		i := 0
+		got := testing.AllocsPerRun(200, func() { round(i); i++ })
+		if rep := nw.col.Report(); rep.GossipMessages != 3*201 || rep.GossipMerges == 0 {
+			t.Fatalf("%d drivers: %d messages, %d merges — rounds did not run", n, rep.GossipMessages, rep.GossipMerges)
+		}
+		return got
+	}
+	small, large := allocs(50), allocs(400)
+	if small != large || small > 3 {
+		t.Errorf("a fanout-3 round allocates %v times on 50 drivers and %v on 400, want equal and <= 3", small, large)
+	}
+}
+
+// BenchmarkGossipRound is one fanout-3 round on a 200-driver mesh, sent
+// and delivered: the per-round host cost the repository benchmark has no
+// metric for.
+func BenchmarkGossipRound(b *testing.B) {
+	_, round := gossipMesh(b, 200, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(i)
+	}
+}
+
 // FuzzGossipMerge drives the merge/decay algebra with adversarial
 // estimates, ages and decay rates: whatever the inputs, a merged
 // estimate stays in [0,1], the max-merge is monotone (never below
@@ -504,6 +621,14 @@ func FuzzGossipMerge(f *testing.F) {
 			}
 			if val > merged {
 				t.Fatalf("adopted component %g grew past its value %g", val, merged)
+			}
+		}
+
+		// A zero component never advances a view and never changes it,
+		// whatever the view holds.
+		for _, zero := range []float64{0, -merged} {
+			if before := rc; rc.merge(zero, now, now, decayCfg) || rc != before {
+				t.Fatalf("zero component %g adopted into %+v (now %+v)", zero, before, rc)
 			}
 		}
 

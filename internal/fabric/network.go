@@ -65,6 +65,11 @@ type Network struct {
 	// cohort of Config.CohortSize clients — in start order. It is also
 	// the gossip mesh.
 	drivers []*ClientDriver
+	// gossipPicks is the peer-sampling scratch every gossip round fills
+	// (one engine goroutine per network, and a round is done with it
+	// before it returns): as long as the fanout clamped to the other
+	// drivers, so a round allocates nothing that grows with the mesh.
+	gossipPicks []int
 	// driversByName resolves a transaction's ClientID to its driver
 	// for commit-event delivery.
 	driversByName map[string]*ClientDriver
@@ -190,6 +195,10 @@ func NewNetwork(cfg Config) (*Network, error) {
 		d := newDriver(nw, len(nw.drivers), first, min(size, cfg.Clients-first))
 		nw.drivers = append(nw.drivers, d)
 		nw.driversByName[d.name] = d
+	}
+	if g := nw.ctl.Gossip; g != nil {
+		// A fanout at or above the driver count sends to every peer.
+		nw.gossipPicks = make([]int, min(g.Fanout, len(nw.drivers)-1))
 	}
 
 	// Fault schedule last: the topology is known, so scenarios expand
