@@ -17,12 +17,7 @@ import (
 func Commit(db statedb.VersionedDB, stub *chaincode.Stub, block uint64) error {
 	batch := &statedb.UpdateBatch{}
 	for i, w := range stub.RWSet().Writes {
-		h := ledger.Height{BlockNum: block, TxNum: uint64(i)}
-		if w.IsDelete {
-			batch.Delete(w.Key, h)
-		} else {
-			batch.Put(w.Key, w.Value, h)
-		}
+		batch.Add(w, ledger.Height{BlockNum: block, TxNum: uint64(i)})
 	}
 	return db.ApplyUpdates(batch, block)
 }

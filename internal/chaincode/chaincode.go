@@ -14,6 +14,10 @@
 //   - GetQueryResult (rich query, CouchDB only) records nothing that
 //     validation checks — Fabric provides no phantom detection for
 //     rich queries (Table 2 footnote, §5.1.2).
+//   - GetDoc/PutDoc are GetState/PutState for JSON documents: the
+//     struct a chaincode wrote travels with its bytes to the state entry
+//     and is handed to the next reader, so a document is encoded once per
+//     write and decoded only when its bytes came from somewhere else.
 //
 // Every stub also records an OpTrace so the cost model can price the
 // invocation in virtual time.
@@ -45,21 +49,26 @@ type Chaincode interface {
 // Stub is the world-state access object handed to chaincode
 // invocations. It captures the read/write set and operation trace.
 type Stub struct {
-	db      statedb.VersionedDB
-	rwset   *ledger.RWSet
-	trace   costmodel.OpTrace
-	readKey map[string]bool // keys already in the read set
-	writes  map[string]int  // key -> index into rwset.Writes
+	db    statedb.VersionedDB
+	rwset *ledger.RWSet
+	trace costmodel.OpTrace
+	// readKey (keys already in the read set) and writes (key -> index
+	// into rwset.Writes) exist only once the set they index has outgrown
+	// scanLimit; until then a look-up scans the set itself.
+	readKey map[string]bool
+	writes  map[string]int
 }
+
+// scanLimit is the longest read or write set a Stub searches by
+// scanning. No function of the four use-case chaincodes or of the
+// benchmark's genChain contracts reads or writes more than three keys,
+// so an invocation allocates neither map; the Init of every one of them
+// writes hundreds of keys and indexes them.
+const scanLimit = 8
 
 // NewStub creates a stub executing against db.
 func NewStub(db statedb.VersionedDB) *Stub {
-	return &Stub{
-		db:      db,
-		rwset:   &ledger.RWSet{},
-		readKey: map[string]bool{},
-		writes:  map[string]int{},
-	}
+	return &Stub{db: db, rwset: &ledger.RWSet{}}
 }
 
 // RWSet returns the captured read/write set.
@@ -71,32 +80,65 @@ func (s *Stub) Trace() costmodel.OpTrace { return s.trace }
 // GetState returns the committed value of key, or nil when absent.
 // The observed version is appended to the read set once per key.
 func (s *Stub) GetState(key string) ([]byte, error) {
+	vv, err := s.read(key)
+	if vv == nil {
+		return nil, err
+	}
+	return vv.Value, nil
+}
+
+// read is the one point read: it counts the operation, records the
+// observed version once per key and returns the stored value (shared,
+// read-only), nil when the key is absent.
+func (s *Stub) read(key string) (*statedb.VersionedValue, error) {
 	if key == "" {
 		return nil, errors.New("chaincode: empty key")
 	}
 	s.trace.Gets++
 	vv := s.db.Get(key)
-	if !s.readKey[key] {
-		s.readKey[key] = true
+	if !s.hasRead(key) {
 		r := ledger.KVRead{Key: key}
 		if vv != nil {
 			r.Version = vv.Version
 		}
 		s.rwset.Reads = append(s.rwset.Reads, r)
+		if s.readKey != nil {
+			s.readKey[key] = true
+		}
 	}
-	if vv == nil {
-		return nil, nil
+	return vv, nil
+}
+
+func (s *Stub) hasRead(key string) bool {
+	reads := s.rwset.Reads
+	if len(reads) <= scanLimit {
+		for i := range reads {
+			if reads[i].Key == key {
+				return true
+			}
+		}
+		return false
 	}
-	return vv.Value, nil
+	if s.readKey == nil {
+		s.readKey = make(map[string]bool, 2*len(reads))
+		for i := range reads {
+			s.readKey[reads[i].Key] = true
+		}
+	}
+	return s.readKey[key]
 }
 
 // PutState buffers a write of value under key.
 func (s *Stub) PutState(key string, value []byte) error {
-	if key == "" {
+	return s.put(ledger.KVWrite{Key: key, Value: value})
+}
+
+func (s *Stub) put(w ledger.KVWrite) error {
+	if w.Key == "" {
 		return errors.New("chaincode: empty key")
 	}
 	s.trace.Puts++
-	s.bufferWrite(ledger.KVWrite{Key: key, Value: value})
+	s.bufferWrite(w)
 	return nil
 }
 
@@ -111,12 +153,38 @@ func (s *Stub) DelState(key string) error {
 }
 
 func (s *Stub) bufferWrite(w ledger.KVWrite) {
-	if i, ok := s.writes[w.Key]; ok {
+	if i := s.writeIndex(w.Key); i >= 0 {
 		s.rwset.Writes[i] = w
 		return
 	}
-	s.writes[w.Key] = len(s.rwset.Writes)
+	if s.writes != nil {
+		s.writes[w.Key] = len(s.rwset.Writes)
+	}
 	s.rwset.Writes = append(s.rwset.Writes, w)
+}
+
+// writeIndex returns the position of key's buffered write, -1 without
+// one.
+func (s *Stub) writeIndex(key string) int {
+	writes := s.rwset.Writes
+	if len(writes) <= scanLimit {
+		for i := range writes {
+			if writes[i].Key == key {
+				return i
+			}
+		}
+		return -1
+	}
+	if s.writes == nil {
+		s.writes = make(map[string]int, 2*len(writes))
+		for i := range writes {
+			s.writes[writes[i].Key] = i
+		}
+	}
+	if i, ok := s.writes[key]; ok {
+		return i
+	}
+	return -1
 }
 
 // GetStateByRange scans [start, end) and records the observed
@@ -157,22 +225,58 @@ func (s *Stub) GetQueryResult(query string) ([]statedb.KV, error) {
 	return kvs, nil
 }
 
-// GetJSON reads key and decodes it into out. An absent key leaves out
-// as it was (upsert semantics: an absent entity starts zeroed) and
-// reports found = false.
-func GetJSON(stub *Stub, key string, out interface{}) (found bool, err error) {
-	raw, err := stub.GetState(key)
-	if err != nil || raw == nil {
-		return false, err
+// GetDoc reads key as a document of type T: one point read, exactly
+// as GetState counts and records it, and nil when the key is absent.
+// The document is the one attached to the stored value when a writer
+// (PutDoc) or an earlier reader left one of this type there; otherwise
+// the bytes are decoded, once, and the result is attached for the next
+// reader. Every replica shares it, so the caller must not change what
+// it points to — CloneDoc returns a copy to change and write back.
+func GetDoc[T any](s *Stub, key string) (*T, error) {
+	vv, err := s.read(key)
+	if vv == nil {
+		return nil, err
 	}
-	return true, json.Unmarshal(raw, out)
+	if doc, ok := vv.Doc.(*T); ok && doc != nil {
+		return doc, nil
+	}
+	doc := new(T)
+	if err := json.Unmarshal(vv.Value, doc); err != nil {
+		return nil, err
+	}
+	vv.Doc = doc
+	return doc, nil
 }
 
-// PutJSON encodes v and buffers it as the write of key.
-func PutJSON(stub *Stub, key string, v interface{}) error {
-	raw, err := json.Marshal(v)
+// CloneDoc is GetDoc for a read-modify-write: it returns a shallow
+// copy of the stored document for the caller to change and PutDoc —
+// the zero document when the key is absent (upsert semantics) — and
+// whether the key was found. What the copy still shares with the
+// stored document (a map, a slice) must itself be copied before it is
+// changed.
+func CloneDoc[T any](s *Stub, key string) (doc *T, found bool, err error) {
+	stored, err := GetDoc[T](s, key)
+	if err != nil {
+		return nil, false, err
+	}
+	doc = new(T)
+	if stored != nil {
+		*doc = *stored
+	}
+	return doc, stored != nil, nil
+}
+
+// PutDoc encodes doc and buffers it as the write of key. The bytes are
+// the write (they are what is hashed, signed and stored); doc rides
+// beside them to the state entry the write becomes, so from here on it
+// is immutable.
+func PutDoc[T any](s *Stub, key string, doc *T) error {
+	if doc == nil {
+		return errors.New("chaincode: nil document")
+	}
+	raw, err := json.Marshal(doc)
 	if err != nil {
 		return err
 	}
-	return stub.PutState(key, raw)
+	return s.put(ledger.KVWrite{Key: key, Value: raw, Doc: doc})
 }

@@ -1,6 +1,7 @@
 package chaincode
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ledger"
@@ -41,15 +42,25 @@ func TestGetStateAbsentKeyRecordsZeroVersion(t *testing.T) {
 	}
 }
 
+// A read set is scanned while it is short and indexed once it outgrows
+// scanLimit; the rows sit on each side of that switch.
 func TestDuplicateReadRecordedOnce(t *testing.T) {
-	s := NewStub(seeded(statedb.LevelDB))
-	s.GetState("k1")
-	s.GetState("k1")
-	if len(s.RWSet().Reads) != 1 {
-		t.Fatalf("duplicate read recorded twice: %+v", s.RWSet().Reads)
-	}
-	if s.Trace().Gets != 2 {
-		t.Fatalf("trace gets = %d, want 2", s.Trace().Gets)
+	for _, keys := range []int{1, scanLimit, scanLimit + 1, 3 * scanLimit} {
+		s := NewStub(seeded(statedb.LevelDB))
+		for round := 0; round < 2; round++ {
+			for k := 0; k < keys; k++ {
+				s.GetState(fmt.Sprintf("k%d", k))
+			}
+		}
+		if len(s.RWSet().Reads) != keys {
+			t.Errorf("%d keys read twice: %d reads recorded: %+v", keys, len(s.RWSet().Reads), s.RWSet().Reads)
+		}
+		if s.Trace().Gets != 2*keys {
+			t.Errorf("%d keys read twice: trace gets = %d, want %d", keys, s.Trace().Gets, 2*keys)
+		}
+		if indexed := s.readKey != nil; indexed != (keys > scanLimit) {
+			t.Errorf("%d keys: read set indexed = %v, scan limit %d", keys, indexed, scanLimit)
+		}
 	}
 }
 
@@ -62,17 +73,44 @@ func TestNoReadYourOwnWrites(t *testing.T) {
 	}
 }
 
+// Like the read set, the write set is scanned up to scanLimit keys and
+// indexed beyond it.
 func TestLastWriteWins(t *testing.T) {
-	s := NewStub(seeded(statedb.LevelDB))
-	s.PutState("k9", []byte("a"))
-	s.PutState("k9", []byte("b"))
-	s.DelState("k9")
-	rw := s.RWSet()
-	if len(rw.Writes) != 1 || !rw.Writes[0].IsDelete {
-		t.Fatalf("writes = %+v", rw.Writes)
+	for _, keys := range []int{1, scanLimit, scanLimit + 1, 3 * scanLimit} {
+		s := NewStub(seeded(statedb.LevelDB))
+		for k := 0; k < keys; k++ {
+			s.PutState(fmt.Sprintf("k%d", k), []byte("a"))
+		}
+		for k := 0; k < keys; k++ {
+			s.PutState(fmt.Sprintf("k%d", k), []byte("b"))
+			s.DelState(fmt.Sprintf("k%d", k))
+		}
+		rw := s.RWSet()
+		if len(rw.Writes) != keys {
+			t.Fatalf("%d keys: writes = %+v", keys, rw.Writes)
+		}
+		for k, w := range rw.Writes {
+			if w.Key != fmt.Sprintf("k%d", k) || !w.IsDelete {
+				t.Errorf("%d keys: write %d = %+v, want the deletion of k%d", keys, k, w, k)
+			}
+		}
+		if s.Trace().Puts != 2*keys || s.Trace().Deletes != keys {
+			t.Errorf("%d keys: trace = %+v", keys, s.Trace())
+		}
+		if indexed := s.writes != nil; indexed != (keys > scanLimit) {
+			t.Errorf("%d keys: write set indexed = %v, scan limit %d", keys, indexed, scanLimit)
+		}
 	}
-	if s.Trace().Puts != 2 || s.Trace().Deletes != 1 {
-		t.Fatalf("trace = %+v", s.Trace())
+}
+
+func TestNewStubAllocatesNoMaps(t *testing.T) {
+	db := seeded(statedb.LevelDB)
+	// The stub and its rwset.
+	if n := testing.AllocsPerRun(100, func() { NewStub(db) }); n > 2 {
+		t.Errorf("NewStub allocates %.0f objects, want at most 2", n)
+	}
+	if s := NewStub(db); s.readKey != nil || s.writes != nil {
+		t.Error("NewStub built a look-up map up front")
 	}
 }
 
@@ -139,27 +177,128 @@ func TestRichQueryFailsOnLevelDB(t *testing.T) {
 	}
 }
 
-func TestGetPutJSON(t *testing.T) {
-	type doc struct{ N int }
+type numDoc struct{ N int }
+
+func TestGetPutDoc(t *testing.T) {
 	s := NewStub(seeded(statedb.LevelDB))
-	d := doc{N: 7}
-	if found, err := GetJSON(s, "absent", &d); found || err != nil || d.N != 7 {
-		t.Fatalf("absent key: found=%v err=%v out=%+v, want out untouched", found, err, d)
+	if d, err := GetDoc[numDoc](s, "absent"); d != nil || err != nil {
+		t.Fatalf("absent key: %+v, %v; want nil, nil", d, err)
 	}
-	if found, err := GetJSON(s, "k2", &d); !found || err != nil || d.N != 2 {
-		t.Fatalf("present key: found=%v err=%v out=%+v", found, err, d)
+	if r := s.RWSet().Reads; len(r) != 1 || r[0] != (ledger.KVRead{Key: "absent"}) {
+		t.Fatalf("absent key read set = %+v, want one zero-version read", r)
 	}
-	if err := PutJSON(s, "k9", &doc{N: 9}); err != nil {
+	if c, found, err := CloneDoc[numDoc](s, "absent"); c == nil || *c != (numDoc{}) || found || err != nil {
+		t.Fatalf("CloneDoc of an absent key: %+v, %v, %v; want the zero document", c, found, err)
+	}
+	d, err := GetDoc[numDoc](s, "k2")
+	if err != nil || d == nil || d.N != 2 {
+		t.Fatalf("present key: %+v, %v", d, err)
+	}
+	c, found, err := CloneDoc[numDoc](s, "k2")
+	if err != nil || !found || c == d || *c != *d {
+		t.Fatalf("CloneDoc: %+v (stored %p, copy %p), %v, %v", c, d, c, found, err)
+	}
+	nine := &numDoc{N: 9}
+	if err := PutDoc(s, "k9", nine); err != nil {
 		t.Fatal(err)
 	}
 	rw := s.RWSet()
-	if len(rw.Reads) != 2 || len(rw.Writes) != 1 || string(rw.Writes[0].Value) != `{"N":9}` {
+	if len(rw.Reads) != 2 || len(rw.Writes) != 1 || string(rw.Writes[0].Value) != `{"N":9}` || rw.Writes[0].Doc != any(nine) {
 		t.Fatalf("rwset = %+v", rw)
 	}
-	if _, err := GetJSON(s, "", &d); err == nil {
-		t.Fatal("empty key accepted")
+	if _, err := GetDoc[numDoc](s, ""); err == nil {
+		t.Error("GetDoc accepted an empty key")
 	}
-	if err := PutJSON(s, "k", make(chan int)); err == nil {
-		t.Fatal("unencodable value accepted")
+	if err := PutDoc(s, "", nine); err == nil {
+		t.Error("PutDoc accepted an empty key")
+	}
+	ch := make(chan int)
+	if err := PutDoc(s, "k", &ch); err == nil {
+		t.Error("PutDoc accepted an unencodable value")
+	}
+	if err := PutDoc[numDoc](s, "k", nil); err == nil {
+		t.Error("PutDoc accepted a nil document")
+	}
+	if _, err := GetDoc[chan int](s, "k1"); err == nil {
+		t.Error("GetDoc decoded an object into a channel")
+	}
+}
+
+// The document a reader decoded, or a writer wrote, is on the entry
+// every clone shares: the next reader gets that pointer and decodes
+// nothing.
+func TestGetDocSharedWithClonesDecodesOnce(t *testing.T) {
+	db := seeded(statedb.CouchDB)
+	first, err := GetDoc[numDoc](NewStub(db), "k1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := db.Clone(7)
+	if again, _ := GetDoc[numDoc](NewStub(clone), "k1"); again != first {
+		t.Fatalf("clone read %p, original read %p; want one shared document", again, first)
+	}
+	s := NewStub(clone)
+	if n := testing.AllocsPerRun(100, func() { GetDoc[numDoc](s, "k1") }); n != 0 {
+		t.Errorf("GetDoc of an attached document allocates %.0f objects, want 0", n)
+	}
+
+	// A written document rides its write into the batch and on to every
+	// database the batch is applied to.
+	w := NewStub(db)
+	written := &numDoc{N: 4}
+	if err := PutDoc(w, "k4", written); err != nil {
+		t.Fatal(err)
+	}
+	b := &statedb.UpdateBatch{}
+	b.Add(w.RWSet().Writes[0], ledger.Height{BlockNum: 3})
+	db.ApplyUpdates(b, 3)
+	clone.ApplyUpdates(b, 3)
+	for _, replica := range []statedb.VersionedDB{db, clone} {
+		if got, _ := GetDoc[numDoc](NewStub(replica), "k4"); got != written {
+			t.Errorf("read %p after commit, want the written document %p", got, written)
+		}
+	}
+}
+
+// A document of another type on the entry is a cache miss, not a
+// panic: the bytes are decoded and the result replaces it.
+func TestGetDocForeignSidecarFallsBackToBytes(t *testing.T) {
+	type other struct{ N string }
+	db := seeded(statedb.LevelDB)
+	db.Get("k3").Doc = &other{N: "stale"}
+	d, err := GetDoc[numDoc](NewStub(db), "k3")
+	if err != nil || d == nil || d.N != 3 {
+		t.Fatalf("GetDoc over a foreign document = %+v, %v", d, err)
+	}
+	if db.Get("k3").Doc != any(d) {
+		t.Error("the decoded document was not attached")
+	}
+	var typedNil *numDoc
+	db.Get("k3").Doc = typedNil
+	if d, err := GetDoc[numDoc](NewStub(db), "k3"); err != nil || d == nil || d.N != 3 {
+		t.Fatalf("GetDoc over a nil document = %+v, %v", d, err)
+	}
+}
+
+// The document accessors book exactly what GetState/PutState book for
+// the same calls.
+func TestDocAccessorsBookLikeGetPutState(t *testing.T) {
+	raw, doc := NewStub(seeded(statedb.LevelDB)), NewStub(seeded(statedb.LevelDB))
+	for _, k := range []string{"k1", "missing", "k1", "k2"} {
+		raw.GetState(k)
+		GetDoc[numDoc](doc, k)
+	}
+	raw.PutState("k1", []byte(`{"N":5}`))
+	raw.PutState("k1", []byte(`{"N":6}`))
+	PutDoc(doc, "k1", &numDoc{N: 5})
+	PutDoc(doc, "k1", &numDoc{N: 6})
+	if raw.Trace() != doc.Trace() {
+		t.Errorf("trace: GetState/PutState %+v, GetDoc/PutDoc %+v", raw.Trace(), doc.Trace())
+	}
+	if !raw.RWSet().Equal(doc.RWSet()) {
+		t.Errorf("rwset: GetState/PutState %+v, GetDoc/PutDoc %+v", raw.RWSet(), doc.RWSet())
+	}
+	if n := len(doc.RWSet().Reads); n != 3 {
+		t.Errorf("%d reads recorded, want one per key (3)", n)
 	}
 }

@@ -59,7 +59,7 @@ func (c *Chaincode) Name() string { return Name }
 // Init seeds the artworks and right holders.
 func (c *Chaincode) Init(stub *chaincode.Stub) error {
 	for h := 0; h < Holders; h++ {
-		if err := chaincode.PutJSON(stub, HolderKey(h), &holderDoc{IPI: IPI(h)}); err != nil {
+		if err := chaincode.PutDoc(stub, HolderKey(h), &holderDoc{IPI: IPI(h)}); err != nil {
 			return err
 		}
 	}
@@ -70,7 +70,7 @@ func (c *Chaincode) Init(stub *chaincode.Stub) error {
 			Owner:  IPI(a % Holders),
 			Rate:   1 + a%9,
 		}
-		if err := chaincode.PutJSON(stub, ArtKey(a), doc); err != nil {
+		if err := chaincode.PutDoc(stub, ArtKey(a), doc); err != nil {
 			return err
 		}
 	}
@@ -81,25 +81,25 @@ func (c *Chaincode) Init(stub *chaincode.Stub) error {
 func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error {
 	switch fn {
 	case "initLedger": // 2xW
-		if err := chaincode.PutJSON(stub, HolderKey(0), &holderDoc{IPI: IPI(0)}); err != nil {
+		if err := chaincode.PutDoc(stub, HolderKey(0), &holderDoc{IPI: IPI(0)}); err != nil {
 			return err
 		}
-		return chaincode.PutJSON(stub, ArtKey(0), &artworkDoc{ArtID: "0", Format: "dotBC", Owner: IPI(0)})
+		return chaincode.PutDoc(stub, ArtKey(0), &artworkDoc{ArtID: "0", Format: "dotBC", Owner: IPI(0)})
 	case "create": // 1xR, 2xW: register a new artwork for a holder
 		art, holder, err := artHolderArgs(args)
 		if err != nil {
 			return err
 		}
-		var h holderDoc
-		if _, err := chaincode.GetJSON(stub, HolderKey(holder), &h); err != nil {
+		h, _, err := chaincode.CloneDoc[holderDoc](stub, HolderKey(holder))
+		if err != nil {
 			return err
 		}
 		h.IPI = IPI(holder)
 		h.Works++
-		if err := chaincode.PutJSON(stub, HolderKey(holder), &h); err != nil {
+		if err := chaincode.PutDoc(stub, HolderKey(holder), h); err != nil {
 			return err
 		}
-		return chaincode.PutJSON(stub, ArtKey(art), &artworkDoc{
+		return chaincode.PutDoc(stub, ArtKey(art), &artworkDoc{
 			ArtID: fmt.Sprint(art), Format: "dotBC", Owner: IPI(holder), Rate: 1,
 		})
 	case "play": // 2xR, 1xW: bump the play count
@@ -107,16 +107,15 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 		if err != nil {
 			return err
 		}
-		var a artworkDoc
-		if _, err := chaincode.GetJSON(stub, ArtKey(art), &a); err != nil {
+		a, _, err := chaincode.CloneDoc[artworkDoc](stub, ArtKey(art))
+		if err != nil {
 			return err
 		}
-		var h holderDoc
-		if _, err := chaincode.GetJSON(stub, HolderKey(holder), &h); err != nil {
+		if _, err := chaincode.GetDoc[holderDoc](stub, HolderKey(holder)); err != nil {
 			return err
 		}
 		a.Plays++
-		return chaincode.PutJSON(stub, ArtKey(art), &a)
+		return chaincode.PutDoc(stub, ArtKey(art), a)
 	case "queryRghts": // 2xR
 		art, holder, err := artHolderArgs(args)
 		if err != nil {

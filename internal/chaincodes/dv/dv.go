@@ -68,39 +68,39 @@ func (c *Chaincode) Name() string { return Name }
 // Init seeds the electorate, the parties and the open election flag.
 func (c *Chaincode) Init(stub *chaincode.Stub) error {
 	for v := 0; v < Voters; v++ {
-		if err := chaincode.PutJSON(stub, VoterKey(v), &voterDoc{VoterID: fmt.Sprint(v)}); err != nil {
+		if err := chaincode.PutDoc(stub, VoterKey(v), &voterDoc{VoterID: fmt.Sprint(v)}); err != nil {
 			return err
 		}
 	}
 	for p := 0; p < Parties; p++ {
-		if err := chaincode.PutJSON(stub, PartyKey(p), &partyDoc{PartyID: fmt.Sprint(p)}); err != nil {
+		if err := chaincode.PutDoc(stub, PartyKey(p), &partyDoc{PartyID: fmt.Sprint(p)}); err != nil {
 			return err
 		}
 	}
-	return chaincode.PutJSON(stub, electionKey, &electionDoc{Open: true})
+	return chaincode.PutDoc(stub, electionKey, &electionDoc{Open: true})
 }
 
 // Invoke dispatches the functions of Table 2.
 func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error {
 	switch fn {
 	case "initLedger": // 3xW: election flag + one voter + one party
-		if err := chaincode.PutJSON(stub, electionKey, &electionDoc{Open: true}); err != nil {
+		if err := chaincode.PutDoc(stub, electionKey, &electionDoc{Open: true}); err != nil {
 			return err
 		}
-		if err := chaincode.PutJSON(stub, VoterKey(0), &voterDoc{VoterID: "0"}); err != nil {
+		if err := chaincode.PutDoc(stub, VoterKey(0), &voterDoc{VoterID: "0"}); err != nil {
 			return err
 		}
-		return chaincode.PutJSON(stub, PartyKey(0), &partyDoc{PartyID: "0"})
+		return chaincode.PutDoc(stub, PartyKey(0), &partyDoc{PartyID: "0"})
 	case "vote": // 1xR, 2xRR, 2xW
 		if len(args) < 2 {
 			return fmt.Errorf("dv: vote needs voter and party")
 		}
 		voter, party := args[0], args[1]
-		var e electionDoc
-		if _, err := chaincode.GetJSON(stub, electionKey, &e); err != nil {
+		open, err := electionOpen(stub)
+		if err != nil {
 			return err
 		}
-		if !e.Open {
+		if !open {
 			// Election closed: the vote is rejected at the
 			// application level but still produces a (read-only)
 			// transaction.
@@ -129,7 +129,7 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 			return nil // blocked from casting twice
 		}
 		vd.VoterID, vd.Voted, vd.Party = voter, true, party
-		if err := chaincode.PutJSON(stub, "voter_"+voter, &vd); err != nil {
+		if err := chaincode.PutDoc(stub, "voter_"+voter, &vd); err != nil {
 			return err
 		}
 		// The party's current tally comes from the range scan above —
@@ -145,17 +145,16 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 		}
 		pd.PartyID = party
 		pd.Votes++
-		return chaincode.PutJSON(stub, "party_"+party, &pd)
+		return chaincode.PutDoc(stub, "party_"+party, &pd)
 	case "closeElctn": // 1xR, 1xW
-		var e electionDoc
-		if _, err := chaincode.GetJSON(stub, electionKey, &e); err != nil {
+		e, _, err := chaincode.CloneDoc[electionDoc](stub, electionKey)
+		if err != nil {
 			return err
 		}
 		e.Open = false
-		return chaincode.PutJSON(stub, electionKey, &e)
+		return chaincode.PutDoc(stub, electionKey, e)
 	case "qryParties", "seeResults": // 1xR, 1xRR
-		var e electionDoc
-		if _, err := chaincode.GetJSON(stub, electionKey, &e); err != nil {
+		if _, err := electionOpen(stub); err != nil {
 			return err
 		}
 		_, err := stub.GetStateByRange("party_", partyRangeEnd)
@@ -163,6 +162,16 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 	default:
 		return fmt.Errorf("dv: unknown function %q", fn)
 	}
+}
+
+// electionOpen reads the election flag (one point read); an absent
+// flag reads as closed.
+func electionOpen(stub *chaincode.Stub) (bool, error) {
+	e, err := chaincode.GetDoc[electionDoc](stub, electionKey)
+	if e == nil {
+		return false, err
+	}
+	return e.Open, nil
 }
 
 // Functions lists the Table 2 rows for DV.

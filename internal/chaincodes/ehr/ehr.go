@@ -88,18 +88,43 @@ func actorName(i int) string { return fmt.Sprintf("actor%02d", i) }
 // Init seeds the 100 profiles and 100 EHRs.
 func (c *Chaincode) Init(stub *chaincode.Stub) error {
 	for p := 0; p < Patients; p++ {
-		if err := chaincode.PutJSON(stub, ProfileKey(p), &profile{
-			PatientID: fmt.Sprint(p), Access: map[string]bool{},
-		}); err != nil {
-			return err
-		}
-		if err := chaincode.PutJSON(stub, RecordKey(p), &record{
-			PatientID: fmt.Sprint(p), Access: map[string]bool{},
-		}); err != nil {
+		if err := putPair(stub, p); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// putPair (re)creates one patient's profile and EHR.
+func putPair(stub *chaincode.Stub, patient int) error {
+	id := strconv.Itoa(patient)
+	if err := chaincode.PutDoc(stub, ProfileKey(patient), &profile{
+		PatientID: id, Access: map[string]bool{},
+	}); err != nil {
+		return err
+	}
+	return chaincode.PutDoc(stub, RecordKey(patient), &record{
+		PatientID: id, Access: map[string]bool{},
+	})
+}
+
+// withAccess returns access with actor granted or revoked. The map of
+// a stored document is shared with every replica, so a change is made
+// to a copy; a map that already says so is returned as it is.
+func withAccess(access map[string]bool, actor string, grant bool) map[string]bool {
+	if access != nil && access[actor] == grant {
+		return access
+	}
+	out := make(map[string]bool, len(access)+1)
+	for a, ok := range access {
+		out[a] = ok
+	}
+	if grant {
+		out[actor] = true
+	} else {
+		delete(out, actor)
+	}
+	return out
 }
 
 // Invoke dispatches the functions of Table 2.
@@ -110,81 +135,57 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 		if err != nil {
 			return err
 		}
-		if err := chaincode.PutJSON(stub, ProfileKey(patient), &profile{
-			PatientID: fmt.Sprint(patient), Access: map[string]bool{},
-		}); err != nil {
-			return err
-		}
-		return chaincode.PutJSON(stub, RecordKey(patient), &record{
-			PatientID: fmt.Sprint(patient), Access: map[string]bool{},
-		})
+		return putPair(stub, patient)
 	case "addEhr": // 2xR, 2xW
 		patient, err := patientArg(args)
 		if err != nil {
 			return err
 		}
-		var p profile
-		if _, err := chaincode.GetJSON(stub, ProfileKey(patient), &p); err != nil {
+		p, _, err := chaincode.CloneDoc[profile](stub, ProfileKey(patient))
+		if err != nil {
 			return err
 		}
-		var r record
-		if _, err := chaincode.GetJSON(stub, RecordKey(patient), &r); err != nil {
+		r, _, err := chaincode.CloneDoc[record](stub, RecordKey(patient))
+		if err != nil {
 			return err
 		}
 		r.Entries++
 		p.Updates++
-		if err := chaincode.PutJSON(stub, RecordKey(patient), &r); err != nil {
+		if err := chaincode.PutDoc(stub, RecordKey(patient), r); err != nil {
 			return err
 		}
-		return chaincode.PutJSON(stub, ProfileKey(patient), &p)
+		return chaincode.PutDoc(stub, ProfileKey(patient), p)
 	case "grantProfileAccess", "revokeProfileAccess": // 1xR, 1xW
 		patient, actor, err := patientActorArgs(args)
 		if err != nil {
 			return err
 		}
-		var p profile
-		if _, err := chaincode.GetJSON(stub, ProfileKey(patient), &p); err != nil {
+		p, _, err := chaincode.CloneDoc[profile](stub, ProfileKey(patient))
+		if err != nil {
 			return err
 		}
-		if p.Access == nil {
-			p.Access = map[string]bool{}
-		}
-		if fn == "grantProfileAccess" {
-			p.Access[actor] = true
-		} else {
-			delete(p.Access, actor)
-		}
-		return chaincode.PutJSON(stub, ProfileKey(patient), &p)
+		p.Access = withAccess(p.Access, actor, fn == "grantProfileAccess")
+		return chaincode.PutDoc(stub, ProfileKey(patient), p)
 	case "grantEhrAccess", "revokeEhrAccess": // 2xR, 2xW
 		patient, actor, err := patientActorArgs(args)
 		if err != nil {
 			return err
 		}
-		var p profile
-		if _, err := chaincode.GetJSON(stub, ProfileKey(patient), &p); err != nil {
+		p, _, err := chaincode.CloneDoc[profile](stub, ProfileKey(patient))
+		if err != nil {
 			return err
 		}
-		var r record
-		if _, err := chaincode.GetJSON(stub, RecordKey(patient), &r); err != nil {
+		r, _, err := chaincode.CloneDoc[record](stub, RecordKey(patient))
+		if err != nil {
 			return err
 		}
-		if p.Access == nil {
-			p.Access = map[string]bool{}
-		}
-		if r.Access == nil {
-			r.Access = map[string]bool{}
-		}
-		if fn == "grantEhrAccess" {
-			r.Access[actor] = true
-			p.Access[actor] = true
-		} else {
-			delete(r.Access, actor)
-			delete(p.Access, actor)
-		}
-		if err := chaincode.PutJSON(stub, RecordKey(patient), &r); err != nil {
+		grant := fn == "grantEhrAccess"
+		r.Access = withAccess(r.Access, actor, grant)
+		p.Access = withAccess(p.Access, actor, grant)
+		if err := chaincode.PutDoc(stub, RecordKey(patient), r); err != nil {
 			return err
 		}
-		return chaincode.PutJSON(stub, ProfileKey(patient), &p)
+		return chaincode.PutDoc(stub, ProfileKey(patient), p)
 	case "readProfile", "viewPartialProfile": // 1xR
 		patient, err := patientArg(args)
 		if err != nil {
@@ -256,7 +257,7 @@ func NewWorkload(skew float64) workload.Generator {
 	return workload.Func(func(rng *rand.Rand) workload.Invocation {
 		fn := fns[rng.Intn(len(fns))]
 		patient := z.Next(rng)
-		args := []string{fmt.Sprint(patient)}
+		args := []string{strconv.Itoa(patient)}
 		switch fn {
 		case "grantProfileAccess", "revokeProfileAccess", "grantEhrAccess", "revokeEhrAccess":
 			args = append(args, actorName(rng.Intn(Actors)))

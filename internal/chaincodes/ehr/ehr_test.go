@@ -226,3 +226,70 @@ func TestPatientArgParsing(t *testing.T) {
 		}
 	}
 }
+
+// TestCopyOnWrite: a document reachable from the state is shared by
+// every replica and by every earlier state that still indexes its
+// entry, so an invocation must change a copy. Every function runs twice
+// against one evolving state; each earlier state is kept (a clone of
+// the database shares the entries) and must still read exactly as it
+// did when it was current — documents and bytes.
+func TestCopyOnWrite(t *testing.T) {
+	cc := New()
+	db, err := cctest.InitState(cc, statedb.CouchDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type frozen struct {
+		after string
+		db    statedb.VersionedDB
+		docs  map[string]string // key -> its document, encoded when the state was current
+	}
+	var history []frozen
+	block := uint64(0)
+	step := func(fn string, args ...string) {
+		t.Helper()
+		stub, err := cctest.Invoke(cc, db, fn, args...)
+		if err != nil {
+			t.Fatalf("%s%v: %v", fn, args, err)
+		}
+		block++
+		if err := cctest.Commit(db, stub, block); err != nil {
+			t.Fatal(err)
+		}
+		f := frozen{after: fmt.Sprint(fn, args), db: db.Clone(int64(block)), docs: map[string]string{}}
+		for _, kv := range db.GetRange("", "") {
+			doc := db.Get(kv.Key).Doc
+			if doc == nil {
+				t.Fatalf("after %s: %s carries no document", f.after, kv.Key)
+			}
+			raw, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.docs[kv.Key] = string(raw)
+		}
+		history = append(history, f)
+	}
+	// Grants first, so that the revocations below remove something.
+	for _, actor := range []string{"actor01", "actor02", "actor03"} {
+		step("grantEhrAccess", "7", actor)
+	}
+	for _, info := range Functions() {
+		for _, actor := range []string{"actor01", "actor02"} {
+			step(info.Name, "7", actor)
+		}
+	}
+	for _, f := range history {
+		for _, kv := range f.db.GetRange("", "") {
+			vv := f.db.Get(kv.Key)
+			raw, err := json.Marshal(vv.Doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(raw) != f.docs[kv.Key] || string(raw) != string(vv.Value) {
+				t.Errorf("state after %s, key %s: document now encodes to %s; it was %s and the bytes are %s",
+					f.after, kv.Key, raw, f.docs[kv.Key], vv.Value)
+			}
+		}
+	}
+}

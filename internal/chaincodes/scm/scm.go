@@ -88,7 +88,7 @@ func (c *Chaincode) Name() string { return Name }
 func (c *Chaincode) Init(stub *chaincode.Stub) error {
 	for i := 0; i < LSPs; i++ {
 		lsp := LSPName(i)
-		if err := chaincode.PutJSON(stub, LSPKey(i), &lspDoc{LSPID: lsp}); err != nil {
+		if err := chaincode.PutDoc(stub, LSPKey(i), &lspDoc{LSPID: lsp}); err != nil {
 			return err
 		}
 		for u := 0; u < unitsOf(i); u++ {
@@ -98,7 +98,7 @@ func (c *Chaincode) Init(stub *chaincode.Stub) error {
 				LSP:   lsp,
 				Items: 1 + u%5,
 			}
-			if err := chaincode.PutJSON(stub, UnitKey(lsp, u), doc); err != nil {
+			if err := chaincode.PutDoc(stub, UnitKey(lsp, u), doc); err != nil {
 				return err
 			}
 		}
@@ -110,27 +110,26 @@ func (c *Chaincode) Init(stub *chaincode.Stub) error {
 func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error {
 	switch fn {
 	case "initLedger": // 2xW: one provider + one unit
-		if err := chaincode.PutJSON(stub, LSPKey(0), &lspDoc{LSPID: LSPName(0)}); err != nil {
+		if err := chaincode.PutDoc(stub, LSPKey(0), &lspDoc{LSPID: LSPName(0)}); err != nil {
 			return err
 		}
-		return chaincode.PutJSON(stub, UnitKey(LSPName(0), 0), &unitDoc{LSP: LSPName(0), Items: 1})
+		return chaincode.PutDoc(stub, UnitKey(LSPName(0), 0), &unitDoc{LSP: LSPName(0), Items: 1})
 	case "pushASN": // 1xW
 		if len(args) < 3 {
 			return fmt.Errorf("scm: pushASN needs id, from, to")
 		}
-		return chaincode.PutJSON(stub, "asn_"+args[0], &asnDoc{ASNID: args[0], From: args[1], To: args[2]})
+		return chaincode.PutDoc(stub, "asn_"+args[0], &asnDoc{ASNID: args[0], From: args[1], To: args[2]})
 	case "Ship": // 2xR, 2xW: move a unit between providers
 		if len(args) < 3 {
 			return fmt.Errorf("scm: Ship needs unitKey, srcLSP, dstLSP")
 		}
 		unitKey, dst := args[0], args[2]
-		var u unitDoc
-		found, err := chaincode.GetJSON(stub, unitKey, &u)
+		u, found, err := chaincode.CloneDoc[unitDoc](stub, unitKey)
 		if err != nil {
 			return err
 		}
-		var d lspDoc
-		if _, err := chaincode.GetJSON(stub, "lsp_"+dst, &d); err != nil {
+		d, _, err := chaincode.CloneDoc[lspDoc](stub, "lsp_"+dst)
+		if err != nil {
 			return err
 		}
 		if !found {
@@ -138,7 +137,7 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 			// record the attempt on the destination provider only.
 			d.LSPID = dst
 			d.Moves++
-			return chaincode.PutJSON(stub, "lsp_"+dst, &d)
+			return chaincode.PutDoc(stub, "lsp_"+dst, d)
 		}
 		// Delete at the source prefix, insert at the destination
 		// prefix (upon successful shipping the unit is removed from
@@ -148,31 +147,30 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 		}
 		u.LSP = dst
 		newKey := fmt.Sprintf("lu_%s_%s", dst, u.SSCC)
-		return chaincode.PutJSON(stub, newKey, &u)
+		return chaincode.PutDoc(stub, newKey, u)
 	case "Unload": // 2xR, 2xW: extract the embedded trade items
 		if len(args) < 2 {
 			return fmt.Errorf("scm: Unload needs unitKey and lsp")
 		}
 		unitKey, lsp := args[0], args[1]
-		var u unitDoc
-		found, err := chaincode.GetJSON(stub, unitKey, &u)
+		u, found, err := chaincode.CloneDoc[unitDoc](stub, unitKey)
 		if err != nil {
 			return err
 		}
-		var l lspDoc
-		if _, err := chaincode.GetJSON(stub, "lsp_"+lsp, &l); err != nil {
+		l, _, err := chaincode.CloneDoc[lspDoc](stub, "lsp_"+lsp)
+		if err != nil {
 			return err
 		}
 		l.LSPID = lsp
 		l.Moves++
-		if err := chaincode.PutJSON(stub, "lsp_"+lsp, &l); err != nil {
+		if err := chaincode.PutDoc(stub, "lsp_"+lsp, l); err != nil {
 			return err
 		}
 		if !found {
-			return chaincode.PutJSON(stub, unitKey+"_items", &unitDoc{})
+			return chaincode.PutDoc(stub, unitKey+"_items", &unitDoc{})
 		}
 		u.Items = 0
-		return chaincode.PutJSON(stub, unitKey, &u)
+		return chaincode.PutDoc(stub, unitKey, u)
 	case "queryASN": // 1xRR: all units of one provider (400–800 keys)
 		if len(args) < 1 {
 			return fmt.Errorf("scm: queryASN needs lsp")

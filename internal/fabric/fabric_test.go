@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -321,4 +322,20 @@ func TestEndorsementFailuresAppear(t *testing.T) {
 		t.Error("no endorsement policy failures in this window")
 	}
 	t.Logf("report: %v", rep)
+}
+
+// Transaction ids feed the block hash: the hand-built form may not
+// differ from the Sprintf it replaced by one byte, on either side of
+// both pad widths.
+func TestTxIDMatchesSprintf(t *testing.T) {
+	for _, seq := range []uint64{1, 9, 10, 99_999_999, 100_000_000, 1<<64 - 1} {
+		for _, client := range []int{0, 9, 10, 99, 100, 999_999} {
+			if got, want := txID(seq, client), fmt.Sprintf("tx%08d-c%02d", seq, client); got != want {
+				t.Errorf("txID(%d, %d) = %q, want %q", seq, client, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { txID(12345, 7) }); n != 1 {
+		t.Errorf("txID allocates %.0f objects, want 1", n)
+	}
 }

@@ -1,11 +1,13 @@
 package fabric
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/netem"
+	"repro/internal/sim"
 )
 
 // faultConfig is retryConfig (backoff retries, so outcome tracking is
@@ -73,6 +75,111 @@ func TestPeerCrashRecovery(t *testing.T) {
 	}
 	if err := nw.Chain().Verify(); err != nil {
 		t.Errorf("chain verification after crash/replay: %v", err)
+	}
+}
+
+// TestFaultFreeRunReleasesValidatorMemo: a block's validation outcome
+// is needed until the last peer commits the block and by nobody after,
+// so a healthy run ends with every channel's memo empty — however many
+// blocks it validated.
+func TestFaultFreeRunReleasesValidatorMemo(t *testing.T) {
+	cfg := testConfig(6)
+	cfg.Channels = 3
+	cfg.CrossChannel = 0.1
+	nw, rep := run(t, cfg)
+	if rep.Blocks < 10 {
+		t.Fatalf("only %d blocks committed", rep.Blocks)
+	}
+	for ch, v := range nw.vals {
+		if v.next == 0 {
+			t.Errorf("channel %d validated no block", ch)
+		}
+		if len(v.memo) != 0 {
+			t.Errorf("channel %d: %d of %d validation outcomes still held at drain", ch, len(v.memo), v.next)
+		}
+	}
+}
+
+// TestPeerCrashHoldsValidatorMemoUntilReplay: while a peer is down the
+// memo holds exactly the blocks that peer has not committed — its
+// restart replays them from there — and the replay releases them.
+func TestPeerCrashHoldsValidatorMemoUntilReplay(t *testing.T) {
+	cfg := faultConfig(4, &Faults{
+		Events: []FaultEvent{
+			{Kind: FaultCrashPeer, At: 5 * time.Second, For: 5 * time.Second, Target: 3},
+		},
+		EndorseTimeout: time.Second,
+	})
+	nw, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range nw.drivers {
+		d.start()
+	}
+	nw.eng.RunUntil(sim.Time(9 * time.Second))
+	p, v := nw.peers[3], nw.vals[0]
+	if p.State() != NodeCrashed {
+		t.Fatalf("peer is %v at 9s, want crashed", p.State())
+	}
+	missed := v.next - uint64(p.committedBlocks)
+	if missed < 2 {
+		t.Fatalf("the crashed peer missed %d blocks; the window is too short to test anything", missed)
+	}
+	if uint64(len(v.memo)) != missed {
+		t.Errorf("memo holds %d outcomes, the crashed peer has %d blocks to replay", len(v.memo), missed)
+	}
+	for n := uint64(p.committedBlocks) + 1; n <= v.next; n++ {
+		if v.memo[n] == nil {
+			t.Errorf("block %d, which the crashed peer has not committed, is gone from the memo", n)
+		}
+	}
+	nw.eng.RunUntil(sim.Time(cfg.Duration + cfg.Drain))
+	if p.State() != NodeUp || uint64(p.committedBlocks) != v.next {
+		t.Fatalf("peer ended %v with %d of %d blocks", p.State(), p.committedBlocks, v.next)
+	}
+	if len(v.memo) != 0 {
+		t.Errorf("%d outcomes still held after the replay", len(v.memo))
+	}
+}
+
+// snapshotLag is Fabric 1.4 endorsing against block snapshots: every
+// replica applies a block's batch when the next block commits.
+type snapshotLag struct{ Vanilla }
+
+func (snapshotLag) EndorseSnapshotLag() bool { return true }
+
+// TestFaultFreeSnapshotLagKeepsLastBatch: with the memo released at the
+// last commit, the batch a lagging replica has yet to apply is kept
+// alive by the peer alone. The replicas still converge: each ends one
+// block behind the validator's and level with it once that last batch
+// is applied.
+func TestFaultFreeSnapshotLagKeepsLastBatch(t *testing.T) {
+	cfg := testConfig(8)
+	cfg.Variant = snapshotLag{}
+	nw, rep := run(t, cfg)
+	v := nw.vals[0]
+	if rep.Blocks < 10 || len(v.memo) != 0 {
+		t.Fatalf("%d blocks committed, %d outcomes still held", rep.Blocks, len(v.memo))
+	}
+	want := v.db.GetRange("", "")
+	for _, p := range nw.peers {
+		if p.lagBatch == nil || p.lagHeight != v.next || p.DB().Savepoint() != v.next-1 {
+			t.Fatalf("peer %s: lag batch %v for block %d, replica at %d; want block %d pending on a replica at %d",
+				p.name, p.lagBatch, p.lagHeight, p.DB().Savepoint(), v.next, v.next-1)
+		}
+		if err := p.DB().ApplyUpdates(p.lagBatch, p.lagHeight); err != nil {
+			t.Fatal(err)
+		}
+		got := p.DB().GetRange("", "")
+		if len(got) != len(want) {
+			t.Fatalf("peer %s holds %d keys, the validator %d", p.name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Key != want[i].Key || got[i].Version != want[i].Version || !bytes.Equal(got[i].Value, want[i].Value) {
+				t.Fatalf("peer %s diverges from the validator at %s", p.name, want[i].Key)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/chaincode"
@@ -118,12 +119,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	batch := &statedb.UpdateBatch{}
 	for i, w := range stub.RWSet().Writes {
-		h := ledger.Height{BlockNum: 0, TxNum: uint64(i)}
-		if w.IsDelete {
-			batch.Delete(w.Key, h)
-		} else {
-			batch.Put(w.Key, w.Value, h)
-		}
+		batch.Add(w, ledger.Height{BlockNum: 0, TxNum: uint64(i)})
 	}
 	if err := genesis.ApplyUpdates(batch, 0); err != nil {
 		return nil, err
@@ -333,7 +329,28 @@ func (nw *Network) peerOf(org string, i int) *Peer {
 // nextTxID allocates a unique transaction id.
 func (nw *Network) nextTxID(clientID int) string {
 	nw.txSeq++
-	return fmt.Sprintf("tx%08d-c%02d", nw.txSeq, clientID)
+	return txID(nw.txSeq, clientID)
+}
+
+// txID renders fmt.Sprintf("tx%08d-c%02d", seq, clientID) for a
+// non-negative client index, byte for byte — ids feed the block hash —
+// in the one allocation of the string.
+func txID(seq uint64, clientID int) string {
+	var buf [48]byte // 4 fixed bytes and two numbers of at most 20 digits
+	b := append(buf[:0], "tx"...)
+	b = appendZeroPadded(b, seq, 1e7)
+	b = append(b, "-c"...)
+	b = appendZeroPadded(b, uint64(clientID), 10)
+	return string(b)
+}
+
+// appendZeroPadded appends v in decimal, left-padded with zeros to the
+// width of lim, a power of ten.
+func appendZeroPadded(b []byte, v, lim uint64) []byte {
+	for ; lim > 1 && v < lim; lim /= 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendUint(b, v, 10)
 }
 
 // Run executes the experiment: clients send for cfg.Duration, then the

@@ -214,6 +214,7 @@ func (p *Peer) commit(b *ledger.Block, res *valResult) {
 	} else {
 		p.dbs[b.Channel].ApplyUpdates(res.batch, b.Number)
 	}
+	p.nw.vals[b.Channel].committed(b.Number)
 	p.committedBlocks++
 	if p.state == NodeRestarting {
 		p.catchup--
@@ -275,8 +276,9 @@ func (p *Peer) crash() {
 
 // restart implements lifecycleNode: the process comes back with its
 // replica intact (state databases are durable) and replays the block
-// suffix it missed through the normal commit path — validation
-// results are memoized network-wide, so the replay is deterministic.
+// suffix it missed through the normal commit path — the validator
+// keeps a block's outcome until every peer has committed it, so the
+// replay is deterministic.
 // With missed blocks the peer passes through NodeRestarting until the
 // replay commits; with none it is NodeUp immediately.
 func (p *Peer) restart() {

@@ -19,14 +19,20 @@ type validator struct {
 	nw   *Network
 	db   statedb.VersionedDB
 	next uint64
+	// memo holds the outcome of every block some peer has yet to commit.
 	memo map[uint64]*valResult
 }
 
-// valResult is one block's cached outcome.
+// valResult is one block's cached outcome. It lives until the last
+// peer commits the block: the batch holds the block's state entries,
+// which the replicas index from then on.
 type valResult struct {
 	codes        []ledger.ValidationCode
 	batch        *statedb.UpdateBatch
 	validateCost time.Duration // VSCC+MVCC+phantom cost, pre-jitter
+	// pending counts the peers that have not committed the block. A
+	// crashed peer holds its count until its restart replays the block.
+	pending int
 }
 
 func newValidator(nw *Network, db statedb.VersionedDB) *validator {
@@ -43,9 +49,19 @@ func (v *validator) result(b *ledger.Block) *valResult {
 		panic(fmt.Sprintf("fabric: block %d validated out of order (next %d)", b.Number, v.next+1))
 	}
 	r := v.validate(b)
+	r.pending = len(v.nw.peers)
 	v.memo[b.Number] = r
 	v.next = b.Number
 	return r
+}
+
+// committed records that one more peer has applied block num's batch
+// and forgets the outcome after the last of them.
+func (v *validator) committed(num uint64) {
+	r := v.memo[num]
+	if r.pending--; r.pending == 0 {
+		delete(v.memo, num)
+	}
 }
 
 // validate runs the validation phase (§2 step 6) for every transaction
@@ -82,12 +98,11 @@ func (v *validator) validate(b *ledger.Block) *valResult {
 		if code == ledger.Valid {
 			h := ledger.Height{BlockNum: b.Number, TxNum: uint64(i)}
 			for _, w := range tx.RWSet.Writes {
+				res.batch.Add(w, h)
 				if w.IsDelete {
-					res.batch.Delete(w.Key, h)
 					overlayDel[w.Key] = true
 					delete(overlay, w.Key)
 				} else {
-					res.batch.Put(w.Key, w.Value, h)
 					overlay[w.Key] = h
 					delete(overlayDel, w.Key)
 				}
@@ -95,6 +110,15 @@ func (v *validator) validate(b *ledger.Block) *valResult {
 		}
 		for _, w := range tx.RWSet.Writes {
 			attempted[w.Key] = true
+		}
+		// The batch now owns the documents of the valid writes and nothing
+		// will read the others: the chain keeps every transaction, so it
+		// must not keep a decoded document alive.
+		tx.RWSet.DropDocs()
+		for _, e := range tx.Endorsements {
+			if e.RWSet != tx.RWSet {
+				e.RWSet.DropDocs()
+			}
 		}
 	}
 	if err := v.db.ApplyUpdates(res.batch, b.Number); err != nil {

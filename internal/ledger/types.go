@@ -57,6 +57,13 @@ type KVWrite struct {
 	Key      string
 	Value    []byte
 	IsDelete bool
+	// Doc is the value the chaincode encoded into Value (a pointer to
+	// its document struct), carried from the simulation to the state
+	// entry the write becomes so the next reader need not decode Value
+	// again. It is a cache of Value and nothing else: Digest ignores it,
+	// nobody may change what it points to, and validation clears it
+	// (DropDocs), so no write on a chain holds one.
+	Doc any
 }
 
 // RangeQueryInfo records one range scan executed during endorsement:
@@ -95,6 +102,15 @@ func (rw *RWSet) StripRangeReads() {
 			rq.Reads = nil
 			rq.Stripped = true
 		}
+	}
+}
+
+// DropDocs clears the decoded documents riding on the writes. The
+// validator calls it once a block's update batch is built: from there
+// on the state entries own the documents.
+func (rw *RWSet) DropDocs() {
+	for i := range rw.Writes {
+		rw.Writes[i].Doc = nil
 	}
 }
 

@@ -100,6 +100,22 @@ func TestDigestDeterministic(t *testing.T) {
 	}
 }
 
+// The document riding on a write is a cache of its bytes: it takes no
+// part in the digest or in rwset equality, and DropDocs removes every
+// one without touching what is hashed.
+func TestDocIsNotPartOfTheRWSet(t *testing.T) {
+	type doc struct{ N int }
+	bare := &RWSet{Writes: []KVWrite{{Key: "a", Value: []byte(`{"N":1}`)}, {Key: "b", IsDelete: true}}}
+	carrying := &RWSet{Writes: []KVWrite{{Key: "a", Value: []byte(`{"N":1}`), Doc: &doc{N: 1}}, {Key: "b", IsDelete: true}}}
+	if bare.Digest() != carrying.Digest() || !bare.Equal(carrying) {
+		t.Error("a carried document changed the digest")
+	}
+	carrying.DropDocs()
+	if carrying.Writes[0].Doc != nil || bare.Digest() != carrying.Digest() || string(carrying.Writes[0].Value) != `{"N":1}` {
+		t.Errorf("after DropDocs: %+v", carrying.Writes)
+	}
+}
+
 func TestValidationCodeStrings(t *testing.T) {
 	cases := map[ValidationCode]string{
 		Valid:                    "VALID",

@@ -48,6 +48,12 @@ func (k Kind) String() string {
 type VersionedValue struct {
 	Value   []byte
 	Version ledger.Height
+	// Doc, when set, is Value decoded: a pointer to the document struct
+	// of the chaincode that wrote or last read the value. Value is the
+	// truth and Doc a cache of it that every replica shares, so whatever
+	// Doc points to is immutable; only a reader that had to decode Value
+	// sets the field (chaincode.GetDoc).
+	Doc any
 }
 
 // KV is one entry returned by range scans and rich queries.
@@ -57,34 +63,49 @@ type KV struct {
 	Version ledger.Height
 }
 
-// Write is one element of an update batch. Each write carries the
-// height of the transaction that produced it, exactly like Fabric's
-// committer.
-type Write struct {
-	Key      string
-	Value    []byte
-	IsDelete bool
-	Version  ledger.Height
+// write is one element of an update batch: the entry the key will
+// hold, nil for a deletion.
+type write struct {
+	key string
+	e   *entry
 }
 
 // UpdateBatch is an ordered set of writes applied atomically at
-// commit.
+// commit. Each write carries the height of the transaction that
+// produced it, exactly like Fabric's committer. The batch builds the
+// entry of a write once and every database it is applied to indexes
+// that same entry, so a batch is read-only once applied.
 type UpdateBatch struct {
-	Writes []Write
+	writes []write
 }
 
 // Put appends a value write to the batch.
 func (b *UpdateBatch) Put(key string, value []byte, v ledger.Height) {
-	b.Writes = append(b.Writes, Write{Key: key, Value: value, Version: v})
+	b.put(key, VersionedValue{Value: value, Version: v})
 }
 
-// Delete appends a deletion to the batch.
-func (b *UpdateBatch) Delete(key string, v ledger.Height) {
-	b.Writes = append(b.Writes, Write{Key: key, IsDelete: true, Version: v})
+// Delete appends a deletion to the batch. A deleted key stores nothing,
+// so the version of the deleting transaction is not kept.
+func (b *UpdateBatch) Delete(key string, _ ledger.Height) {
+	b.writes = append(b.writes, write{key: key})
+}
+
+// Add appends one write of a transaction's write set at version v: a
+// deletion, or a value together with the document it carries, if any.
+func (b *UpdateBatch) Add(w ledger.KVWrite, v ledger.Height) {
+	if w.IsDelete {
+		b.Delete(w.Key, v)
+		return
+	}
+	b.put(w.Key, VersionedValue{Value: w.Value, Version: v, Doc: w.Doc})
+}
+
+func (b *UpdateBatch) put(key string, vv VersionedValue) {
+	b.writes = append(b.writes, write{key: key, e: &entry{VersionedValue: vv}})
 }
 
 // Len reports the number of writes in the batch.
-func (b *UpdateBatch) Len() int { return len(b.Writes) }
+func (b *UpdateBatch) Len() int { return len(b.writes) }
 
 // VersionedDB is the world-state interface.
 type VersionedDB interface {
@@ -109,32 +130,40 @@ type VersionedDB interface {
 	// Clone returns an independent copy of the database, used to fan
 	// the genesis state out to every peer replica. The index is copied;
 	// the entries are shared (a write replaces an entry, never changes
-	// one).
+	// one), as they are between all databases one batch is applied to.
 	Clone(seed int64) VersionedDB
 }
 
 // entry is one stored version of a key. A write replaces the entry
-// wholesale, so an entry is immutable apart from the memo below and
-// clones can share it by pointer.
+// wholesale, so an entry is immutable apart from its two caches of
+// Value (Doc and the memo below), and every replica that applied the
+// write's batch, like every clone, shares it by pointer.
 type entry struct {
 	VersionedValue
-	// Memo of Value decoded as a JSON object, filled the first time a
-	// selector looks at this entry. Shared with every clone, so a value
-	// is decoded at most once network-wide, and never in a run without
-	// rich queries.
-	decoded bool
-	isDoc   bool
-	doc     map[string]interface{}
+	// object is the memo of Value decoded as a JSON object, filled the
+	// first time a selector looks at this entry. Shared like the entry, so
+	// a value is decoded for selectors at most once network-wide, and
+	// never in a run without rich queries. Behind a pointer, so that an
+	// entry is 64 bytes with the document beside it.
+	object *jsonObject
 }
 
-// document returns the value as a JSON object; ok is false when the
-// value is not one (CouchDB would hold it as an attachment).
+// jsonObject is a value as a selector sees it; isObject is false when
+// the value is not a JSON object (CouchDB would hold it as an
+// attachment).
+type jsonObject struct {
+	fields   map[string]interface{}
+	isObject bool
+}
+
+// document returns the value as a JSON object, if it is one.
 func (e *entry) document() (doc map[string]interface{}, ok bool) {
-	if !e.decoded {
-		e.isDoc = json.Unmarshal(e.Value, &e.doc) == nil
-		e.decoded = true
+	if e.object == nil {
+		o := &jsonObject{}
+		o.isObject = json.Unmarshal(e.Value, &o.fields) == nil
+		e.object = o
 	}
-	return e.doc, e.isDoc
+	return e.object.fields, e.object.isObject
 }
 
 // store is the one VersionedDB: an ordered index of entries in a skip
@@ -194,12 +223,12 @@ func (db *store) ExecuteQuery(query string) ([]KV, error) {
 }
 
 func (db *store) ApplyUpdates(batch *UpdateBatch, height uint64) error {
-	for _, w := range batch.Writes {
-		if w.IsDelete {
-			db.index.Delete(w.Key)
+	for _, w := range batch.writes {
+		if w.e == nil {
+			db.index.Delete(w.key)
 			continue
 		}
-		db.index.Put(w.Key, &entry{VersionedValue: VersionedValue{Value: w.Value, Version: w.Version}})
+		db.index.Put(w.key, w.e)
 	}
 	db.savepoint = height
 	return nil

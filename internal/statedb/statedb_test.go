@@ -196,12 +196,13 @@ func queryKeys(t *testing.T, db VersionedDB, query string) string {
 }
 
 // commit applies writes as block height, stamping each with that height.
-func commit(t *testing.T, db VersionedDB, height uint64, writes ...Write) {
+func commit(t *testing.T, db VersionedDB, height uint64, writes ...ledger.KVWrite) {
 	t.Helper()
-	for i := range writes {
-		writes[i].Version = ledger.Height{BlockNum: height, TxNum: uint64(i)}
+	batch := &UpdateBatch{}
+	for i, w := range writes {
+		batch.Add(w, ledger.Height{BlockNum: height, TxNum: uint64(i)})
 	}
-	if err := db.ApplyUpdates(&UpdateBatch{Writes: writes}, height); err != nil {
+	if err := db.ApplyUpdates(batch, height); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -236,7 +237,7 @@ func TestNoAllocOnGetNoDecodeOnApply(t *testing.T) {
 func TestCloneIsolationUnderSharedMemo(t *testing.T) {
 	const alice, bob = `{"owner":"alice"}`, `{"owner":"bob"}`
 	a := New(CouchDB, 1)
-	commit(t, a, 1, Write{Key: "k", Value: []byte(alice)}, Write{Key: "other", Value: []byte(alice)})
+	commit(t, a, 1, ledger.KVWrite{Key: "k", Value: []byte(alice)}, ledger.KVWrite{Key: "other", Value: []byte(alice)})
 	b := a.Clone(2)
 	const both = `k={"owner":"alice"};other={"owner":"alice"};`
 
@@ -248,7 +249,7 @@ func TestCloneIsolationUnderSharedMemo(t *testing.T) {
 		t.Fatalf("B reading A's memo: %q", got)
 	}
 
-	commit(t, b, 2, Write{Key: "k", Value: []byte(bob)})
+	commit(t, b, 2, ledger.KVWrite{Key: "k", Value: []byte(bob)})
 	if got := queryKeys(t, b, bob); got != `k={"owner":"bob"};` {
 		t.Errorf("B after overwrite does not see its new document: %q", got)
 	}
@@ -256,12 +257,12 @@ func TestCloneIsolationUnderSharedMemo(t *testing.T) {
 		t.Errorf("B after overwrite still matches A's memo: %q", got)
 	}
 
-	commit(t, b, 3, Write{Key: "k", Value: []byte(`raw-bytes`)})
+	commit(t, b, 3, ledger.KVWrite{Key: "k", Value: []byte(`raw-bytes`)})
 	if got := queryKeys(t, b, bob) + queryKeys(t, b, alice); got != `other={"owner":"alice"};` {
 		t.Errorf("B after non-JSON overwrite: %q", got)
 	}
 
-	commit(t, b, 4, Write{Key: "k", IsDelete: true})
+	commit(t, b, 4, ledger.KVWrite{Key: "k", IsDelete: true})
 	if got := queryKeys(t, b, alice); got != `other={"owner":"alice"};` {
 		t.Errorf("B after delete: %q", got)
 	}
@@ -399,5 +400,47 @@ func BenchmarkCouchDBRichQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db.ExecuteQuery(`{"owner":"o3"}`)
+	}
+}
+
+// A batch builds each write's entry once: every database it is applied
+// to — not just clones of one of them — hands out that same entry, with
+// the document the write carried.
+func TestBatchEntrySharedByEveryReplica(t *testing.T) {
+	type doc struct{ N int }
+	carried := &doc{N: 1}
+	batch := &UpdateBatch{}
+	batch.Add(ledger.KVWrite{Key: "k", Value: []byte(`{"N":1}`), Doc: carried}, ledger.Height{BlockNum: 1})
+	batch.Add(ledger.KVWrite{Key: "gone", IsDelete: true}, ledger.Height{BlockNum: 1, TxNum: 1})
+	batch.Put("raw", []byte("bytes"), ledger.Height{BlockNum: 1, TxNum: 2})
+	if batch.Len() != 3 {
+		t.Fatalf("batch holds %d writes, want 3", batch.Len())
+	}
+	a, b := New(CouchDB, 1), New(LevelDB, 2)
+	commit(t, a, 0, ledger.KVWrite{Key: "gone", Value: []byte("x")})
+	commit(t, b, 0, ledger.KVWrite{Key: "gone", Value: []byte("x")})
+	for _, db := range []VersionedDB{a, b} {
+		if err := db.ApplyUpdates(batch, 1); err != nil {
+			t.Fatal(err)
+		}
+		if db.Get("gone") != nil || db.Len() != 2 {
+			t.Errorf("%v: deletion not applied, %d keys", db.Kind(), db.Len())
+		}
+	}
+	for _, key := range []string{"k", "raw"} {
+		if a.Get(key) == nil || a.Get(key) != b.Get(key) {
+			t.Errorf("%s: replicas hold %p and %p, want one shared entry", key, a.Get(key), b.Get(key))
+		}
+	}
+	if vv := b.Get("k"); vv.Doc != any(carried) || vv.Version != (ledger.Height{BlockNum: 1}) {
+		t.Errorf("k = %+v, want the carried document at 1:0", vv)
+	}
+	if vv := a.Get("raw"); vv.Doc != nil || string(vv.Value) != "bytes" {
+		t.Errorf("raw = %+v, want bytes without a document", vv)
+	}
+	// Applying allocates nothing per write beyond the index's own nodes:
+	// overwrites only, so none.
+	if n := testing.AllocsPerRun(100, func() { a.ApplyUpdates(batch, 1) }); n != 0 {
+		t.Errorf("re-applying a 3-write batch allocates %.0f objects", n)
 	}
 }
