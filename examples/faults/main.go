@@ -51,7 +51,7 @@ func main() {
 			r.name, r.rep.Goodput, r.rep.FailurePct,
 			r.rep.EndorseTimeouts, r.rep.SubmitTimeouts, r.rep.NodeCrashes,
 			r.rep.NodeDowntime.Round(time.Millisecond),
-			r.rep.RecoveryAvg.Round(time.Millisecond))
+			r.rep.Recovery.Avg().Round(time.Millisecond))
 	}
 
 	fmt.Println("\nThe crash scenario derives two windows from the seed: the ordering")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -288,9 +289,6 @@ func TestRetryGridShape(t *testing.T) {
 	}
 }
 
-// TestResultIsAllFloat64 guards the assumption behind Result.add and
-// Result.scale: they loop over the fields as float64, so a field of
-// any other type must be aggregated some other way first.
 // TestControlApplyReplacesWholeStack: applying a rung replaces the
 // config's whole control plane, so a rung that leaves a subsystem out
 // switches it off whatever rung was applied before — on every ladder,
@@ -328,12 +326,34 @@ func TestControlApplyReplacesWholeStack(t *testing.T) {
 	}
 }
 
+// TestResultIsAllFloat64 guards the assumption behind Result.add and
+// Result.scale: they loop over the fields as float64, so a field of
+// any other type must be aggregated some other way first.
 func TestResultIsAllFloat64(t *testing.T) {
 	rt := reflect.TypeOf(Result{})
 	for i := 0; i < rt.NumField(); i++ {
 		if f := rt.Field(i); f.Type.Kind() != reflect.Float64 {
 			t.Errorf("Result.%s is %v: add/scale only aggregate float64 fields", f.Name, f.Type)
 		}
+	}
+}
+
+// TestResultLayoutIsPinnedByBench: the frozen benchmark module hashes
+// fmt's %+v of a []Result for its sweep-systems digest, and Result has
+// no String method, so its field names and their order are part of
+// bench/expected.json. (metrics.Report is not: it prints through its
+// String method.)
+func TestResultLayoutIsPinnedByBench(t *testing.T) {
+	const want = "{Total:0 Committed:0 FailurePct:0 EndorsementPct:0 IntraPct:0 InterPct:0 MVCCPct:0 " +
+		"PhantomPct:0 AbortedPct:0 LatencySec:0 Throughput:0 Goodput:0 RetryAmp:0 EndToEndSec:0 GaveUpPct:0 " +
+		"BudgetExhausted:0 DeferredRetries:0 MaxDeferred:0 AdaptiveBackSec:0 HintAvg:0 HintFinal:0 Paced:0 " +
+		"PacedSec:0 GossipMsgs:0 GossipMerges:0 GossipEstAvg:0 GossipEstFinal:0 GossipStaleSec:0 " +
+		"ConflictEstAvg:0 ConflictEstFinal:0 CongestEstAvg:0 CongestEstFinal:0 FaultWindows:0 DowntimeSec:0 " +
+		"EndorseTOs:0 SubmitTOs:0 Orphans:0 RecoverySec:0}"
+	if got := fmt.Sprintf("%+v", Result{}); got != want {
+		t.Errorf("Result's %%+v layout changed:\n got %s\nwant %s\n"+
+			"adding, renaming or reordering a Result field moves bench/expected.json's sweep-systems digests: "+
+			"re-pin them in a benchmark-only PR first", got, want)
 	}
 }
 

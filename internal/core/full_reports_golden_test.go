@@ -16,9 +16,10 @@ import (
 // fullReportValues names every numeric value a metrics.Report carries.
 // The names are spelled here, not derived from field names, so a
 // reshape of Report changes only the getters: the golden file must not
-// move. A sampled stream appears as the summary values the report
-// exposes for it (count and sum where it has them, then mean, peak and
-// last sample).
+// move. A sampled stream appears as the summary values Report had
+// fields for when the file was first written, before the streams were
+// Series values (mean, peak and last sample; count and sum for some):
+// the file was generated from that shape and held under the reshape.
 var fullReportValues = []struct {
 	name string
 	get  func(r *metrics.Report) interface{}
@@ -52,38 +53,38 @@ var fullReportValues = []struct {
 	{"budget.exhausted", func(r *metrics.Report) interface{} { return r.BudgetExhausted }},
 	{"budget.deferred", func(r *metrics.Report) interface{} { return r.DeferredRetries }},
 	{"budget.max_deferred_depth", func(r *metrics.Report) interface{} { return r.MaxDeferredDepth }},
-	{"backoff.avg", func(r *metrics.Report) interface{} { return r.AdaptiveBackoffAvg }},
-	{"backoff.max", func(r *metrics.Report) interface{} { return r.AdaptiveBackoffMax }},
-	{"backoff.last", func(r *metrics.Report) interface{} { return r.AdaptiveBackoffFinal }},
-	{"hint.avg", func(r *metrics.Report) interface{} { return r.BackpressureHintAvg }},
-	{"hint.max", func(r *metrics.Report) interface{} { return r.BackpressureHintMax }},
-	{"hint.last", func(r *metrics.Report) interface{} { return r.BackpressureHintFinal }},
+	{"backoff.avg", func(r *metrics.Report) interface{} { return r.Backoff.Avg() }},
+	{"backoff.max", func(r *metrics.Report) interface{} { return r.Backoff.Max }},
+	{"backoff.last", func(r *metrics.Report) interface{} { return r.Backoff.Last }},
+	{"hint.avg", func(r *metrics.Report) interface{} { return r.Hint.Avg() }},
+	{"hint.max", func(r *metrics.Report) interface{} { return r.Hint.Max }},
+	{"hint.last", func(r *metrics.Report) interface{} { return r.Hint.Last }},
 	{"paced_submissions", func(r *metrics.Report) interface{} { return r.PacedSubmissions }},
-	{"paced.sum", func(r *metrics.Report) interface{} { return r.TimePaced }},
-	{"paced.max", func(r *metrics.Report) interface{} { return r.MaxPacedPause }},
+	{"paced.sum", func(r *metrics.Report) interface{} { return r.Paced.Sum }},
+	{"paced.max", func(r *metrics.Report) interface{} { return r.Paced.Max }},
 	{"gossip.messages", func(r *metrics.Report) interface{} { return r.GossipMessages }},
 	{"gossip.merges", func(r *metrics.Report) interface{} { return r.GossipMerges }},
-	{"gossip_estimate.avg", func(r *metrics.Report) interface{} { return r.GossipEstimateAvg }},
-	{"gossip_estimate.max", func(r *metrics.Report) interface{} { return r.GossipEstimateMax }},
-	{"gossip_estimate.last", func(r *metrics.Report) interface{} { return r.GossipEstimateFinal }},
-	{"gossip_staleness.n", func(r *metrics.Report) interface{} { return r.GossipUses }},
-	{"gossip_staleness.avg", func(r *metrics.Report) interface{} { return r.GossipStalenessAvg }},
-	{"gossip_staleness.max", func(r *metrics.Report) interface{} { return r.GossipStalenessMax }},
-	{"conflict_estimate.avg", func(r *metrics.Report) interface{} { return r.ConflictEstAvg }},
-	{"conflict_estimate.max", func(r *metrics.Report) interface{} { return r.ConflictEstMax }},
-	{"conflict_estimate.last", func(r *metrics.Report) interface{} { return r.ConflictEstFinal }},
-	{"congestion_estimate.avg", func(r *metrics.Report) interface{} { return r.CongestEstAvg }},
-	{"congestion_estimate.max", func(r *metrics.Report) interface{} { return r.CongestEstMax }},
-	{"congestion_estimate.last", func(r *metrics.Report) interface{} { return r.CongestEstFinal }},
+	{"gossip_estimate.avg", func(r *metrics.Report) interface{} { return r.GossipEstimate.Avg() }},
+	{"gossip_estimate.max", func(r *metrics.Report) interface{} { return r.GossipEstimate.Max }},
+	{"gossip_estimate.last", func(r *metrics.Report) interface{} { return r.GossipEstimate.Last }},
+	{"gossip_staleness.n", func(r *metrics.Report) interface{} { return r.GossipStaleness.N }},
+	{"gossip_staleness.avg", func(r *metrics.Report) interface{} { return r.GossipStaleness.Avg() }},
+	{"gossip_staleness.max", func(r *metrics.Report) interface{} { return r.GossipStaleness.Max }},
+	{"conflict_estimate.avg", func(r *metrics.Report) interface{} { return r.ConflictEst.Avg() }},
+	{"conflict_estimate.max", func(r *metrics.Report) interface{} { return r.ConflictEst.Max }},
+	{"conflict_estimate.last", func(r *metrics.Report) interface{} { return r.ConflictEst.Last }},
+	{"congestion_estimate.avg", func(r *metrics.Report) interface{} { return r.CongestEst.Avg() }},
+	{"congestion_estimate.max", func(r *metrics.Report) interface{} { return r.CongestEst.Max }},
+	{"congestion_estimate.last", func(r *metrics.Report) interface{} { return r.CongestEst.Last }},
 	{"faults.windows", func(r *metrics.Report) interface{} { return r.FaultWindows }},
 	{"faults.node_crashes", func(r *metrics.Report) interface{} { return r.NodeCrashes }},
 	{"faults.node_downtime", func(r *metrics.Report) interface{} { return r.NodeDowntime }},
 	{"faults.endorse_timeouts", func(r *metrics.Report) interface{} { return r.EndorseTimeouts }},
 	{"faults.submit_timeouts", func(r *metrics.Report) interface{} { return r.SubmitTimeouts }},
 	{"faults.orphaned_txs", func(r *metrics.Report) interface{} { return r.OrphanedTxs }},
-	{"recovery.n", func(r *metrics.Report) interface{} { return r.Recoveries }},
-	{"recovery.avg", func(r *metrics.Report) interface{} { return r.RecoveryAvg }},
-	{"recovery.max", func(r *metrics.Report) interface{} { return r.RecoveryMax }},
+	{"recovery.n", func(r *metrics.Report) interface{} { return r.Recovery.N }},
+	{"recovery.avg", func(r *metrics.Report) interface{} { return r.Recovery.Avg() }},
+	{"recovery.max", func(r *metrics.Report) interface{} { return r.Recovery.Max }},
 }
 
 // sortedCounts renders one outcome-count map as "prefix.CODE=n" lines

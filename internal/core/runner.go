@@ -306,26 +306,26 @@ func fromReport(r metrics.Report) Result {
 		BudgetExhausted:  float64(r.BudgetExhausted),
 		DeferredRetries:  float64(r.DeferredRetries),
 		MaxDeferred:      float64(r.MaxDeferredDepth),
-		AdaptiveBackSec:  r.AdaptiveBackoffFinal.Seconds(),
-		HintAvg:          r.BackpressureHintAvg,
-		HintFinal:        r.BackpressureHintFinal,
+		AdaptiveBackSec:  r.Backoff.Last.Seconds(),
+		HintAvg:          r.Hint.Avg(),
+		HintFinal:        r.Hint.Last,
 		Paced:            float64(r.PacedSubmissions),
-		PacedSec:         r.TimePaced.Seconds(),
+		PacedSec:         r.Paced.Sum.Seconds(),
 		GossipMsgs:       float64(r.GossipMessages),
 		GossipMerges:     float64(r.GossipMerges),
-		GossipEstAvg:     r.GossipEstimateAvg,
-		GossipEstFinal:   r.GossipEstimateFinal,
-		GossipStaleSec:   r.GossipStalenessAvg.Seconds(),
-		ConflictEstAvg:   r.ConflictEstAvg,
-		ConflictEstFinal: r.ConflictEstFinal,
-		CongestEstAvg:    r.CongestEstAvg,
-		CongestEstFinal:  r.CongestEstFinal,
+		GossipEstAvg:     r.GossipEstimate.Avg(),
+		GossipEstFinal:   r.GossipEstimate.Last,
+		GossipStaleSec:   r.GossipStaleness.Avg().Seconds(),
+		ConflictEstAvg:   r.ConflictEst.Avg(),
+		ConflictEstFinal: r.ConflictEst.Last,
+		CongestEstAvg:    r.CongestEst.Avg(),
+		CongestEstFinal:  r.CongestEst.Last,
 		FaultWindows:     float64(r.FaultWindows),
 		DowntimeSec:      r.NodeDowntime.Seconds(),
 		EndorseTOs:       float64(r.EndorseTimeouts),
 		SubmitTOs:        float64(r.SubmitTimeouts),
 		Orphans:          float64(r.OrphanedTxs),
-		RecoverySec:      r.RecoveryAvg.Seconds(),
+		RecoverySec:      r.Recovery.Avg().Seconds(),
 	}
 	if r.Jobs > 0 {
 		res.GaveUpPct = 100 * float64(r.GaveUp) / float64(r.Jobs)

@@ -175,18 +175,18 @@ func TestAdaptiveRunProducesTrajectory(t *testing.T) {
 	if rep.Jobs == 0 {
 		t.Fatal("no jobs tracked")
 	}
-	if rep.AdaptiveBackoffMax == 0 {
+	if rep.Backoff.Max == 0 {
 		t.Fatal("no backoff trajectory recorded")
 	}
 	// EHR contention must push the controller above its floor.
-	if rep.AdaptiveBackoffMax <= 50*time.Millisecond {
-		t.Errorf("max backoff %v never left the floor", rep.AdaptiveBackoffMax)
+	if rep.Backoff.Max <= 50*time.Millisecond {
+		t.Errorf("max backoff %v never left the floor", rep.Backoff.Max)
 	}
-	if rep.AdaptiveBackoffAvg > rep.AdaptiveBackoffMax {
-		t.Errorf("avg %v > max %v", rep.AdaptiveBackoffAvg, rep.AdaptiveBackoffMax)
+	if rep.Backoff.Avg() > rep.Backoff.Max {
+		t.Errorf("avg %v > max %v", rep.Backoff.Avg(), rep.Backoff.Max)
 	}
-	if rep.AdaptiveBackoffFinal > rep.AdaptiveBackoffMax {
-		t.Errorf("final %v > max %v", rep.AdaptiveBackoffFinal, rep.AdaptiveBackoffMax)
+	if rep.Backoff.Last > rep.Backoff.Max {
+		t.Errorf("final %v > max %v", rep.Backoff.Last, rep.Backoff.Max)
 	}
 }
 
@@ -222,12 +222,12 @@ func TestGiveUpAfterPreservesAdaptation(t *testing.T) {
 		t.Error("wrapper no longer truncates at 5 attempts")
 	}
 	_, rep := run(t, retryConfig(12, wrapped))
-	if rep.AdaptiveBackoffMax == 0 {
+	if rep.Backoff.Max == 0 {
 		t.Error("wrapped adaptive policy recorded no trajectory")
 	}
-	if rep.AdaptiveBackoffMax <= 50*time.Millisecond {
+	if rep.Backoff.Max <= 50*time.Millisecond {
 		t.Errorf("max backoff %v never left the floor: adaptation lost behind the wrapper",
-			rep.AdaptiveBackoffMax)
+			rep.Backoff.Max)
 	}
 }
 
@@ -240,8 +240,8 @@ func TestGiveUpAfterForwardsValidation(t *testing.T) {
 
 func TestStaticPoliciesHaveNoTrajectory(t *testing.T) {
 	_, rep := run(t, retryConfig(7, ImmediateRetry{MaxAttempts: 3}))
-	if rep.AdaptiveBackoffMax != 0 || rep.AdaptiveBackoffAvg != 0 {
+	if rep.Backoff.Max != 0 || rep.Backoff.Avg() != 0 {
 		t.Errorf("static policy produced a trajectory: avg=%v max=%v",
-			rep.AdaptiveBackoffAvg, rep.AdaptiveBackoffMax)
+			rep.Backoff.Avg(), rep.Backoff.Max)
 	}
 }

@@ -186,15 +186,15 @@ func congestedConfig(seed int64) Config {
 
 func TestBackpressureHintsRiseUnderCongestion(t *testing.T) {
 	_, rep := run(t, congestedConfig(1))
-	if rep.BackpressureHintMax <= 0 || rep.BackpressureHintMax > 1 {
-		t.Fatalf("hint max = %g, want in (0,1]", rep.BackpressureHintMax)
+	if rep.Hint.Max <= 0 || rep.Hint.Max > 1 {
+		t.Fatalf("hint max = %g, want in (0,1]", rep.Hint.Max)
 	}
-	if rep.BackpressureHintFinal <= 0 {
-		t.Errorf("final hint = %g, want > 0 with a saturated orderer", rep.BackpressureHintFinal)
+	if rep.Hint.Last <= 0 {
+		t.Errorf("final hint = %g, want > 0 with a saturated orderer", rep.Hint.Last)
 	}
-	if rep.PacedSubmissions == 0 || rep.TimePaced == 0 {
+	if rep.PacedSubmissions == 0 || rep.Paced.Sum == 0 {
 		t.Errorf("paced=%d time-paced=%v, want pacing under congestion",
-			rep.PacedSubmissions, rep.TimePaced)
+			rep.PacedSubmissions, rep.Paced.Sum)
 	}
 }
 
@@ -204,8 +204,8 @@ func TestBackpressurePacingShedsRetryLoad(t *testing.T) {
 	unpaced := congestedConfig(2)
 	unpaced.Backpressure = nil
 	_, without := run(t, unpaced)
-	if without.PacedSubmissions != 0 || without.TimePaced != 0 ||
-		without.BackpressureHintMax != 0 {
+	if without.PacedSubmissions != 0 || without.Paced.Sum != 0 ||
+		without.Hint.Max != 0 {
 		t.Fatalf("nil backpressure left traces: %+v", without)
 	}
 	// Pacing spreads resubmissions out, so the paced run must issue no
@@ -224,9 +224,7 @@ func TestBackpressureInertWithoutTracking(t *testing.T) {
 	cfg.Backpressure = &Backpressure{}
 	_, withBP := run(t, cfg)
 	_, plain := run(t, testConfig(3))
-	withBP.BackpressureHintAvg = 0
-	withBP.BackpressureHintMax = 0
-	withBP.BackpressureHintFinal = 0
+	withBP.Hint = plain.Hint
 	if !reflect.DeepEqual(withBP, plain) {
 		t.Error("backpressure changed a fire-and-forget run beyond the hint summary")
 	}
@@ -242,7 +240,7 @@ func TestBackpressureRunsDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("identical hinted runs diverged:\n%+v\n%+v", a, b)
 	}
-	if a.BackpressureHintMax <= 0 {
+	if a.Hint.Max <= 0 {
 		t.Error("hinted run never observed congestion")
 	}
 }
@@ -296,9 +294,9 @@ func TestBudgetWaitAbsorbsPacingTime(t *testing.T) {
 	if rep.DeferredRetries != 1 {
 		t.Fatalf("deferred = %d, want 1", rep.DeferredRetries)
 	}
-	if rep.PacedSubmissions != 0 || rep.TimePaced != 0 {
+	if rep.PacedSubmissions != 0 || rep.Paced.Sum != 0 {
 		t.Errorf("budget-dominated deferral recorded pacing: paced=%d time=%v",
-			rep.PacedSubmissions, rep.TimePaced)
+			rep.PacedSubmissions, rep.Paced.Sum)
 	}
 
 	// Token wait of 400ms against the 1s pause: the retry fires at the
@@ -311,9 +309,9 @@ func TestBudgetWaitAbsorbsPacingTime(t *testing.T) {
 	if rep.DeferredRetries != 0 {
 		t.Fatalf("partial-wait retry deferred, want immediate paced schedule")
 	}
-	if rep.PacedSubmissions != 1 || rep.TimePaced != 600*time.Millisecond {
+	if rep.PacedSubmissions != 1 || rep.Paced.Sum != 600*time.Millisecond {
 		t.Errorf("partial absorption: paced=%d time=%v, want 1 and 600ms",
-			rep.PacedSubmissions, rep.TimePaced)
+			rep.PacedSubmissions, rep.Paced.Sum)
 	}
 }
 

@@ -254,6 +254,9 @@ func (c *Config) Validate() error {
 		if err := c.Faults.Validate(); err != nil {
 			return err
 		}
+		if err := c.Faults.validateOverlap(c.Orgs*c.PeersPerOrg, c.channels()); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -451,10 +454,6 @@ type Variant interface {
 	// variant, in block order (FabricSharp's scheduler uses it to
 	// learn the committed heights of the writes it scheduled).
 	OnBlockValidated(b *ledger.Block, codes []ledger.ValidationCode)
-	// EndorseSnapshotLag reports whether endorsement reads one block
-	// behind the latest commit (FabricSharp's block snapshots,
-	// §5.4.1).
-	EndorseSnapshotLag() bool
 }
 
 // Vanilla is the no-op variant: plain Fabric 1.4.
@@ -479,6 +478,3 @@ func (Vanilla) SkipMVCC() bool { return false }
 
 // OnBlockValidated implements Variant.
 func (Vanilla) OnBlockValidated(*ledger.Block, []ledger.ValidationCode) {}
-
-// EndorseSnapshotLag implements Variant.
-func (Vanilla) EndorseSnapshotLag() bool { return false }

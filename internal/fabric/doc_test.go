@@ -83,8 +83,8 @@ func TestDocCoherence(t *testing.T) {
 			if rep.Valid == 0 {
 				t.Fatal("no valid transaction: the run wrote nothing to check")
 			}
-			if c.cfg.Faults != nil && rep.Recoveries != 1 {
-				t.Errorf("%d recoveries, want the crashed peer to replay the blocks it missed", rep.Recoveries)
+			if c.cfg.Faults != nil && rep.Recovery.N != 1 {
+				t.Errorf("%d recoveries, want the crashed peer to replay the blocks it missed", rep.Recovery.N)
 			}
 			checkDocs(t, nw)
 		})

@@ -41,17 +41,18 @@ type Faults struct {
 	// EndorseTimeout is the client-side deadline on collecting a
 	// policy-satisfying endorsement set: when it expires before every
 	// endorser answered, the attempt fails as CLIENT_TIMEOUT and feeds
-	// the retry path. 0 disables the deadline. Crash/partition
-	// scenarios default it to 1s. Requires outcome tracking (a retry
-	// policy or closed-loop mode), like every other client reaction.
+	// the retry path. 0 disables the deadline. The crash, partition,
+	// flaky and chaos scenarios default it to 1s. Requires outcome
+	// tracking (a retry policy or closed-loop mode), like every other
+	// client reaction.
 	EndorseTimeout time.Duration
 
 	// SubmitTimeout is the client-side deadline between envelope
 	// submission and the commit (or abort) event: when it expires
 	// first, the attempt fails as CLIENT_TIMEOUT and is retried —
 	// a transaction that later commits anyway is counted orphaned.
-	// 0 disables the deadline. Crash/partition scenarios default it
-	// to 4s.
+	// 0 disables the deadline. The crash, partition, flaky and chaos
+	// scenarios default it to 4s.
 	SubmitTimeout time.Duration
 }
 
@@ -90,6 +91,15 @@ const (
 // index, channel index for the orderer, org index for partitions) and
 // wrap modulo the respective count, so schedules stay valid across
 // cluster sizes.
+//
+// A window saves the state it overrides and restores it when it ends,
+// so two windows of one kind on one victim must not intersect or touch
+// (Config.Validate rejects them): the inner window's end would lift the
+// outer fault early and the outer one's saved state would be lost.
+// Victims compare after wrapping; every partition shares the one
+// network cut and every slowdb the one cost table, so any two of
+// either count as the same victim. Windows of different kinds overlap
+// freely.
 type FaultEvent struct {
 	Kind FaultKind
 	At   time.Duration // window start, virtual time
@@ -181,6 +191,41 @@ func (ev FaultEvent) validate() error {
 	return nil
 }
 
+// clause renders the event like the `-faults` clause that declares it,
+// without the kind-specific parameter: "crash-peer:3@5s+6s".
+func (ev FaultEvent) clause() string {
+	return fmt.Sprintf("%s:%d@%v+%v", string(ev.Kind), ev.Target, ev.At, ev.For)
+}
+
+// victim is the state a window of this kind overrides, after wrapping
+// the target into a deployment of the given size.
+func (ev FaultEvent) victim(peers, channels int) int {
+	switch ev.Kind {
+	case FaultCrashOrderer:
+		return ev.Target % channels
+	case FaultPartition, FaultSlowDB:
+		return 0 // one network cut, one cost table
+	default:
+		return ev.Target % peers
+	}
+}
+
+// validateOverlap rejects two windows of one kind that intersect or
+// touch on one victim (see FaultEvent).
+func (f *Faults) validateOverlap(peers, channels int) error {
+	for i, a := range f.Events {
+		for j, b := range f.Events[:i] {
+			if a.Kind == b.Kind && a.victim(peers, channels) == b.victim(peers, channels) &&
+				a.At <= b.At+b.For && b.At <= a.At+a.For {
+				return fmt.Errorf("fabric: fault events %d (%s) and %d (%s) are %s windows on the same victim that overlap or touch; "+
+					"a window restores the state it found, so leave a gap between them",
+					j, b.clause(), i, a.clause(), string(a.Kind))
+			}
+		}
+	}
+	return nil
+}
+
 // Name labels the schedule in experiment tables and run summaries:
 // the scenario name, or "faults(<n>ev)" for an explicit list.
 func (f *Faults) Name() string {
@@ -200,9 +245,9 @@ const faultSeedSalt = 0x5fa017
 // duration; victims are drawn from a seed-derived rng that is separate
 // from the engine stream, so the fault schedule never perturbs the
 // workload's randomness. Explicit Events pass through unchanged.
-// Crash and partition scenarios default the client deadlines
-// (EndorseTimeout 1s, SubmitTimeout 4s) when unset, since without them
-// clients would hang on work the fault destroyed.
+// The crash, partition, flaky and chaos scenarios default the client
+// deadlines (EndorseTimeout 1s, SubmitTimeout 4s) when unset, since
+// without them clients would hang on work the fault destroyed.
 func (f Faults) resolve(seed int64, dur time.Duration, peers, orgs, channels int) Faults {
 	if f.Scenario == "" {
 		return f

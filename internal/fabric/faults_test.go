@@ -1,11 +1,11 @@
 package fabric
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/costmodel"
 	"repro/internal/netem"
 	"repro/internal/sim"
 )
@@ -56,11 +56,11 @@ func TestPeerCrashRecovery(t *testing.T) {
 		t.Errorf("crashes=%d downtime=%v, want 1 crash with 5s scheduled downtime",
 			rep.NodeCrashes, rep.NodeDowntime)
 	}
-	if rep.Recoveries != 1 {
-		t.Fatalf("recoveries = %d, want 1 (the peer must have missed blocks)", rep.Recoveries)
+	if rep.Recovery.N != 1 {
+		t.Fatalf("recoveries = %d, want 1 (the peer must have missed blocks)", rep.Recovery.N)
 	}
-	if rep.RecoveryAvg <= 0 || rep.RecoveryMax < rep.RecoveryAvg {
-		t.Errorf("recovery avg=%v max=%v, want positive replay latency", rep.RecoveryAvg, rep.RecoveryMax)
+	if rep.Recovery.Avg() <= 0 || rep.Recovery.Max < rep.Recovery.Avg() {
+		t.Errorf("recovery avg=%v max=%v, want positive replay latency", rep.Recovery.Avg(), rep.Recovery.Max)
 	}
 	p := nw.peers[3]
 	if p.State() != NodeUp {
@@ -143,42 +143,97 @@ func TestPeerCrashHoldsValidatorMemoUntilReplay(t *testing.T) {
 	}
 }
 
-// snapshotLag is Fabric 1.4 endorsing against block snapshots: every
-// replica applies a block's batch when the next block commits.
-type snapshotLag struct{ Vanilla }
-
-func (snapshotLag) EndorseSnapshotLag() bool { return true }
-
-// TestFaultFreeSnapshotLagKeepsLastBatch: with the memo released at the
-// last commit, the batch a lagging replica has yet to apply is kept
-// alive by the peer alone. The replicas still converge: each ends one
-// block behind the validator's and level with it once that last batch
-// is applied.
-func TestFaultFreeSnapshotLagKeepsLastBatch(t *testing.T) {
-	cfg := testConfig(8)
-	cfg.Variant = snapshotLag{}
-	nw, rep := run(t, cfg)
-	v := nw.vals[0]
-	if rep.Blocks < 10 || len(v.memo) != 0 {
-		t.Fatalf("%d blocks committed, %d outcomes still held", rep.Blocks, len(v.memo))
+// TestFaultOverlapRejected: a fault window restores the state it found
+// when it ends, so two windows of one kind that intersect or touch on
+// one victim corrupt the run — a nested crash restarts the peer early
+// with its backlog overwritten (it ends blocks short of its savepoint),
+// a nested slowdb leaves the scaled cost table in place for good. Both
+// are parseable -faults specs; Config.Validate, which knows the
+// topology the targets wrap in, must refuse them and name both events.
+func TestFaultOverlapRejected(t *testing.T) {
+	cases := []struct {
+		name, spec string
+		channels   int
+		want       []string // both clauses, as the message names them
+	}{
+		{"nested crash-peer", "crash-peer:3@5s+6s,crash-peer:3@7s+1s", 1,
+			[]string{"crash-peer:3@5s+6s", "crash-peer:3@7s+1s", "crash-peer windows"}},
+		{"nested slowdb", "slowdb@2s+6s:4,slowdb@4s+1s:2", 1,
+			[]string{"slowdb:0@2s+6s", "slowdb:0@4s+1s", "slowdb windows"}},
+		{"crash-peer aliases on 4 peers", "crash-peer:1@5s+2s,crash-peer:5@6s+2s", 1,
+			[]string{"crash-peer:1@5s+2s", "crash-peer:5@6s+2s"}},
+		{"crash-orderer aliases on 2 channels", "crash-orderer:0@5s+2s,crash-orderer:2@6s+2s", 2,
+			[]string{"crash-orderer:0@5s+2s", "crash-orderer:2@6s+2s"}},
+		{"partitions of two orgs share the cut", "partition:0@5s+2s,partition:1@6s+2s", 1,
+			[]string{"partition:0@5s+2s", "partition:1@6s+2s"}},
+		{"slowdb targets are ignored", "slowdb:1@5s+2s,slowdb:2@6s+2s", 1,
+			[]string{"slowdb:1@5s+2s", "slowdb:2@6s+2s"}},
+		{"partial straggler overlap", "straggler:2@1s+3s,straggler:2@3s+3s", 1,
+			[]string{"straggler:2@1s+3s", "straggler:2@3s+3s"}},
+		{"loss, later window listed first", "loss:0@6s+2s,loss:0@5s+2s", 1,
+			[]string{"loss:0@6s+2s", "loss:0@5s+2s"}},
+		{"back to back", "crash-peer:3@5s+2s,crash-peer:3@7s+2s", 1,
+			[]string{"crash-peer:3@5s+2s", "crash-peer:3@7s+2s", "overlap or touch"}},
+		{"back to back, later window listed first", "crash-peer:3@7s+2s,crash-peer:3@5s+2s", 1,
+			[]string{"crash-peer:3@7s+2s", "crash-peer:3@5s+2s", "overlap or touch"}},
 	}
-	want := v.db.GetRange("", "")
-	for _, p := range nw.peers {
-		if p.lagBatch == nil || p.lagHeight != v.next || p.DB().Savepoint() != v.next-1 {
-			t.Fatalf("peer %s: lag batch %v for block %d, replica at %d; want block %d pending on a replica at %d",
-				p.name, p.lagBatch, p.lagHeight, p.DB().Savepoint(), v.next, v.next-1)
-		}
-		if err := p.DB().ApplyUpdates(p.lagBatch, p.lagHeight); err != nil {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := ParseFaults(tc.spec)
+			if err != nil {
+				t.Fatalf("the spec must parse, the topology decides: %v", err)
+			}
+			cfg := faultConfig(4, f)
+			cfg.Channels = tc.channels
+			err = cfg.Validate()
+			if err == nil {
+				t.Fatalf("Config.Validate accepted %s", tc.spec)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %q", err, want)
+				}
+			}
+			if _, err := NewNetwork(cfg); err == nil {
+				t.Error("NewNetwork built a network from the rejected schedule")
+			}
+		})
+	}
+}
+
+// TestFaultOverlapAllowsIndependentWindows: only one kind on one victim
+// collides. Windows of different kinds nest freely on one peer, one
+// kind hits two peers at once, and a second window after a gap works
+// in either listing order — every peer ends up, level with the chain,
+// with nothing left in the validator's memo and the base cost table
+// back.
+func TestFaultOverlapAllowsIndependentWindows(t *testing.T) {
+	for _, spec := range []string{
+		"crash-peer:3@5s+4s,straggler:3@6s+1s,loss:3@4s+6s:0.2,slowdb@5s+4s:2,partition:1@12s+1s",
+		"crash-peer:2@5s+3s,crash-peer:3@6s+3s",
+		"crash-peer:3@5s+2s,crash-peer:3@8s+1s,slowdb@2s+1s:4,slowdb@4s+1s:2",
+		"crash-peer:3@8s+1s,crash-peer:3@5s+2s,slowdb@4s+1s:2,slowdb@2s+1s:4",
+	} {
+		f, err := ParseFaults(spec + ",etimeout=1s,stimeout=4s")
+		if err != nil {
 			t.Fatal(err)
 		}
-		got := p.DB().GetRange("", "")
-		if len(got) != len(want) {
-			t.Fatalf("peer %s holds %d keys, the validator %d", p.name, len(got), len(want))
+		nw, rep := run(t, faultConfig(4, f))
+		if rep.FaultWindows != len(f.Events) {
+			t.Errorf("%s: %d windows opened, want %d", spec, rep.FaultWindows, len(f.Events))
 		}
-		for i := range got {
-			if got[i].Key != want[i].Key || got[i].Version != want[i].Version || !bytes.Equal(got[i].Value, want[i].Value) {
-				t.Fatalf("peer %s diverges from the validator at %s", p.name, want[i].Key)
+		v := nw.vals[0]
+		for _, p := range nw.peers {
+			if p.State() != NodeUp || uint64(p.committedBlocks) != v.next || p.DB().Savepoint() != v.next {
+				t.Errorf("%s: peer %s ended %v with %d of %d blocks, savepoint %d",
+					spec, p.name, p.State(), p.committedBlocks, v.next, p.DB().Savepoint())
 			}
+		}
+		if len(v.memo) != 0 {
+			t.Errorf("%s: %d validation outcomes still held at drain", spec, len(v.memo))
+		}
+		if nw.dbCosts != costmodel.ForKind(nw.cfg.DBKind) {
+			t.Errorf("%s: the run ended with cost table %+v", spec, nw.dbCosts)
 		}
 	}
 }
@@ -227,9 +282,9 @@ func TestPartitionEndorseTimeouts(t *testing.T) {
 	if rep.EndorseTimeouts == 0 {
 		t.Error("no endorsement timeouts during a 6s partition of org 1")
 	}
-	if rep.NodeCrashes != 0 || rep.Recoveries != 0 {
+	if rep.NodeCrashes != 0 || rep.Recovery.N != 0 {
 		t.Errorf("a partition is not a crash: crashes=%d recoveries=%d",
-			rep.NodeCrashes, rep.Recoveries)
+			rep.NodeCrashes, rep.Recovery.N)
 	}
 }
 

@@ -362,20 +362,20 @@ func TestGossipRunExchangesAndPaces(t *testing.T) {
 	if rep.GossipMerges == 0 {
 		t.Error("no gossip estimate ever adopted")
 	}
-	if rep.GossipEstimateMax <= 0 || rep.GossipEstimateMax > 1 {
-		t.Errorf("gossip estimate max = %g, want in (0,1]", rep.GossipEstimateMax)
+	if rep.GossipEstimate.Max <= 0 || rep.GossipEstimate.Max > 1 {
+		t.Errorf("gossip estimate max = %g, want in (0,1]", rep.GossipEstimate.Max)
 	}
-	if rep.GossipUses == 0 || rep.GossipStalenessMax <= 0 {
+	if rep.GossipStaleness.N == 0 || rep.GossipStaleness.Max <= 0 {
 		t.Errorf("uses=%d stale-max=%v, want consultations with non-zero staleness",
-			rep.GossipUses, rep.GossipStalenessMax)
+			rep.GossipStaleness.N, rep.GossipStaleness.Max)
 	}
-	if rep.PacedSubmissions == 0 || rep.TimePaced == 0 {
+	if rep.PacedSubmissions == 0 || rep.Paced.Sum == 0 {
 		t.Errorf("paced=%d time-paced=%v, want gossip-driven pacing under congestion",
-			rep.PacedSubmissions, rep.TimePaced)
+			rep.PacedSubmissions, rep.Paced.Sum)
 	}
 	// Pure gossip source: the orderer must stay fully out of the
 	// signal path.
-	if rep.BackpressureHintAvg != 0 || rep.BackpressureHintMax != 0 || rep.BackpressureHintFinal != 0 {
+	if rep.Hint.Avg() != 0 || rep.Hint.Max != 0 || rep.Hint.Last != 0 {
 		t.Errorf("orderer hints computed under HintSource=gossip: %+v", rep)
 	}
 }
@@ -422,8 +422,8 @@ func TestGossipNilIsByteIdentical(t *testing.T) {
 	if !reflect.DeepEqual(plain, src) {
 		t.Errorf("explicit HintSource=orderer diverged from the default:\n%+v\n%+v", plain, src)
 	}
-	if plain.GossipMessages != 0 || plain.GossipMerges != 0 || plain.GossipUses != 0 ||
-		plain.GossipEstimateMax != 0 || plain.GossipStalenessMax != 0 {
+	if plain.GossipMessages != 0 || plain.GossipMerges != 0 || plain.GossipStaleness.N != 0 ||
+		plain.GossipEstimate.Max != 0 || plain.GossipStaleness.Max != 0 {
 		t.Errorf("nil gossip left traces: %+v", plain)
 	}
 }
@@ -462,15 +462,15 @@ func TestGossipBothSourceCombinesSignals(t *testing.T) {
 	_, rep := run(t, cfg)
 	// Both producers must be live: the orderer samples hints at cuts
 	// and the clients sample gossip estimates at rounds.
-	if rep.BackpressureHintMax <= 0 {
+	if rep.Hint.Max <= 0 {
 		t.Error("both-source run computed no orderer hints")
 	}
-	if rep.GossipEstimateMax <= 0 {
+	if rep.GossipEstimate.Max <= 0 {
 		t.Error("both-source run sampled no gossip estimates")
 	}
-	if rep.GossipEstimateMax > 1 || rep.BackpressureHintMax > 1 {
+	if rep.GossipEstimate.Max > 1 || rep.Hint.Max > 1 {
 		t.Errorf("hint out of range: orderer %g gossip %g",
-			rep.BackpressureHintMax, rep.GossipEstimateMax)
+			rep.Hint.Max, rep.GossipEstimate.Max)
 	}
 }
 

@@ -240,27 +240,25 @@ func checkHintRange(t *testing.T, name string, cfg Config, rep metrics.Report) {
 			t.Errorf("%s: %s = %g outside [0,1]", name, label, v)
 		}
 	}
-	inUnit("hint avg", rep.BackpressureHintAvg)
-	inUnit("hint max", rep.BackpressureHintMax)
-	inUnit("hint final", rep.BackpressureHintFinal)
-	inUnit("gossip est avg", rep.GossipEstimateAvg)
-	inUnit("gossip est max", rep.GossipEstimateMax)
-	inUnit("gossip est final", rep.GossipEstimateFinal)
-	inUnit("conflict est avg", rep.ConflictEstAvg)
-	inUnit("conflict est max", rep.ConflictEstMax)
-	inUnit("conflict est final", rep.ConflictEstFinal)
-	inUnit("congestion est avg", rep.CongestEstAvg)
-	inUnit("congestion est max", rep.CongestEstMax)
-	inUnit("congestion est final", rep.CongestEstFinal)
-	if rep.BackpressureHintAvg > rep.BackpressureHintMax || rep.GossipEstimateAvg > rep.GossipEstimateMax {
+	inUnit("hint avg", rep.Hint.Avg())
+	inUnit("hint max", rep.Hint.Max)
+	inUnit("hint final", rep.Hint.Last)
+	inUnit("gossip est avg", rep.GossipEstimate.Avg())
+	inUnit("gossip est max", rep.GossipEstimate.Max)
+	inUnit("gossip est final", rep.GossipEstimate.Last)
+	inUnit("conflict est avg", rep.ConflictEst.Avg())
+	inUnit("conflict est max", rep.ConflictEst.Max)
+	inUnit("conflict est final", rep.ConflictEst.Last)
+	inUnit("congestion est avg", rep.CongestEst.Avg())
+	inUnit("congestion est max", rep.CongestEst.Max)
+	inUnit("congestion est final", rep.CongestEst.Last)
+	if rep.Hint.Avg() > rep.Hint.Max || rep.GossipEstimate.Avg() > rep.GossipEstimate.Max {
 		t.Errorf("%s: trajectory average above its max", name)
 	}
-	if rep.ConflictEstAvg > rep.ConflictEstMax || rep.CongestEstAvg > rep.CongestEstMax {
+	if rep.ConflictEst.Avg() > rep.ConflictEst.Max || rep.CongestEst.Avg() > rep.CongestEst.Max {
 		t.Errorf("%s: split trajectory average above its max", name)
 	}
-	if cfg.SplitSignal == nil && (rep.ConflictEstAvg != 0 || rep.ConflictEstMax != 0 ||
-		rep.ConflictEstFinal != 0 || rep.CongestEstAvg != 0 || rep.CongestEstMax != 0 ||
-		rep.CongestEstFinal != 0) {
+	if cfg.SplitSignal == nil && (rep.ConflictEst.N != 0 || rep.CongestEst.N != 0) {
 		t.Errorf("%s: split signal off but component trajectories non-zero: %+v", name, rep)
 	}
 
@@ -269,24 +267,24 @@ func checkHintRange(t *testing.T, name string, cfg Config, rep metrics.Report) {
 		if maxPause == 0 {
 			maxPause = 2 * time.Second // documented default
 		}
-		if rep.MaxPacedPause > maxPause {
-			t.Errorf("%s: single pace %v exceeds MaxPause %v", name, rep.MaxPacedPause, maxPause)
+		if rep.Paced.Max > maxPause {
+			t.Errorf("%s: single pace %v exceeds MaxPause %v", name, rep.Paced.Max, maxPause)
 		}
-	} else if rep.PacedSubmissions != 0 || rep.TimePaced != 0 || rep.MaxPacedPause != 0 {
+	} else if rep.PacedSubmissions != 0 || rep.Paced.Sum != 0 || rep.Paced.Max != 0 {
 		t.Errorf("%s: no pacer configured but paced=%d time=%v max=%v",
-			name, rep.PacedSubmissions, rep.TimePaced, rep.MaxPacedPause)
+			name, rep.PacedSubmissions, rep.Paced.Sum, rep.Paced.Max)
 	}
 	ordererOn := cfg.Backpressure != nil && cfg.HintSource.usesOrderer()
-	if !ordererOn && (rep.BackpressureHintAvg != 0 || rep.BackpressureHintMax != 0 || rep.BackpressureHintFinal != 0) {
+	if !ordererOn && rep.Hint.N != 0 {
 		t.Errorf("%s: orderer hints off but trajectory non-zero: %+v", name, rep)
 	}
 	if cfg.Gossip == nil && (rep.GossipMessages != 0 || rep.GossipMerges != 0 ||
-		rep.GossipUses != 0 || rep.GossipEstimateMax != 0 || rep.GossipStalenessMax != 0) {
+		rep.GossipStaleness.N != 0 || rep.GossipEstimate.Max != 0 || rep.GossipStaleness.Max != 0) {
 		t.Errorf("%s: gossip off but metrics non-zero: %+v", name, rep)
 	}
-	if rep.GossipStalenessAvg > rep.GossipStalenessMax || rep.GossipStalenessMax < 0 {
+	if rep.GossipStaleness.Avg() > rep.GossipStaleness.Max || rep.GossipStaleness.Max < 0 {
 		t.Errorf("%s: staleness avg %v / max %v inconsistent",
-			name, rep.GossipStalenessAvg, rep.GossipStalenessMax)
+			name, rep.GossipStaleness.Avg(), rep.GossipStaleness.Max)
 	}
 }
 

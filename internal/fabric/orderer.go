@@ -127,7 +127,7 @@ func (os *OrderingService) SetBlockSize(n int) {
 	}
 	os.blockSize = n
 	if len(os.pending) >= os.blockSize {
-		os.cut("retune")
+		os.cut()
 	}
 }
 
@@ -148,10 +148,9 @@ func (os *OrderingService) ordered(tx *ledger.Transaction) {
 	os.pending = append(os.pending, tx)
 	os.pendingBytes += txBytes(tx)
 	switch {
-	case len(os.pending) >= os.blockSize:
-		os.cut("size")
-	case os.nw.cfg.MaxBlockKB > 0 && os.pendingBytes >= os.nw.cfg.MaxBlockKB*1024:
-		os.cut("bytes")
+	case len(os.pending) >= os.blockSize,
+		os.nw.cfg.MaxBlockKB > 0 && os.pendingBytes >= os.nw.cfg.MaxBlockKB*1024:
+		os.cut() // full by count or by bytes
 	case !os.timerArmed:
 		os.timerArmed = true
 		epoch := os.timerEpoch
@@ -169,7 +168,7 @@ func (os *OrderingService) ordered(tx *ledger.Transaction) {
 			// would start a timeout clock).
 			os.timerArmed = false
 			if len(os.pending) > 0 {
-				os.cut("timeout")
+				os.cut()
 			}
 		})
 	}
@@ -200,8 +199,7 @@ func txBytes(tx *ledger.Transaction) int {
 // HintSource "gossip" it is not: blocks carry a zero hint and no hint
 // samples are recorded, so any coordination effect is attributable to
 // the clients sharing their own estimates.
-func (os *OrderingService) cut(reason string) {
-	_ = reason
+func (os *OrderingService) cut() {
 	batch := os.pending
 	os.pending = nil
 	os.pendingBytes = 0

@@ -33,11 +33,6 @@ type Peer struct {
 	// endorsement workers; proposals queue for the earliest slot.
 	endorserSlots []sim.Time
 
-	// lagBatch delays replica application by one block when the
-	// variant endorses against block snapshots (FabricSharp).
-	lagBatch  *statedb.UpdateBatch
-	lagHeight uint64
-
 	// committedBlocks counts applied blocks (diagnostics).
 	committedBlocks int
 
@@ -199,21 +194,7 @@ func (p *Peer) DeliverBlock(b *ledger.Block) {
 // commit applies the block's update batch to the replica and, on the
 // metrics peer, appends the canonical block and records metrics.
 func (p *Peer) commit(b *ledger.Block, res *valResult) {
-	if p.nw.variant.EndorseSnapshotLag() {
-		// FabricSharp parallelizes execution and validation with
-		// block snapshots: endorsement sees the state as of the
-		// previous block boundary (§5.4.1), so the replica applies
-		// one block late.
-		// Snapshot-lag variants are single-channel only (enforced by
-		// Config.Validate), so the scalar lag state always refers to
-		// channel 0.
-		if p.lagBatch != nil {
-			p.dbs[b.Channel].ApplyUpdates(p.lagBatch, p.lagHeight)
-		}
-		p.lagBatch, p.lagHeight = res.batch, b.Number
-	} else {
-		p.dbs[b.Channel].ApplyUpdates(res.batch, b.Number)
-	}
+	p.dbs[b.Channel].ApplyUpdates(res.batch, b.Number)
 	p.nw.vals[b.Channel].committed(b.Number)
 	p.committedBlocks++
 	if p.state == NodeRestarting {

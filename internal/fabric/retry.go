@@ -203,7 +203,7 @@ type controller interface {
 	observeHint(h float64)
 	// consumesHint reports whether the controller reads observeHint.
 	// Only then is the gossip estimate consulted for it, and every
-	// consultation is a GossipUses/staleness sample in the report.
+	// consultation is a GossipStaleness sample in the report.
 	consumesHint() bool
 	// backoffLevel reports the controller's evolving backoff level,
 	// sampled into the collector after every observed outcome; ok is

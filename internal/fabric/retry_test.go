@@ -341,7 +341,7 @@ func TestUserPolicyGetsNoopController(t *testing.T) {
 	if !reflect.DeepEqual(user, builtin) {
 		t.Errorf("user policy run diverged from the equivalent built-in:\n%+v\n%+v", user, builtin)
 	}
-	if user.AdaptiveBackoffMax != 0 || user.AdaptiveBackoffAvg != 0 || user.AdaptiveBackoffFinal != 0 {
+	if user.Backoff.Max != 0 || user.Backoff.Avg() != 0 || user.Backoff.Last != 0 {
 		t.Errorf("stateless policy recorded backoff samples: %+v", user)
 	}
 	// With no pacer either, nothing consults the gossip estimate.
@@ -349,7 +349,7 @@ func TestUserPolicyGetsNoopController(t *testing.T) {
 	cfg.Backpressure = nil
 	cfg.HintSource = HintGossip
 	_, rep := run(t, cfg)
-	if rep.GossipMessages == 0 || rep.GossipUses != 0 {
-		t.Errorf("msgs=%d uses=%d, want gossip running and never consulted", rep.GossipMessages, rep.GossipUses)
+	if rep.GossipMessages == 0 || rep.GossipStaleness.N != 0 {
+		t.Errorf("msgs=%d uses=%d, want gossip running and never consulted", rep.GossipMessages, rep.GossipStaleness.N)
 	}
 }

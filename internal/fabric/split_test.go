@@ -216,21 +216,21 @@ func TestSplitSeparatesConflictFromCongestion(t *testing.T) {
 		t.Run("contention/"+string(src), func(t *testing.T) {
 			cfg := splitStackConfig(31, src)
 			_, rep := run(t, cfg)
-			if rep.ConflictEstMax < 0.2 {
-				t.Errorf("conflict estimate max %g under EHR contention, want alarmed", rep.ConflictEstMax)
+			if rep.ConflictEst.Max < 0.2 {
+				t.Errorf("conflict estimate max %g under EHR contention, want alarmed", rep.ConflictEst.Max)
 			}
-			if rep.CongestEstMax > 0.05 {
-				t.Errorf("congestion estimate max %g with an idle orderer, want ~0", rep.CongestEstMax)
+			if rep.CongestEst.Max > 0.05 {
+				t.Errorf("congestion estimate max %g with an idle orderer, want ~0", rep.CongestEst.Max)
 			}
 		})
 		t.Run("congestion/"+string(src), func(t *testing.T) {
 			cfg := insertOnlyCongestedConfig(32, src)
 			_, rep := run(t, cfg)
-			if rep.CongestEstMax < 0.2 {
-				t.Errorf("congestion estimate max %g behind a 25ms/tx orderer, want alarmed", rep.CongestEstMax)
+			if rep.CongestEst.Max < 0.2 {
+				t.Errorf("congestion estimate max %g behind a 25ms/tx orderer, want alarmed", rep.CongestEst.Max)
 			}
-			if rep.ConflictEstMax > 0.05 {
-				t.Errorf("conflict estimate max %g on an insert-only workload, want ~0", rep.ConflictEstMax)
+			if rep.ConflictEst.Max > 0.05 {
+				t.Errorf("conflict estimate max %g on an insert-only workload, want ~0", rep.ConflictEst.Max)
 			}
 			if rep.FailurePct > 1 {
 				t.Errorf("failure rate %g%% on insert-only: the workload is supposed to be conflict-free", rep.FailurePct)
@@ -248,14 +248,14 @@ func TestSplitGossipFixesMisPacing(t *testing.T) {
 	scalar := splitStackConfig(33, HintGossip)
 	scalar.SplitSignal = nil
 	_, scalarRep := run(t, scalar)
-	if scalarRep.TimePaced < 10*time.Second {
-		t.Fatalf("scalar gossip pacing spent only %v paced: the mis-pacing this PR fixes should dwarf that", scalarRep.TimePaced)
+	if scalarRep.Paced.Sum < 10*time.Second {
+		t.Fatalf("scalar gossip pacing spent only %v paced: the mis-pacing this PR fixes should dwarf that", scalarRep.Paced.Sum)
 	}
 
 	_, splitRep := run(t, splitStackConfig(33, HintGossip))
-	if splitRep.TimePaced > scalarRep.TimePaced/100 {
+	if splitRep.Paced.Sum > scalarRep.Paced.Sum/100 {
 		t.Errorf("split gossip still paced %v (scalar %v): conflicts are driving the pacer",
-			splitRep.TimePaced, scalarRep.TimePaced)
+			splitRep.Paced.Sum, scalarRep.Paced.Sum)
 	}
 	if splitRep.AvgEndToEnd >= scalarRep.AvgEndToEnd {
 		t.Errorf("split end-to-end %v did not improve on scalar %v",
@@ -288,8 +288,8 @@ func TestSplitNilIsByteIdentical(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Error("nil split-signal configs diverged")
 	}
-	if a.ConflictEstMax != 0 || a.CongestEstMax != 0 || a.ConflictEstAvg != 0 ||
-		a.CongestEstAvg != 0 || a.ConflictEstFinal != 0 || a.CongestEstFinal != 0 {
+	if a.ConflictEst.Max != 0 || a.CongestEst.Max != 0 || a.ConflictEst.Avg() != 0 ||
+		a.CongestEst.Avg() != 0 || a.ConflictEst.Last != 0 || a.CongestEst.Last != 0 {
 		t.Errorf("scalar run left split trajectories non-zero: %+v", a)
 	}
 }

@@ -76,9 +76,6 @@ func (v *Variant) OnCut(batch []*ledger.Transaction) ([]*ledger.Transaction, []*
 // (§3.2.2).
 func (v *Variant) SkipMVCC() bool { return false }
 
-// EndorseSnapshotLag implements fabric.Variant.
-func (v *Variant) EndorseSnapshotLag() bool { return false }
-
 // Stats reports how many transactions were serialized and aborted.
 func (v *Variant) Stats() (reordered, aborted int) { return v.reordered, v.aborted }
 

@@ -16,7 +16,11 @@
 // ever reach the chain, and aborted transactions never reach it at
 // all — which is why the study measures a lower committed throughput
 // (§5.4.2). Range queries are not supported (§5.4.3): transactions
-// carrying checked range reads are rejected at the orderer.
+// carrying checked range reads are rejected at the orderer. Replicas
+// apply every block as it commits, like stock Fabric: the study's
+// observed endorsement-failure increase (§5.4.1) emerges in this model
+// from the higher world-state update rate alone (the §5.2.2 mechanism:
+// more successful commits mean more replica churn).
 package fabricsharp
 
 import (
@@ -169,12 +173,6 @@ func (v *Variant) OnCut(batch []*ledger.Transaction) ([]*ledger.Transaction, []*
 // SkipMVCC implements fabric.Variant: the orderer serialized
 // everything; validation only checks endorsements.
 func (v *Variant) SkipMVCC() bool { return true }
-
-// EndorseSnapshotLag implements fabric.Variant. The study's observed
-// endorsement-failure increase (§5.4.1) emerges in this model from the
-// higher world-state update rate alone (the §5.2.2 mechanism: more
-// successful commits mean more replica churn).
-func (v *Variant) EndorseSnapshotLag() bool { return false }
 
 // OnBlockValidated implements fabric.Variant: advance the version
 // windows with the block's committed writes, in block order.

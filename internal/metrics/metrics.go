@@ -8,6 +8,7 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
 	"strings"
 	"time"
@@ -58,107 +59,59 @@ func bucketUpper(i int) time.Duration {
 	return time.Duration(low + 1<<(exp-histSubBits) - 1)
 }
 
-// Collector accumulates per-transaction outcomes during a run. All
-// latency state is streaming (count/sum/max plus the fixed-size
-// histogram above); nothing grows with transaction count.
+// Collector accumulates per-transaction outcomes during a run. It holds
+// the Report it is building — every Record* method writes its counter
+// or sample straight into it, so a metric is declared once, in Report —
+// plus only the scratch no report shows. All latency state is
+// streaming (count/sum/max plus the fixed-size histogram above);
+// nothing grows with transaction count.
 type Collector struct {
-	counts      map[ledger.ValidationCode]int
-	latencySum  time.Duration
-	latCount    int64
-	latMax      time.Duration
-	latHist     []int64
-	committed   int // transactions appended to the chain
-	servedReads int // read-only txs answered without ordering
-	blocks      int
-	firstEvent  sim.Time
-	lastEvent   sim.Time
-	started     bool
+	r Report
 
-	// Effective (client-side) metrics, fed by the retry subsystem: a
-	// "job" is one logical transaction tracked across resubmissions.
-	jobs          int                                   // resolved logical transactions
-	jobValid      int                                   // jobs that eventually committed (or were served)
-	jobGaveUp     int                                   // jobs abandoned after exhausting the policy
-	jobAttempts   int                                   // total submissions across resolved jobs
-	jobLatencySum time.Duration                         // first submission -> final resolution
-	firstTryValid int                                   // jobs valid on their first submission
-	attempts      map[int]map[ledger.ValidationCode]int // outcome of each attempt number
-
-	// Retry-budget accounting (Config.RetryBudget).
-	budgetExhausted int // retries dropped on an empty bucket
-	deferred        int // retries delayed waiting for a token
-	deferDepth      int // retries currently waiting
-	maxDeferDepth   int // peak of deferDepth over the run
-
-	// Adaptive-backoff trajectory (AdaptivePolicy): one sample per
-	// observed outcome, across all clients.
-	backoff series[time.Duration]
-
-	// Orderer-backpressure accounting (Config.Backpressure): the
-	// congestion-hint trajectory sampled at every block cut, and the
-	// pacing delay clients added to submissions from the shared signal.
-	hint  series[float64]
-	paced series[time.Duration]
-
-	// Gossip accounting (Config.Gossip): message/merge counters, the
-	// estimate trajectory sampled once per client round, and the
-	// staleness of the gossip estimate at each point of use.
-	gossipMsgs   int
-	gossipMerges int
-	gossipEst    series[float64]
-	gossipStale  series[time.Duration]
-
-	// Split-signal accounting (Config.SplitSignal): the two-component
-	// estimate trajectory sampled once per gossip round, conflict and
-	// congestion components tracked separately.
-	conflict series[float64]
-	congest  series[float64]
-
-	// Fault-injection accounting (Config.Faults): opened fault
-	// windows, node crashes and their scheduled downtime, client-side
-	// deadline expiries, orphaned transactions (committed after their
-	// client timed out), and peer catch-up latency after restarts.
-	faultWindows    int
-	crashes         int
-	downtime        time.Duration
-	endorseTimeouts int
-	submitTimeouts  int
-	orphans         int
-	recovery        series[time.Duration]
+	latencySum    time.Duration
+	latCount      int64
+	latHist       []int64
+	firstEvent    sim.Time
+	lastEvent     sim.Time
+	started       bool
+	deferDepth    int           // retries currently waiting for a budget token
+	jobLatencySum time.Duration // first submission -> final resolution
 }
 
-// series is a streaming summary of one sampled quantity: count, sum,
+// Series is a streaming summary of one sampled quantity: count, sum,
 // peak and latest sample. Peaks start at zero, which suits every
 // stream here (durations and [0,1] estimates are non-negative).
-type series[T time.Duration | float64] struct {
-	n              int
-	sum, max, last T
+type Series[T time.Duration | float64] struct {
+	N              int
+	Sum, Max, Last T
 }
 
-func (s *series[T]) add(v T) {
-	s.n++
-	s.sum += v
-	if v > s.max {
-		s.max = v
+func (s *Series[T]) add(v T) {
+	s.N++
+	s.Sum += v
+	if v > s.Max {
+		s.Max = v
 	}
-	s.last = v
+	s.Last = v
 }
 
-// avg is the mean sample, zero for an empty series. Durations divide
+// Avg is the mean sample, zero for an empty series. Durations divide
 // as integers (nanosecond truncation), floats as floats.
-func (s *series[T]) avg() T {
-	if s.n == 0 {
+func (s Series[T]) Avg() T {
+	if s.N == 0 {
 		return 0
 	}
-	return s.sum / T(s.n)
+	return s.Sum / T(s.N)
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{
-		counts:   map[ledger.ValidationCode]int{},
-		attempts: map[int]map[ledger.ValidationCode]int{},
-		latHist:  make([]int64, histBuckets),
+		r: Report{
+			Counts:           map[ledger.ValidationCode]int{},
+			AttemptBreakdown: map[int]map[ledger.ValidationCode]int{},
+		},
+		latHist: make([]int64, histBuckets),
 	}
 }
 
@@ -175,8 +128,9 @@ func (c *Collector) touch(t sim.Time) {
 // RecordTx records a transaction that reached the chain with the given
 // validation code and end-to-end latency.
 func (c *Collector) RecordTx(code ledger.ValidationCode, submit, done sim.Time) {
-	c.counts[code]++
-	c.committed++
+	c.r.Counts[code]++
+	c.r.Total++
+	c.r.Committed++
 	c.record(submit, done)
 }
 
@@ -184,7 +138,8 @@ func (c *Collector) RecordTx(code ledger.ValidationCode, submit, done sim.Time) 
 // (Fabric++ / FabricSharp early aborts): it never reaches the chain
 // but still counts as a failure.
 func (c *Collector) RecordAbort(submit, done sim.Time) {
-	c.counts[ledger.AbortedInOrdering]++
+	c.r.Counts[ledger.AbortedInOrdering]++
+	c.r.Total++
 	c.record(submit, done)
 }
 
@@ -192,8 +147,8 @@ func (c *Collector) record(submit, done sim.Time) {
 	lat := time.Duration(done - submit)
 	c.latencySum += lat
 	c.latCount++
-	if lat > c.latMax {
-		c.latMax = lat
+	if lat > c.r.MaxLatency {
+		c.r.MaxLatency = lat
 	}
 	c.latHist[latBucket(lat)]++
 	c.touch(submit)
@@ -217,13 +172,13 @@ func (c *Collector) percentile(pct int64) time.Duration {
 	for i, n := range c.latHist {
 		cum += n
 		if cum > target {
-			if u := bucketUpper(i); u < c.latMax {
+			if u := bucketUpper(i); u < c.r.MaxLatency {
 				return u
 			}
-			return c.latMax
+			return c.r.MaxLatency
 		}
 	}
-	return c.latMax
+	return c.r.MaxLatency
 }
 
 // RecordServedRead records a read-only transaction answered directly
@@ -231,42 +186,42 @@ func (c *Collector) percentile(pct int64) time.Duration {
 // (recommendation #4, §6.1). It counts toward latency but not toward
 // chain transactions or failures.
 func (c *Collector) RecordServedRead(submit, done sim.Time) {
-	c.servedReads++
+	c.r.ServedReads++
 	c.record(submit, done)
 }
 
 // RecordBlock counts one committed block.
-func (c *Collector) RecordBlock() { c.blocks++ }
+func (c *Collector) RecordBlock() { c.r.Blocks++ }
 
 // RecordAttempt records the outcome of one submission attempt of a
 // tracked logical transaction. attempt is 1-based (1 = the first
 // submission); code is Valid for commits and served reads, a failure
 // code otherwise.
 func (c *Collector) RecordAttempt(attempt int, code ledger.ValidationCode) {
-	byCode := c.attempts[attempt]
+	byCode := c.r.AttemptBreakdown[attempt]
 	if byCode == nil {
 		byCode = map[ledger.ValidationCode]int{}
-		c.attempts[attempt] = byCode
+		c.r.AttemptBreakdown[attempt] = byCode
 	}
 	byCode[code]++
 	if attempt == 1 && code == ledger.Valid {
-		c.firstTryValid++
+		c.r.FirstAttemptValid++
 	}
 }
 
 // RecordBudgetExhausted counts one resubmission dropped because the
 // client's retry budget was empty (token bucket in drop mode). The
 // affected job is additionally recorded as given up via RecordJob.
-func (c *Collector) RecordBudgetExhausted() { c.budgetExhausted++ }
+func (c *Collector) RecordBudgetExhausted() { c.r.BudgetExhausted++ }
 
 // RecordDeferStart counts one resubmission entering the deferred
 // state: the retry budget lent a token and the retry waits for the
 // refill stream. The paired RecordDeferEnd fires when it resubmits.
 func (c *Collector) RecordDeferStart() {
-	c.deferred++
+	c.r.DeferredRetries++
 	c.deferDepth++
-	if c.deferDepth > c.maxDeferDepth {
-		c.maxDeferDepth = c.deferDepth
+	if c.deferDepth > c.r.MaxDeferredDepth {
+		c.r.MaxDeferredDepth = c.deferDepth
 	}
 }
 
@@ -280,89 +235,94 @@ func (c *Collector) RecordDeferEnd() {
 // RecordBackoffSample records the current backoff level of an
 // adaptive retry controller after it processed an outcome. The report
 // summarizes the sample stream as the AIMD trajectory.
-func (c *Collector) RecordBackoffSample(d time.Duration) { c.backoff.add(d) }
+func (c *Collector) RecordBackoffSample(d time.Duration) { c.r.Backoff.add(d) }
 
 // RecordHintSample records the ordering service's smoothed congestion
 // hint at one block cut. The report summarizes the sample stream as
 // the backpressure-hint trajectory.
-func (c *Collector) RecordHintSample(h float64) { c.hint.add(h) }
+func (c *Collector) RecordHintSample(h float64) { c.r.Hint.add(h) }
 
 // RecordPaced counts one submission (a resubmission or a new
 // closed-loop job) the backpressure pacer delayed, accumulating the
 // extra delay it added on top of policy backoff and think time.
-func (c *Collector) RecordPaced(d time.Duration) { c.paced.add(d) }
+func (c *Collector) RecordPaced(d time.Duration) {
+	c.r.PacedSubmissions++
+	c.r.Paced.add(d)
+}
 
 // RecordGossipMessage counts one gossip message handed to the network
 // (one per sampled peer per round).
-func (c *Collector) RecordGossipMessage() { c.gossipMsgs++ }
+func (c *Collector) RecordGossipMessage() { c.r.GossipMessages++ }
 
 // RecordGossipMerge counts one received gossip estimate whose decayed
 // value beat the receiver's remote view and was adopted.
-func (c *Collector) RecordGossipMerge() { c.gossipMerges++ }
+func (c *Collector) RecordGossipMerge() { c.r.GossipMerges++ }
 
 // RecordGossipSample records one client's congestion estimate at the
 // start of one of its gossip rounds. The report summarizes the sample
 // stream as the gossip-estimate trajectory.
-func (c *Collector) RecordGossipSample(e float64) { c.gossipEst.add(e) }
+func (c *Collector) RecordGossipSample(e float64) { c.r.GossipEstimate.add(e) }
 
 // RecordSplitSample records one client's two-component signal
 // estimate at the start of one of its gossip rounds (split-signal
 // mode). The report summarizes the streams as the conflict and
 // congestion estimate trajectories.
 func (c *Collector) RecordSplitSample(conflict, congestion float64) {
-	c.conflict.add(conflict)
-	c.congest.add(congestion)
+	c.r.ConflictEst.add(conflict)
+	c.r.CongestEst.add(congestion)
 }
 
 // RecordGossipUse records one consultation of a client's gossip
 // estimate (for pacing or a hint-driven backoff) together with the
 // age of the remote information behind it — zero when the client's
 // own fresh window dominated the estimate.
-func (c *Collector) RecordGossipUse(staleness time.Duration) { c.gossipStale.add(staleness) }
+func (c *Collector) RecordGossipUse(staleness time.Duration) { c.r.GossipStaleness.add(staleness) }
 
 // RecordFaultWindow counts one fault window opening (any kind).
-func (c *Collector) RecordFaultWindow() { c.faultWindows++ }
+func (c *Collector) RecordFaultWindow() { c.r.FaultWindows++ }
 
 // RecordNodeDown counts one node crash with its scheduled downtime
 // (the window length — recorded at crash onset, since the schedule
 // fixes the restart time).
 func (c *Collector) RecordNodeDown(d time.Duration) {
-	c.crashes++
-	c.downtime += d
+	c.r.NodeCrashes++
+	c.r.NodeDowntime += d
 }
 
 // RecordEndorseTimeout counts one client endorsement deadline expiry.
-func (c *Collector) RecordEndorseTimeout() { c.endorseTimeouts++ }
+func (c *Collector) RecordEndorseTimeout() { c.r.EndorseTimeouts++ }
 
 // RecordSubmitTimeout counts one client submission deadline expiry.
-func (c *Collector) RecordSubmitTimeout() { c.submitTimeouts++ }
+func (c *Collector) RecordSubmitTimeout() { c.r.SubmitTimeouts++ }
 
 // RecordOrphan counts one orphaned transaction: it committed as valid
 // after its submitting client had already timed out and moved on.
-func (c *Collector) RecordOrphan() { c.orphans++ }
+func (c *Collector) RecordOrphan() { c.r.OrphanedTxs++ }
 
 // RecordRecovery records one peer finishing its post-restart ledger
 // replay, d after the restart.
-func (c *Collector) RecordRecovery(d time.Duration) { c.recovery.add(d) }
+func (c *Collector) RecordRecovery(d time.Duration) { c.r.Recovery.add(d) }
 
 // RecordJob records the final resolution of a tracked logical
 // transaction: after `attempts` submissions it either committed
 // (success) or was abandoned by the retry policy. firstSubmit/done
 // bound the end-to-end latency including every resubmission.
 func (c *Collector) RecordJob(attempts int, success bool, firstSubmit, done sim.Time) {
-	c.jobs++
-	c.jobAttempts += attempts
+	c.r.Jobs++
+	c.r.Attempts += attempts
 	if success {
-		c.jobValid++
+		c.r.EventualValid++
 	} else {
-		c.jobGaveUp++
+		c.r.GaveUp++
 	}
 	c.jobLatencySum += time.Duration(done - firstSubmit)
 	c.touch(firstSubmit)
 	c.touch(done)
 }
 
-// Report summarizes a run.
+// Report summarizes a run. It is the one declaration of every metric:
+// a Collector counts and samples directly into these fields, and
+// Collector.Report fills in only what is derived from them.
 type Report struct {
 	Total     int // all finished transactions (committed + aborted)
 	Committed int // appended to the chain (valid + failed-in-validation)
@@ -451,56 +411,43 @@ type Report struct {
 	// simultaneously parked waiting for budget tokens.
 	MaxDeferredDepth int
 
-	// Adaptive-backoff trajectory summary (AdaptivePolicy runs only):
-	// the mean, peak and final backoff level across every adjustment
-	// made by every client's AIMD controller. Zero otherwise.
-	AdaptiveBackoffAvg   time.Duration
-	AdaptiveBackoffMax   time.Duration
-	AdaptiveBackoffFinal time.Duration
+	// Backoff is the adaptive-backoff trajectory (AdaptivePolicy runs
+	// only; empty otherwise): the backoff level after every adjustment
+	// made by every client's AIMD controller.
+	Backoff Series[time.Duration]
 
-	// Orderer-backpressure summary (Config.Backpressure runs only):
-	// the congestion-hint trajectory over all block cuts — mean, peak
-	// and final smoothed hint in [0,1] — and the client-side pacing it
-	// produced. Zero otherwise.
-	BackpressureHintAvg   float64
-	BackpressureHintMax   float64
-	BackpressureHintFinal float64
+	// Hint is the orderer's congestion-hint trajectory
+	// (Config.Backpressure runs only; empty otherwise): the smoothed
+	// hint in [0,1] sampled at every block cut.
+	Hint Series[float64]
 	// PacedSubmissions counts submissions (resubmissions and new
-	// closed-loop jobs) the pacer delayed; TimePaced is the total
-	// extra delay the shared signal injected across all clients, and
-	// MaxPacedPause the largest single pause — by construction never
-	// above the configured Backpressure.MaxPause.
+	// closed-loop jobs) the pacer delayed, and Paced holds the pauses:
+	// Paced.N equals PacedSubmissions, Paced.Sum is the total extra
+	// delay the shared signal injected across all clients, and
+	// Paced.Max the largest single pause — by construction never above
+	// the configured Backpressure.MaxPause.
 	PacedSubmissions int
-	TimePaced        time.Duration
-	MaxPacedPause    time.Duration
+	Paced            Series[time.Duration]
 
 	// Gossip summary (Config.Gossip runs only; zero otherwise):
-	// message and merge counters, the estimate trajectory sampled once
-	// per client gossip round (mean/peak/final, in [0,1]), and the
-	// staleness of the estimate at its points of use — how old the
-	// remote information a client acted on was (zero when its own
-	// window dominated).
-	GossipMessages      int
-	GossipMerges        int
-	GossipEstimateAvg   float64
-	GossipEstimateMax   float64
-	GossipEstimateFinal float64
-	GossipUses          int
-	GossipStalenessAvg  time.Duration
-	GossipStalenessMax  time.Duration
+	// message and merge counters, the estimate trajectory in [0,1]
+	// sampled once per client gossip round, and the staleness of the
+	// estimate at its points of use — one sample per consultation, how
+	// old the remote information a client acted on was (zero when its
+	// own window dominated).
+	GossipMessages  int
+	GossipMerges    int
+	GossipEstimate  Series[float64]
+	GossipStaleness Series[time.Duration]
 
-	// Split-signal summary (Config.SplitSignal runs only; zero
+	// Split-signal summary (Config.SplitSignal runs only; empty
 	// otherwise): the conflict and congestion estimate trajectories
 	// sampled once per client gossip round, each in [0,1]. On a
 	// contention-bound workload with an idle orderer the conflict
 	// trajectory should be alarmed and the congestion trajectory ≈ 0 —
 	// the mis-pacing signature the split exists to remove.
-	ConflictEstAvg   float64
-	ConflictEstMax   float64
-	ConflictEstFinal float64
-	CongestEstAvg    float64
-	CongestEstMax    float64
-	CongestEstFinal  float64
+	ConflictEst Series[float64]
+	CongestEst  Series[float64]
 
 	// Fault-injection summary (Config.Faults runs only; zero
 	// otherwise). FaultWindows counts opened windows; NodeCrashes and
@@ -509,17 +456,15 @@ type Report struct {
 	// (each also a CLIENT_TIMEOUT attempt on the retry path);
 	// OrphanedTxs counts transactions that committed as valid after
 	// their client timed out — duplicate-effect risk at the
-	// application layer; Recoveries and RecoveryAvg/RecoveryMax
-	// summarize peer post-restart ledger replays.
+	// application layer; Recovery holds one sample per peer
+	// post-restart ledger replay, its latency after the restart.
 	FaultWindows    int
 	NodeCrashes     int
 	NodeDowntime    time.Duration
 	EndorseTimeouts int
 	SubmitTimeouts  int
 	OrphanedTxs     int
-	Recoveries      int
-	RecoveryAvg     time.Duration
-	RecoveryMax     time.Duration
+	Recovery        Series[time.Duration]
 }
 
 // fillPercentages derives Valid and the failure-class percentages from
@@ -539,44 +484,28 @@ func (r *Report) fillPercentages() {
 	r.AbortedPct = pct(r.Counts[ledger.AbortedInOrdering])
 }
 
-// Report computes the summary.
+// Report computes the summary: a copy of the report built so far —
+// the two maps deep-copied, so it never aliases the live one — with
+// the derived values filled in.
 func (c *Collector) Report() Report {
-	r := Report{
-		Committed:   c.committed,
-		Counts:      map[ledger.ValidationCode]int{},
-		Blocks:      c.blocks,
-		ServedReads: c.servedReads,
-	}
-	for code, n := range c.counts {
-		r.Counts[code] = n
-		r.Total += n
-	}
+	r := c.r
+	r.Counts = maps.Clone(c.r.Counts)
 	r.fillPercentages()
 	if c.latCount > 0 {
 		r.AvgLatency = c.latencySum / time.Duration(c.latCount)
-		r.MaxLatency = c.latMax
 		r.P50Latency = c.percentile(50)
 		r.P95Latency = c.percentile(95)
 	}
 	r.Duration = time.Duration(c.lastEvent - c.firstEvent)
 	if r.Duration > 0 {
-		r.Throughput = float64(c.committed) / r.Duration.Seconds()
+		r.Throughput = float64(r.Committed) / r.Duration.Seconds()
 	}
-	if c.jobs > 0 {
-		r.Jobs = c.jobs
-		r.EventualValid = c.jobValid
-		r.GaveUp = c.jobGaveUp
-		r.Attempts = c.jobAttempts
-		r.FirstAttemptValid = c.firstTryValid
-		r.RetryAmplification = float64(c.jobAttempts) / float64(c.jobs)
-		r.AvgEndToEnd = c.jobLatencySum / time.Duration(c.jobs)
-		r.AttemptBreakdown = map[int]map[ledger.ValidationCode]int{}
-		for attempt, byCode := range c.attempts {
-			cp := make(map[ledger.ValidationCode]int, len(byCode))
-			for code, n := range byCode {
-				cp[code] = n
-			}
-			r.AttemptBreakdown[attempt] = cp
+	if r.Jobs > 0 {
+		r.RetryAmplification = float64(r.Attempts) / float64(r.Jobs)
+		r.AvgEndToEnd = c.jobLatencySum / time.Duration(r.Jobs)
+		r.AttemptBreakdown = make(map[int]map[ledger.ValidationCode]int, len(c.r.AttemptBreakdown))
+		for attempt, byCode := range c.r.AttemptBreakdown {
+			r.AttemptBreakdown[attempt] = maps.Clone(byCode)
 		}
 	} else {
 		// Fire-and-forget clients: every finished transaction is a
@@ -589,6 +518,7 @@ func (c *Collector) Report() Report {
 		r.Attempts = r.Total + r.ServedReads
 		r.FirstAttemptValid = r.Valid + r.ServedReads
 		r.AvgEndToEnd = r.AvgLatency
+		r.AttemptBreakdown = nil
 		if r.Jobs > 0 {
 			r.RetryAmplification = 1
 		}
@@ -596,41 +526,6 @@ func (c *Collector) Report() Report {
 	if r.Duration > 0 {
 		r.Goodput = float64(r.FirstAttemptValid) / r.Duration.Seconds()
 	}
-	r.BudgetExhausted = c.budgetExhausted
-	r.DeferredRetries = c.deferred
-	r.MaxDeferredDepth = c.maxDeferDepth
-	r.AdaptiveBackoffAvg = c.backoff.avg()
-	r.AdaptiveBackoffMax = c.backoff.max
-	r.AdaptiveBackoffFinal = c.backoff.last
-	r.BackpressureHintAvg = c.hint.avg()
-	r.BackpressureHintMax = c.hint.max
-	r.BackpressureHintFinal = c.hint.last
-	r.PacedSubmissions = c.paced.n
-	r.TimePaced = c.paced.sum
-	r.MaxPacedPause = c.paced.max
-	r.GossipMessages = c.gossipMsgs
-	r.GossipMerges = c.gossipMerges
-	r.GossipEstimateAvg = c.gossipEst.avg()
-	r.GossipEstimateMax = c.gossipEst.max
-	r.GossipEstimateFinal = c.gossipEst.last
-	r.ConflictEstAvg = c.conflict.avg()
-	r.ConflictEstMax = c.conflict.max
-	r.ConflictEstFinal = c.conflict.last
-	r.CongestEstAvg = c.congest.avg()
-	r.CongestEstMax = c.congest.max
-	r.CongestEstFinal = c.congest.last
-	r.GossipUses = c.gossipStale.n
-	r.GossipStalenessAvg = c.gossipStale.avg()
-	r.GossipStalenessMax = c.gossipStale.max
-	r.FaultWindows = c.faultWindows
-	r.NodeCrashes = c.crashes
-	r.NodeDowntime = c.downtime
-	r.EndorseTimeouts = c.endorseTimeouts
-	r.SubmitTimeouts = c.submitTimeouts
-	r.OrphanedTxs = c.orphans
-	r.Recoveries = c.recovery.n
-	r.RecoveryAvg = c.recovery.avg()
-	r.RecoveryMax = c.recovery.max
 	return r
 }
 

@@ -346,29 +346,29 @@ func TestBudgetAndDeferAccounting(t *testing.T) {
 func TestBackoffTrajectorySummary(t *testing.T) {
 	c := NewCollector()
 	r := c.Report()
-	if r.AdaptiveBackoffAvg != 0 || r.AdaptiveBackoffMax != 0 || r.AdaptiveBackoffFinal != 0 {
+	if r.Backoff.Avg() != 0 || r.Backoff.Max != 0 || r.Backoff.Last != 0 {
 		t.Error("empty collector reported a trajectory")
 	}
 	c.RecordBackoffSample(100 * time.Millisecond)
 	c.RecordBackoffSample(400 * time.Millisecond)
 	c.RecordBackoffSample(200 * time.Millisecond)
 	r = c.Report()
-	if want := (100 + 400 + 200) * time.Millisecond / 3; r.AdaptiveBackoffAvg != want {
-		t.Errorf("avg %v, want %v", r.AdaptiveBackoffAvg, want)
+	if want := (100 + 400 + 200) * time.Millisecond / 3; r.Backoff.Avg() != want {
+		t.Errorf("avg %v, want %v", r.Backoff.Avg(), want)
 	}
-	if r.AdaptiveBackoffMax != 400*time.Millisecond {
-		t.Errorf("max %v, want 400ms", r.AdaptiveBackoffMax)
+	if r.Backoff.Max != 400*time.Millisecond {
+		t.Errorf("max %v, want 400ms", r.Backoff.Max)
 	}
-	if r.AdaptiveBackoffFinal != 200*time.Millisecond {
-		t.Errorf("final %v, want 200ms", r.AdaptiveBackoffFinal)
+	if r.Backoff.Last != 200*time.Millisecond {
+		t.Errorf("final %v, want 200ms", r.Backoff.Last)
 	}
 }
 
 func TestBackpressureSummary(t *testing.T) {
 	c := NewCollector()
 	r := c.Report()
-	if r.BackpressureHintAvg != 0 || r.BackpressureHintMax != 0 ||
-		r.BackpressureHintFinal != 0 || r.PacedSubmissions != 0 || r.TimePaced != 0 {
+	if r.Hint.Avg() != 0 || r.Hint.Max != 0 ||
+		r.Hint.Last != 0 || r.PacedSubmissions != 0 || r.Paced.Sum != 0 {
 		t.Error("empty collector reported backpressure activity")
 	}
 	c.RecordHintSample(0.2)
@@ -377,20 +377,20 @@ func TestBackpressureSummary(t *testing.T) {
 	c.RecordPaced(300 * time.Millisecond)
 	c.RecordPaced(700 * time.Millisecond)
 	r = c.Report()
-	if want := (0.2 + 0.8 + 0.5) / 3; r.BackpressureHintAvg != want {
-		t.Errorf("hint avg %g, want %g", r.BackpressureHintAvg, want)
+	if want := (0.2 + 0.8 + 0.5) / 3; r.Hint.Avg() != want {
+		t.Errorf("hint avg %g, want %g", r.Hint.Avg(), want)
 	}
-	if r.BackpressureHintMax != 0.8 {
-		t.Errorf("hint max %g, want 0.8", r.BackpressureHintMax)
+	if r.Hint.Max != 0.8 {
+		t.Errorf("hint max %g, want 0.8", r.Hint.Max)
 	}
-	if r.BackpressureHintFinal != 0.5 {
-		t.Errorf("hint final %g, want 0.5", r.BackpressureHintFinal)
+	if r.Hint.Last != 0.5 {
+		t.Errorf("hint final %g, want 0.5", r.Hint.Last)
 	}
 	if r.PacedSubmissions != 2 {
 		t.Errorf("paced %d, want 2", r.PacedSubmissions)
 	}
-	if r.TimePaced != time.Second {
-		t.Errorf("time paced %v, want 1s", r.TimePaced)
+	if r.Paced.Sum != time.Second {
+		t.Errorf("time paced %v, want 1s", r.Paced.Sum)
 	}
 }
 
@@ -399,17 +399,17 @@ func TestMaxPacedPauseTracksLargestSinglePause(t *testing.T) {
 	c.RecordPaced(300 * time.Millisecond)
 	c.RecordPaced(900 * time.Millisecond)
 	c.RecordPaced(100 * time.Millisecond)
-	if r := c.Report(); r.MaxPacedPause != 900*time.Millisecond {
-		t.Errorf("max paced pause %v, want 900ms", r.MaxPacedPause)
+	if r := c.Report(); r.Paced.Max != 900*time.Millisecond {
+		t.Errorf("max paced pause %v, want 900ms", r.Paced.Max)
 	}
 }
 
 func TestGossipSummary(t *testing.T) {
 	c := NewCollector()
 	r := c.Report()
-	if r.GossipMessages != 0 || r.GossipMerges != 0 || r.GossipEstimateAvg != 0 ||
-		r.GossipEstimateMax != 0 || r.GossipEstimateFinal != 0 ||
-		r.GossipUses != 0 || r.GossipStalenessAvg != 0 || r.GossipStalenessMax != 0 {
+	if r.GossipMessages != 0 || r.GossipMerges != 0 || r.GossipEstimate.Avg() != 0 ||
+		r.GossipEstimate.Max != 0 || r.GossipEstimate.Last != 0 ||
+		r.GossipStaleness.N != 0 || r.GossipStaleness.Avg() != 0 || r.GossipStaleness.Max != 0 {
 		t.Error("empty collector reported gossip activity")
 	}
 	c.RecordGossipMessage()
@@ -425,17 +425,17 @@ func TestGossipSummary(t *testing.T) {
 	if r.GossipMessages != 3 || r.GossipMerges != 1 {
 		t.Errorf("msgs=%d merges=%d, want 3 and 1", r.GossipMessages, r.GossipMerges)
 	}
-	if want := (0.2 + 0.9 + 0.4) / 3; r.GossipEstimateAvg != want {
-		t.Errorf("estimate avg %g, want %g", r.GossipEstimateAvg, want)
+	if want := (0.2 + 0.9 + 0.4) / 3; r.GossipEstimate.Avg() != want {
+		t.Errorf("estimate avg %g, want %g", r.GossipEstimate.Avg(), want)
 	}
-	if r.GossipEstimateMax != 0.9 || r.GossipEstimateFinal != 0.4 {
-		t.Errorf("estimate max=%g final=%g, want 0.9 and 0.4", r.GossipEstimateMax, r.GossipEstimateFinal)
+	if r.GossipEstimate.Max != 0.9 || r.GossipEstimate.Last != 0.4 {
+		t.Errorf("estimate max=%g final=%g, want 0.9 and 0.4", r.GossipEstimate.Max, r.GossipEstimate.Last)
 	}
-	if r.GossipUses != 2 {
-		t.Errorf("uses %d, want 2", r.GossipUses)
+	if r.GossipStaleness.N != 2 {
+		t.Errorf("uses %d, want 2", r.GossipStaleness.N)
 	}
-	if r.GossipStalenessAvg != 300*time.Millisecond || r.GossipStalenessMax != 500*time.Millisecond {
+	if r.GossipStaleness.Avg() != 300*time.Millisecond || r.GossipStaleness.Max != 500*time.Millisecond {
 		t.Errorf("staleness avg=%v max=%v, want 300ms and 500ms",
-			r.GossipStalenessAvg, r.GossipStalenessMax)
+			r.GossipStaleness.Avg(), r.GossipStaleness.Max)
 	}
 }

@@ -75,8 +75,5 @@ func (v *Variant) OnCut(batch []*ledger.Transaction) ([]*ledger.Transaction, []*
 // SkipMVCC implements fabric.Variant.
 func (v *Variant) SkipMVCC() bool { return false }
 
-// EndorseSnapshotLag implements fabric.Variant.
-func (v *Variant) EndorseSnapshotLag() bool { return false }
-
 // OnBlockValidated implements fabric.Variant: no feedback needed.
 func (v *Variant) OnBlockValidated(*ledger.Block, []ledger.ValidationCode) {}

@@ -97,7 +97,7 @@ func TestHooksAreNoOps(t *testing.T) {
 	if len(kept) != 1 || aborted != nil || cost != 0 {
 		t.Error("OnCut not a pass-through")
 	}
-	if v.SkipMVCC() || v.EndorseSnapshotLag() {
-		t.Error("flags wrong")
+	if v.SkipMVCC() {
+		t.Error("SkipMVCC set")
 	}
 }
