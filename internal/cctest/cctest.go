@@ -1,10 +1,17 @@
 // Package cctest provides helpers for chaincode unit tests: a
 // one-shot committer that applies a captured read/write set to a
-// state database, and an op-count checker against Table 2 rows.
+// state database, an op-count checker against Table 2 rows, and the
+// differential check of a document type's AppendJSON against
+// encoding/json.
 package cctest
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"reflect"
+	"testing"
+	"testing/quick"
 
 	"repro/internal/chaincode"
 	"repro/internal/ledger"
@@ -58,4 +65,38 @@ func CheckOps(info workload.FunctionInfo, stub *chaincode.Stub) error {
 		return fmt.Errorf("%s: %d range reads, table says %d", info.Name, tr.Ranges+tr.Queries, info.RangeReads)
 	}
 	return nil
+}
+
+// CheckDocumentJSON proves a document type's AppendJSON against
+// encoding/json, which it treats as a black box: for every document of
+// table, and for a thousand that testing/quick generates, the appended
+// bytes are json.Marshal's and decode back to the document. quick fills
+// every field by reflection, so a field added to the struct without its
+// line in AppendJSON fails here.
+func CheckDocumentJSON[T chaincode.Document](t *testing.T, table ...T) {
+	t.Helper()
+	same := func(doc T) bool {
+		want, err := json.Marshal(doc)
+		if err != nil {
+			t.Errorf("json.Marshal(%+v): %v", doc, err)
+			return false
+		}
+		got := doc.AppendJSON(nil)
+		if !bytes.Equal(got, want) {
+			t.Errorf("AppendJSON of %+v\n gives %s\n  want %s", doc, got, want)
+			return false
+		}
+		var back T
+		if err := json.Unmarshal(got, &back); err != nil || !reflect.DeepEqual(back, doc) {
+			t.Errorf("%s decodes to %+v, %v; want %+v", got, back, err, doc)
+			return false
+		}
+		return true
+	}
+	for _, doc := range table {
+		same(doc)
+	}
+	if err := quick.Check(same, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
 }

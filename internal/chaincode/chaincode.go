@@ -17,7 +17,8 @@
 //   - GetDoc/PutDoc are GetState/PutState for JSON documents: the
 //     struct a chaincode wrote travels with its bytes to the state entry
 //     and is handed to the next reader, so a document is encoded once per
-//     write and decoded only when its bytes came from somewhere else.
+//     write — by its own AppendJSON (json.go), never by reflection — and
+//     decoded only when its bytes came from somewhere else.
 //
 // Every stub also records an OpTrace so the cost model can price the
 // invocation in virtual time.
@@ -27,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/costmodel"
 	"repro/internal/ledger"
@@ -266,17 +268,31 @@ func CloneDoc[T any](s *Stub, key string) (doc *T, found bool, err error) {
 	return doc, stored != nil, nil
 }
 
+// Document is what PutDoc can store: a type that appends its own JSON
+// encoding to b — the bytes encoding/json would produce for it, built
+// from the Append helpers of json.go — and returns the extended slice.
+type Document interface {
+	AppendJSON(b []byte) []byte
+}
+
+// encodeScratch holds the buffers PutDoc encodes into. A stored value
+// is an exact-length copy of what was encoded, never the buffer: the
+// slack an encoder leaves behind would be retained by every state entry
+// and block the write reaches.
+var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // PutDoc encodes doc and buffers it as the write of key. The bytes are
 // the write (they are what is hashed, signed and stored); doc rides
 // beside them to the state entry the write becomes, so from here on it
 // is immutable.
-func PutDoc[T any](s *Stub, key string, doc *T) error {
+func PutDoc[T Document](s *Stub, key string, doc *T) error {
 	if doc == nil {
 		return errors.New("chaincode: nil document")
 	}
-	raw, err := json.Marshal(doc)
-	if err != nil {
-		return err
-	}
+	scratch := encodeScratch.Get().(*[]byte)
+	*scratch = (*doc).AppendJSON((*scratch)[:0])
+	raw := make([]byte, len(*scratch))
+	copy(raw, *scratch)
+	encodeScratch.Put(scratch)
 	return s.put(ledger.KVWrite{Key: key, Value: raw, Doc: doc})
 }

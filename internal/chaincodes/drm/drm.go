@@ -38,6 +38,24 @@ type holderDoc struct {
 	Revenue int    `json:"revenue"`
 }
 
+// AppendJSON implements chaincode.Document.
+func (a artworkDoc) AppendJSON(b []byte) []byte {
+	b = chaincode.AppendString(append(b, `{"artId":`...), a.ArtID)
+	b = chaincode.AppendString(append(b, `,"format":`...), a.Format)
+	b = chaincode.AppendString(append(b, `,"owner":`...), a.Owner)
+	b = chaincode.AppendInt(append(b, `,"plays":`...), a.Plays)
+	b = chaincode.AppendInt(append(b, `,"rate":`...), a.Rate)
+	return append(b, '}')
+}
+
+// AppendJSON implements chaincode.Document.
+func (h holderDoc) AppendJSON(b []byte) []byte {
+	b = chaincode.AppendString(append(b, `{"ipi":`...), h.IPI)
+	b = chaincode.AppendInt(append(b, `,"works":`...), h.Works)
+	b = chaincode.AppendInt(append(b, `,"revenue":`...), h.Revenue)
+	return append(b, '}')
+}
+
 // ArtKey is an artwork's world-state key.
 func ArtKey(i int) string { return fmt.Sprintf("art_%03d", i) }
 

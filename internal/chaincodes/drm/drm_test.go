@@ -2,6 +2,7 @@ package drm
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -17,6 +18,20 @@ func TestInitSeedsCatalog(t *testing.T) {
 	if db.Len() != Artworks+Holders {
 		t.Fatalf("seeded %d keys, want %d", db.Len(), Artworks+Holders)
 	}
+}
+
+// Both document types append the bytes json.Marshal produces.
+func TestDocumentsEncodeLikeEncodingJSON(t *testing.T) {
+	cctest.CheckDocumentJSON(t,
+		artworkDoc{},
+		artworkDoc{ArtID: ArtKey(11), Format: "dotbc", Owner: HolderKey(13), Plays: 3, Rate: 2},
+		artworkDoc{Format: "<dotbc>", Plays: -1, Rate: math.MinInt64},
+	)
+	cctest.CheckDocumentJSON(t,
+		holderDoc{},
+		holderDoc{IPI: HolderKey(13), Works: 4, Revenue: 12},
+		holderDoc{Works: math.MinInt64, Revenue: -7},
+	)
 }
 
 func TestTable2OpCounts(t *testing.T) {

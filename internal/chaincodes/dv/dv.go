@@ -44,6 +44,29 @@ type electionDoc struct {
 	Open bool `json:"open"`
 }
 
+// AppendJSON implements chaincode.Document.
+func (v voterDoc) AppendJSON(b []byte) []byte {
+	b = chaincode.AppendString(append(b, `{"voterId":`...), v.VoterID)
+	b = chaincode.AppendBool(append(b, `,"voted":`...), v.Voted)
+	if v.Party != "" { // omitempty
+		b = chaincode.AppendString(append(b, `,"party":`...), v.Party)
+	}
+	return append(b, '}')
+}
+
+// AppendJSON implements chaincode.Document.
+func (p partyDoc) AppendJSON(b []byte) []byte {
+	b = chaincode.AppendString(append(b, `{"partyId":`...), p.PartyID)
+	b = chaincode.AppendInt(append(b, `,"votes":`...), p.Votes)
+	return append(b, '}')
+}
+
+// AppendJSON implements chaincode.Document.
+func (e electionDoc) AppendJSON(b []byte) []byte {
+	b = chaincode.AppendBool(append(b, `{"open":`...), e.Open)
+	return append(b, '}')
+}
+
 // VoterKey is the world-state key of a voter.
 func VoterKey(i int) string { return fmt.Sprintf("voter_%04d", i) }
 

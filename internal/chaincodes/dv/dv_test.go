@@ -2,6 +2,7 @@ package dv
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -17,6 +18,19 @@ func TestInitSeedsElectorate(t *testing.T) {
 	if db.Len() != Voters+Parties+1 {
 		t.Fatalf("seeded %d keys, want %d", db.Len(), Voters+Parties+1)
 	}
+}
+
+// All three document types append the bytes json.Marshal produces;
+// voterDoc's party is there only once a vote has set it.
+func TestDocumentsEncodeLikeEncodingJSON(t *testing.T) {
+	cctest.CheckDocumentJSON(t,
+		voterDoc{},
+		voterDoc{VoterID: VoterKey(17)},
+		voterDoc{VoterID: VoterKey(17), Voted: true, Party: PartyKey(2)},
+		voterDoc{Voted: true, Party: `"<none>"`},
+	)
+	cctest.CheckDocumentJSON(t, partyDoc{}, partyDoc{PartyID: PartyKey(3), Votes: 41}, partyDoc{Votes: math.MinInt64})
+	cctest.CheckDocumentJSON(t, electionDoc{}, electionDoc{Open: true})
 }
 
 func TestTable2OpCounts(t *testing.T) {

@@ -42,6 +42,22 @@ type record struct {
 	Entries   int             `json:"entries"`
 }
 
+// AppendJSON implements chaincode.Document.
+func (p profile) AppendJSON(b []byte) []byte {
+	b = chaincode.AppendString(append(b, `{"patientId":`...), p.PatientID)
+	b = chaincode.AppendBoolMap(append(b, `,"access":`...), p.Access)
+	b = chaincode.AppendInt(append(b, `,"updates":`...), p.Updates)
+	return append(b, '}')
+}
+
+// AppendJSON implements chaincode.Document.
+func (r record) AppendJSON(b []byte) []byte {
+	b = chaincode.AppendString(append(b, `{"patientId":`...), r.PatientID)
+	b = chaincode.AppendBoolMap(append(b, `,"access":`...), r.Access)
+	b = chaincode.AppendInt(append(b, `,"entries":`...), r.Entries)
+	return append(b, '}')
+}
+
 // Chaincode is the EHR contract. The zero value is ready to use.
 type Chaincode struct{}
 
@@ -83,7 +99,16 @@ func ProfileKey(patient int) string { return profileKeys.key(patient) }
 // RecordKey is the world-state key of a patient's EHR.
 func RecordKey(patient int) string { return recordKeys.key(patient) }
 
-func actorName(i int) string { return fmt.Sprintf("actor%02d", i) }
+// actorNames holds the names of the medical actors, formatted once:
+// the workload draws one for four of its nine functions.
+var actorNames = func() (names [Actors]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("actor%02d", i)
+	}
+	return names
+}()
+
+func actorName(i int) string { return actorNames[i] }
 
 // Init seeds the 100 profiles and 100 EHRs.
 func (c *Chaincode) Init(stub *chaincode.Stub) error {
@@ -257,7 +282,7 @@ func NewWorkload(skew float64) workload.Generator {
 	return workload.Func(func(rng *rand.Rand) workload.Invocation {
 		fn := fns[rng.Intn(len(fns))]
 		patient := z.Next(rng)
-		args := []string{strconv.Itoa(patient)}
+		args := append(make([]string, 0, 2), strconv.Itoa(patient))
 		switch fn {
 		case "grantProfileAccess", "revokeProfileAccess", "grantEhrAccess", "revokeEhrAccess":
 			args = append(args, actorName(rng.Intn(Actors)))

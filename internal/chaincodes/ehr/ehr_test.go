@@ -3,6 +3,7 @@ package ehr
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -39,10 +40,36 @@ func TestKeysMatchSprintf(t *testing.T) {
 			t.Errorf("RecordKey(%d) = %q, want %q", p, got, want)
 		}
 	}
+	for i := 0; i < Actors; i++ {
+		if got, want := actorName(i), fmt.Sprintf("actor%02d", i); got != want {
+			t.Errorf("actorName(%d) = %q, want %q", i, got, want)
+		}
+	}
 	var profile, record string
 	if n := testing.AllocsPerRun(100, func() { profile, record = ProfileKey(42), RecordKey(99) }); n != 0 {
 		t.Errorf("table keys %q and %q cost %v allocations", profile, record, n)
 	}
+}
+
+// Both document types append the bytes json.Marshal produces.
+func TestDocumentsEncodeLikeEncodingJSON(t *testing.T) {
+	fifty := map[string]bool{}
+	for i := 0; i < Actors; i++ {
+		fifty[actorName((i*37)%Actors)] = i%3 != 0
+	}
+	cctest.CheckDocumentJSON(t,
+		profile{},
+		profile{PatientID: "17", Access: map[string]bool{}},
+		profile{PatientID: "99", Access: map[string]bool{"actor07": true, "actor03": false}, Updates: 12},
+		profile{PatientID: "<&>", Access: fifty, Updates: -1},
+		profile{Updates: math.MinInt64},
+	)
+	cctest.CheckDocumentJSON(t,
+		record{},
+		record{PatientID: "17", Access: map[string]bool{}},
+		record{PatientID: "0", Access: fifty, Entries: 3},
+		record{Entries: math.MinInt64},
+	)
 }
 
 // TestTable2OpCounts verifies every function's read/write/range counts

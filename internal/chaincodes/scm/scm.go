@@ -50,6 +50,30 @@ type asnDoc struct {
 	To    string `json:"to"`
 }
 
+// AppendJSON implements chaincode.Document.
+func (u unitDoc) AppendJSON(b []byte) []byte {
+	b = chaincode.AppendString(append(b, `{"sscc":`...), u.SSCC)
+	b = chaincode.AppendString(append(b, `,"gtin":`...), u.GTIN)
+	b = chaincode.AppendString(append(b, `,"lsp":`...), u.LSP)
+	b = chaincode.AppendInt(append(b, `,"items":`...), u.Items)
+	return append(b, '}')
+}
+
+// AppendJSON implements chaincode.Document.
+func (l lspDoc) AppendJSON(b []byte) []byte {
+	b = chaincode.AppendString(append(b, `{"lspId":`...), l.LSPID)
+	b = chaincode.AppendInt(append(b, `,"moves":`...), l.Moves)
+	return append(b, '}')
+}
+
+// AppendJSON implements chaincode.Document.
+func (a asnDoc) AppendJSON(b []byte) []byte {
+	b = chaincode.AppendString(append(b, `{"asnId":`...), a.ASNID)
+	b = chaincode.AppendString(append(b, `,"from":`...), a.From)
+	b = chaincode.AppendString(append(b, `,"to":`...), a.To)
+	return append(b, '}')
+}
+
 // LSPName formats a provider identifier.
 func LSPName(i int) string { return fmt.Sprintf("LSP%d", i) }
 

@@ -1,12 +1,25 @@
 package scm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cctest"
 	"repro/internal/statedb"
 )
+
+// All three document types append the bytes json.Marshal produces.
+func TestDocumentsEncodeLikeEncodingJSON(t *testing.T) {
+	cctest.CheckDocumentJSON(t,
+		unitDoc{},
+		unitDoc{SSCC: "000042", GTIN: "gtin-7", LSP: LSPName(4), Items: 10},
+		unitDoc{SSCC: "a&b", Items: -3},
+		unitDoc{Items: math.MinInt64},
+	)
+	cctest.CheckDocumentJSON(t, lspDoc{}, lspDoc{LSPID: LSPName(0), Moves: 7}, lspDoc{Moves: math.MinInt64})
+	cctest.CheckDocumentJSON(t, asnDoc{}, asnDoc{ASNID: "asn_0001", From: LSPName(1), To: LSPName(2)}, asnDoc{To: `a\b`})
+}
 
 func TestInitSeedsUnits(t *testing.T) {
 	db, err := cctest.InitState(New(), statedb.LevelDB)
