@@ -1,6 +1,7 @@
 package hyperledgerlab
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -122,6 +123,16 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	}
 	if _, err := LookupExperiment("faults"); err != nil {
 		t.Error(err)
+	}
+	raw, err := os.ReadFile("docs/EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	for _, e := range Experiments() {
+		if !strings.Contains(doc, "`"+e.ID+"`") {
+			t.Errorf("experiment %q is registered but docs/EXPERIMENTS.md never names it as `%s`", e.ID, e.ID)
+		}
 	}
 	if FullOptions().Duration != 3*time.Minute {
 		t.Error("full options should use the paper's 3-minute window")

@@ -71,9 +71,6 @@ func TestKafkaDeliversInOrder(t *testing.T) {
 	if err := inOrder(*got, 200); err != nil {
 		t.Fatal(err)
 	}
-	if len(k.Log()) != 200 {
-		t.Errorf("log length %d", len(k.Log()))
-	}
 }
 
 func TestKafkaLeaderFailover(t *testing.T) {

@@ -27,7 +27,6 @@ type Kafka struct {
 	// electionDelay is the controller failover time.
 	electionDelay time.Duration
 	pending       []interface{} // buffered while leaderless
-	log           []interface{} // committed entries, for inspection
 	nextSeq       uint64
 	// holdback reorders ack completions back into submission order.
 	holdback  map[uint64]interface{}
@@ -90,9 +89,6 @@ func (k *Kafka) OnCommit(fn func(interface{})) { k.fn = fn }
 // leaderless.
 func (k *Kafka) Leader() int { return k.leader }
 
-// Log returns the committed entries so far.
-func (k *Kafka) Log() []interface{} { return k.log }
-
 // Submit implements Consenter: the payload travels to the leader,
 // replicates to the ISR, then commits.
 func (k *Kafka) Submit(payload interface{}) {
@@ -137,7 +133,6 @@ func (k *Kafka) commit(seq uint64, payload interface{}) {
 		}
 		delete(k.holdback, k.delivered)
 		k.delivered++
-		k.log = append(k.log, p)
 		k.fn(p)
 	}
 }

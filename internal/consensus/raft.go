@@ -22,7 +22,6 @@ type Raft struct {
 	// exactly-once global delivery: entries are identical on every
 	// node at a given index, so the first apply of an index wins.
 	applied uint64
-	log     []interface{}
 }
 
 // RaftConfig tunes timeouts.
@@ -107,9 +106,6 @@ func (r *Raft) Name() string { return "raft" }
 
 // OnCommit implements Consenter.
 func (r *Raft) OnCommit(fn func(interface{})) { r.fn = fn }
-
-// Log returns globally applied entries.
-func (r *Raft) Log() []interface{} { return r.log }
 
 // Leader returns the current leader id, or -1.
 func (r *Raft) Leader() int {
@@ -386,9 +382,7 @@ func (n *raftNode) applyCommitted() {
 		idx := uint64(n.lastApplied)
 		if idx > n.r.applied {
 			n.r.applied = idx
-			payload := n.log[n.lastApplied-1].payload
-			n.r.log = append(n.r.log, payload)
-			n.r.fn(payload)
+			n.r.fn(n.log[n.lastApplied-1].payload)
 		}
 	}
 }

@@ -189,9 +189,9 @@ type Options struct {
 	// this value: every (config, seed) cell owns its rng and the
 	// harness aggregates in input order.
 	Parallelism int
-	// Progress, when non-nil, receives one line per completed run.
-	// Calls are serialized through a single funnel goroutine, so the
-	// callback never runs concurrently with itself.
+	// Progress, when non-nil, receives one line per completed run, on
+	// the worker that ran it and under one mutex, so the callback never
+	// runs concurrently with itself.
 	Progress func(string)
 	// Smoke asks experiments with large grids to shrink their sweep to
 	// a CI-sized subset (analogous to -benchtime=1x for benchmarks).

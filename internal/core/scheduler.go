@@ -1,10 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/fabric"
 	"repro/internal/metrics"
@@ -20,19 +20,10 @@ type Builder func(seed int64) fabric.Config
 // rows but several seeds still saturates the pool. Output is
 // byte-for-byte identical to the sequential path regardless of
 // Parallelism: every simulation owns its own rng seed, and the
-// per-builder averages accumulate in fixed seed order.
+// per-builder averages accumulate in fixed seed order. After a builder
+// error no new cell starts; the earliest failing cell in input order
+// (not completion order) is the error returned.
 func (o Options) RunAll(builds []Builder) ([]Result, error) {
-	return o.RunAllContext(context.Background(), builds)
-}
-
-// RunAllContext is RunAll with cancellation. When ctx is cancelled,
-// in-flight simulations finish, queued ones are abandoned, and the
-// context's error is returned; if every cell was already in flight
-// (or finished) at cancellation time, the completed batch is
-// returned with a nil error. A builder error cancels the remaining
-// work; the earliest recorded error in input order (not completion
-// order) propagates.
-func (o Options) RunAllContext(ctx context.Context, builds []Builder) ([]Result, error) {
 	if len(o.Seeds) == 0 {
 		return nil, fmt.Errorf("core: no seeds configured")
 	}
@@ -41,53 +32,23 @@ func (o Options) RunAllContext(ctx context.Context, builds []Builder) ([]Result,
 	}
 
 	// One job per (builder, seed) cell, in input order: job i covers
-	// builder i/len(Seeds) with seed i%len(Seeds).
+	// builder i/len(Seeds) with seed i%len(Seeds). Workers claim the
+	// next index from one counter; nothing feeds them.
 	seeds := len(o.Seeds)
 	jobs := len(builds) * seeds
 	reports := make([]metrics.Report, jobs)
 	errs := make([]error, jobs)
-	done := make([]bool, jobs)
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Serialized progress funnel: one drainer goroutine owns the
-	// Progress callback, so lines from concurrent workers never
-	// interleave.
-	var progress chan string
-	var progressWG sync.WaitGroup
-	if o.Progress != nil {
-		progress = make(chan string, o.workerCount(jobs))
-		progressWG.Add(1)
-		go func() {
-			defer progressWG.Done()
-			for line := range progress {
-				o.Progress(line)
-			}
-		}()
-	}
-
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for i := 0; i < jobs; i++ {
-			select {
-			case next <- i:
-			case <-runCtx.Done():
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
+	var (
+		next     atomic.Int64
+		failed   atomic.Bool
+		progress sync.Mutex // Progress never runs concurrently with itself
+		wg       sync.WaitGroup
+	)
 	for w := o.workerCount(jobs); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				if runCtx.Err() != nil {
-					return
-				}
+			for i := int(next.Add(1)) - 1; i < jobs && !failed.Load(); i = int(next.Add(1)) - 1 {
 				cell, seed := i/seeds, o.Seeds[i%seeds]
 				cfg := builds[cell](seed)
 				cfg.Seed = seed
@@ -96,39 +57,22 @@ func (o Options) RunAllContext(ctx context.Context, builds []Builder) ([]Result,
 				nw, err := fabric.NewNetwork(cfg)
 				if err != nil {
 					errs[i] = cellError(len(builds), cell, seed, err)
-					cancel()
-					continue
+					failed.Store(true)
+					return
 				}
 				reports[i] = nw.Run()
-				done[i] = true
-				if progress != nil {
-					progress <- progressLine(len(builds), cell, seed, reports[i])
+				if o.Progress != nil {
+					progress.Lock()
+					o.Progress(progressLine(len(builds), cell, seed, reports[i]))
+					progress.Unlock()
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if progress != nil {
-		close(progress)
-		progressWG.Wait()
-	}
-
-	// First-error propagation: scan in input order so the reported
-	// error favours the earliest failing cell over whichever worker
-	// happened to finish first.
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
-		}
-	}
-	for _, ok := range done {
-		if !ok {
-			// No builder failed, so an undone job means the parent
-			// context was cancelled under us.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("core: batch aborted")
 		}
 	}
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -107,15 +106,6 @@ func TestRunAllErrorPropagation(t *testing.T) {
 	}
 }
 
-func TestRunAllContextCancelled(t *testing.T) {
-	o := tinyOptions()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := o.RunAllContext(ctx, []Builder{ehrBuilder(t, 30, 10)}); err == nil {
-		t.Fatal("cancelled context accepted")
-	}
-}
-
 func TestRunAllEmptyBatch(t *testing.T) {
 	results, err := tinyOptions().RunAll(nil)
 	if err != nil || results != nil {
@@ -127,8 +117,8 @@ func TestRunAllProgressFunnel(t *testing.T) {
 	o := tinyOptions()
 	o.Seeds = []int64{1, 2}
 	o.Parallelism = 4
-	// The funnel serializes Progress calls, so an unsynchronized
-	// append is safe; the race detector enforces it.
+	// RunAll serializes Progress calls, so an unsynchronized append is
+	// safe; the race detector enforces it.
 	var lines []string
 	o.Progress = func(line string) { lines = append(lines, line) }
 	builds := []Builder{ehrBuilder(t, 30, 10), ehrBuilder(t, 30, 50)}

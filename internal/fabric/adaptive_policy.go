@@ -140,8 +140,7 @@ func (p AdaptivePolicy) NextDelay(attempts int, rng *rand.Rand) (time.Duration, 
 // floor.
 func (p AdaptivePolicy) newController() controller {
 	d := p.withDefaults()
-	return &adaptiveState{cfg: d, cur: d.Floor,
-		conflictWin: newOutcomeWindow(d.Window), congestWin: newOutcomeWindow(d.Window)}
+	return &adaptiveState{cfg: d, cur: d.Floor, conflictWin: newOutcomeWindow(d.Window)}
 }
 
 // outcomeWindow is a sliding ring over a client's last Size attempt
@@ -201,13 +200,12 @@ type adaptiveState struct {
 	// cfg.HintWeight > 0.
 	hint float64
 
-	// One window of the last cfg.Window outcomes per signal class. The
-	// AIMD increase gates on the conflict window only, so
+	// conflictWin is the window of the last cfg.Window outcomes, true
+	// for a conflict-class failure. The AIMD increase gates on it, so
 	// congestion-class failures (CLIENT_TIMEOUT under Config.SplitSignal)
 	// do not inflate the backoff a conflict controller is supposed to
 	// manage — pacing handles them instead.
 	conflictWin outcomeWindow
-	congestWin  outcomeWindow
 }
 
 // Name implements RetryPolicy.
@@ -239,15 +237,14 @@ func (s *adaptiveState) observeHint(h float64) { s.hint = h }
 // shared estimate is consulted on the controller's behalf either way.
 func (s *adaptiveState) consumesHint() bool { return true }
 
-// observeClass implements controller: every outcome slides both
-// per-class windows, but only a conflict-class failure at or above the
+// observeClass implements controller: every outcome slides the
+// conflict window, but only a conflict-class failure at or above the
 // Target conflict rate runs the multiplicative increase (capped at the
 // ceiling). A congestion-class failure leaves the level alone — backing
 // off one client cannot drain a backlog; the pacing path handles it —
 // and a commit decreases additively (floored).
 func (s *adaptiveState) observeClass(class SignalClass) {
 	s.conflictWin.observe(class == SignalConflict)
-	s.congestWin.observe(class == SignalCongestion)
 	switch class {
 	case SignalConflict:
 		if s.conflictWin.failureRate() >= s.cfg.Target {
@@ -267,14 +264,6 @@ func (s *adaptiveState) observeClass(class SignalClass) {
 // backoffLevel implements controller: the level is sampled after every
 // observed outcome so reports can summarize the AIMD trajectory.
 func (s *adaptiveState) backoffLevel() (time.Duration, bool) { return s.cur, true }
-
-// FailureRate reports the failure fraction over the sliding window
-// (see outcomeWindow for the fill-phase denominator convention): the
-// sum of the per-class rates, since the classes partition the failure
-// codes.
-func (s *adaptiveState) FailureRate() float64 {
-	return s.conflictWin.failureRate() + s.congestWin.failureRate()
-}
 
 // jitterDelay applies a uniform ±frac factor to d using the
 // simulation rng (no draw when frac is zero, so unjittered policies

@@ -48,7 +48,7 @@ func TestAdaptiveGrowsUnderFailures(t *testing.T) {
 		}
 	}
 	// 6 failures over the configured window of 8.
-	if got := s.FailureRate(); got != 0.75 {
+	if got := s.conflictWin.failureRate(); got != 0.75 {
 		t.Errorf("failure rate %g after 6 failures in a window of 8, want 0.75", got)
 	}
 }
@@ -59,7 +59,7 @@ func TestAdaptiveWarmupFailureNotOverweighted(t *testing.T) {
 	// early conflicts must not trigger the multiplicative increase.
 	s := newState(t, AdaptivePolicy{Floor: 100 * time.Millisecond})
 	s.observeClass(scalarClass(true))
-	if got := s.FailureRate(); got != 1.0/32 {
+	if got := s.conflictWin.failureRate(); got != 1.0/32 {
 		t.Errorf("first-failure rate %g, want 1/32", got)
 	}
 	if got := s.cur; got != 100*time.Millisecond {
@@ -112,14 +112,14 @@ func TestAdaptiveWindowSlides(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.observeClass(scalarClass(true))
 	}
-	if got := s.FailureRate(); got != 1 {
+	if got := s.conflictWin.failureRate(); got != 1 {
 		t.Fatalf("rate %g, want 1", got)
 	}
 	// Four commits push the failures out of the 4-slot window.
 	for i := 0; i < 4; i++ {
 		s.observeClass(scalarClass(false))
 	}
-	if got := s.FailureRate(); got != 0 {
+	if got := s.conflictWin.failureRate(); got != 0 {
 		t.Errorf("rate %g after window slid past the failures, want 0", got)
 	}
 }

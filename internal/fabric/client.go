@@ -116,9 +116,6 @@ type ClientDriver struct {
 	// resolved pair to its max so controller and pacer read the same
 	// number.
 	gossip *gossipState
-
-	// resubmissions counts retry submissions issued (diagnostics).
-	resubmissions int
 }
 
 // pendingTx is one logical transaction tracked across resubmissions:
@@ -223,9 +220,6 @@ func (c *ClientDriver) Name() string { return c.name }
 // Members reports how many simulated clients this driver drives.
 func (c *ClientDriver) Members() int { return c.members }
 
-// Resubmissions reports how many retry submissions this driver issued.
-func (c *ClientDriver) Resubmissions() int { return c.resubmissions }
-
 // Pending reports how many of this driver's attempts are still
 // awaiting an outcome event (diagnostics; in-flight work at the end
 // of a run).
@@ -290,7 +284,6 @@ func (c *ClientDriver) submitAttempt(j *pendingTx) {
 // collect endorsements from a policy-satisfying set of peers against
 // the leg channel's replicas, then assemble and order on that channel.
 func (c *ClientDriver) submitLeg(j *pendingTx, channel int) {
-	prop := &proposal{inv: j.inv, channel: channel}
 	tx := &ledger.Transaction{
 		ID:         c.nw.nextTxID(c.firstID + j.member),
 		ClientID:   c.name,
@@ -306,38 +299,12 @@ func (c *ClientDriver) submitLeg(j *pendingTx, channel int) {
 	endorserOrgs := c.nw.pol.RequiredEndorsers(rot)
 	peerInOrg := rot % c.nw.cfg.PeersPerOrg
 
-	want := len(endorserOrgs)
-	var got []*ledger.Endorsement
-	// done latches once the endorsement phase resolved — a proposal
-	// error, a complete endorsement set, or the client's endorsement
-	// deadline — so late responses and a late deadline are no-ops.
-	done := false
-	respond := func(e *ledger.Endorsement, err error) {
-		if done {
-			return
-		}
-		if err != nil {
-			// Proposal error (chaincode rejected the call). Counted
-			// as an early abort: the attempt is dropped.
-			done = true
-			c.nw.col.RecordAbort(tx.SubmitTime, c.nw.eng.Now())
-			c.legDone(j, tx.ID, ledger.AbortedInOrdering)
-			return
-		}
-		got = append(got, e)
-		if len(got) == want {
-			done = true
-			c.assemble(j, tx, channel, got)
-		}
-	}
-
+	l := &leg{proposal: proposal{inv: j.inv, channel: channel}, c: c, j: j, tx: tx,
+		ends: make([]*ledger.Endorsement, 0, len(endorserOrgs))}
+	endorsed := l.endorsed // bound once: one object, not one per endorser
 	for _, org := range endorserOrgs {
 		peer := c.nw.peerOf(org, peerInOrg)
-		c.nw.net.Send(c.name, peer.name, func() {
-			peer.endorse(prop, func(e *ledger.Endorsement, err error) {
-				c.nw.net.Send(peer.name, c.name, func() { respond(e, err) })
-			})
-		})
+		c.nw.net.Send(c.name, peer.name, func() { peer.endorse(&l.proposal, endorsed) })
 	}
 
 	// Client-side endorsement deadline (Config.Faults): if a crashed
@@ -346,15 +313,59 @@ func (c *ClientDriver) submitLeg(j *pendingTx, channel int) {
 	// normal retry path. Inert without fault injection or outcome
 	// tracking.
 	if ft := c.nw.faults; ft != nil && ft.EndorseTimeout > 0 && c.nw.ctl.tracking {
-		c.nw.eng.After(ft.EndorseTimeout, func() {
-			if done {
-				return
-			}
-			done = true
-			c.nw.col.RecordEndorseTimeout()
-			c.legDone(j, tx.ID, ledger.ClientTimeout)
-		})
+		c.nw.eng.After(ft.EndorseTimeout, l.timedOut)
 	}
+}
+
+// leg is one channel's endorsement round of one attempt: the proposal
+// its endorsers share, the transaction being built, and the
+// endorsements collected so far — complete when ends is full (its
+// capacity is the endorser count).
+type leg struct {
+	proposal
+	c    *ClientDriver
+	j    *pendingTx
+	tx   *ledger.Transaction
+	ends []*ledger.Endorsement
+	// done latches once the endorsement phase resolved — a proposal
+	// error, a complete endorsement set, or the client's endorsement
+	// deadline — so late responses and a late deadline are no-ops.
+	done bool
+}
+
+// endorsed is the reply hop: peer from answered the proposal.
+func (l *leg) endorsed(from *Peer, e *ledger.Endorsement, err error) {
+	l.c.nw.net.Send(from.name, l.c.name, func() { l.answer(e, err) })
+}
+
+// answer takes one endorser's response at the client.
+func (l *leg) answer(e *ledger.Endorsement, err error) {
+	if l.done {
+		return
+	}
+	if err != nil {
+		// Proposal error (chaincode rejected the call). Counted
+		// as an early abort: the attempt is dropped.
+		l.done = true
+		l.c.nw.col.RecordAbort(l.tx.SubmitTime, l.c.nw.eng.Now())
+		l.c.legDone(l.j, l.tx.ID, ledger.AbortedInOrdering)
+		return
+	}
+	l.ends = append(l.ends, e)
+	if len(l.ends) == cap(l.ends) {
+		l.done = true
+		l.c.assemble(l.j, l.tx, l.channel, l.ends)
+	}
+}
+
+// timedOut is the client's endorsement deadline firing.
+func (l *leg) timedOut() {
+	if l.done {
+		return
+	}
+	l.done = true
+	l.c.nw.col.RecordEndorseTimeout()
+	l.c.legDone(l.j, l.tx.ID, ledger.ClientTimeout)
 }
 
 // assemble builds the envelope from the collected endorsements and
@@ -527,7 +538,6 @@ func (c *ClientDriver) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
 				// delays this retry, so none of the pause counts as
 				// pacer-added time.
 				c.nw.col.RecordDeferStart()
-				c.resubmissions++
 				c.nw.eng.After(wait, func() {
 					c.nw.col.RecordDeferEnd()
 					c.submitAttempt(j)
@@ -543,7 +553,6 @@ func (c *ClientDriver) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
 		if pause > 0 {
 			c.nw.col.RecordPaced(pause)
 		}
-		c.resubmissions++
 		c.nw.eng.After(delay, func() { c.submitAttempt(j) })
 		return
 	}

@@ -425,33 +425,33 @@ func parseFaultEvent(clause string) (FaultEvent, error) {
 }
 
 // scheduleFaults arms the resolved fault schedule on the virtual
-// clock: each event applies at its window start and reverts at its
-// end. Called once from NewNetwork; with Config.Faults nil it is never
-// called, so fault-free runs schedule zero events and draw zero rng.
+// clock: both events of every window are queued here, open then close,
+// in event order, and the close event calls what the open event
+// returned. Called once from NewNetwork; with Config.Faults nil it is
+// never called, so fault-free runs schedule zero events and draw zero
+// rng.
 func (nw *Network) scheduleFaults() {
 	for _, ev := range nw.faults.Events {
 		ev := ev
-		nw.eng.At(sim.Time(ev.At), func() { nw.applyFault(ev) })
-		nw.eng.At(sim.Time(ev.At+ev.For), func() { nw.revertFault(ev) })
+		var undo func()
+		nw.eng.At(sim.Time(ev.At), func() { undo = nw.applyFault(ev) })
+		nw.eng.At(sim.Time(ev.At+ev.For), func() { undo() })
 	}
 }
 
-// applyFault opens one fault window.
-func (nw *Network) applyFault(ev FaultEvent) {
+// applyFault opens one fault window and returns the function that
+// closes it by putting back exactly the state the window replaced:
+// crashed nodes restart, the partition heals, the regime that was in
+// force before (a static DelayLink, the unscaled cost table) returns.
+func (nw *Network) applyFault(ev FaultEvent) (undo func()) {
 	nw.col.RecordFaultWindow()
+	peer := nw.peers[ev.Target%len(nw.peers)]
 	switch ev.Kind {
 	case FaultCrashPeer:
-		p := nw.peers[ev.Target%len(nw.peers)]
-		nw.col.RecordNodeDown(ev.For)
-		p.crash()
-		nw.net.SetDown(p.name, true)
+		return nw.crashNode(peer, ev.For, peer.name)
 	case FaultCrashOrderer:
 		os := nw.orderers[ev.Target%len(nw.orderers)]
-		nw.col.RecordNodeDown(ev.For)
-		os.crash()
-		for _, n := range os.nodeNames {
-			nw.net.SetDown(n, true)
-		}
+		return nw.crashNode(os, ev.For, os.nodeNames...)
 	case FaultPartition:
 		org := nw.orgs[ev.Target%len(nw.orgs)]
 		var island []string
@@ -461,42 +461,44 @@ func (nw *Network) applyFault(ev FaultEvent) {
 			}
 		}
 		nw.net.Partition(island)
+		return nw.net.Heal
 	case FaultStraggler:
-		p := nw.peers[ev.Target%len(nw.peers)]
-		nw.net.Inject(p.name, ev.Extra)
+		found := nw.net.Inject(peer.name, ev.Extra)
+		return func() { nw.net.Inject(peer.name, found) }
 	case FaultLoss:
-		p := nw.peers[ev.Target%len(nw.peers)]
-		nw.net.SetLoss(p.name, ev.Factor)
+		nw.net.SetLoss(peer.name, ev.Factor)
+		return func() { nw.net.SetLoss(peer.name, 0) }
 	case FaultSlowDB:
-		nw.savedDBCosts = nw.dbCosts
-		nw.dbCosts = scaleDBCosts(nw.dbCosts, ev.Factor)
+		found := nw.dbCosts
+		nw.dbCosts = scaleDBCosts(found, ev.Factor)
+		return func() { nw.dbCosts = found }
 	}
+	panic("fabric: fault kind " + string(ev.Kind) + " passed Validate but cannot be applied")
 }
 
-// revertFault closes one fault window: crashed nodes restart,
-// partitions heal, regimes lift.
-func (nw *Network) revertFault(ev FaultEvent) {
-	switch ev.Kind {
-	case FaultCrashPeer:
-		p := nw.peers[ev.Target%len(nw.peers)]
-		nw.net.SetDown(p.name, false)
-		p.restart()
-	case FaultCrashOrderer:
-		os := nw.orderers[ev.Target%len(nw.orderers)]
-		for _, n := range os.nodeNames {
-			nw.net.SetDown(n, false)
+// crashNode crashes a peer or an ordering service for d and takes its
+// addresses off the network; the returned function brings the
+// addresses back and restarts it. crash drops all in-flight work
+// (epoch-guarded closures die silently); restart resumes from durable
+// state — the peer replays missed blocks from the deliver stream, the
+// orderer continues its hash chain at the retained block number. The
+// central validator is deliberately not a node that can crash: it is a
+// network-wide memoization of the deterministic validation outcome,
+// not a process.
+func (nw *Network) crashNode(n interface {
+	crash()
+	restart()
+}, d time.Duration, addrs ...string) (undo func()) {
+	nw.col.RecordNodeDown(d)
+	n.crash()
+	for _, a := range addrs {
+		nw.net.SetDown(a, true)
+	}
+	return func() {
+		for _, a := range addrs {
+			nw.net.SetDown(a, false)
 		}
-		os.restart()
-	case FaultPartition:
-		nw.net.Heal()
-	case FaultStraggler:
-		p := nw.peers[ev.Target%len(nw.peers)]
-		nw.net.Inject(p.name, netem.Link{})
-	case FaultLoss:
-		p := nw.peers[ev.Target%len(nw.peers)]
-		nw.net.SetLoss(p.name, 0)
-	case FaultSlowDB:
-		nw.dbCosts = nw.savedDBCosts
+		n.restart()
 	}
 }
 

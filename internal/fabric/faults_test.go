@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -325,6 +326,99 @@ func TestStragglerRegime(t *testing.T) {
 	_, healthy := run(t, faultConfig(8, nil))
 	if repA.AvgLatency <= healthy.AvgLatency {
 		t.Errorf("straggler latency %v <= healthy %v", repA.AvgLatency, healthy.AvgLatency)
+	}
+}
+
+// TestStragglerWindowRestoresStaticDelay: a straggler window on a peer
+// of Config.DelayOrg ends by re-injecting the org's static DelayLink,
+// not by clearing the peer's injection for the rest of the run.
+func TestStragglerWindowRestoresStaticDelay(t *testing.T) {
+	cfg := faultConfig(8, &Faults{Events: []FaultEvent{{
+		Kind: FaultStraggler, At: 2 * time.Second, For: time.Second,
+		Extra: netem.Link{Base: 300 * time.Millisecond},
+	}}})
+	cfg.DelayOrg = 0
+	cfg.DelayLink = netem.Link{Base: 100 * time.Millisecond}
+	nw, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer0 := nw.peers[0].name
+	if rtt := nw.net.RTT("x", peer0); rtt < 200*time.Millisecond {
+		t.Fatalf("RTT to %s before the run = %v, want >= 200ms from the static DelayLink", peer0, rtt)
+	}
+	if rep := nw.Run(); rep.FaultWindows != 1 {
+		t.Fatalf("straggler windows = %d, want 1", rep.FaultWindows)
+	}
+	if rtt := nw.net.RTT("x", peer0); rtt < 200*time.Millisecond {
+		t.Errorf("RTT to %s after the straggler window = %v, want the static DelayLink back (>= 200ms)", peer0, rtt)
+	}
+}
+
+// faultState is everything a fault window overrides, as one comparable
+// value: the lifecycle state of every node, the link injected on every
+// peer, the cost table, and how many of one probe message per node the
+// network refuses (down address, island boundary, loss of 1).
+type faultState struct {
+	nodes, links string
+	dbCosts      costmodel.DBCosts
+	refused      int
+}
+
+func snapshotFaultState(nw *Network) faultState {
+	s := faultState{dbCosts: nw.dbCosts}
+	before := nw.net.Drops()
+	for _, p := range nw.peers {
+		link := nw.net.Inject(p.name, netem.Link{})
+		nw.net.Inject(p.name, link)
+		s.nodes += p.name + "=" + p.State().String() + " "
+		s.links += fmt.Sprintf("%s=%v ", p.name, link)
+		nw.net.Send("probe", p.name, func() {})
+	}
+	for _, os := range nw.orderers {
+		s.nodes += os.nodeNames[0] + "=" + os.State().String() + " "
+		for _, n := range os.nodeNames {
+			nw.net.Send("probe", n, func() {})
+		}
+	}
+	s.refused = nw.net.Drops() - before
+	return s
+}
+
+// TestFaultWindowRestoresWhatItFound: for each of the six kinds, on a
+// network with a static DelayLink on the victim's org, the state inside
+// the window differs from the state before it and the state after the
+// run equals it — node up and reachable, no island, no loss, the cost
+// table equal field by field, the injected link as found.
+func TestFaultWindowRestoresWhatItFound(t *testing.T) {
+	for _, ev := range []FaultEvent{
+		{Kind: FaultCrashPeer},
+		{Kind: FaultCrashOrderer},
+		{Kind: FaultPartition},
+		{Kind: FaultStraggler, Extra: netem.Link{Base: 300 * time.Millisecond}},
+		{Kind: FaultLoss, Factor: 1},
+		{Kind: FaultSlowDB, Factor: 4},
+	} {
+		ev.At, ev.For = 2*time.Second, time.Second
+		cfg := faultConfig(8, &Faults{Events: []FaultEvent{ev},
+			EndorseTimeout: time.Second, SubmitTimeout: 4 * time.Second})
+		cfg.DelayOrg = 0
+		cfg.DelayLink = netem.Link{Base: 100 * time.Millisecond}
+		nw, err := NewNetwork(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := snapshotFaultState(nw)
+		var inside faultState
+		nw.eng.At(sim.Time(ev.At+ev.For/2), func() { inside = snapshotFaultState(nw) })
+		nw.Run()
+		if inside == before {
+			t.Errorf("%s: the window changed nothing: %+v", ev.Kind, inside)
+		}
+		if after := snapshotFaultState(nw); after != before {
+			t.Errorf("%s: state after the window differs from the state before it:\n before: %+v\n after:  %+v",
+				ev.Kind, before, after)
+		}
 	}
 }
 

@@ -34,25 +34,3 @@ func (s NodeState) String() string {
 		return "unknown"
 	}
 }
-
-// lifecycleNode is the node-lifecycle interface the fault scheduler
-// operates on: peers and ordering services implement it. crash drops
-// all in-flight work (epoch-guarded closures die silently); restart
-// resumes from durable state — the peer replays missed blocks from
-// the deliver stream, the orderer continues its hash chain at the
-// retained block number. The central validator deliberately does not
-// implement it: it is a network-wide memoization of the deterministic
-// validation outcome, not a process that can crash.
-type lifecycleNode interface {
-	// NodeID is the node's primary network name.
-	NodeID() string
-	// State reports the current lifecycle state.
-	State() NodeState
-	crash()
-	restart()
-}
-
-var (
-	_ lifecycleNode = (*Peer)(nil)
-	_ lifecycleNode = (*OrderingService)(nil)
-)

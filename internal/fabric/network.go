@@ -59,9 +59,6 @@ type Network struct {
 	// fully inert: no events are scheduled, no rng is drawn, and the
 	// lifecycle state of every node stays NodeUp forever.
 	faults *Faults
-	// savedDBCosts holds the pre-window cost profile during a slowdb
-	// fault window.
-	savedDBCosts costmodel.DBCosts
 	// drivers is the client-driver list — one per client, or one per
 	// cohort of Config.CohortSize clients — in start order. It is also
 	// the gossip mesh.

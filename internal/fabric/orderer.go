@@ -309,14 +309,10 @@ func (os *OrderingService) serviceRate() float64 {
 	return float64(time.Second) / float64(perTx)
 }
 
-// NodeID implements lifecycleNode: the service's first orderer node
-// name.
-func (os *OrderingService) NodeID() string { return os.nodeNames[0] }
-
 // State reports the service's lifecycle state.
 func (os *OrderingService) State() NodeState { return os.state }
 
-// crash implements lifecycleNode: the ordering service dies. The
+// crash opens a crash-orderer window: the service dies. The
 // volatile pending batch is lost and the armed cut timer dies with
 // the process (epoch bump); transactions in the consensus pipeline
 // are dropped on delivery. blockNum and prevHash are retained — the
@@ -329,7 +325,7 @@ func (os *OrderingService) crash() {
 	os.timerEpoch++
 }
 
-// restart implements lifecycleNode: the service resumes with an empty
+// restart closes the window: the service resumes with an empty
 // batch, idle (pre-crash serial work is gone), extending the durable
 // chain at the retained block number.
 func (os *OrderingService) restart() {

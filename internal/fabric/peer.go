@@ -89,15 +89,17 @@ func (p *Peer) CommittedBlocks() int { return p.committedBlocks }
 // simulations (CouchDB range scans) saturate the pool and the queue
 // grows — the §5.1.2 collapse.
 func (p *Peer) Endorse(inv workload.Invocation, channel int, respond func(*ledger.Endorsement, error)) {
-	p.endorse(&proposal{inv: inv, channel: channel}, respond)
+	p.endorse(&proposal{inv: inv, channel: channel},
+		func(_ *Peer, e *ledger.Endorsement, err error) { respond(e, err) })
 }
 
 // endorse is Endorse on a proposal the client shares between its
 // endorsers: a peer whose replica agrees with the proposal's first
 // simulation on everything that simulation read signs its result
 // instead of re-running the chaincode (see proposal). Virtual time is
-// charged from the operation trace either way.
-func (p *Peer) endorse(prop *proposal, respond func(*ledger.Endorsement, error)) {
+// charged from the operation trace either way. respond is told which
+// peer answers, so one callback serves every endorser of a proposal.
+func (p *Peer) endorse(prop *proposal, respond func(*Peer, *ledger.Endorsement, error)) {
 	if p.state == NodeCrashed {
 		// The process is gone; the proposal is silently lost (the
 		// client's endorsement deadline is the recovery path).
@@ -138,7 +140,7 @@ func (p *Peer) endorse(prop *proposal, respond func(*ledger.Endorsement, error))
 			if p.epoch != epoch {
 				return // crashed mid-endorsement; the response is lost
 			}
-			respond(end, err)
+			respond(p, end, err)
 		})
 	}
 	if start <= p.nw.eng.Now() {
@@ -237,13 +239,10 @@ func (p *Peer) commit(b *ledger.Block, res *valResult) {
 	}
 }
 
-// NodeID implements lifecycleNode.
-func (p *Peer) NodeID() string { return p.name }
-
 // State reports the peer's lifecycle state.
 func (p *Peer) State() NodeState { return p.state }
 
-// crash implements lifecycleNode: the peer process dies. Queued
+// crash opens a crash-peer window: the peer process dies. Queued
 // endorsements, in-flight responses and scheduled commits all carry
 // the pre-crash epoch and die silently; blocks that were delivered
 // but not yet committed become the start of the missed ledger suffix
@@ -255,7 +254,7 @@ func (p *Peer) crash() {
 	p.inflight = nil
 }
 
-// restart implements lifecycleNode: the process comes back with its
+// restart closes the window: the process comes back with its
 // replica intact (state databases are durable) and replays the block
 // suffix it missed through the normal commit path — the validator
 // keeps a block's outcome until every peer has committed it, so the

@@ -39,7 +39,7 @@ func endorseOn(t *testing.T, nw *Network, p *Peer, prop *proposal) *response {
 		t.Fatalf("%s has a busy endorsement worker; the probe would queue", p.name)
 	}
 	r := &response{}
-	p.endorse(prop, func(e *ledger.Endorsement, err error) {
+	p.endorse(prop, func(_ *Peer, e *ledger.Endorsement, err error) {
 		r.end, r.err, r.at = e, err, time.Duration(nw.eng.Now())
 	})
 	return r

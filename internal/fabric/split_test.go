@@ -94,9 +94,6 @@ func TestAdaptiveSplitGatesOnConflictOnly(t *testing.T) {
 	if s.cur != 100*time.Millisecond {
 		t.Errorf("congestion-class failures moved the backoff to %v, want floor", s.cur)
 	}
-	if got := s.congestWin.failureRate(); got != 1 {
-		t.Errorf("congestion window rate = %g, want 1", got)
-	}
 	if got := s.conflictWin.failureRate(); got != 0 {
 		t.Errorf("conflict window rate = %g, want 0", got)
 	}
@@ -108,10 +105,8 @@ func TestAdaptiveSplitGatesOnConflictOnly(t *testing.T) {
 	if s.cur != 4*time.Second {
 		t.Errorf("conflict-class failures left the backoff at %v, want the ceiling", s.cur)
 	}
-	// FailureRate partitions: with only conflict failures the split sum
-	// equals the scalar rate the same stream would produce.
-	if got := s.FailureRate(); got != 1 {
-		t.Errorf("split failure rate = %g, want 1", got)
+	if got := s.conflictWin.failureRate(); got != 1 {
+		t.Errorf("conflict window rate = %g, want 1", got)
 	}
 
 	// Commits decrease additively in split mode exactly as in scalar.

@@ -77,21 +77,6 @@ func (t ThinkTime) Validate() error {
 	}
 }
 
-// Name labels the distribution in tables, e.g. "think=exp(500ms)".
-func (t ThinkTime) Name() string {
-	if t.Kind == ThinkNone {
-		return "think=none"
-	}
-	if t.Kind == ThinkLogNormal {
-		sigma := t.Sigma
-		if sigma == 0 {
-			sigma = 1
-		}
-		return fmt.Sprintf("think=lognormal(%v,s%g)", t.Mean, sigma)
-	}
-	return fmt.Sprintf("think=%s(%v)", t.Kind, t.Mean)
-}
-
 // sample draws one think time from the simulation engine. ThinkNone
 // returns 0 without touching the rng.
 func (t ThinkTime) sample(eng *sim.Engine) time.Duration {

@@ -74,15 +74,17 @@ func DefaultLAN() Link {
 // sample — a message between two injected nodes therefore pays both
 // extras. Injections do not stack: injecting the same node again
 // replaces the previous Link (the last call wins), and a zero Link
-// removes the injection entirely. The fault scheduler relies on
-// exactly these semantics for straggler windows: Inject(node, extra)
-// at the window start, Inject(node, Link{}) at the end.
-func (m *Model) Inject(node string, extra Link) {
+// removes the injection entirely. Inject returns the Link it replaced
+// (zero when there was none), which is what a straggler window
+// re-injects when it ends.
+func (m *Model) Inject(node string, extra Link) (replaced Link) {
+	replaced = m.injected[node]
 	if extra == (Link{}) {
 		delete(m.injected, node)
-		return
+	} else {
+		m.injected[node] = extra
 	}
-	m.injected[node] = extra
+	return replaced
 }
 
 // SetDown marks a node crashed (down=true) or recovered (down=false).
