@@ -102,27 +102,6 @@ func BenchmarkAblationClientCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationConsensus compares the three ordering-service
-// consensus substrates.
-func BenchmarkAblationConsensus(b *testing.B) {
-	for _, cons := range []string{"solo", "kafka", "raft"} {
-		cons := cons
-		b.Run(cons, func(b *testing.B) {
-			var last Report
-			for i := 0; i < b.N; i++ {
-				cfg := ablationCfg(int64(i + 1))
-				cfg.Consensus = cons
-				nw, err := NewNetwork(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = nw.Run()
-			}
-			reportRun(b, last)
-		})
-	}
-}
-
 // BenchmarkAblationDatabase compares the state-database backends on
 // the same load (the Fig 11 knob as a microbenchmark).
 func BenchmarkAblationDatabase(b *testing.B) {

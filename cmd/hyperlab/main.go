@@ -356,7 +356,7 @@ func adhoc(c *cli) {
 	}
 	if cfg.RetryBudget != nil {
 		fmt.Printf("budget %s: exhausted=%d deferred=%d max-deferred-depth=%d\n",
-			cfg.RetryBudget.Name(), rep.BudgetExhausted, rep.DeferredRetries, rep.MaxDeferredDepth)
+			c.budget, rep.BudgetExhausted, rep.DeferredRetries, rep.MaxDeferredDepth)
 	}
 	if rep.Backoff.Max > 0 {
 		fmt.Printf("adaptive backoff: avg=%v max=%v final=%v\n",
@@ -366,26 +366,26 @@ func adhoc(c *cli) {
 	}
 	if cfg.Backpressure != nil {
 		fmt.Printf("backpressure %s: hint avg=%.3f max=%.3f final=%.3f paced=%d time-paced=%v\n",
-			cfg.Backpressure.Name(), rep.Hint.Avg(), rep.Hint.Max,
+			c.backpressure, rep.Hint.Avg(), rep.Hint.Max,
 			rep.Hint.Last, rep.PacedSubmissions,
 			rep.Paced.Sum.Round(time.Millisecond))
 	}
 	if cfg.Gossip != nil {
 		fmt.Printf("gossip %s via %s: msgs=%d merges=%d est avg=%.3f max=%.3f final=%.3f stale avg=%v max=%v\n",
-			cfg.Gossip.Name(), cfg.HintSource, rep.GossipMessages, rep.GossipMerges,
+			c.gossip, cfg.HintSource, rep.GossipMessages, rep.GossipMerges,
 			rep.GossipEstimate.Avg(), rep.GossipEstimate.Max, rep.GossipEstimate.Last,
 			rep.GossipStaleness.Avg().Round(time.Millisecond),
 			rep.GossipStaleness.Max.Round(time.Millisecond))
 	}
 	if cfg.SplitSignal != nil {
 		fmt.Printf("split %s: conflict avg=%.3f max=%.3f final=%.3f congestion avg=%.3f max=%.3f final=%.3f\n",
-			cfg.SplitSignal.Name(), rep.ConflictEst.Avg(), rep.ConflictEst.Max,
+			c.split, rep.ConflictEst.Avg(), rep.ConflictEst.Max,
 			rep.ConflictEst.Last, rep.CongestEst.Avg(), rep.CongestEst.Max,
 			rep.CongestEst.Last)
 	}
 	if cfg.Faults != nil {
 		fmt.Printf("faults %s: windows=%d crashes=%d downtime=%v eto=%d sto=%d orphans=%d recoveries=%d recov avg=%v max=%v\n",
-			cfg.Faults.Name(), rep.FaultWindows, rep.NodeCrashes,
+			c.faults, rep.FaultWindows, rep.NodeCrashes,
 			rep.NodeDowntime.Round(time.Millisecond),
 			rep.EndorseTimeouts, rep.SubmitTimeouts, rep.OrphanedTxs,
 			rep.Recovery.N,

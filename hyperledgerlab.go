@@ -4,7 +4,7 @@
 //
 // It bundles a deterministic discrete-event simulation of a complete
 // Fabric 1.4 network — endorsing peers with versioned world-state
-// replicas (LevelDB- and CouchDB-style backends), a Kafka/Raft/solo
+// replicas (LevelDB- and CouchDB-style backends), a Kafka-backed
 // ordering service with a block cutter, clients, VSCC/MVCC/phantom
 // validation — together with the paper's four use-case chaincodes
 // (EHR, DV, SCM, DRM), its chaincode/workload generator (genChain),
@@ -52,8 +52,8 @@
 // and docs/EXPERIMENTS.md.
 //
 // The module's import path is "repro". This root package re-exports
-// what examples/ and the root tests use of the internal packages, plus
-// the type names needed to spell those signatures and Config's fields;
+// what examples/ and the root tests name of the internal packages and
+// nothing else (cmd/docscheck fails on a name neither refers to);
 // cmd/hyperlab and bench/ import the internal packages directly.
 package hyperledgerlab
 
@@ -78,8 +78,6 @@ type (
 	// parameters, database type, endorsement policy, load, client
 	// control plane, variant).
 	Config = fabric.Config
-	// Network is a fully wired simulated Fabric deployment.
-	Network = fabric.Network
 	// Report is the run summary: failure percentages by type,
 	// latency, committed throughput, and the effective client metrics.
 	Report = metrics.Report
@@ -140,16 +138,14 @@ type (
 	// Gossip enables the client-to-client congestion estimate,
 	// exchanged with sampled peers and merged by max-with-decay.
 	Gossip = fabric.Gossip
-	// HintSource selects which producer feeds the congestion hint:
-	// orderer, gossip, or their max.
-	HintSource = fabric.HintSource
 	// SplitSignal splits the client-side outcome estimate into a
 	// conflict component (drives backoff) and a congestion component
 	// (drives pacing); nil keeps the scalar signal.
 	SplitSignal = fabric.SplitSignal
 )
 
-// Congestion-hint producers for Control.HintSource.
+// Congestion-hint producers for Control.HintSource: the orderer, the
+// gossip estimate, or their max.
 const (
 	HintOrderer = fabric.HintOrderer
 	HintGossip  = fabric.HintGossip
@@ -169,7 +165,7 @@ type Faults = fabric.Faults
 func DefaultConfig() Config { return fabric.DefaultConfig() }
 
 // NewNetwork validates the config and builds the deployment.
-func NewNetwork(cfg Config) (*Network, error) { return fabric.NewNetwork(cfg) }
+func NewNetwork(cfg Config) (*fabric.Network, error) { return fabric.NewNetwork(cfg) }
 
 // Use-case chaincodes (§4.3, Table 2).
 
@@ -241,8 +237,6 @@ type (
 	// Options scales an experiment (virtual duration, seeds,
 	// parallelism).
 	Options = core.Options
-	// Experiment reproduces one table or figure.
-	Experiment = core.Experiment
 	// Result is a seed-averaged run summary.
 	Result = core.Result
 	// Builder produces the config of one experiment cell for one
@@ -259,10 +253,10 @@ const (
 )
 
 // Experiments lists every reproducible table and figure.
-func Experiments() []Experiment { return core.Experiments() }
+func Experiments() []core.Experiment { return core.Experiments() }
 
 // LookupExperiment finds an experiment by id (e.g. "fig7").
-func LookupExperiment(id string) (Experiment, error) { return core.Lookup(id) }
+func LookupExperiment(id string) (core.Experiment, error) { return core.Lookup(id) }
 
 // FullOptions is the paper's regime (3 virtual minutes, 3 seeds).
 func FullOptions() Options { return core.FullOptions() }

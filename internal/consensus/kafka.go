@@ -1,3 +1,8 @@
+// Package consensus implements the ordering service's total-order
+// broadcast: the Kafka-backed substrate, the one the paper deploys
+// (§4.2, Table 3) and every study here runs on. It runs on the
+// discrete-event engine and delivers submitted payloads exactly once,
+// in a single total order, to a registered callback.
 package consensus
 
 import (
@@ -79,17 +84,16 @@ func NewKafka(eng *sim.Engine, net *netem.Model, cfg KafkaConfig) *Kafka {
 	return k
 }
 
-// Name implements Consenter.
-func (k *Kafka) Name() string { return "kafka" }
-
-// OnCommit implements Consenter.
+// OnCommit registers the delivery callback, which fires once per
+// payload, in order, at the virtual time the payload becomes final. It
+// must be set before the first Submit.
 func (k *Kafka) OnCommit(fn func(interface{})) { k.fn = fn }
 
 // Leader returns the current partition leader's broker id, or -1 when
 // leaderless.
 func (k *Kafka) Leader() int { return k.leader }
 
-// Submit implements Consenter: the payload travels to the leader,
+// Submit enqueues a payload for ordering: it travels to the leader,
 // replicates to the ISR, then commits.
 func (k *Kafka) Submit(payload interface{}) {
 	if k.fn == nil {

@@ -137,18 +137,14 @@ type OrdererCosts struct {
 	// the communication overhead between the orderer and the
 	// multiple peers").
 	PerDeliver time.Duration
-	// ConsensusDelay approximates the Kafka/Raft round-trip for a
-	// batch to become final.
-	ConsensusDelay time.Duration
 }
 
 // DefaultOrdererCosts returns the calibrated orderer profile.
 func DefaultOrdererCosts() OrdererCosts {
 	return OrdererCosts{
-		PerTx:          150 * time.Microsecond,
-		BlockCut:       2 * time.Millisecond,
-		PerDeliver:     400 * time.Microsecond,
-		ConsensusDelay: 8 * time.Millisecond,
+		PerTx:      150 * time.Microsecond,
+		BlockCut:   2 * time.Millisecond,
+		PerDeliver: 400 * time.Microsecond,
 	}
 }
 

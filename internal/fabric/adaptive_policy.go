@@ -208,10 +208,7 @@ type adaptiveState struct {
 	conflictWin outcomeWindow
 }
 
-// Name implements RetryPolicy.
-func (s *adaptiveState) Name() string { return s.cfg.Name() }
-
-// NextDelay implements RetryPolicy: the current AIMD level — slid
+// NextDelay implements controller: the current AIMD level — slid
 // toward the ceiling by the weighted congestion hint when HintWeight
 // is set — jittered.
 func (s *adaptiveState) NextDelay(attempts int, rng *rand.Rand) (time.Duration, bool) {

@@ -214,9 +214,6 @@ func TestGiveUpAfterPreservesAdaptation(t *testing.T) {
 	if _, ok := a.backoffLevel(); !ok || !a.consumesHint() {
 		t.Error("GiveUpAfter(AdaptivePolicy) lost the inner controller's hooks")
 	}
-	if a.Name() != "adaptive-cap5" {
-		t.Errorf("name = %q", a.Name())
-	}
 	rng := rand.New(rand.NewSource(1))
 	if _, ok := a.NextDelay(5, rng); ok {
 		t.Error("wrapper no longer truncates at 5 attempts")

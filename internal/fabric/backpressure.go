@@ -74,12 +74,6 @@ func (b Backpressure) Validate() error {
 	return nil
 }
 
-// Name labels the signal in experiment tables, e.g. "bp(s0.5,1s,max2s)".
-func (b Backpressure) Name() string {
-	b = b.withDefaults()
-	return fmt.Sprintf("bp(s%g,%v,max%v)", b.Smoothing, b.Gain, b.MaxPause)
-}
-
 // pause converts a hint into the pacing delay: hint×Gain capped at
 // MaxPause. Zero hints pause nothing.
 func (b Backpressure) pause(hint float64) time.Duration {
@@ -186,10 +180,7 @@ type backpressureState struct {
 	hint float64            // latest observed congestion hint
 }
 
-// Name implements RetryPolicy.
-func (s *backpressureState) Name() string { return s.cfg.Name() }
-
-// NextDelay implements RetryPolicy: Floor + hint×(Ceiling−Floor),
+// NextDelay implements controller: Floor + hint×(Ceiling−Floor),
 // jittered.
 func (s *backpressureState) NextDelay(attempts int, rng *rand.Rand) (time.Duration, bool) {
 	if s.cfg.MaxAttempts > 0 && attempts >= s.cfg.MaxAttempts {

@@ -23,9 +23,6 @@ func TestBackpressureDefaultsAndValidation(t *testing.T) {
 			t.Errorf("case %d: %+v validated", i, bad)
 		}
 	}
-	if got := (Backpressure{}).Name(); got != "bp(s0.5,1s,max2s)" {
-		t.Errorf("name = %q", got)
-	}
 	cfg := retryConfig(1, ImmediateRetry{MaxAttempts: 3})
 	cfg.Backpressure = &Backpressure{Smoothing: 2}
 	if _, err := NewNetwork(cfg); err == nil {

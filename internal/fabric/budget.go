@@ -48,7 +48,7 @@ type RetryBudget struct {
 	// Adaptive calibrates the budget to the workload instead of
 	// trusting one fixed number to fit every chaincode: a conflict-bound
 	// storm (DV's phantom conflicts) that finds the bucket empty doubles
-	// the refill rate, capped at MaxRefillPerSec, with the bucket
+	// the refill rate, capped at 64 × RefillPerSec, with the bucket
 	// capacity scaling along (Burst × rate/RefillPerSec) so the raised
 	// rate can actually be banked against the bursty block-commit
 	// arrival of failures; the raised rate relaxes exponentially back
@@ -60,12 +60,11 @@ type RetryBudget struct {
 	// retry budget to a backlogged network is exactly the wrong
 	// response — pacing, not budget, handles congestion.
 	Adaptive bool
-
-	// MaxRefillPerSec caps the adaptive refill rate. 0 defaults to
-	// 64 × RefillPerSec; negative, or positive but below the (resolved)
-	// base rate, is a validation error. Ignored without Adaptive.
-	MaxRefillPerSec float64
 }
+
+// adaptiveMaxRefillFactor caps an adaptive bucket's refill rate at this
+// multiple of its base rate: six doublings.
+const adaptiveMaxRefillFactor = 64
 
 // withDefaults resolves the documented zero-value defaults.
 func (b RetryBudget) withDefaults() RetryBudget {
@@ -86,27 +85,7 @@ func (b RetryBudget) Validate() error {
 	if !finiteNonNeg(b.Burst) {
 		return fmt.Errorf("fabric: retry budget burst must be a finite count >= 0 tokens, got %g", b.Burst)
 	}
-	if !finiteNonNeg(b.MaxRefillPerSec) {
-		return fmt.Errorf("fabric: retry budget max refill rate must be a finite rate >= 0 tokens/s, got %g", b.MaxRefillPerSec)
-	}
-	if base := b.withDefaults().RefillPerSec; b.MaxRefillPerSec > 0 && b.MaxRefillPerSec < base {
-		return fmt.Errorf("fabric: retry budget max refill rate %g below base rate %g", b.MaxRefillPerSec, base)
-	}
 	return nil
-}
-
-// Name labels the budget in experiment tables, e.g. "budget(1/s,b3)",
-// "budget(2/s,b5,drop)" or "budget(1/s,b3,drop,adapt)".
-func (b RetryBudget) Name() string {
-	b = b.withDefaults()
-	mode := ""
-	if b.DropOnEmpty {
-		mode = ",drop"
-	}
-	if b.Adaptive {
-		mode += ",adapt"
-	}
-	return fmt.Sprintf("budget(%g/s,b%g%s)", b.RefillPerSec, b.Burst, mode)
 }
 
 // ParseRetryBudget parses the CLI syntax for the retry budget: ""
@@ -160,21 +139,16 @@ type tokenBucket struct {
 	last   sim.Time // time of the last refill
 
 	// Adaptive calibration (RetryBudget.Adaptive): rate moves between
-	// base and maxRate per the take-time rule in take.
+	// base and adaptiveMaxRefillFactor × base per the rule in take.
 	adaptive bool
 	base     float64 // configured refill rate, the relaxation target
-	maxRate  float64 // adaptive rate cap
 }
 
 // newTokenBucket builds a full bucket from a (defaulted) config.
 func newTokenBucket(b RetryBudget) *tokenBucket {
 	b = b.withDefaults()
-	tb := &tokenBucket{rate: b.RefillPerSec, burst: b.Burst, tokens: b.Burst, drop: b.DropOnEmpty,
-		adaptive: b.Adaptive, base: b.RefillPerSec, maxRate: b.MaxRefillPerSec}
-	if tb.maxRate <= 0 {
-		tb.maxRate = 64 * tb.base
-	}
-	return tb
+	return &tokenBucket{rate: b.RefillPerSec, burst: b.Burst, tokens: b.Burst, drop: b.DropOnEmpty,
+		adaptive: b.Adaptive, base: b.RefillPerSec}
 }
 
 // adaptiveRelaxHalfLife is the half-life (virtual seconds) at which an
@@ -228,8 +202,8 @@ func (tb *tokenBucket) refill(now sim.Time) {
 //
 // In adaptive mode the bucket recalibrates its refill rate first:
 // conflict-class demand on an empty bucket doubles the rate (capped at
-// maxRate) — the base rate is undersized for this workload's failure
-// volume — while the raised rate relaxes back toward base on a fixed
+// adaptiveMaxRefillFactor × base) — the base rate is undersized for
+// this workload's failure volume — while the raised rate relaxes back toward base on a fixed
 // half-life (see refill). Congestion-class demand never raises the
 // rate (see RetryBudget.Adaptive). The rate change applies from now
 // on; it never retroactively refills, so determinism and the burst
@@ -237,10 +211,7 @@ func (tb *tokenBucket) refill(now sim.Time) {
 func (tb *tokenBucket) take(now sim.Time, class SignalClass) (wait time.Duration, ok bool) {
 	tb.refill(now)
 	if tb.adaptive && tb.tokens < 1 && class == SignalConflict {
-		tb.rate *= 2
-		if tb.rate > tb.maxRate {
-			tb.rate = tb.maxRate
-		}
+		tb.rate = min(2*tb.rate, adaptiveMaxRefillFactor*tb.base)
 	}
 	if tb.tokens < 1 && (tb.drop || tb.rate <= 0) {
 		// Drop mode refuses on an empty bucket by design. Defer mode

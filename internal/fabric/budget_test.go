@@ -154,9 +154,6 @@ func TestRetryBudgetDefaultsAndValidation(t *testing.T) {
 	if err := (RetryBudget{Burst: -1}).Validate(); err == nil {
 		t.Error("negative burst validated")
 	}
-	if got := (RetryBudget{RefillPerSec: 2, Burst: 5, DropOnEmpty: true}).Name(); got != "budget(2/s,b5,drop)" {
-		t.Errorf("name = %q", got)
-	}
 	cfg := retryConfig(1, ImmediateRetry{MaxAttempts: 3})
 	cfg.RetryBudget = &RetryBudget{RefillPerSec: -1}
 	if _, err := NewNetwork(cfg); err == nil {

@@ -166,9 +166,6 @@ func newDriver(nw *Network, index, firstID, members int) *ClientDriver {
 			b = b.withDefaults()
 			b.RefillPerSec *= float64(members)
 			b.Burst *= float64(members)
-			if b.MaxRefillPerSec > 0 {
-				b.MaxRefillPerSec *= float64(members)
-			}
 		}
 		c.bucket = newTokenBucket(b)
 	}

@@ -70,7 +70,6 @@ type Config struct {
 	BlockSize    int           // block size: max transactions per block
 	BlockTimeout time.Duration // block timeout
 	MaxBlockKB   int           // block max bytes, in KiB
-	Consensus    string        // "solo", "kafka" or "raft"
 
 	// State database and endorsement policy.
 	DBKind statedb.Kind
@@ -176,7 +175,6 @@ func DefaultConfig() Config {
 		BlockSize:        100,
 		BlockTimeout:     2 * time.Second,
 		MaxBlockKB:       10240,
-		Consensus:        "kafka",
 		DBKind:           statedb.CouchDB,
 		Policy:           policy.P0,
 		Rate:             100,
@@ -238,11 +236,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Channels > 1 && c.Variant != nil && c.Variant.Name() != (Vanilla{}).Name() {
 		return fmt.Errorf("fabric: multi-channel sharding (%d channels) supports only the vanilla fabric-1.4 variant, got %q", c.Channels, c.Variant.Name())
-	}
-	switch c.Consensus {
-	case "solo", "kafka", "raft":
-	default:
-		return fmt.Errorf("fabric: unknown consensus %q", c.Consensus)
 	}
 	if err := c.Control.Validate(); err != nil {
 		return err

@@ -121,19 +121,6 @@ func TestReadOnlyWorkloadAllValid(t *testing.T) {
 	}
 }
 
-func TestAllConsensusBackendsWork(t *testing.T) {
-	for _, cons := range []string{"solo", "kafka", "raft"} {
-		cfg := testConfig(5)
-		cfg.Consensus = cons
-		cfg.Duration = 10 * time.Second
-		cfg.Drain = 20 * time.Second
-		_, rep := run(t, cfg)
-		if rep.Valid == 0 {
-			t.Errorf("%s: no valid transactions", cons)
-		}
-	}
-}
-
 func TestPolicyP3CollectsQuorum(t *testing.T) {
 	cfg := testConfig(6)
 	cfg.Orgs = 4
@@ -199,7 +186,6 @@ func TestConfigValidation(t *testing.T) {
 		{"", func(c *Config) { c.Rate = 0 }},
 		{"", func(c *Config) { c.Chaincode = nil }},
 		{"", func(c *Config) { c.Workload = nil }},
-		{"", func(c *Config) { c.Consensus = "pbft" }},
 		{"", func(c *Config) { c.SpeedFactor = 0 }},
 		// Each of these used to be accepted: the first nil-dereferenced
 		// mid-run, the last ended the run before its send window.

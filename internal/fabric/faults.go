@@ -226,15 +226,6 @@ func (f *Faults) validateOverlap(peers, channels int) error {
 	return nil
 }
 
-// Name labels the schedule in experiment tables and run summaries:
-// the scenario name, or "faults(<n>ev)" for an explicit list.
-func (f *Faults) Name() string {
-	if f.Scenario != "" {
-		return f.Scenario
-	}
-	return fmt.Sprintf("faults(%dev)", len(f.Events))
-}
-
 // faultSeedSalt decorrelates the fault-target rng from the engine
 // stream and from the other seed-derived streams (channel replicas,
 // validators).

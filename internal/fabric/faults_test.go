@@ -668,8 +668,5 @@ func FuzzFaultSpec(f *testing.F) {
 		if verr := flt.Validate(); verr != nil {
 			t.Errorf("ParseFaults(%q) accepted a schedule that fails Validate: %v", s, verr)
 		}
-		if flt.Name() == "" {
-			t.Errorf("ParseFaults(%q): empty schedule name", s)
-		}
 	})
 }

@@ -88,12 +88,6 @@ func (g Gossip) Validate() error {
 	return nil
 }
 
-// Name labels the signal in experiment tables, e.g. "gossip(f2,500ms,d0.5)".
-func (g Gossip) Name() string {
-	g = g.withDefaults()
-	return fmt.Sprintf("gossip(f%d,%v,d%g)", g.Fanout, g.Period, g.Decay)
-}
-
 // ParseGossip parses the CLI syntax for the gossip spec: "off" (or
 // "") disables it, "on" enables it with the documented defaults, and
 // "fanout:period[:decay]" — e.g. "2:500ms:0.5" — sets the knobs

@@ -27,9 +27,6 @@ func TestGossipDefaultsAndValidation(t *testing.T) {
 			t.Errorf("case %d: %+v validated", i, bad)
 		}
 	}
-	if got := (Gossip{}).Name(); got != "gossip(f2,500ms,d0.5)" {
-		t.Errorf("name = %q", got)
-	}
 	cfg := retryConfig(1, ImmediateRetry{MaxAttempts: 3})
 	cfg.Gossip = &Gossip{Fanout: -2}
 	if _, err := NewNetwork(cfg); err == nil {

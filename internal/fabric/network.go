@@ -24,8 +24,8 @@ import (
 // by channel everywhere below), while peers, clients and the
 // consensus substrate are shared across channels exactly like a real
 // Fabric network joins one peer set to many channels over one Kafka
-// cluster or Raft node set. Single-channel runs use index 0
-// throughout and behave bit-for-bit like the historical deployment.
+// cluster. Single-channel runs use index 0 throughout and behave
+// bit-for-bit like the historical deployment.
 type Network struct {
 	cfg Config
 
@@ -157,29 +157,16 @@ func NewNetwork(cfg Config) (*Network, error) {
 			newValidator(nw, genesis.Clone(cfg.Seed+99+int64(ch)*channelSeedStride)))
 	}
 
-	// One ordering service per channel, each with its own consenter
-	// instance. Consensus node names are fixed per kind ("kafka0",
-	// "raft0", ...), so all channels share the consensus substrate's
-	// network locations — like many Fabric channels backed by one
-	// Kafka cluster or one Raft node set.
+	// One ordering service per channel, each with its own Kafka
+	// instance. Broker names are fixed ("kafka0", ...), so all channels
+	// share the brokers' network locations — like many Fabric channels
+	// backed by one Kafka cluster.
+	kcfg := consensus.DefaultKafkaConfig()
+	kcfg.Brokers = cfg.Orderers
+	kcfg.MinISR = min(kcfg.MinISR, kcfg.Brokers)
 	for ch := 0; ch < nw.channels; ch++ {
-		var cons consensus.Consenter
-		switch cfg.Consensus {
-		case "solo":
-			cons = consensus.NewSolo(nw.eng, cfg.OrdererCosts.ConsensusDelay)
-		case "kafka":
-			kcfg := consensus.DefaultKafkaConfig()
-			kcfg.Brokers = cfg.Orderers
-			if kcfg.MinISR > kcfg.Brokers {
-				kcfg.MinISR = kcfg.Brokers
-			}
-			cons = consensus.NewKafka(nw.eng, nw.net, kcfg)
-		case "raft":
-			rcfg := consensus.DefaultRaftConfig()
-			rcfg.Nodes = cfg.Orderers
-			cons = consensus.NewRaft(nw.eng, nw.net, rcfg)
-		}
-		nw.orderers = append(nw.orderers, newOrderingService(nw, cons, ch))
+		nw.orderers = append(nw.orderers,
+			newOrderingService(nw, consensus.NewKafka(nw.eng, nw.net, kcfg), ch))
 	}
 
 	// Client drivers: one per CohortSize clients (the last takes the
@@ -291,13 +278,6 @@ func (nw *Network) Orderer() *OrderingService { return nw.orderers[0] }
 // Orderers returns every channel's ordering service, indexed by
 // channel.
 func (nw *Network) Orderers() []*OrderingService { return nw.orderers }
-
-// Faults returns the resolved fault schedule (scenario expanded into
-// concrete events), or nil when fault injection is off.
-func (nw *Network) Faults() *Faults { return nw.faults }
-
-// Collector returns the metrics collector.
-func (nw *Network) Collector() *metrics.Collector { return nw.col }
 
 // Peers returns all peers.
 func (nw *Network) Peers() []*Peer { return nw.peers }

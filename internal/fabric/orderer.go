@@ -22,7 +22,7 @@ import (
 // Streamchain's collapse at high rates (§5.3.1).
 type OrderingService struct {
 	nw   *Network
-	cons consensus.Consenter
+	cons *consensus.Kafka
 	// channel is the channel this service orders for; blocks it cuts
 	// carry the id and extend that channel's hash chain.
 	channel int
@@ -65,7 +65,7 @@ type OrderingService struct {
 	state NodeState
 }
 
-func newOrderingService(nw *Network, cons consensus.Consenter, channel int) *OrderingService {
+func newOrderingService(nw *Network, cons *consensus.Kafka, channel int) *OrderingService {
 	os := &OrderingService{nw: nw, cons: cons, channel: channel, blockSize: nw.cfg.BlockSize}
 	for i := 0; i < nw.cfg.Orderers; i++ {
 		// Channel 0 keeps the historical names; higher channels get
@@ -87,8 +87,8 @@ func (os *OrderingService) NodeName(i int) string {
 	return os.nodeNames[i%len(os.nodeNames)]
 }
 
-// Consenter exposes the consensus substrate (failure injection).
-func (os *OrderingService) Consenter() consensus.Consenter { return os.cons }
+// Consenter exposes the Kafka cluster (failure injection).
+func (os *OrderingService) Consenter() *consensus.Kafka { return os.cons }
 
 // Submit receives a transaction envelope from a client (already on
 // the orderer node — the client paid the network hop).

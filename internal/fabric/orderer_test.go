@@ -1,10 +1,10 @@
 package fabric
 
 import (
+	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/consensus"
 	"repro/internal/ledger"
 	"repro/internal/sim"
 )
@@ -199,12 +199,11 @@ func TestTxBytesAccounting(t *testing.T) {
 // blocks delivered in order.
 func TestKafkaCrashMidRun(t *testing.T) {
 	cfg := testConfig(42)
-	cfg.Consensus = "kafka"
 	nw, err := NewNetwork(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kafka := nw.Orderer().Consenter().(*consensus.Kafka)
+	kafka := nw.Orderer().Consenter()
 	nw.Engine().At(sim.Time(5*time.Second), func() {
 		kafka.Crash(kafka.Leader())
 	})
@@ -221,24 +220,28 @@ func TestKafkaCrashMidRun(t *testing.T) {
 	}
 }
 
-// TestRaftCrashMidRun does the same for the raft consenter.
-func TestRaftCrashMidRun(t *testing.T) {
-	cfg := testConfig(43)
-	cfg.Consensus = "raft"
-	nw, err := NewNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestOrdererCountSizesTheKafkaCluster runs the deployment at every
+// orderer count up to the paper's three. Config.Orderers is the broker
+// count, and below DefaultKafkaConfig's MinISR of 2 NewNetwork must
+// clamp the ack quorum to it — unclamped, one orderer panics in
+// NewKafka. Zero orderers stay a Validate error.
+func TestOrdererCountSizesTheKafkaCluster(t *testing.T) {
+	for _, n := range []int{1, 2, 3} {
+		cfg := testConfig(45)
+		cfg.Orderers = n
+		cfg.Duration = 5 * time.Second
+		nw, rep := run(t, cfg)
+		if rep.Valid == 0 {
+			t.Errorf("%d orderers: no valid transactions (%v)", n, rep)
+		}
+		if err := nw.Chain().Verify(); err != nil {
+			t.Errorf("%d orderers: %v", n, err)
+		}
 	}
-	raft := nw.Orderer().Consenter().(*consensus.Raft)
-	nw.Engine().At(sim.Time(5*time.Second), func() {
-		raft.Crash(raft.Leader())
-	})
-	rep := nw.Run()
-	if rep.Valid == 0 {
-		t.Fatal("no valid transactions after raft leader crash")
-	}
-	if err := nw.Chain().Verify(); err != nil {
-		t.Fatalf("chain broken after re-election: %v", err)
+	cfg := testConfig(45)
+	cfg.Orderers = 0
+	if _, err := NewNetwork(cfg); err == nil || !strings.Contains(err.Error(), "need >=1 orderer") {
+		t.Errorf("0 orderers: NewNetwork = %v, want the Validate error", err)
 	}
 }
 

@@ -69,9 +69,6 @@ func newPeer(nw *Network, org, name string, dbs []statedb.VersionedDB) *Peer {
 	}
 }
 
-// Org returns the peer's organization.
-func (p *Peer) Org() string { return p.org }
-
 // Name returns the peer's node name.
 func (p *Peer) Name() string { return p.name }
 

@@ -164,27 +164,25 @@ func validatePolicy(p RetryPolicy) error {
 // newController caps the inner policy's controller, so its hooks and
 // per-driver state pass through the wrapper.
 func (g giveUpAfter) newController() controller {
-	inner := newController(g.inner)
-	return cappedController{giveUpAfter{inner: inner, n: g.n}, inner}
+	return cappedController{newController(g.inner), g.n}
 }
 
-// cappedController is giveUpAfter's per-driver form: the capped
-// schedule over the inner controller, plus that controller's hooks.
+// cappedController is giveUpAfter's per-driver form: the inner
+// controller with its schedule cut off after n attempts.
 type cappedController struct {
-	giveUpAfter
 	controller
+	n int
 }
 
-// Name implements RetryPolicy (both embedded values have one; the
-// capped one applies).
-func (c cappedController) Name() string { return c.giveUpAfter.Name() }
-
-// NextDelay implements RetryPolicy (likewise).
+// NextDelay implements controller.
 func (c cappedController) NextDelay(attempts int, rng *rand.Rand) (time.Duration, bool) {
-	return c.giveUpAfter.NextDelay(attempts, rng)
+	if attempts >= c.n {
+		return 0, false
+	}
+	return c.controller.NextDelay(attempts, rng)
 }
 
-// controller is one client driver's retry controller: the RetryPolicy
+// controller is one client driver's retry controller: the schedule
 // consulted on failures plus the hooks through which the client signal
 // path feeds it. Stateful policies build one per driver (newController)
 // so adaptation never aliases across clients — a cohort's members share
@@ -193,7 +191,8 @@ func (c cappedController) NextDelay(attempts int, rng *rand.Rand) (time.Duration
 // the shared estimate is never consulted on its behalf, and no rng is
 // drawn beyond what its own NextDelay draws.
 type controller interface {
-	RetryPolicy
+	// NextDelay is RetryPolicy's, over this driver's state.
+	NextDelay(attempts int, rng *rand.Rand) (time.Duration, bool)
 	// observeClass feeds one classified attempt outcome — commits as
 	// well as the failures NextDelay is then consulted about — mirroring
 	// an SDK client reacting to its own commit-event stream.

@@ -79,8 +79,6 @@ func TestNonFiniteAndNegativeRejected(t *testing.T) {
 		{"budget refill Inf", "refill rate", func(c *Config) { c.RetryBudget = &RetryBudget{RefillPerSec: inf} }},
 		{"budget burst NaN", "burst", func(c *Config) { c.RetryBudget = &RetryBudget{Burst: nan} }},
 		{"budget burst Inf", "burst", func(c *Config) { c.RetryBudget = &RetryBudget{Burst: inf} }},
-		{"budget max refill NaN", "max refill rate", func(c *Config) { c.RetryBudget = &RetryBudget{MaxRefillPerSec: nan} }},
-		{"budget max refill Inf", "max refill rate", func(c *Config) { c.RetryBudget = &RetryBudget{MaxRefillPerSec: inf} }},
 		{"smoothing NaN", "smoothing", func(c *Config) { c.Backpressure = &Backpressure{Smoothing: nan} }},
 		{"sigma NaN", "sigma", func(c *Config) { c.ThinkTime = ThinkTime{Kind: ThinkLogNormal, Mean: time.Second, Sigma: nan} }},
 		{"sigma Inf", "sigma", func(c *Config) { c.ThinkTime = ThinkTime{Kind: ThinkLogNormal, Mean: time.Second, Sigma: inf} }},

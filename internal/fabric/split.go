@@ -114,16 +114,6 @@ func (s SplitSignal) Validate() error {
 	return nil
 }
 
-// Name labels the mode in experiment tables, e.g. "split(4s)" (the
-// resolved threshold is only known at network build, so the zero value
-// prints as "split(auto)").
-func (s SplitSignal) Name() string {
-	if s.CongestLatency == 0 {
-		return "split(auto)"
-	}
-	return fmt.Sprintf("split(%v)", s.CongestLatency)
-}
-
 // ParseSplitSignal parses the CLI syntax for the split-signal mode:
 // "off" (or "") disables it, "on" enables it with the documented
 // defaults, and a duration — e.g. "3s" — sets the congestion-latency

@@ -45,12 +45,6 @@ func TestSplitSignalValidateAndParse(t *testing.T) {
 	if err := (SplitSignal{CongestLatency: -time.Second}).Validate(); err == nil {
 		t.Error("negative congestion latency validated")
 	}
-	if got := (SplitSignal{}).Name(); got != "split(auto)" {
-		t.Errorf("zero-value name = %q", got)
-	}
-	if got := (SplitSignal{CongestLatency: 4 * time.Second}).Name(); got != "split(4s)" {
-		t.Errorf("name = %q", got)
-	}
 	if got := (SplitSignal{}).withDefaults(2 * time.Second); got.CongestLatency != 4*time.Second {
 		t.Errorf("default congestion latency = %v, want 2×block timeout", got.CongestLatency)
 	}
@@ -121,8 +115,7 @@ func TestAdaptiveSplitGatesOnConflictOnly(t *testing.T) {
 // congestion-class demand never does; and a full bucket relaxes the
 // rate back toward the configured base.
 func TestAdaptiveBucketClassRule(t *testing.T) {
-	tb := newTokenBucket(RetryBudget{RefillPerSec: 1, Burst: 1, DropOnEmpty: true,
-		Adaptive: true, MaxRefillPerSec: 4})
+	tb := newTokenBucket(RetryBudget{RefillPerSec: 1, Burst: 1, DropOnEmpty: true, Adaptive: true})
 	if _, ok := tb.take(0, SignalConflict); !ok {
 		t.Fatal("full bucket refused")
 	}
@@ -130,8 +123,8 @@ func TestAdaptiveBucketClassRule(t *testing.T) {
 	if _, ok := tb.take(0, SignalCongestion); ok || tb.rate != 1 {
 		t.Fatalf("congestion-class demand moved the rate to %g (ok=%v), want 1", tb.rate, ok)
 	}
-	// Empty + conflict: doubles per demand, capped at MaxRefillPerSec.
-	for i, want := range []float64{2, 4, 4} {
+	// Empty + conflict: doubles per demand, capped at 64 × base.
+	for i, want := range []float64{2, 4, 8, 16, 32, 64, 64} {
 		if _, ok := tb.take(0, SignalConflict); ok {
 			t.Fatalf("take %d on empty drop bucket granted", i)
 		}
@@ -144,30 +137,40 @@ func TestAdaptiveBucketClassRule(t *testing.T) {
 	if wait, ok := tb.take(sec(0.25), SignalConflict); !ok || wait != 0 {
 		t.Fatalf("raised-rate refill did not grant: wait=%v ok=%v", wait, ok)
 	}
-	if tb.rate > 4 || tb.rate < 3.9 {
-		t.Fatalf("rate after 250ms of decay = %g, want just under 4", tb.rate)
+	if tb.rate > 64 || tb.rate < 62.5 {
+		t.Fatalf("rate after 250ms of decay = %g, want just under 64", tb.rate)
 	}
 	// Once the storm stops the raised rate relaxes toward base on the
-	// 10s half-life: base 1 + excess 3 halves each 10 idle seconds.
+	// 10s half-life: base 1 + excess ~62 halves each 10 idle seconds.
 	tb.refill(sec(0.25 + 10))
-	if tb.rate < 2.4 || tb.rate > 2.6 {
-		t.Fatalf("rate one half-life after the storm = %g, want ~2.5", tb.rate)
+	if tb.rate < 31.5 || tb.rate > 32.5 {
+		t.Fatalf("rate one half-life after the storm = %g, want ~32", tb.rate)
 	}
-	tb.refill(sec(0.25 + 100))
+	tb.refill(sec(0.25 + 200))
 	if tb.rate < 1 || tb.rate > 1.01 {
-		t.Fatalf("rate ten half-lives after the storm = %g, want ~base 1", tb.rate)
+		t.Fatalf("rate twenty half-lives after the storm = %g, want ~base 1", tb.rate)
 	}
 }
 
+// TestRetryBudgetAdaptiveValidation pins that Adaptive is a switch with
+// no knob behind it: any valid budget stays valid with it on, and the
+// rate cap follows the resolved base rate (64 × it).
 func TestRetryBudgetAdaptiveValidation(t *testing.T) {
-	if err := (RetryBudget{RefillPerSec: 2, Adaptive: true, MaxRefillPerSec: 1}).Validate(); err == nil {
-		t.Error("max refill below base validated")
+	for _, b := range []RetryBudget{{Adaptive: true}, {RefillPerSec: 2, Burst: 3, DropOnEmpty: true, Adaptive: true}} {
+		if err := b.Validate(); err != nil {
+			t.Errorf("%+v: %v", b, err)
+		}
+		tb := newTokenBucket(b)
+		tb.tokens = 0
+		for i := 0; i < 10; i++ {
+			tb.take(0, SignalConflict)
+		}
+		if want := 64 * b.withDefaults().RefillPerSec; tb.rate != want {
+			t.Errorf("%+v: a storm raised the rate to %g, want the cap %g", b, tb.rate, want)
+		}
 	}
-	if err := (RetryBudget{MaxRefillPerSec: -1}).Validate(); err == nil {
-		t.Error("negative max refill validated")
-	}
-	if got := (RetryBudget{RefillPerSec: 1, Burst: 3, DropOnEmpty: true, Adaptive: true}).Name(); got != "budget(1/s,b3,drop,adapt)" {
-		t.Errorf("name = %q", got)
+	if err := (RetryBudget{RefillPerSec: -1, Adaptive: true}).Validate(); err == nil {
+		t.Error("negative refill rate validated with Adaptive on")
 	}
 }
 
