@@ -29,13 +29,21 @@ type Identity struct {
 	// hashing only buys verifiable chains and need not re-derive the
 	// key pads for every signature.
 	mac hash.Hash
+	// sum is Verify's scratch: the expected signature is computed here,
+	// compared and forgotten, so checking one allocates nothing.
+	sum [sha256.Size]byte
 }
 
-// Sign produces a signature over digest.
-func (id *Identity) Sign(digest []byte) []byte {
+// Sign produces a signature over digest in a fresh slice.
+func (id *Identity) Sign(digest []byte) []byte { return id.AppendSign(nil, digest) }
+
+// AppendSign appends the signature over digest to dst and returns the
+// extended slice, so a caller can keep a signature in storage it
+// already has (an endorsement carries its own).
+func (id *Identity) AppendSign(dst, digest []byte) []byte {
 	id.mac.Reset()
 	id.mac.Write(digest)
-	return id.mac.Sum(nil)
+	return id.mac.Sum(dst)
 }
 
 // MSP is the membership service provider: it registers identities and
@@ -84,7 +92,7 @@ func (m *MSP) Verify(org, id string, digest, sig []byte) bool {
 	if ident == nil {
 		return false
 	}
-	return hmac.Equal(ident.Sign(digest), sig)
+	return hmac.Equal(ident.AppendSign(ident.sum[:0], digest), sig)
 }
 
 // Orgs lists all registered organizations in sorted order.

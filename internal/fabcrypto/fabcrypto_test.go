@@ -148,6 +148,53 @@ func TestSignMatchesFreshHMAC(t *testing.T) {
 	}
 }
 
+// AppendSign extends dst with exactly Sign's bytes and leaves what dst
+// held in front of them alone.
+func TestAppendSignAppendsSign(t *testing.T) {
+	id := NewMSP("append").Register("Org0", "peer0")
+	digest := sha256.Sum256([]byte("payload"))
+	want := id.Sign(digest[:])
+	buf := make([]byte, 3, 3+sha256.Size)
+	copy(buf, "abc")
+	got := id.AppendSign(buf, digest[:])
+	if string(got[:3]) != "abc" || !bytes.Equal(got[3:], want) {
+		t.Fatalf("AppendSign gave %x, want abc followed by %x", got, want)
+	}
+	if &got[0] != &buf[0] {
+		t.Fatal("AppendSign reallocated a destination with room for the signature")
+	}
+}
+
+// raceDetector is set by race_test.go, which only -race builds.
+var raceDetector bool
+
+// Verify computes the expected signature in the identity's scratch: a
+// check allocates nothing whether it passes or fails.
+func TestVerifyAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own account")
+	}
+	msp := NewMSP("allocs")
+	id := msp.Register("Org0", "peer0")
+	digest := sha256.Sum256([]byte("payload"))
+	good := id.Sign(digest[:])
+	bad := append([]byte(nil), good...)
+	bad[0] ^= 1
+	for _, c := range []struct {
+		name string
+		sig  []byte
+		want bool
+	}{{"good", good, true}, {"bad", bad, false}} {
+		var ok bool
+		if n := testing.AllocsPerRun(100, func() { ok = msp.Verify("Org0", "peer0", digest[:], c.sig) }); n != 0 {
+			t.Errorf("Verify of a %s signature: %v allocations, want 0", c.name, n)
+		}
+		if ok != c.want {
+			t.Errorf("Verify of a %s signature = %v", c.name, ok)
+		}
+	}
+}
+
 func BenchmarkSign(b *testing.B) {
 	id := NewMSP("bench").Register("Org0", "peer0")
 	digest := sha256.Sum256([]byte("payload"))

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/ledger"
@@ -298,10 +297,9 @@ func (c *ClientDriver) submitLeg(j *pendingTx, channel int) {
 
 	l := &leg{proposal: proposal{inv: j.inv, channel: channel}, c: c, j: j, tx: tx,
 		ends: make([]*ledger.Endorsement, 0, len(endorserOrgs))}
-	endorsed := l.endorsed // bound once: one object, not one per endorser
 	for _, org := range endorserOrgs {
 		peer := c.nw.peerOf(org, peerInOrg)
-		c.nw.net.Send(c.name, peer.name, func() { peer.endorse(&l.proposal, endorsed) })
+		c.nw.net.Send(c.name, peer.name, func() { peer.endorse(&l.proposal, l) })
 	}
 
 	// Client-side endorsement deadline (Config.Faults): if a crashed
@@ -660,7 +658,7 @@ func (c *ClientDriver) gossipRound() {
 	// of the n-1 other indices, into the network's scratch (sized to the
 	// clamped fanout; startGossip guarantees n >= 2).
 	picks := c.nw.gossipPicks
-	permPrefix(c.nw.eng.Rand(), len(c.nw.drivers)-1, picks)
+	c.nw.eng.PermPrefix(len(c.nw.drivers)-1, picks)
 	for _, p := range picks {
 		if p >= c.index {
 			p++ // skip self
@@ -668,29 +666,6 @@ func (c *ClientDriver) gossipRound() {
 		peer := c.nw.drivers[p]
 		c.nw.col.RecordGossipMessage()
 		c.nw.net.Send(c.name, peer.Name(), func() { peer.onGossip(est, now) })
-	}
-}
-
-// permPrefix fills prefix (len(prefix) <= n) with exactly what
-// rng.Perm(n)[:len(prefix)] would hold, and leaves rng in exactly the
-// state Perm leaves it in — the same n Intn draws in the same order —
-// without building the other n-len(prefix) elements. Perm's inside-out
-// Fisher–Yates step is m[i] = m[j]; m[j] = i with j <= i: a slot below
-// len(prefix) is only ever assigned the loop index or the content of a
-// slot at or below itself, never content from beyond the prefix, so the
-// prefix can be tracked alone. Every pinned digest depends on the draws
-// being Perm's; what a round no longer costs is the n-element slice.
-func permPrefix(rng *rand.Rand, n int, prefix []int) {
-	k := len(prefix)
-	for i := 0; i < k; i++ {
-		j := rng.Intn(i + 1)
-		prefix[i] = prefix[j]
-		prefix[j] = i
-	}
-	for i := k; i < n; i++ {
-		if j := rng.Intn(i + 1); j < k {
-			prefix[j] = i
-		}
 	}
 }
 

@@ -471,30 +471,6 @@ func TestGossipBothSourceCombinesSignals(t *testing.T) {
 	}
 }
 
-// TestGossipPermPrefixMatchesPerm pins peer sampling to rand.Perm draw
-// for draw: for every mesh size and fanout (clamped to the n-1 other
-// drivers the way the network sizes its scratch) the sampled indices
-// are Perm's head and the rng is left where Perm leaves it — which is
-// what keeps every digest pinned before the sampler existed valid.
-func TestGossipPermPrefixMatchesPerm(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-		scratch := make([]int, 9)
-		for n := 2; n <= 260; n++ {
-			for fanout := 1; fanout <= 9; fanout++ {
-				prefix := scratch[:min(fanout, n-1)] // reused dirty, as in a run
-				permPrefix(got, n-1, prefix)
-				if perm := want.Perm(n - 1)[:len(prefix)]; !reflect.DeepEqual(prefix, perm) {
-					t.Fatalf("seed %d n %d fanout %d: sampled %v, Perm's head is %v", seed, n, fanout, prefix, perm)
-				}
-				if g, w := got.Int63(), want.Int63(); g != w {
-					t.Fatalf("seed %d n %d fanout %d: rng diverged after sampling (%d vs %d)", seed, n, fanout, g, w)
-				}
-			}
-		}
-	}
-}
-
 // gossipMesh builds an idle network of n gossiping drivers (nothing
 // started, so the only events are the ones the caller's rounds send) and
 // returns a step that runs one driver's round and delivers its messages.

@@ -86,17 +86,34 @@ func (p *Peer) CommittedBlocks() int { return p.committedBlocks }
 // simulations (CouchDB range scans) saturate the pool and the queue
 // grows — the §5.1.2 collapse.
 func (p *Peer) Endorse(inv workload.Invocation, channel int, respond func(*ledger.Endorsement, error)) {
-	p.endorse(&proposal{inv: inv, channel: channel},
-		func(_ *Peer, e *ledger.Endorsement, err error) { respond(e, err) })
+	p.endorse(&proposal{inv: inv, channel: channel}, replyFunc(respond))
+}
+
+// replier takes the answers to a proposal, each with the peer that gave
+// it. The client's leg is one, so every endorser of a leg answers the
+// leg itself; a callback bound to it would be one more object per leg.
+type replier interface {
+	endorsed(from *Peer, e *ledger.Endorsement, err error)
+}
+
+// replyFunc adapts Endorse's callback to replier.
+type replyFunc func(*ledger.Endorsement, error)
+
+func (f replyFunc) endorsed(_ *Peer, e *ledger.Endorsement, err error) { f(e, err) }
+
+// signedEndorsement is an endorsement and the storage of its signature,
+// allocated as one object.
+type signedEndorsement struct {
+	ledger.Endorsement
+	sig [32]byte
 }
 
 // endorse is Endorse on a proposal the client shares between its
 // endorsers: a peer whose replica agrees with the proposal's first
 // simulation on everything that simulation read signs its result
 // instead of re-running the chaincode (see proposal). Virtual time is
-// charged from the operation trace either way. respond is told which
-// peer answers, so one callback serves every endorser of a proposal.
-func (p *Peer) endorse(prop *proposal, respond func(*Peer, *ledger.Endorsement, error)) {
+// charged from the operation trace either way.
+func (p *Peer) endorse(prop *proposal, r replier) {
 	if p.state == NodeCrashed {
 		// The process is gone; the proposal is silently lost (the
 		// client's endorsement deadline is the recovery path).
@@ -111,42 +128,41 @@ func (p *Peer) endorse(prop *proposal, respond func(*Peer, *ledger.Endorsement, 
 		}
 	}
 	start := p.endorserSlots[slot]
-	if now := p.nw.eng.Now(); now > start {
-		start = now
-	}
-	epoch := p.epoch
-	run := func() {
-		if p.epoch != epoch {
-			return // the peer crashed; queued proposals died with it
-		}
-		res, err := prop.resultOn(p.nw, p.dbs[prop.channel])
-		var end *ledger.Endorsement
-		cost := p.nw.cfg.PeerCosts.EndorseBase
-		if err == nil {
-			end = &ledger.Endorsement{
-				Org:       p.org,
-				PeerID:    p.name,
-				RWSet:     res.rwset,
-				Signature: p.identity.Sign(res.digest[:]),
-			}
-			cost = costmodel.EndorseCost(p.nw.dbCosts, p.nw.cfg.PeerCosts, res.trace)
-		}
-		cost = p.nw.eng.Jittered(cost, p.nw.cfg.PeerCosts.Jitter)
-		p.endorserSlots[slot] = p.nw.eng.Now() + sim.Time(cost)
-		p.nw.eng.After(cost, func() {
-			if p.epoch != epoch {
-				return // crashed mid-endorsement; the response is lost
-			}
-			respond(p, end, err)
-		})
-	}
-	if start <= p.nw.eng.Now() {
-		p.endorserSlots[slot] = p.nw.eng.Now() // claimed; updated in run
-		run()
+	if now := p.nw.eng.Now(); start <= now {
+		p.endorserSlots[slot] = now // claimed; updated in work
+		p.work(prop, r, slot, p.epoch)
 		return
 	}
 	p.endorserSlots[slot] = start // reserve until the worker frees up
-	p.nw.eng.At(start, run)
+	epoch := p.epoch
+	p.nw.eng.At(start, func() { p.work(prop, r, slot, epoch) })
+}
+
+// work runs prop on endorsement worker slot, which is free now, and
+// schedules the answer after the endorsement service time. epoch is
+// the peer's epoch when the proposal arrived: a proposal queued before
+// a crash died with it.
+func (p *Peer) work(prop *proposal, r replier, slot int, epoch uint64) {
+	if p.epoch != epoch {
+		return // the peer crashed; queued proposals died with it
+	}
+	res, err := prop.resultOn(p.nw, p.dbs[prop.channel])
+	var end *ledger.Endorsement
+	cost := p.nw.cfg.PeerCosts.EndorseBase
+	if err == nil {
+		se := &signedEndorsement{Endorsement: ledger.Endorsement{Org: p.org, PeerID: p.name, RWSet: res.rwset}}
+		se.Signature = p.identity.AppendSign(se.sig[:0], res.digest[:])
+		end = &se.Endorsement
+		cost = costmodel.EndorseCost(p.nw.dbCosts, p.nw.cfg.PeerCosts, res.trace)
+	}
+	cost = p.nw.eng.Jittered(cost, p.nw.cfg.PeerCosts.Jitter)
+	p.endorserSlots[slot] = p.nw.eng.Now() + sim.Time(cost)
+	p.nw.eng.After(cost, func() {
+		if p.epoch != epoch {
+			return // crashed mid-endorsement; the response is lost
+		}
+		r.endorsed(p, end, err)
+	})
 }
 
 // DeliverBlock enqueues a block from the ordering service. The

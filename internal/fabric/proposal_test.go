@@ -39,9 +39,9 @@ func endorseOn(t *testing.T, nw *Network, p *Peer, prop *proposal) *response {
 		t.Fatalf("%s has a busy endorsement worker; the probe would queue", p.name)
 	}
 	r := &response{}
-	p.endorse(prop, func(_ *Peer, e *ledger.Endorsement, err error) {
+	p.endorse(prop, replyFunc(func(e *ledger.Endorsement, err error) {
 		r.end, r.err, r.at = e, err, time.Duration(nw.eng.Now())
-	})
+	}))
 	return r
 }
 
@@ -239,6 +239,35 @@ func TestReplicaAheadOnReadKeyMissesMemo(t *testing.T) {
 	// A key neither replica differs on still hits.
 	if _, _, hit, _ := endorsePair(t, nw2, a2, b2, "readProfile", "6"); !hit {
 		t.Fatal("replicas agree on profile 6, yet the second endorser simulated")
+	}
+}
+
+// An endorsement is allocated with room for its signature: the bytes
+// must be Sign's over the rwset digest, and each endorsement must keep
+// its own — a signer writing into shared scratch would leave two
+// endorsements by one peer aliasing the last signature.
+func TestEndorsementCarriesItsOwnSignature(t *testing.T) {
+	nw, a, b := probeNetwork(t, ehr.New(), statedb.CouchDB)
+	var rs []*response
+	for _, p := range []*Peer{a, a, b} {
+		rs = append(rs, endorseOn(t, nw, p, &proposal{inv: workload.Invocation{Function: "readProfile", Args: []string{fmt.Sprint(len(rs))}}}))
+		nw.eng.Run()
+	}
+	for i, r := range rs {
+		if r.end == nil {
+			t.Fatalf("endorsement %d missing (error %v)", i, r.err)
+		}
+		d := r.end.RWSet.Digest()
+		id := nw.msp.Lookup(r.end.Org, r.end.PeerID)
+		if want := id.Sign(d[:]); !bytes.Equal(r.end.Signature, want) {
+			t.Errorf("endorsement %d by %s: signature %x, Sign gives %x", i, r.end.PeerID, r.end.Signature, want)
+		}
+	}
+	if &rs[0].end.Signature[0] == &rs[1].end.Signature[0] {
+		t.Error("two endorsements by one peer share signature storage")
+	}
+	if bytes.Equal(rs[0].end.Signature, rs[1].end.Signature) {
+		t.Error("two endorsements of different rwsets carry one signature")
 	}
 }
 

@@ -21,6 +21,9 @@ type validator struct {
 	next uint64
 	// memo holds the outcome of every block some peer has yet to commit.
 	memo map[uint64]*valResult
+	// digest is vscc's scratch: the rwset digest it hands to MSP.Verify
+	// lives here rather than in a local that would escape per call.
+	digest [32]byte
 }
 
 // valResult is one block's cached outcome. It lives until the last
@@ -141,15 +144,15 @@ func (v *validator) vscc(tx *ledger.Transaction) ledger.ValidationCode {
 	// once per endorsement; every signature is still verified against it.
 	rw := tx.Endorsements[0].RWSet
 	first := rw.Digest()
-	d := first
+	v.digest = first
 	for _, e := range tx.Endorsements {
 		if e.RWSet != rw {
-			rw, d = e.RWSet, e.RWSet.Digest()
+			rw, v.digest = e.RWSet, e.RWSet.Digest()
 		}
-		if !v.nw.msp.Verify(e.Org, e.PeerID, d[:], e.Signature) {
+		if !v.nw.msp.Verify(e.Org, e.PeerID, v.digest[:], e.Signature) {
 			return ledger.EndorsementPolicyFailure
 		}
-		if d != first {
+		if v.digest != first {
 			// World-state inconsistency between endorsers at
 			// simulation time: read/write set mismatch.
 			return ledger.EndorsementPolicyFailure

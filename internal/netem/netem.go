@@ -24,6 +24,11 @@ type Link struct {
 	Jitter time.Duration // uniform ± jitter
 }
 
+// link names one directed hop. It keys the FIFO table by value, so an
+// ordered message builds no key (the Kafka producer hop is one
+// SendOrdered per transaction).
+type link struct{ from, to string }
+
 // Model is the cluster network model. Delays compose: base LAN latency
 // plus any injected delay on either endpoint.
 type Model struct {
@@ -31,7 +36,7 @@ type Model struct {
 	lan      Link
 	injected map[string]Link // node id -> extra delay on all its links
 	// lastArrival enforces FIFO per directed link for SendOrdered.
-	lastArrival map[string]sim.Time
+	lastArrival map[link]sim.Time
 
 	// Fault state (all empty by default — see faulty). down nodes drop
 	// every unreliable message they send or receive; island, when
@@ -56,7 +61,7 @@ func New(eng *sim.Engine, lan Link) *Model {
 		eng:         eng,
 		lan:         lan,
 		injected:    map[string]Link{},
-		lastArrival: map[string]sim.Time{},
+		lastArrival: map[link]sim.Time{},
 		down:        map[string]bool{},
 		loss:        map[string]float64{},
 	}
@@ -218,7 +223,7 @@ func (m *Model) Send(from, to string, fn func()) {
 // the receiving node instead — a crashed peer queues delivered blocks
 // as its missed ledger suffix and replays them on restart.
 func (m *Model) SendOrdered(from, to string, fn func()) {
-	key := from + "\x00" + to
+	key := link{from, to}
 	at := m.eng.Now() + sim.Time(m.sample(from, to))
 	if last := m.lastArrival[key]; at <= last {
 		at = last + 1 // nanosecond bump keeps strict FIFO

@@ -102,6 +102,31 @@ func TestSendOrderedFIFO(t *testing.T) {
 	}
 }
 
+// raceDetector is set by race_test.go, which only -race builds.
+var raceDetector bool
+
+// An ordered message on a link that has carried one before allocates
+// nothing of its own: the FIFO table is keyed by value, and the event
+// heap has room once the message before it was delivered.
+func TestSendOrderedWarmLinkAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own account")
+	}
+	eng := sim.NewEngine(8)
+	m := New(eng, DefaultLAN())
+	m.Inject("b", Link{Base: time.Millisecond, Jitter: time.Millisecond})
+	delivered := 0
+	fn := func() { delivered++ }
+	m.SendOrdered("a", "b", fn)
+	eng.Run()
+	if n := testing.AllocsPerRun(100, func() { m.SendOrdered("a", "b", fn); eng.Run() }); n != 0 {
+		t.Errorf("SendOrdered on a warm link: %v allocations, want 0", n)
+	}
+	if delivered != 102 {
+		t.Errorf("%d messages delivered, want 102", delivered)
+	}
+}
+
 func TestInjectReplacesInsteadOfStacking(t *testing.T) {
 	// Documented semantics: a second Inject on the same node replaces
 	// the first — the extras never accumulate.

@@ -11,6 +11,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -102,6 +103,8 @@ type Engine struct {
 	stopped bool
 	// processed counts executed events, for diagnostics.
 	processed uint64
+	// divisors[i] serves PermPrefix's Intn(i+1) draws.
+	divisors []divisor
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
@@ -231,6 +234,60 @@ func (e *Engine) Uniform(lo, hi time.Duration) time.Duration {
 		return lo
 	}
 	return lo + time.Duration(e.rng.Int63n(int64(hi-lo)))
+}
+
+// PermPrefix fills prefix (len(prefix) <= n) with exactly what
+// Rand().Perm(n)[:len(prefix)] would hold, and leaves Rand() in exactly
+// the state Perm leaves it in — the same n Intn draws in the same order,
+// rejections included — without building the other n-len(prefix)
+// elements. Perm's inside-out Fisher–Yates step is m[i] = m[j]; m[j] = i
+// with j <= i: a slot below len(prefix) is only ever assigned the loop
+// index or the content of a slot at or below itself, never content from
+// beyond the prefix, so the prefix can be tracked alone. Each Intn(i+1)
+// is Int31n's rejection loop with its two divisions replaced by a table
+// lookup and a multiplication (see divisor); the table grows to the
+// largest n asked for and is kept. n must be below 1<<31.
+func (e *Engine) PermPrefix(n int, prefix []int) {
+	for d := len(e.divisors) + 1; d <= n; d++ {
+		e.divisors = append(e.divisors, newDivisor(uint32(d)))
+	}
+	k := len(prefix)
+	for i := 0; i < k; i++ {
+		j := int(e.divisors[i].int31n(e.rng))
+		prefix[i] = prefix[j]
+		prefix[j] = i
+	}
+	for i := k; i < n; i++ {
+		if j := int(e.divisors[i].int31n(e.rng)); j < k {
+			prefix[j] = i
+		}
+	}
+}
+
+// divisor is what rand.Int31n(d) computes with two 32-bit divisions per
+// call, computed once: the largest draw it accepts and Lemire's fastmod
+// reciprocal of d ("Faster remainder by direct computation", Lemire,
+// Kaser & Kurz 2019), exact for every 32-bit dividend and divisor.
+type divisor struct {
+	d   uint32
+	max uint32 // (1<<31 - 1) - (1<<31)%d: larger draws are rejected
+	m   uint64 // ^uint64(0)/d + 1; v%d is the high word of (m*v)*d
+}
+
+func newDivisor(d uint32) divisor {
+	return divisor{d: d, max: 1<<31 - 1 - (1<<31)%d, m: ^uint64(0)/uint64(d) + 1}
+}
+
+// int31n returns what rng.Int31n(d) would, from the same draws. Int31n
+// masks instead when d is a power of two; there (1<<31)%d is 0, so
+// nothing is rejected and the remainder is the mask.
+func (dv divisor) int31n(rng *rand.Rand) uint32 {
+	v := uint32(rng.Int63() >> 32)
+	for v > dv.max {
+		v = uint32(rng.Int63() >> 32)
+	}
+	hi, _ := bits.Mul64(dv.m*uint64(v), uint64(dv.d))
+	return uint32(hi)
 }
 
 // Jittered returns base scaled by a uniform factor in [1-frac, 1+frac].

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -355,5 +356,101 @@ func TestAtAndStepAllocateNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("At + step allocated %v objects per event, want 0", allocs)
+	}
+}
+
+// PermPrefix is rand.Perm's head, draw for draw: for every mesh size
+// and prefix length the prefix equals Perm(n)[:k] and the rng is left
+// where Perm leaves it — which is what keeps every digest pinned before
+// the table-driven draws existed valid. One engine per seed serves every
+// size, so the divisor table grows between calls, and the prefix is
+// reused dirty, as in a run.
+func TestPermPrefixMatchesPerm(t *testing.T) {
+	check := func(seed int64, sizes []int, maxK int) {
+		e, want := NewEngine(seed), rand.New(rand.NewSource(seed))
+		scratch := make([]int, maxK)
+		for _, n := range sizes {
+			for k := 0; k <= maxK && k <= n; k++ {
+				prefix := scratch[:k]
+				e.PermPrefix(n, prefix)
+				if perm := want.Perm(n)[:k]; !slices.Equal(prefix, perm) {
+					t.Fatalf("seed %d n %d k %d: prefix %v, Perm's head is %v", seed, n, k, prefix, perm)
+				}
+				if g, w := e.Rand().Int63(), want.Int63(); g != w {
+					t.Fatalf("seed %d n %d k %d: rng diverged after sampling (%d vs %d)", seed, n, k, g, w)
+				}
+			}
+		}
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		check(seed, []int{1, 2, 3, 7, 64, 199, 1000, 4096}, 5)
+	}
+	every := make([]int, 260) // every size up to 260, prefixes up to 9
+	for i := range every {
+		every[i] = i + 1
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		check(seed, every, 9)
+	}
+}
+
+// countingSource counts the draws made from it.
+type countingSource struct {
+	rand.Source
+	draws int
+}
+
+func (s *countingSource) Int63() int64 { s.draws++; return s.Source.Int63() }
+
+// A divisor near 3·2^29 rejects a quarter of all draws: the table's
+// rejection threshold and fastmod remainder must give rand.Int31n's
+// value from the same draws, loop iterations included.
+func TestDivisorInt31nMatchesRand(t *testing.T) {
+	const d = 3<<29 + 7
+	src := &countingSource{Source: rand.NewSource(5)}
+	got, want := rand.New(src), rand.New(rand.NewSource(5))
+	dv := newDivisor(d)
+	const draws = 100000
+	for i := 0; i < draws; i++ {
+		if g, w := dv.int31n(got), want.Int31n(d); int32(g) != w {
+			t.Fatalf("draw %d: %d, rand.Int31n says %d", i, g, w)
+		}
+	}
+	if g, w := got.Int63(), want.Int63(); g != w {
+		t.Fatalf("rng diverged (%d vs %d)", g, w)
+	}
+	// Expected extra draws: draws/3 (each value takes 4/3 draws).
+	if extra := src.draws - 1 - draws; extra < draws*3/10 || extra > draws*37/100 {
+		t.Fatalf("%d rejected draws in %d, want about a third as many", extra, draws)
+	}
+}
+
+// scriptedSource replays Int31 values: Int63 returns v<<32 for each v
+// in turn, cyclically.
+type scriptedSource struct {
+	vs []uint32
+	i  int
+}
+
+func (s *scriptedSource) Int63() int64 { v := s.vs[s.i%len(s.vs)]; s.i++; return int64(v) << 32 }
+func (s *scriptedSource) Seed(int64)   {}
+
+// The draws at the edges of the accepted range, which a random stream
+// all but never produces: the largest accepted value, the smallest
+// rejected one (when there is one), the largest Int31 and zero.
+func TestDivisorInt31nEdges(t *testing.T) {
+	for _, d := range []uint32{1, 2, 3, 7, 199, 4096, 1 << 30, 3<<29 + 7, 1<<31 - 1} {
+		dv := newDivisor(d)
+		if (dv.max+1)%d != 0 || 1<<31-(uint64(dv.max)+1) >= uint64(d) {
+			t.Fatalf("d %d: threshold %d does not end the last whole multiple of d below 1<<31", d, dv.max)
+		}
+		script := []uint32{dv.max, min(dv.max+1, 1<<31-1), 1<<31 - 1, 0, d - 1, d}
+		a, b := &scriptedSource{vs: script}, &scriptedSource{vs: script}
+		got, want := rand.New(a), rand.New(b)
+		for k := range script {
+			if g, w := dv.int31n(got), want.Int31n(int32(d)); int32(g) != w || a.i != b.i {
+				t.Fatalf("d %d draw %d: %d after %d values, rand.Int31n says %d after %d", d, k, g, a.i, w, b.i)
+			}
+		}
 	}
 }

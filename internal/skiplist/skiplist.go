@@ -189,11 +189,26 @@ func (l *List[V]) Keys() []string {
 }
 
 // Clone returns a deep copy of the list structure (values are shared,
-// which is safe because values are treated as immutable).
+// which is safe because values are treated as immutable). The copy is
+// the list Put would build from the keys in ascending order — the same
+// towers from the same randomHeight draws — in linear time: each key is
+// new and larger than every key before it, so its predecessor on every
+// level is that level's tail, and no search is needed.
 func (l *List[V]) Clone(seed int64) *List[V] {
 	c := New[V](seed)
-	for it := l.Iter(); it.Valid(); it.Next() {
-		c.Put(it.Key(), it.Value())
+	var tail [maxHeight]*node[V]
+	for level := range tail {
+		tail[level] = c.head
 	}
+	for x := l.head.next[0]; x != nil; x = x.next[0] {
+		h := c.randomHeight()
+		c.height = max(c.height, h)
+		nn := &node[V]{key: x.key, value: x.value, next: make([]*node[V], h)}
+		for level := 0; level < h; level++ {
+			tail[level].next[level] = nn
+			tail[level] = nn
+		}
+	}
+	c.length = l.length
 	return c
 }

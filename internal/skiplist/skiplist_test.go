@@ -118,6 +118,57 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
+// levels lists the keys on every level of l, bottom first.
+func levels[V any](l *List[V]) [][]string {
+	out := make([][]string, l.height)
+	for level := range out {
+		for x := l.head.next[level]; x != nil; x = x.next[level] {
+			out[level] = append(out[level], x.key)
+		}
+	}
+	return out
+}
+
+// Clone builds, without searching, the list ascending Puts build from
+// the same seed: the same keys on every level, the same height and
+// length, and an rng at the same position, so the next Put on each
+// draws the same tower.
+func TestCloneEqualsAscendingPuts(t *testing.T) {
+	src := New[int](7)
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 3000; i++ {
+		k := fmt.Sprintf("k%05d", rng.Intn(5000))
+		if rng.Intn(4) == 0 {
+			src.Delete(k)
+		} else {
+			src.Put(k, i)
+		}
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		c, ref := src.Clone(seed), New[int](seed)
+		for it := src.Iter(); it.Valid(); it.Next() {
+			ref.Put(it.Key(), it.Value())
+		}
+		if c.Len() != ref.Len() || c.height != ref.height {
+			t.Fatalf("seed %d: clone has %d keys in %d levels, ascending Puts %d in %d",
+				seed, c.Len(), c.height, ref.Len(), ref.height)
+		}
+		if got, want := levels(c), levels(ref); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("seed %d: clone's levels differ from ascending Puts'", seed)
+		}
+		for it := c.Iter(); it.Valid(); it.Next() {
+			if v, _ := src.Get(it.Key()); v != it.Value() {
+				t.Fatalf("seed %d: clone holds %d under %s, source %d", seed, it.Value(), it.Key(), v)
+			}
+		}
+		c.Put("k02500x", -1)
+		ref.Put("k02500x", -1)
+		if got, want := levels(c), levels(ref); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("seed %d: the Put after cloning drew a different tower", seed)
+		}
+	}
+}
+
 // Property: the skip list agrees with a reference map under a random
 // sequence of put/delete operations, and iteration is sorted.
 func TestAgainstReferenceMap(t *testing.T) {
