@@ -31,7 +31,7 @@ func Commit(db statedb.VersionedDB, stub *chaincode.Stub, block uint64) error {
 
 // InitState builds a fresh database seeded by the chaincode's Init.
 func InitState(cc chaincode.Chaincode, kind statedb.Kind) (statedb.VersionedDB, error) {
-	db := statedb.New(kind, 1)
+	db := statedb.New(kind)
 	stub := chaincode.NewStub(db)
 	if err := cc.Init(stub); err != nil {
 		return nil, err

@@ -9,7 +9,7 @@ import (
 )
 
 func seeded(kind statedb.Kind) statedb.VersionedDB {
-	db := statedb.New(kind, 1)
+	db := statedb.New(kind)
 	b := &statedb.UpdateBatch{}
 	b.Put("k1", []byte(`{"n":1}`), ledger.Height{BlockNum: 1, TxNum: 0})
 	b.Put("k2", []byte(`{"n":2}`), ledger.Height{BlockNum: 1, TxNum: 1})

@@ -6,3 +6,10 @@ import "repro/internal/statedb"
 // to the external tests of this directory (the ones that need the fork
 // variants, which import this package).
 func (p *Peer) Replicas() []statedb.VersionedDB { return p.dbs }
+
+// SnapshotGenesis and CheckReplicas expose the replica-convergence
+// oracle to the external tests.
+var (
+	SnapshotGenesis = snapshotGenesis
+	CheckReplicas   = checkReplicas
+)

@@ -1,9 +1,14 @@
 package fabric
 
 import (
+	"bytes"
+	"fmt"
+	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/chaincodes/ehr"
+	"repro/internal/gen"
 	"repro/internal/ledger"
 	"repro/internal/metrics"
 	"repro/internal/statedb"
@@ -140,6 +145,177 @@ func TestConservationInvariantWithGossip(t *testing.T) {
 			t.Fatalf("fanout %d: gossip never engaged", fanout)
 		}
 		checkConservation(t, nw)
+	}
+}
+
+// snapshotGenesis scans every channel's world state off the first
+// peer before the run, for checkReplicas to fold the chain onto.
+func snapshotGenesis(nw *Network) [][]statedb.KV {
+	out := make([][]statedb.KV, len(nw.chains))
+	for ch := range out {
+		out[ch] = nw.peers[0].dbs[ch].GetRange("", "")
+	}
+	return out
+}
+
+// checkReplicas is the replay-equivalence oracle. Per channel it folds
+// the valid writes of the chain, in commit order, onto a copy of the
+// genesis state, and holds every replica — each peer's and the
+// validator's — to that fold: its savepoint must equal its height (the
+// blocks validated, less those the peer has yet to commit), and a scan
+// of it must yield the fold at that height, key by key, version and
+// value bytes alike. Writes survive StripAfterCommit, so any run can be
+// checked. The fold lives in a map, not in a statedb, so a broken index
+// cannot agree with itself.
+func checkReplicas(t *testing.T, nw *Network, genesis [][]statedb.KV) {
+	t.Helper()
+	type replica struct {
+		name   string
+		db     statedb.VersionedDB
+		height uint64
+	}
+	for ch, chain := range nw.chains {
+		validated := nw.vals[ch].next
+		replicas := []replica{{"validator", nw.vals[ch].db, validated}}
+		for _, p := range nw.peers {
+			queued := uint64(0)
+			for _, q := range [][]*ledger.Block{p.inflight, p.backlog} {
+				for _, b := range q {
+					if b.Channel == ch {
+						queued++
+					}
+				}
+			}
+			replicas = append(replicas, replica{p.name, p.dbs[ch], validated - queued})
+		}
+		sort.SliceStable(replicas, func(i, j int) bool { return replicas[i].height < replicas[j].height })
+
+		fold := map[string]statedb.KV{}
+		for _, kv := range genesis[ch] {
+			fold[kv.Key] = kv
+		}
+		blocks, folded := chain.Blocks(), uint64(0)
+		for _, r := range replicas {
+			if sp := r.db.Savepoint(); sp != r.height {
+				t.Errorf("%s, channel %d: savepoint %d, height %d", r.name, ch, sp, r.height)
+			}
+			if r.height >= uint64(len(blocks)) {
+				t.Errorf("%s, channel %d: height %d is beyond the chain's %d blocks", r.name, ch, r.height, len(blocks)-1)
+				continue
+			}
+			for ; folded < r.height; folded++ {
+				foldBlock(fold, blocks[folded+1])
+			}
+			if err := sameState(r.db.GetRange("", ""), fold); err != nil {
+				t.Errorf("%s, channel %d, height %d: %v", r.name, ch, r.height, err)
+			}
+		}
+	}
+}
+
+// foldBlock applies the valid writes of b to state at their commit
+// versions.
+func foldBlock(state map[string]statedb.KV, b *ledger.Block) {
+	for i, tx := range b.Transactions {
+		if b.ValidationCodes[i] != ledger.Valid {
+			continue
+		}
+		for _, w := range tx.RWSet.Writes {
+			if w.IsDelete {
+				delete(state, w.Key)
+				continue
+			}
+			state[w.Key] = statedb.KV{Key: w.Key, Value: w.Value,
+				Version: ledger.Height{BlockNum: b.Number, TxNum: uint64(i)}}
+		}
+	}
+}
+
+// sameState compares a replica's full scan with the fold and names the
+// first key on which they differ.
+func sameState(scan []statedb.KV, fold map[string]statedb.KV) error {
+	keys := make([]string, 0, len(fold))
+	for k := range fold {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for i := 0; i < len(scan) || i < len(keys); i++ {
+		switch {
+		case i == len(scan) || (i < len(keys) && keys[i] < scan[i].Key):
+			return fmt.Errorf("key %q at %v is missing from the replica", keys[i], fold[keys[i]].Version)
+		case i == len(keys) || scan[i].Key < keys[i]:
+			return fmt.Errorf("key %q at %v is on the replica, not in the chain's fold", scan[i].Key, scan[i].Version)
+		case i > 0 && scan[i-1].Key >= scan[i].Key:
+			return fmt.Errorf("key %q follows %q in the replica's scan", scan[i].Key, scan[i-1].Key)
+		}
+		if want := fold[keys[i]]; scan[i].Version != want.Version || !bytes.Equal(scan[i].Value, want.Value) {
+			return fmt.Errorf("key %q: replica holds %s at %v, the fold %s at %v",
+				keys[i], scan[i].Value, scan[i].Version, want.Value, want.Version)
+		}
+	}
+	return nil
+}
+
+// runChecked runs cfg and checks every replica against the chain.
+func runChecked(t *testing.T, cfg Config) (*Network, metrics.Report) {
+	t.Helper()
+	nw, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	genesis := snapshotGenesis(nw)
+	rep := nw.Run()
+	if rep.Valid == 0 {
+		t.Fatal("no valid transaction: the run wrote nothing to check")
+	}
+	checkReplicas(t, nw, genesis)
+	return nw, rep
+}
+
+// genChainConfig runs genChain over 2,000 keys: small enough that its
+// inserts split index nodes and its deletes (which walk up from the
+// first key) merge them within one run.
+func genChainConfig(seed int64, mix gen.Mix) Config {
+	spec := gen.GenChainSpec()
+	spec.Keys = 2000
+	cfg := testConfig(seed)
+	cfg.Chaincode = gen.MustChaincode(spec)
+	cfg.Workload = gen.NewWorkload(spec, mix, 0)
+	return cfg
+}
+
+// TestReplicasConvergeGenChain holds every replica to the chain's fold
+// under genChain's update-, insert- and range-heavy mixes.
+func TestReplicasConvergeGenChain(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mix  gen.Mix
+	}{{"UpdateHeavy", gen.UpdateHeavy}, {"InsertHeavy", gen.InsertHeavy}, {"RangeHeavy", gen.RangeHeavy}} {
+		c := c
+		t.Run(c.name, func(t *testing.T) { runChecked(t, genChainConfig(31, c.mix)) })
+	}
+}
+
+// TestReplicasConvergeAcrossChannels checks every channel's replicas on
+// a sharded EHR run with cross-channel transactions.
+func TestReplicasConvergeAcrossChannels(t *testing.T) {
+	cfg := testConfig(32)
+	cfg.Chaincode = ehr.New()
+	cfg.Channels = 4
+	cfg.CrossChannel = 0.1
+	runChecked(t, cfg)
+}
+
+// TestReplicasConvergeAfterPeerCrash checks the replica a crashed peer
+// rebuilt by replaying the blocks it missed.
+func TestReplicasConvergeAfterPeerCrash(t *testing.T) {
+	cfg := faultConfig(4, &Faults{
+		Events:         []FaultEvent{{Kind: FaultCrashPeer, At: 5 * time.Second, For: 5 * time.Second, Target: 3}},
+		EndorseTimeout: time.Second,
+	})
+	_, rep := runChecked(t, cfg)
+	if rep.Recovery.N != 1 {
+		t.Errorf("%d recoveries, want the crashed peer to replay the blocks it missed", rep.Recovery.N)
 	}
 }
 

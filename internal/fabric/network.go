@@ -109,7 +109,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	nw.pol = policy.Build(cfg.Policy, nw.orgs)
 
 	// Genesis: run Init once, apply at height 0, clone per replica.
-	genesis := statedb.New(cfg.DBKind, cfg.Seed)
+	genesis := statedb.New(cfg.DBKind)
 	stub := chaincode.NewStub(genesis)
 	if err := cfg.Chaincode.Init(stub); err != nil {
 		return nil, fmt.Errorf("fabric: chaincode init: %w", err)
@@ -123,9 +123,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 
 	// Each channel anchors its own hash chain with a genesis block 0.
-	// Channel replica seeds stride by a constant far larger than any
-	// peer count so channel 0 keeps the historical seeds exactly.
-	const channelSeedStride = 1_000_000
 	for ch := 0; ch < nw.channels; ch++ {
 		chain := ledger.NewChain()
 		gb := &ledger.Block{Number: 0, Channel: ch}
@@ -140,10 +137,9 @@ func NewNetwork(cfg Config) (*Network, error) {
 	for o := 0; o < cfg.Orgs; o++ {
 		org := nw.orgs[o]
 		for p := 0; p < cfg.PeersPerOrg; p++ {
-			seed := cfg.Seed + int64(len(nw.peers)) + 100
 			dbs := make([]statedb.VersionedDB, nw.channels)
 			for ch := range dbs {
-				dbs[ch] = genesis.Clone(seed + int64(ch)*channelSeedStride)
+				dbs[ch] = genesis.Clone(0)
 			}
 			peer := newPeer(nw, org, fabcrypto.PeerName(org, p), dbs)
 			if cfg.DelayOrg == o {
@@ -153,8 +149,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		}
 	}
 	for ch := 0; ch < nw.channels; ch++ {
-		nw.vals = append(nw.vals,
-			newValidator(nw, genesis.Clone(cfg.Seed+99+int64(ch)*channelSeedStride)))
+		nw.vals = append(nw.vals, newValidator(nw, genesis.Clone(0)))
 	}
 
 	// One ordering service per channel, each with its own Kafka

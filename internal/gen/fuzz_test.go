@@ -82,7 +82,7 @@ func FuzzGenChaincode(f *testing.F) {
 
 		// The compiled chaincode must initialize and execute every
 		// function without panicking.
-		db := statedb.New(statedb.CouchDB, 1)
+		db := statedb.New(statedb.CouchDB)
 		stub := chaincode.NewStub(db)
 		if err := cc.Init(stub); err != nil {
 			t.Fatalf("Init: %v", err)

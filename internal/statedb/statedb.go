@@ -21,9 +21,9 @@ import (
 	"encoding/json"
 	"errors"
 
+	"repro/internal/btree"
 	"repro/internal/couchq"
 	"repro/internal/ledger"
-	"repro/internal/skiplist"
 )
 
 // Kind selects the database type.
@@ -131,6 +131,7 @@ type VersionedDB interface {
 	// the genesis state out to every peer replica. The index is copied;
 	// the entries are shared (a write replaces an entry, never changes
 	// one), as they are between all databases one batch is applied to.
+	// The seed is unused: the copy has no randomized structure.
 	Clone(seed int64) VersionedDB
 }
 
@@ -166,19 +167,19 @@ func (e *entry) document() (doc map[string]interface{}, ok bool) {
 	return e.object.fields, e.object.isObject
 }
 
-// store is the one VersionedDB: an ordered index of entries in a skip
-// list (the memtable structure of the real LevelDB, and the key index
-// behind CouchDB range scans).
+// store is the one VersionedDB: an ordered index of entries in a
+// B-tree. The index is the simulator's own bookkeeping: what a read,
+// scan or commit costs in virtual time comes from costmodel, never
+// from the index.
 type store struct {
 	kind      Kind
-	index     *skiplist.List[*entry]
+	index     *btree.Tree[*entry]
 	savepoint uint64
 }
 
-// New constructs an empty database of the given kind. The seed fixes
-// internal randomized structure (skip-list tower heights).
-func New(kind Kind, seed int64) VersionedDB {
-	return &store{kind: kind, index: skiplist.New[*entry](seed)}
+// New constructs an empty database of the given kind.
+func New(kind Kind) VersionedDB {
+	return &store{kind: kind, index: btree.New[*entry]()}
 }
 
 func (db *store) Kind() Kind { return db.kind }
@@ -238,6 +239,6 @@ func (db *store) Savepoint() uint64 { return db.savepoint }
 
 func (db *store) Len() int { return db.index.Len() }
 
-func (db *store) Clone(seed int64) VersionedDB {
-	return &store{kind: db.kind, index: db.index.Clone(seed), savepoint: db.savepoint}
+func (db *store) Clone(int64) VersionedDB {
+	return &store{kind: db.kind, index: db.index.Clone(), savepoint: db.savepoint}
 }

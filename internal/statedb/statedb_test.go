@@ -19,7 +19,7 @@ func TestKindString(t *testing.T) {
 
 func TestGetAbsent(t *testing.T) {
 	for _, k := range allKinds() {
-		db := New(k, 1)
+		db := New(k)
 		if db.Get("nope") != nil {
 			t.Errorf("%v: Get on empty db returned value", k)
 		}
@@ -28,7 +28,7 @@ func TestGetAbsent(t *testing.T) {
 
 func TestApplyAndGet(t *testing.T) {
 	for _, k := range allKinds() {
-		db := New(k, 1)
+		db := New(k)
 		b := &UpdateBatch{}
 		b.Put("a", []byte(`{"n":1}`), ledger.Height{BlockNum: 1, TxNum: 0})
 		b.Put("b", []byte(`{"n":2}`), ledger.Height{BlockNum: 1, TxNum: 1})
@@ -53,7 +53,7 @@ func TestApplyAndGet(t *testing.T) {
 
 func TestDeleteRemovesKey(t *testing.T) {
 	for _, k := range allKinds() {
-		db := New(k, 1)
+		db := New(k)
 		b := &UpdateBatch{}
 		b.Put("a", []byte(`{"x":1}`), ledger.Height{BlockNum: 1})
 		if err := db.ApplyUpdates(b, 1); err != nil {
@@ -75,7 +75,7 @@ func TestDeleteRemovesKey(t *testing.T) {
 
 func TestOverwriteBumpsVersion(t *testing.T) {
 	for _, k := range allKinds() {
-		db := New(k, 1)
+		db := New(k)
 		b := &UpdateBatch{}
 		b.Put("a", []byte(`1`), ledger.Height{BlockNum: 1})
 		db.ApplyUpdates(b, 1)
@@ -91,7 +91,7 @@ func TestOverwriteBumpsVersion(t *testing.T) {
 
 func TestGetRangeOrderedHalfOpen(t *testing.T) {
 	for _, k := range allKinds() {
-		db := New(k, 1)
+		db := New(k)
 		b := &UpdateBatch{}
 		for i := 0; i < 10; i++ {
 			b.Put(fmt.Sprintf("k%02d", i), []byte(`{}`), ledger.Height{BlockNum: 1, TxNum: uint64(i)})
@@ -109,14 +109,14 @@ func TestGetRangeOrderedHalfOpen(t *testing.T) {
 }
 
 func TestLevelDBRejectsRichQuery(t *testing.T) {
-	db := New(LevelDB, 1)
+	db := New(LevelDB)
 	if _, err := db.ExecuteQuery(`{"a":1}`); err == nil {
 		t.Fatal("LevelDB accepted a rich query")
 	}
 }
 
 func TestCouchDBRichQuery(t *testing.T) {
-	db := New(CouchDB, 1)
+	db := New(CouchDB)
 	b := &UpdateBatch{}
 	b.Put("art1", []byte(`{"owner":"alice","plays":5}`), ledger.Height{BlockNum: 1})
 	b.Put("art2", []byte(`{"owner":"bob","plays":9}`), ledger.Height{BlockNum: 1})
@@ -144,7 +144,7 @@ func TestCouchDBRichQuery(t *testing.T) {
 }
 
 func TestCouchDBQueryAfterDelete(t *testing.T) {
-	db := New(CouchDB, 1)
+	db := New(CouchDB)
 	b := &UpdateBatch{}
 	b.Put("d1", []byte(`{"t":"x"}`), ledger.Height{BlockNum: 1})
 	db.ApplyUpdates(b, 1)
@@ -161,7 +161,7 @@ func TestCouchDBQueryAfterDelete(t *testing.T) {
 }
 
 func TestCouchDBNonJSONValueOverwrite(t *testing.T) {
-	db := New(CouchDB, 1)
+	db := New(CouchDB)
 	b := &UpdateBatch{}
 	b.Put("k", []byte(`{"a":1}`), ledger.Height{BlockNum: 1})
 	db.ApplyUpdates(b, 1)
@@ -215,14 +215,14 @@ func TestNoAllocOnGetNoDecodeOnApply(t *testing.T) {
 	batch.Put("k", []byte(`{"owner":"alice","plays":[1,2,3],"meta":{"a":"b"}}`), ledger.Height{BlockNum: 1})
 	applyAllocs := map[Kind]float64{}
 	for _, k := range allKinds() {
-		db := New(k, 1)
+		db := New(k)
 		if err := db.ApplyUpdates(batch, 1); err != nil {
 			t.Fatal(err)
 		}
 		if n := testing.AllocsPerRun(100, func() { db.Get("k") }); n != 0 {
 			t.Errorf("%v: Get of a present key allocates %.0f objects, want 0", k, n)
 		}
-		// Overwrites only, so the skip list never grows a node.
+		// Overwrites only, so the index never splits a node.
 		applyAllocs[k] = testing.AllocsPerRun(100, func() { db.ApplyUpdates(batch, 1) })
 	}
 	if applyAllocs[CouchDB] != applyAllocs[LevelDB] {
@@ -236,7 +236,7 @@ func TestNoAllocOnGetNoDecodeOnApply(t *testing.T) {
 // never answer for what replica B wrote afterwards, nor the reverse.
 func TestCloneIsolationUnderSharedMemo(t *testing.T) {
 	const alice, bob = `{"owner":"alice"}`, `{"owner":"bob"}`
-	a := New(CouchDB, 1)
+	a := New(CouchDB)
 	commit(t, a, 1, ledger.KVWrite{Key: "k", Value: []byte(alice)}, ledger.KVWrite{Key: "other", Value: []byte(alice)})
 	b := a.Clone(2)
 	const both = `k={"owner":"alice"};other={"owner":"alice"};`
@@ -297,7 +297,7 @@ func TestBackendsAgree(t *testing.T) {
 	// Four distinct documents, so a selector matches many keys.
 	doc := func(v uint16) string { return fmt.Sprintf(`{"v":%d}`, v%4) }
 	f := func(batches [][]wr) bool {
-		ldb, cdb := New(LevelDB, 7), New(CouchDB, 7)
+		ldb, cdb := New(LevelDB), New(CouchDB)
 		ref := map[string]string{}
 		for bi, ops := range batches {
 			b := &UpdateBatch{}
@@ -377,7 +377,7 @@ func TestBackendsAgree(t *testing.T) {
 }
 
 func BenchmarkLevelDBGet(b *testing.B) {
-	db := New(LevelDB, 1)
+	db := New(LevelDB)
 	batch := &UpdateBatch{}
 	for i := 0; i < 10000; i++ {
 		batch.Put(fmt.Sprintf("key%06d", i), []byte(`{"n":1}`), ledger.Height{BlockNum: 1})
@@ -390,7 +390,7 @@ func BenchmarkLevelDBGet(b *testing.B) {
 }
 
 func BenchmarkCouchDBRichQuery(b *testing.B) {
-	db := New(CouchDB, 1)
+	db := New(CouchDB)
 	batch := &UpdateBatch{}
 	for i := 0; i < 1000; i++ {
 		batch.Put(fmt.Sprintf("key%06d", i),
@@ -416,7 +416,7 @@ func TestBatchEntrySharedByEveryReplica(t *testing.T) {
 	if batch.Len() != 3 {
 		t.Fatalf("batch holds %d writes, want 3", batch.Len())
 	}
-	a, b := New(CouchDB, 1), New(LevelDB, 2)
+	a, b := New(CouchDB), New(LevelDB)
 	commit(t, a, 0, ledger.KVWrite{Key: "gone", Value: []byte("x")})
 	commit(t, b, 0, ledger.KVWrite{Key: "gone", Value: []byte("x")})
 	for _, db := range []VersionedDB{a, b} {
