@@ -61,22 +61,6 @@ func TestVanillaRunProducesTraffic(t *testing.T) {
 	}
 }
 
-func TestChainParseMatchesCollector(t *testing.T) {
-	nw, rep := run(t, testConfig(2))
-	parsed := metrics.ParseChain(nw.Chain())
-	if parsed.Committed != rep.Committed {
-		t.Errorf("parsed committed %d, collector %d", parsed.Committed, rep.Committed)
-	}
-	for _, code := range []ledger.ValidationCode{
-		ledger.Valid, ledger.MVCCConflictInterBlock, ledger.MVCCConflictIntraBlock,
-		ledger.PhantomReadConflict, ledger.EndorsementPolicyFailure,
-	} {
-		if parsed.Counts[code] != rep.Counts[code] {
-			t.Errorf("%v: parsed %d, collector %d", code, parsed.Counts[code], rep.Counts[code])
-		}
-	}
-}
-
 func TestDeterministicAcrossRuns(t *testing.T) {
 	_, a := run(t, testConfig(7))
 	_, b := run(t, testConfig(7))

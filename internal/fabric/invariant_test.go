@@ -27,10 +27,21 @@ var chainCodes = map[ledger.ValidationCode]bool{
 // checkConservation asserts the paper's accounting identity on every
 // block: valid + MVCC(intra) + MVCC(inter) + phantom + endorsement
 // failures sum to the block's transaction count (no transaction is
-// lost or double-counted), and the versions committed to the world
-// state advance strictly monotonically per key.
-func checkConservation(t *testing.T, nw *Network) {
+// lost or double-counted), the versions committed to the world state
+// advance strictly monotonically per key, and metrics.ParseChain reads
+// off the chain what the collector counted during the run: as many
+// committed transactions, and as many of each on-chain code.
+func checkConservation(t *testing.T, nw *Network, rep metrics.Report) {
 	t.Helper()
+	parsed := metrics.ParseChain(nw.Chain())
+	if parsed.Committed != rep.Committed {
+		t.Errorf("parsed committed %d, collector %d", parsed.Committed, rep.Committed)
+	}
+	for code := range chainCodes {
+		if parsed.Counts[code] != rep.Counts[code] {
+			t.Errorf("%v: parsed %d, collector %d", code, parsed.Counts[code], rep.Counts[code])
+		}
+	}
 	lastWrite := map[string]ledger.Height{}
 	blocks := nw.Chain().Blocks()
 	if len(blocks) < 2 {
@@ -100,8 +111,8 @@ func checkConservation(t *testing.T, nw *Network) {
 func TestConservationInvariant(t *testing.T) {
 	cfg := testConfig(11)
 	cfg.StripAfterCommit = false // keep rwsets for the walk
-	nw, _ := run(t, cfg)
-	checkConservation(t, nw)
+	nw, rep := run(t, cfg)
+	checkConservation(t, nw, rep)
 }
 
 // TestConservationInvariantWithRetries checks the same identity with
@@ -114,7 +125,7 @@ func TestConservationInvariantWithRetries(t *testing.T) {
 	if rep.RetryAmplification <= 1 {
 		t.Fatalf("amplification %.2f: retries did not engage", rep.RetryAmplification)
 	}
-	checkConservation(t, nw)
+	checkConservation(t, nw, rep)
 }
 
 // TestConservationInvariantLevelDB repeats the walk on the LevelDB
@@ -123,8 +134,8 @@ func TestConservationInvariantLevelDB(t *testing.T) {
 	cfg := testConfig(13)
 	cfg.DBKind = statedb.LevelDB
 	cfg.StripAfterCommit = false
-	nw, _ := run(t, cfg)
-	checkConservation(t, nw)
+	nw, rep := run(t, cfg)
+	checkConservation(t, nw, rep)
 }
 
 // TestConservationInvariantWithGossip runs the per-block conservation
@@ -144,7 +155,7 @@ func TestConservationInvariantWithGossip(t *testing.T) {
 		if rep.GossipMessages == 0 {
 			t.Fatalf("fanout %d: gossip never engaged", fanout)
 		}
-		checkConservation(t, nw)
+		checkConservation(t, nw, rep)
 	}
 }
 
@@ -317,6 +328,35 @@ func TestReplicasConvergeAfterPeerCrash(t *testing.T) {
 	if rep.Recovery.N != 1 {
 		t.Errorf("%d recoveries, want the crashed peer to replay the blocks it missed", rep.Recovery.N)
 	}
+}
+
+// TestControlPlaneRunChecked holds a run of the ehr-controlplane shape —
+// LevelDB, 200 closed-loop clients, every client control on, gossip
+// fanout 3 every 200 ms — to the replica fold, the per-block accounting
+// and the chain parse: the regime where gossip peer sampling draws most
+// of the engine's random stream.
+func TestControlPlaneRunChecked(t *testing.T) {
+	cfg := testConfig(33)
+	cfg.StripAfterCommit = false
+	cfg.DBKind = statedb.LevelDB
+	cfg.ClosedLoop = true
+	cfg.Clients = 200
+	cfg.InFlightPerClient = 1
+	cfg.ThinkTime = ThinkTime{Kind: ThinkExponential, Mean: time.Second}
+	cfg.Retry = GiveUpAfter(BackpressurePolicy{}, 5)
+	cfg.Backpressure = &Backpressure{}
+	cfg.Gossip = &Gossip{Fanout: 3, Period: 200 * time.Millisecond}
+	cfg.HintSource = HintBoth
+	cfg.SplitSignal = &SplitSignal{}
+	cfg.RetryBudget = &RetryBudget{RefillPerSec: 1, Burst: 3, Adaptive: true}
+	nw, rep := runChecked(t, cfg)
+	if rep.GossipMessages == 0 {
+		t.Fatal("gossip never engaged")
+	}
+	if rep.RetryAmplification <= 1 {
+		t.Fatalf("amplification %.2f: retries did not engage", rep.RetryAmplification)
+	}
+	checkConservation(t, nw, rep)
 }
 
 // hintModes enumerates every retry/coordination mode the lab

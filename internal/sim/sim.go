@@ -99,7 +99,8 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	pq      eventHeap
-	rng     *rand.Rand
+	src     stream     // the generator; PermPrefix reads it directly
+	rng     *rand.Rand // over src, for every other draw
 	stopped bool
 	// processed counts executed events, for diagnostics.
 	processed uint64
@@ -107,9 +108,13 @@ type Engine struct {
 	divisors []divisor
 }
 
-// NewEngine returns an engine whose random source is seeded with seed.
+// NewEngine returns an engine whose random stream is the one
+// rand.NewSource(seed) produces.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	e := &Engine{}
+	e.src.Seed(seed)
+	e.rng = rand.New(&e.src)
+	return e
 }
 
 // Now returns the current virtual time.
@@ -118,9 +123,11 @@ func (e *Engine) Now() Time { return e.now }
 // Processed reports how many events have been executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Rand exposes the engine's deterministic random source. All random
+// Rand exposes the engine's deterministic random stream. All random
 // decisions in a simulation must come from here (or a source derived
-// from it) to keep runs reproducible.
+// from it) to keep runs reproducible. Its values are, draw for draw,
+// those of rand.New(rand.NewSource(seed)): the engine's source is its
+// own copy of math/rand's generator, which PermPrefix also draws from.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
@@ -243,25 +250,30 @@ func (e *Engine) Uniform(lo, hi time.Duration) time.Duration {
 // elements. Perm's inside-out Fisher–Yates step is m[i] = m[j]; m[j] = i
 // with j <= i: a slot below len(prefix) is only ever assigned the loop
 // index or the content of a slot at or below itself, never content from
-// beyond the prefix, so the prefix can be tracked alone. Each Intn(i+1)
-// is Int31n's rejection loop with its two divisions replaced by a table
-// lookup and a multiplication (see divisor); the table grows to the
-// largest n asked for and is kept. n must be below 1<<31.
+// beyond the prefix, so the prefix can be tracked alone. The draws are
+// read from the engine's stream buffer at a position held in a local,
+// not through rand.Rand and rand.Source, and each Intn(i+1) is Int31n's
+// rejection loop with its two divisions replaced by a table lookup and
+// a multiplication (see divisor); the table grows to the largest n
+// asked for and is kept. n must be below 1<<31.
 func (e *Engine) PermPrefix(n int, prefix []int) {
 	for d := len(e.divisors) + 1; d <= n; d++ {
 		e.divisors = append(e.divisors, newDivisor(uint32(d)))
 	}
+	s, pos := &e.src, e.src.pos
 	k := len(prefix)
-	for i := 0; i < k; i++ {
-		j := int(e.divisors[i].int31n(e.rng))
+	var j uint32
+	for i, dv := range e.divisors[:k] {
+		j, pos = dv.int31n(s, pos)
 		prefix[i] = prefix[j]
 		prefix[j] = i
 	}
-	for i := k; i < n; i++ {
-		if j := int(e.divisors[i].int31n(e.rng)); j < k {
-			prefix[j] = i
+	for i, dv := range e.divisors[k:n] {
+		if j, pos = dv.int31n(s, pos); int(j) < k {
+			prefix[j] = k + i
 		}
 	}
+	s.pos = pos
 }
 
 // divisor is what rand.Int31n(d) computes with two 32-bit divisions per
@@ -278,16 +290,25 @@ func newDivisor(d uint32) divisor {
 	return divisor{d: d, max: 1<<31 - 1 - (1<<31)%d, m: ^uint64(0)/uint64(d) + 1}
 }
 
-// int31n returns what rng.Int31n(d) would, from the same draws. Int31n
-// masks instead when d is a power of two; there (1<<31)%d is 0, so
+// int31n returns what Int31n(d) would from the outputs of s starting at
+// buf[pos] (pos == streamLen refills first), and the position after the
+// draws it used; it is PermPrefix's one draw path, and small enough for
+// the compiler to inline there. Int31n takes Int63()>>32 as its Int31
+// and masks instead when d is a power of two; there (1<<31)%d is 0, so
 // nothing is rejected and the remainder is the mask.
-func (dv divisor) int31n(rng *rand.Rand) uint32 {
-	v := uint32(rng.Int63() >> 32)
-	for v > dv.max {
-		v = uint32(rng.Int63() >> 32)
+func (dv divisor) int31n(s *stream, pos int) (uint32, int) {
+	for {
+		if pos == streamLen {
+			s.refill()
+			pos = 0
+		}
+		v := uint32(s.buf[pos]>>32) &^ (1 << 31)
+		pos++
+		if v <= dv.max {
+			hi, _ := bits.Mul64(dv.m*uint64(v), uint64(dv.d))
+			return uint32(hi), pos
+		}
 	}
-	hi, _ := bits.Mul64(dv.m*uint64(v), uint64(dv.d))
-	return uint32(hi)
 }
 
 // Jittered returns base scaled by a uniform factor in [1-frac, 1+frac].

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -394,33 +397,31 @@ func TestPermPrefixMatchesPerm(t *testing.T) {
 	}
 }
 
-// countingSource counts the draws made from it.
-type countingSource struct {
-	rand.Source
-	draws int
-}
-
-func (s *countingSource) Int63() int64 { s.draws++; return s.Source.Int63() }
-
 // A divisor near 3·2^29 rejects a quarter of all draws: the table's
 // rejection threshold and fastmod remainder must give rand.Int31n's
 // value from the same draws, loop iterations included.
 func TestDivisorInt31nMatchesRand(t *testing.T) {
 	const d = 3<<29 + 7
-	src := &countingSource{Source: rand.NewSource(5)}
-	got, want := rand.New(src), rand.New(rand.NewSource(5))
+	s, want := &NewEngine(5).src, rand.New(rand.NewSource(5))
 	dv := newDivisor(d)
 	const draws = 100000
+	used, pos := 0, s.pos
 	for i := 0; i < draws; i++ {
-		if g, w := dv.int31n(got), want.Int31n(d); int32(g) != w {
+		g, next := dv.int31n(s, pos)
+		if w := want.Int31n(d); int32(g) != w {
 			t.Fatalf("draw %d: %d, rand.Int31n says %d", i, g, w)
 		}
+		if used += next - pos; next <= pos { // refilled on the way
+			used += streamLen
+		}
+		pos = next
 	}
-	if g, w := got.Int63(), want.Int63(); g != w {
+	s.pos = pos
+	if g, w := s.Int63(), want.Int63(); g != w {
 		t.Fatalf("rng diverged (%d vs %d)", g, w)
 	}
 	// Expected extra draws: draws/3 (each value takes 4/3 draws).
-	if extra := src.draws - 1 - draws; extra < draws*3/10 || extra > draws*37/100 {
+	if extra := used - draws; extra < draws*3/10 || extra > draws*37/100 {
 		t.Fatalf("%d rejected draws in %d, want about a third as many", extra, draws)
 	}
 }
@@ -437,7 +438,9 @@ func (s *scriptedSource) Seed(int64)   {}
 
 // The draws at the edges of the accepted range, which a random stream
 // all but never produces: the largest accepted value, the smallest
-// rejected one (when there is one), the largest Int31 and zero.
+// rejected one (when there is one), the largest Int31 and zero. The
+// stream's buffer holds the script as v<<32, cyclically, so its read
+// position counts the draws.
 func TestDivisorInt31nEdges(t *testing.T) {
 	for _, d := range []uint32{1, 2, 3, 7, 199, 4096, 1 << 30, 3<<29 + 7, 1<<31 - 1} {
 		dv := newDivisor(d)
@@ -445,12 +448,121 @@ func TestDivisorInt31nEdges(t *testing.T) {
 			t.Fatalf("d %d: threshold %d does not end the last whole multiple of d below 1<<31", d, dv.max)
 		}
 		script := []uint32{dv.max, min(dv.max+1, 1<<31-1), 1<<31 - 1, 0, d - 1, d}
-		a, b := &scriptedSource{vs: script}, &scriptedSource{vs: script}
-		got, want := rand.New(a), rand.New(b)
+		s, b := new(stream), &scriptedSource{vs: script}
+		for i := range s.buf {
+			s.buf[i] = uint64(script[i%len(script)]) << 32
+		}
+		want := rand.New(b)
+		pos := 0
 		for k := range script {
-			if g, w := dv.int31n(got), want.Int31n(int32(d)); int32(g) != w || a.i != b.i {
-				t.Fatalf("d %d draw %d: %d after %d values, rand.Int31n says %d after %d", d, k, g, a.i, w, b.i)
+			g, next := dv.int31n(s, pos)
+			if w := want.Int31n(int32(d)); int32(g) != w || next != b.i {
+				t.Fatalf("d %d draw %d: %d after %d values, rand.Int31n says %d after %d", d, k, g, next, w, b.i)
 			}
+			pos = next
 		}
 	}
+}
+
+// The stream is rand.NewSource's, draw for draw, across several refills
+// entered mid-buffer, whichever of Int63 and Uint64 asks; Seed restarts
+// it where a new source of that seed starts.
+func TestStreamMatchesSource(t *testing.T) {
+	const draws = 5*streamLen + 3
+	for _, seed := range []int64{0, 1, -1, 7, 1 << 40, math.MinInt64, math.MaxInt64} {
+		s := &NewEngine(seed).src
+		for _, phase := range []string{"new", "reseeded"} {
+			ref := rand.NewSource(seed).(rand.Source64)
+			for i := 0; i < draws; i++ {
+				if i%3 == 1 {
+					if g, w := s.Int63(), ref.Int63(); g != w {
+						t.Fatalf("seed %d, %s, draw %d: Int63 %d, rand.NewSource says %d", seed, phase, i, g, w)
+					}
+				} else if g, w := s.Uint64(), ref.Uint64(); g != w {
+					t.Fatalf("seed %d, %s, draw %d: Uint64 %d, rand.NewSource says %d", seed, phase, i, g, w)
+				}
+			}
+			s.Seed(seed)
+		}
+	}
+}
+
+// PermPrefix reads its draws from the engine's buffer and keeps its
+// divisors: once the table has grown to the mesh, a call allocates
+// nothing.
+func TestPermPrefixAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	prefix := make([]int, 3)
+	e.PermPrefix(199, prefix)
+	if allocs := testing.AllocsPerRun(1000, func() { e.PermPrefix(199, prefix) }); allocs != 0 {
+		t.Fatalf("PermPrefix allocated %v objects per call, want 0", allocs)
+	}
+}
+
+// BenchmarkPermPrefix is one gossip round's peer sample on the
+// ehr-controlplane mesh: 3 of the 199 other drivers, 199 draws.
+func BenchmarkPermPrefix(b *testing.B) {
+	e := NewEngine(1)
+	prefix := make([]int, 3)
+	e.PermPrefix(199, prefix)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.PermPrefix(199, prefix)
+	}
+}
+
+// FuzzEngineRand runs each input byte as one draw on an engine and on
+// rand.New(rand.NewSource(seed)), which must agree op by op. The byte's
+// remainder mod 7 picks Int63, Uint64, Float64, Intn, ExpFloat64,
+// NormFloat64 or PermPrefix (against Perm's head); its quotient sizes
+// Intn's bound (up to 1.9e9, where an eighth of draws are rejected) and
+// PermPrefix's mesh and prefix. Only the first maxOps bytes count.
+func FuzzEngineRand(f *testing.F) {
+	const maxOps = 4096
+	every := make([]byte, 256)
+	for i := range every {
+		every[i] = byte(i)
+	}
+	f.Add(int64(1), []byte{})
+	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 6})
+	f.Add(int64(7), every)
+	f.Add(int64(-1), bytes.Repeat([]byte{6 + 7*35}, 40)) // PermPrefix(281, 8): many refills
+	f.Add(int64(math.MinInt64), bytes.Repeat([]byte{3 + 7*36}, 700))
+	f.Add(int64(math.MaxInt64), bytes.Repeat(every, 12))
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		e, want := NewEngine(seed), rand.New(rand.NewSource(seed))
+		got := e.Rand()
+		var scratch [9]int
+		for i, op := range ops[:min(len(ops), maxOps)] {
+			arg := int(op / 7)
+			var g, w any
+			switch op % 7 {
+			case 0:
+				g, w = got.Int63(), want.Int63()
+			case 1:
+				g, w = got.Uint64(), want.Uint64()
+			case 2:
+				g, w = got.Float64(), want.Float64()
+			case 3:
+				n := 1 + arg*arg*arg*40000
+				g, w = got.Intn(n), want.Intn(n)
+			case 4:
+				g, w = got.ExpFloat64(), want.ExpFloat64()
+			case 5:
+				g, w = got.NormFloat64(), want.NormFloat64()
+			case 6:
+				n := 1 + 8*arg
+				prefix := scratch[:min(n, arg%len(scratch))]
+				e.PermPrefix(n, prefix)
+				g, w = fmt.Sprint(prefix), fmt.Sprint(want.Perm(n)[:len(prefix)])
+			}
+			if g != w {
+				t.Fatalf("seed %d op %d (byte %d): engine %v, reference %v", seed, i, op, g, w)
+			}
+		}
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("seed %d: streams diverged after the ops (%d vs %d)", seed, g, w)
+		}
+	})
 }
