@@ -9,8 +9,8 @@
 //
 //	hyperlab -list                      list all experiments
 //	hyperlab -exp fig7                  quick regime (30 virtual s, 1 seed)
-//	hyperlab -run retry-policies -quick same as -exp (-quick is the default regime)
-//	hyperlab -run retry-cotune -smoke   smoke regime (5 virtual s, shrunken grid; CI)
+//	hyperlab -exp retry-policies -quick same (-quick is the default regime)
+//	hyperlab -exp retry-cotune -smoke   smoke regime (5 virtual s, shrunken grid; CI)
 //	hyperlab -exp fig7 -full            paper regime (3 virtual min, 3 seeds)
 //	hyperlab -exp all                   run everything (quick unless -full)
 //	hyperlab -exp all -parallel 8       cap the worker pool (default: all cores)
@@ -29,12 +29,12 @@
 //	                                    same stack with the signal split:
 //	                                    conflicts drive backoff, congestion
 //	                                    drives pacing
-//	hyperlab -run scale                 cohort drivers x multi-channel sharding,
+//	hyperlab -exp scale                 cohort drivers x multi-channel sharding,
 //	                                    10^2..10^6 simulated clients
 //	hyperlab -adhoc -clients 100000 -cohort 1000 -channels 4 -crosschannel 0.1
 //	                                    ad-hoc sharded run: 100k clients in
 //	                                    cohorts of 1000 over 4 channels
-//	hyperlab -run faults                fault injection: crash/partition/flaky/
+//	hyperlab -exp faults                fault injection: crash/partition/flaky/
 //	                                    slowdb scenarios x coordination mode
 //	hyperlab -adhoc -faults crash -retry hinted -backpressure on
 //	                                    ad-hoc run under the seeded crash
@@ -63,7 +63,7 @@ import (
 type cli struct {
 	list, render, adhoc, full, quick, smoke, verbose bool
 
-	exp, runID            string
+	exp                   string
 	parallel, dump        int
 	chaincode, db, system string
 	cluster, retry        string
@@ -81,7 +81,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*cli, error) {
 	c := &cli{cfg: fabric.DefaultConfig()}
 	fs.BoolVar(&c.list, "list", false, "list experiments and exit")
 	fs.StringVar(&c.exp, "exp", "", "experiment id (table2, table4, fig4..fig26, retry-policies, or 'all')")
-	fs.StringVar(&c.runID, "run", "", "experiment id to run (alias of -exp)")
 	fs.BoolVar(&c.full, "full", false, "paper regime: 3 virtual minutes x 3 seeds")
 	fs.BoolVar(&c.quick, "quick", false, "quick regime: 30 virtual s, 1 seed (the default; overrides -full)")
 	fs.BoolVar(&c.smoke, "smoke", false, "smoke regime: 5 virtual s, shrunken grids (CI; overrides -full and -quick)")
@@ -100,13 +99,13 @@ func parseFlags(fs *flag.FlagSet, args []string) (*cli, error) {
 	fs.IntVar(&c.dump, "dump", 0, "ad-hoc run: print JSON summaries of the first N blocks")
 	fs.StringVar(&c.retry, "retry", "none", "ad-hoc run: retry policy none|immediate|backoff|adaptive|hinted")
 	fs.StringVar(&c.budget, "budget", "", "ad-hoc run: retry budget 'rate:burst[:drop|defer][:adaptive]', e.g. 1:3, 2:5:drop, 1:3:drop:adaptive (empty = unlimited; default mode defer)")
-	fs.StringVar(&c.backpressure, "backpressure", "", "ad-hoc run: orderer congestion hints off|on|'smoothing:gain[:maxpause]', e.g. 0.5:1s:2s (empty = off)")
-	fs.StringVar(&c.gossip, "gossip", "", "ad-hoc run: client-to-client congestion gossip off|on|'fanout:period[:decay]', e.g. 2:500ms:0.5 (empty = off)")
+	fs.StringVar(&c.backpressure, "backpressure", "", "ad-hoc run: orderer congestion hints off|on (empty = off)")
+	fs.StringVar(&c.gossip, "gossip", "", "ad-hoc run: client-to-client congestion gossip off|on|'fanout:period', e.g. 2:500ms (empty = off)")
 	fs.StringVar(&c.hintSource, "hintsource", "", "ad-hoc run: congestion hint producer orderer|gossip|both (empty = orderer)")
-	fs.StringVar(&c.split, "split", "", "ad-hoc run: split conflict/congestion signal off|on|<latency>, e.g. 3s sets the congestion-latency threshold (empty = off)")
+	fs.StringVar(&c.split, "split", "", "ad-hoc run: split conflict/congestion signal off|on (empty = off)")
 	fs.BoolVar(&c.cfg.ClosedLoop, "closedloop", false, "ad-hoc run: closed-loop clients instead of Poisson arrivals")
 	fs.IntVar(&c.cfg.InFlightPerClient, "inflight", 1, "ad-hoc run: closed-loop in-flight window per client")
-	fs.StringVar(&c.think, "think", "none", "ad-hoc run: closed-loop think time none|fixed:<dur>|exp:<dur>|lognormal:<dur>[:sigma]")
+	fs.StringVar(&c.think, "think", "none", "ad-hoc run: closed-loop think time none|fixed:<dur>|exp:<dur>|lognormal:<dur>")
 	fs.IntVar(&c.clients, "clients", 0, "ad-hoc run: simulated client population (0 = cluster default)")
 	fs.IntVar(&c.cfg.CohortSize, "cohort", 0, "ad-hoc run: clients per cohort driver (0/1 = exact per-client simulation)")
 	fs.IntVar(&c.cfg.Channels, "channels", 1, "ad-hoc run: channel count; each channel gets its own orderer and ledger")
@@ -116,23 +115,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (*cli, error) {
 	return c, fs.Parse(args)
 }
 
-// experiment resolves -exp and its alias -run to one id ("" = none).
-func (c *cli) experiment() (string, error) {
-	if c.runID != "" && c.exp != "" && c.exp != c.runID {
-		return "", fmt.Errorf("conflicting -exp %q and -run %q", c.exp, c.runID)
-	}
-	if c.runID != "" {
-		return c.runID, nil
-	}
-	return c.exp, nil
-}
-
 func main() {
 	c, err := parseFlags(flag.CommandLine, os.Args[1:])
-	if err != nil {
-		fatal(err)
-	}
-	id, err := c.experiment()
 	if err != nil {
 		fatal(err)
 	}
@@ -150,8 +134,8 @@ func main() {
 		fmt.Println(src)
 	case c.adhoc:
 		adhoc(c)
-	case id != "":
-		runExperiments(id, c.full && !c.quick, c.smoke, c.verbose, c.parallel)
+	case c.exp != "":
+		runExperiments(c.exp, c.full && !c.quick, c.smoke, c.verbose, c.parallel)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -230,8 +214,8 @@ var retryPolicies = map[string]fabric.RetryPolicy{
 // that every bad flag value is an error before anything runs.
 func adhocConfig(c *cli) (fabric.Config, error) {
 	cfg := c.cfg
-	if id, _ := c.experiment(); id != "" {
-		return cfg, fmt.Errorf("-adhoc runs one ad-hoc configuration and cannot be combined with -exp/-run %q", id)
+	if c.exp != "" {
+		return cfg, fmt.Errorf("-adhoc runs one ad-hoc configuration and cannot be combined with -exp %q", c.exp)
 	}
 
 	switch strings.ToUpper(c.cluster) {

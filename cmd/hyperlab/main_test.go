@@ -56,10 +56,16 @@ func TestAdhocConfigRejectsHostileLines(t *testing.T) {
 		{"-adhoc -budget NaN:3", "retry budget rate"},
 		{"-adhoc -budget 1:NaN", "retry budget burst"},
 		{"-adhoc -budget 1:Inf", "retry budget burst"},
-		{"-adhoc -backpressure NaN:1s", "backpressure smoothing"},
-		{"-adhoc -think lognormal:1s:NaN -closedloop", "think time sigma"},
-		{"-adhoc -exp fig7", "-exp/-run"},
-		{"-adhoc -run scale", "-exp/-run"},
+		// The spec forms of the knobs that became constants; each names
+		// the grammar that is left.
+		{"-adhoc -backpressure NaN:1s", "want off or on"},
+		{"-adhoc -backpressure 0.5:1s:2s", "want off or on"},
+		{"-adhoc -gossip 2:500ms:0.5", "want off, on or fanout:period"},
+		{"-adhoc -split 3s", "want off or on"},
+		{"-adhoc -closedloop -think lognormal:1s:0.8", "want a mean, e.g. lognormal:500ms"},
+		{"-adhoc -think lognormal:1s:NaN -closedloop", "want a mean, e.g. lognormal:500ms"},
+		{"-adhoc -exp fig7", "cannot be combined with -exp"},
+		{"-adhoc -run scale", "flag provided but not defined: -run"},
 		{"-adhoc -chaincode nope", "unknown chaincode"},
 		{"-adhoc -system fabric3", "unknown system"},
 		// -clients -5 used to fall back to the cluster default and

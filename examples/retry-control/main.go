@@ -17,11 +17,10 @@
 //     (≈ 40 tps capacity) under 50 tps, where failures are congestion
 //     and the question is whether clients that share a signal (the
 //     orderer's, or merely each other's) beat client-local control —
-//     the ladder of `hyperlab -run retry-coordination`.
+//     the ladder of `hyperlab -exp retry-coordination`.
 //
-// It closes with AdaptivePolicy.HintWeight, which blends the shared
-// hint into the client-local AIMD level. Every cell fans out across the
-// harness's scheduler; tables are identical at any worker count.
+// Every cell fans out across the harness's scheduler; tables are
+// identical at any worker count.
 package main
 
 import (
@@ -83,7 +82,7 @@ func walk(title string, stage func() lab.Config, ladder []lab.Rung) {
 func main() {
 	static := lab.ExponentialBackoff{Initial: 200 * time.Millisecond, Cap: 2 * time.Second, MaxAttempts: 5, Jitter: 0.2}
 	aimd := lab.AdaptivePolicy{Floor: 100 * time.Millisecond, Ceiling: 4 * time.Second, MaxAttempts: 5, Jitter: 0.2}
-	hinted := lab.BackpressurePolicy{Floor: 100 * time.Millisecond, Ceiling: 4 * time.Second, MaxAttempts: 5, Jitter: 0.2}
+	hinted := lab.BackpressurePolicy{Floor: 100 * time.Millisecond, MaxAttempts: 5, Jitter: 0.2}
 	bucket := lab.RetryBudget{RefillPerSec: 1, Burst: 3}
 	drop := bucket
 	drop.DropOnEmpty = true
@@ -107,20 +106,11 @@ func main() {
 	walk("EHR at skew 2, 100 tps: what does a failure cost end to end?", contended, ladder)
 	walk("EHR against a 40 tps orderer at 50 tps: client-local vs shared signals", congested, ladder)
 
-	var blend []lab.Rung
-	for _, w := range []float64{0, 0.25, 0.5, 1} {
-		p := aimd
-		p.HintWeight = w
-		blend = append(blend, lab.Rung{Label: fmt.Sprintf("weight %.2f", w),
-			Control: lab.Control{Retry: p, Backpressure: signal}})
-	}
-	walk("AdaptivePolicy.HintWeight on the 40 tps orderer: blending the hint into the AIMD level", congested, blend)
-
 	fmt.Println("\nFire-and-forget loses every failed transaction (goodput is first-try")
 	fmt.Println("successes only); unbudgeted retries multiply the submitted load (amp), and a")
 	fmt.Println("budget bounds it outright (drop) or paces it out (defer). On the contended")
 	fmt.Println("stage the orderer is idle (hint 0), yet the scalar gossip rungs pace for")
 	fmt.Println("hours of summed client time on pure conflicts; split-both routes conflicts to")
 	fmt.Println("backoff and barely paces. On the congested stage the hint saturates and the")
-	fmt.Println("hinted clients back off together; HintWeight lends the AIMD level that hint.")
+	fmt.Println("hinted clients back off together.")
 }

@@ -1,4 +1,4 @@
-// Scale walks the two mechanisms behind `hyperlab -run scale` —
+// Scale walks the two mechanisms behind `hyperlab -exp scale` —
 // cohort client drivers and multi-channel sharding — at example pace.
 //
 // The paper's testbed simulates every client as its own state object,

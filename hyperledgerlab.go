@@ -123,10 +123,10 @@ type (
 	ExponentialBackoff = fabric.ExponentialBackoff
 	// AdaptivePolicy is the AIMD controller: each client watches its
 	// own failure rate over a sliding window and grows/shrinks its
-	// backoff; HintWeight blends the shared hint in.
+	// backoff.
 	AdaptivePolicy = fabric.AdaptivePolicy
 	// BackpressurePolicy is the hinted retry policy: backoff slides
-	// from Floor to Ceiling with the shared congestion hint.
+	// from Floor to a 4 s ceiling with the shared congestion hint.
 	BackpressurePolicy = fabric.BackpressurePolicy
 	// RetryBudget rate-limits resubmissions per client with a token
 	// bucket, independent of the retry policy.

@@ -38,17 +38,13 @@ var (
 	aimdPolicy = fabric.AdaptivePolicy{
 		Floor:       100 * time.Millisecond,
 		Ceiling:     4 * time.Second,
-		Increase:    2,
 		Decrease:    50 * time.Millisecond,
-		Window:      32,
-		Target:      0.1,
 		MaxAttempts: 5,
 		Jitter:      0.2,
 	}
 	// hintedPolicy backs off from the shared congestion hint.
 	hintedPolicy = fabric.BackpressurePolicy{
 		Floor:       100 * time.Millisecond,
-		Ceiling:     4 * time.Second,
 		MaxAttempts: 5,
 		Jitter:      0.2,
 	}
@@ -59,9 +55,9 @@ var (
 	deferBucket    = &fabric.RetryBudget{RefillPerSec: 1, Burst: 3}
 	adaptiveBucket = &fabric.RetryBudget{RefillPerSec: 1, Burst: 3, DropOnEmpty: true, Adaptive: true}
 
-	defaultSignal = &fabric.Backpressure{} // documented defaults: s0.5, 1s gain, 2s max pause
-	defaultMesh   = &fabric.Gossip{}       // documented defaults: fanout 2, 500ms period, decay 0.5
-	defaultSplit  = &fabric.SplitSignal{}  // documented default: congestion latency 2×block timeout
+	defaultSignal = &fabric.Backpressure{}
+	defaultMesh   = &fabric.Gossip{} // documented defaults: fanout 2, 500ms period
+	defaultSplit  = &fabric.SplitSignal{}
 )
 
 // RetryPolicies returns the policy ladder compared by the

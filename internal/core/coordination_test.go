@@ -32,14 +32,14 @@ func TestRetryCoordinationTableShape(t *testing.T) {
 		t.Error("smoke grid still sweeps the full chaincode axis")
 	}
 	rows := len(strings.Split(strings.TrimSpace(out), "\n")) - 2 // header + rule
-	if want := 2 * len(coordinationLadder) * len(CoordinationBlockSizes); rows != want {
+	if want := 2 * len(coordinationLadder) * len(LabBlockSizes); rows != want {
 		t.Errorf("smoke grid has %d rows, want %d", rows, want)
 	}
 }
 
 func TestRetryCoordinationFullGridEnumeration(t *testing.T) {
-	cells := ladderGrid(false, coordinationLadder, CoordinationBlockSizes)
-	want := 4 * 2 * len(coordinationLadder) * len(CoordinationBlockSizes)
+	cells := ladderGrid(false, coordinationLadder)
+	want := 4 * 2 * len(coordinationLadder) * len(LabBlockSizes)
 	if len(cells) != want {
 		t.Fatalf("full grid has %d cells, want %d", len(cells), want)
 	}

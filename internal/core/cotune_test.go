@@ -39,14 +39,14 @@ func TestRetryCotuneTableShape(t *testing.T) {
 		t.Error("smoke grid still sweeps the full chaincode axis")
 	}
 	rows := len(strings.Split(strings.TrimSpace(out), "\n")) - 2 // header + rule
-	if want := 2 * len(cotuneLadder) * len(CotuneBlockSizes); rows != want {
+	if want := 2 * len(cotuneLadder) * len(LabBlockSizes); rows != want {
 		t.Errorf("smoke grid has %d rows, want %d", rows, want)
 	}
 }
 
 func TestRetryCotuneFullGridEnumeration(t *testing.T) {
-	cells := ladderGrid(false, cotuneLadder, CotuneBlockSizes)
-	want := 4 * 2 * len(cotuneLadder) * len(CotuneBlockSizes)
+	cells := ladderGrid(false, cotuneLadder)
+	want := 4 * 2 * len(cotuneLadder) * len(LabBlockSizes)
 	if len(cells) != want {
 		t.Fatalf("full grid has %d cells, want %d", len(cells), want)
 	}

@@ -9,19 +9,13 @@ import (
 // RetrySkews is the Zipfian contention axis of the retry sweep.
 var RetrySkews = []float64{0, 1, 2}
 
-// RetryBlockSizes is the block-size axis of the retry sweep. Only the
-// cheap chaincodes (EHR, DRM) sweep it; the range-query-heavy ones
-// (DV, SCM) run at the Table 3 default to keep the grid affordable.
-var RetryBlockSizes = []int{50, 100}
-
-// CotuneBlockSizes is the block-size axis of the co-tuning study: the
-// paper's Table 3 default and the half-size block that cuts
-// intra-block conflict windows.
-var CotuneBlockSizes = []int{50, 100}
-
-// CoordinationBlockSizes is the block-size axis of the coordination
-// study, matching retry-cotune so the two grids line up.
-var CoordinationBlockSizes = []int{50, 100}
+// LabBlockSizes is the block-size axis of the retry, co-tuning and
+// coordination studies, one axis so their grids line up: the paper's
+// Table 3 default and the half-size block that cuts intra-block
+// conflict windows. In the retry sweep only the cheap chaincodes (EHR,
+// DRM) sweep it; the range-query-heavy ones (DV, SCM) run at the
+// default to keep the grid affordable.
+var LabBlockSizes = []int{50, 100}
 
 // earlyAbortSystems is the variant axis of the cotune and coordination
 // studies: does Fabric++'s early abort tame the retry storm that
@@ -48,7 +42,7 @@ func retryGrid(smoke bool) []cell {
 	}
 	var cells []cell
 	for _, cc := range labChaincodes(smoke) {
-		sizes := RetryBlockSizes
+		sizes := LabBlockSizes
 		if cc.Name == dv.Name || cc.Name == scm.Name {
 			sizes = []int{100}
 		}
@@ -78,9 +72,9 @@ func RetryPoliciesExp(o Options) (string, error) {
 
 // ladderGrid enumerates a control-ladder study in deterministic row
 // order: chaincode, system, rung, block size, at the default skew.
-func ladderGrid(smoke bool, ladder []Rung, sizes []int) []cell {
+func ladderGrid(smoke bool, ladder []Rung) []cell {
 	return cross(on(C1, EHR), byCC(labChaincodes(smoke)...), bySystem(earlyAbortSystems...),
-		byControl(ladder...), byBlockSize(sizes...))
+		byControl(ladder...), byBlockSize(LabBlockSizes...))
 }
 
 // RetryCotuneExp is the block-size × backoff co-tuning study: it
@@ -103,7 +97,7 @@ func ladderGrid(smoke bool, ladder []Rung, sizes []int) []cell {
 // failure rate. All cells fan out across the worker pool; the table
 // is byte-for-byte identical at any Options.Parallelism.
 func RetryCotuneExp(o Options) (string, error) {
-	return table(o, ladderGrid(o.Smoke, cotuneLadder, CotuneBlockSizes), cell.build,
+	return table(o, ladderGrid(o.Smoke, cotuneLadder), cell.build,
 		[]string{"chaincode", "system", "policy", "block",
 			"goodput (tps)", "tput (tps)", "amp", "e2e lat (s)",
 			"exhausted", "deferred", "aimd (s)", "gave up %", "failures %"},
@@ -137,7 +131,7 @@ func RetryCotuneExp(o Options) (string, error) {
 // cells fan out across the worker pool; the table is byte-for-byte
 // identical at any Options.Parallelism.
 func RetryCoordinationExp(o Options) (string, error) {
-	return table(o, ladderGrid(o.Smoke, coordinationLadder, CoordinationBlockSizes), cell.build,
+	return table(o, ladderGrid(o.Smoke, coordinationLadder), cell.build,
 		[]string{"chaincode", "system", "control", "block",
 			"goodput (tps)", "tput (tps)", "amp", "e2e lat (s)",
 			"paced (s)", "hint", "gest", "cflt", "cngst", "gmsg",

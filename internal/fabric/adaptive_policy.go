@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 )
@@ -12,16 +11,16 @@ import (
 // is the *recovery* direction here — additive decrease of the backoff
 // on commits, multiplicative increase on aborts) controller fed by the
 // commit events the client already listens to. The client observes
-// every attempt outcome, keeps the last Window outcomes in a sliding
-// window, and adjusts a single current-backoff level:
+// every attempt outcome, keeps the last outcomeWindowSize outcomes in a
+// sliding window, and adjusts a single current-backoff level:
 //
 //   - a failed attempt while the windowed failure rate is at or above
-//     Target multiplies the backoff by Increase (capped at Ceiling) —
-//     the client interprets sustained failures as congestion and
-//     backs off hard, like a TCP sender halving its window;
+//     aimdTarget multiplies the backoff by aimdIncrease (capped at
+//     Ceiling) — the client interprets sustained failures as congestion
+//     and backs off hard, like a TCP sender halving its window;
 //   - a committed attempt subtracts Decrease (floored at Floor) — the
 //     client probes for capacity additively;
-//   - isolated failures below the Target rate leave the level alone,
+//   - isolated failures below the target rate leave the level alone,
 //     so one unlucky MVCC conflict does not stall an otherwise healthy
 //     client.
 //
@@ -40,34 +39,24 @@ type AdaptivePolicy struct {
 	// Ceiling is the maximum backoff the multiplicative increase can
 	// reach. 0 defaults to 8s.
 	Ceiling time.Duration
-	// Increase is the multiplicative factor applied to the backoff on
-	// a failure at or above the Target rate. 0 defaults to 2.
-	Increase float64
 	// Decrease is the additive step subtracted from the backoff on
 	// every commit. 0 defaults to 25ms.
 	Decrease time.Duration
-	// Window is the number of most-recent attempt outcomes over which
-	// the failure rate is computed. 0 defaults to 32.
-	Window int
-	// Target is the windowed failure-rate threshold (0..1) at or above
-	// which failures trigger the multiplicative increase. 0 defaults
-	// to 0.1 (10% failures).
-	Target float64
 	// MaxAttempts caps total submissions per logical transaction,
 	// first attempt included. 0 = unlimited.
 	MaxAttempts int
 	// Jitter is the uniform ± fraction applied to each delay.
 	// 0 means no jitter.
 	Jitter float64
-	// HintWeight optionally blends the orderer's backpressure hint
-	// (Config.Backpressure) into each delay: the backoff slides from
-	// the AIMD level toward Ceiling by HintWeight×hint of the
-	// remaining headroom. 0 (the default) ignores the hint entirely —
-	// the controller stays purely client-local and byte-identical to
-	// PR-3 behaviour. Must be in [0,1]; without Config.Backpressure
-	// the hint is always zero and the weight is inert.
-	HintWeight float64
 }
+
+// The AIMD constants: the factor a failure at or above the target rate
+// multiplies the backoff by, and that windowed failure-rate threshold
+// (10% failures).
+const (
+	aimdIncrease = 2
+	aimdTarget   = 0.1
+)
 
 // withDefaults resolves the documented zero-value defaults.
 func (p AdaptivePolicy) withDefaults() AdaptivePolicy {
@@ -77,17 +66,8 @@ func (p AdaptivePolicy) withDefaults() AdaptivePolicy {
 	if p.Ceiling == 0 {
 		p.Ceiling = 8 * time.Second
 	}
-	if p.Increase == 0 {
-		p.Increase = 2
-	}
 	if p.Decrease == 0 {
 		p.Decrease = 25 * time.Millisecond
-	}
-	if p.Window == 0 {
-		p.Window = 32
-	}
-	if p.Target == 0 {
-		p.Target = 0.1
 	}
 	return p
 }
@@ -101,16 +81,8 @@ func (p AdaptivePolicy) Validate() error {
 		return fmt.Errorf("fabric: adaptive floor must be >= 0, got %v", p.Floor)
 	case p.Ceiling < 0:
 		return fmt.Errorf("fabric: adaptive ceiling must be >= 0, got %v", p.Ceiling)
-	case p.Increase != 0 && !inRange(p.Increase, 1, math.MaxFloat64):
-		return fmt.Errorf("fabric: adaptive increase factor must be a finite factor >= 1, got %g", p.Increase)
 	case p.Decrease < 0:
 		return fmt.Errorf("fabric: adaptive decrease step must be >= 0, got %v", p.Decrease)
-	case p.Window < 0:
-		return fmt.Errorf("fabric: adaptive window must be >= 0, got %d", p.Window)
-	case !inRange(p.Target, 0, 1):
-		return fmt.Errorf("fabric: adaptive target rate must be in [0,1], got %g", p.Target)
-	case !inRange(p.HintWeight, 0, 1):
-		return fmt.Errorf("fabric: adaptive hint weight must be in [0,1], got %g", p.HintWeight)
 	case !finiteNonNeg(p.Jitter):
 		return fmt.Errorf("fabric: adaptive jitter must be a finite fraction >= 0, got %g", p.Jitter)
 	}
@@ -132,47 +104,36 @@ func (p AdaptivePolicy) Name() string {
 // controller that has seen nothing yet, so it backs off at the Floor
 // level. Inside a Network each client consults its own *adaptiveState.
 func (p AdaptivePolicy) NextDelay(attempts int, rng *rand.Rand) (time.Duration, bool) {
-	d := p.withDefaults()
-	return (&adaptiveState{cfg: d, cur: d.Floor}).NextDelay(attempts, rng)
+	return p.newController().NextDelay(attempts, rng)
 }
 
 // newController gives every driver a fresh controller seeded at the
 // floor.
 func (p AdaptivePolicy) newController() controller {
 	d := p.withDefaults()
-	return &adaptiveState{cfg: d, cur: d.Floor, conflictWin: newOutcomeWindow(d.Window)}
+	return &adaptiveState{cfg: d, cur: d.Floor}
 }
 
-// outcomeWindow is a sliding ring over a client's last Size attempt
-// outcomes (true = the attempt failed), shared by adaptiveState (AIMD
-// failure-rate gating) and gossipState (the local congestion
-// estimate) so the two consumers cannot drift apart. The failure
-// rate's denominator is the configured size even while the ring is
-// still filling: a client's first failure reads as 1/Size, not 100%,
-// so early unlucky conflicts cannot alarm a controller on their own.
+// outcomeWindowSize is the number of most-recent attempt outcomes an
+// outcomeWindow holds.
+const outcomeWindowSize = 32
+
+// outcomeWindow is a sliding ring over a client's last
+// outcomeWindowSize attempt outcomes (true = the attempt failed),
+// shared by adaptiveState (AIMD failure-rate gating) and gossipState
+// (the local congestion estimate) so the two consumers cannot drift
+// apart. The failure rate's denominator is the full size even while the
+// ring is still filling: a client's first failure reads as 1/32, not
+// 100%, so early unlucky conflicts cannot alarm a controller on their
+// own. The zero value is an empty window.
 type outcomeWindow struct {
-	size     int
-	ring     []bool
-	next     int // write cursor once the ring is full
+	ring     [outcomeWindowSize]bool
+	next     int // write cursor
 	failures int // count of true entries currently in the ring
-}
-
-func newOutcomeWindow(size int) outcomeWindow {
-	return outcomeWindow{size: size, ring: make([]bool, 0, size)}
 }
 
 // observe slides one attempt outcome into the ring.
 func (w *outcomeWindow) observe(failed bool) {
-	if w.size == 0 {
-		return
-	}
-	if len(w.ring) < w.size {
-		w.ring = append(w.ring, failed)
-		if failed {
-			w.failures++
-		}
-		return
-	}
 	if w.ring[w.next] {
 		w.failures--
 	}
@@ -180,63 +141,40 @@ func (w *outcomeWindow) observe(failed bool) {
 	if failed {
 		w.failures++
 	}
-	w.next = (w.next + 1) % len(w.ring)
+	w.next = (w.next + 1) % outcomeWindowSize
 }
 
 // failureRate reports the failure fraction over the window.
 func (w *outcomeWindow) failureRate() float64 {
-	if w.size == 0 {
-		return 0
-	}
-	return float64(w.failures) / float64(w.size)
+	return float64(w.failures) / outcomeWindowSize
 }
 
-// adaptiveState is one client's AIMD controller.
+// adaptiveState is one client's AIMD controller. It reads no shared
+// hint, so those hooks stay no-ops.
 type adaptiveState struct {
+	noHooks
 	cfg AdaptivePolicy // defaults resolved
 	cur time.Duration  // current backoff level
 
-	// hint is the latest shared-signal value, blended into delays when
-	// cfg.HintWeight > 0.
-	hint float64
-
-	// conflictWin is the window of the last cfg.Window outcomes, true
-	// for a conflict-class failure. The AIMD increase gates on it, so
+	// conflictWin is the window of the last outcomes, true for a
+	// conflict-class failure. The AIMD increase gates on it, so
 	// congestion-class failures (CLIENT_TIMEOUT under Config.SplitSignal)
 	// do not inflate the backoff a conflict controller is supposed to
 	// manage — pacing handles them instead.
 	conflictWin outcomeWindow
 }
 
-// NextDelay implements controller: the current AIMD level — slid
-// toward the ceiling by the weighted congestion hint when HintWeight
-// is set — jittered.
+// NextDelay implements controller: the current AIMD level, jittered.
 func (s *adaptiveState) NextDelay(attempts int, rng *rand.Rand) (time.Duration, bool) {
 	if s.cfg.MaxAttempts > 0 && attempts >= s.cfg.MaxAttempts {
 		return 0, false
 	}
-	d := s.cur
-	if w := s.cfg.HintWeight; w > 0 && s.hint > 0 && d < s.cfg.Ceiling {
-		d += time.Duration(w * s.hint * float64(s.cfg.Ceiling-d))
-		if d > s.cfg.Ceiling {
-			d = s.cfg.Ceiling
-		}
-	}
-	return jitterDelay(d, s.cfg.Jitter, rng), true
+	return jitterDelay(s.cur, s.cfg.Jitter, rng), true
 }
-
-// observeHint implements controller: remember the shared signal for
-// the next delay computation. The AIMD state itself is untouched —
-// the hint shifts delays, it does not rewrite the controller.
-func (s *adaptiveState) observeHint(h float64) { s.hint = h }
-
-// consumesHint implements controller. True even at HintWeight 0: the
-// shared estimate is consulted on the controller's behalf either way.
-func (s *adaptiveState) consumesHint() bool { return true }
 
 // observeClass implements controller: every outcome slides the
 // conflict window, but only a conflict-class failure at or above the
-// Target conflict rate runs the multiplicative increase (capped at the
+// target conflict rate runs the multiplicative increase (capped at the
 // ceiling). A congestion-class failure leaves the level alone — backing
 // off one client cannot drain a backlog; the pacing path handles it —
 // and a commit decreases additively (floored).
@@ -244,8 +182,8 @@ func (s *adaptiveState) observeClass(class SignalClass) {
 	s.conflictWin.observe(class == SignalConflict)
 	switch class {
 	case SignalConflict:
-		if s.conflictWin.failureRate() >= s.cfg.Target {
-			s.cur = time.Duration(float64(s.cur) * s.cfg.Increase)
+		if s.conflictWin.failureRate() >= aimdTarget {
+			s.cur = time.Duration(float64(s.cur) * aimdIncrease)
 			if s.cur > s.cfg.Ceiling {
 				s.cur = s.cfg.Ceiling
 			}

@@ -28,16 +28,17 @@ func scalarClass(failed bool) SignalClass {
 
 func TestAdaptiveGrowsUnderFailures(t *testing.T) {
 	p := AdaptivePolicy{
-		Floor: 100 * time.Millisecond, Ceiling: 2 * time.Second,
-		Increase: 2, Decrease: 10 * time.Millisecond, Window: 8, Target: 0.1,
+		Floor: 100 * time.Millisecond, Ceiling: 2 * time.Second, Decrease: 10 * time.Millisecond,
 	}
 	s := newState(t, p)
 	if got := s.cur; got != p.Floor {
 		t.Fatalf("initial backoff %v, want floor %v", got, p.Floor)
 	}
-	// Sustained failures: multiplicative growth 100ms -> 200 -> 400 ->
-	// 800 -> 1600 -> capped at the 2s ceiling.
+	// Sustained failures: the first three stay under the 10% target of
+	// the 32-outcome window, then multiplicative growth 100ms -> 200 ->
+	// 400 -> 800 -> 1600 -> capped at the 2s ceiling.
 	want := []time.Duration{
+		100 * time.Millisecond, 100 * time.Millisecond, 100 * time.Millisecond,
 		200 * time.Millisecond, 400 * time.Millisecond, 800 * time.Millisecond,
 		1600 * time.Millisecond, 2 * time.Second, 2 * time.Second,
 	}
@@ -47,14 +48,13 @@ func TestAdaptiveGrowsUnderFailures(t *testing.T) {
 			t.Errorf("after %d failures: backoff %v, want %v", i+1, got, w)
 		}
 	}
-	// 6 failures over the configured window of 8.
-	if got := s.conflictWin.failureRate(); got != 0.75 {
-		t.Errorf("failure rate %g after 6 failures in a window of 8, want 0.75", got)
+	if got, want := s.conflictWin.failureRate(), 9.0/outcomeWindowSize; got != want {
+		t.Errorf("failure rate %g after 9 failures, want %g", got, want)
 	}
 }
 
 func TestAdaptiveWarmupFailureNotOverweighted(t *testing.T) {
-	// A fresh client's very first failure is 1/Window, not 100%: with
+	// A fresh client's very first failure is 1/32, not 100%: with
 	// the default 10% target and a window of 32, a couple of isolated
 	// early conflicts must not trigger the multiplicative increase.
 	s := newState(t, AdaptivePolicy{Floor: 100 * time.Millisecond})
@@ -69,11 +69,10 @@ func TestAdaptiveWarmupFailureNotOverweighted(t *testing.T) {
 
 func TestAdaptiveShrinksToFloorOnCommits(t *testing.T) {
 	p := AdaptivePolicy{
-		Floor: 50 * time.Millisecond, Ceiling: time.Second,
-		Increase: 4, Decrease: 100 * time.Millisecond, Window: 8, Target: 0.1,
+		Floor: 50 * time.Millisecond, Ceiling: time.Second, Decrease: 100 * time.Millisecond,
 	}
 	s := newState(t, p)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 8; i++ {
 		s.observeClass(scalarClass(true))
 	}
 	if got := s.cur; got != time.Second {
@@ -90,33 +89,39 @@ func TestAdaptiveShrinksToFloorOnCommits(t *testing.T) {
 }
 
 func TestAdaptiveTargetGatesIsolatedFailures(t *testing.T) {
-	// With a 50% target, a lone failure in a healthy window must not
-	// grow the backoff.
-	p := AdaptivePolicy{
-		Floor: 100 * time.Millisecond, Ceiling: time.Second,
-		Increase: 2, Decrease: 10 * time.Millisecond, Window: 10, Target: 0.5,
-	}
+	// Against the 10% target, three failures in a healthy 32-outcome
+	// window must not grow the backoff; the fourth reaches the target.
+	p := AdaptivePolicy{Floor: 100 * time.Millisecond, Ceiling: time.Second, Decrease: 10 * time.Millisecond}
 	s := newState(t, p)
 	for i := 0; i < 9; i++ {
 		s.observeClass(scalarClass(false))
 	}
-	s.observeClass(scalarClass(true)) // 1/10 failures, below the 50% target
+	for i := 0; i < 3; i++ {
+		s.observeClass(scalarClass(true)) // at most 3/32 failures, below 10%
+	}
 	if got := s.cur; got != p.Floor {
-		t.Errorf("backoff %v grew on an isolated sub-target failure, want floor %v", got, p.Floor)
+		t.Errorf("backoff %v grew on sub-target failures, want floor %v", got, p.Floor)
+	}
+	s.observeClass(scalarClass(true)) // 4/32 = 12.5%
+	if got := s.cur; got != 2*p.Floor {
+		t.Errorf("backoff %v at the target rate, want %v", got, 2*p.Floor)
 	}
 }
 
 func TestAdaptiveWindowSlides(t *testing.T) {
-	p := AdaptivePolicy{Window: 4, Target: 0.5}
-	s := newState(t, p)
-	for i := 0; i < 4; i++ {
+	s := newState(t, AdaptivePolicy{})
+	for i := 0; i < outcomeWindowSize; i++ {
 		s.observeClass(scalarClass(true))
 	}
 	if got := s.conflictWin.failureRate(); got != 1 {
 		t.Fatalf("rate %g, want 1", got)
 	}
-	// Four commits push the failures out of the 4-slot window.
-	for i := 0; i < 4; i++ {
+	// Each commit pushes one failure out; a full window of them clears it.
+	s.observeClass(scalarClass(false))
+	if got, want := s.conflictWin.failureRate(), float64(outcomeWindowSize-1)/outcomeWindowSize; got != want {
+		t.Fatalf("rate %g after one commit, want %g", got, want)
+	}
+	for i := 1; i < outcomeWindowSize; i++ {
 		s.observeClass(scalarClass(false))
 	}
 	if got := s.conflictWin.failureRate(); got != 0 {
@@ -147,10 +152,8 @@ func TestAdaptivePolicyValidation(t *testing.T) {
 		{Ceiling: -1},
 		{Floor: 2 * time.Second, Ceiling: time.Second},
 		{Floor: 10 * time.Second}, // above the defaulted 8s ceiling
-		{Increase: 0.5},
 		{Decrease: -time.Millisecond},
-		{Window: -1},
-		{Target: 1.5},
+		{Jitter: -0.1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -160,7 +163,7 @@ func TestAdaptivePolicyValidation(t *testing.T) {
 	if err := (AdaptivePolicy{}).Validate(); err != nil {
 		t.Errorf("zero value (all defaults) rejected: %v", err)
 	}
-	cfg := retryConfig(1, AdaptivePolicy{Target: 2})
+	cfg := retryConfig(1, AdaptivePolicy{Floor: -time.Second})
 	if _, err := NewNetwork(cfg); err == nil {
 		t.Error("network accepted an invalid adaptive policy")
 	}
@@ -199,6 +202,22 @@ func TestAdaptiveRunsDeterministic(t *testing.T) {
 	}
 }
 
+// TestAdaptiveReadsNoHint pins that the AIMD controller is client-local:
+// with gossip on and no pacer, nothing consults the gossip estimate on
+// its behalf, so the run records no staleness sample.
+func TestAdaptiveReadsNoHint(t *testing.T) {
+	cfg := retryConfig(13, AdaptivePolicy{MaxAttempts: 5})
+	cfg.Gossip = &Gossip{}
+	cfg.HintSource = HintGossip
+	_, rep := run(t, cfg)
+	if rep.GossipMessages == 0 || rep.GossipStaleness.N != 0 {
+		t.Errorf("msgs=%d uses=%d, want gossip running and never consulted", rep.GossipMessages, rep.GossipStaleness.N)
+	}
+	if rep.Backoff.Max == 0 {
+		t.Error("adaptive run recorded no trajectory")
+	}
+}
+
 func TestGiveUpAfterPreservesAdaptation(t *testing.T) {
 	// Wrapping the adaptive policy must not strip its per-client AIMD
 	// state: the wrapper clones the inner controller per client and
@@ -211,7 +230,7 @@ func TestGiveUpAfterPreservesAdaptation(t *testing.T) {
 		t.Error("newController returned a shared instance")
 	}
 	a.observeClass(SignalNone)
-	if _, ok := a.backoffLevel(); !ok || !a.consumesHint() {
+	if _, ok := a.backoffLevel(); !ok {
 		t.Error("GiveUpAfter(AdaptivePolicy) lost the inner controller's hooks")
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -229,7 +248,7 @@ func TestGiveUpAfterPreservesAdaptation(t *testing.T) {
 }
 
 func TestGiveUpAfterForwardsValidation(t *testing.T) {
-	cfg := retryConfig(1, GiveUpAfter(AdaptivePolicy{Target: 2}, 3))
+	cfg := retryConfig(1, GiveUpAfter(AdaptivePolicy{Floor: -time.Second}, 3))
 	if _, err := NewNetwork(cfg); err == nil {
 		t.Error("invalid adaptive policy accepted behind GiveUpAfter")
 	}

@@ -10,8 +10,8 @@ import (
 // (Config.Backpressure): at every block cut the ordering service
 // condenses its own load — the serial-server backlog and the
 // arrival-vs-service pressure estimated from the ordered-transaction
-// stream — into a hint in [0,1], smooths it with an EWMA, and stamps
-// it onto the block. The hint travels to clients on the commit events
+// stream — into a hint in [0,1], smooths it with an EWMA of weight
+// hintSmoothing, and stamps it onto the block. The hint travels to clients on the commit events
 // they already listen to (and on early-abort notifications), exactly
 // where a Fabric SDK would read block metadata, so no extra events and
 // no extra rng draws exist anywhere on the path.
@@ -19,82 +19,44 @@ import (
 // Clients use the hint two ways:
 //
 //   - pacing: every resubmission and every new closed-loop submission
-//     is delayed by hint×Gain (capped at MaxPause) on top of whatever
-//     the retry policy or think time decided — SDK-level flow control
-//     driven by the shared signal instead of each client's private
-//     failure history;
+//     is delayed by hint×pacingGain (capped at maxPause) on top of
+//     whatever the retry policy or think time decided — SDK-level flow
+//     control driven by the shared signal instead of each client's
+//     private failure history;
 //   - policy input: BackpressurePolicy derives its whole backoff from
-//     the hint, and AdaptivePolicy.HintWeight blends the hint into the
-//     AIMD level.
+//     the hint.
 //
 // Nil (the default) disables the subsystem completely: the orderer
 // computes nothing, hints stay zero, and runs are byte-identical to a
 // build without it. Pacing requires outcome tracking (a retry policy
 // or closed-loop mode), since the hint arrives on outcome events.
-type Backpressure struct {
-	// Smoothing is the EWMA weight of the newest raw congestion sample
-	// in (0,1]: smoothed = Smoothing*raw + (1-Smoothing)*previous.
-	// 0 defaults to 0.5; 1 disables smoothing (raw hints pass through);
-	// outside [0,1] is a validation error.
-	Smoothing float64
-	// Gain converts the hint into a pacing pause: a client delays its
-	// next submission by hint×Gain, so a fully congested orderer
-	// (hint 1) paces by the whole Gain. 0 defaults to 1s; negative is a
-	// validation error.
-	Gain time.Duration
-	// MaxPause caps one pacing pause. 0 defaults to 2s; negative is a
-	// validation error.
-	MaxPause time.Duration
-}
+type Backpressure struct{}
 
-// withDefaults resolves the documented zero-value defaults.
-func (b Backpressure) withDefaults() Backpressure {
-	if b.Smoothing == 0 {
-		b.Smoothing = 0.5
-	}
-	if b.Gain == 0 {
-		b.Gain = time.Second
-	}
-	if b.MaxPause == 0 {
-		b.MaxPause = 2 * time.Second
-	}
-	return b
-}
+// The backpressure constants: the EWMA weight of the newest raw
+// congestion sample, the pause a fully congested orderer (hint 1)
+// paces by, and the cap on one pause.
+const (
+	hintSmoothing = 0.5
+	pacingGain    = time.Second
+	maxPause      = 2 * time.Second
+)
 
-// Validate reports configuration errors.
-func (b Backpressure) Validate() error {
-	switch {
-	case !inRange(b.Smoothing, 0, 1):
-		return fmt.Errorf("fabric: backpressure smoothing must be in [0,1], got %g", b.Smoothing)
-	case b.Gain < 0:
-		return fmt.Errorf("fabric: backpressure gain must be >= 0, got %v", b.Gain)
-	case b.MaxPause < 0:
-		return fmt.Errorf("fabric: backpressure max pause must be >= 0, got %v", b.MaxPause)
-	}
-	return nil
-}
-
-// pause converts a hint into the pacing delay: hint×Gain capped at
-// MaxPause. Zero hints pause nothing.
-func (b Backpressure) pause(hint float64) time.Duration {
+// pacePause converts a hint into the pacing delay: hint×pacingGain
+// capped at maxPause. Zero hints pause nothing.
+func pacePause(hint float64) time.Duration {
 	if hint <= 0 {
 		return 0
 	}
-	d := time.Duration(hint * float64(b.Gain))
-	if d > b.MaxPause {
-		d = b.MaxPause
-	}
-	return d
+	return min(time.Duration(hint*float64(pacingGain)), maxPause)
 }
 
-// ParseBackpressure parses the CLI syntax for the backpressure spec:
-// "off" (or "") disables it, "on" enables it with the documented
-// defaults, and "smoothing:gain[:maxpause]" — e.g. "0.5:1s:2s" — sets
-// the knobs explicitly.
+// ParseBackpressure parses the CLI syntax for the backpressure switch:
+// "off" (or "") disables it and "on" enables it.
 func ParseBackpressure(s string) (*Backpressure, error) {
-	var b Backpressure
-	return parseToggled(&b, "backpressure", "smoothing:gain[:maxpause]", s,
-		req("smoothing", &b.Smoothing), req("gain", &b.Gain), opt("max pause", &b.MaxPause))
+	if on, err := parseToggled("backpressure", "", s); !on || err != nil {
+		return nil, err
+	}
+	return &Backpressure{}, nil
 }
 
 // BackpressurePolicy is the orderer-hinted retry policy: instead of a
@@ -102,18 +64,17 @@ func ParseBackpressure(s string) (*Backpressure, error) {
 // window (AdaptivePolicy), every resubmission waits a delay derived
 // from the shared congestion hint the ordering service stamps onto
 // commit events — Floor when the orderer is idle, sliding linearly to
-// Ceiling at full congestion. All clients therefore back off from the
-// *same* signal, the coordination the client-local controllers lack.
+// hintedCeiling at full congestion. All clients therefore back off from
+// the *same* signal, the coordination the client-local controllers
+// lack.
 //
 // The policy needs Config.Backpressure to be set; without the signal
 // the hint stays zero and the policy degenerates to a constant
 // Floor-level backoff.
 type BackpressurePolicy struct {
-	// Floor is the backoff at hint 0. 0 defaults to 50ms; negative is
-	// a validation error.
+	// Floor is the backoff at hint 0. 0 defaults to 50ms; negative or
+	// above hintedCeiling is a validation error.
 	Floor time.Duration
-	// Ceiling is the backoff at hint 1. 0 defaults to 4s.
-	Ceiling time.Duration
 	// MaxAttempts caps total submissions per logical transaction,
 	// first attempt included. 0 = unlimited.
 	MaxAttempts int
@@ -122,30 +83,26 @@ type BackpressurePolicy struct {
 	Jitter float64
 }
 
+// hintedCeiling is BackpressurePolicy's backoff at hint 1.
+const hintedCeiling = 4 * time.Second
+
 // withDefaults resolves the documented zero-value defaults.
 func (p BackpressurePolicy) withDefaults() BackpressurePolicy {
 	if p.Floor == 0 {
 		p.Floor = 50 * time.Millisecond
 	}
-	if p.Ceiling == 0 {
-		p.Ceiling = 4 * time.Second
-	}
 	return p
 }
 
-// Validate reports configuration errors. The floor/ceiling relation is
-// checked against the resolved defaults, like AdaptivePolicy.
+// Validate reports configuration errors.
 func (p BackpressurePolicy) Validate() error {
 	switch {
 	case p.Floor < 0:
 		return fmt.Errorf("fabric: backpressure policy floor must be >= 0, got %v", p.Floor)
-	case p.Ceiling < 0:
-		return fmt.Errorf("fabric: backpressure policy ceiling must be >= 0, got %v", p.Ceiling)
+	case p.Floor > hintedCeiling:
+		return fmt.Errorf("fabric: backpressure policy floor %v above the %v ceiling", p.Floor, hintedCeiling)
 	case !finiteNonNeg(p.Jitter):
 		return fmt.Errorf("fabric: backpressure policy jitter must be a finite fraction >= 0, got %g", p.Jitter)
-	}
-	if d := p.withDefaults(); d.Floor > d.Ceiling {
-		return fmt.Errorf("fabric: backpressure policy floor %v above ceiling %v", d.Floor, d.Ceiling)
 	}
 	return nil
 }
@@ -180,13 +137,13 @@ type backpressureState struct {
 	hint float64            // latest observed congestion hint
 }
 
-// NextDelay implements controller: Floor + hint×(Ceiling−Floor),
+// NextDelay implements controller: Floor + hint×(hintedCeiling−Floor),
 // jittered.
 func (s *backpressureState) NextDelay(attempts int, rng *rand.Rand) (time.Duration, bool) {
 	if s.cfg.MaxAttempts > 0 && attempts >= s.cfg.MaxAttempts {
 		return 0, false
 	}
-	d := s.cfg.Floor + time.Duration(s.hint*float64(s.cfg.Ceiling-s.cfg.Floor))
+	d := s.cfg.Floor + time.Duration(s.hint*float64(hintedCeiling-s.cfg.Floor))
 	return jitterDelay(d, s.cfg.Jitter, rng), true
 }
 

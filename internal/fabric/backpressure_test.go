@@ -2,48 +2,25 @@ package fabric
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
 )
 
-func TestBackpressureDefaultsAndValidation(t *testing.T) {
-	b := Backpressure{}.withDefaults()
-	if b.Smoothing != 0.5 || b.Gain != time.Second || b.MaxPause != 2*time.Second {
-		t.Errorf("defaults = %+v, want s0.5 gain 1s max 2s", b)
-	}
-	for i, bad := range []Backpressure{
-		{Smoothing: -0.1},
-		{Smoothing: 1.5},
-		{Gain: -time.Second},
-		{MaxPause: -time.Second},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("case %d: %+v validated", i, bad)
-		}
-	}
-	cfg := retryConfig(1, ImmediateRetry{MaxAttempts: 3})
-	cfg.Backpressure = &Backpressure{Smoothing: 2}
-	if _, err := NewNetwork(cfg); err == nil {
-		t.Error("network accepted an invalid backpressure config")
-	}
-}
-
 func TestBackpressurePause(t *testing.T) {
-	b := Backpressure{Gain: time.Second, MaxPause: 2 * time.Second}.withDefaults()
-	if got := b.pause(0); got != 0 {
+	if got := pacePause(0); got != 0 {
 		t.Errorf("pause(0) = %v", got)
 	}
-	if got := b.pause(0.5); got != 500*time.Millisecond {
+	if got := pacePause(0.5); got != 500*time.Millisecond {
 		t.Errorf("pause(0.5) = %v, want 500ms", got)
 	}
-	if got := b.pause(1); got != time.Second {
+	if got := pacePause(1); got != time.Second {
 		t.Errorf("pause(1) = %v, want 1s", got)
 	}
-	steep := Backpressure{Gain: 4 * time.Second, MaxPause: 2 * time.Second}.withDefaults()
-	if got := steep.pause(1); got != 2*time.Second {
-		t.Errorf("pause(1) with 4s gain = %v, want the 2s cap", got)
+	if got := pacePause(3); got != 2*time.Second {
+		t.Errorf("pause(3) = %v, want the 2s cap", got)
 	}
 }
 
@@ -54,27 +31,19 @@ func TestParseBackpressure(t *testing.T) {
 	if bp, err := ParseBackpressure("off"); err != nil || bp != nil {
 		t.Errorf("ParseBackpressure(off) = %+v, %v", bp, err)
 	}
-	if bp, err := ParseBackpressure("on"); err != nil || bp == nil || *bp != (Backpressure{}) {
+	if bp, err := ParseBackpressure("on"); err != nil || bp == nil {
 		t.Errorf("ParseBackpressure(on) = %+v, %v", bp, err)
 	}
-	want := Backpressure{Smoothing: 0.3, Gain: 500 * time.Millisecond, MaxPause: 3 * time.Second}
-	if bp, err := ParseBackpressure("0.3:500ms:3s"); err != nil || bp == nil || *bp != want {
-		t.Errorf("ParseBackpressure(0.3:500ms:3s) = %+v, %v", bp, err)
-	}
-	if bp, err := ParseBackpressure("0.3:500ms"); err != nil || bp == nil || bp.MaxPause != 0 {
-		t.Errorf("two-field spec = %+v, %v", bp, err)
-	}
-	for _, in := range []string{"x", "0.3", "a:1s", "0.3:zz", "0.3:1s:zz", "2:1s", "0.3:1s:2s:4"} {
-		if _, err := ParseBackpressure(in); err == nil {
-			t.Errorf("ParseBackpressure(%q) accepted", in)
+	for _, in := range []string{"x", "0.3", "0.5:1s:2s", "0.3:500ms", "NaN:1s"} {
+		if bp, err := ParseBackpressure(in); err == nil || bp != nil || !strings.Contains(err.Error(), "want off or on") {
+			t.Errorf("ParseBackpressure(%q) = %+v, %v, want an error naming off|on", in, bp, err)
 		}
 	}
 }
 
 func TestUpdateHintBacklogAndSmoothing(t *testing.T) {
 	nw := harness(t)
-	bp := Backpressure{Smoothing: 0.5}.withDefaults()
-	nw.ctl.Backpressure = &bp
+	nw.ctl.Backpressure = &Backpressure{}
 	os := nw.orderers[0]
 	// A backlog far past the block timeout saturates the raw sample at
 	// 1; the EWMA walks the smoothed hint toward it in halves.
@@ -111,22 +80,22 @@ func TestServiceRateEstimate(t *testing.T) {
 }
 
 func TestBackpressurePolicyDelayScalesWithHint(t *testing.T) {
-	p := BackpressurePolicy{Floor: 100 * time.Millisecond, Ceiling: 1100 * time.Millisecond}
+	p := BackpressurePolicy{Floor: 2 * time.Second}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	s := newController(p).(*backpressureState)
 	rng := sim.NewEngine(1).Rand()
-	if d, ok := s.NextDelay(1, rng); !ok || d != 100*time.Millisecond {
-		t.Errorf("delay at hint 0 = %v ok=%v, want the 100ms floor", d, ok)
+	if d, ok := s.NextDelay(1, rng); !ok || d != 2*time.Second {
+		t.Errorf("delay at hint 0 = %v ok=%v, want the 2s floor", d, ok)
 	}
 	s.observeHint(0.5)
-	if d, _ := s.NextDelay(1, rng); d != 600*time.Millisecond {
-		t.Errorf("delay at hint 0.5 = %v, want the 600ms midpoint", d)
+	if d, _ := s.NextDelay(1, rng); d != 3*time.Second {
+		t.Errorf("delay at hint 0.5 = %v, want the 3s midpoint", d)
 	}
 	s.observeHint(1)
-	if d, _ := s.NextDelay(1, rng); d != 1100*time.Millisecond {
-		t.Errorf("delay at hint 1 = %v, want the 1.1s ceiling", d)
+	if d, _ := s.NextDelay(1, rng); d != 4*time.Second {
+		t.Errorf("delay at hint 1 = %v, want the 4s ceiling", d)
 	}
 	capped := newController(BackpressurePolicy{MaxAttempts: 2})
 	if _, ok := capped.NextDelay(2, rng); ok {
@@ -135,38 +104,8 @@ func TestBackpressurePolicyDelayScalesWithHint(t *testing.T) {
 	if (BackpressurePolicy{}).Name() != "hinted" || (BackpressurePolicy{MaxAttempts: 5}).Name() != "hinted(5)" {
 		t.Error("unexpected policy names")
 	}
-	if err := (BackpressurePolicy{Floor: 5 * time.Second, Ceiling: time.Second}).Validate(); err == nil {
-		t.Error("floor above ceiling validated")
-	}
-}
-
-func TestAdaptiveHintWeightBlending(t *testing.T) {
-	base := AdaptivePolicy{Floor: 100 * time.Millisecond, Ceiling: 1100 * time.Millisecond}
-	rng := sim.NewEngine(1).Rand()
-
-	unweighted := newController(base).(*adaptiveState)
-	unweighted.observeHint(1)
-	if d, _ := unweighted.NextDelay(1, rng); d != 100*time.Millisecond {
-		t.Errorf("HintWeight 0 delay = %v, want the untouched 100ms floor", d)
-	}
-
-	weighted := base
-	weighted.HintWeight = 0.5
-	s := newController(weighted).(*adaptiveState)
-	s.observeHint(1)
-	// Half the headroom above the current level: 100ms + 0.5×1s.
-	if d, _ := s.NextDelay(1, rng); d != 600*time.Millisecond {
-		t.Errorf("blended delay = %v, want 600ms", d)
-	}
-	s.observeHint(0)
-	if d, _ := s.NextDelay(1, rng); d != 100*time.Millisecond {
-		t.Errorf("delay after the hint cleared = %v, want 100ms", d)
-	}
-	if err := (AdaptivePolicy{HintWeight: 1.5}).Validate(); err == nil {
-		t.Error("hint weight above 1 validated")
-	}
-	if err := (AdaptivePolicy{HintWeight: -0.5}).Validate(); err == nil {
-		t.Error("negative hint weight validated")
+	if err := (BackpressurePolicy{Floor: 5 * time.Second}).Validate(); err == nil {
+		t.Error("floor above the ceiling validated")
 	}
 }
 
@@ -247,12 +186,12 @@ func TestBackpressurePolicyBacksOffHarderUnderCongestion(t *testing.T) {
 	// the shared signal must stretch backoffs, reducing the duplicate
 	// submissions pushed into the saturated orderer.
 	hinted := congestedConfig(5)
-	hinted.Retry = BackpressurePolicy{Floor: 100 * time.Millisecond, Ceiling: 4 * time.Second, MaxAttempts: 5}
+	hinted.Retry = BackpressurePolicy{Floor: 100 * time.Millisecond, MaxAttempts: 5}
 	_, h := run(t, hinted)
 
 	floorOnly := congestedConfig(5)
 	floorOnly.Backpressure = nil
-	floorOnly.Retry = BackpressurePolicy{Floor: 100 * time.Millisecond, Ceiling: 4 * time.Second, MaxAttempts: 5}
+	floorOnly.Retry = BackpressurePolicy{Floor: 100 * time.Millisecond, MaxAttempts: 5}
 	_, f := run(t, floorOnly)
 
 	if h.RetryAmplification >= f.RetryAmplification {
@@ -269,13 +208,13 @@ func TestBudgetWaitAbsorbsPacingTime(t *testing.T) {
 	mkNet := func(seed int64) (*Network, *ClientDriver) {
 		cfg := retryConfig(seed, ImmediateRetry{MaxAttempts: 5})
 		cfg.RetryBudget = &RetryBudget{RefillPerSec: 0.1, Burst: 1}
-		cfg.Backpressure = &Backpressure{Gain: time.Second, MaxPause: 2 * time.Second}
+		cfg.Backpressure = &Backpressure{}
 		nw, err := NewNetwork(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c := nw.drivers[0]
-		c.hints[0] = 1 // pause = Gain = 1s
+		c.hints[0] = 1 // pause = pacingGain = 1s
 		return nw, c
 	}
 	job := func(nw *Network) *pendingTx {
@@ -315,18 +254,19 @@ func TestBudgetWaitAbsorbsPacingTime(t *testing.T) {
 func TestClosedLoopPacingThrottlesNewJobs(t *testing.T) {
 	// A wide in-flight window defeats the closed loop's natural
 	// self-throttling, so the undersized orderer backlogs and hints
-	// climb.
+	// climb. At 10 transactions per client the backlog stays short
+	// enough that a pause of up to a second idles the orderer.
 	busy := closedConfig(6)
-	busy.InFlightPerClient = 40
+	busy.InFlightPerClient = 10
 	busy.OrdererCosts.PerTx = 25 * time.Millisecond
 	busy.Retry = nil
 	_, unpaced := run(t, busy)
 
 	paced := closedConfig(6)
-	paced.InFlightPerClient = 40
+	paced.InFlightPerClient = 10
 	paced.OrdererCosts.PerTx = 25 * time.Millisecond
 	paced.Retry = nil
-	paced.Backpressure = &Backpressure{Gain: 2 * time.Second, MaxPause: 2 * time.Second}
+	paced.Backpressure = &Backpressure{}
 	_, withBP := run(t, paced)
 
 	if withBP.PacedSubmissions == 0 {

@@ -94,12 +94,12 @@ type ClientDriver struct {
 	// exact simulation.
 	bucket *tokenBucket
 
-	// pacer is the resolved backpressure config when the run both
-	// enables the orderer's congestion signal and tracks outcomes (the
-	// hint arrives on outcome events); nil otherwise. hints holds the
-	// latest congestion hint observed per channel on this driver's
-	// event stream — each channel's ordering service computes its own.
-	pacer *Backpressure
+	// paces reports whether the run both enables the orderer's
+	// congestion signal and tracks outcomes (the hint arrives on outcome
+	// events): only then does the driver pace. hints holds the latest
+	// congestion hint observed per channel on this driver's event
+	// stream — each channel's ordering service computes its own.
+	paces bool
 	hints []float64
 
 	// gossip is this driver's view of the client-to-client signal (nil
@@ -168,11 +168,9 @@ func newDriver(nw *Network, index, firstID, members int) *ClientDriver {
 		}
 		c.bucket = newTokenBucket(b)
 	}
-	if nw.ctl.tracking {
-		c.pacer = nw.ctl.Backpressure
-	}
+	c.paces = nw.ctl.tracking && nw.ctl.Backpressure != nil
 	if nw.ctl.Gossip != nil {
-		c.gossip = newGossipState(*nw.ctl.Gossip)
+		c.gossip = &gossipState{}
 	}
 	return c
 }
@@ -422,7 +420,7 @@ func (c *ClientDriver) assemble(j *pendingTx, tx *ledger.Transaction, channel in
 // fresh regardless of which attempt carried it — but are otherwise
 // ignored (the attempt was already resolved locally).
 func (c *ClientDriver) onOutcome(txID string, code ledger.ValidationCode, hint float64, channel int) {
-	if c.pacer != nil && c.nw.ctl.HintSource.usesOrderer() {
+	if c.paces && c.nw.ctl.HintSource.usesOrderer() {
 		c.hints[channel] = hint
 		// The one mode branch on the path. Scalar mode pushes the raw
 		// hint to the controller on every outcome event (on multi-channel
@@ -487,7 +485,7 @@ func (c *ClientDriver) attemptResolved(j *pendingTx) {
 // attemptFailed records a failed attempt and either schedules a
 // resubmission per the retry policy or abandons the transaction. The
 // orderer's backpressure pacer stretches the policy's backoff by
-// hint×Gain before the budget sees it. A configured retry budget
+// pacePause(hint) before the budget sees it. A configured retry budget
 // gates every resubmission the policy asks for: an empty bucket
 // defers the retry until a token accrues, or — with DropOnEmpty —
 // abandons the transaction as a budget exhaustion. Pacing time is
@@ -506,7 +504,7 @@ func (c *ClientDriver) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
 	// (orderer hints included) drives the pacer.
 	gossipFeeds := c.ctl.consumesHint() && c.gossip != nil && c.nw.ctl.HintSource.usesGossip()
 	var hint float64
-	if gossipFeeds || c.pacer != nil {
+	if gossipFeeds || c.paces {
 		conflict, congestion := c.signals()
 		if gossipFeeds {
 			c.ctl.observeHint(conflict)
@@ -515,8 +513,8 @@ func (c *ClientDriver) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
 	}
 	if delay, ok := c.ctl.NextDelay(j.attempts, c.nw.eng.Rand()); ok {
 		var pause time.Duration
-		if c.pacer != nil {
-			pause = c.pacer.pause(hint)
+		if c.paces {
+			pause = pacePause(hint)
 		}
 		delay += pause
 		if c.bucket != nil {
@@ -590,20 +588,19 @@ func (c *ClientDriver) signals() (conflict, congestion float64) {
 }
 
 // classify files one attempt outcome under its signal class. Split
-// mode uses the total ClassifyOutcome map and additionally checks the
-// attempt's submit→resolution latency against the CongestLatency
-// threshold as congestion evidence; scalar mode files every failure
-// under SignalConflict and never applies the latency rule.
+// mode uses the total ClassifyOutcome map and additionally counts an
+// attempt whose submit→resolution latency reached 2 × BlockTimeout as
+// congestion evidence (see SplitSignal); scalar mode files every
+// failure under SignalConflict and never applies the latency rule.
 func (c *ClientDriver) classify(code ledger.ValidationCode, j *pendingTx) (class SignalClass, congested bool) {
-	split := c.nw.ctl.SplitSignal
-	if split == nil {
+	if c.nw.ctl.SplitSignal == nil {
 		if code != ledger.Valid {
 			return SignalConflict, false
 		}
 		return SignalNone, false
 	}
 	latency := time.Duration(c.nw.eng.Now() - j.lastSubmit)
-	return ClassifyOutcome(code), split.CongestLatency > 0 && latency >= split.CongestLatency
+	return ClassifyOutcome(code), latency >= 2*c.nw.cfg.BlockTimeout
 }
 
 // observe feeds one classified attempt outcome to the controller —
@@ -629,10 +626,10 @@ func (c *ClientDriver) observe(code ledger.ValidationCode, j *pendingTx) {
 // the signal must too); the engine simply stops executing them at the
 // deadline.
 func (c *ClientDriver) startGossip() {
-	if c.gossip == nil || c.gossip.cfg.Period <= 0 || len(c.nw.drivers) < 2 {
+	if c.gossip == nil || c.nw.ctl.Gossip.Period <= 0 || len(c.nw.drivers) < 2 {
 		return
 	}
-	period := c.gossip.cfg.Period
+	period := c.nw.ctl.Gossip.Period
 	var round func()
 	round = func() {
 		c.gossipRound()
@@ -696,9 +693,9 @@ func (c *ClientDriver) jobDone(member int) {
 		return
 	}
 	think := c.nw.cfg.ThinkTime.sample(c.nw.eng)
-	if c.pacer != nil {
+	if c.paces {
 		_, congestion := c.signals()
-		if pause := c.pacer.pause(congestion); pause > 0 {
+		if pause := pacePause(congestion); pause > 0 {
 			c.nw.col.RecordPaced(pause)
 			think += pause
 		}

@@ -1,9 +1,8 @@
 // Package fabric assembles the full simulated Hyperledger Fabric
-// network: clients, endorsing peers, the ordering service with a
-// pluggable consenter (solo/kafka/raft), the block cutter, and the
-// validation/commit pipeline that produces the paper's three failure
-// classes. The Execute-Order-Validate protocol runs for real; virtual
-// time comes from the cost model.
+// network: clients, endorsing peers, the Kafka-based ordering service,
+// the block cutter, and the validation/commit pipeline that produces
+// the paper's three failure classes. The Execute-Order-Validate
+// protocol runs for real; virtual time comes from the cost model.
 package fabric
 
 import (
@@ -195,19 +194,19 @@ func (c *Config) Validate() error {
 	case c.Orgs < 2:
 		return fmt.Errorf("fabric: need >=2 orgs, got %d", c.Orgs)
 	case c.PeersPerOrg < 1:
-		return fmt.Errorf("fabric: need >=1 peer per org")
+		return fmt.Errorf("fabric: need >=1 peer per org, got %d peers", c.PeersPerOrg)
 	case c.Orderers < 1:
-		return fmt.Errorf("fabric: need >=1 orderer")
+		return fmt.Errorf("fabric: need >=1 orderer, got %d orderers", c.Orderers)
 	case c.Clients < 1:
-		return fmt.Errorf("fabric: need >=1 client")
+		return fmt.Errorf("fabric: need >=1 client, got %d clients", c.Clients)
 	case c.BlockSize < 1:
-		return fmt.Errorf("fabric: block size must be positive")
+		return fmt.Errorf("fabric: block size must be >= 1 transaction, got %d transactions", c.BlockSize)
 	case c.BlockTimeout <= 0:
-		return fmt.Errorf("fabric: block timeout must be positive")
+		return fmt.Errorf("fabric: block timeout must be > 0 of virtual time, got %v", c.BlockTimeout)
 	case !validRate(c.Rate):
 		return fmt.Errorf("fabric: arrival rate must be a finite rate > 0 tps, got %g", c.Rate)
 	case c.Duration <= 0:
-		return fmt.Errorf("fabric: duration must be positive")
+		return fmt.Errorf("fabric: duration must be > 0 of virtual time, got %v", c.Duration)
 	case c.Drain < 0:
 		return fmt.Errorf("fabric: drain must be >= 0 of virtual time, got %v", c.Drain)
 	case c.DelayOrg < -1 || c.DelayOrg >= c.Orgs:
@@ -216,10 +215,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("fabric: chaincode not set")
 	case c.Workload == nil:
 		return fmt.Errorf("fabric: workload not set")
-	case c.SpeedFactor <= 0:
-		return fmt.Errorf("fabric: speed factor must be positive")
+	case !validRate(c.SpeedFactor):
+		return fmt.Errorf("fabric: speed factor must be a finite factor > 0 (1 = unscaled), got %g", c.SpeedFactor)
 	case c.InFlightPerClient < 0:
-		return fmt.Errorf("fabric: in-flight window must be non-negative")
+		return fmt.Errorf("fabric: in-flight window must be >= 0 transactions per client (0 = 1), got %d", c.InFlightPerClient)
 	case c.Channels < 0:
 		return fmt.Errorf("fabric: channel count must be >= 0 (0 or 1 = single channel), got %d channels", c.Channels)
 	case c.CohortSize < 0:
@@ -256,7 +255,8 @@ func (c *Config) Validate() error {
 
 // validRate reports whether r can drive a Poisson arrival process: a
 // zero, negative or non-finite rate has no finite positive mean
-// inter-arrival time, and the arrival loop would never advance.
+// inter-arrival time, and the arrival loop would never advance. A speed
+// factor divides costs the same way.
 func validRate(r float64) bool { return r > 0 && !math.IsInf(r, 1) }
 
 // channels resolves the configured channel count (0 means 1).
@@ -321,9 +321,8 @@ type Control struct {
 	RetryBudget *RetryBudget
 	// Backpressure enables the orderer-driven congestion hint, stamped
 	// onto commit events; clients pace resubmissions and new closed-loop
-	// work by hint×Gain, and it feeds the hint-driven policies
-	// (BackpressurePolicy, AdaptivePolicy.HintWeight). See the
-	// Backpressure type. Nil disables it.
+	// work by it, and it feeds BackpressurePolicy. See the Backpressure
+	// type. Nil disables it.
 	Backpressure *Backpressure
 	// Gossip enables the client-to-client congestion estimate, merged by
 	// max-with-decay (see the Gossip type). It feeds the same hint path
@@ -351,11 +350,6 @@ func (c Control) Validate() error {
 			return err
 		}
 	}
-	if c.Backpressure != nil {
-		if err := c.Backpressure.Validate(); err != nil {
-			return err
-		}
-	}
 	if c.Gossip != nil {
 		if err := c.Gossip.Validate(); err != nil {
 			return err
@@ -366,9 +360,6 @@ func (c Control) Validate() error {
 	}
 	if c.HintSource.usesGossip() && c.Gossip == nil {
 		return fmt.Errorf("fabric: hint source %q needs Config.Gossip", string(c.HintSource))
-	}
-	if c.SplitSignal != nil {
-		return c.SplitSignal.Validate()
 	}
 	return nil
 }
@@ -383,9 +374,9 @@ func (c Control) HintProducers() (orderer, gossip bool) {
 }
 
 // resolvedControl is the control stack a network runs: Retry never nil,
-// the signal subsystems with their defaults applied (the token bucket
-// applies the budget's when it is built), and every subsystem that
-// would be inert on this run nil — no events, no rng draws. tracking
+// Gossip with its defaults applied (the token bucket applies the
+// budget's when it is built), and every subsystem that would be inert
+// on this run nil — no events, no rng draws. tracking
 // reports whether clients track pending transactions and receive commit
 // events at all; when false the commit-event plumbing is inert and the
 // run is the paper's fire-and-forget one.
@@ -397,26 +388,18 @@ type resolvedControl struct {
 // resolve applies defaults and the outcome-tracking rule (see Control).
 // Backpressure survives without tracking because the ordering service
 // computes and reports its hint regardless of who listens.
-func (c Control) resolve(closedLoop bool, blockTimeout time.Duration) resolvedControl {
+func (c Control) resolve(closedLoop bool) resolvedControl {
 	if c.Retry == nil {
 		c.Retry = NoRetry{}
 	}
 	_, noRetry := c.Retry.(NoRetry)
 	tracking := closedLoop || !noRetry
-	if c.Backpressure != nil {
-		b := c.Backpressure.withDefaults()
-		c.Backpressure = &b
-	}
 	if !tracking {
 		c.RetryBudget, c.Gossip, c.SplitSignal = nil, nil, nil
 	}
 	if c.Gossip != nil {
 		g := c.Gossip.withDefaults()
 		c.Gossip = &g
-	}
-	if c.SplitSignal != nil {
-		s := c.SplitSignal.withDefaults(blockTimeout)
-		c.SplitSignal = &s
 	}
 	return resolvedControl{c, tracking}
 }

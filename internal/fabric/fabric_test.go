@@ -159,18 +159,31 @@ func TestStrippedRangeChainIsNotReportedTampered(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	// want is a fragment of the expected message; "" accepts any error.
+	// want is a fragment of the expected message: each names the unit
+	// and the offending value.
 	bad := []struct {
 		want   string
 		mutate func(*Config)
 	}{
-		{"", func(c *Config) { c.Orgs = 1 }},
-		{"", func(c *Config) { c.PeersPerOrg = 0 }},
-		{"", func(c *Config) { c.BlockSize = 0 }},
-		{"", func(c *Config) { c.Rate = 0 }},
-		{"", func(c *Config) { c.Chaincode = nil }},
-		{"", func(c *Config) { c.Workload = nil }},
-		{"", func(c *Config) { c.SpeedFactor = 0 }},
+		{"need >=2 orgs, got 1", func(c *Config) { c.Orgs = 1 }},
+		{"need >=1 peer per org, got 0 peers", func(c *Config) { c.PeersPerOrg = 0 }},
+		{"need >=1 orderer, got 0 orderers", func(c *Config) { c.Orderers = 0 }},
+		{"need >=1 client, got -1 clients", func(c *Config) { c.Clients = -1 }},
+		{"block size must be >= 1 transaction, got 0 transactions", func(c *Config) { c.BlockSize = 0 }},
+		{"block timeout must be > 0 of virtual time, got 0s", func(c *Config) { c.BlockTimeout = 0 }},
+		{"arrival rate must be a finite rate > 0 tps, got 0", func(c *Config) { c.Rate = 0 }},
+		{"duration must be > 0 of virtual time, got -1s", func(c *Config) { c.Duration = -time.Second }},
+		{"chaincode not set", func(c *Config) { c.Chaincode = nil }},
+		{"workload not set", func(c *Config) { c.Workload = nil }},
+		{"speed factor must be a finite factor > 0 (1 = unscaled), got 0", func(c *Config) { c.SpeedFactor = 0 }},
+		{"in-flight window must be >= 0 transactions per client (0 = 1), got -2", func(c *Config) { c.InFlightPerClient = -2 }},
+		{"channel count must be >= 0", func(c *Config) { c.Channels = -1 }},
+		{"cohort size must be >= 0 clients per cohort", func(c *Config) { c.CohortSize = -1 }},
+		{"cross-channel fraction must be in [0,1), got 1", func(c *Config) { c.Channels, c.CrossChannel = 2, 1 }},
+		{"cross-channel fraction 0.1 needs >= 2 channels, got 1", func(c *Config) { c.Channels, c.CrossChannel = 1, 0.1 }},
+		{"rate schedule phase 0", func(c *Config) { c.RateSchedule = []RatePhase{{time.Second, -1}} }},
+		{"supports only the vanilla fabric-1.4 variant", func(c *Config) { c.Channels, c.Variant = 2, namedVariant{name: "fabric++"} }},
+		{"think time needs a positive mean, got 0s", func(c *Config) { c.ThinkTime = ThinkTime{Kind: ThinkFixed} }},
 		// Each of these used to be accepted: the first nil-dereferenced
 		// mid-run, the last ended the run before its send window.
 		{"give-up-after wraps no retry policy", func(c *Config) { c.Retry = GiveUpAfter(nil, 3) }},
@@ -187,6 +200,14 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// namedVariant is the vanilla variant under another name.
+type namedVariant struct {
+	Vanilla
+	name string
+}
+
+func (v namedVariant) Name() string { return v.name }
 
 // TestControlValidate has one row per control rule. Every row must fail
 // the same way through Config.Validate, and the zero Control and a full
@@ -216,14 +237,12 @@ func TestControlValidate(t *testing.T) {
 		{"cap without policy", "give-up-after wraps no retry policy", Control{Retry: GiveUpAfter(nil, 3)}},
 		{"nested cap without policy", "give-up-after wraps no retry policy", Control{Retry: GiveUpAfter(GiveUpAfter(nil, 3), 2)}},
 		{"zero cap", "retry cap must be >= 1 submission, got 0", Control{Retry: GiveUpAfter(ImmediateRetry{}, 0)}},
-		{"capped policy", "increase factor", Control{Retry: GiveUpAfter(AdaptivePolicy{Increase: -2}, 3)}},
+		{"capped policy", "decrease step", Control{Retry: GiveUpAfter(AdaptivePolicy{Decrease: -2}, 3)}},
 		{"budget", "refill rate must be a finite rate >= 0 tokens/s, got -1", Control{RetryBudget: &RetryBudget{RefillPerSec: -1}}},
-		{"backpressure", "smoothing must be in [0,1], got 2", Control{Backpressure: &Backpressure{Smoothing: 2}}},
 		{"gossip", "gossip period must be >= 0, got -1s", Control{Gossip: &Gossip{Period: -time.Second}}},
 		{"hint source", `hint source "fleet": want orderer, gossip or both`, Control{HintSource: "fleet"}},
 		{"hint source without mesh", `hint source "gossip" needs Config.Gossip`, Control{HintSource: HintGossip}},
 		{"both without mesh", `hint source "both" needs Config.Gossip`, Control{HintSource: HintBoth, Backpressure: &Backpressure{}}},
-		{"split", "congestion latency must be >= 0, got -3s", Control{SplitSignal: &SplitSignal{CongestLatency: -3 * time.Second}}},
 	} {
 		cfg := testConfig(1)
 		cfg.Control = c.ctl
@@ -242,25 +261,25 @@ func TestControlValidate(t *testing.T) {
 func TestResolveDropsInertSubsystems(t *testing.T) {
 	full := Control{RetryBudget: &RetryBudget{}, Backpressure: &Backpressure{}, Gossip: &Gossip{},
 		HintSource: HintBoth, SplitSignal: &SplitSignal{}}
-	r := full.resolve(false, 2*time.Second)
+	r := full.resolve(false)
 	if _, none := r.Retry.(NoRetry); !none || r.tracking {
 		t.Errorf("fire-and-forget resolved to retry %v, tracking %v", r.Retry, r.tracking)
 	}
 	if r.RetryBudget != nil || r.Gossip != nil || r.SplitSignal != nil {
 		t.Errorf("inert subsystems survived: %+v", r.Control)
 	}
-	if orderer, gossip := r.HintProducers(); !orderer || gossip || r.Backpressure.Gain != time.Second {
-		t.Errorf("orderer hint must survive defaulted and alone: orderer=%v gossip=%v %+v", orderer, gossip, r.Backpressure)
+	if orderer, gossip := r.HintProducers(); !orderer || gossip {
+		t.Errorf("orderer hint must survive alone: orderer=%v gossip=%v", orderer, gossip)
 	}
 	for _, r := range []resolvedControl{
-		full.resolve(true, 2*time.Second),
-		func() resolvedControl { c := full; c.Retry = ImmediateRetry{}; return c.resolve(false, 2*time.Second) }(),
+		full.resolve(true),
+		func() resolvedControl { c := full; c.Retry = ImmediateRetry{}; return c.resolve(false) }(),
 	} {
-		if !r.tracking || r.RetryBudget == nil || r.Gossip.Fanout != 2 || r.SplitSignal.CongestLatency != 4*time.Second {
+		if !r.tracking || r.RetryBudget == nil || r.Gossip.Fanout != 2 || r.SplitSignal == nil {
 			t.Errorf("tracked stack not defaulted: %+v", r)
 		}
 	}
-	if full.Gossip.Fanout != 0 || full.Backpressure.Gain != 0 {
+	if full.Gossip.Fanout != 0 {
 		t.Error("resolve wrote through the caller's pointers")
 	}
 }

@@ -13,20 +13,19 @@ import (
 // (Config.Gossip): instead of the ordering service condensing its own
 // load into a hint (Config.Backpressure), every client distils its
 // *own* outcome stream into a local congestion estimate — the failure
-// fraction over a sliding window of its last Window attempt outcomes,
-// the same window machinery AdaptivePolicy uses — and periodically
-// exchanges that estimate with Fanout sampled peers over the network
-// model, like an SDK-side gossip mesh. Estimates merge by
+// fraction over a sliding window of its last outcomeWindowSize attempt
+// outcomes, the same window machinery AdaptivePolicy uses — and
+// periodically exchanges that estimate with Fanout sampled peers over
+// the network model, like an SDK-side gossip mesh. Estimates merge by
 // max-with-decay: a receiver adopts an incoming estimate when its
 // age-decayed value exceeds the receiver's current remote view, and
-// every adopted estimate fades exponentially (e·exp(−Decay·age)) so
-// stale panic cannot pin the fleet at a ceiling forever.
+// every adopted estimate fades exponentially (e·exp(−gossipDecay·age))
+// so stale panic cannot pin the fleet at a ceiling forever.
 //
 // The merged estimate feeds the exact hint path the orderer-driven
-// signal uses — pacing by hint×Gain (Config.Backpressure supplies the
-// pacer), BackpressurePolicy's Floor→Ceiling slide, and
-// AdaptivePolicy.HintWeight blending — so Config.HintSource can swap
-// the producer (orderer | gossip | both) without touching any
+// signal uses — pacing (Config.Backpressure supplies the pacer) and
+// BackpressurePolicy's Floor→ceiling slide — so Config.HintSource can
+// swap the producer (orderer | gossip | both) without touching any
 // consumer. That isolates the ROADMAP's question: does the
 // coordination win come from the signal's *source* (the orderer's
 // global view) or merely its *sharing* (any common signal)?
@@ -45,16 +44,12 @@ type Gossip struct {
 	// Period is the virtual time between one client's gossip rounds.
 	// 0 defaults to 500ms; negative is a validation error.
 	Period time.Duration
-	// Decay is the per-second exponential decay rate applied to a
-	// remote estimate's age: value(t) = e·exp(−Decay·age). 0 defaults
-	// to 0.5 (half-life ≈ 1.4 s); negative is a validation error.
-	Decay float64
-	// Window is the number of most-recent attempt outcomes over which
-	// the local failure-rate estimate is computed (the denominator is
-	// the full window even while filling, like AdaptivePolicy).
-	// 0 defaults to 32; negative is a validation error.
-	Window int
 }
+
+// gossipDecay is the per-second exponential decay rate applied to a
+// remote estimate's age: value(t) = e·exp(−gossipDecay·age), a
+// half-life of about 1.4 s.
+const gossipDecay = 0.5
 
 // withDefaults resolves the documented zero-value defaults.
 func (g Gossip) withDefaults() Gossip {
@@ -63,12 +58,6 @@ func (g Gossip) withDefaults() Gossip {
 	}
 	if g.Period == 0 {
 		g.Period = 500 * time.Millisecond
-	}
-	if g.Decay == 0 {
-		g.Decay = 0.5
-	}
-	if g.Window == 0 {
-		g.Window = 32
 	}
 	return g
 }
@@ -80,27 +69,27 @@ func (g Gossip) Validate() error {
 		return fmt.Errorf("fabric: gossip fanout must be >= 0, got %d", g.Fanout)
 	case g.Period < 0:
 		return fmt.Errorf("fabric: gossip period must be >= 0, got %v", g.Period)
-	case !finiteNonNeg(g.Decay):
-		return fmt.Errorf("fabric: gossip decay must be a finite rate >= 0, got %g", g.Decay)
-	case g.Window < 0:
-		return fmt.Errorf("fabric: gossip window must be >= 0, got %d", g.Window)
 	}
 	return nil
 }
 
 // ParseGossip parses the CLI syntax for the gossip spec: "off" (or
 // "") disables it, "on" enables it with the documented defaults, and
-// "fanout:period[:decay]" — e.g. "2:500ms:0.5" — sets the knobs
-// explicitly.
+// "fanout:period" — e.g. "2:500ms" — sets the knobs explicitly.
 func ParseGossip(s string) (*Gossip, error) {
 	var g Gossip
-	return parseToggled(&g, "gossip", "fanout:period[:decay]", s,
-		req("fanout", &g.Fanout), req("period", &g.Period), opt("decay", &g.Decay))
+	on, err := parseToggled("gossip", "fanout:period", s, req("fanout", &g.Fanout), req("period", &g.Period))
+	if err != nil || !on {
+		return nil, err
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return &g, nil
 }
 
 // HintSource selects which producer feeds the congestion hint that
-// clients pace by and that the hint-consuming retry policies
-// (BackpressurePolicy, AdaptivePolicy.HintWeight) read.
+// clients pace by and that BackpressurePolicy reads.
 type HintSource string
 
 const (
@@ -165,10 +154,9 @@ func ClampEstimate(e float64) float64 {
 // per-second decay rate: ClampEstimate(e)·exp(−decay·age). A
 // non-positive age and a non-positive or NaN rate (−Inf included) leave
 // the clamped estimate unchanged; a +Inf rate is the formula's limit
-// and takes any aged estimate to 0 (Gossip.Validate admits neither into
-// a run). A zero stays zero at any age and rate and skips the
-// exponential. The result is always in [0,1] and never exceeds the
-// undecayed value.
+// and takes any aged estimate to 0 (runs use gossipDecay). A zero
+// stays zero at any age and rate and skips the exponential. The result
+// is always in [0,1] and never exceeds the undecayed value.
 func DecayEstimate(e float64, age time.Duration, decayPerSec float64) float64 {
 	e = ClampEstimate(e)
 	if e == 0 || age <= 0 || decayPerSec <= 0 || math.IsNaN(decayPerSec) {
@@ -201,33 +189,24 @@ func MergeEstimates(a, b float64) float64 {
 // adopted (merge refuses a zero into an empty view), and the estimate is
 // {rate, 0} — the one-number signal of PR 5.
 type gossipState struct {
-	cfg                  Gossip // defaults resolved
 	conflict, congestion signalView
 }
 
 // signalView is one signal class's half of a gossipState.
 type signalView struct {
-	// window holds the last cfg.Window outcomes of this class — the
-	// same outcomeWindow ring adaptiveState uses.
+	// window holds the last outcomeWindowSize outcomes of this class —
+	// the same outcomeWindow ring adaptiveState uses.
 	window outcomeWindow
 	remote remoteComponent
-}
-
-func newGossipState(cfg Gossip) *gossipState {
-	return &gossipState{
-		cfg:        cfg,
-		conflict:   signalView{window: newOutcomeWindow(cfg.Window)},
-		congestion: signalView{window: newOutcomeWindow(cfg.Window)},
-	}
 }
 
 // estimate returns the class's current estimate at now — the max of
 // the live local window rate and the age-decayed remote view — with the
 // age of the information that produced it (zero when the local window
 // dominates: a client's own outcomes are fresh by construction).
-func (v *signalView) estimate(now sim.Time, decayPerSec float64) (val float64, staleness time.Duration) {
+func (v *signalView) estimate(now sim.Time) (val float64, staleness time.Duration) {
 	val = ClampEstimate(v.window.failureRate())
-	if rem, age := v.remote.decayed(now, decayPerSec); rem > val {
+	if rem, age := v.remote.decayed(now, gossipDecay); rem > val {
 		return rem, age
 	}
 	return val, 0
@@ -235,7 +214,7 @@ func (v *signalView) estimate(now sim.Time, decayPerSec float64) (val float64, s
 
 // observe slides one classified attempt outcome into the per-class
 // windows. congested marks latency-based congestion evidence — the
-// attempt resolved only after the configured CongestLatency threshold,
+// attempt resolved only after the split signal's latency threshold,
 // whatever its validation code — so a jammed orderer raises the
 // congestion estimate even while commits (slowly) succeed and no
 // deadline ever expires.
@@ -249,9 +228,9 @@ func (g *gossipState) observe(class SignalClass, congested bool) {
 // that produced a dominating component (zero when the local windows
 // dominate both).
 func (g *gossipState) estimate(now sim.Time) (est SplitEstimate, staleness time.Duration) {
-	est.Conflict, staleness = g.conflict.estimate(now, g.cfg.Decay)
+	est.Conflict, staleness = g.conflict.estimate(now)
 	var age time.Duration
-	est.Congestion, age = g.congestion.estimate(now, g.cfg.Decay)
+	est.Congestion, age = g.congestion.estimate(now)
 	if age > staleness {
 		staleness = age
 	}
@@ -262,8 +241,8 @@ func (g *gossipState) estimate(now sim.Time) (est SplitEstimate, staleness time.
 // into the view, component by component. Reports whether either
 // component advanced.
 func (g *gossipState) merge(e SplitEstimate, sentAt, now sim.Time) bool {
-	cflt := g.conflict.remote.merge(e.Conflict, sentAt, now, g.cfg.Decay)
-	cngst := g.congestion.remote.merge(e.Congestion, sentAt, now, g.cfg.Decay)
+	cflt := g.conflict.remote.merge(e.Conflict, sentAt, now, gossipDecay)
+	cngst := g.congestion.remote.merge(e.Congestion, sentAt, now, gossipDecay)
 	return cflt || cngst
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,16 +13,12 @@ import (
 
 func TestGossipDefaultsAndValidation(t *testing.T) {
 	g := Gossip{}.withDefaults()
-	if g.Fanout != 2 || g.Period != 500*time.Millisecond || g.Decay != 0.5 || g.Window != 32 {
-		t.Errorf("defaults = %+v, want f2 500ms d0.5 w32", g)
+	if g.Fanout != 2 || g.Period != 500*time.Millisecond {
+		t.Errorf("defaults = %+v, want f2 500ms", g)
 	}
 	for i, bad := range []Gossip{
 		{Fanout: -1},
 		{Period: -time.Second},
-		{Decay: -0.5},
-		{Decay: math.NaN()},
-		{Decay: math.Inf(1)},
-		{Window: -1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("case %d: %+v validated", i, bad)
@@ -70,16 +67,18 @@ func TestParseGossip(t *testing.T) {
 	if g, err := ParseGossip("on"); err != nil || g == nil || *g != (Gossip{}) {
 		t.Errorf("ParseGossip(on) = %+v, %v", g, err)
 	}
-	want := Gossip{Fanout: 3, Period: 250 * time.Millisecond, Decay: 1.5}
-	if g, err := ParseGossip("3:250ms:1.5"); err != nil || g == nil || *g != want {
-		t.Errorf("ParseGossip(3:250ms:1.5) = %+v, %v", g, err)
-	}
-	if g, err := ParseGossip("3:250ms"); err != nil || g == nil || g.Decay != 0 {
-		t.Errorf("two-field spec = %+v, %v", g, err)
+	want := Gossip{Fanout: 3, Period: 250 * time.Millisecond}
+	if g, err := ParseGossip("3:250ms"); err != nil || g == nil || *g != want {
+		t.Errorf("ParseGossip(3:250ms) = %+v, %v", g, err)
 	}
 	for _, in := range []string{"x", "3", "a:1s", "3:zz", "3:1s:zz", "-1:1s", "3:1s:0.5:9"} {
 		if _, err := ParseGossip(in); err == nil {
 			t.Errorf("ParseGossip(%q) accepted", in)
+		}
+	}
+	for _, in := range []string{"2:500ms:0.5", "x"} {
+		if _, err := ParseGossip(in); err == nil || !strings.Contains(err.Error(), "want off, on or fanout:period") {
+			t.Errorf("ParseGossip(%q) = %v, want an error naming the grammar", in, err)
 		}
 	}
 	if src, err := ParseHintSource(""); err != nil || src != HintOrderer {
@@ -164,17 +163,18 @@ func TestDecayAndMergeMath(t *testing.T) {
 func conflictOnly(v float64) SplitEstimate { return SplitEstimate{Conflict: v} }
 
 func TestGossipStateWindowAndEstimate(t *testing.T) {
-	g := newGossipState(Gossip{Window: 4}.withDefaults())
+	const w = outcomeWindowSize
+	g := &gossipState{}
 	if est, stale := g.estimate(0); est != (SplitEstimate{}) || stale != 0 {
 		t.Fatalf("fresh state estimate = %+v stale=%v", est, stale)
 	}
-	// One failure over a window of 4 reads as 1/4 even while filling,
-	// in its own class only.
+	// One failure over the 32-outcome window reads as 1/32 even while
+	// filling, in its own class only.
 	g.observe(SignalConflict, false)
-	if est, _ := g.estimate(0); est != conflictOnly(0.25) {
-		t.Errorf("estimate after 1 conflict failure = %+v, want {0.25 0}", est)
+	if est, _ := g.estimate(0); est != conflictOnly(1.0/w) {
+		t.Errorf("estimate after 1 conflict failure = %+v, want {1/32 0}", est)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < w; i++ {
 		g.observe(SignalNone, false) // the last one evicts the failure
 	}
 	if est, _ := g.estimate(0); est != (SplitEstimate{}) {
@@ -184,25 +184,25 @@ func TestGossipStateWindowAndEstimate(t *testing.T) {
 	// outcome — lands in the congestion window only.
 	g.observe(SignalCongestion, false)
 	g.observe(SignalNone, true)
-	if est, _ := g.estimate(0); est != (SplitEstimate{Congestion: 0.5}) {
-		t.Errorf("estimate after 2 congestion observations = %+v, want {0 0.5}", est)
+	if est, _ := g.estimate(0); est != (SplitEstimate{Congestion: 2.0 / w}) {
+		t.Errorf("estimate after 2 congestion observations = %+v, want {0 2/32}", est)
 	}
 	// A slow conflict failure counts in both.
 	g.observe(SignalConflict, true)
-	if est, _ := g.estimate(0); est != (SplitEstimate{Conflict: 0.25, Congestion: 0.75}) {
-		t.Errorf("estimate after a congested conflict = %+v, want {0.25 0.75}", est)
+	if est, _ := g.estimate(0); est != (SplitEstimate{Conflict: 1.0 / w, Congestion: 3.0 / w}) {
+		t.Errorf("estimate after a congested conflict = %+v, want {1/32 3/32}", est)
 	}
 }
 
 func TestGossipStateMergeMaxWithDecay(t *testing.T) {
-	g := newGossipState(Gossip{Decay: math.Ln2}.withDefaults()) // half-life 1s
+	g := &gossipState{}
 	now := sim.Time(10 * time.Second)
 	if !g.merge(conflictOnly(0.8), now-sim.Time(time.Second), now) {
 		t.Fatal("first estimate not adopted")
 	}
-	// Decayed one half-life: worth 0.4 now.
-	if est, stale := g.estimate(now); math.Abs(est.Conflict-0.4) > 1e-12 || stale != time.Second {
-		t.Errorf("estimate = %+v stale=%v, want 0.4 / 1s", est, stale)
+	// Decayed one second at 0.5/s: worth 0.8·e^−0.5 ≈ 0.485 now.
+	if est, stale := g.estimate(now); math.Abs(est.Conflict-0.8*math.Exp(-0.5)) > 1e-12 || stale != time.Second {
+		t.Errorf("estimate = %+v stale=%v, want 0.485 / 1s", est, stale)
 	}
 	// A weaker incoming estimate is not adopted.
 	if g.merge(conflictOnly(0.3), now, now) {
@@ -218,7 +218,7 @@ func TestGossipStateMergeMaxWithDecay(t *testing.T) {
 	}
 	// Local beats remote once the remote has decayed below it: the
 	// staleness at use is then zero (own outcomes are live).
-	g.observe(SignalConflict, false) // 1/32 with the default window... use a long horizon instead
+	g.observe(SignalConflict, false) // 1/32: below any live remote view, so use a long horizon
 	far := now + sim.Time(time.Minute)
 	local := g.conflict.window.failureRate()
 	if est, stale := g.estimate(far); stale != 0 || est != conflictOnly(local) {
@@ -227,7 +227,7 @@ func TestGossipStateMergeMaxWithDecay(t *testing.T) {
 	}
 	// Zero estimates are never "adopted" into an empty view — which is
 	// what keeps the congestion view empty under conflict-only messages.
-	fresh := newGossipState(Gossip{}.withDefaults())
+	fresh := &gossipState{}
 	if fresh.merge(SplitEstimate{}, now, now) {
 		t.Error("zero estimate adopted into an empty view")
 	}
@@ -244,17 +244,16 @@ func TestGossipStateMergeMaxWithDecay(t *testing.T) {
 		t.Error("congestion component did not advance on its own")
 	}
 	est, stale := g.estimate(far)
-	if math.Abs(est.Conflict-0.9/4) > 1e-12 || est.Congestion != 0.7 || stale != 2*time.Second {
-		t.Errorf("estimate = %+v stale=%v, want {0.225 0.7} / 2s", est, stale)
+	if math.Abs(est.Conflict-0.9*math.Exp(-1)) > 1e-12 || est.Congestion != 0.7 || stale != 2*time.Second {
+		t.Errorf("estimate = %+v stale=%v, want {0.331 0.7} / 2s", est, stale)
 	}
 }
 
-// scalarGossipRef is the pre-unification scalar gossip state, kept
-// verbatim as the reference TestScalarIsDegenerateSplit compares
-// against: one outcome window, one remote view merged by
-// max-with-decay, estimate = max(local rate, decayed remote).
+// scalarGossipRef is the pre-unification scalar gossip state, kept as
+// the reference TestScalarIsDegenerateSplit compares against: one
+// outcome window, one remote view merged by max-with-decay, estimate =
+// max(local rate, decayed remote).
 type scalarGossipRef struct {
-	cfg       Gossip
 	window    outcomeWindow
 	remote    float64
 	remoteAt  sim.Time
@@ -267,7 +266,7 @@ func (g *scalarGossipRef) estimate(now sim.Time) (float64, time.Duration) {
 		return ClampEstimate(local), 0
 	}
 	age := time.Duration(now - g.remoteAt)
-	rem := DecayEstimate(g.remote, age, g.cfg.Decay)
+	rem := DecayEstimate(g.remote, age, gossipDecay)
 	if rem > local {
 		return rem, age
 	}
@@ -275,9 +274,9 @@ func (g *scalarGossipRef) estimate(now sim.Time) (float64, time.Duration) {
 }
 
 func (g *scalarGossipRef) merge(value float64, sentAt, now sim.Time) bool {
-	incoming := DecayEstimate(value, time.Duration(now-sentAt), g.cfg.Decay)
+	incoming := DecayEstimate(value, time.Duration(now-sentAt), gossipDecay)
 	if g.hasRemote {
-		cur := DecayEstimate(g.remote, time.Duration(now-g.remoteAt), g.cfg.Decay)
+		cur := DecayEstimate(g.remote, time.Duration(now-g.remoteAt), gossipDecay)
 		if incoming <= cur {
 			return false
 		}
@@ -299,12 +298,10 @@ func (g *scalarGossipRef) merge(value float64, sentAt, now sim.Time) bool {
 func TestScalarIsDegenerateSplit(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := Gossip{Window: 1 + rng.Intn(40), Decay: []float64{0.5, math.Ln2, 3, 1e-9}[rng.Intn(4)]}.withDefaults()
-		g := newGossipState(cfg)
-		ref := &scalarGossipRef{cfg: cfg, window: newOutcomeWindow(cfg.Window)}
+		g, ref := &gossipState{}, &scalarGossipRef{}
 		// A second unified state plays the remote peer whose messages
 		// arrive: its estimates are what scalar-mode gossip carries.
-		peer := newGossipState(cfg)
+		peer := &gossipState{}
 		now := sim.Time(0)
 		for step := 0; step < 2000; step++ {
 			switch rng.Intn(4) {
@@ -381,13 +378,13 @@ func TestGossipFeedsHintedPolicyWithoutBackpressure(t *testing.T) {
 	// BackpressurePolicy consuming the gossip estimate with no
 	// Backpressure config at all: no pacer, no orderer hints — the
 	// backoff alone must stretch with the shared estimate.
-	cfg := retryConfig(2, BackpressurePolicy{Floor: 100 * time.Millisecond, Ceiling: 4 * time.Second, MaxAttempts: 5})
+	cfg := retryConfig(2, BackpressurePolicy{Floor: 100 * time.Millisecond, MaxAttempts: 5})
 	cfg.OrdererCosts.PerTx = 25 * time.Millisecond
 	cfg.Gossip = &Gossip{}
 	cfg.HintSource = HintGossip
 	_, hinted := run(t, cfg)
 
-	floorOnly := retryConfig(2, BackpressurePolicy{Floor: 100 * time.Millisecond, Ceiling: 4 * time.Second, MaxAttempts: 5})
+	floorOnly := retryConfig(2, BackpressurePolicy{Floor: 100 * time.Millisecond, MaxAttempts: 5})
 	floorOnly.OrdererCosts.PerTx = 25 * time.Millisecond
 	_, f := run(t, floorOnly)
 
@@ -528,11 +525,11 @@ func BenchmarkGossipRound(b *testing.B) {
 // estimate stays in [0,1], the max-merge is monotone (never below
 // either clamped input), decay never increases an estimate and is
 // monotone in age, and a gossipState fed the same sequence keeps its
-// own view in range. The same laws are checked on the state's
-// per-class views, with the inputs crossed so the conflict and
-// congestion components exercise different values: each component
-// follows the scalar algebra on its own inputs and never sees the
-// other's.
+// own view in range at the fixed gossipDecay. The same laws are checked
+// on the state's per-class views, with the inputs crossed so the
+// conflict and congestion components exercise different values: each
+// component follows the scalar algebra on its own inputs and never sees
+// the other's.
 func FuzzGossipMerge(f *testing.F) {
 	f.Add(0.5, 0.25, int64(time.Second), 0.5)
 	f.Add(0.0, 1.0, int64(0), 0.0)
@@ -575,7 +572,7 @@ func FuzzGossipMerge(f *testing.F) {
 
 		decayCfg := decay
 		if decayCfg < 0 || math.IsNaN(decayCfg) || math.IsInf(decayCfg, 0) {
-			decayCfg = 0.5 // state configs are validated; clamp for the harness
+			decayCfg = gossipDecay // runs decay at a finite positive rate; clamp for the harness
 		}
 		now := sim.Time(2 * time.Hour)
 		sent := now - sim.Time(age)
@@ -608,7 +605,7 @@ func FuzzGossipMerge(f *testing.F) {
 		// A state fed the same raw inputs as one-class (scalar-mode)
 		// messages must keep its view in range and its congestion
 		// component at exactly zero.
-		g := newGossipState(Gossip{Decay: decayCfg}.withDefaults())
+		g := &gossipState{}
 		g.merge(conflictOnly(a), sent, now)
 		g.merge(conflictOnly(b), now, now)
 		g.observe(SignalConflict, false)
@@ -623,7 +620,7 @@ func FuzzGossipMerge(f *testing.F) {
 		// And a state fed the crossed two-component sequence keeps both
 		// components in range, each equal to what a state fed only that
 		// component's inputs computes.
-		gs := newGossipState(Gossip{Decay: decayCfg}.withDefaults())
+		gs := &gossipState{}
 		gs.merge(sa, sent, now)
 		gs.merge(sb, now, now)
 		gs.observe(SignalConflict, true)
@@ -635,7 +632,7 @@ func FuzzGossipMerge(f *testing.F) {
 		if se.Conflict != est.Conflict {
 			t.Fatalf("conflict component %g depends on the congestion inputs (alone: %g)", se.Conflict, est.Conflict)
 		}
-		gc := newGossipState(Gossip{Decay: decayCfg}.withDefaults())
+		gc := &gossipState{}
 		gc.merge(SplitEstimate{Congestion: b}, sent, now)
 		gc.merge(SplitEstimate{Congestion: a}, now, now)
 		gc.observe(SignalNone, true)

@@ -97,7 +97,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		channels:      cfg.channels(),
 		dbCosts:       costmodel.ForKind(cfg.DBKind),
 		variant:       cfg.Variant,
-		ctl:           cfg.Control.resolve(cfg.ClosedLoop, cfg.BlockTimeout),
+		ctl:           cfg.Control.resolve(cfg.ClosedLoop),
 		driversByName: map[string]*ClientDriver{},
 	}
 	nw.net = netem.New(nw.eng, cfg.LAN)

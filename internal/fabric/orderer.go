@@ -288,8 +288,7 @@ func (os *OrderingService) updateHint() {
 	if raw > 1 {
 		raw = 1
 	}
-	smoothing := os.nw.ctl.Backpressure.Smoothing
-	os.hint = smoothing*raw + (1-smoothing)*os.hint
+	os.hint = hintSmoothing*raw + (1-hintSmoothing)*os.hint
 	os.lastCutAt = now
 	os.lastOrdered = os.orderedCount
 	os.nw.col.RecordHintSample(os.hint)

@@ -28,7 +28,7 @@ func req(name string, into any) specField { return specField{name, into, false} 
 func opt(name string, into any) specField { return specField{name, into, true} }
 
 // parseValue parses s into the typed target and wraps any error with
-// what the value is: "fabric: gossip decay "x": ...".
+// what the value is: "fabric: gossip period "x": ...".
 func parseValue(what, s string, into any) (err error) {
 	switch p := into.(type) {
 	case *float64:
@@ -69,25 +69,22 @@ func parseFields(what, usage string, parts []string, fields ...specField) error 
 	return nil
 }
 
-// parseToggled parses the spec of an optional subsystem into v, whose
-// fields are the parse targets: "" and "off" disable it (nil), "on" and
-// "default" enable it with every field left at its zero value (the
-// documented defaults), and anything else must be the colon-separated
-// fields and pass v's Validate.
-func parseToggled[T interface{ Validate() error }](v *T, what, usage, s string, fields ...specField) (*T, error) {
+// parseToggled parses the spec of an optional subsystem: "" and "off"
+// disable it, "on" and "default" enable it with every field left at its
+// zero value (the documented defaults), and anything else must be the
+// colon-separated fields, which a subsystem with none has not. on is
+// meaningful only when err is nil.
+func parseToggled(what, usage, s string, fields ...specField) (on bool, err error) {
 	switch strings.ToLower(s) {
 	case "", "off":
-		return nil, nil
+		return false, nil
 	case "on", "default":
-		return v, nil
+		return true, nil
 	}
-	if err := parseFields(what, "off, on or "+usage, strings.Split(s, ":"), fields...); err != nil {
-		return nil, err
+	if len(fields) == 0 {
+		return false, fmt.Errorf("fabric: %s %q: want off or on", what, s)
 	}
-	if err := (*v).Validate(); err != nil {
-		return nil, err
-	}
-	return v, nil
+	return true, parseFields(what, "off, on or "+usage, strings.Split(s, ":"), fields...)
 }
 
 // inRange reports whether x is a number in [lo, hi]; NaN is in no

@@ -52,9 +52,9 @@ func TestNonFiniteAndNegativeRejected(t *testing.T) {
 		{"-budget NaN:3", "retry budget rate", func() error { _, err := ParseRetryBudget("NaN:3"); return err }},
 		{"-budget 1:NaN", "retry budget burst", func() error { _, err := ParseRetryBudget("1:NaN"); return err }},
 		{"-budget 1:Inf", "retry budget burst", func() error { _, err := ParseRetryBudget("1:Inf"); return err }},
-		{"-backpressure NaN:1s", "backpressure smoothing", func() error { _, err := ParseBackpressure("NaN:1s"); return err }},
-		{"-think lognormal:1s:NaN", "think time sigma", func() error { _, err := ParseThinkTime("lognormal:1s:NaN"); return err }},
-		{"-gossip 2:1s:Inf", "gossip decay", func() error { _, err := ParseGossip("2:1s:Inf"); return err }},
+		{"-backpressure NaN:1s", "want off or on", func() error { _, err := ParseBackpressure("NaN:1s"); return err }},
+		{"-think lognormal:1s:NaN", "want a mean", func() error { _, err := ParseThinkTime("lognormal:1s:NaN"); return err }},
+		{"-gossip 2:1s:Inf", "want off, on or fanout:period", func() error { _, err := ParseGossip("2:1s:Inf"); return err }},
 		{"-faults loss@1s+2s:NaN", "loss probability", func() error { _, err := ParseFaults("loss@1s+2s:NaN"); return err }},
 		{"-faults slowdb@1s+2s:Inf", "slowdb multiplier", func() error { _, err := ParseFaults("slowdb@1s+2s:Inf"); return err }},
 	} {
@@ -79,18 +79,13 @@ func TestNonFiniteAndNegativeRejected(t *testing.T) {
 		{"budget refill Inf", "refill rate", func(c *Config) { c.RetryBudget = &RetryBudget{RefillPerSec: inf} }},
 		{"budget burst NaN", "burst", func(c *Config) { c.RetryBudget = &RetryBudget{Burst: nan} }},
 		{"budget burst Inf", "burst", func(c *Config) { c.RetryBudget = &RetryBudget{Burst: inf} }},
-		{"smoothing NaN", "smoothing", func(c *Config) { c.Backpressure = &Backpressure{Smoothing: nan} }},
-		{"sigma NaN", "sigma", func(c *Config) { c.ThinkTime = ThinkTime{Kind: ThinkLogNormal, Mean: time.Second, Sigma: nan} }},
-		{"sigma Inf", "sigma", func(c *Config) { c.ThinkTime = ThinkTime{Kind: ThinkLogNormal, Mean: time.Second, Sigma: inf} }},
 		{"backoff jitter NaN", "jitter", func(c *Config) { c.Retry = ExponentialBackoff{Jitter: nan} }},
 		{"backoff jitter negative", "jitter", func(c *Config) { c.Retry = ExponentialBackoff{Jitter: -0.1} }},
 		{"capped backoff jitter NaN", "jitter", func(c *Config) { c.Retry = GiveUpAfter(ExponentialBackoff{Jitter: nan}, 3) }},
 		{"hinted jitter Inf", "jitter", func(c *Config) { c.Retry = BackpressurePolicy{Jitter: inf} }},
 		{"adaptive jitter NaN", "jitter", func(c *Config) { c.Retry = AdaptivePolicy{Jitter: nan} }},
-		{"adaptive increase NaN", "increase factor", func(c *Config) { c.Retry = AdaptivePolicy{Increase: nan} }},
-		{"adaptive increase Inf", "increase factor", func(c *Config) { c.Retry = AdaptivePolicy{Increase: inf} }},
-		{"adaptive target NaN", "target rate", func(c *Config) { c.Retry = AdaptivePolicy{Target: nan} }},
-		{"adaptive hint weight NaN", "hint weight", func(c *Config) { c.Retry = AdaptivePolicy{HintWeight: nan} }},
+		{"speed factor NaN", "speed factor", func(c *Config) { c.SpeedFactor = nan }},
+		{"speed factor Inf", "speed factor", func(c *Config) { c.SpeedFactor = inf }},
 	} {
 		cfg := testConfig(1)
 		c.mutate(&cfg)
@@ -130,7 +125,7 @@ func floatsFinite(v reflect.Value, path string) string {
 
 // FuzzSpecs feeds one string to every CLI spec parser. None may panic,
 // none may return both a value and an error, and whatever one accepts
-// must pass its own Validate with every float finite — the contract
+// must pass its own Validate, if it has one, with every float finite — the contract
 // that lets the CLI hand a parsed spec straight to NewNetwork. The
 // accepted control values are also assembled into one Control, whose
 // Validate may reject the combination but must not panic on it.
@@ -180,8 +175,10 @@ func FuzzSpecs(f *testing.F) {
 			if empty {
 				continue // disabled
 			}
-			if verr := got.(validator).Validate(); verr != nil {
-				t.Errorf("%s %q accepted a value that fails Validate: %v", name, s, verr)
+			if val, ok := got.(validator); ok {
+				if verr := val.Validate(); verr != nil {
+					t.Errorf("%s %q accepted a value that fails Validate: %v", name, s, verr)
+				}
 			}
 			if bad := floatsFinite(v, name); bad != "" {
 				t.Errorf("%s %q accepted a non-finite %s: %+v", name, s, bad, got)

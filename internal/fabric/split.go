@@ -1,11 +1,6 @@
 package fabric
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/ledger"
-)
+import "repro/internal/ledger"
 
 // SignalClass partitions attempt outcomes by which control can
 // actually help against them. The coordination stack's scalar estimate
@@ -74,54 +69,31 @@ func ClassifyOutcome(code ledger.ValidationCode) SignalClass {
 // the budget calibration all classify outcomes per SignalClass instead
 // of collapsing them into a scalar failure rate, and the two resulting
 // estimates route to the controls they can help — conflict to backoff
-// (AdaptivePolicy's AIMD gate, the hint-consuming policies' slide),
+// (AdaptivePolicy's AIMD gate, BackpressurePolicy's slide),
 // congestion to pacing (the backpressure pacer, whatever HintSource
 // feeds it).
+//
+// The congestion estimate also applies a latency rule: an attempt that
+// took 2 × Config.BlockTimeout or longer from submission to resolution
+// counts as congestion evidence whatever its validation code (an idle
+// pipeline resolves well under one block timeout plus cutting slack).
+// That lets the estimate rise on a jammed orderer before any client
+// deadline (Config.Faults) expires — commits still happen, just slowly.
 //
 // Nil (the default) is scalar mode, the same path with a one-class
 // classifier — every failure is conflict-class, the latency rule never
 // applies — and the two resolved signals collapsed to their max, so
 // backoff and pacing read one number as they did before the split
 // existed (byte-identical, pinned by every pre-split golden).
-type SplitSignal struct {
-	// CongestLatency is the attempt-latency threshold at or above
-	// which an outcome counts as congestion evidence in the gossiped
-	// congestion estimate, whatever its validation code: an attempt
-	// that took this long from submission to resolution waded through
-	// backlog. This is what lets the congestion estimate rise on a
-	// jammed orderer even before any client deadline (Config.Faults)
-	// expires — commits still happen, just slowly. 0 defaults to
-	// 2 × Config.BlockTimeout at network build (an idle pipeline
-	// resolves well under one block timeout plus cutting slack);
-	// negative is a validation error.
-	CongestLatency time.Duration
-}
+type SplitSignal struct{}
 
-// withDefaults resolves the documented zero value against the run's
-// block timeout.
-func (s SplitSignal) withDefaults(blockTimeout time.Duration) SplitSignal {
-	if s.CongestLatency == 0 {
-		s.CongestLatency = 2 * blockTimeout
-	}
-	return s
-}
-
-// Validate reports configuration errors.
-func (s SplitSignal) Validate() error {
-	if s.CongestLatency < 0 {
-		return fmt.Errorf("fabric: split-signal congestion latency must be >= 0, got %v", s.CongestLatency)
-	}
-	return nil
-}
-
-// ParseSplitSignal parses the CLI syntax for the split-signal mode:
-// "off" (or "") disables it, "on" enables it with the documented
-// defaults, and a duration — e.g. "3s" — sets the congestion-latency
-// threshold explicitly.
+// ParseSplitSignal parses the CLI syntax for the split-signal switch:
+// "off" (or "") disables it and "on" enables it.
 func ParseSplitSignal(s string) (*SplitSignal, error) {
-	var sp SplitSignal
-	return parseToggled(&sp, "split signal", "a latency threshold duration", s,
-		req("congestion latency", &sp.CongestLatency))
+	if on, err := parseToggled("split signal", "", s); !on || err != nil {
+		return nil, err
+	}
+	return &SplitSignal{}, nil
 }
 
 // SplitEstimate is the client signal every gossip message carries: the

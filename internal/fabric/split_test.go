@@ -2,11 +2,13 @@ package fabric
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/gen"
 	"repro/internal/ledger"
+	"repro/internal/sim"
 	"repro/internal/statedb"
 )
 
@@ -42,30 +44,59 @@ func TestClassifyOutcome(t *testing.T) {
 }
 
 func TestSplitSignalValidateAndParse(t *testing.T) {
-	if err := (SplitSignal{CongestLatency: -time.Second}).Validate(); err == nil {
-		t.Error("negative congestion latency validated")
-	}
-	if got := (SplitSignal{}).withDefaults(2 * time.Second); got.CongestLatency != 4*time.Second {
-		t.Errorf("default congestion latency = %v, want 2×block timeout", got.CongestLatency)
-	}
 	for _, off := range []string{"", "off"} {
 		if sp, err := ParseSplitSignal(off); err != nil || sp != nil {
 			t.Errorf("ParseSplitSignal(%q) = %v, %v, want nil, nil", off, sp, err)
 		}
 	}
-	if sp, err := ParseSplitSignal("on"); err != nil || sp == nil || sp.CongestLatency != 0 {
+	if sp, err := ParseSplitSignal("on"); err != nil || sp == nil {
 		t.Errorf("ParseSplitSignal(on) = %v, %v", sp, err)
 	}
-	if sp, err := ParseSplitSignal("3s"); err != nil || sp == nil || sp.CongestLatency != 3*time.Second {
-		t.Errorf("ParseSplitSignal(3s) = %v, %v", sp, err)
-	}
-	if _, err := ParseSplitSignal("wat"); err == nil {
-		t.Error("garbage split mode parsed")
+	for _, in := range []string{"wat", "3s"} {
+		if sp, err := ParseSplitSignal(in); err == nil || sp != nil || !strings.Contains(err.Error(), "want off or on") {
+			t.Errorf("ParseSplitSignal(%q) = %v, %v, want an error naming off|on", in, sp, err)
+		}
 	}
 	cfg := testConfig(1)
-	cfg.SplitSignal = &SplitSignal{CongestLatency: -time.Second}
-	if _, err := NewNetwork(cfg); err == nil {
-		t.Error("network accepted an invalid split signal")
+	cfg.SplitSignal = &SplitSignal{}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("split signal rejected: %v", err)
+	}
+}
+
+// TestSplitLatencyRule pins the congestion threshold at twice the block
+// timeout: under the split classifier an attempt that resolved that
+// late is congestion evidence whatever its code, one nanosecond earlier
+// it is not, and the scalar classifier never applies the rule.
+func TestSplitLatencyRule(t *testing.T) {
+	cfg := retryConfig(1, ImmediateRetry{MaxAttempts: 3})
+	cfg.BlockTimeout = 3 * time.Second
+	cfg.SplitSignal = &SplitSignal{}
+	nw, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := nw.drivers[0]
+	nw.eng.RunUntil(sim.Time(10 * time.Second))
+	for _, tc := range []struct {
+		age       time.Duration
+		code      ledger.ValidationCode
+		class     SignalClass
+		congested bool
+	}{
+		{6 * time.Second, ledger.Valid, SignalNone, true},
+		{6*time.Second - 1, ledger.Valid, SignalNone, false},
+		{7 * time.Second, ledger.MVCCConflictInterBlock, SignalConflict, true},
+		{time.Second, ledger.ClientTimeout, SignalCongestion, false},
+	} {
+		j := &pendingTx{lastSubmit: nw.eng.Now() - sim.Time(tc.age)}
+		if class, congested := c.classify(tc.code, j); class != tc.class || congested != tc.congested {
+			t.Errorf("%v after %v: classified %v congested=%v, want %v %v", tc.code, tc.age, class, congested, tc.class, tc.congested)
+		}
+	}
+	nw.ctl.SplitSignal = nil
+	if class, congested := c.classify(ledger.ClientTimeout, &pendingTx{}); class != SignalConflict || congested {
+		t.Errorf("scalar classifier: %v congested=%v, want conflict without the latency rule", class, congested)
 	}
 }
 
@@ -76,8 +107,7 @@ func TestSplitSignalValidateAndParse(t *testing.T) {
 // conflict-class failures multiplies the level up as before.
 func TestAdaptiveSplitGatesOnConflictOnly(t *testing.T) {
 	mk := func() *adaptiveState {
-		p := AdaptivePolicy{Floor: 100 * time.Millisecond, Ceiling: 4 * time.Second,
-			Increase: 2, Decrease: 50 * time.Millisecond, Window: 4, Target: 0.25}
+		p := AdaptivePolicy{Floor: 100 * time.Millisecond, Ceiling: 4 * time.Second, Decrease: 50 * time.Millisecond}
 		return newController(p).(*adaptiveState)
 	}
 
@@ -99,8 +129,8 @@ func TestAdaptiveSplitGatesOnConflictOnly(t *testing.T) {
 	if s.cur != 4*time.Second {
 		t.Errorf("conflict-class failures left the backoff at %v, want the ceiling", s.cur)
 	}
-	if got := s.conflictWin.failureRate(); got != 1 {
-		t.Errorf("conflict window rate = %g, want 1", got)
+	if got := s.conflictWin.failureRate(); got != 0.5 {
+		t.Errorf("conflict window rate = %g, want 16/32", got)
 	}
 
 	// Commits decrease additively in split mode exactly as in scalar.

@@ -23,9 +23,14 @@ const (
 	// the given Mean — the classic interactive-client model.
 	ThinkExponential
 	// ThinkLogNormal draws a log-normally distributed wait with the
-	// given Mean and shape Sigma: a heavy-tailed human think time.
+	// given Mean and shape lognormalSigma: a heavy-tailed human think
+	// time.
 	ThinkLogNormal
 )
+
+// lognormalSigma is the log-normal think time's shape parameter σ
+// (dimensionless); the mean stays at ThinkTime.Mean.
+const lognormalSigma = 1
 
 // String names the distribution as the CLI spells it.
 func (k ThinkTimeKind) String() string {
@@ -53,10 +58,6 @@ type ThinkTime struct {
 	// Mean is the mean think time for every distribution kind.
 	// Must be > 0 for any kind other than ThinkNone.
 	Mean time.Duration
-	// Sigma is the log-normal shape parameter σ (dimensionless;
-	// ThinkLogNormal only). 0 defaults to 1. Larger values fatten the
-	// tail while the mean stays at Mean.
-	Sigma float64
 }
 
 // Validate reports configuration errors.
@@ -67,9 +68,6 @@ func (t ThinkTime) Validate() error {
 	case ThinkFixed, ThinkExponential, ThinkLogNormal:
 		if t.Mean <= 0 {
 			return fmt.Errorf("fabric: %s think time needs a positive mean, got %v", t.Kind, t.Mean)
-		}
-		if !finiteNonNeg(t.Sigma) {
-			return fmt.Errorf("fabric: think time sigma must be a finite shape >= 0, got %g", t.Sigma)
 		}
 		return nil
 	default:
@@ -86,23 +84,17 @@ func (t ThinkTime) sample(eng *sim.Engine) time.Duration {
 	case ThinkExponential:
 		return eng.Exponential(t.Mean)
 	case ThinkLogNormal:
-		sigma := t.Sigma
-		if sigma == 0 {
-			sigma = 1
-		}
-		return eng.LogNormal(t.Mean, sigma)
+		return eng.LogNormal(t.Mean, lognormalSigma)
 	default:
 		return 0
 	}
 }
 
 // ParseThinkTime parses the CLI syntax for a think-time spec:
-// "none", "fixed:500ms", "exp:2s" or "lognormal:1s:0.8" (the third
-// field is the optional sigma, default 1).
+// "none", "fixed:500ms", "exp:2s" or "lognormal:1s".
 func ParseThinkTime(s string) (ThinkTime, error) {
 	parts := strings.Split(s, ":")
 	var t ThinkTime
-	fields := []specField{req("mean", &t.Mean)}
 	switch strings.ToLower(parts[0]) {
 	case "", "none":
 		if len(parts) > 1 {
@@ -115,11 +107,10 @@ func ParseThinkTime(s string) (ThinkTime, error) {
 		t.Kind = ThinkExponential
 	case "lognormal":
 		t.Kind = ThinkLogNormal
-		fields = append(fields, opt("sigma", &t.Sigma))
 	default:
 		return ThinkTime{}, fmt.Errorf("fabric: unknown think time distribution %q", parts[0])
 	}
-	err := parseFields(parts[0]+" think time", "a mean, e.g. "+parts[0]+":500ms (lognormal takes an optional :sigma)", parts[1:], fields...)
+	err := parseFields(parts[0]+" think time", "a mean, e.g. "+parts[0]+":500ms", parts[1:], req("mean", &t.Mean))
 	if err == nil {
 		err = t.Validate()
 	}

@@ -3,6 +3,7 @@ package fabric
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ func TestThinkTimeValidation(t *testing.T) {
 	bad := []ThinkTime{
 		{Kind: ThinkFixed},                           // no mean
 		{Kind: ThinkExponential, Mean: -time.Second}, // negative mean
-		{Kind: ThinkLogNormal, Mean: time.Second, Sigma: -1},
+		{Kind: ThinkLogNormal},
 		{Kind: ThinkTimeKind(99), Mean: time.Second},
 	}
 	for i, tt := range bad {
@@ -43,7 +44,6 @@ func TestParseThinkTime(t *testing.T) {
 		{"exp:2s", ThinkTime{Kind: ThinkExponential, Mean: 2 * time.Second}},
 		{"exponential:1s", ThinkTime{Kind: ThinkExponential, Mean: time.Second}},
 		{"lognormal:1s", ThinkTime{Kind: ThinkLogNormal, Mean: time.Second}},
-		{"lognormal:1s:0.8", ThinkTime{Kind: ThinkLogNormal, Mean: time.Second, Sigma: 0.8}},
 	}
 	for _, c := range cases {
 		got, err := ParseThinkTime(c.in)
@@ -55,6 +55,9 @@ func TestParseThinkTime(t *testing.T) {
 		if _, err := ParseThinkTime(in); err == nil {
 			t.Errorf("ParseThinkTime(%q) accepted", in)
 		}
+	}
+	if _, err := ParseThinkTime("lognormal:1s:0.8"); err == nil || !strings.Contains(err.Error(), "want a mean, e.g. lognormal:500ms") {
+		t.Errorf("ParseThinkTime(lognormal:1s:0.8) = %v, want an error naming the grammar", err)
 	}
 }
 
@@ -70,7 +73,7 @@ func TestThinkTimeSampling(t *testing.T) {
 	// Exponential and log-normal means converge near the target.
 	for _, tt := range []ThinkTime{
 		{Kind: ThinkExponential, Mean: time.Second},
-		{Kind: ThinkLogNormal, Mean: time.Second, Sigma: 0.5},
+		{Kind: ThinkLogNormal, Mean: time.Second},
 	} {
 		var sum time.Duration
 		const n = 20000
@@ -140,10 +143,10 @@ func TestUnsetThinkTimePreservesOldBehaviour(t *testing.T) {
 
 func TestThinkTimeRunsDeterministic(t *testing.T) {
 	cfg := closedConfig(10)
-	cfg.ThinkTime = ThinkTime{Kind: ThinkLogNormal, Mean: 300 * time.Millisecond, Sigma: 1}
+	cfg.ThinkTime = ThinkTime{Kind: ThinkLogNormal, Mean: 300 * time.Millisecond}
 	_, a := run(t, cfg)
 	cfg2 := closedConfig(10)
-	cfg2.ThinkTime = ThinkTime{Kind: ThinkLogNormal, Mean: 300 * time.Millisecond, Sigma: 1}
+	cfg2.ThinkTime = ThinkTime{Kind: ThinkLogNormal, Mean: 300 * time.Millisecond}
 	_, b := run(t, cfg2)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("identical think-time runs diverged:\n%+v\n%+v", a, b)

@@ -425,7 +425,7 @@ type Report struct {
 	// Paced.N equals PacedSubmissions, Paced.Sum is the total extra
 	// delay the shared signal injected across all clients, and
 	// Paced.Max the largest single pause — by construction never above
-	// the configured Backpressure.MaxPause.
+	// the pacer's 2 s cap.
 	PacedSubmissions int
 	Paced            Series[time.Duration]
 
