@@ -211,14 +211,6 @@ func (c *ClientDriver) start() {
 // Name returns the driver's network node name.
 func (c *ClientDriver) Name() string { return c.name }
 
-// Members reports how many simulated clients this driver drives.
-func (c *ClientDriver) Members() int { return c.members }
-
-// Pending reports how many of this driver's attempts are still
-// awaiting an outcome event (diagnostics; in-flight work at the end
-// of a run).
-func (c *ClientDriver) Pending() int { return len(c.pending) }
-
 // openWindow submits the initial closed-loop window for every driven
 // member, in member order — exactly the submission order the exact
 // simulation produces when its clients start in sequence.
@@ -662,8 +654,37 @@ func (c *ClientDriver) gossipRound() {
 		}
 		peer := c.nw.drivers[p]
 		c.nw.col.RecordGossipMessage()
-		c.nw.net.Send(c.name, peer.Name(), func() { peer.onGossip(est, now) })
+		m := c.nw.gossipMsg()
+		m.to, m.est, m.sentAt = peer, est, now
+		c.nw.net.Send(c.name, peer.Name(), m.deliver)
 	}
+}
+
+// gossipMsg is one gossip message in flight: its receiver and the
+// sender's estimate as of sentAt. deliver is bound once, when the
+// message is made, and puts it back on the network's free list before
+// merging; a message the network model drops is left to the GC.
+type gossipMsg struct {
+	to      *ClientDriver
+	est     SplitEstimate
+	sentAt  sim.Time
+	deliver func()
+}
+
+// gossipMsg takes a message off the free list, or makes one.
+func (nw *Network) gossipMsg() *gossipMsg {
+	if n := len(nw.gossipFree); n > 0 {
+		m := nw.gossipFree[n-1]
+		nw.gossipFree = nw.gossipFree[:n-1]
+		return m
+	}
+	m := &gossipMsg{}
+	m.deliver = func() {
+		to, est, sentAt := m.to, m.est, m.sentAt
+		nw.gossipFree = append(nw.gossipFree, m)
+		to.onGossip(est, sentAt)
+	}
+	return m
 }
 
 // onGossip receives one peer driver's estimate (worth e at the
@@ -671,9 +692,6 @@ func (c *ClientDriver) gossipRound() {
 // this driver's view; the hint-consuming controllers read it lazily at
 // their next backoff decision, and the pacer at its next pause.
 func (c *ClientDriver) onGossip(e SplitEstimate, sentAt sim.Time) {
-	if c.gossip == nil {
-		return
-	}
 	if c.gossip.merge(e, sentAt, c.nw.eng.Now()) {
 		c.nw.col.RecordGossipMerge()
 	}

@@ -109,13 +109,30 @@ var raceDetector bool
 // verifies into the identity's scratch. Per leg: the leg, the
 // transaction, its id and the endorsement slice.
 func TestDefaultRunAllocsPerTransaction(t *testing.T) {
-	if raceDetector {
-		t.Skip("the race detector allocates on its own account")
-	}
 	cfg := DefaultConfig()
 	cfg.Duration = 30 * time.Second
 	cfg.Chaincode = ehr.New()
 	cfg.Workload = ehr.NewWorkload(1)
+	checkAllocsPerTx(t, cfg, 28)
+}
+
+// TestControlPlaneAllocsPerTransaction pins the ehr-controlplane shape,
+// where gossip sends about 32 messages per simulated transaction: each
+// is a recycled gossipMsg, so the gossip path adds no object per
+// message (a closure per message made it 60 objects per transaction).
+func TestControlPlaneAllocsPerTransaction(t *testing.T) {
+	cfg := controlPlaneConfig(33)
+	cfg.Duration = 30 * time.Second
+	checkAllocsPerTx(t, cfg, 29)
+}
+
+// checkAllocsPerTx runs cfg and fails if it allocates more than limit
+// objects per simulated transaction.
+func checkAllocsPerTx(t *testing.T, cfg Config, limit float64) {
+	t.Helper()
+	if raceDetector {
+		t.Skip("the race detector allocates on its own account")
+	}
 	nw, err := NewNetwork(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -125,8 +142,8 @@ func TestDefaultRunAllocsPerTransaction(t *testing.T) {
 	rep := nw.Run()
 	runtime.ReadMemStats(&after)
 	got := float64(after.Mallocs-before.Mallocs) / float64(rep.Total)
-	if got > 28 {
-		t.Errorf("%.1f objects per simulated transaction over %d transactions, want <= 28", got, rep.Total)
+	if got > limit {
+		t.Errorf("%.1f objects per simulated transaction over %d transactions, want <= %g", got, rep.Total, limit)
 	}
 	t.Logf("%.2f objects per simulated transaction over %d transactions", got, rep.Total)
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/netem"
 	"repro/internal/sim"
 )
 
@@ -489,9 +491,10 @@ func gossipMesh(tb testing.TB, n, fanout int) (nw *Network, round func(i int)) {
 	}
 }
 
-// TestGossipRoundAllocsIndependentOfMesh holds a round to its fanout:
-// one closure per message and nothing that grows with the driver count
-// (the permutation slice did: 8 bytes per driver per round).
+// TestGossipRoundAllocsIndependentOfMesh holds a steady-state round to
+// no allocation at any mesh size: its messages come off the network's
+// free list, and nothing grows with the driver count (the permutation
+// slice did: 8 bytes per driver per round).
 func TestGossipRoundAllocsIndependentOfMesh(t *testing.T) {
 	allocs := func(n int) float64 {
 		nw, round := gossipMesh(t, n, 3)
@@ -503,9 +506,128 @@ func TestGossipRoundAllocsIndependentOfMesh(t *testing.T) {
 		return got
 	}
 	small, large := allocs(50), allocs(400)
-	if small != large || small > 3 {
-		t.Errorf("a fanout-3 round allocates %v times on 50 drivers and %v on 400, want equal and <= 3", small, large)
+	if small != 0 || large != 0 {
+		t.Errorf("a fanout-3 round allocates %v times on 50 drivers and %v on 400, want 0", small, large)
 	}
+}
+
+// TestGossipMessagesInFlightKeepTheirPayload holds recycled gossip
+// messages to their own payload while many are in flight: every link
+// between two drivers carries 2 s of injected delay and a round goes out
+// every 10 ms, so about 200 rounds (25 per sender) are on the wire at
+// once and every message is reused many times. Views are emptied before
+// each delivery step, so each delivered message is adopted; each
+// adoption must carry the (estimate, sentAt) its own round sent to that
+// receiver, and every message must be adopted exactly once. Then a
+// control-plane run with half its drivers partitioned away twice (the
+// messages dropped across the cut are never recycled) must report the
+// same when repeated.
+func TestGossipMessagesInFlightKeepTheirPayload(t *testing.T) {
+	t.Run("in-flight", func(t *testing.T) {
+		const n, fanout, rounds, drain = 8, 3, 400, 210 // drain: 2.1 s of steps
+		const spacing = 10 * time.Millisecond
+		nw, _ := gossipMesh(t, n, fanout)
+		for _, d := range nw.drivers {
+			nw.net.Inject(d.name, netem.Link{Base: time.Second})
+			d.gossip.observe(SignalConflict, true) // something to send from the first round on
+		}
+		type key struct {
+			to int
+			at sim.Time
+		}
+		want := map[key]SplitEstimate{}
+		adopted, peak := 0, 0
+		for r := 0; r < rounds+drain; r++ {
+			for _, d := range nw.drivers {
+				d.gossip.conflict.remote, d.gossip.congestion.remote = remoteComponent{}, remoteComponent{}
+			}
+			nw.eng.RunUntil(sim.Time(r) * sim.Time(spacing))
+			for _, d := range nw.drivers {
+				cf, cg := d.gossip.conflict.remote, d.gossip.congestion.remote
+				if !cf.has && !cg.has {
+					continue
+				}
+				var got SplitEstimate
+				at := cf.at
+				if cf.has {
+					got.Conflict = cf.value
+				}
+				if cg.has {
+					got.Congestion = cg.value
+					if cf.has && cg.at != at {
+						t.Fatalf("driver %d adopted components sent at %v and %v in one step", d.index, at, cg.at)
+					}
+					at = cg.at
+				}
+				k := key{d.index, at}
+				if w, ok := want[k]; !ok || got != w {
+					t.Fatalf("driver %d adopted %+v sent at %v, its round sent it %+v (sent: %v)", d.index, got, at, w, ok)
+				}
+				delete(want, k)
+				adopted++
+			}
+			if r >= rounds {
+				continue
+			}
+			s := nw.drivers[r%n]
+			s.gossip.observe(SignalClass(r%3), r%5 == 0) // a new payload per round
+			now := nw.eng.Now()
+			est, _ := s.gossip.estimate(now)
+			if est == (SplitEstimate{}) {
+				t.Fatalf("driver %d has nothing to send at %v", s.index, now)
+			}
+			s.gossipRound()
+			for _, p := range nw.gossipPicks {
+				if p >= s.index {
+					p++
+				}
+				want[key{p, now}] = est
+			}
+			peak = max(peak, len(want))
+		}
+		if adopted != rounds*fanout || len(want) > 0 {
+			t.Errorf("%d adoptions and %d messages never adopted, want one adoption per message: %d",
+				adopted, len(want), rounds*fanout)
+		}
+		// Every message made is back on the free list: as many as were
+		// ever in flight at once, far fewer than were sent.
+		if made := len(nw.gossipFree); peak < 10*n*fanout || made != peak {
+			t.Errorf("%d messages in flight at most and %d made for %d sent: rounds did not overlap or messages were not reused",
+				peak, made, rounds*fanout)
+		}
+	})
+	t.Run("partition", func(t *testing.T) {
+		report := func() (string, int) {
+			cfg := controlPlaneConfig(34)
+			cfg.Duration = 10 * time.Second
+			cfg.Faults = &Faults{EndorseTimeout: time.Second, SubmitTimeout: time.Second}
+			nw, err := NewNetwork(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var island []string
+			for _, d := range nw.drivers[:len(nw.drivers)/2] {
+				island = append(island, d.name)
+			}
+			for _, at := range []time.Duration{2 * time.Second, 6 * time.Second} {
+				nw.eng.At(sim.Time(at), func() { nw.net.Partition(island) })
+				nw.eng.At(sim.Time(at+2*time.Second), nw.net.Heal)
+			}
+			rep := nw.Run()
+			if rep.GossipMerges == 0 {
+				t.Fatal("no gossip message was merged")
+			}
+			return fmt.Sprintf("%s %+v", fingerprint(nw, rep), rep), nw.net.Drops()
+		}
+		a, drops := report()
+		b, _ := report()
+		if drops == 0 {
+			t.Fatal("the partitions dropped nothing")
+		}
+		if a != b {
+			t.Errorf("same seed diverged with gossip dropped:\n a: %s\n b: %s", a, b)
+		}
+	})
 }
 
 // BenchmarkGossipRound is one fanout-3 round on a 200-driver mesh, sent

@@ -25,40 +25,65 @@ var chainCodes = map[ledger.ValidationCode]bool{
 }
 
 // checkConservation asserts the paper's accounting identity on every
-// block: valid + MVCC(intra) + MVCC(inter) + phantom + endorsement
-// failures sum to the block's transaction count (no transaction is
-// lost or double-counted), the versions committed to the world state
-// advance strictly monotonically per key, and metrics.ParseChain reads
-// off the chain what the collector counted during the run: as many
-// committed transactions, and as many of each on-chain code.
+// block of every channel: valid + MVCC(intra) + MVCC(inter) + phantom +
+// endorsement failures sum to the block's transaction count (no
+// transaction is lost or double-counted), the versions committed to a
+// channel's world state advance strictly monotonically per key, and the
+// metrics peer's replica of that channel holds each key's last version.
+// Summed over channels, metrics.ParseChain reads off the chains what the
+// collector counted during the run: as many blocks and committed
+// transactions, and as many of each on-chain code. The relation is
+// equality with cross-channel transactions too: each leg is its own
+// transaction on its own chain, and the collector counts it when that
+// channel's block commits.
 func checkConservation(t *testing.T, nw *Network, rep metrics.Report) {
 	t.Helper()
-	parsed := metrics.ParseChain(nw.Chain())
-	if parsed.Committed != rep.Committed {
-		t.Errorf("parsed committed %d, collector %d", parsed.Committed, rep.Committed)
+	var parsed metrics.Report
+	parsed.Counts = map[ledger.ValidationCode]int{}
+	for ch, chain := range nw.Chains() {
+		p := metrics.ParseChain(chain)
+		parsed.Blocks += p.Blocks
+		parsed.Committed += p.Committed
+		for code, n := range p.Counts {
+			parsed.Counts[code] += n
+		}
+		checkChannelConservation(t, nw, ch)
+	}
+	if parsed.Blocks != rep.Blocks || parsed.Committed != rep.Committed {
+		t.Errorf("parsed %d blocks and %d committed, collector %d and %d",
+			parsed.Blocks, parsed.Committed, rep.Blocks, rep.Committed)
 	}
 	for code := range chainCodes {
 		if parsed.Counts[code] != rep.Counts[code] {
 			t.Errorf("%v: parsed %d, collector %d", code, parsed.Counts[code], rep.Counts[code])
 		}
 	}
+}
+
+// checkChannelConservation checks one channel's chain block by block
+// and against the metrics peer's replica of that channel.
+func checkChannelConservation(t *testing.T, nw *Network, ch int) {
+	t.Helper()
 	lastWrite := map[string]ledger.Height{}
-	blocks := nw.Chain().Blocks()
+	blocks := nw.Chains()[ch].Blocks()
 	if len(blocks) < 2 {
-		t.Fatal("run committed no blocks")
+		t.Fatalf("channel %d committed no blocks", ch)
 	}
 	for _, b := range blocks {
 		if len(b.Transactions) == 0 {
 			continue // genesis
 		}
+		if b.Channel != ch {
+			t.Fatalf("channel %d block %d: carries channel %d", ch, b.Number, b.Channel)
+		}
 		if len(b.ValidationCodes) != len(b.Transactions) {
-			t.Fatalf("block %d: %d codes for %d transactions",
-				b.Number, len(b.ValidationCodes), len(b.Transactions))
+			t.Fatalf("channel %d block %d: %d codes for %d transactions",
+				ch, b.Number, len(b.ValidationCodes), len(b.Transactions))
 		}
 		perCode := map[ledger.ValidationCode]int{}
 		for _, code := range b.ValidationCodes {
 			if !chainCodes[code] {
-				t.Fatalf("block %d: illegal on-chain code %v", b.Number, code)
+				t.Fatalf("channel %d block %d: illegal on-chain code %v", ch, b.Number, code)
 			}
 			perCode[code]++
 		}
@@ -66,7 +91,7 @@ func checkConservation(t *testing.T, nw *Network, rep metrics.Report) {
 			perCode[ledger.MVCCConflictInterBlock] + perCode[ledger.PhantomReadConflict] +
 			perCode[ledger.EndorsementPolicyFailure]
 		if sum != len(b.Transactions) {
-			t.Fatalf("block %d: codes sum to %d, %d transactions", b.Number, sum, len(b.Transactions))
+			t.Fatalf("channel %d block %d: codes sum to %d, %d transactions", ch, b.Number, sum, len(b.Transactions))
 		}
 		// Valid writes commit at version (block, txNum): per key, the
 		// committed version sequence must be strictly increasing.
@@ -77,19 +102,19 @@ func checkConservation(t *testing.T, nw *Network, rep metrics.Report) {
 			h := ledger.Height{BlockNum: b.Number, TxNum: uint64(i)}
 			for _, w := range tx.RWSet.Writes {
 				if prev, ok := lastWrite[w.Key]; ok && prev.Compare(h) >= 0 {
-					t.Fatalf("block %d tx %d: key %q version %v does not advance past %v",
-						b.Number, i, w.Key, h, prev)
+					t.Fatalf("channel %d block %d tx %d: key %q version %v does not advance past %v",
+						ch, b.Number, i, w.Key, h, prev)
 				}
 				lastWrite[w.Key] = h
 			}
 		}
 	}
 	if len(lastWrite) == 0 {
-		t.Fatal("no valid write ever committed")
+		t.Fatalf("channel %d: no valid write ever committed", ch)
 	}
 	// The metrics peer's replica must agree with the chain's final
 	// version for keys that still exist (later deletes remove them).
-	db := nw.metricsPeer().DB()
+	db := nw.metricsPeer().dbs[ch]
 	checked := 0
 	for key, h := range lastWrite {
 		vv := db.Get(key)
@@ -97,12 +122,12 @@ func checkConservation(t *testing.T, nw *Network, rep metrics.Report) {
 			continue // deleted after its last write
 		}
 		if vv.Version != h {
-			t.Fatalf("key %q: replica version %v, chain says %v", key, vv.Version, h)
+			t.Fatalf("channel %d key %q: replica version %v, chain says %v", ch, key, vv.Version, h)
 		}
 		checked++
 	}
 	if checked == 0 {
-		t.Fatal("replica holds none of the chain's written keys")
+		t.Fatalf("channel %d: replica holds none of the chain's written keys", ch)
 	}
 }
 
@@ -134,6 +159,25 @@ func TestConservationInvariantLevelDB(t *testing.T) {
 	cfg := testConfig(13)
 	cfg.DBKind = statedb.LevelDB
 	cfg.StripAfterCommit = false
+	nw, rep := run(t, cfg)
+	checkConservation(t, nw, rep)
+}
+
+// TestConservationInvariantAcrossChannels walks every channel of a
+// short run of the million-sharded shape: 10^6 clients in cohorts of
+// 10,000 over 4 channels with 10% cross-channel transactions at 200 tps.
+func TestConservationInvariantAcrossChannels(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 15
+	cfg.Duration = 10 * time.Second
+	cfg.StripAfterCommit = false
+	cfg.Chaincode = ehr.New()
+	cfg.Workload = ehr.NewWorkload(2)
+	cfg.Rate = 200
+	cfg.Clients = 1_000_000
+	cfg.CohortSize = 10_000
+	cfg.Channels = 4
+	cfg.CrossChannel = 0.1
 	nw, rep := run(t, cfg)
 	checkConservation(t, nw, rep)
 }
@@ -330,14 +374,11 @@ func TestReplicasConvergeAfterPeerCrash(t *testing.T) {
 	}
 }
 
-// TestControlPlaneRunChecked holds a run of the ehr-controlplane shape —
-// LevelDB, 200 closed-loop clients, every client control on, gossip
-// fanout 3 every 200 ms — to the replica fold, the per-block accounting
-// and the chain parse: the regime where gossip peer sampling draws most
-// of the engine's random stream.
-func TestControlPlaneRunChecked(t *testing.T) {
-	cfg := testConfig(33)
-	cfg.StripAfterCommit = false
+// controlPlaneConfig is the ehr-controlplane shape: LevelDB, 200
+// closed-loop clients, every client control on, gossip fanout 3 every
+// 200 ms.
+func controlPlaneConfig(seed int64) Config {
+	cfg := testConfig(seed)
 	cfg.DBKind = statedb.LevelDB
 	cfg.ClosedLoop = true
 	cfg.Clients = 200
@@ -349,6 +390,16 @@ func TestControlPlaneRunChecked(t *testing.T) {
 	cfg.HintSource = HintBoth
 	cfg.SplitSignal = &SplitSignal{}
 	cfg.RetryBudget = &RetryBudget{RefillPerSec: 1, Burst: 3, Adaptive: true}
+	return cfg
+}
+
+// TestControlPlaneRunChecked holds a run of the ehr-controlplane shape
+// to the replica fold, the per-block accounting and the chain parse:
+// the regime where gossip peer sampling draws most of the engine's
+// random stream.
+func TestControlPlaneRunChecked(t *testing.T) {
+	cfg := controlPlaneConfig(33)
+	cfg.StripAfterCommit = false
 	nw, rep := runChecked(t, cfg)
 	if rep.GossipMessages == 0 {
 		t.Fatal("gossip never engaged")

@@ -63,11 +63,12 @@ type Network struct {
 	// cohort of Config.CohortSize clients — in start order. It is also
 	// the gossip mesh.
 	drivers []*ClientDriver
-	// gossipPicks is the peer-sampling scratch every gossip round fills
-	// (one engine goroutine per network, and a round is done with it
-	// before it returns): as long as the fanout clamped to the other
-	// drivers, so a round allocates nothing that grows with the mesh.
+	// gossipPicks is the peer-sampling scratch every gossip round fills,
+	// as long as the fanout clamped to the other drivers; gossipFree
+	// holds delivered messages for later rounds (one engine goroutine per
+	// network: no lock). A steady-state round allocates nothing.
 	gossipPicks []int
+	gossipFree  []*gossipMsg
 	// driversByName resolves a transaction's ClientID to its driver
 	// for commit-event delivery.
 	driversByName map[string]*ClientDriver
@@ -276,10 +277,6 @@ func (nw *Network) Orderers() []*OrderingService { return nw.orderers }
 
 // Peers returns all peers.
 func (nw *Network) Peers() []*Peer { return nw.peers }
-
-// Drivers returns every client driver — one per client, or one per
-// cohort — in start order.
-func (nw *Network) Drivers() []*ClientDriver { return nw.drivers }
 
 // metricsPeer is the peer whose commits define the canonical chain and
 // latency measurements (the first peer of the first org).

@@ -87,9 +87,6 @@ func (os *OrderingService) NodeName(i int) string {
 	return os.nodeNames[i%len(os.nodeNames)]
 }
 
-// Consenter exposes the Kafka cluster (failure injection).
-func (os *OrderingService) Consenter() *consensus.Kafka { return os.cons }
-
 // Submit receives a transaction envelope from a client (already on
 // the orderer node — the client paid the network hop).
 func (os *OrderingService) Submit(tx *ledger.Transaction) {
@@ -115,9 +112,6 @@ func (os *OrderingService) Submit(tx *ledger.Transaction) {
 	}
 	os.cons.Submit(tx)
 }
-
-// BlockSize returns the live batch-size target.
-func (os *OrderingService) BlockSize() int { return os.blockSize }
 
 // SetBlockSize retunes the batch-size target; an undersized pending
 // batch is cut immediately when it already exceeds the new target.
@@ -307,9 +301,6 @@ func (os *OrderingService) serviceRate() float64 {
 	}
 	return float64(time.Second) / float64(perTx)
 }
-
-// State reports the service's lifecycle state.
-func (os *OrderingService) State() NodeState { return os.state }
 
 // crash opens a crash-orderer window: the service dies. The
 // volatile pending batch is lost and the armed cut timer dies with

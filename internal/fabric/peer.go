@@ -75,9 +75,6 @@ func (p *Peer) Name() string { return p.name }
 // DB exposes channel 0's replica (tests).
 func (p *Peer) DB() statedb.VersionedDB { return p.dbs[0] }
 
-// CommittedBlocks reports how many blocks this replica has applied.
-func (p *Peer) CommittedBlocks() int { return p.committedBlocks }
-
 // Endorse simulates the invocation on the local replica of the given
 // channel (§2 step 2) and, after the endorsement service time, sends
 // the signed read/write set back through respond. Proposals queue for
@@ -251,9 +248,6 @@ func (p *Peer) commit(b *ledger.Block, res *valResult) {
 		}
 	}
 }
-
-// State reports the peer's lifecycle state.
-func (p *Peer) State() NodeState { return p.state }
 
 // crash opens a crash-peer window: the peer process dies. Queued
 // endorsements, in-flight responses and scheduled commits all carry
