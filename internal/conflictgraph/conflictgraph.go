@@ -1,5 +1,5 @@
-// Package conflictgraph provides the dependency-graph machinery shared
-// by the Fabric++ and FabricSharp reimplementations: building the
+// Package conflictgraph provides the dependency-graph machinery behind
+// the Fabric++ reimplementation (internal/fabricpp): building the
 // within-block conflict graph from read/write sets, Tarjan strongly
 // connected components, a greedy approximation of the minimum feedback
 // vertex set (cycle removal — the MFVS problem is NP-hard, §5.2.3),
@@ -46,12 +46,14 @@ func (g *Graph) Edges() int {
 	return n
 }
 
-// Lookups is the number of read-key hash probes performed while
-// building the last graph — Fabric++'s dominant reordering cost, used
-// by the cost model to price the ordering phase (large range reads
-// make this explode, §5.2.3).
+// BuildResult is a block's conflict graph and the work that built it.
 type BuildResult struct {
-	Graph   *Graph
+	Graph *Graph
+	// Lookups is the number of write-set probes performed while
+	// building Graph: one per read key plus one per written key inside
+	// a checked range. It is Fabric++'s dominant reordering cost, used
+	// by the cost model to price the ordering phase (large range reads
+	// make it explode, §5.2.3).
 	Lookups int
 }
 
@@ -60,7 +62,8 @@ type BuildResult struct {
 // transactions against the pre-block state plus earlier in-block
 // writes, so a transaction that reads key k must precede any
 // transaction that writes k — edge reader -> writer. Unchecked (rich
-// query) range observations create no constraints.
+// query) range observations create no constraints. Every successor
+// list is filled in a fixed order, so equal blocks give equal graphs.
 func Build(rwsets []*ledger.RWSet) BuildResult {
 	g := NewGraph(len(rwsets))
 	writers := map[string][]int{}
@@ -69,13 +72,12 @@ func Build(rwsets []*ledger.RWSet) BuildResult {
 			writers[w.Key] = append(writers[w.Key], i)
 		}
 	}
+	var keys []string // written keys, sorted on the first checked range
 	lookups := 0
 	addReaderEdges := func(i int, key string) {
 		lookups++
 		for _, j := range writers[key] {
-			if j != i {
-				g.AddEdge(i, j)
-			}
+			g.AddEdge(i, j) // drops i's own write
 		}
 	}
 	for i, rw := range rwsets {
@@ -89,18 +91,22 @@ func Build(rwsets []*ledger.RWSet) BuildResult {
 			for _, r := range rq.Reads {
 				addReaderEdges(i, r.Key)
 			}
-			// Writers inserting into the scanned interval would
-			// change the phantom re-execution, so the scanner must
-			// also precede them.
-			for key, ws := range writers {
-				if key >= rq.StartKey && (rq.EndKey == "" || key < rq.EndKey) {
-					lookups++
-					for _, j := range ws {
-						if j != i {
-							g.AddEdge(i, j)
-						}
-					}
+			// Writers inserting into the scanned interval
+			// [StartKey, EndKey) would change the phantom
+			// re-execution, so the scanner must also precede them.
+			if keys == nil {
+				keys = make([]string, 0, len(writers))
+				for k := range writers {
+					keys = append(keys, k)
 				}
+				sort.Strings(keys)
+			}
+			lo, hi := sort.SearchStrings(keys, rq.StartKey), len(keys)
+			if rq.EndKey != "" {
+				hi = max(lo, sort.SearchStrings(keys, rq.EndKey))
+			}
+			for _, key := range keys[lo:hi] {
+				addReaderEdges(i, key)
 			}
 		}
 	}
@@ -108,8 +114,9 @@ func Build(rwsets []*ledger.RWSet) BuildResult {
 }
 
 // SCCs returns the strongly connected components in reverse
-// topological order (Tarjan). Components are sorted internally for
-// determinism.
+// topological order (Tarjan). The result is deterministic: each
+// component is sorted, and the component order follows from the
+// successor lists alone, which Build fills in a fixed order.
 func (g *Graph) SCCs() [][]int {
 	index := make([]int, g.n)
 	low := make([]int, g.n)
@@ -180,120 +187,71 @@ func (g *Graph) SCCs() [][]int {
 // BreakCycles removes nodes until the graph is acyclic, using the
 // greedy MFVS approximation Fabric++ describes: within every strongly
 // connected component of size > 1, repeatedly drop the node with the
-// highest internal degree. Returns the removed node set (aborted
-// transactions), deterministically.
+// highest degree among the component's surviving nodes (duplicate
+// edges counted, ties to the lowest index) until Kahn's algorithm
+// drains what is left. Returns the removed node set (aborted
+// transactions), sorted.
 func (g *Graph) BreakCycles() []int {
-	removed := map[int]bool{}
-	var aborted []int
-	comps := g.SCCs()
-	for _, comp := range comps {
+	var aborted, queue []int
+	live := make([]bool, g.n)
+	deg := make([]int, g.n)   // in+out degree among live nodes
+	indeg := make([]int, g.n) // Kahn's remaining in-degree
+	for _, comp := range g.SCCs() {
 		if len(comp) == 1 {
-			v := comp[0]
-			if !hasSelfLoop(g, v) {
-				continue
-			}
+			continue // AddEdge stores no self-loop
 		}
-		// Work on the subgraph induced by comp, removing greedily.
-		in := map[int]bool{}
 		for _, v := range comp {
-			in[v] = true
+			live[v] = true
 		}
-		for {
-			sub := subgraph(g, in, removed)
-			if sub.acyclic() {
+		for alive := len(comp); ; alive-- {
+			for _, v := range comp {
+				deg[v], indeg[v] = 0, 0
+			}
+			for _, v := range comp {
+				if !live[v] {
+					continue
+				}
+				for _, w := range g.adj[v] {
+					if live[w] {
+						deg[v]++
+						deg[w]++
+						indeg[w]++
+					}
+				}
+			}
+			queue = queue[:0]
+			for _, v := range comp {
+				if live[v] && indeg[v] == 0 {
+					queue = append(queue, v)
+				}
+			}
+			for h := 0; h < len(queue); h++ {
+				for _, w := range g.adj[queue[h]] {
+					if live[w] {
+						if indeg[w]--; indeg[w] == 0 {
+							queue = append(queue, w)
+						}
+					}
+				}
+			}
+			if len(queue) == alive {
 				break
 			}
-			v := sub.maxDegreeNode()
-			removed[v] = true
-			aborted = append(aborted, v)
+			best := -1
+			for _, v := range comp {
+				if live[v] && (best < 0 || deg[v] > deg[best]) {
+					best = v
+				}
+			}
+			live[best] = false
+			aborted = append(aborted, best)
+		}
+		for _, v := range comp {
+			live[v] = false
 		}
 	}
 	sort.Ints(aborted)
 	return aborted
-}
-
-func hasSelfLoop(g *Graph, v int) bool {
-	for _, w := range g.adj[v] {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
-// sub is an induced subgraph view used during cycle breaking.
-type sub struct {
-	nodes []int
-	adj   map[int][]int
-}
-
-func subgraph(g *Graph, in map[int]bool, removed map[int]bool) *sub {
-	s := &sub{adj: map[int][]int{}}
-	for v := range in {
-		if removed[v] {
-			continue
-		}
-		s.nodes = append(s.nodes, v)
-	}
-	sort.Ints(s.nodes)
-	member := map[int]bool{}
-	for _, v := range s.nodes {
-		member[v] = true
-	}
-	for _, v := range s.nodes {
-		for _, w := range g.adj[v] {
-			if member[w] && w != v {
-				s.adj[v] = append(s.adj[v], w)
-			}
-		}
-	}
-	return s
-}
-
-func (s *sub) acyclic() bool {
-	indeg := map[int]int{}
-	for _, v := range s.nodes {
-		indeg[v] += 0
-		for _, w := range s.adj[v] {
-			indeg[w]++
-		}
-	}
-	queue := []int{}
-	for _, v := range s.nodes {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, w := range s.adj[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
-			}
-		}
-	}
-	return seen == len(s.nodes)
-}
-
-func (s *sub) maxDegreeNode() int {
-	best, bestDeg := -1, -1
-	indeg := map[int]int{}
-	for _, v := range s.nodes {
-		for _, w := range s.adj[v] {
-			indeg[w]++
-		}
-	}
-	for _, v := range s.nodes {
-		deg := len(s.adj[v]) + indeg[v]
-		if deg > bestDeg {
-			best, bestDeg = v, deg
-		}
-	}
-	return best
 }
 
 // TopoOrder returns a deterministic topological order of the graph
@@ -301,9 +259,13 @@ func (s *sub) maxDegreeNode() int {
 // remaining graph is acyclic (after BreakCycles); it panics otherwise.
 // Ties are broken by original index, so the serialization is stable.
 func (g *Graph) TopoOrder(removed []int) []int {
-	gone := map[int]bool{}
+	gone := make([]bool, g.n)
+	want := g.n // nodes left to serialize
 	for _, v := range removed {
-		gone[v] = true
+		if !gone[v] {
+			gone[v] = true
+			want--
+		}
 	}
 	indeg := make([]int, g.n)
 	for u := 0; u < g.n; u++ {
@@ -311,7 +273,7 @@ func (g *Graph) TopoOrder(removed []int) []int {
 			continue
 		}
 		for _, v := range g.adj[u] {
-			if !gone[v] && v != u {
+			if !gone[v] {
 				indeg[v]++
 			}
 		}
@@ -330,19 +292,13 @@ func (g *Graph) TopoOrder(removed []int) []int {
 		ready = ready[1:]
 		order = append(order, v)
 		for _, w := range g.adj[v] {
-			if gone[w] || w == v {
+			if gone[w] {
 				continue
 			}
 			indeg[w]--
 			if indeg[w] == 0 {
 				ready = append(ready, w)
 			}
-		}
-	}
-	want := 0
-	for v := 0; v < g.n; v++ {
-		if !gone[v] {
-			want++
 		}
 	}
 	if len(order) != want {

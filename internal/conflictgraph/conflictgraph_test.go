@@ -3,6 +3,8 @@ package conflictgraph
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -213,7 +215,9 @@ func TestLookupsScaleWithReads(t *testing.T) {
 	}
 }
 
-func BenchmarkBuildAndBreak100Txs(b *testing.B) {
+// block100 is the fixed 100-transaction block of the benchmark and the
+// allocation pin: one read and one write each over 50 keys.
+func block100() []*ledger.RWSet {
 	rng := rand.New(rand.NewSource(1))
 	var sets []*ledger.RWSet
 	for i := 0; i < 100; i++ {
@@ -221,10 +225,373 @@ func BenchmarkBuildAndBreak100Txs(b *testing.B) {
 		k2 := fmt.Sprintf("k%d", rng.Intn(50))
 		sets = append(sets, rw([]string{k}, []string{k2}))
 	}
+	return sets
+}
+
+func buildAndBreak(sets []*ledger.RWSet) {
+	res := Build(sets)
+	ab := res.Graph.BreakCycles()
+	res.Graph.TopoOrder(ab)
+}
+
+func BenchmarkBuildAndBreak100Txs(b *testing.B) {
+	sets := block100()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := Build(sets)
-		ab := res.Graph.BreakCycles()
-		res.Graph.TopoOrder(ab)
+		buildAndBreak(sets)
 	}
+}
+
+// raceDetector is set by race_test.go, which only -race builds.
+var raceDetector bool
+
+// TestBuildAndBreakAllocs pins the objects one ordering pass over the
+// benchmark block allocates: the writer index, successor lists, Tarjan's
+// components and the cycle breaker's scratch slices, allocated once per
+// call rather than once per removed node.
+func TestBuildAndBreakAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own account")
+	}
+	sets := block100()
+	got := testing.AllocsPerRun(20, func() { buildAndBreak(sets) })
+	if got > 435 {
+		t.Errorf("%.0f allocations per block, want <= 435", got)
+	}
+	t.Logf("%.0f allocations per block", got)
+}
+
+// randomBlock draws a block of 1-200 transactions over a key space
+// small enough to collide: point reads and writes with repeated keys,
+// and checked and unchecked range scans whose EndKey is open, past
+// StartKey, between two keys, or at or before StartKey.
+func randomBlock(rng *rand.Rand) []*ledger.RWSet {
+	space := 1 + rng.Intn(400)
+	key := func() string { return fmt.Sprintf("k%03d", rng.Intn(space)) }
+	sets := make([]*ledger.RWSet, 1+rng.Intn(200))
+	for i := range sets {
+		s := &ledger.RWSet{}
+		for j := rng.Intn(4); j > 0; j-- {
+			s.Reads = append(s.Reads, ledger.KVRead{Key: key()})
+		}
+		for j := rng.Intn(3); j > 0; j-- {
+			s.Writes = append(s.Writes, ledger.KVWrite{Key: key()})
+		}
+		if rng.Intn(6) == 0 {
+			rq := ledger.RangeQueryInfo{StartKey: key(), Unchecked: rng.Intn(4) == 0}
+			if rng.Intn(10) == 0 {
+				rq.StartKey = ""
+			}
+			switch rng.Intn(3) {
+			case 1:
+				rq.EndKey = key() // may be at or before StartKey
+			case 2:
+				rq.EndKey = key() + "~" // between two keys
+			}
+			for j := rng.Intn(3); j > 0; j-- {
+				rq.Reads = append(rq.Reads, ledger.KVRead{Key: key()})
+			}
+			s.RangeQueries = append(s.RangeQueries, rq)
+		}
+		sets[i] = s
+	}
+	return sets
+}
+
+// TestMatchesMapReference checks Build, BreakCycles and TopoOrder
+// against the map-based reference on seeded random blocks: equal
+// Lookups, equal successor multisets per node, equal aborted sets and
+// equal serialization orders.
+func TestMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var ranged, aborting int
+	for b := 0; b < 2000; b++ {
+		sets := randomBlock(rng)
+		got, want := Build(sets), refBuild(sets)
+		if got.Lookups != want.Lookups {
+			t.Fatalf("block %d: Lookups %d, reference %d", b, got.Lookups, want.Lookups)
+		}
+		for u := 0; u < len(sets); u++ {
+			gs := append([]int(nil), got.Graph.Succ(u)...)
+			ws := append([]int(nil), want.Graph.Succ(u)...)
+			sort.Ints(gs)
+			sort.Ints(ws)
+			if !reflect.DeepEqual(gs, ws) {
+				t.Fatalf("block %d node %d: successors %v, reference %v", b, u, gs, ws)
+			}
+		}
+		ab, refAb := got.Graph.BreakCycles(), want.Graph.refBreakCycles()
+		if !reflect.DeepEqual(ab, refAb) {
+			t.Fatalf("block %d: aborted %v, reference %v", b, ab, refAb)
+		}
+		if order, refOrder := got.Graph.TopoOrder(ab), want.Graph.refTopoOrder(refAb); !reflect.DeepEqual(order, refOrder) {
+			t.Fatalf("block %d: order %v, reference %v", b, order, refOrder)
+		}
+		for _, s := range sets {
+			if len(s.RangeQueries) > 0 {
+				ranged++
+				break
+			}
+		}
+		if len(ab) > 0 {
+			aborting++
+		}
+	}
+	if ranged == 0 || aborting == 0 {
+		t.Fatalf("vacuous: %d blocks with range scans, %d with aborts", ranged, aborting)
+	}
+	t.Logf("%d blocks with range scans, %d with aborts", ranged, aborting)
+}
+
+// TestBuildIsDeterministic builds a scanner whose checked range covers
+// twelve keys, each written by a different transaction, and requires
+// every rebuild to list the scanner's successors — and so Tarjan's
+// component order — identically.
+func TestBuildIsDeterministic(t *testing.T) {
+	sets := []*ledger.RWSet{{RangeQueries: []ledger.RangeQueryInfo{{StartKey: "k00", EndKey: "k99"}}}}
+	for i := 1; i <= 12; i++ {
+		sets = append(sets, rw(nil, []string{fmt.Sprintf("k%02d", i)}))
+	}
+	first := Build(sets).Graph
+	for i := 1; i < 50; i++ {
+		g := Build(sets).Graph
+		if !reflect.DeepEqual(g.Succ(0), first.Succ(0)) {
+			t.Fatalf("build %d: Succ(0) = %v, first build %v", i, g.Succ(0), first.Succ(0))
+		}
+		if !reflect.DeepEqual(g.SCCs(), first.SCCs()) {
+			t.Fatalf("build %d: SCCs = %v, first build %v", i, g.SCCs(), first.SCCs())
+		}
+	}
+}
+
+// The map-based Build, BreakCycles and TopoOrder that the slice-based
+// versions replaced, kept unchanged as the oracle of
+// TestMatchesMapReference: they rebuild their scratch state in maps
+// (BreakCycles re-derives the induced subgraph after every removal),
+// and Build visits a range scan's writers in map order.
+
+// refBuild constructs the within-block conflict graph: an edge Ti -> Tj
+// means Ti must be ordered before Tj. Fabric validates a block's
+// transactions against the pre-block state plus earlier in-block
+// writes, so a transaction that reads key k must precede any
+// transaction that writes k — edge reader -> writer. Unchecked (rich
+// query) range observations create no constraints.
+func refBuild(rwsets []*ledger.RWSet) BuildResult {
+	g := NewGraph(len(rwsets))
+	writers := map[string][]int{}
+	for i, rw := range rwsets {
+		for _, w := range rw.Writes {
+			writers[w.Key] = append(writers[w.Key], i)
+		}
+	}
+	lookups := 0
+	addReaderEdges := func(i int, key string) {
+		lookups++
+		for _, j := range writers[key] {
+			if j != i {
+				g.AddEdge(i, j)
+			}
+		}
+	}
+	for i, rw := range rwsets {
+		for _, r := range rw.Reads {
+			addReaderEdges(i, r.Key)
+		}
+		for _, rq := range rw.RangeQueries {
+			if rq.Unchecked {
+				continue
+			}
+			for _, r := range rq.Reads {
+				addReaderEdges(i, r.Key)
+			}
+			// Writers inserting into the scanned interval would
+			// change the phantom re-execution, so the scanner must
+			// also precede them.
+			for key, ws := range writers {
+				if key >= rq.StartKey && (rq.EndKey == "" || key < rq.EndKey) {
+					lookups++
+					for _, j := range ws {
+						if j != i {
+							g.AddEdge(i, j)
+						}
+					}
+				}
+			}
+		}
+	}
+	return BuildResult{Graph: g, Lookups: lookups}
+}
+
+// refBreakCycles removes nodes until the graph is acyclic, using the
+// greedy MFVS approximation Fabric++ describes: within every strongly
+// connected component of size > 1, repeatedly drop the node with the
+// highest internal degree. Returns the removed node set (aborted
+// transactions), deterministically.
+func (g *Graph) refBreakCycles() []int {
+	removed := map[int]bool{}
+	var aborted []int
+	comps := g.SCCs()
+	for _, comp := range comps {
+		if len(comp) == 1 {
+			v := comp[0]
+			if !hasSelfLoop(g, v) {
+				continue
+			}
+		}
+		// Work on the subgraph induced by comp, removing greedily.
+		in := map[int]bool{}
+		for _, v := range comp {
+			in[v] = true
+		}
+		for {
+			sub := subgraph(g, in, removed)
+			if sub.acyclic() {
+				break
+			}
+			v := sub.maxDegreeNode()
+			removed[v] = true
+			aborted = append(aborted, v)
+		}
+	}
+	sort.Ints(aborted)
+	return aborted
+}
+
+func hasSelfLoop(g *Graph, v int) bool {
+	for _, w := range g.adj[v] {
+		if w == v {
+			return true
+		}
+	}
+	return false
+}
+
+// sub is an induced subgraph view used during cycle breaking.
+type sub struct {
+	nodes []int
+	adj   map[int][]int
+}
+
+func subgraph(g *Graph, in map[int]bool, removed map[int]bool) *sub {
+	s := &sub{adj: map[int][]int{}}
+	for v := range in {
+		if removed[v] {
+			continue
+		}
+		s.nodes = append(s.nodes, v)
+	}
+	sort.Ints(s.nodes)
+	member := map[int]bool{}
+	for _, v := range s.nodes {
+		member[v] = true
+	}
+	for _, v := range s.nodes {
+		for _, w := range g.adj[v] {
+			if member[w] && w != v {
+				s.adj[v] = append(s.adj[v], w)
+			}
+		}
+	}
+	return s
+}
+
+func (s *sub) acyclic() bool {
+	indeg := map[int]int{}
+	for _, v := range s.nodes {
+		indeg[v] += 0
+		for _, w := range s.adj[v] {
+			indeg[w]++
+		}
+	}
+	queue := []int{}
+	for _, v := range s.nodes {
+		if indeg[v] == 0 {
+			queue = append(queue, v)
+		}
+	}
+	seen := 0
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		seen++
+		for _, w := range s.adj[v] {
+			indeg[w]--
+			if indeg[w] == 0 {
+				queue = append(queue, w)
+			}
+		}
+	}
+	return seen == len(s.nodes)
+}
+
+func (s *sub) maxDegreeNode() int {
+	best, bestDeg := -1, -1
+	indeg := map[int]int{}
+	for _, v := range s.nodes {
+		for _, w := range s.adj[v] {
+			indeg[w]++
+		}
+	}
+	for _, v := range s.nodes {
+		deg := len(s.adj[v]) + indeg[v]
+		if deg > bestDeg {
+			best, bestDeg = v, deg
+		}
+	}
+	return best
+}
+
+// refTopoOrder returns a deterministic topological order of the graph
+// with the given nodes removed. It must only be called once the
+// remaining graph is acyclic (after BreakCycles); it panics otherwise.
+// Ties are broken by original index, so the serialization is stable.
+func (g *Graph) refTopoOrder(removed []int) []int {
+	gone := map[int]bool{}
+	for _, v := range removed {
+		gone[v] = true
+	}
+	indeg := make([]int, g.n)
+	for u := 0; u < g.n; u++ {
+		if gone[u] {
+			continue
+		}
+		for _, v := range g.adj[u] {
+			if !gone[v] && v != u {
+				indeg[v]++
+			}
+		}
+	}
+	// Min-heap by index for stability; a sorted slice suffices here.
+	var ready []int
+	for v := 0; v < g.n; v++ {
+		if !gone[v] && indeg[v] == 0 {
+			ready = append(ready, v)
+		}
+	}
+	var order []int
+	for len(ready) > 0 {
+		sort.Ints(ready)
+		v := ready[0]
+		ready = ready[1:]
+		order = append(order, v)
+		for _, w := range g.adj[v] {
+			if gone[w] || w == v {
+				continue
+			}
+			indeg[w]--
+			if indeg[w] == 0 {
+				ready = append(ready, w)
+			}
+		}
+	}
+	want := 0
+	for v := 0; v < g.n; v++ {
+		if !gone[v] {
+			want++
+		}
+	}
+	if len(order) != want {
+		panic("conflictgraph: TopoOrder called on a cyclic graph")
+	}
+	return order
 }

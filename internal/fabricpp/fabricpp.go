@@ -5,11 +5,13 @@
 // and the surviving transactions are serialized so that within-block
 // conflicts cannot invalidate them (§5.2 of the study).
 //
-// The defining cost is conflict-graph construction, which probes every
-// read key against every transaction's write set: with large range
-// reads (DV scans 1000 voters per vote) this work explodes and the
-// ordering service becomes the bottleneck — the latency blow-up of
-// Fig 18.
+// The defining cost is conflict-graph construction: one hash probe of
+// the block's write sets per read key, plus, per checked range query,
+// one probe per written key inside the range (found by binary search
+// over the sorted written keys). conflictgraph.BuildResult.Lookups
+// counts both, and PerLookup prices each alike: with large range reads
+// (DV scans 1000 voters per vote) this work explodes and the ordering
+// service becomes the bottleneck — the latency blow-up of Fig 18.
 package fabricpp
 
 import (

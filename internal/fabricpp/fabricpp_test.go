@@ -2,26 +2,77 @@ package fabricpp
 
 import (
 	"testing"
+	"time"
 
+	"repro/internal/chaincode"
+	"repro/internal/chaincodes/drm"
+	"repro/internal/chaincodes/dv"
+	"repro/internal/chaincodes/ehr"
+	"repro/internal/chaincodes/scm"
+	"repro/internal/fabric"
 	"repro/internal/fabrictest"
 	"repro/internal/gen"
 	"repro/internal/ledger"
+	"repro/internal/statedb"
+	"repro/internal/workload"
 )
 
+// TestNoIntraBlockConflictsReachTheChain runs Fabric++ on every
+// chaincode over both state databases and on range- and update-heavy
+// genChain, and requires that no chain holds an intra-block MVCC
+// conflict. Phantoms (DV) and in-ordering aborts (UpdateHeavy) must
+// still appear, so the reordering had conflicts to work on, and so
+// must EHR's inter-block conflicts, which reordering cannot fix.
 func TestNoIntraBlockConflictsReachTheChain(t *testing.T) {
-	cfg := fabrictest.EHRConfig(1, New())
-	nw, rep := fabrictest.Run(t, cfg)
-	if got := rep.Counts[ledger.MVCCConflictIntraBlock]; got != 0 {
-		t.Errorf("Fabric++ let %d intra-block conflicts reach validation", got)
+	type cell struct {
+		name  string
+		cfg   fabric.Config
+		wants []ledger.ValidationCode // codes that must occur
 	}
-	if rep.Counts[ledger.MVCCConflictInterBlock] == 0 {
-		t.Error("inter-block conflicts should remain (reordering cannot fix them)")
+	var cells []cell
+	for _, cc := range []struct {
+		name  string
+		code  chaincode.Chaincode
+		load  func(float64) workload.Generator
+		wants []ledger.ValidationCode
+	}{
+		{"ehr", ehr.New(), ehr.NewWorkload, []ledger.ValidationCode{ledger.MVCCConflictInterBlock}},
+		{"dv", dv.New(), dv.NewWorkload, []ledger.ValidationCode{ledger.PhantomReadConflict}},
+		{"scm", scm.New(), scm.NewWorkload, nil},
+		{"drm", drm.New(), drm.NewWorkload, nil},
+	} {
+		for _, db := range []statedb.Kind{statedb.LevelDB, statedb.CouchDB} {
+			cfg := fabrictest.EHRConfig(1, New())
+			cfg.Chaincode, cfg.Workload, cfg.DBKind = cc.code, cc.load(1), db
+			cells = append(cells, cell{cc.name + "/" + db.String(), cfg, cc.wants})
+		}
 	}
-	if rep.Valid == 0 {
-		t.Fatal("no valid transactions")
-	}
-	if err := nw.Chain().Verify(); err != nil {
-		t.Fatal(err)
+	cells = append(cells,
+		cell{"genchain/range-heavy", fabrictest.GenChainConfig(1, New(), gen.RangeHeavy, 2), nil},
+		cell{"genchain/update-heavy", fabrictest.GenChainConfig(1, New(), gen.UpdateHeavy, 2),
+			[]ledger.ValidationCode{ledger.AbortedInOrdering}})
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.Duration = 10 * time.Second
+			c.cfg.StripAfterCommit = false // keep range observations for Verify
+			nw, rep := fabrictest.Run(t, c.cfg)
+			if got := rep.Counts[ledger.MVCCConflictIntraBlock]; got != 0 {
+				t.Errorf("Fabric++ let %d intra-block conflicts reach validation", got)
+			}
+			for _, code := range c.wants {
+				if rep.Counts[code] == 0 {
+					t.Errorf("no %v: the run gave the reordering nothing to do", code)
+				}
+			}
+			if rep.Valid == 0 {
+				t.Fatal("no valid transactions")
+			}
+			if err := nw.Chain().Verify(); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d valid, %d phantom, %d inter-block, %d aborted in ordering", rep.Valid,
+				rep.Counts[ledger.PhantomReadConflict], rep.Counts[ledger.MVCCConflictInterBlock], rep.Counts[ledger.AbortedInOrdering])
+		})
 	}
 }
 
