@@ -195,9 +195,9 @@ func (s *Stub) GetStateByRange(start, end string) ([]statedb.KV, error) {
 	kvs := s.db.GetRange(start, end)
 	s.trace.Ranges++
 	s.trace.RangeKeys += len(kvs)
-	rq := ledger.RangeQueryInfo{StartKey: start, EndKey: end}
-	for _, kv := range kvs {
-		rq.Reads = append(rq.Reads, ledger.KVRead{Key: kv.Key, Version: kv.Version})
+	rq := ledger.RangeQueryInfo{StartKey: start, EndKey: end, Reads: make([]ledger.KVRead, len(kvs))}
+	for i, kv := range kvs {
+		rq.Reads[i] = ledger.KVRead{Key: kv.Key, Version: kv.Version}
 	}
 	s.rwset.RangeQueries = append(s.rwset.RangeQueries, rq)
 	return kvs, nil

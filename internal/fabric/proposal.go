@@ -108,22 +108,22 @@ func (s *simulation) holdsOn(db statedb.VersionedDB) bool {
 	return true
 }
 
-// rangeUnchanged re-executes a range scan against db's committed state
-// plus an optional block overlay (keys written, and keys deleted, by
-// earlier valid transactions of the block under validation; nil for a
-// bare replica) and compares it with the observation rq recorded at
+// rangeUnchanged re-walks a range of db's committed index in place, with
+// an optional block overlay (keys written, and keys deleted, by earlier
+// valid transactions of the block under validation; nil for a bare
+// replica), and compares it with the observation rq recorded at
 // simulation time: any inserted, deleted or updated key fails it.
 func rangeUnchanged(db statedb.VersionedDB, rq *ledger.RangeQueryInfo, overlay map[string]ledger.Height, overlayDel map[string]bool) bool {
 	seen := 0
-	for _, kv := range db.GetRange(rq.StartKey, rq.EndKey) {
-		if overlayDel[kv.Key] {
+	for it := db.Scan(rq.StartKey, rq.EndKey); it.Valid(); it.Next() {
+		key, ver := it.Key(), it.Value().Version
+		if overlayDel[key] {
 			continue
 		}
-		ver := kv.Version
-		if h, ok := overlay[kv.Key]; ok {
+		if h, ok := overlay[key]; ok {
 			ver = h
 		}
-		if seen == len(rq.Reads) || rq.Reads[seen].Key != kv.Key || rq.Reads[seen].Version != ver {
+		if seen == len(rq.Reads) || rq.Reads[seen].Key != key || rq.Reads[seen].Version != ver {
 			return false
 		}
 		seen++

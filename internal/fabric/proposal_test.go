@@ -424,3 +424,172 @@ func TestMemoHitRateOnDefaultEHRRun(t *testing.T) {
 		t.Fatalf("%d endorsement policy failures from %d misses", rep.Counts[ledger.EndorsementPolicyFailure], nw.memoMisses)
 	}
 }
+
+// refRangeUnchanged is rangeUnchanged as it was when the re-scan
+// collected the range with GetRange before comparing: the oracle the
+// in-place walk is held to.
+func refRangeUnchanged(db statedb.VersionedDB, rq *ledger.RangeQueryInfo, overlay map[string]ledger.Height, overlayDel map[string]bool) bool {
+	seen := 0
+	for _, kv := range db.GetRange(rq.StartKey, rq.EndKey) {
+		if overlayDel[kv.Key] {
+			continue
+		}
+		ver := kv.Version
+		if h, ok := overlay[kv.Key]; ok {
+			ver = h
+		}
+		if seen == len(rq.Reads) || rq.Reads[seen].Key != kv.Key || rq.Reads[seen].Version != ver {
+			return false
+		}
+		seen++
+	}
+	if seen != len(rq.Reads) {
+		return false
+	}
+	// Overlay inserts of keys absent from committed state.
+	for key := range overlay {
+		if key >= rq.StartKey && (rq.EndKey == "" || key < rq.EndKey) && db.Get(key) == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// rangeCase is one random re-scan: a committed state of at most 64 of
+// 80 possible keys with some deleted, a block overlay built the way
+// validate builds it, and an observation recorded from the state the
+// overlay describes, then perturbed in the state or in the record.
+func rangeCase(rng *rand.Rand) (db statedb.VersionedDB, rq *ledger.RangeQueryInfo, overlay map[string]ledger.Height, overlayDel map[string]bool) {
+	key := func() string { return fmt.Sprintf("k%02d", rng.Intn(80)) }
+	// A bound is open, a possible key, or between two keys.
+	bound := func() string {
+		switch rng.Intn(4) {
+		case 0:
+			return ""
+		case 1:
+			return key()
+		}
+		return key() + "~"
+	}
+	kinds := []statedb.Kind{statedb.LevelDB, statedb.CouchDB}
+	db = statedb.New(kinds[rng.Intn(2)])
+	commit := func(block uint64, n int, del float64) {
+		b := &statedb.UpdateBatch{}
+		for i := 0; i < n; i++ {
+			h := ledger.Height{BlockNum: block, TxNum: uint64(i)}
+			if rng.Float64() < del {
+				b.Delete(key(), h)
+			} else {
+				b.Put(key(), []byte("v"), h)
+			}
+		}
+		db.ApplyUpdates(b, block)
+	}
+	commit(1, rng.Intn(65), 0)
+	commit(2, rng.Intn(12), 1)
+
+	if rng.Intn(4) > 0 {
+		overlay, overlayDel = map[string]ledger.Height{}, map[string]bool{}
+		for i, n := 0, rng.Intn(10); i < n; i++ {
+			k := key()
+			if rng.Intn(3) == 0 {
+				overlayDel[k] = true
+				delete(overlay, k)
+			} else {
+				overlay[k] = ledger.Height{BlockNum: 9, TxNum: uint64(i)}
+				delete(overlayDel, k)
+			}
+		}
+	}
+
+	rq = &ledger.RangeQueryInfo{StartKey: bound(), EndKey: bound()}
+	if rng.Intn(8) == 0 {
+		rq.EndKey = rq.StartKey
+	}
+	for it := db.Scan(rq.StartKey, rq.EndKey); it.Valid(); it.Next() {
+		k, ver := it.Key(), it.Value().Version
+		if overlayDel[k] {
+			continue
+		}
+		if h, ok := overlay[k]; ok {
+			ver = h
+		}
+		rq.Reads = append(rq.Reads, ledger.KVRead{Key: k, Version: ver})
+	}
+
+	switch rng.Intn(3) {
+	case 0: // the state moves on: inserts, updates and deletes anywhere
+		commit(3, 1+rng.Intn(4), 0.4)
+	case 1: // the record differs: a key dropped, added or re-versioned
+		switch i := rng.Intn(len(rq.Reads) + 1); {
+		case i < len(rq.Reads) && rng.Intn(2) == 0:
+			rq.Reads = append(rq.Reads[:i:i], rq.Reads[i+1:]...)
+		case i < len(rq.Reads):
+			rq.Reads[i].Version.TxNum += 100
+		default:
+			rq.Reads = append(rq.Reads, ledger.KVRead{Key: key(), Version: ledger.Height{BlockNum: 1}})
+		}
+	}
+	return db, rq, overlay, overlayDel
+}
+
+// The re-scan walks the index in place; it must decide every case as
+// the materialising version does.
+func TestRangeUnchangedMatchesMaterialisedScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	outcomes := map[bool]int{}
+	for c := 0; c < 3000; c++ {
+		db, rq, overlay, overlayDel := rangeCase(rng)
+		want := refRangeUnchanged(db, rq, overlay, overlayDel)
+		if got := rangeUnchanged(db, rq, overlay, overlayDel); got != want {
+			t.Fatalf("case %d: [%q, %q) over %v with overlay %v, deleted %v, recorded %+v: got %v, want %v",
+				c, rq.StartKey, rq.EndKey, db.GetRange("", ""), overlay, overlayDel, rq.Reads, got, want)
+		}
+		outcomes[want]++
+	}
+	t.Logf("unchanged %d, changed %d", outcomes[true], outcomes[false])
+	if outcomes[true] < 500 || outcomes[false] < 500 {
+		t.Fatalf("outcomes %v: both verdicts must be common", outcomes)
+	}
+}
+
+// Re-checking a range observation allocates nothing, at endorsement
+// (holdsOn, no overlay) and at validation (with a block overlay).
+func TestRangeRecheckAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own account")
+	}
+	db := statedb.New(statedb.LevelDB)
+	b := &statedb.UpdateBatch{}
+	for i := 0; i < 16; i++ {
+		b.Put(fmt.Sprintf("k%02d", i), []byte("v"), ledger.Height{BlockNum: 1, TxNum: uint64(i)})
+	}
+	db.ApplyUpdates(b, 1)
+	stub := chaincode.NewStub(db)
+	if _, err := stub.GetStateByRange("k04", "k12"); err != nil {
+		t.Fatal(err)
+	}
+	sim := &simulation{rwset: stub.RWSet()}
+	rq := &sim.rwset.RangeQueries[0]
+	if len(rq.Reads) != 8 {
+		t.Fatalf("recorded %d keys, want 8", len(rq.Reads))
+	}
+	// Writes and deletes of the block, all outside the interval.
+	overlay := map[string]ledger.Height{"k01": {BlockNum: 2}, "k14": {BlockNum: 2, TxNum: 1}}
+	overlayDel := map[string]bool{"k02": true}
+	for _, c := range []struct {
+		name  string
+		check func() bool
+	}{
+		{"rangeUnchanged, no overlay", func() bool { return rangeUnchanged(db, rq, nil, nil) }},
+		{"rangeUnchanged, block overlay", func() bool { return rangeUnchanged(db, rq, overlay, overlayDel) }},
+		{"holdsOn", func() bool { return sim.holdsOn(db) }},
+	} {
+		if !c.check() {
+			t.Fatalf("%s: the unchanged range must pass", c.name)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.check() }); n != 0 {
+			t.Errorf("%s allocates %.0f objects, want 0", c.name, n)
+		}
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"go/token"
 	"math/rand"
 	"strconv"
+	"strings"
 	"unicode"
 
 	"repro/internal/chaincode"
@@ -120,8 +121,26 @@ func GenChainSpec() ChaincodeSpec {
 	}
 }
 
-// KeyName formats a seeded world-state key.
-func KeyName(i int) string { return fmt.Sprintf("key_%06d", i) }
+// KeyName formats a seeded world-state key: fmt's "key_%06d".
+func KeyName(i int) string { return padded("key_", i, 6) }
+
+// padded returns prefix followed by i zero-padded to width characters,
+// a sign included, as fmt's "%0<width>d" prints it.
+func padded(prefix string, i, width int) string {
+	var buf [32]byte
+	var num [20]byte
+	b := append(buf[:0], prefix...)
+	digits := strconv.AppendInt(num[:0], int64(i), 10)
+	if digits[0] == '-' {
+		b = append(b, '-')
+		digits = digits[1:]
+		width--
+	}
+	for n := len(digits); n < width; n++ {
+		b = append(b, '0')
+	}
+	return string(append(b, digits...))
+}
 
 // insertKeyName formats a fresh key that cannot collide with seeded
 // ones.
@@ -247,8 +266,12 @@ func keyArg(a string) string {
 	return a // already a key name (insert sequence tokens etc.)
 }
 
+// rangeArg parses a range read's "start:width" argument.
 func rangeArg(a string) (start, width int, err error) {
-	if _, err = fmt.Sscanf(a, "%d:%d", &start, &width); err != nil {
+	s, w, ok := strings.Cut(a, ":")
+	start, errStart := strconv.Atoi(s)
+	width, errWidth := strconv.Atoi(w)
+	if !ok || errStart != nil || errWidth != nil {
 		return 0, 0, fmt.Errorf("gen: bad range argument %q", a)
 	}
 	if width <= 0 {
@@ -314,30 +337,38 @@ func NewWorkload(spec ChaincodeSpec, mix Mix, skew float64) workload.Generator {
 		[]workload.Generator{
 			workload.Func(func(rng *rand.Rand) workload.Invocation {
 				return workload.Invocation{Chaincode: spec.Name, Function: "readOp",
-					Args: []string{fmt.Sprint(z.Next(rng))}}
+					Args: []string{strconv.Itoa(z.Next(rng))}}
 			}),
 			workload.Func(func(rng *rand.Rand) workload.Invocation {
 				insertSeq++
 				return workload.Invocation{Chaincode: spec.Name, Function: "insertOp",
-					Args: []string{fmt.Sprintf("ins%08d", insertSeq)}}
+					Args: []string{padded("ins", insertSeq, 8)}}
 			}),
 			workload.Func(func(rng *rand.Rand) workload.Invocation {
 				return workload.Invocation{Chaincode: spec.Name, Function: "updateOp",
-					Args: []string{fmt.Sprint(z.Next(rng))}}
+					Args: []string{strconv.Itoa(z.Next(rng))}}
 			}),
 			workload.Func(func(rng *rand.Rand) workload.Invocation {
 				deleteSeq++
 				return workload.Invocation{Chaincode: spec.Name, Function: "deleteOp",
-					Args: []string{fmt.Sprint(deleteSeq % spec.Keys)}}
+					Args: []string{strconv.Itoa(deleteSeq % spec.Keys)}}
 			}),
 			workload.Func(func(rng *rand.Rand) workload.Invocation {
 				w := widths[rng.Intn(len(widths))]
 				start := rng.Intn(spec.Keys - w)
 				return workload.Invocation{Chaincode: spec.Name, Function: "rangeOp",
-					Args: []string{fmt.Sprintf("%d:%d", start, w)}}
+					Args: []string{rangeToken(start, w)}}
 			}),
 		},
 		[]float64{mix.Read, mix.Insert, mix.Update, mix.Delete, mix.Range},
 	)
 	return pick
+}
+
+// rangeToken formats a range read's argument, "start:width".
+func rangeToken(start, width int) string {
+	var buf [48]byte
+	b := strconv.AppendInt(buf[:0], int64(start), 10)
+	b = append(b, ':')
+	return string(strconv.AppendInt(b, int64(width), 10))
 }

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -90,6 +92,55 @@ func TestRangeOpObservesWidthKeys(t *testing.T) {
 	rq := stub.RWSet().RangeQueries[0]
 	if len(rq.Reads) != 8 {
 		t.Fatalf("range observed %d keys, want 8", len(rq.Reads))
+	}
+}
+
+// genChain formats its keys and arguments without fmt, byte for byte as
+// fmt's verbs print them.
+func TestFormattingMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	values := []int{0, 9, 10, 99_999, 999_999, 1_000_000, -1, -99_999, -100_000, math.MaxInt64, math.MinInt64}
+	for i := 0; i < 1000; i++ {
+		values = append(values, rng.Intn(2_000_000)-1_000_000, int(rng.Int63()))
+	}
+	for _, v := range values {
+		if got, want := KeyName(v), fmt.Sprintf("key_%06d", v); got != want {
+			t.Fatalf("KeyName(%d) = %q, want %q", v, got, want)
+		}
+		if got, want := padded("ins", v, 8), fmt.Sprintf("ins%08d", v); got != want {
+			t.Fatalf("insert token %d = %q, want %q", v, got, want)
+		}
+		if got, want := rangeToken(v, 8), fmt.Sprintf("%d:%d", v, 8); got != want {
+			t.Fatalf("range token %d = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// rangeArg accepts every argument the range-heavy workload emits, and
+// only "start:width" with two integers and a positive width.
+func TestRangeArg(t *testing.T) {
+	spec := smallSpec()
+	g := NewWorkload(spec, Mix{Range: 1}, 0)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 1000; i++ {
+		a := g.Next(rng).Args[0]
+		start, width, err := rangeArg(a)
+		if err != nil || start < 0 || start+width >= spec.Keys || fmt.Sprintf("%d:%d", start, width) != a {
+			t.Fatalf("rangeArg(%q) = %d, %d, %v", a, start, width, err)
+		}
+	}
+	for _, c := range []struct {
+		arg          string
+		start, width int
+	}{{"0:2", 0, 2}, {"99991:8", 99991, 8}, {"-3:4", -3, 4}} {
+		if start, width, err := rangeArg(c.arg); err != nil || start != c.start || width != c.width {
+			t.Errorf("rangeArg(%q) = %d, %d, %v; want %d, %d", c.arg, start, width, err, c.start, c.width)
+		}
+	}
+	for _, a := range []string{"", "5", ":", "a:1", "1:b", "5:0", "5:-2", "5:3x", "5x:3", "5:3:1", " 5:3"} {
+		if start, width, err := rangeArg(a); err == nil {
+			t.Errorf("rangeArg(%q) = %d, %d, want an error", a, start, width)
+		}
 	}
 }
 

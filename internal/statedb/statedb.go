@@ -117,6 +117,10 @@ type VersionedDB interface {
 	// GetRange scans the half-open interval [start, end) in key
 	// order. Empty bounds are open. This backs GetStateByRange.
 	GetRange(start, end string) []KV
+	// Scan walks the same interval as GetRange in place: the iterator
+	// hands out the stored values and allocates nothing. Any change to
+	// the database invalidates it.
+	Scan(start, end string) Iterator
 	// ExecuteQuery runs a rich (selector) query over all documents.
 	// Only CouchDB supports it; LevelDB returns an error (§5.1.2:
 	// "LevelDB only supports simple get and set queries").
@@ -192,14 +196,48 @@ func (db *store) Get(key string) *VersionedValue {
 	return &e.VersionedValue
 }
 
+// GetRange collects a Scan into a slice of exactly its length: it
+// counts on a copy of the iterator, then fills from the original.
 func (db *store) GetRange(start, end string) []KV {
-	var out []KV
-	for it := db.index.Range(start, end); it.Valid(); it.Next() {
-		e := it.Value()
-		out = append(out, KV{Key: it.Key(), Value: e.Value, Version: e.Version})
+	it := db.Scan(start, end)
+	n := 0
+	for c := it; c.Valid(); c.Next() {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]KV, 0, n)
+	for ; it.Valid(); it.Next() {
+		vv := it.Value()
+		out = append(out, KV{Key: it.Key(), Value: vv.Value, Version: vv.Version})
 	}
 	return out
 }
+
+func (db *store) Scan(start, end string) Iterator {
+	return Iterator{db.index.Range(start, end)}
+}
+
+// Iterator walks a key range of a database in ascending order; use
+// Valid/Next/Key/Value. It is a value that holds its B-tree path
+// inline, so a walk allocates nothing.
+type Iterator struct {
+	it btree.Iterator[*entry]
+}
+
+// Valid reports whether the iterator is positioned on an entry.
+func (it *Iterator) Valid() bool { return it.it.Valid() }
+
+// Next advances to the following entry.
+func (it *Iterator) Next() { it.it.Next() }
+
+// Key returns the current key. Only valid while Valid() is true.
+func (it *Iterator) Key() string { return it.it.Key() }
+
+// Value returns the current stored value, shared with every replica:
+// it must not be modified. Only valid while Valid() is true.
+func (it *Iterator) Value() *VersionedValue { return &it.it.Value().VersionedValue }
 
 // ExecuteQuery evaluates a Mango selector over every document, in key
 // order; values that are not JSON objects are skipped. LevelDB has no

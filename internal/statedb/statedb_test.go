@@ -3,6 +3,7 @@ package statedb
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -207,9 +208,9 @@ func commit(t *testing.T, db VersionedDB, height uint64, writes ...ledger.KVWrit
 	}
 }
 
-// Get hands out the stored entry without copying it, and a write
-// decodes nothing whatever the kind: documents are decoded on first
-// selector use only.
+// Get hands out the stored entry without copying it, as a Scan walk
+// does, and a write decodes nothing whatever the kind: documents are
+// decoded on first selector use only.
 func TestNoAllocOnGetNoDecodeOnApply(t *testing.T) {
 	batch := &UpdateBatch{}
 	batch.Put("k", []byte(`{"owner":"alice","plays":[1,2,3],"meta":{"a":"b"}}`), ledger.Height{BlockNum: 1})
@@ -224,6 +225,22 @@ func TestNoAllocOnGetNoDecodeOnApply(t *testing.T) {
 		}
 		// Overwrites only, so the index never splits a node.
 		applyAllocs[k] = testing.AllocsPerRun(100, func() { db.ApplyUpdates(batch, 1) })
+		commit(t, db, 2, ledger.KVWrite{Key: "j", Value: []byte("1")}, ledger.KVWrite{Key: "l", Value: []byte("2")})
+		walk := func() int {
+			n := 0
+			for it := db.Scan("j", "m"); it.Valid(); it.Next() {
+				if it.Key() != "" && it.Value() != nil {
+					n++
+				}
+			}
+			return n
+		}
+		if n := walk(); n != 3 {
+			t.Fatalf("%v: Scan of [j, m) walked %d keys, want 3", k, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { walk() }); n != 0 {
+			t.Errorf("%v: a 3-key Scan walk allocates %.0f objects, want 0", k, n)
+		}
 	}
 	if applyAllocs[CouchDB] != applyAllocs[LevelDB] {
 		t.Errorf("ApplyUpdates of a JSON object allocates %.0f objects on CouchDB, %.0f on LevelDB; want equal",
@@ -373,6 +390,90 @@ func TestBackendsAgree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(11))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Scan and GetRange walk the same entries as a sorted-slice oracle, on a
+// store and on a clone of it that diverges, for bounds that are open,
+// equal to stored keys, between keys or inverted.
+func TestScanMatchesGetRangeAndOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	key := func() string { return fmt.Sprintf("k%02d", rng.Intn(60)) }
+	bound := func() string {
+		switch rng.Intn(3) {
+		case 0:
+			return ""
+		case 1:
+			return key()
+		}
+		return key() + "~"
+	}
+	// apply commits a random put/delete batch to db and its model.
+	apply := func(db VersionedDB, model map[string]ledger.Height, height uint64) {
+		b := &UpdateBatch{}
+		for i, n := 0, rng.Intn(30); i < n; i++ {
+			k, h := key(), ledger.Height{BlockNum: height, TxNum: uint64(i)}
+			if rng.Intn(3) == 0 {
+				b.Delete(k, h)
+				delete(model, k)
+			} else {
+				b.Put(k, []byte(k), h)
+				model[k] = h
+			}
+		}
+		if err := db.ApplyUpdates(b, height); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// oracle lists the model's keys in [start, end) with their versions.
+	oracle := func(model map[string]ledger.Height, start, end string) string {
+		keys := make([]string, 0, len(model))
+		for k := range model {
+			if k >= start && (end == "" || k < end) {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		out := ""
+		for _, k := range keys {
+			out += fmt.Sprintf("%s@%v;", k, model[k])
+		}
+		return out
+	}
+	check := func(db VersionedDB, model map[string]ledger.Height) {
+		for q := 0; q < 20; q++ {
+			start, end := bound(), bound()
+			scanned, ranged := "", ""
+			for it := db.Scan(start, end); it.Valid(); it.Next() {
+				if string(it.Value().Value) != it.Key() {
+					t.Fatalf("Scan hands out %q under key %q", it.Value().Value, it.Key())
+				}
+				scanned += fmt.Sprintf("%s@%v;", it.Key(), it.Value().Version)
+			}
+			for _, kv := range db.GetRange(start, end) {
+				ranged += fmt.Sprintf("%s@%v;", kv.Key, kv.Version)
+			}
+			if want := oracle(model, start, end); scanned != want || ranged != want {
+				t.Fatalf("%v [%q, %q): Scan %q, GetRange %q, want %q", db.Kind(), start, end, scanned, ranged, want)
+			}
+		}
+	}
+	for round := 0; round < 40; round++ {
+		db, model := New(allKinds()[round%2]), map[string]ledger.Height{}
+		for h := uint64(1); h <= 3; h++ {
+			apply(db, model, h)
+			check(db, model)
+		}
+		clone, cloneModel := db.Clone(0), map[string]ledger.Height{}
+		for k, v := range model {
+			cloneModel[k] = v
+		}
+		for h := uint64(4); h <= 6; h++ {
+			apply(clone, cloneModel, h)
+			apply(db, model, h)
+			check(clone, cloneModel)
+			check(db, model)
+		}
 	}
 }
 
