@@ -4,7 +4,7 @@
 // row by row by internal/core's TestGoldenExperimentTables and timed by
 // bench/'s sweep-systems workload; to regenerate the study use the CLI:
 //
-//	go run ./cmd/hyperlab -exp all -full
+//	go run ./cmd/hyperlab -exp all -regime full
 package hyperledgerlab
 
 import (

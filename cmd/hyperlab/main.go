@@ -9,10 +9,11 @@
 //
 //	hyperlab -list                      list all experiments
 //	hyperlab -exp fig7                  quick regime (30 virtual s, 1 seed)
-//	hyperlab -exp retry-policies -quick same (-quick is the default regime)
-//	hyperlab -exp retry-cotune -smoke   smoke regime (5 virtual s, shrunken grid; CI)
-//	hyperlab -exp fig7 -full            paper regime (3 virtual min, 3 seeds)
-//	hyperlab -exp all                   run everything (quick unless -full)
+//	hyperlab -exp fig7 -regime quick    same (quick is the default regime)
+//	hyperlab -exp retry-cotune -regime smoke
+//	                                    smoke regime (5 virtual s, shrunken grid; CI)
+//	hyperlab -exp fig7 -regime full     paper regime (3 virtual min, 3 seeds)
+//	hyperlab -exp all                   run everything in the chosen regime
 //	hyperlab -exp all -parallel 8       cap the worker pool (default: all cores)
 //	hyperlab -adhoc -chaincode ehr -rate 100 -block 50 -db leveldb -system fabric++
 //	                                    one ad-hoc run with a report line
@@ -61,7 +62,8 @@ import (
 // fabric.Config fields bind straight onto cfg; the mode switches and
 // the spec strings adhocConfig resolves are the other fields.
 type cli struct {
-	list, render, adhoc, full, quick, smoke, verbose bool
+	list, render, adhoc, verbose bool
+	regime                       regime
 
 	exp                   string
 	parallel, dump        int
@@ -81,9 +83,16 @@ func parseFlags(fs *flag.FlagSet, args []string) (*cli, error) {
 	c := &cli{cfg: fabric.DefaultConfig()}
 	fs.BoolVar(&c.list, "list", false, "list experiments and exit")
 	fs.StringVar(&c.exp, "exp", "", "experiment id (table2, table4, fig4..fig26, retry-policies, or 'all')")
-	fs.BoolVar(&c.full, "full", false, "paper regime: 3 virtual minutes x 3 seeds")
-	fs.BoolVar(&c.quick, "quick", false, "quick regime: 30 virtual s, 1 seed (the default; overrides -full)")
-	fs.BoolVar(&c.smoke, "smoke", false, "smoke regime: 5 virtual s, shrunken grids (CI; overrides -full and -quick)")
+	c.regime = regimes[0]
+	fs.Func("regime", "experiment regime: quick (30 virtual s x 1 seed, the default), full (the paper's 3 virtual min x 3 seeds) or smoke (5 virtual s, shrunken grids; CI)", func(name string) error {
+		for _, r := range regimes {
+			if r.name == name {
+				c.regime = r
+				return nil
+			}
+		}
+		return fmt.Errorf("unknown regime %q, want quick, full or smoke", name)
+	})
 	fs.IntVar(&c.parallel, "parallel", 0, "simulations run concurrently per experiment (0 = all cores)")
 	fs.BoolVar(&c.render, "render", false, "print a generated genChain chaincode and exit")
 	fs.BoolVar(&c.adhoc, "adhoc", false, "run one ad-hoc configuration")
@@ -135,7 +144,7 @@ func main() {
 	case c.adhoc:
 		adhoc(c)
 	case c.exp != "":
-		runExperiments(c.exp, c.full && !c.quick, c.smoke, c.verbose, c.parallel)
+		runExperiments(c.exp, c.regime, c.verbose, c.parallel)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -147,17 +156,22 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func runExperiments(id string, full, smoke, verbose bool, parallel int) {
-	opts := core.QuickOptions()
-	regime := "quick regime (30 virtual s, 1 seed)"
-	if full {
-		opts = core.FullOptions()
-		regime = "paper regime (3 virtual min, 3 seeds)"
-	}
-	if smoke {
-		opts = core.SmokeOptions()
-		regime = "smoke regime (5 virtual s, shrunken grid)"
-	}
+// regime is one -regime choice: the options an experiment runs under
+// and the label printed above its table.
+type regime struct {
+	name, label string
+	opts        func() core.Options
+}
+
+// regimes lists the -regime choices; the first is the default.
+var regimes = []regime{
+	{"quick", "quick regime (30 virtual s, 1 seed)", core.QuickOptions},
+	{"full", "paper regime (3 virtual min, 3 seeds)", core.FullOptions},
+	{"smoke", "smoke regime (5 virtual s, shrunken grid)", core.SmokeOptions},
+}
+
+func runExperiments(id string, rg regime, verbose bool, parallel int) {
+	opts := rg.opts()
 	opts.Parallelism = parallel
 	if verbose {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  "+line) }
@@ -174,7 +188,7 @@ func runExperiments(id string, full, smoke, verbose bool, parallel int) {
 	}
 	for _, e := range exps {
 		start := time.Now()
-		fmt.Printf("== %s: %s [%s]\n", e.ID, e.Title, regime)
+		fmt.Printf("== %s: %s [%s]\n", e.ID, e.Title, rg.label)
 		out, err := e.Run(opts)
 		if err != nil {
 			fatal(err)

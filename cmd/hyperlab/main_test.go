@@ -3,8 +3,11 @@ package main
 import (
 	"flag"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // config parses one command line the way main does and resolves it.
@@ -66,6 +69,11 @@ func TestAdhocConfigRejectsHostileLines(t *testing.T) {
 		{"-adhoc -think lognormal:1s:NaN -closedloop", "want a mean, e.g. lognormal:500ms"},
 		{"-adhoc -exp fig7", "cannot be combined with -exp"},
 		{"-adhoc -run scale", "flag provided but not defined: -run"},
+		// One -regime flag replaced -full, -quick and -smoke.
+		{"-exp fig7 -regime paper", `unknown regime "paper", want quick, full or smoke`},
+		{"-exp fig7 -full", "flag provided but not defined: -full"},
+		{"-exp fig7 -quick", "flag provided but not defined: -quick"},
+		{"-exp fig7 -smoke", "flag provided but not defined: -smoke"},
 		{"-adhoc -chaincode nope", "unknown chaincode"},
 		{"-adhoc -system fabric3", "unknown system"},
 		// -clients -5 used to fall back to the cluster default and
@@ -76,6 +84,30 @@ func TestAdhocConfigRejectsHostileLines(t *testing.T) {
 		err := config(t, c.line)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one naming %q", c.line, err, c.want)
+		}
+	}
+}
+
+// TestRegimeFlag resolves every -regime name to its options and checks
+// that quick is the default.
+func TestRegimeFlag(t *testing.T) {
+	for _, c := range []struct {
+		line, want string
+		opts       core.Options
+	}{
+		{"-exp fig7", "quick", core.QuickOptions()},
+		{"-exp fig7 -regime quick", "quick", core.QuickOptions()},
+		{"-exp fig7 -regime full", "full", core.FullOptions()},
+		{"-exp fig7 -regime smoke", "smoke", core.SmokeOptions()},
+	} {
+		fs := flag.NewFlagSet("hyperlab", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		cl, err := parseFlags(fs, strings.Fields(c.line))
+		if err != nil {
+			t.Fatalf("%s: %v", c.line, err)
+		}
+		if got := cl.regime.opts(); cl.regime.name != c.want || !reflect.DeepEqual(got, c.opts) {
+			t.Errorf("%s: regime %s with %+v, want %s with %+v", c.line, cl.regime.name, got, c.want, c.opts)
 		}
 	}
 }

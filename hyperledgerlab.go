@@ -261,5 +261,6 @@ func LookupExperiment(id string) (core.Experiment, error) { return core.Lookup(i
 // FullOptions is the paper's regime (3 virtual minutes, 3 seeds).
 func FullOptions() Options { return core.FullOptions() }
 
-// QuickOptions is a fast smoke regime (30 virtual seconds, 1 seed).
+// QuickOptions is the default regime for sanity runs and benchmarks
+// (30 virtual seconds, 1 seed); not the CI-sized smoke regime.
 func QuickOptions() Options { return core.QuickOptions() }

@@ -8,10 +8,7 @@ import (
 )
 
 func TestRetryCoordinationTableShape(t *testing.T) {
-	out, err := RetryCoordinationExp(cotuneOpts(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := smokeCorpus(t, "retry-coordination")
 	for _, col := range []string{"goodput (tps)", "amp", "paced (s)", "hint", "gest", "gmsg"} {
 		if !strings.Contains(out, col) {
 			t.Errorf("table missing column %q", col)
@@ -96,7 +93,7 @@ func TestCoordinationPoliciesWireTheSignal(t *testing.T) {
 // happen — while the orderer rung keeps every gossip metric at zero.
 func TestCoordinationGossipRungsExchangeEstimates(t *testing.T) {
 	cells := cross(on(C1, EHR), byControl(coordinationLadder...))
-	results, err := runCells(cotuneOpts(0), cells, cell.build)
+	results, err := runCells(SmokeOptions(), cells, cell.build)
 	if err != nil {
 		t.Fatal(err)
 	}

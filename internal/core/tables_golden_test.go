@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // checkGolden compares got against testdata/<name> line by line, or
@@ -48,15 +47,12 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // TestGoldenExperimentTables pins the rendered text of every registry
-// experiment — header, row set, row order, every printed cell — under
-// SmokeOptions. The per-experiment goldens beside it pin Result fields
-// of five lab experiments at QuickOptions; this one is the net under
-// the harness itself: any change to which cells an experiment runs, in
-// what order, with what config, or how a column is formatted moves a
-// line here. Fig4 and Fig5 ignore Options.Smoke and sweep 150 and 75
-// cells (a third of them DV on the 32-peer cluster), so they are
-// pinned at a 250 ms send window to keep the test inside tier-1's
-// budget. Regenerate intentional changes with
+// experiment — header, row set, row order, every printed cell — in the
+// smoke corpus (smokeOptions). It is the net under the harness: any
+// change to which cells an experiment runs, in what order, with what
+// config, or how a column is formatted moves a line here, while
+// TestGoldenFullReports pins whole reports of the locked QuickOptions
+// cells. Regenerate intentional changes with
 //
 //	go test ./internal/core -run TestGoldenExperimentTables -update-golden
 //
@@ -64,15 +60,7 @@ func checkGolden(t *testing.T, name, got string) {
 func TestGoldenExperimentTables(t *testing.T) {
 	var sb strings.Builder
 	for _, e := range Experiments() {
-		o := SmokeOptions()
-		if e.ID == "fig4" || e.ID == "fig5" {
-			o.Duration, o.Drain = 250*time.Millisecond, 3*time.Second
-		}
-		out, err := e.Run(o)
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-		fmt.Fprintf(&sb, "== %s\n%s\n", e.ID, out)
+		fmt.Fprintf(&sb, "== %s\n%s\n", e.ID, smokeCorpus(t, e.ID))
 	}
 	checkGolden(t, "golden_tables.txt", sb.String())
 }

@@ -561,8 +561,8 @@ func ParseChain(chain *ledger.Chain) Report {
 	return r
 }
 
-// Table is a small fixed-width text table builder used by the CLI and
-// the benchmark harness to print paper-style result rows.
+// Table is a small fixed-width text table builder; internal/core's
+// experiments print their paper-style result rows with it.
 type Table struct {
 	header []string
 	rows   [][]string
