@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -94,29 +93,74 @@ func runNamed(o Options, runs []namedRun) ([]metrics.Report, error) {
 // faults experiment's smoke grid (crash and partition under backoff
 // and hinted-orderer); and the scale experiment's smoke grid (100 and
 // 1000 clients over 1 and 4 channels). A rung whose Control equals an
-// earlier one's runs once, under the earlier label: cotune's
-// "adaptive" is coordination's "aimd".
+// earlier one's runs once, under the earlier label (corpusRung):
+// cotune's "adaptive" is coordination's "aimd".
 func quickCells() []namedRun {
-	var cells []namedRun
-	for _, c := range cross(on(C1, EHR), byCC(useCases...), byDB(statedb.LevelDB, statedb.CouchDB)) {
-		cells = append(cells, namedRun{fmt.Sprintf("%s/%s", c.cc.Name, c.db), c.build()})
-	}
 	var rungs []Rung
 	for _, r := range append(append([]Rung{}, cotuneLadder...), coordinationLadder...) {
-		if !slices.ContainsFunc(rungs, func(k Rung) bool { return reflect.DeepEqual(k.Control, r.Control) }) {
+		if corpusRung(r).Label == r.Label {
 			rungs = append(rungs, r)
 		}
 	}
-	for _, c := range cross(on(C1, EHR), byControl(rungs...)) {
-		cells = append(cells, namedRun{fmt.Sprintf("ehr/%s/bs%d", c.ctl.Label, c.bs), c.build()})
-	}
-	for _, c := range faultsGrid(true) {
-		cells = append(cells, namedRun{fmt.Sprintf("%s/%s/%s", c.cc.Name, c.scenario, c.ctl.Label), c.build()})
-	}
-	for _, c := range scaleGrid(true) {
-		cells = append(cells, namedRun{fmt.Sprintf("clients%d/ch%d", c.clients, c.channels), scaleConfig(c)})
+	var cells []namedRun
+	for _, group := range [][]namedRun{useCaseRuns(), ladderRuns(rungs), faultsRuns(), scaleRuns()} {
+		cells = append(cells, group...)
 	}
 	return cells
+}
+
+// useCaseRuns is the paper's base grid: the four use-case chaincodes
+// on LevelDB and CouchDB with fire-and-forget clients.
+func useCaseRuns() []namedRun {
+	var runs []namedRun
+	for _, c := range cross(on(C1, EHR), byCC(useCases...), byDB(statedb.LevelDB, statedb.CouchDB)) {
+		runs = append(runs, namedRun{fmt.Sprintf("%s/%s", c.cc.Name, c.db), c.build()})
+	}
+	return runs
+}
+
+// corpusRung returns the rung the quick corpus runs r's Control
+// under: the first rung of cotuneLadder, then coordinationLadder, with
+// an equal Control.
+func corpusRung(r Rung) Rung {
+	for _, k := range append(append([]Rung{}, cotuneLadder...), coordinationLadder...) {
+		if reflect.DeepEqual(k.Control, r.Control) {
+			return k
+		}
+	}
+	return r
+}
+
+// ladderRuns is one EHR cell per rung of ladder at the Table 3 block
+// size, each named after its corpusRung.
+func ladderRuns(ladder []Rung) []namedRun {
+	rungs := make([]Rung, len(ladder))
+	for i, r := range ladder {
+		rungs[i] = corpusRung(r)
+	}
+	var runs []namedRun
+	for _, c := range cross(on(C1, EHR), byControl(rungs...)) {
+		runs = append(runs, namedRun{fmt.Sprintf("ehr/%s/bs%d", c.ctl.Label, c.bs), c.build()})
+	}
+	return runs
+}
+
+// faultsRuns is the faults experiment's smoke grid.
+func faultsRuns() []namedRun {
+	var runs []namedRun
+	for _, c := range faultsGrid(true) {
+		runs = append(runs, namedRun{fmt.Sprintf("%s/%s/%s", c.cc.Name, c.scenario, c.ctl.Label), c.build()})
+	}
+	return runs
+}
+
+// scaleRuns is the scale experiment's smoke grid.
+func scaleRuns() []namedRun {
+	var runs []namedRun
+	for _, c := range scaleGrid(true) {
+		runs = append(runs, namedRun{fmt.Sprintf("clients%d/ch%d", c.clients, c.channels), scaleConfig(c)})
+	}
+	return runs
 }
 
 var quick struct {
@@ -140,4 +184,15 @@ func quickCorpus(t *testing.T) ([]namedRun, []metrics.Report) {
 		t.Fatal(quick.err)
 	}
 	return quick.cells, quick.reports
+}
+
+// quickReports returns the quick corpus's reports by cell name.
+func quickReports(t *testing.T) map[string]metrics.Report {
+	t.Helper()
+	cells, reports := quickCorpus(t)
+	byName := make(map[string]metrics.Report, len(cells))
+	for i, c := range cells {
+		byName[c.name] = reports[i]
+	}
+	return byName
 }

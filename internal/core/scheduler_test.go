@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,6 +17,32 @@ func ehrBuilder(t testing.TB, rate float64, bs int) Builder {
 		cfg.Rate = rate
 		cfg.BlockSize = bs
 		return cfg
+	}
+}
+
+// TestParallelMatchesSequentialGolden is the acceptance check of the
+// parallel harness: the EHR cells of the paper's locked QuickOptions
+// base grid must produce an identical Result grid on one worker as the
+// quick corpus, which runs them on eight.
+func TestParallelMatchesSequentialGolden(t *testing.T) {
+	var runs []namedRun
+	var builds []Builder
+	for _, r := range useCaseRuns() {
+		if strings.HasPrefix(r.name, "ehr/") {
+			runs, builds = append(runs, r), append(builds, r.build)
+		}
+	}
+	seq := QuickOptions()
+	seq.Parallelism = 1
+	results, err := seq.RunAll(builds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par := quickReports(t)
+	for i, r := range runs {
+		if want := fromReport(par[r.name]); !reflect.DeepEqual(results[i], want) {
+			t.Errorf("%s: sequential result differs from parallel:\nseq: %+v\npar: %+v", r.name, results[i], want)
+		}
 	}
 }
 

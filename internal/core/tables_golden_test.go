@@ -27,11 +27,18 @@ func checkGolden(t *testing.T, name, got string) {
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
 	}
-	if got == string(want) {
+	diffGolden(t, name, got, string(want))
+}
+
+// diffGolden reports every line on which got and want, two renderings
+// of golden file name, differ.
+func diffGolden(t *testing.T, name, got, want string) {
+	t.Helper()
+	if got == want {
 		return
 	}
 	gotLines := strings.Split(strings.TrimRight(got, "\n"), "\n")
-	wantLines := strings.Split(strings.TrimRight(string(want), "\n"), "\n")
+	wantLines := strings.Split(strings.TrimRight(want, "\n"), "\n")
 	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
 		var g, w string
 		if i < len(gotLines) {
