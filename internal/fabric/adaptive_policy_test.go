@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 )
@@ -193,14 +192,9 @@ func TestAdaptiveRunProducesTrajectory(t *testing.T) {
 	}
 }
 
-func TestAdaptiveRunsDeterministic(t *testing.T) {
-	p := AdaptivePolicy{MaxAttempts: 4, Jitter: 0.3}
-	_, a := run(t, retryConfig(6, p))
-	_, b := run(t, retryConfig(6, p))
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("identical adaptive runs diverged:\n%+v\n%+v", a, b)
-	}
-}
+// TestAdaptiveRunsDeterministic: per-client AIMD state draws only from
+// the seeded rng (the corpus's adaptive regime).
+func TestAdaptiveRunsDeterministic(t *testing.T) { deterministic(t, "adaptive") }
 
 // TestAdaptiveReadsNoHint pins that the AIMD controller is client-local:
 // with gossip on and no pacer, nothing consults the gossip estimate on
@@ -254,8 +248,10 @@ func TestGiveUpAfterForwardsValidation(t *testing.T) {
 	}
 }
 
+// TestStaticPoliciesHaveNoTrajectory reads the corpus's immediate
+// regime.
 func TestStaticPoliciesHaveNoTrajectory(t *testing.T) {
-	_, rep := run(t, retryConfig(7, ImmediateRetry{MaxAttempts: 3}))
+	rep := runOf(t, "immediate").rep
 	if rep.Backoff.Max != 0 || rep.Backoff.Avg() != 0 {
 		t.Errorf("static policy produced a trajectory: avg=%v max=%v",
 			rep.Backoff.Avg(), rep.Backoff.Max)

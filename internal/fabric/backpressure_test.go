@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -120,8 +119,10 @@ func congestedConfig(seed int64) Config {
 	return cfg
 }
 
+// TestBackpressureHintsRiseUnderCongestion reads the corpus's
+// hinted-orderer regime.
 func TestBackpressureHintsRiseUnderCongestion(t *testing.T) {
-	_, rep := run(t, congestedConfig(1))
+	rep := runOf(t, "hinted-orderer").rep
 	if rep.Hint.Max <= 0 || rep.Hint.Max > 1 {
 		t.Fatalf("hint max = %g, want in (0,1]", rep.Hint.Max)
 	}
@@ -152,33 +153,22 @@ func TestBackpressurePacingShedsRetryLoad(t *testing.T) {
 	}
 }
 
+// TestBackpressureInertWithoutTracking: on a fire-and-forget open loop
+// hints are still computed at each cut (they appear in the report) but
+// nothing is delivered or paced, and the run is otherwise untouched (a
+// metamorphic pin that ignores the hint summary).
 func TestBackpressureInertWithoutTracking(t *testing.T) {
-	// Fire-and-forget open loop: hints are still computed at each cut
-	// (they appear in the report) but nothing is delivered or paced,
-	// and the chain-level results are untouched.
-	cfg := testConfig(3)
-	cfg.Backpressure = &Backpressure{}
-	_, withBP := run(t, cfg)
-	_, plain := run(t, testConfig(3))
-	withBP.Hint = plain.Hint
-	if !reflect.DeepEqual(withBP, plain) {
-		t.Error("backpressure changed a fire-and-forget run beyond the hint summary")
+	if r := pinned(t, "backpressure-inert-without-tracking"); r.rep.Hint.N == 0 {
+		t.Error("no hint computed at any cut")
 	}
 }
 
+// TestBackpressureRunsDeterministic: a hinted run behind a congested
+// orderer reproduces itself, and observes the congestion (the corpus's
+// hinted-orderer regime and its predicate).
 func TestBackpressureRunsDeterministic(t *testing.T) {
-	cfg := congestedConfig(4)
-	cfg.Retry = BackpressurePolicy{MaxAttempts: 5, Jitter: 0.2}
-	_, a := run(t, cfg)
-	cfg2 := congestedConfig(4)
-	cfg2.Retry = BackpressurePolicy{MaxAttempts: 5, Jitter: 0.2}
-	_, b := run(t, cfg2)
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("identical hinted runs diverged:\n%+v\n%+v", a, b)
-	}
-	if a.Hint.Max <= 0 {
-		t.Error("hinted run never observed congestion")
-	}
+	checked(t, "hinted-orderer")
+	deterministic(t, "hinted-orderer")
 }
 
 func TestBackpressurePolicyBacksOffHarderUnderCongestion(t *testing.T) {

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"time"
 
@@ -191,8 +190,9 @@ func TestBudgetDropModeExhausts(t *testing.T) {
 	}
 }
 
+// TestBudgetDeferModeQueues reads the corpus's budget-defer regime.
 func TestBudgetDeferModeQueues(t *testing.T) {
-	_, rep := run(t, budgetConfig(2, RetryBudget{RefillPerSec: 0.5, Burst: 2}))
+	rep := runOf(t, "budget-defer").rep
 	if rep.DeferredRetries == 0 {
 		t.Fatal("defer-mode budget never deferred under EHR contention")
 	}
@@ -209,22 +209,12 @@ func TestBudgetDeferModeQueues(t *testing.T) {
 	}
 }
 
-func TestBudgetRunsDeterministic(t *testing.T) {
-	b := RetryBudget{RefillPerSec: 1, Burst: 3}
-	_, a := run(t, budgetConfig(3, b))
-	_, c := run(t, budgetConfig(3, b))
-	if !reflect.DeepEqual(a, c) {
-		t.Errorf("identical budgeted runs diverged:\n%+v\n%+v", a, c)
-	}
-}
+// TestBudgetRunsDeterministic: a defer-mode budget reproduces its run
+// (the corpus's budget-defer regime).
+func TestBudgetRunsDeterministic(t *testing.T) { deterministic(t, "budget-defer") }
 
+// TestBudgetIgnoredWithoutRetryPolicy: a retry budget on a
+// fire-and-forget run changes nothing (a metamorphic pin).
 func TestBudgetIgnoredWithoutRetryPolicy(t *testing.T) {
-	cfg := testConfig(4)
-	cfg.RetryBudget = &RetryBudget{RefillPerSec: 1, Burst: 1, DropOnEmpty: true}
-	base := testConfig(4)
-	_, withBudget := run(t, cfg)
-	_, plain := run(t, base)
-	if !reflect.DeepEqual(withBudget, plain) {
-		t.Error("a retry budget changed a fire-and-forget run")
-	}
+	pinned(t, "budget-ignored-without-retry-policy")
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestMultiChannelShardsTraffic runs a 4-channel deployment and
@@ -51,23 +50,9 @@ func TestMultiChannelShardsTraffic(t *testing.T) {
 
 // TestMultiChannelDeterminism pins the sharded deployment to the
 // repo's core guarantee: the same seed reproduces the same run,
-// cross-channel legs and cohort drivers included.
-func TestMultiChannelDeterminism(t *testing.T) {
-	mk := func() Config {
-		cfg := retryConfig(6, ExponentialBackoff{
-			Initial: 100 * time.Millisecond, Cap: time.Second, MaxAttempts: 3, Jitter: 0.2,
-		})
-		cfg.Channels = 3
-		cfg.CrossChannel = 0.2
-		cfg.CohortSize = 2
-		return cfg
-	}
-	nwA, repA := run(t, mk())
-	nwB, repB := run(t, mk())
-	if a, b := fingerprint(nwA, repA), fingerprint(nwB, repB); a != b {
-		t.Errorf("same seed diverged on a sharded run:\n a: %s\n b: %s", a, b)
-	}
-}
+// cross-channel legs and cohort drivers included (the corpus's
+// channels3-cross-cohort2 regime).
+func TestMultiChannelDeterminism(t *testing.T) { deterministic(t, "channels3-cross-cohort2") }
 
 // TestCrossChannelLegsResolve checks the two-leg transaction pattern:
 // with a large cross-channel fraction every job still resolves to
@@ -136,43 +121,16 @@ func TestChannelRouting(t *testing.T) {
 // TestCrossChannelGossipInteraction crosses the two decentralized
 // subsystems: a 4-channel sharded deployment with 20% two-leg
 // transactions, paced by the gossiped congestion signal
-// (hinted-gossip). The gossip rounds must actually run, the hint path
-// must engage, every chain must verify, and the combination must stay
-// deterministic.
+// (hinted-gossip). It reads the corpus's channels4-cross-gossip regime:
+// the gossip rounds must run and merge (its predicate), every chain
+// must verify and every channel commit (checkRun), the combination must
+// stay deterministic (its rerun), and the job accounting must hold.
 func TestCrossChannelGossipInteraction(t *testing.T) {
-	mk := func() Config {
-		cfg := retryConfig(11, BackpressurePolicy{MaxAttempts: 5, Jitter: 0.2})
-		cfg.Channels = 4
-		cfg.CrossChannel = 0.2
-		cfg.Gossip = &Gossip{}
-		cfg.HintSource = HintGossip
-		return cfg
-	}
-	nwA, repA := run(t, mk())
-	nwB, repB := run(t, mk())
-
-	if repA.GossipMessages == 0 || repA.GossipMerges == 0 {
-		t.Errorf("gossip idle on a sharded run: msgs=%d merges=%d",
-			repA.GossipMessages, repA.GossipMerges)
-	}
-	if repA.Jobs == 0 || repA.EventualValid+repA.GaveUp != repA.Jobs {
+	checked(t, "channels4-cross-gossip")
+	rep := deterministic(t, "channels4-cross-gossip").rep
+	if rep.Jobs == 0 || rep.EventualValid+rep.GaveUp != rep.Jobs {
 		t.Errorf("job conservation broken across channels: eventual %d + gave-up %d != jobs %d",
-			repA.EventualValid, repA.GaveUp, repA.Jobs)
-	}
-	active := 0
-	for ch, chain := range nwA.Chains() {
-		if err := chain.Verify(); err != nil {
-			t.Errorf("channel %d chain verification: %v", ch, err)
-		}
-		if chain.TxCount() > 0 {
-			active++
-		}
-	}
-	if active < 2 {
-		t.Errorf("only %d of 4 channels saw traffic under gossip pacing", active)
-	}
-	if a, b := fingerprint(nwA, repA), fingerprint(nwB, repB); a != b {
-		t.Errorf("cross-channel gossip run diverged on the same seed:\n a: %s\n b: %s", a, b)
+			rep.EventualValid, rep.GaveUp, rep.Jobs)
 	}
 }
 

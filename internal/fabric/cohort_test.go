@@ -80,19 +80,15 @@ func cohortEquivConfig(seed int64, cohortSize int) Config {
 // merely to each other; regenerate intended changes with
 //
 //	go test ./internal/fabric -run TestCohortExactEquivalence -update-golden
+//
+// The two runs are the corpus's cohort-ehr regime and the varied run of
+// its cohort-equals-exact pin; the pins table holds the other three
+// chaincodes to the same equivalence.
 func TestCohortExactEquivalence(t *testing.T) {
-	nwExact, repExact := run(t, cohortEquivConfig(11, 0))
-	exact := fingerprint(nwExact, repExact)
-
-	nwCohort, repCohort := run(t, cohortEquivConfig(11, 3))
-	cohort := fingerprint(nwCohort, repCohort)
-
-	if len(nwCohort.Drivers()) != 2 || nwCohort.Drivers()[0].Members() != 3 {
-		t.Fatalf("expected 2 cohorts of 3 members, got %d drivers", len(nwCohort.Drivers()))
+	if m := pinned(t, "cohort-equals-exact/ehr").members; len(m) != 2 || m[0] != 3 {
+		t.Fatalf("expected 2 cohorts of 3 members, got drivers of %v", m)
 	}
-	if exact != cohort {
-		t.Errorf("cohort run diverged from exact simulation:\n exact: %s\ncohort: %s", exact, cohort)
-	}
+	exact := runOf(t, "cohort-ehr").fingerprint
 
 	got := exact + "\n"
 	path := filepath.Join("testdata", "golden_cohort.txt")

@@ -1,7 +1,10 @@
 package fabric
 
 import (
+	"testing"
+
 	"repro/internal/consensus"
+	"repro/internal/metrics"
 	"repro/internal/statedb"
 )
 
@@ -36,9 +39,17 @@ func (c *ClientDriver) Members() int { return c.members }
 // awaiting an outcome event (in-flight work at the end of a run).
 func (c *ClientDriver) Pending() int { return len(c.pending) }
 
-// SnapshotGenesis and CheckReplicas expose the replica-convergence
-// oracle to the external tests.
-var (
-	SnapshotGenesis = snapshotGenesis
-	CheckReplicas   = checkReplicas
-)
+// AddRegime adds a regime to the corpus (corpus_test.go) from the
+// external tests, which can build the fork variants: they import this
+// package. holds is the regime's engagement predicate and what says it
+// in words. Call it from an init function.
+func AddRegime(name string, cfg func() Config, what string, holds func(metrics.Report) bool) {
+	regimes = append(regimes, &regime{name: name, cfg: cfg, engaged: predicate{what, holds}})
+}
+
+// CheckRegime fails t unless the named regime passed every oracle and
+// its engagement predicate.
+func CheckRegime(t *testing.T, name string) {
+	t.Helper()
+	checked(t, name)
+}

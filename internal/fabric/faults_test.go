@@ -24,19 +24,12 @@ func faultConfig(seed int64, f *Faults) Config {
 
 // TestFaultScheduleDeterminism pins the subsystem to the repo's core
 // guarantee: the same seed reproduces the same faulted run exactly —
-// crash windows, replay, deadlines, the lot.
+// crash windows, replay, deadlines, the lot (the corpus's faults-crash
+// regime).
 func TestFaultScheduleDeterminism(t *testing.T) {
-	mk := func() Config { return faultConfig(3, &Faults{Scenario: "crash"}) }
-	nwA, repA := run(t, mk())
-	nwB, repB := run(t, mk())
-	a := fingerprint(nwA, repA)
-	b := fingerprint(nwB, repB)
-	if a != b {
-		t.Errorf("same seed diverged under the crash scenario:\n a: %s\n b: %s", a, b)
-	}
-	if repA.FaultWindows != 2 || repA.NodeCrashes != 2 {
+	if rep := deterministic(t, "faults-crash").rep; rep.FaultWindows != 2 || rep.NodeCrashes != 2 {
 		t.Errorf("crash scenario opened %d windows / %d crashes, want 2/2",
-			repA.FaultWindows, repA.NodeCrashes)
+			rep.FaultWindows, rep.NodeCrashes)
 	}
 }
 
@@ -293,10 +286,11 @@ func TestPartitionEndorseTimeouts(t *testing.T) {
 // slowdb scenario (every state-database cost ×4 for 40%% of the run):
 // average commit latency must rise, and the regime must lift cleanly
 // (the window count says it was applied, determinism says reverting
-// restored the exact cost model).
+// restored the exact cost model). Both runs are corpus regimes,
+// faults-none and faults-slowdb.
 func TestSlowDBRegimeRaisesLatency(t *testing.T) {
-	_, healthy := run(t, faultConfig(7, nil))
-	_, slow := run(t, faultConfig(7, &Faults{Scenario: "slowdb"}))
+	healthy := runOf(t, "faults-none").rep
+	slow := deterministic(t, "faults-slowdb").rep
 	if slow.FaultWindows != 1 {
 		t.Fatalf("slowdb windows = %d, want 1", slow.FaultWindows)
 	}
@@ -312,18 +306,14 @@ func TestSlowDBRegimeRaisesLatency(t *testing.T) {
 
 // TestStragglerRegime smokes the transient straggler: one peer's links
 // carry an extra 100ms±10ms for half the run. The run must stay
-// deterministic and the window accounted.
+// deterministic and the window accounted. Both runs are corpus
+// regimes, faults-straggler and faults-none.
 func TestStragglerRegime(t *testing.T) {
-	mk := func() Config { return faultConfig(8, &Faults{Scenario: "straggler"}) }
-	nwA, repA := run(t, mk())
-	nwB, repB := run(t, mk())
+	repA := deterministic(t, "faults-straggler").rep
 	if repA.FaultWindows != 1 {
 		t.Errorf("straggler windows = %d, want 1", repA.FaultWindows)
 	}
-	if a, b := fingerprint(nwA, repA), fingerprint(nwB, repB); a != b {
-		t.Errorf("straggler run diverged on the same seed:\n a: %s\n b: %s", a, b)
-	}
-	_, healthy := run(t, faultConfig(8, nil))
+	healthy := runOf(t, "faults-none").rep
 	if repA.AvgLatency <= healthy.AvgLatency {
 		t.Errorf("straggler latency %v <= healthy %v", repA.AvgLatency, healthy.AvgLatency)
 	}

@@ -350,8 +350,10 @@ func gossipConfig(seed int64) Config {
 	return cfg
 }
 
+// TestGossipRunExchangesAndPaces reads the corpus's hinted-gossip
+// regime.
 func TestGossipRunExchangesAndPaces(t *testing.T) {
-	_, rep := run(t, gossipConfig(1))
+	rep := runOf(t, "hinted-gossip").rep
 	if rep.GossipMessages == 0 {
 		t.Fatal("no gossip messages sent")
 	}
@@ -402,60 +404,39 @@ func TestGossipFeedsHintedPolicyWithoutBackpressure(t *testing.T) {
 	}
 }
 
+// TestGossipNilIsByteIdentical: with Config.Gossip nil, HintSource ""
+// and an explicit "orderer" run the same run, field for field (a
+// metamorphic pin), and the run leaves no gossip trace.
 func TestGossipNilIsByteIdentical(t *testing.T) {
-	// Config.Gossip == nil and an explicit HintSource "orderer" must
-	// reproduce the PR-4 behaviour exactly, field for field.
-	base := retryConfig(3, ImmediateRetry{MaxAttempts: 5})
-	base.OrdererCosts.PerTx = 25 * time.Millisecond
-	base.Backpressure = &Backpressure{}
-	_, plain := run(t, base)
-
-	explicit := retryConfig(3, ImmediateRetry{MaxAttempts: 5})
-	explicit.OrdererCosts.PerTx = 25 * time.Millisecond
-	explicit.Backpressure = &Backpressure{}
-	explicit.HintSource = HintOrderer
-	_, src := run(t, explicit)
-	if !reflect.DeepEqual(plain, src) {
-		t.Errorf("explicit HintSource=orderer diverged from the default:\n%+v\n%+v", plain, src)
-	}
-	if plain.GossipMessages != 0 || plain.GossipMerges != 0 || plain.GossipStaleness.N != 0 ||
-		plain.GossipEstimate.Max != 0 || plain.GossipStaleness.Max != 0 {
-		t.Errorf("nil gossip left traces: %+v", plain)
+	pinned(t, "hint-source-orderer-is-the-default")
+	if r := runOf(t, "hinted-orderer").rep; r.GossipMessages != 0 || r.GossipMerges != 0 ||
+		r.GossipStaleness.N != 0 || r.GossipEstimate.Max != 0 || r.GossipStaleness.Max != 0 {
+		t.Errorf("nil gossip left traces: %+v", r)
 	}
 }
 
+// TestGossipInertWithoutTracking: a fire-and-forget open loop has no
+// outcome stream, so the gossip subsystem must be fully inert — no
+// rounds, no rng, an identical run (a metamorphic pin).
 func TestGossipInertWithoutTracking(t *testing.T) {
-	// Fire-and-forget open loop: no outcome stream, so the gossip
-	// subsystem must be fully inert — no rounds, no rng, identical
-	// reports.
-	cfg := testConfig(4)
-	cfg.Gossip = &Gossip{}
-	_, withGossip := run(t, cfg)
-	_, plain := run(t, testConfig(4))
-	if !reflect.DeepEqual(withGossip, plain) {
-		t.Error("gossip changed a fire-and-forget run")
-	}
-	if withGossip.GossipMessages != 0 {
-		t.Errorf("untracked run sent %d gossip messages", withGossip.GossipMessages)
+	if r := pinned(t, "gossip-inert-without-tracking"); r.rep.GossipMessages != 0 {
+		t.Errorf("untracked run sent %d gossip messages", r.rep.GossipMessages)
 	}
 }
 
+// TestGossipRunsDeterministic: a gossip-hinted run reproduces itself,
+// and another seed gives another run (the corpus's hinted-gossip
+// regime, which also runs at Seed+1).
 func TestGossipRunsDeterministic(t *testing.T) {
-	_, a := run(t, gossipConfig(5))
-	_, b := run(t, gossipConfig(5))
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("identical gossip runs diverged:\n%+v\n%+v", a, b)
-	}
-	_, c := run(t, gossipConfig(6))
-	if reflect.DeepEqual(a, c) {
+	if r := deterministic(t, "hinted-gossip"); reflect.DeepEqual(r.rep, r.reseeded) {
 		t.Error("different seeds produced identical gossip runs")
 	}
 }
 
+// TestGossipBothSourceCombinesSignals reads the corpus's hinted-both
+// regime.
 func TestGossipBothSourceCombinesSignals(t *testing.T) {
-	cfg := gossipConfig(7)
-	cfg.HintSource = HintBoth
-	_, rep := run(t, cfg)
+	rep := runOf(t, "hinted-both").rep
 	// Both producers must be live: the orderer samples hints at cuts
 	// and the clients sample gossip estimates at rounds.
 	if rep.Hint.Max <= 0 {

@@ -102,8 +102,9 @@ func retryConfig(seed int64, p RetryPolicy) Config {
 	return cfg
 }
 
+// TestRetryAmplifiesSubmissions reads the corpus's immediate regime.
 func TestRetryAmplifiesSubmissions(t *testing.T) {
-	_, rep := run(t, retryConfig(1, ImmediateRetry{MaxAttempts: 3}))
+	rep := runOf(t, "immediate").rep
 	if rep.Jobs == 0 {
 		t.Fatal("no jobs tracked with a retry policy configured")
 	}
@@ -138,8 +139,10 @@ func TestRetryAmplifiesSubmissions(t *testing.T) {
 	}
 }
 
+// TestNoRetryReportMatchesChainView reads the corpus's
+// fire-and-forget regime.
 func TestNoRetryReportMatchesChainView(t *testing.T) {
-	_, rep := run(t, testConfig(3))
+	rep := runOf(t, "fire-and-forget").rep
 	if rep.Jobs != rep.Total || rep.Attempts != rep.Total {
 		t.Errorf("fire-and-forget jobs=%d attempts=%d, want both == total %d", rep.Jobs, rep.Attempts, rep.Total)
 	}
@@ -198,19 +201,13 @@ func TestClosedLoopStopsAtWindowEnd(t *testing.T) {
 	}
 }
 
-func TestRetryRunsDeterministic(t *testing.T) {
-	p := ExponentialBackoff{Initial: 100 * time.Millisecond, MaxAttempts: 4, Jitter: 0.3}
-	_, a := run(t, retryConfig(6, p))
-	_, b := run(t, retryConfig(6, p))
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("identical (config, seed) with retries diverged:\n%+v\n%+v", a, b)
-	}
-}
+// TestRetryRunsDeterministic: the same (config, seed) with jittered
+// backoff retries reproduces the run (the corpus's backoff regime).
+func TestRetryRunsDeterministic(t *testing.T) { deterministic(t, "backoff") }
 
+// TestServedReadsResolveJobs reads the corpus's served-reads regime.
 func TestServedReadsResolveJobs(t *testing.T) {
-	cfg := retryConfig(7, ImmediateRetry{MaxAttempts: 2})
-	cfg.SkipReadOnlySubmission = true
-	_, rep := run(t, cfg)
+	rep := runOf(t, "served-reads").rep
 	if rep.ServedReads == 0 {
 		t.Fatal("EHR workload produced no served reads")
 	}

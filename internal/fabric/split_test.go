@@ -1,13 +1,13 @@
 package fabric
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/gen"
 	"repro/internal/ledger"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/statedb"
 )
@@ -293,31 +293,28 @@ func TestSplitGossipFixesMisPacing(t *testing.T) {
 
 // TestSplitRunsDeterministic repeats a split-signal run and requires
 // identical reports: the split path must draw only from the seeded rng
-// like every other subsystem.
-func TestSplitRunsDeterministic(t *testing.T) {
-	_, a := run(t, splitStackConfig(34, HintBoth))
-	_, b := run(t, splitStackConfig(34, HintBoth))
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("identical split runs diverged:\n%+v\n%+v", a, b)
-	}
-}
+// like every other subsystem (the corpus's split-both regime).
+func TestSplitRunsDeterministic(t *testing.T) { deterministic(t, "split-both") }
 
-// TestSplitNilIsByteIdentical asserts the zero-config guarantee: a
-// build that never sets SplitSignal produces byte-identical reports to
-// one that sets it to nil explicitly, and a scalar coordination run
-// leaves the split trajectories at exactly zero.
+// TestSplitNilIsByteIdentical asserts the zero-config guarantee: every
+// regime of the corpus whose control stack runs no split signal —
+// scalar coordination runs among them — leaves the split trajectories
+// at exactly zero.
 func TestSplitNilIsByteIdentical(t *testing.T) {
-	base := splitStackConfig(35, HintGossip)
-	base.SplitSignal = nil
-	explicit := splitStackConfig(35, HintGossip)
-	explicit.SplitSignal = nil
-	_, a := run(t, base)
-	_, b := run(t, explicit)
-	if !reflect.DeepEqual(a, b) {
-		t.Error("nil split-signal configs diverged")
+	fillCorpus()
+	scalar := 0
+	for _, g := range regimes {
+		r := runOf(t, g.name)
+		if r.ctl.SplitSignal != nil {
+			continue
+		}
+		scalar++
+		if r.rep.ConflictEst != (metrics.Series[float64]{}) || r.rep.CongestEst != (metrics.Series[float64]{}) {
+			t.Errorf("%s: scalar run left split trajectories non-zero: conflict %+v, congestion %+v",
+				g.name, r.rep.ConflictEst, r.rep.CongestEst)
+		}
 	}
-	if a.ConflictEst.Max != 0 || a.CongestEst.Max != 0 || a.ConflictEst.Avg() != 0 ||
-		a.CongestEst.Avg() != 0 || a.ConflictEst.Last != 0 || a.CongestEst.Last != 0 {
-		t.Errorf("scalar run left split trajectories non-zero: %+v", a)
+	if scalar == 0 {
+		t.Error("no scalar regime in the corpus")
 	}
 }

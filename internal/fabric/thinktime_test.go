@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -129,36 +128,26 @@ func TestClosedLoopReadsThinkTime(t *testing.T) {
 	}
 }
 
+// TestUnsetThinkTimePreservesOldBehaviour: an unset ThinkTime is Kind
+// ThinkNone, and ThinkNone keeps the pre-think-time closed loop: it
+// samples no pause and draws nothing from the engine's stream.
 func TestUnsetThinkTimePreservesOldBehaviour(t *testing.T) {
-	// Kind ThinkNone must be byte-identical to the pre-think-time
-	// closed loop: no extra events, no extra rng draws.
-	_, implicit := run(t, closedConfig(9))
-	explicit := closedConfig(9)
-	explicit.ThinkTime = ThinkTime{Kind: ThinkNone}
-	_, withExplicit := run(t, explicit)
-	if !reflect.DeepEqual(implicit, withExplicit) {
-		t.Error("explicit ThinkNone diverged from the zero value")
+	if (ThinkTime{}) != (ThinkTime{Kind: ThinkNone}) {
+		t.Fatal("the zero ThinkTime is not ThinkNone")
+	}
+	eng, fresh := sim.NewEngine(9), sim.NewEngine(9)
+	if d := (ThinkTime{}).sample(eng); d != 0 {
+		t.Errorf("ThinkNone sampled a %v pause", d)
+	}
+	if a, b := eng.Rand().Int63(), fresh.Rand().Int63(); a != b {
+		t.Error("ThinkNone drew from the engine's stream")
 	}
 }
 
-func TestThinkTimeRunsDeterministic(t *testing.T) {
-	cfg := closedConfig(10)
-	cfg.ThinkTime = ThinkTime{Kind: ThinkLogNormal, Mean: 300 * time.Millisecond}
-	_, a := run(t, cfg)
-	cfg2 := closedConfig(10)
-	cfg2.ThinkTime = ThinkTime{Kind: ThinkLogNormal, Mean: 300 * time.Millisecond}
-	_, b := run(t, cfg2)
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("identical think-time runs diverged:\n%+v\n%+v", a, b)
-	}
-}
+// TestThinkTimeRunsDeterministic: log-normal think time draws only
+// from the seeded rng (the corpus's closedloop-lognormal regime).
+func TestThinkTimeRunsDeterministic(t *testing.T) { deterministic(t, "closedloop-lognormal") }
 
-func TestThinkTimeIgnoredInOpenLoop(t *testing.T) {
-	cfg := testConfig(11)
-	cfg.ThinkTime = ThinkTime{Kind: ThinkFixed, Mean: 10 * time.Second}
-	_, withThink := run(t, cfg)
-	_, plain := run(t, testConfig(11))
-	if !reflect.DeepEqual(withThink, plain) {
-		t.Error("think time changed an open-loop run")
-	}
-}
+// TestThinkTimeIgnoredInOpenLoop: think time changes nothing on an
+// open-loop run (a metamorphic pin).
+func TestThinkTimeIgnoredInOpenLoop(t *testing.T) { pinned(t, "think-time-ignored-in-open-loop") }

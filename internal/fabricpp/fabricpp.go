@@ -22,8 +22,14 @@ import (
 	"repro/internal/ledger"
 )
 
-// Variant is the Fabric++ ordering extension.
+// Variant is the Fabric++ ordering extension. It acts only at block
+// cut; the other hooks are fabric.Vanilla's. It changes no base costs
+// and takes no per-transaction decision at submission. Validation
+// still runs in full (no SkipMVCC): inter-block conflicts are not
+// resolvable by within-block reordering (§3.2.2). It needs no feedback
+// from validation.
 type Variant struct {
+	fabric.Vanilla
 	// PerLookup prices one read-key probe during graph construction.
 	PerLookup time.Duration
 	// stats
@@ -38,12 +44,6 @@ func New() *Variant {
 
 // Name implements fabric.Variant.
 func (v *Variant) Name() string { return "fabric++" }
-
-// Adjust implements fabric.Variant: Fabric++ changes no base costs.
-func (v *Variant) Adjust(*fabric.Config) {}
-
-// OnSubmit implements fabric.Variant: no per-transaction action.
-func (v *Variant) OnSubmit(*ledger.Transaction) (bool, time.Duration) { return true, 0 }
 
 // OnCut implements fabric.Variant: reorder the batch, abort cycles.
 func (v *Variant) OnCut(batch []*ledger.Transaction) ([]*ledger.Transaction, []*ledger.Transaction, time.Duration) {
@@ -73,13 +73,5 @@ func (v *Variant) OnCut(batch []*ledger.Transaction) ([]*ledger.Transaction, []*
 	return kept, aborted, cost
 }
 
-// SkipMVCC implements fabric.Variant: validation still runs in full —
-// inter-block conflicts are not resolvable by within-block reordering
-// (§3.2.2).
-func (v *Variant) SkipMVCC() bool { return false }
-
 // Stats reports how many transactions were serialized and aborted.
 func (v *Variant) Stats() (reordered, aborted int) { return v.reordered, v.aborted }
-
-// OnBlockValidated implements fabric.Variant: no feedback needed.
-func (v *Variant) OnBlockValidated(*ledger.Block, []ledger.ValidationCode) {}

@@ -45,8 +45,10 @@ type keyState struct {
 
 const historyDepth = 16
 
-// Variant is the FabricSharp ordering extension.
+// Variant is the FabricSharp ordering extension. It keeps stock costs
+// (fabric.Vanilla's Adjust).
 type Variant struct {
+	fabric.Vanilla
 	// PerOp prices one scheduler probe (per read/write key).
 	PerOp time.Duration
 	// Base is the fixed scheduler cost per transaction.
@@ -69,9 +71,6 @@ func New() *Variant {
 
 // Name implements fabric.Variant.
 func (v *Variant) Name() string { return "fabricsharp" }
-
-// Adjust implements fabric.Variant: FabricSharp keeps stock costs.
-func (v *Variant) Adjust(*fabric.Config) {}
 
 // Stats reports scheduler decisions.
 func (v *Variant) Stats() (commits, aborts int) { return v.commits, v.aborts }

@@ -20,11 +20,14 @@ import (
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/ledger"
 )
 
-// Variant is the Streamchain ordering/commit extension.
+// Variant is the Streamchain ordering/commit extension. It acts only
+// through Adjust; the other hooks are fabric.Vanilla's: no decision at
+// submission, nothing to reorder in a single-transaction block, full
+// validation, and no feedback from it.
 type Variant struct {
+	fabric.Vanilla
 	// RAMDisk selects memory-backed ledger and state storage (the
 	// prototype's requirement). Without it, every streamed commit
 	// pays disk latency.
@@ -62,18 +65,3 @@ func (v *Variant) Adjust(cfg *fabric.Config) {
 	// Cutting is trivial for single-transaction blocks.
 	cfg.OrdererCosts.BlockCut = 300 * time.Microsecond
 }
-
-// OnSubmit implements fabric.Variant.
-func (v *Variant) OnSubmit(*ledger.Transaction) (bool, time.Duration) { return true, 0 }
-
-// OnCut implements fabric.Variant: nothing to reorder in a
-// single-transaction block.
-func (v *Variant) OnCut(batch []*ledger.Transaction) ([]*ledger.Transaction, []*ledger.Transaction, time.Duration) {
-	return batch, nil, 0
-}
-
-// SkipMVCC implements fabric.Variant.
-func (v *Variant) SkipMVCC() bool { return false }
-
-// OnBlockValidated implements fabric.Variant: no feedback needed.
-func (v *Variant) OnBlockValidated(*ledger.Block, []ledger.ValidationCode) {}
