@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 
 // Strings json.Marshal treats specially, and plain ones. Both fuzz
 // targets start from them: FuzzAppendJSONString as values,
-// FuzzAppendJSONBoolMap as keys.
+// FuzzAppendJSONSet as keys.
 var stringCorpus = []string{
 	"", "actor07", "profile_042", "a b~!#$%'()*+,-./:;=?@[]^_`{|}",
 	"<script>&", `"`, `\`, `say "hi"\now`, "\b\f\n\r\t", "\x00\x1f", "\x7f",
@@ -40,28 +41,32 @@ func FuzzAppendJSONString(f *testing.F) {
 	})
 }
 
-// boolMap builds a fuzz input's map: the keys are the parts of joined
-// between 0x1e bytes, true and false alternating.
-func boolMap(joined string, isNil bool) map[string]bool {
+// keySet builds a fuzz input's set: the parts of joined between 0x1e
+// bytes, sorted in byte order and without repeats, and the map that
+// json.Marshal is given for it, each key mapped to true.
+func keySet(joined string, isNil bool) ([]string, map[string]bool) {
 	if isNil {
-		return nil
+		return nil, nil
 	}
-	m := map[string]bool{}
+	keys, m := []string{}, map[string]bool{}
 	if joined != "" {
-		for i, k := range strings.Split(joined, "\x1e") {
-			m[k] = i%2 == 0
+		keys = strings.Split(joined, "\x1e")
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+		for _, k := range keys {
+			m[k] = true
 		}
 	}
-	return m
+	return keys, m
 }
 
-func FuzzAppendJSONBoolMap(f *testing.F) {
+func FuzzAppendJSONSet(f *testing.F) {
 	fifty := make([]string, 50)
 	for i := range fifty {
 		fifty[i] = fmt.Sprintf("actor%02d", (i*37)%50)
 	}
-	f.Add("", true)  // nil map
-	f.Add("", false) // empty map
+	f.Add("", true)  // nil set
+	f.Add("", false) // empty set
 	f.Add("actor03", false)
 	f.Add(strings.Join(fifty, "\x1e"), false)
 	f.Add(strings.Join(stringCorpus, "\x1e"), false)
@@ -69,14 +74,15 @@ func FuzzAppendJSONBoolMap(f *testing.F) {
 	// U+10000 there), and not the order of the runes a reader decodes
 	// (0xc0 alone reads as U+FFFD, far above é, and sorts below it).
 	f.Add("\uff5e\x1e\U00010000\x1ez\x1eé\x1e\xc0\x1e\xff\x1e\ufffd", false)
+	f.Add("actor03\x1eactor03\x1e", false) // a repeat, and the empty key
 	f.Fuzz(func(t *testing.T, joined string, isNil bool) {
-		m := boolMap(joined, isNil)
+		keys, m := keySet(joined, isNil)
 		want, err := json.Marshal(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := AppendBoolMap(nil, m); !bytes.Equal(got, want) {
-			t.Errorf("AppendBoolMap(%v) = %s, json.Marshal gives %s", m, got, want)
+		if got := AppendSet(nil, keys); !bytes.Equal(got, want) {
+			t.Errorf("AppendSet(%q) = %s, json.Marshal gives %s", keys, got, want)
 		}
 	})
 }
@@ -99,22 +105,22 @@ func TestAppendIntAndBoolMatchMarshal(t *testing.T) {
 // accessDoc has the shape of ehr.profile, the document the benchmark
 // writes most.
 type accessDoc struct {
-	PatientID string          `json:"patientId"`
-	Access    map[string]bool `json:"access"`
-	Updates   int             `json:"updates"`
+	PatientID string
+	Access    []string // sorted, distinct
+	Updates   int
 }
 
 func (d accessDoc) AppendJSON(b []byte) []byte {
 	b = AppendString(append(b, `{"patientId":`...), d.PatientID)
-	b = AppendBoolMap(append(b, `,"access":`...), d.Access)
+	b = AppendSet(append(b, `,"access":`...), d.Access)
 	b = AppendInt(append(b, `,"updates":`...), d.Updates)
 	return append(b, '}')
 }
 
 func tenActors(updates int) *accessDoc {
-	d := &accessDoc{PatientID: "17", Access: map[string]bool{}, Updates: updates}
+	d := &accessDoc{PatientID: "17", Access: []string{}, Updates: updates}
 	for i := 0; i < 10; i++ {
-		d.Access[fmt.Sprintf("actor%02d", i*5)] = true
+		d.Access = append(d.Access, fmt.Sprintf("actor%02d", i*5))
 	}
 	return d
 }
@@ -123,8 +129,8 @@ func tenActors(updates int) *accessDoc {
 var raceDetector bool
 
 // A write costs one object: the bytes that are kept. The buffer they
-// are encoded into is reused and sorting the map's keys stays on the
-// stack.
+// are encoded into is reused, and the access set is written as it is
+// held, already sorted.
 func TestPutDocAllocatesOnlyTheValue(t *testing.T) {
 	if raceDetector {
 		t.Skip("under the race detector sync.Pool drops a quarter of what is Put")
@@ -152,11 +158,7 @@ func TestPutDocValuesDoNotAlias(t *testing.T) {
 	}
 	writes := append(append([]ledger.KVWrite{}, first.RWSet().Writes...), other.RWSet().Writes...)
 	for i, w := range writes {
-		want, err := json.Marshal(docs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(w.Value, want) {
+		if want := docs[i].AppendJSON(nil); !bytes.Equal(w.Value, want) {
 			t.Errorf("write %d holds %s after the later writes, want %s", i, w.Value, want)
 		}
 		if slack := cap(w.Value) - len(w.Value); slack >= 16 {

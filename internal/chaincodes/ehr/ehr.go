@@ -11,8 +11,10 @@
 package ehr
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"repro/internal/chaincode"
@@ -31,21 +33,21 @@ const Patients = 100
 const Actors = 50
 
 type profile struct {
-	PatientID string          `json:"patientId"`
-	Access    map[string]bool `json:"access"` // actor -> granted
-	Updates   int             `json:"updates"`
+	PatientID string `json:"patientId"`
+	Access    actors `json:"access"`
+	Updates   int    `json:"updates"`
 }
 
 type record struct {
-	PatientID string          `json:"patientId"`
-	Access    map[string]bool `json:"access"`
-	Entries   int             `json:"entries"`
+	PatientID string `json:"patientId"`
+	Access    actors `json:"access"`
+	Entries   int    `json:"entries"`
 }
 
 // AppendJSON implements chaincode.Document.
 func (p profile) AppendJSON(b []byte) []byte {
 	b = chaincode.AppendString(append(b, `{"patientId":`...), p.PatientID)
-	b = chaincode.AppendBoolMap(append(b, `,"access":`...), p.Access)
+	b = chaincode.AppendSet(append(b, `,"access":`...), p.Access)
 	b = chaincode.AppendInt(append(b, `,"updates":`...), p.Updates)
 	return append(b, '}')
 }
@@ -53,9 +55,65 @@ func (p profile) AppendJSON(b []byte) []byte {
 // AppendJSON implements chaincode.Document.
 func (r record) AppendJSON(b []byte) []byte {
 	b = chaincode.AppendString(append(b, `{"patientId":`...), r.PatientID)
-	b = chaincode.AppendBoolMap(append(b, `,"access":`...), r.Access)
+	b = chaincode.AppendSet(append(b, `,"access":`...), r.Access)
 	b = chaincode.AppendInt(append(b, `,"entries":`...), r.Entries)
 	return append(b, '}')
+}
+
+// actors is an access list: the actors granted access, sorted in byte
+// order and distinct. On the chain it is a JSON object mapping each
+// actor to true, null for a nil list and {} for an empty one. A stored
+// list is shared with every replica, so it is never changed: with
+// returns a new one. Its MarshalJSON is declared in ehr_test.go, the
+// oracle AppendJSON is tested against: nothing outside the tests
+// encodes a document by reflection.
+type actors []string
+
+// with returns a with actor granted or revoked. A list that already
+// says so is returned as it is, except that nil becomes empty; any
+// other is copied into an exact-length slice.
+func (a actors) with(actor string, grant bool) actors {
+	i, member := slices.BinarySearch(a, actor)
+	switch {
+	case member == grant && a != nil:
+		return a
+	case grant:
+		out := make(actors, len(a)+1)
+		copy(out, a[:i])
+		out[i] = actor
+		copy(out[i+1:], a[i:])
+		return out
+	case !member:
+		return actors{}
+	}
+	out := make(actors, len(a)-1)
+	copy(out, a[:i])
+	copy(out[i:], a[i+1:])
+	return out
+}
+
+// UnmarshalJSON decodes the map[string]bool that a stands for. A member
+// mapped to false is an error: no function writes one, and dropping it
+// would change what the next write of the document stores.
+func (a *actors) UnmarshalJSON(raw []byte) error {
+	var m map[string]bool
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return err
+	}
+	if m == nil {
+		*a = nil
+		return nil
+	}
+	out := make(actors, 0, len(m))
+	for actor, granted := range m {
+		if !granted {
+			return fmt.Errorf("ehr: access of %q is false; an access list holds only grants", actor)
+		}
+		out = append(out, actor)
+	}
+	slices.Sort(out)
+	*a = out
+	return nil
 }
 
 // Chaincode is the EHR contract. The zero value is ready to use.
@@ -124,32 +182,13 @@ func (c *Chaincode) Init(stub *chaincode.Stub) error {
 func putPair(stub *chaincode.Stub, patient int) error {
 	id := strconv.Itoa(patient)
 	if err := chaincode.PutDoc(stub, ProfileKey(patient), &profile{
-		PatientID: id, Access: map[string]bool{},
+		PatientID: id, Access: actors{},
 	}); err != nil {
 		return err
 	}
 	return chaincode.PutDoc(stub, RecordKey(patient), &record{
-		PatientID: id, Access: map[string]bool{},
+		PatientID: id, Access: actors{},
 	})
-}
-
-// withAccess returns access with actor granted or revoked. The map of
-// a stored document is shared with every replica, so a change is made
-// to a copy; a map that already says so is returned as it is.
-func withAccess(access map[string]bool, actor string, grant bool) map[string]bool {
-	if access != nil && access[actor] == grant {
-		return access
-	}
-	out := make(map[string]bool, len(access)+1)
-	for a, ok := range access {
-		out[a] = ok
-	}
-	if grant {
-		out[actor] = true
-	} else {
-		delete(out, actor)
-	}
-	return out
 }
 
 // Invoke dispatches the functions of Table 2.
@@ -189,7 +228,7 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 		if err != nil {
 			return err
 		}
-		p.Access = withAccess(p.Access, actor, fn == "grantProfileAccess")
+		p.Access = p.Access.with(actor, fn == "grantProfileAccess")
 		return chaincode.PutDoc(stub, ProfileKey(patient), p)
 	case "grantEhrAccess", "revokeEhrAccess": // 2xR, 2xW
 		patient, actor, err := patientActorArgs(args)
@@ -205,8 +244,8 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 			return err
 		}
 		grant := fn == "grantEhrAccess"
-		r.Access = withAccess(r.Access, actor, grant)
-		p.Access = withAccess(p.Access, actor, grant)
+		r.Access = r.Access.with(actor, grant)
+		p.Access = p.Access.with(actor, grant)
 		if err := chaincode.PutDoc(stub, RecordKey(patient), r); err != nil {
 			return err
 		}

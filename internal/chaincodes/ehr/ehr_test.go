@@ -1,13 +1,20 @@
 package ehr
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/cctest"
+	"repro/internal/chaincode"
+	"repro/internal/ledger"
 	"repro/internal/statedb"
 )
 
@@ -53,23 +60,177 @@ func TestKeysMatchSprintf(t *testing.T) {
 
 // Both document types append the bytes json.Marshal produces.
 func TestDocumentsEncodeLikeEncodingJSON(t *testing.T) {
-	fifty := map[string]bool{}
-	for i := 0; i < Actors; i++ {
-		fifty[actorName((i*37)%Actors)] = i%3 != 0
-	}
+	fifty := actors(actorNames[:])
 	cctest.CheckDocumentJSON(t,
 		profile{},
-		profile{PatientID: "17", Access: map[string]bool{}},
-		profile{PatientID: "99", Access: map[string]bool{"actor07": true, "actor03": false}, Updates: 12},
+		profile{PatientID: "17", Access: actors{}},
+		profile{PatientID: "99", Access: actors{"actor03", "actor07"}, Updates: 12},
 		profile{PatientID: "<&>", Access: fifty, Updates: -1},
-		profile{Updates: math.MinInt64},
+		profile{Access: actors{"", "<&>", "é", "\u2028"}, Updates: math.MinInt64},
 	)
 	cctest.CheckDocumentJSON(t,
 		record{},
-		record{PatientID: "17", Access: map[string]bool{}},
+		record{PatientID: "17", Access: actors{}},
 		record{PatientID: "0", Access: fifty, Entries: 3},
 		record{Entries: math.MinInt64},
 	)
+}
+
+// MarshalJSON encodes a as the map[string]bool it stands for, through
+// encoding/json and not through chaincode.AppendSet, so that json.Marshal
+// of a document stays an oracle independent of its AppendJSON.
+func (a actors) MarshalJSON() ([]byte, error) {
+	var m map[string]bool
+	if a != nil {
+		m = make(map[string]bool, len(a))
+		for _, actor := range a {
+			m[actor] = true
+		}
+	}
+	return json.Marshal(m)
+}
+
+// Generate implements quick.Generator: nil, empty, or up to size
+// strings, sorted and distinct, as every stored access list is. The
+// strings are valid UTF-8, which encoding/json decodes back unchanged.
+func (actors) Generate(rng *rand.Rand, size int) reflect.Value {
+	var a actors
+	switch n := rng.Intn(size + 2); n {
+	case 0:
+	case 1:
+		a = actors{}
+	default:
+		a = make(actors, n-2)
+		for i := range a {
+			if rng.Intn(2) == 0 {
+				a[i] = actorName(rng.Intn(Actors))
+			} else {
+				a[i] = quickString(rng)
+			}
+		}
+		slices.Sort(a)
+		a = slices.Compact(a)
+	}
+	return reflect.ValueOf(a)
+}
+
+func quickString(rng *rand.Rand) string {
+	v, _ := quick.Value(reflect.TypeOf(""), rng)
+	return v.String()
+}
+
+// A member mapped to false is refused, by name, not dropped.
+func TestActorsRefuseFalseMembers(t *testing.T) {
+	var p profile
+	err := json.Unmarshal([]byte(`{"patientId":"3","access":{"actor01":true,"actor02":false},"updates":0}`), &p)
+	if err == nil || !strings.Contains(err.Error(), `"actor02"`) {
+		t.Fatalf("decoding a false member: err = %v, want one naming actor02", err)
+	}
+}
+
+// GetDoc decodes a value that carries no document (one written as raw
+// bytes), and the document it returns encodes back to those bytes.
+func TestGetDocDecodesStoredBytes(t *testing.T) {
+	fifty := make([]string, Actors)
+	for i := range fifty {
+		fifty[i] = fmt.Sprintf("%q:true", actorName(i))
+	}
+	for _, access := range []string{"null", "{}", "{" + strings.Join(fifty, ",") + "}"} {
+		raw := `{"patientId":"3","access":` + access + `,"updates":4}`
+		db := statedb.New(statedb.CouchDB)
+		batch := &statedb.UpdateBatch{}
+		batch.Add(ledger.KVWrite{Key: ProfileKey(3), Value: []byte(raw)}, ledger.Height{BlockNum: 1})
+		if err := db.ApplyUpdates(batch, 1); err != nil {
+			t.Fatal(err)
+		}
+		p, err := chaincode.GetDoc[profile](chaincode.NewStub(db), ProfileKey(3))
+		if err != nil {
+			t.Fatalf("access %.20s: %v", access, err)
+		}
+		if got := p.AppendJSON(nil); string(got) != raw {
+			t.Errorf("stored %s\n decodes and encodes to %s", raw, got)
+		}
+	}
+}
+
+// withAccessMap and appendBoolMap are the access list as it was before
+// it became a sorted set, a map[string]bool encoded by sorting its keys:
+// the oracle of TestActorsMatchTheMapForm.
+func withAccessMap(access map[string]bool, actor string, grant bool) map[string]bool {
+	if access != nil && access[actor] == grant {
+		return access
+	}
+	out := make(map[string]bool, len(access)+1)
+	for a, ok := range access {
+		out[a] = ok
+	}
+	if grant {
+		out[actor] = true
+	} else {
+		delete(out, actor)
+	}
+	return out
+}
+
+func appendBoolMap(b []byte, m map[string]bool) []byte {
+	if m == nil {
+		return append(b, "null"...)
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	b = append(b, '{')
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = chaincode.AppendString(b, k)
+		b = append(b, ':')
+		b = chaincode.AppendBool(b, m[k])
+	}
+	return append(b, '}')
+}
+
+// TestActorsMatchTheMapForm drives the set and the old map through the
+// same random grants and revokes, from nil and from empty, over actors
+// that need escaping and actors that are absent when revoked. After
+// every step the profile must encode to the old form's bytes, and no
+// set returned by an earlier step may have changed: each one may be a
+// stored document's, shared by every replica.
+func TestActorsMatchTheMapForm(t *testing.T) {
+	names := []string{"actor00", "actor07", "actor13", "actor42", "", "<&>", "é", "\u2028", "\xff", "\xfe", "a\xc0b"}
+	rng := rand.New(rand.NewSource(36))
+	type kept struct{ set, was actors }
+	for seq := 0; seq < 10000; seq++ {
+		var set actors
+		var m map[string]bool
+		if seq%2 == 1 {
+			set, m = actors{}, map[string]bool{}
+		}
+		var history []kept
+		for step, steps := 0, 1+rng.Intn(24); step < steps; step++ {
+			actor, grant := names[rng.Intn(len(names))], rng.Intn(2) == 0
+			set, m = set.with(actor, grant), withAccessMap(m, actor, grant)
+			got := profile{PatientID: "7", Access: set, Updates: step}.AppendJSON(nil)
+			want := chaincode.AppendString([]byte(`{"patientId":`), "7")
+			want = appendBoolMap(append(want, `,"access":`...), m)
+			want = chaincode.AppendInt(append(want, `,"updates":`...), step)
+			want = append(want, '}')
+			if !bytes.Equal(got, want) {
+				t.Fatalf("sequence %d, step %d (%q, grant %v): set %q encodes to %s, the map to %s",
+					seq, step, actor, grant, set, got, want)
+			}
+			history = append(history, kept{set, slices.Clone(set)})
+			for i, h := range history {
+				if !slices.Equal(h.set, h.was) {
+					t.Fatalf("sequence %d, step %d (%q, grant %v): the set of step %d changed from %q to %q",
+						seq, step, actor, grant, i, h.was, h.set)
+				}
+			}
+		}
+	}
 }
 
 // TestTable2OpCounts verifies every function's read/write/range counts

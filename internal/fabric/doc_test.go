@@ -1,8 +1,6 @@
 package fabric_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -36,11 +34,12 @@ func docConfig(cc chaincode.Chaincode, wl workload.Generator, kind statedb.Kind)
 
 // TestDocCoherence is the oracle of the document sidecar. The decoded
 // struct a chaincode wrote rides with its bytes into the state entry
-// and is handed to every later reader on every replica, so at drain, on
-// every up peer: (a) an entry's document still encodes to exactly the
-// entry's bytes — a chaincode that changed a stored document in place
-// fails this; (b) one key at one version is one entry on all replicas;
-// (c) no write on any chain still holds a document.
+// and is handed to every later reader on every replica: (a) an entry's
+// document still encodes to exactly the entry's bytes — a chaincode
+// that changed a stored document in place fails this — is checked by
+// checkRun on every corpus regime. Here, at drain, on every up peer:
+// (b) one key at one version is one entry on all replicas; (c) no write
+// on any chain still holds a document.
 func TestDocCoherence(t *testing.T) {
 	crash := docConfig(ehr.New(), ehr.NewWorkload(1), statedb.CouchDB)
 	crash.Retry = fabric.ExponentialBackoff{Initial: 200 * time.Millisecond, Cap: time.Second, MaxAttempts: 3}
@@ -109,10 +108,6 @@ func checkDocs(t *testing.T, nw *fabric.Network) {
 				}
 				if vv.Doc != nil {
 					docs++
-					if raw, err := json.Marshal(vv.Doc); err != nil || !bytes.Equal(raw, vv.Value) {
-						t.Errorf("channel %d, peer %s, key %s at %v: document encodes to %s (%v), entry holds %s",
-							ch, p.Name(), kv.Key, vv.Version, raw, err, vv.Value)
-					}
 				}
 				if first == nil {
 					continue

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaincode"
 	"repro/internal/gen"
 	"repro/internal/ledger"
 	"repro/internal/metrics"
@@ -18,8 +19,10 @@ import (
 // violation, naming the channel, the block or height, and the peer:
 // every channel's hash chain verifies, the accounting identity holds
 // per block and per channel (checkConservation), every replica equals
-// the chain's fold at its own height (checkReplicas), and the shared
-// signals stay in range and leave no trace when off (checkHintRange).
+// the chain's fold at its own height (checkReplicas), every document a
+// replica holds still encodes to its entry's bytes (checkDocuments),
+// and the shared signals stay in range and leave no trace when off
+// (checkHintRange).
 // genesis is snapshotGenesis of the network before it ran.
 func checkRun(nw *Network, rep metrics.Report, genesis [][]statedb.KV) error {
 	for ch, chain := range nw.chains {
@@ -31,6 +34,9 @@ func checkRun(nw *Network, rep metrics.Report, genesis [][]statedb.KV) error {
 		return err
 	}
 	if err := checkReplicas(nw, genesis); err != nil {
+		return err
+	}
+	if err := checkDocuments(nw); err != nil {
 		return err
 	}
 	return checkHintRange(nw.ctl, rep)
@@ -273,6 +279,40 @@ func checkValidatorTail(val *validator, peers []*Peer, ch int) error {
 	if err := sameState(val.db.GetRange("", ""), want); err != nil {
 		return fmt.Errorf("validator, channel %d, height %d (%s at %d plus %d memoised blocks): %v",
 			ch, val.next, lead.name, sp, val.next-sp, err)
+	}
+	return nil
+}
+
+// checkDocuments checks the document sidecar on every replica of every
+// channel, the validator's too: an entry whose Doc is a
+// chaincode.Document must encode to exactly the entry's bytes. Every
+// replica shares the document a chaincode wrote, so one changed in
+// place after it was stored fails here, wherever it is held.
+func checkDocuments(nw *Network) error {
+	var buf []byte
+	for ch := range nw.chains {
+		check := func(name string, db statedb.VersionedDB) error {
+			for it := db.Scan("", ""); it.Valid(); it.Next() {
+				vv := it.Value()
+				doc, ok := vv.Doc.(chaincode.Document)
+				if !ok {
+					continue
+				}
+				if buf = doc.AppendJSON(buf[:0]); !bytes.Equal(buf, vv.Value) {
+					return fmt.Errorf("%s, channel %d, key %q at %v: the document encodes to %s, the entry holds %s",
+						name, ch, it.Key(), vv.Version, buf, vv.Value)
+				}
+			}
+			return nil
+		}
+		for _, p := range nw.peers {
+			if err := check(p.name, p.dbs[ch]); err != nil {
+				return err
+			}
+		}
+		if err := check("validator", nw.vals[ch].db); err != nil {
+			return err
+		}
 	}
 	return nil
 }
