@@ -261,6 +261,63 @@ func (n *node[V]) clone() *node[V] {
 	return c
 }
 
+// Build returns a tree that maps keys[i] to values[i], built bottom-up
+// without a search or a split. The keys must strictly ascend. The
+// leaves are as few as hold the items, and each level above groups the
+// one below into as few nodes as maxItems allows, with the sizes spread
+// evenly, so every node but the root is between full and a little over
+// half full: at least minItems. Like Clone, it gives every node arrays
+// of exactly its length.
+func Build[V any](keys []string, values []V) *Tree[V] {
+	n := len(keys)
+	// l leaves hold n-(l-1) items; the other l-1 separate them above.
+	l := (n + maxItems + 1) / (maxItems + 1)
+	nodes := make([]*node[V], l)
+	seps := make([]item[V], l-1)
+	for j, i := 0, 0; j < l; j++ {
+		leaf := &node[V]{items: make([]item[V], share(n-(l-1), l, j))}
+		for x := range leaf.items {
+			leaf.items[x] = item[V]{keys[i], values[i]}
+			i++
+		}
+		nodes[j] = leaf
+		if j < l-1 {
+			seps[j] = item[V]{keys[i], values[i]}
+			i++
+		}
+	}
+	// Each pass groups the m nodes of a level under as few parents as
+	// take at most maxItems+1 children each. A parent is written over
+	// a slot whose nodes it has already copied, so a level replaces the
+	// one below in place.
+	for m := l; m > 1; {
+		parents := (m + maxItems) / (maxItems + 1)
+		for p, c := 0, 0; p < parents; p++ {
+			k := share(m, parents, p)
+			parent := &node[V]{items: make([]item[V], k-1), children: make([]*node[V], k)}
+			copy(parent.items, seps[c:c+k-1])
+			copy(parent.children, nodes[c:c+k])
+			c += k
+			nodes[p] = parent
+			if p < parents-1 {
+				seps[p] = seps[c-1]
+			}
+		}
+		m = parents
+	}
+	return &Tree[V]{root: nodes[0], length: n}
+}
+
+// share is the size of part j when total is split into parts as even
+// as can be, the larger ones first.
+func share(total, parts, j int) int {
+	s := total / parts
+	if j < total%parts {
+		s++
+	}
+	return s
+}
+
 // frame is one level of an iterator's path: the item it is on, in the
 // innermost frame, or else the child it descended into, which is the
 // item it returns to.

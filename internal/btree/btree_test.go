@@ -219,6 +219,92 @@ func TestCloneIndependentAfterSplitsAndMerges(t *testing.T) {
 	}
 }
 
+// builtKeys returns n ascending keys and the values 0..n-1.
+func builtKeys(n int) ([]string, []int) {
+	keys, vals := make([]string, n), make([]int, n)
+	for i := range keys {
+		keys[i], vals[i] = fmt.Sprintf("k%06d", i), i
+	}
+	return keys, vals
+}
+
+// Build meets every invariant at each size where the tree gains a
+// level (a full tree of height h holds 32^(h+1)-1 keys), holds exactly
+// its input, packs its leaves as densely as maxItems allows and gives
+// every node exact-length arrays.
+func TestBuild(t *testing.T) {
+	for _, n := range []int{0, 1, 31, 32, 1023, 1024, 32767, 32768, 100000} {
+		keys, vals := builtKeys(n)
+		tr := Build(keys, vals)
+		if err := checkInvariants(tr); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if got := tr.Keys(); !slices.Equal(got, keys) {
+			t.Fatalf("n=%d: Keys() has %d keys, want %d", n, len(got), n)
+		}
+		for i, k := range keys {
+			if v, ok := tr.Get(k); !ok || v != i {
+				t.Fatalf("n=%d: Get(%s) = %d,%v, want %d,true", n, k, v, ok, i)
+			}
+		}
+		leaves := 0
+		var walk func(nd *node[int])
+		walk = func(nd *node[int]) {
+			if cap(nd.items) != len(nd.items) || cap(nd.children) != len(nd.children) {
+				t.Fatalf("n=%d: a node of %d items has capacity %d (children %d of %d)",
+					n, len(nd.items), cap(nd.items), len(nd.children), cap(nd.children))
+			}
+			if nd.children == nil {
+				leaves++
+			}
+			for _, c := range nd.children {
+				walk(c)
+			}
+		}
+		walk(tr.root)
+		if want := (n + maxItems + 1) / (maxItems + 1); leaves != want {
+			t.Errorf("n=%d: %d leaves, want the %d that hold the keys", n, leaves, want)
+		}
+	}
+}
+
+// A built tree and its clone stay valid under random puts and deletes,
+// whichever side moves, and the other side keeps exactly what it held.
+func TestBuiltTreeMutates(t *testing.T) {
+	for _, n := range []int{31, 1024, 5000} {
+		for _, mutateClone := range []bool{true, false} {
+			keys, vals := builtKeys(n)
+			src := Build(keys, vals)
+			moved, still := src.Clone(), src
+			if !mutateClone {
+				moved, still = src, src.Clone()
+			}
+			m := &model{vals: map[string]int{}}
+			for i, k := range keys {
+				m.put(k, vals[i])
+			}
+			rng := rand.New(rand.NewSource(int64(n)))
+			bound := func(a int) string { return fmt.Sprintf("k%06d", a) }
+			for i := 0; i < 4*n; i++ {
+				a := rng.Intn(n + n/4)
+				if err := diffKey(moved, m, rng.Intn(4), bound(a), bound(a+rng.Intn(20)), i); err != nil {
+					t.Fatalf("n=%d mutateClone=%v op %d: %v", n, mutateClone, i, err)
+				}
+			}
+			mustHold(t, moved)
+			mustHold(t, still)
+			if got := still.Keys(); !slices.Equal(got, keys) {
+				t.Fatalf("n=%d mutateClone=%v: the untouched side has %d keys, want %d", n, mutateClone, len(got), n)
+			}
+			for i, k := range keys {
+				if v, _ := still.Get(k); v != i {
+					t.Fatalf("n=%d mutateClone=%v: the untouched side holds %d under %s, want %d", n, mutateClone, v, k, i)
+				}
+			}
+		}
+	}
+}
+
 // Property: the tree agrees with a reference map under a random
 // sequence of put/delete operations, and iteration is sorted.
 func TestAgainstReferenceMap(t *testing.T) {
@@ -350,7 +436,16 @@ func (m *model) rangeKeys(start, end string) []string {
 // reports the first disagreement. bound draws a range end: present
 // and absent keys, and the empty string.
 func diff(tr *Tree[int], m *model, op, a, b int, v int, bound func(int) string) error {
-	k := fmt.Sprintf("k%04d", a)
+	if op == 3 {
+		start := bound(a)
+		return diffKey(tr, m, op, start, bound(b), v)
+	}
+	return diffKey(tr, m, op, fmt.Sprintf("k%04d", a), "", v)
+}
+
+// diffKey is diff on key k: a put of v, a delete, a get, or a range
+// scan [k, end).
+func diffKey(tr *Tree[int], m *model, op int, k, end string, v int) error {
 	switch op {
 	case 0:
 		tr.Put(k, v)
@@ -366,7 +461,7 @@ func diff(tr *Tree[int], m *model, op, a, b int, v int, bound func(int) string) 
 			return fmt.Errorf("Get(%s) = %d,%v, want %d,%v", k, got, ok, want, wok)
 		}
 	default:
-		start, end := bound(a), bound(b)
+		start := k
 		if got, want := rangeKeys(tr, start, end), m.rangeKeys(start, end); !slices.Equal(got, want) {
 			i := 0
 			for i < min(len(got), len(want)) && got[i] == want[i] {
@@ -426,11 +521,12 @@ func TestDifferentialAgainstSortedMap(t *testing.T) {
 	}
 }
 
-// FuzzTree decodes its input as three-byte operations (kind, key, key)
-// over 256 keys, enough to split and merge nodes, and checks every
-// result and the invariants against the reference model. Only the first
-// maxOps operations count, which keeps each execution (and the
-// minimization of a long input) cheap.
+// FuzzTree starts from a tree built from the first built of 256 keys
+// (an empty one at 0), decodes ops as three-byte operations (kind,
+// key, key) over those keys, enough to split and merge nodes, and
+// checks every result and the invariants against the reference model.
+// Only the first maxOps operations count, which keeps each execution
+// (and the minimization of a long input) cheap.
 func FuzzTree(f *testing.F) {
 	const maxOps = 1024
 	var grow, shrink, churn []byte
@@ -439,13 +535,21 @@ func FuzzTree(f *testing.F) {
 		shrink = append(shrink, 1, byte(i*7), 0)
 		churn = append(churn, byte(i%4), byte(i*37), byte(i*11))
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0, 1, 0, 3, 0, 9})
-	f.Add(grow)
-	f.Add(append(append([]byte{}, grow...), shrink...))
-	f.Add(append(append([]byte{}, grow...), churn...))
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		tr, m := New[int](), &model{vals: map[string]int{}}
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(0), []byte{0, 1, 0, 3, 0, 9})
+	f.Add(uint8(0), grow)
+	f.Add(uint8(0), append(append([]byte{}, grow...), shrink...))
+	f.Add(uint8(0), append(append([]byte{}, grow...), churn...))
+	f.Add(uint8(255), append(append([]byte{}, shrink...), churn...))
+	f.Fuzz(func(t *testing.T, built uint8, ops []byte) {
+		keys := make([]string, built)
+		vals := make([]int, built)
+		m := &model{vals: map[string]int{}}
+		for i := range keys {
+			keys[i], vals[i] = fmt.Sprintf("k%04d", i), -i
+			m.put(keys[i], vals[i])
+		}
+		tr := Build(keys, vals)
 		bound := func(n int) string {
 			if n%17 == 0 {
 				return ""

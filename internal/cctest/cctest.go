@@ -29,17 +29,14 @@ func Commit(db statedb.VersionedDB, stub *chaincode.Stub, block uint64) error {
 	return db.ApplyUpdates(batch, block)
 }
 
-// InitState builds a fresh database seeded by the chaincode's Init.
+// InitState builds a fresh database seeded by the chaincode's Init,
+// the way a network loads its genesis state.
 func InitState(cc chaincode.Chaincode, kind statedb.Kind) (statedb.VersionedDB, error) {
-	db := statedb.New(kind)
-	stub := chaincode.NewStub(db)
+	stub := chaincode.NewStub(statedb.New(kind))
 	if err := cc.Init(stub); err != nil {
 		return nil, err
 	}
-	if err := Commit(db, stub, 0); err != nil {
-		return nil, err
-	}
-	return db, nil
+	return statedb.Load(kind, stub.RWSet().Writes), nil
 }
 
 // Invoke runs one function on a fresh stub and returns the stub.

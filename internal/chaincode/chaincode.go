@@ -28,6 +28,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/costmodel"
@@ -56,16 +58,21 @@ type Stub struct {
 	trace costmodel.OpTrace
 	// readKey (keys already in the read set) and writes (key -> index
 	// into rwset.Writes) exist only once the set they index has outgrown
-	// scanLimit; until then a look-up scans the set itself.
-	readKey map[string]bool
-	writes  map[string]int
+	// scanLimit; until then a look-up scans the set itself. The write
+	// set needs no map while its keys ascend (unordered is false): a key
+	// past the last write is new, and one before it is binary-searched.
+	readKey   map[string]bool
+	writes    map[string]int
+	unordered bool
 }
 
 // scanLimit is the longest read or write set a Stub searches by
 // scanning. No function of the four use-case chaincodes or of the
 // benchmark's genChain contracts reads or writes more than three keys,
-// so an invocation allocates neither map; the Init of every one of them
-// writes hundreds of keys and indexes them.
+// so an invocation allocates neither map. The Init of every one of them
+// writes hundreds of keys: genChain's in ascending order, which the
+// write set searches without a map, and the others' out of order,
+// which it indexes.
 const scanLimit = 8
 
 // NewStub creates a stub executing against db.
@@ -159,8 +166,12 @@ func (s *Stub) bufferWrite(w ledger.KVWrite) {
 		s.rwset.Writes[i] = w
 		return
 	}
+	n := len(s.rwset.Writes)
+	if n > 0 && w.Key < s.rwset.Writes[n-1].Key {
+		s.unordered = true
+	}
 	if s.writes != nil {
-		s.writes[w.Key] = len(s.rwset.Writes)
+		s.writes[w.Key] = n
 	}
 	s.rwset.Writes = append(s.rwset.Writes, w)
 }
@@ -174,6 +185,17 @@ func (s *Stub) writeIndex(key string) int {
 			if writes[i].Key == key {
 				return i
 			}
+		}
+		return -1
+	}
+	if !s.unordered {
+		if key > writes[len(writes)-1].Key {
+			return -1
+		}
+		if i, found := slices.BinarySearchFunc(writes, key, func(w ledger.KVWrite, k string) int {
+			return strings.Compare(w.Key, k)
+		}); found {
+			return i
 		}
 		return -1
 	}

@@ -75,8 +75,16 @@ func TestNoReadYourOwnWrites(t *testing.T) {
 
 // Like the read set, the write set is scanned up to scanLimit keys and
 // indexed beyond it.
+// TestLastWriteWins rewrites and deletes every buffered key in each of
+// the write set's three regimes: scanned up to scanLimit writes,
+// searched without a map while the keys ascend (k0…k8), and indexed by
+// a map once one arrives out of order (k10 after k9).
 func TestLastWriteWins(t *testing.T) {
-	for _, keys := range []int{1, scanLimit, scanLimit + 1, 3 * scanLimit} {
+	for _, c := range []struct {
+		keys    int
+		indexed bool
+	}{{1, false}, {scanLimit, false}, {scanLimit + 1, false}, {3 * scanLimit, true}} {
+		keys := c.keys
 		s := NewStub(seeded(statedb.LevelDB))
 		for k := 0; k < keys; k++ {
 			s.PutState(fmt.Sprintf("k%d", k), []byte("a"))
@@ -97,8 +105,54 @@ func TestLastWriteWins(t *testing.T) {
 		if s.Trace().Puts != 2*keys || s.Trace().Deletes != keys {
 			t.Errorf("%d keys: trace = %+v", keys, s.Trace())
 		}
-		if indexed := s.writes != nil; indexed != (keys > scanLimit) {
-			t.Errorf("%d keys: write set indexed = %v, scan limit %d", keys, indexed, scanLimit)
+		if indexed := s.writes != nil; indexed != c.indexed {
+			t.Errorf("%d keys: write set indexed = %v, want %v", keys, indexed, c.indexed)
+		}
+	}
+}
+
+// A write set that ascends past scanLimit is searched without a map,
+// rewrites included; one key out of order brings the map in, and from
+// then on every write keeps its first position and the last one wins.
+func TestWriteSetTurnsUnordered(t *testing.T) {
+	s := NewStub(seeded(statedb.LevelDB))
+	key := func(i int) string { return fmt.Sprintf("k%02d", i) }
+	want := map[string]string{}
+	write := func(k, v string) {
+		if v == "" {
+			s.DelState(k)
+		} else {
+			s.PutState(k, []byte(v))
+		}
+		want[k] = v
+	}
+	for i := 0; i < 2*scanLimit; i++ {
+		write(key(i), "a")
+	}
+	write(key(scanLimit), "b")
+	write(key(0), "b")
+	if s.writes != nil || s.unordered {
+		t.Fatalf("an ascending write set was indexed (map %v, unordered %v)", s.writes != nil, s.unordered)
+	}
+	write("k05x", "a") // between k05 and k06: out of order
+	for _, k := range []string{key(0), key(3), "k05x", key(2*scanLimit - 1)} {
+		write(k, "c")
+	}
+	write(key(7), "")
+	if s.writes == nil {
+		t.Fatal("the write set stayed unindexed after a key arrived out of order")
+	}
+	writes := s.RWSet().Writes
+	if len(writes) != 2*scanLimit+1 {
+		t.Fatalf("%d writes, want %d", len(writes), 2*scanLimit+1)
+	}
+	for i, w := range writes {
+		wantKey := "k05x"
+		if i < 2*scanLimit {
+			wantKey = key(i)
+		}
+		if w.Key != wantKey || string(w.Value) != want[w.Key] || w.IsDelete != (want[w.Key] == "") {
+			t.Errorf("write %d = %s %q (delete %v), want %s %q", i, w.Key, w.Value, w.IsDelete, wantKey, want[wantKey])
 		}
 	}
 }

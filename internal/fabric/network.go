@@ -109,19 +109,12 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	nw.pol = policy.Build(cfg.Policy, nw.orgs)
 
-	// Genesis: run Init once, apply at height 0, clone per replica.
-	genesis := statedb.New(cfg.DBKind)
-	stub := chaincode.NewStub(genesis)
+	// Genesis: run Init once, load it at height 0, clone per replica.
+	stub := chaincode.NewStub(statedb.New(cfg.DBKind))
 	if err := cfg.Chaincode.Init(stub); err != nil {
 		return nil, fmt.Errorf("fabric: chaincode init: %w", err)
 	}
-	batch := &statedb.UpdateBatch{}
-	for i, w := range stub.RWSet().Writes {
-		batch.Add(w, ledger.Height{BlockNum: 0, TxNum: uint64(i)})
-	}
-	if err := genesis.ApplyUpdates(batch, 0); err != nil {
-		return nil, err
-	}
+	genesis := statedb.Load(cfg.DBKind, stub.RWSet().Writes)
 
 	// Each channel anchors its own hash chain with a genesis block 0.
 	for ch := 0; ch < nw.channels; ch++ {

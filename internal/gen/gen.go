@@ -30,6 +30,19 @@ import (
 // conflicts").
 const DefaultKeys = 100000
 
+// rangeWidths are the widths a generated range read draws from (§4.4:
+// ranges of 2, 4 or 8 keys).
+var rangeWidths = [...]int{2, 4, maxRangeWidth}
+
+// The key count a spec may seed: a range read needs more keys than its
+// widest width to start at, and KeyName's six digits sort in index
+// order only up to key_999999.
+const (
+	maxRangeWidth = 8
+	minKeys       = maxRangeWidth + 1
+	maxKeys       = 1000000
+)
+
 // FunctionSpec declares one generated function's actions.
 type FunctionSpec struct {
 	Name        string
@@ -80,8 +93,13 @@ func (s ChaincodeSpec) Validate() error {
 	if !validIdent(s.Name) {
 		return fmt.Errorf("gen: chaincode name %q is not a valid Go identifier", s.Name)
 	}
-	if s.Keys <= 0 {
-		return fmt.Errorf("gen: chaincode %q needs a positive key count", s.Name)
+	if s.Keys < minKeys {
+		return fmt.Errorf("gen: chaincode %q seeds %d keys, fewer than the %d a range read of up to %d keys draws from",
+			s.Name, s.Keys, minKeys, maxRangeWidth)
+	}
+	if s.Keys > maxKeys {
+		return fmt.Errorf("gen: chaincode %q seeds %d keys, more than the %d six-digit key names sort in index order",
+			s.Name, s.Keys, maxKeys)
 	}
 	if len(s.Functions) == 0 {
 		return fmt.Errorf("gen: chaincode %q has no functions", s.Name)
@@ -179,11 +197,19 @@ func (c *Chaincode) Name() string { return c.spec.Name }
 // Spec returns the compiled specification.
 func (c *Chaincode) Spec() ChaincodeSpec { return c.spec }
 
-// Init seeds the world state with spec.Keys JSON documents.
+// Init seeds the world state with spec.Keys JSON documents, in
+// ascending key order. There are 97 distinct documents, encoded once
+// and shared by every key that holds one: a stored value is never
+// written into, and each is capped at its length so that an append to
+// one cannot either.
 func (c *Chaincode) Init(stub *chaincode.Stub) error {
+	var docs [97][]byte
+	for g := range docs {
+		doc := []byte(fmt.Sprintf(`{"v":0,"grp":%d}`, g))
+		docs[g] = doc[:len(doc):len(doc)]
+	}
 	for i := 0; i < c.spec.Keys; i++ {
-		doc := fmt.Sprintf(`{"v":0,"grp":%d}`, i%97)
-		if err := stub.PutState(KeyName(i), []byte(doc)); err != nil {
+		if err := stub.PutState(KeyName(i), docs[i%len(docs)]); err != nil {
 			return err
 		}
 	}
@@ -332,7 +358,6 @@ func NewWorkload(spec ChaincodeSpec, mix Mix, skew float64) workload.Generator {
 	z := dist.NewZipfian(spec.Keys, skew)
 	insertSeq := 0
 	deleteSeq := 0
-	widths := []int{2, 4, 8} // §4.4: ranges of 2, 4 or 8 keys
 	pick := workload.NewWeighted(
 		[]workload.Generator{
 			workload.Func(func(rng *rand.Rand) workload.Invocation {
@@ -354,7 +379,7 @@ func NewWorkload(spec ChaincodeSpec, mix Mix, skew float64) workload.Generator {
 					Args: []string{strconv.Itoa(deleteSeq % spec.Keys)}}
 			}),
 			workload.Func(func(rng *rand.Rand) workload.Invocation {
-				w := widths[rng.Intn(len(widths))]
+				w := rangeWidths[rng.Intn(len(rangeWidths))]
 				start := rng.Intn(spec.Keys - w)
 				return workload.Invocation{Chaincode: spec.Name, Function: "rangeOp",
 					Args: []string{rangeToken(start, w)}}

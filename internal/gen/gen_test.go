@@ -29,10 +29,34 @@ func TestSpecValidation(t *testing.T) {
 		{Name: "x", Keys: 10, Functions: []FunctionSpec{{Name: "", Reads: 1}}},
 		{Name: "x", Keys: 10, Functions: []FunctionSpec{{Name: "f", Reads: 1}, {Name: "f", Reads: 1}}},
 		{Name: "x", Keys: 10, Functions: []FunctionSpec{{Name: "f"}}},
+		// Too few keys for an 8-key range read to start anywhere
+		// (NewWorkload's draw would panic), and too many for six-digit
+		// key names to sort in index order.
+		{Name: "x", Keys: 8, Functions: []FunctionSpec{{Name: "f", RangeReads: 1}}},
+		{Name: "x", Keys: 1000001, Functions: []FunctionSpec{{Name: "f", Reads: 1}}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d: invalid spec accepted", i)
+		}
+	}
+	for _, keys := range []int{9, 1000000} {
+		s := ChaincodeSpec{Name: "x", Keys: keys, Functions: []FunctionSpec{{Name: "f", RangeReads: 1}}}
+		if err := s.Validate(); err != nil {
+			t.Errorf("%d keys: %v", keys, err)
+		}
+	}
+	// At the lower bound every range the workload draws is in the key
+	// space; one key fewer, NewWorkload panicked.
+	s := ChaincodeSpec{Name: "x", Keys: 9, Functions: []FunctionSpec{{Name: "rangeOp", RangeReads: 1}}}
+	g, rng := NewWorkload(s, RangeHeavy, 0), rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		inv := g.Next(rng)
+		if inv.Function != "rangeOp" {
+			continue
+		}
+		if start, width, err := rangeArg(inv.Args[0]); err != nil || start < 0 || start+width >= s.Keys {
+			t.Fatalf("range %q runs past the %d seeded keys (%v)", inv.Args[0], s.Keys, err)
 		}
 	}
 }

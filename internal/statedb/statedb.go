@@ -20,6 +20,8 @@ package statedb
 import (
 	"encoding/json"
 	"errors"
+	"slices"
+	"strings"
 
 	"repro/internal/btree"
 	"repro/internal/couchq"
@@ -184,6 +186,41 @@ type store struct {
 // New constructs an empty database of the given kind.
 func New(kind Kind) VersionedDB {
 	return &store{kind: kind, index: btree.New[*entry]()}
+}
+
+// Load returns a database of the given kind holding writes as one
+// batch applied at height 0 leaves it: write i at version (0, i), the
+// last write of a key winning, and a deletion storing nothing. It is
+// how a genesis state is built: the entries share one allocation, the
+// key order is sorted once (not at all when the keys already ascend)
+// and the index is built bottom-up instead of inserted key by key.
+func Load(kind Kind, writes []ledger.KVWrite) VersionedDB {
+	order := make([]int, len(writes))
+	for i := range order {
+		order[i] = i
+	}
+	byKey := func(a, b int) int {
+		if c := strings.Compare(writes[a].Key, writes[b].Key); c != 0 {
+			return c
+		}
+		return a - b
+	}
+	if !slices.IsSortedFunc(order, byKey) {
+		slices.SortFunc(order, byKey)
+	}
+	entries := make([]entry, len(writes))
+	keys := make([]string, 0, len(writes))
+	vals := make([]*entry, 0, len(writes))
+	for j, i := range order {
+		w := writes[i]
+		if w.IsDelete || j+1 < len(order) && writes[order[j+1]].Key == w.Key {
+			continue // stores nothing, or a later write of the key wins
+		}
+		entries[i].VersionedValue = VersionedValue{Value: w.Value, Version: ledger.Height{TxNum: uint64(i)}, Doc: w.Doc}
+		keys = append(keys, w.Key)
+		vals = append(vals, &entries[i])
+	}
+	return &store{kind: kind, index: btree.Build(keys, vals)}
 }
 
 func (db *store) Kind() Kind { return db.kind }
