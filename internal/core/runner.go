@@ -189,7 +189,8 @@ type Options struct {
 	// this value: every (config, seed) cell owns its rng and the
 	// harness aggregates in input order.
 	Parallelism int
-	// Progress, when non-nil, receives one line per completed run, on
+	// Progress, when non-nil, receives one line per completed run — its
+	// report, its engine's event count and events per wall-second — on
 	// the worker that ran it and under one mutex, so the callback never
 	// runs concurrently with itself.
 	Progress func(string)

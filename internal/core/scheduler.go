@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/metrics"
@@ -80,10 +81,12 @@ func (o Options) runReports(builds []Builder) ([]metrics.Report, error) {
 					failed.Store(true)
 					return
 				}
+				start := time.Now()
 				reports[i] = nw.Run()
 				if o.Progress != nil {
+					ev := nw.Engine().Processed()
 					progress.Lock()
-					o.Progress(fmt.Sprintf("cell %d/%d seed %d: %v", cell+1, len(builds), seed, reports[i]))
+					o.Progress(fmt.Sprintf("cell %d/%d seed %d: %v, %d events, %.0f events/s", cell+1, len(builds), seed, reports[i], ev, float64(ev)/time.Since(start).Seconds()))
 					progress.Unlock()
 				}
 			}

@@ -621,13 +621,7 @@ func (c *ClientDriver) startGossip() {
 	if c.gossip == nil || c.nw.ctl.Gossip.Period <= 0 || len(c.nw.drivers) < 2 {
 		return
 	}
-	period := c.nw.ctl.Gossip.Period
-	var round func()
-	round = func() {
-		c.gossipRound()
-		c.nw.eng.After(period, round)
-	}
-	c.nw.eng.After(period, round)
+	c.nw.eng.Tick(c.nw.ctl.Gossip.Period, c.gossipRound)
 }
 
 // gossipRound sends the driver's current estimate to Fanout sampled
@@ -663,7 +657,10 @@ func (c *ClientDriver) gossipRound() {
 // gossipMsg is one gossip message in flight: its receiver and the
 // sender's estimate as of sentAt. deliver is bound once, when the
 // message is made, and puts it back on the network's free list before
-// merging; a message the network model drops is left to the GC.
+// merging it into the receiver's view by max-with-decay; a message the
+// network model drops is left to the GC. A merge only updates the view:
+// the controllers read it at their next backoff decision, the pacer at
+// its next pause.
 type gossipMsg struct {
 	to      *ClientDriver
 	est     SplitEstimate
@@ -682,19 +679,11 @@ func (nw *Network) gossipMsg() *gossipMsg {
 	m.deliver = func() {
 		to, est, sentAt := m.to, m.est, m.sentAt
 		nw.gossipFree = append(nw.gossipFree, m)
-		to.onGossip(est, sentAt)
+		if to.gossip.merge(est, sentAt, nw.eng.Now()) {
+			nw.col.RecordGossipMerge()
+		}
 	}
 	return m
-}
-
-// onGossip receives one peer driver's estimate (worth e at the
-// sender's sentAt) and merges it by max-with-decay. Merges only update
-// this driver's view; the hint-consuming controllers read it lazily at
-// their next backoff decision, and the pacer at its next pause.
-func (c *ClientDriver) onGossip(e SplitEstimate, sentAt sim.Time) {
-	if c.gossip.merge(e, sentAt, c.nw.eng.Now()) {
-		c.nw.col.RecordGossipMerge()
-	}
 }
 
 // jobDone closes a logical transaction; in closed-loop mode it keeps

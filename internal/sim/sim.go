@@ -26,21 +26,26 @@ func (t Time) String() string { return time.Duration(t).String() }
 // Seconds returns the virtual time in seconds.
 func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
 
-// event is a scheduled callback. seq breaks ties so that events
+// key is when a queued event runs. seq breaks ties so that events
 // scheduled earlier run earlier, which keeps runs deterministic.
-type event struct {
+type key struct {
 	at  Time
 	seq uint64
-	fn  func()
 }
 
 // before reports whether a runs before b: (at, seq) is a total order,
 // so the execution order does not depend on the queue's layout.
-func (a *event) before(b *event) bool {
+func (a *key) before(b *key) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
+}
+
+// event is a scheduled callback.
+type event struct {
+	key
+	fn func()
 }
 
 // eventHeap is a binary min-heap of events held by value: scheduling an
@@ -54,7 +59,7 @@ func (h *eventHeap) push(ev event) {
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !ev.before(&q[parent]) {
+		if !ev.before(&q[parent].key) {
 			break
 		}
 		q[i] = q[parent]
@@ -78,10 +83,10 @@ func (h *eventHeap) pop() event {
 		if child >= n {
 			break
 		}
-		if child+1 < n && q[child+1].before(&q[child]) {
+		if child+1 < n && q[child+1].before(&q[child].key) {
 			child++
 		}
-		if !q[child].before(&last) {
+		if !q[child].before(&last.key) {
 			break
 		}
 		q[i] = q[child]
@@ -93,19 +98,30 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
+// lane queues the armed Tickers of one interval, linked through
+// Ticker.link, each holding the key of its next tick. A tick is armed at
+// (now + interval, fresh seq), so one interval's keys ascend in arming
+// order and a FIFO holds them in run order without a heap's sifting.
+type lane struct {
+	interval   Time
+	head, tail *Ticker
+}
+
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; construct with NewEngine.
 type Engine struct {
 	now     Time
 	seq     uint64
 	pq      eventHeap
+	lanes   []lane     // Tick's series, one FIFO per interval beside pq
 	src     stream     // the generator; PermPrefix reads it directly
 	rng     *rand.Rand // over src, for every other draw
 	stopped bool
 	// processed counts executed events, for diagnostics.
 	processed uint64
-	// divisors[i] serves PermPrefix's Intn(i+1) draws.
-	divisors []divisor
+	// fastmod[i] is Lemire's reciprocal of i+1, for PermPrefix's
+	// Intn(i+1) draws.
+	fastmod []uint64
 }
 
 // NewEngine returns an engine whose random stream is the one
@@ -137,7 +153,7 @@ func (e *Engine) At(t Time, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	e.pq.push(event{at: t, seq: e.seq, fn: fn})
+	e.pq.push(event{key{t, e.seq}, fn})
 }
 
 // After schedules fn to run d after the current virtual time. Negative
@@ -155,8 +171,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // Run executes events until the queue is empty or Stop is called.
 func (e *Engine) Run() {
 	e.stopped = false
-	for len(e.pq) > 0 && !e.stopped {
-		e.step()
+	for !e.stopped && e.step(math.MaxInt64) {
 	}
 }
 
@@ -165,25 +180,62 @@ func (e *Engine) Run() {
 // queued.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for len(e.pq) > 0 && !e.stopped && e.pq[0].at <= deadline {
-		e.step()
+	for !e.stopped && e.step(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline
 	}
 }
 
-func (e *Engine) step() {
-	ev := e.pq.pop()
-	if ev.at > e.now {
-		e.now = ev.at
+// step runs the earliest queued event — the least by (at, seq) of the
+// heap's top and the lanes' heads — if it is due by deadline, and
+// reports whether it ran one.
+func (e *Engine) step(deadline Time) bool {
+	var next *key
+	if len(e.pq) > 0 {
+		next = &e.pq[0].key
+	}
+	from := -1 // the heap
+	for i := range e.lanes {
+		if h := e.lanes[i].head; h != nil && (next == nil || h.next.before(next)) {
+			next, from = &h.next, i
+		}
+	}
+	if next == nil || next.at > deadline {
+		return false
+	}
+	if next.at > e.now {
+		e.now = next.at
 	}
 	e.processed++
-	ev.fn()
+	if from < 0 {
+		e.pq.pop().fn()
+		return true
+	}
+	l := &e.lanes[from]
+	t := l.head
+	if l.head, t.link = t.link, nil; l.head == nil {
+		l.tail = nil
+	}
+	if t.fn != nil { // not cancelled
+		t.fn()
+		if t.fn != nil {
+			e.arm(t, from)
+		}
+	}
+	return true
 }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.pq) }
+func (e *Engine) Pending() int {
+	n := len(e.pq)
+	for _, l := range e.lanes {
+		for t := l.head; t != nil; t = t.link {
+			n++
+		}
+	}
+	return n
+}
 
 // Exponential draws an exponentially distributed duration with the
 // given mean. It is the inter-arrival distribution of the open-loop
@@ -251,35 +303,73 @@ func (e *Engine) Uniform(lo, hi time.Duration) time.Duration {
 // with j <= i: a slot below len(prefix) is only ever assigned the loop
 // index or the content of a slot at or below itself, never content from
 // beyond the prefix, so the prefix can be tracked alone. The draws are
-// read from the engine's stream buffer at a position held in a local,
-// not through rand.Rand and rand.Source, and each Intn(i+1) is Int31n's
-// rejection loop with its two divisions replaced by a table lookup and
-// a multiplication (see divisor); the table grows to the largest n
-// asked for and is kept. n must be below 1<<31.
+// read from the engine's stream buffer, not through rand.Rand and
+// rand.Source. Int31n(d) rejects no draw below 1<<31-d, so every draw
+// below 1<<31-n is accepted by all n of them and its Intn(d) is the
+// remainder, taken with Lemire's fastmod reciprocal of d from a table
+// that grows to the largest n asked for and is kept; a draw at or above
+// that bound takes Int31n's rejection loop (divisor.int31n). The tail —
+// the draws past the prefix — walks the buffer in runs up to its end, so
+// the refill check sits outside the inner loop. n must be below 1<<31.
 func (e *Engine) PermPrefix(n int, prefix []int) {
-	for d := len(e.divisors) + 1; d <= n; d++ {
-		e.divisors = append(e.divisors, newDivisor(uint32(d)))
+	for d := len(e.fastmod) + 1; d <= n; d++ {
+		e.fastmod = append(e.fastmod, ^uint64(0)/uint64(d)+1)
 	}
-	s, pos := &e.src, e.src.pos
-	k := len(prefix)
+	k, accept := len(prefix), uint32(1<<31-n)
+	pos := e.src.pos
 	var j uint32
-	for i, dv := range e.divisors[:k] {
-		j, pos = dv.int31n(s, pos)
+	for i := range prefix {
+		j, pos = e.intn(i, accept, pos)
 		prefix[i] = prefix[j]
 		prefix[j] = i
 	}
-	for i, dv := range e.divisors[k:n] {
-		if j, pos = dv.int31n(s, pos); int(j) < k {
-			prefix[j] = k + i
+	for i := k; i < n; {
+		if pos == streamLen {
+			e.src.refill()
+			pos = 0
+		}
+		run := e.src.buf[pos:min(streamLen, pos+n-i)]
+		ms := e.fastmod[i : i+len(run)]
+		r := 0
+		for ; r < len(run); r++ {
+			v := uint32(run[r]>>32) &^ (1 << 31)
+			if v >= accept {
+				break
+			}
+			if hi, _ := bits.Mul64(ms[r]*uint64(v), uint64(i+r+1)); hi < uint64(len(prefix)) {
+				prefix[hi] = i + r
+			}
+		}
+		i, pos = i+r, pos+r
+		if r < len(run) {
+			if j, pos = e.intn(i, accept, pos); int(j) < k {
+				prefix[j] = i
+			}
+			i++
 		}
 	}
-	s.pos = pos
+	e.src.pos = pos
+}
+
+// intn returns PermPrefix's i-th draw, Intn(i+1), from the stream
+// outputs starting at buf[pos] (pos == streamLen refills first), and the
+// position after the draws it used.
+func (e *Engine) intn(i int, accept uint32, pos int) (uint32, int) {
+	if pos == streamLen {
+		e.src.refill()
+		pos = 0
+	}
+	if v := uint32(e.src.buf[pos]>>32) &^ (1 << 31); v < accept {
+		hi, _ := bits.Mul64(e.fastmod[i]*uint64(v), uint64(i+1))
+		return uint32(hi), pos + 1
+	}
+	return newDivisor(uint32(i+1)).int31n(&e.src, pos)
 }
 
 // divisor is what rand.Int31n(d) computes with two 32-bit divisions per
-// call, computed once: the largest draw it accepts and Lemire's fastmod
-// reciprocal of d ("Faster remainder by direct computation", Lemire,
-// Kaser & Kurz 2019), exact for every 32-bit dividend and divisor.
+// call: the largest draw it accepts and Lemire's fastmod reciprocal of d
+// ("Faster remainder by direct computation", Lemire, Kaser & Kurz 2019),
+// exact for every 32-bit dividend and divisor.
 type divisor struct {
 	d   uint32
 	max uint32 // (1<<31 - 1) - (1<<31)%d: larger draws are rejected
@@ -292,10 +382,10 @@ func newDivisor(d uint32) divisor {
 
 // int31n returns what Int31n(d) would from the outputs of s starting at
 // buf[pos] (pos == streamLen refills first), and the position after the
-// draws it used; it is PermPrefix's one draw path, and small enough for
-// the compiler to inline there. Int31n takes Int63()>>32 as its Int31
-// and masks instead when d is a power of two; there (1<<31)%d is 0, so
-// nothing is rejected and the remainder is the mask.
+// draws it used: PermPrefix's path for a draw near the top of the range.
+// Int31n takes Int63()>>32 as its Int31 and masks instead when d is a
+// power of two; there (1<<31)%d is 0, so nothing is rejected and the
+// remainder is the mask.
 func (dv divisor) int31n(s *stream, pos int) (uint32, int) {
 	for {
 		if pos == streamLen {
@@ -325,32 +415,47 @@ func (e *Engine) Jittered(base time.Duration, frac float64) time.Duration {
 	return d
 }
 
-// Ticker repeatedly schedules fn every interval until the engine stops
-// or cancel is invoked. The first tick fires one interval from now.
+// Ticker repeatedly runs fn every interval until the engine stops or
+// Cancel is invoked. The first tick fires one interval from now.
 type Ticker struct {
-	cancelled bool
+	fn   func() // nil once cancelled
+	next key    // of the armed tick
+	link *Ticker
 }
 
 // Cancel stops future ticks. It is safe to call multiple times.
-func (t *Ticker) Cancel() { t.cancelled = true }
+func (t *Ticker) Cancel() { t.fn = nil }
 
 // Tick schedules fn every interval on the engine and returns a Ticker
-// that can cancel the series.
+// that can cancel the series. Each tick is one event: it runs fn unless
+// the series was cancelled, then re-arms one interval later unless fn
+// cancelled it. The series waits on its interval's lane, not the heap,
+// and allocates nothing but the Ticker.
 func (e *Engine) Tick(interval time.Duration, fn func()) *Ticker {
 	if interval <= 0 {
 		panic(fmt.Sprintf("sim: non-positive tick interval %v", interval))
 	}
-	t := &Ticker{}
-	var loop func()
-	loop = func() {
-		if t.cancelled {
-			return
-		}
-		fn()
-		if !t.cancelled {
-			e.After(interval, loop)
-		}
+	i := 0
+	for i < len(e.lanes) && e.lanes[i].interval != Time(interval) {
+		i++
 	}
-	e.After(interval, loop)
+	if i == len(e.lanes) {
+		e.lanes = append(e.lanes, lane{interval: Time(interval)})
+	}
+	t := &Ticker{fn: fn}
+	e.arm(t, i)
 	return t
+}
+
+// arm queues t's next tick, one interval from now, on lane i.
+func (e *Engine) arm(t *Ticker, i int) {
+	l := &e.lanes[i]
+	e.seq++
+	t.next = key{e.now + l.interval, e.seq}
+	if l.tail == nil {
+		l.head = t
+	} else {
+		l.tail.link = t
+	}
+	l.tail = t
 }

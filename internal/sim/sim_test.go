@@ -285,18 +285,52 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	}
 }
 
-// The queue is a hand-written heap. Interleave At and After — from
-// outside and from inside running events, with mostly equal timestamps —
-// and check every step against a reference: the event that runs is the
-// least by (effective timestamp, scheduling order) among those scheduled
-// so far and not yet run.
+// The queue is a hand-written heap plus one FIFO lane per tick
+// interval. Interleave At, After and tick series of two intervals —
+// from outside and from inside running events, with mostly equal
+// timestamps, so ticks tie with heap events — and check every step
+// against a reference: the event that runs is the least by (effective
+// timestamp, scheduling order) among those scheduled so far and not yet
+// run. A series ends by cancelling itself in its callback, or is
+// cancelled by another event, which leaves its armed tick to run as an
+// event with no callback. A RunUntil halfway must leave exactly the
+// later events queued, ticks included, and Pending must count them;
+// so must one on a lone series.
 func TestHeapMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	e := NewEngine(1)
-	var at []Time   // effective timestamp by event id; ids are in scheduling order
-	var ran []int   // event ids in execution order
-	var known []int // known[k]: events scheduled before the k-th one ran
+	var at []Time     // effective timestamp by event id; ids are in scheduling order
+	var silent []bool // the tick of a series cancelled before it ran
+	var ran []int     // event ids in execution order, silent ticks excepted
+	var known []int   // known[k]: events scheduled before the k-th one ran
+	schedule := func(when Time) int {
+		at, silent = append(at, when), append(silent, false)
+		return len(at) - 1
+	}
+	type series struct {
+		tk   *Ticker
+		next int // id of the armed tick
+	}
+	var live []*series
 	var add func(depth int)
+	startSeries := func() {
+		interval := time.Duration(1+rng.Intn(2)) * time.Millisecond
+		s, left := &series{}, 1+rng.Intn(5)
+		s.next = schedule(e.Now() + Time(interval))
+		s.tk = e.Tick(interval, func() {
+			ran = append(ran, s.next)
+			if rng.Intn(2) == 0 {
+				add(2)
+			}
+			if left--; left == 0 {
+				s.tk.Cancel()
+			} else {
+				s.next = schedule(e.Now() + Time(interval)) // re-armed after this returns
+			}
+			known = append(known, len(at))
+		})
+		live = append(live, s)
+	}
 	add = func(depth int) {
 		id := len(at)
 		fn := func() {
@@ -306,33 +340,71 @@ func TestHeapMatchesReference(t *testing.T) {
 			for k := rng.Intn(3); depth < 3 && k > 0; k-- {
 				add(depth + 1)
 			}
+			switch rng.Intn(8) {
+			case 0:
+				startSeries()
+			case 1:
+				if s := live[rng.Intn(len(live))]; !silent[s.next] && !slices.Contains(ran, s.next) {
+					s.tk.Cancel()
+					silent[s.next] = true
+				}
+			}
 			known = append(known, len(at))
 		}
 		if rng.Intn(2) == 0 {
 			d := time.Duration(rng.Intn(4)-1) * time.Millisecond // -1ms clamps to 0
-			at = append(at, e.Now()+Time(max(d, 0)))
+			schedule(e.Now() + Time(max(d, 0)))
 			e.After(d, fn)
 			return
 		}
 		// A handful of distinct timestamps, so most events tie; those in
 		// the past are clamped to now.
 		when := Time(rng.Intn(8)) * Time(time.Millisecond)
-		at = append(at, max(when, e.Now()))
+		schedule(max(when, e.Now()))
 		e.At(when, fn)
 	}
 	for i := 0; i < 400; i++ {
+		if i%100 == 0 {
+			startSeries()
+		}
 		add(0)
 	}
 	known = append(known, len(at))
+	const mid = Time(5 * time.Millisecond)
+	e.RunUntil(mid)
+	later, silentRan, laneLater := 0, 0, 0
+	for id, when := range at {
+		switch {
+		case when > mid:
+			later++
+		case silent[id]:
+			silentRan++
+		}
+	}
+	for _, s := range live {
+		if at[s.next] > mid && !silent[s.next] {
+			laneLater++
+		}
+	}
+	if e.Pending() != later || int(e.Processed()) != len(ran)+silentRan || laneLater == 0 {
+		t.Fatalf("after RunUntil(%v): %d pending, %d processed; want %d later events (%d armed ticks, want some) and %d processed",
+			mid, e.Pending(), e.Processed(), later, laneLater, len(ran)+silentRan)
+	}
 	e.Run()
-	if len(ran) != len(at) || e.Pending() != 0 {
-		t.Fatalf("ran %d of %d events, %d pending", len(ran), len(at), e.Pending())
+	silentRan = 0
+	for _, s := range silent {
+		if s {
+			silentRan++
+		}
+	}
+	if len(ran)+silentRan != len(at) || e.Pending() != 0 || int(e.Processed()) != len(at) {
+		t.Fatalf("ran %d of %d events (%d silent ticks), %d processed, %d pending", len(ran), len(at), silentRan, e.Processed(), e.Pending())
 	}
 	done := make([]bool, len(at))
 	for k, got := range ran {
 		want := -1
 		for id := 0; id < known[k]; id++ {
-			if !done[id] && (want < 0 || at[id] < at[want]) {
+			if !done[id] && !silent[id] && (want < 0 || at[id] < at[want]) {
 				want = id // ids ascend, so the first of equal timestamps wins
 			}
 		}
@@ -340,6 +412,17 @@ func TestHeapMatchesReference(t *testing.T) {
 			t.Fatalf("step %d ran event %d (at %v), reference says %d (at %v)", k, got, at[got], want, at[want])
 		}
 		done[got] = true
+	}
+	// With the heap empty, a tick past the deadline stays queued too.
+	fired, start := 0, e.Now()
+	var tk *Ticker
+	tk = e.Tick(time.Millisecond, func() {
+		if fired++; fired == 5 {
+			tk.Cancel()
+		}
+	})
+	if e.RunUntil(start + Time(2500*time.Microsecond)); fired != 2 || e.Pending() != 1 {
+		t.Fatalf("RunUntil 2.5 intervals on: %d ticks ran, %d pending, want 2 and 1", fired, e.Pending())
 	}
 }
 
@@ -355,10 +438,30 @@ func TestAtAndStepAllocateNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.At(next, fn)
 		next++
-		e.step()
+		e.step(math.MaxInt64)
 	})
 	if allocs != 0 {
 		t.Fatalf("At + step allocated %v objects per event, want 0", allocs)
+	}
+}
+
+// A tick series re-arms by relinking its Ticker on its lane: once
+// armed, series of two intervals, one of them cancelled while its tick
+// waits, run and re-arm without allocating.
+func TestTickAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		tk := e.Tick(time.Duration(1+i%2)*time.Millisecond, fn)
+		if i == 7 {
+			tk.Cancel()
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { e.step(math.MaxInt64) }); allocs != 0 {
+		t.Fatalf("a tick allocated %v objects, want 0", allocs)
+	}
+	if e.Pending() != 63 {
+		t.Fatalf("%d ticks pending, want the 63 live series", e.Pending())
 	}
 }
 
@@ -394,6 +497,56 @@ func TestPermPrefixMatchesPerm(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		check(seed, every, 9)
+	}
+}
+
+// A draw at or above 1<<31-n leaves PermPrefix's fast path for
+// Int31n's rejection loop, which a random stream takes less than once in
+// 2^31/n draws. Plant such draws in the engine's buffer — inside the
+// prefix's draws, mid-run in the tail, at the last output before a
+// refill and at the first one after it (planted through the slot the
+// refill adds to it), singly and two in a row — and compare with Perm's
+// head and the next Int63 of a rand.Rand over a copy of the stream.
+func TestPermPrefixRejectionFallback(t *testing.T) {
+	const n, k = 199, 3
+	cases := []struct {
+		name    string
+		pos, at int // read position, and the draw planted (draw 0 is at pos)
+	}{
+		{"prefix draw", 10, 1},
+		{"mid tail run", 10, 100},
+		{"last before refill", streamLen - 50, 49},
+		{"first after refill", streamLen - 50, 50},
+	}
+	for _, c := range cases {
+		for _, v := range []uint64{1<<31 - 1, 1<<31 - n, 1<<31 - n + 1} {
+			for _, twice := range []bool{false, true} {
+				e := NewEngine(3)
+				e.src.pos = c.pos
+				plant := func(at int) {
+					if i := c.pos + at; i < streamLen {
+						e.src.buf[i] = v << 32
+					} else { // the refill adds slot i+streamLen-streamTap to slot i
+						i -= streamLen
+						e.src.buf[i] = v<<32 - e.src.buf[i+streamLen-streamTap]
+					}
+				}
+				plant(c.at)
+				if twice {
+					plant(c.at + 1)
+				}
+				cp := e.src
+				want := rand.New(&cp)
+				prefix := make([]int, k)
+				e.PermPrefix(n, prefix)
+				if perm := want.Perm(n)[:k]; !slices.Equal(prefix, perm) {
+					t.Fatalf("%s, draw %d<<32, twice %v: prefix %v, Perm's head is %v", c.name, v, twice, prefix, perm)
+				}
+				if g, w := e.Rand().Int63(), want.Int63(); g != w {
+					t.Fatalf("%s, draw %d<<32, twice %v: rng diverged after sampling (%d vs %d)", c.name, v, twice, g, w)
+				}
+			}
+		}
 	}
 }
 

@@ -33,14 +33,13 @@ func (s *stream) Seed(seed int64) {
 // refill replaces buf's outputs y[n..n+streamLen) with the next ones:
 // term n+i is term i (the slot it overwrites) plus term i+streamLen-
 // streamTap, which for i >= streamTap has wrapped to slot i-streamTap,
-// already replaced by this loop (min picks the index that did not wrap
-// below zero). One loop, rather than one per side of the wrap, keeps
-// divisor.int31n (which inlines refill) within the compiler's inlining
-// budget, so PermPrefix draws without a call; min keeps the loop free of
-// the division a % would cost.
+// a slot this refill has already replaced.
 func (s *stream) refill() {
-	for i := uint(0); i < streamLen; i++ {
-		s.buf[i] += s.buf[min(i+streamLen-streamTap, i-streamTap)]
+	for i := 0; i < streamTap; i++ {
+		s.buf[i] += s.buf[i+streamLen-streamTap]
+	}
+	for i := streamTap; i < streamLen; i++ {
+		s.buf[i] += s.buf[i-streamTap]
 	}
 }
 
