@@ -9,8 +9,8 @@
 // per key, and a clone copies one slice per node.
 //
 // A tree is not safe for concurrent use; in the discrete-event
-// simulation every peer owns its replica and all events run on one
-// goroutine.
+// simulation a channel's peers read one index and all events run on
+// one goroutine.
 package btree
 
 const (

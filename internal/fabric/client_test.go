@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -167,8 +168,44 @@ func TestGenesisAllocsPerKey(t *testing.T) {
 		}
 	}) / float64(spec.Keys)
 	t.Logf("%.2f objects per genesis key", perKey)
-	if perKey > 1.5 {
-		t.Errorf("NewNetwork allocates %.2f objects per genesis key, want at most 1.5", perKey)
+	if perKey > 1.2 {
+		t.Errorf("NewNetwork allocates %.2f objects per genesis key, want at most 1.2", perKey)
+	}
+}
+
+// TestPeerReplicaAllocs pins what one more peer adds to NewNetwork: a
+// view of the channel's world state, not a copy of its 10k-key index.
+// The least of three builds counts, at 2 and at 8 peers per org.
+func TestPeerReplicaAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own account")
+	}
+	spec := gen.GenChainSpec()
+	spec.Keys = 10000
+	build := func(peersPerOrg int) (bytes uint64, peers int) {
+		cfg := DefaultConfig()
+		cfg.Chaincode = gen.MustChaincode(spec)
+		cfg.Workload = gen.NewWorkload(spec, gen.RangeHeavy, 1)
+		cfg.PeersPerOrg = peersPerOrg
+		bytes = math.MaxUint64
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			nw, err := NewNetwork(cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes, peers = min(bytes, after.TotalAlloc-before.TotalAlloc), len(nw.peers)
+		}
+		return bytes, peers
+	}
+	few, m := build(2)
+	many, n := build(8)
+	perPeer := (float64(many) - float64(few)) / float64(n-m)
+	t.Logf("%.0f bytes per added peer (%d B at %d peers, %d B at %d)", perPeer, few, m, many, n)
+	if perPeer > 4096 {
+		t.Errorf("NewNetwork allocates %.0f bytes per added peer, want at most 4096", perPeer)
 	}
 }
 

@@ -33,7 +33,7 @@ type Config struct {
 	// channels — Fabric's real horizontal-scaling story. Each channel
 	// gets its own ordering service (sharing the consensus substrate,
 	// like channels sharing one Kafka cluster), its own validator and
-	// hash chain, and its own world-state replica on every peer.
+	// hash chain, and its own world state, read by every peer.
 	// Transactions route to a channel by hashing their first invocation
 	// argument, so a contended entity always lands on the same channel
 	// and contention is preserved within shards. 0 or 1 keeps the

@@ -20,8 +20,8 @@ import (
 
 // Network is a fully wired simulated Fabric deployment. A deployment
 // spans Config.Channels channels: each channel owns its own ordering
-// pipeline, validator, hash chain and per-peer state replica (indexed
-// by channel everywhere below), while peers, clients and the
+// pipeline, validator, hash chain and world state with a view per peer
+// (indexed by channel everywhere below), while peers, clients and the
 // consensus substrate are shared across channels exactly like a real
 // Fabric network joins one peer set to many channels over one Kafka
 // cluster. Single-channel runs use index 0 throughout and behave
@@ -75,8 +75,8 @@ type Network struct {
 }
 
 // NewNetwork validates the config and builds the deployment: MSP
-// identities, genesis world state fanned out to every peer replica on
-// every channel, one consenter and ordering service per channel, and
+// identities, the genesis world state of every channel with a view of
+// it per peer, one consenter and ordering service per channel, and
 // the client drivers.
 func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.Variant == nil {
@@ -109,7 +109,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	nw.pol = policy.Build(cfg.Policy, nw.orgs)
 
-	// Genesis: run Init once, load it at height 0, clone per replica.
+	// Genesis: run Init once, load it at height 0.
 	stub := chaincode.NewStub(statedb.New(cfg.DBKind))
 	if err := cfg.Chaincode.Init(stub); err != nil {
 		return nil, fmt.Errorf("fabric: chaincode init: %w", err)
@@ -127,13 +127,18 @@ func NewNetwork(cfg Config) (*Network, error) {
 		nw.chains = append(nw.chains, chain)
 	}
 
-	// Peers, with one state replica per channel.
+	// One world state per channel: its validator writes it, and every
+	// peer reads it through a view at the peer's own savepoint.
+	nw.vals = append(nw.vals, newValidator(nw, genesis))
+	for len(nw.vals) < nw.channels {
+		nw.vals = append(nw.vals, newValidator(nw, genesis.Clone(0)))
+	}
 	for o := 0; o < cfg.Orgs; o++ {
 		org := nw.orgs[o]
 		for p := 0; p < cfg.PeersPerOrg; p++ {
 			dbs := make([]statedb.VersionedDB, nw.channels)
 			for ch := range dbs {
-				dbs[ch] = genesis.Clone(0)
+				dbs[ch] = statedb.View(nw.vals[ch].db)
 			}
 			peer := newPeer(nw, org, fabcrypto.PeerName(org, p), dbs)
 			if cfg.DelayOrg == o {
@@ -141,9 +146,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 			}
 			nw.peers = append(nw.peers, peer)
 		}
-	}
-	for ch := 0; ch < nw.channels; ch++ {
-		nw.vals = append(nw.vals, newValidator(nw, genesis.Clone(0)))
 	}
 
 	// One ordering service per channel, each with its own Kafka

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/costmodel"
@@ -12,17 +13,18 @@ import (
 )
 
 // Peer is one Fabric peer: an endorser that simulates transactions on
-// its own world-state replica and a committer that validates delivered
-// blocks and applies them. Replicas advance independently — the
-// transient inconsistency between them during the commit window is the
-// root cause of endorsement policy failures (§3.2.1).
+// its replica — a view of the channel's world state at the peer's own
+// height — and a committer that validates delivered blocks and commits
+// them. Replicas advance independently — the transient inconsistency
+// between them during the commit window is the root cause of
+// endorsement policy failures (§3.2.1).
 type Peer struct {
 	nw       *Network
 	org      string
 	name     string
 	identity *fabcrypto.Identity
-	// dbs holds one world-state replica per channel the peer has
-	// joined (every peer joins every channel), indexed by channel.
+	// dbs holds the peer's replica (a statedb.View) of each channel it
+	// has joined (every peer joins every channel), indexed by channel.
 	dbs []statedb.VersionedDB
 
 	// busyUntil serializes the committer: blocks are validated and
@@ -55,10 +57,7 @@ type Peer struct {
 }
 
 func newPeer(nw *Network, org, name string, dbs []statedb.VersionedDB) *Peer {
-	workers := nw.cfg.PeerCosts.EndorserWorkers
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(nw.cfg.PeerCosts.EndorserWorkers, 1)
 	return &Peer{
 		nw:            nw,
 		org:           org,
@@ -186,11 +185,7 @@ func (p *Peer) DeliverBlock(b *ledger.Block) {
 	service := p.nw.eng.Jittered(fixed, p.nw.cfg.PeerCosts.Jitter) +
 		p.nw.eng.Jittered(variable, p.nw.cfg.PeerCosts.VarJitter)
 
-	start := p.busyUntil
-	if now := p.nw.eng.Now(); now > start {
-		start = now
-	}
-	done := start + sim.Time(service)
+	done := max(p.busyUntil, p.nw.eng.Now()) + sim.Time(service)
 	p.busyUntil = done
 	p.inflight = append(p.inflight, b)
 	epoch := p.epoch
@@ -203,10 +198,12 @@ func (p *Peer) DeliverBlock(b *ledger.Block) {
 	})
 }
 
-// commit applies the block's update batch to the replica and, on the
-// metrics peer, appends the canonical block and records metrics.
+// commit moves the peer's view to the block the validator applied and,
+// on the metrics peer, appends the canonical block and records metrics.
 func (p *Peer) commit(b *ledger.Block, res *valResult) {
-	p.dbs[b.Channel].ApplyUpdates(res.batch, b.Number)
+	if err := p.dbs[b.Channel].ApplyUpdates(res.batch, b.Number); err != nil {
+		panic(fmt.Sprintf("fabric: %s, channel %d, block %d: commit: %v", p.name, b.Channel, b.Number, err))
+	}
 	p.nw.vals[b.Channel].committed(b.Number)
 	p.committedBlocks++
 	if p.state == NodeRestarting {

@@ -77,9 +77,11 @@ func probeNetwork(t *testing.T, cc chaincode.Chaincode, kind statedb.Kind) (nw *
 
 // commitOn applies the writes of invoking fn on p's replica to that
 // replica alone, as block `block` — the state of a peer that committed
-// a block its fellow endorser has not yet.
+// a block its fellow endorser has not yet. The replica first gets an
+// index of its own: the channel's shared one applies only the chain.
 func commitOn(t *testing.T, nw *Network, p *Peer, block uint64, fn string, args ...string) {
 	t.Helper()
+	p.dbs[0] = p.dbs[0].Clone(0)
 	stub, err := cctest.Invoke(nw.cfg.Chaincode, p.dbs[0], fn, args...)
 	if err != nil {
 		t.Fatal(err)

@@ -11,10 +11,10 @@ import (
 
 // validator computes each block's validation outcome exactly once.
 // Fabric's validation is deterministic — every peer reaches the same
-// verdict — so the network computes it centrally against a dedicated
-// replica and peers replay the cached result at their own commit
-// times. Blocks must be validated in order; the ordering service
-// triggers validation at cut time.
+// verdict — so the network computes it centrally against the head of
+// the channel's world state, and peers replay the cached result at
+// their own commit times. Blocks must be validated in order; the
+// ordering service triggers validation at cut time.
 type validator struct {
 	nw   *Network
 	db   statedb.VersionedDB
@@ -27,8 +27,8 @@ type validator struct {
 }
 
 // valResult is one block's cached outcome. It lives until the last
-// peer commits the block: the batch holds the block's state entries,
-// which the replicas index from then on.
+// peer commits the block: a peer's view moves past the block only by
+// naming the batch the validator applied.
 type valResult struct {
 	codes        []ledger.ValidationCode
 	batch        *statedb.UpdateBatch
@@ -72,7 +72,7 @@ func (v *validator) committed(num uint64) {
 // read/write-set consistency across endorsers), then MVCC version
 // checks with intra/inter-block classification, then phantom
 // re-execution of checked range queries. Valid writes are applied to
-// the validator replica with version (blockNum, txNum).
+// the channel's world state with version (blockNum, txNum).
 func (v *validator) validate(b *ledger.Block) *valResult {
 	res := &valResult{
 		codes: make([]ledger.ValidationCode, len(b.Transactions)),

@@ -1,7 +1,10 @@
 // Package statedb implements the world state: a versioned key/value
-// store replicated on every peer (§2). There is one store; its Kind
-// mirrors the paper's database-type control variable (§5.1.2) and
-// decides exactly two things:
+// store replicated on every peer (§2). A replica depends on its height
+// alone, so a channel keeps one index and each peer's replica is a View
+// of it at the peer's savepoint: the head applies a batch once, and a
+// view below it reads, key by key, what the batches above it replaced.
+// There is one store; its Kind mirrors the paper's database-type
+// control variable (§5.1.2) and decides exactly two things:
 //
 //   - the cost profile (costmodel.ForKind): LevelDB is the embedded
 //     Fabric default, CouchDB sits behind a (simulated) REST hop and is
@@ -12,14 +15,16 @@
 // Each value carries a Height version (block, tx). The MVCC validation
 // of the paper compares read-set versions against these.
 //
-// A store is not safe for concurrent use, and neither are the entries
-// it shares with its clones: a network's replicas all run on the one
-// goroutine of its discrete-event engine.
+// A store is not safe for concurrent use, and neither are the index it
+// shares with its views and the entries it shares with its clones: a
+// network's replicas all run on the one goroutine of its discrete-event
+// engine.
 package statedb
 
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 
@@ -127,16 +132,17 @@ type VersionedDB interface {
 	// Only CouchDB supports it; LevelDB returns an error (§5.1.2:
 	// "LevelDB only supports simple get and set queries").
 	ExecuteQuery(query string) ([]KV, error)
-	// ApplyUpdates commits a batch and advances the savepoint.
+	// ApplyUpdates commits a batch and advances the savepoint; a View
+	// below its index's head only advances, past the batch applied next.
 	ApplyUpdates(batch *UpdateBatch, height uint64) error
 	// Savepoint is the block height up to which updates are applied.
 	Savepoint() uint64
 	// Len reports the number of live keys.
 	Len() int
-	// Clone returns an independent copy of the database, used to fan
-	// the genesis state out to every peer replica. The index is copied;
-	// the entries are shared (a write replaces an entry, never changes
-	// one), as they are between all databases one batch is applied to.
+	// Clone returns an independent database holding what this one
+	// reads, at its savepoint: a new index, whose entries are shared
+	// (a write replaces an entry, never changes one), as they are
+	// between all databases one batch is applied to.
 	// The seed is unused: the copy has no randomized structure.
 	Clone(seed int64) VersionedDB
 }
@@ -173,19 +179,68 @@ func (e *entry) document() (doc map[string]interface{}, ok bool) {
 	return e.object.fields, e.object.isObject
 }
 
-// store is the one VersionedDB: an ordered index of entries in a
-// B-tree. The index is the simulator's own bookkeeping: what a read,
-// scan or commit costs in virtual time comes from costmodel, never
-// from the index.
+// store is the one VersionedDB: a view of an index at the view's
+// savepoint. The index is the simulator's own bookkeeping: what a read,
+// scan or commit costs in virtual time comes from costmodel, never from
+// the index.
 type store struct {
 	kind      Kind
-	index     *btree.Tree[*entry]
+	idx       *index
 	savepoint uint64
+}
+
+// index is one world state shared by every view of it: a B-tree of
+// each key's newest entry, and the history a view below the newest
+// (the head) reads its own height through. While one view is below the
+// head, the tree also holds a tombstone for each key deleted above it.
+type index struct {
+	tree *btree.Tree[*entry]
+	// head is the highest savepoint of any view; dead counts the
+	// tombstones in tree.
+	head uint64
+	dead int
+	// steps holds, in height order, every batch applied above the
+	// lowest view; spare holds pruned steps for reuse.
+	steps []*step
+	spare []*step
+	views []*store
+}
+
+// step is one batch as its index applied it.
+type step struct {
+	height uint64
+	batch  *UpdateBatch
+	// live is the number of live keys before the batch.
+	live int
+	// undo holds, sorted by key, what each key the batch wrote held
+	// before it.
+	undo []undo
+	// tomb is the tombstone of every key the batch deleted; tombs
+	// counts the deletions that placed it.
+	tomb  entry
+	tombs int
+}
+
+// undo is the entry key held before a step wrote it; nil when absent.
+type undo struct {
+	key  string
+	prev *entry
+}
+
+// deadMark marks a tombstone: no live entry's object is it.
+var deadMark = &jsonObject{}
+
+func (e *entry) dead() bool { return e.object == deadMark }
+
+func newStore(kind Kind, tree *btree.Tree[*entry], savepoint uint64) *store {
+	db := &store{kind: kind, idx: &index{tree: tree, head: savepoint}, savepoint: savepoint}
+	db.idx.views = []*store{db}
+	return db
 }
 
 // New constructs an empty database of the given kind.
 func New(kind Kind) VersionedDB {
-	return &store{kind: kind, index: btree.New[*entry]()}
+	return newStore(kind, btree.New[*entry](), 0)
 }
 
 // Load returns a database of the given kind holding writes as one
@@ -220,14 +275,64 @@ func Load(kind Kind, writes []ledger.KVWrite) VersionedDB {
 		keys = append(keys, w.Key)
 		vals = append(vals, &entries[i])
 	}
-	return &store{kind: kind, index: btree.Build(keys, vals)}
+	return newStore(kind, btree.Build(keys, vals), 0)
+}
+
+// View returns a new view of db's index at db's savepoint: it reads
+// what db reads now, and it moves only when its own ApplyUpdates
+// replays the batches the index applied after that height.
+func View(db VersionedDB) VersionedDB {
+	s := db.(*store)
+	v := &store{kind: s.kind, idx: s.idx, savepoint: s.savepoint}
+	s.idx.views = append(s.idx.views, v)
+	return v
 }
 
 func (db *store) Kind() Kind { return db.kind }
 
+// read returns the entry the view holds under key, given e, the
+// index's newest entry of key: e itself, unless a batch above the view
+// wrote key (its entry's version names that batch's height), or nil.
+func (db *store) read(key string, e *entry) *entry {
+	if e.Version.BlockNum > db.savepoint && db.savepoint != db.idx.head {
+		if prev, ok := db.idx.before(key, db.savepoint); ok {
+			return prev
+		}
+	}
+	if e.dead() {
+		return nil
+	}
+	return e
+}
+
+// above returns the position of the first step above height s.
+func (x *index) above(s uint64) int {
+	i := len(x.steps)
+	for i > 0 && x.steps[i-1].height > s {
+		i--
+	}
+	return i
+}
+
+// before returns what key held at height s: the entry the first write
+// of key above s replaced. ok is false when no step above s wrote key.
+func (x *index) before(key string, s uint64) (prev *entry, ok bool) {
+	for _, st := range x.steps[x.above(s):] {
+		if i, found := slices.BinarySearchFunc(st.undo, key, func(u undo, k string) int {
+			return strings.Compare(u.key, k)
+		}); found {
+			return st.undo[i].prev, true
+		}
+	}
+	return nil, false
+}
+
 func (db *store) Get(key string) *VersionedValue {
-	e, ok := db.index.Get(key)
+	e, ok := db.idx.tree.Get(key)
 	if !ok {
+		return nil
+	}
+	if e = db.read(key, e); e == nil {
 		return nil
 	}
 	return &e.VersionedValue
@@ -253,28 +358,45 @@ func (db *store) GetRange(start, end string) []KV {
 }
 
 func (db *store) Scan(start, end string) Iterator {
-	return Iterator{db.index.Range(start, end)}
+	it := Iterator{it: db.idx.tree.Range(start, end), db: db}
+	it.settle()
+	return it
 }
 
 // Iterator walks a key range of a database in ascending order; use
 // Valid/Next/Key/Value. It is a value that holds its B-tree path
 // inline, so a walk allocates nothing.
 type Iterator struct {
-	it btree.Iterator[*entry]
+	it  btree.Iterator[*entry]
+	db  *store
+	cur *entry
+}
+
+// settle moves the iterator onto the first key from its position on
+// that the view holds.
+func (it *Iterator) settle() {
+	for ; it.it.Valid(); it.it.Next() {
+		if it.cur = it.db.read(it.it.Key(), it.it.Value()); it.cur != nil {
+			return
+		}
+	}
 }
 
 // Valid reports whether the iterator is positioned on an entry.
 func (it *Iterator) Valid() bool { return it.it.Valid() }
 
 // Next advances to the following entry.
-func (it *Iterator) Next() { it.it.Next() }
+func (it *Iterator) Next() {
+	it.it.Next()
+	it.settle()
+}
 
 // Key returns the current key. Only valid while Valid() is true.
 func (it *Iterator) Key() string { return it.it.Key() }
 
 // Value returns the current stored value, shared with every replica:
 // it must not be modified. Only valid while Valid() is true.
-func (it *Iterator) Value() *VersionedValue { return &it.it.Value().VersionedValue }
+func (it *Iterator) Value() *VersionedValue { return &it.cur.VersionedValue }
 
 // ExecuteQuery evaluates a Mango selector over every document, in key
 // order; values that are not JSON objects are skipped. LevelDB has no
@@ -289,8 +411,8 @@ func (db *store) ExecuteQuery(query string) ([]KV, error) {
 		return nil, err
 	}
 	var out []KV
-	for it := db.index.Iter(); it.Valid(); it.Next() {
-		e := it.Value()
+	for it := db.Scan("", ""); it.Valid(); it.Next() {
+		e := it.cur
 		if doc, ok := e.document(); ok && sel.MatchesDoc(doc) {
 			out = append(out, KV{Key: it.Key(), Value: e.Value, Version: e.Version})
 		}
@@ -298,22 +420,136 @@ func (db *store) ExecuteQuery(query string) ([]KV, error) {
 	return out, nil
 }
 
+// ApplyUpdates applies the batch at the head and moves the view there.
+// A view below the head applies nothing: it moves to height if batch
+// is the one its index applied next, at height, and fails otherwise.
+// While another view reads the index, a batch applied at the head must
+// lie above it and stamp every write with its height, as the
+// validator's do: a view tells the entries above it by their version.
 func (db *store) ApplyUpdates(batch *UpdateBatch, height uint64) error {
-	for _, w := range batch.writes {
-		if w.e == nil {
-			db.index.Delete(w.key)
-			continue
+	x := db.idx
+	switch {
+	case len(x.views) == 1:
+		for _, w := range batch.writes {
+			if w.e == nil {
+				x.tree.Delete(w.key)
+			} else {
+				x.tree.Put(w.key, w.e)
+			}
 		}
-		db.index.Put(w.key, w.e)
+		x.head = height
+	case db.savepoint == x.head:
+		if err := x.record(batch, height); err != nil {
+			return err
+		}
+	default:
+		if st := x.steps[x.above(db.savepoint)]; st.batch != batch || st.height != height {
+			return fmt.Errorf("statedb: a view at %d cannot apply a batch at %d: its index applied another batch at %d next",
+				db.savepoint, height, st.height)
+		}
 	}
 	db.savepoint = height
+	x.prune()
 	return nil
+}
+
+// record applies batch at height on top of the head and keeps the step
+// the views below read through.
+func (x *index) record(batch *UpdateBatch, height uint64) error {
+	if height <= x.head {
+		return fmt.Errorf("statedb: a batch at %d does not follow the head at %d", height, x.head)
+	}
+	for _, w := range batch.writes {
+		if w.e != nil && w.e.Version.BlockNum != height {
+			return fmt.Errorf("statedb: a write of %q at version %v is applied at %d", w.key, w.e.Version, height)
+		}
+	}
+	var st *step
+	if n := len(x.spare); n > 0 {
+		st, x.spare = x.spare[n-1], x.spare[:n-1]
+	} else {
+		st = &step{}
+	}
+	st.height, st.batch, st.live = height, batch, x.tree.Len()-x.dead
+	st.tomb = entry{VersionedValue: VersionedValue{Version: ledger.Height{BlockNum: height}}, object: deadMark}
+	for _, w := range batch.writes {
+		old, ok := x.tree.Get(w.key)
+		if ok && old.dead() {
+			old = nil
+		}
+		switch {
+		case w.e != nil:
+			if ok && old == nil {
+				x.dead--
+			}
+			x.tree.Put(w.key, w.e)
+		case old == nil:
+			continue // deleting an absent key changes nothing
+		default:
+			x.tree.Put(w.key, &st.tomb)
+			x.dead++
+			st.tombs++
+		}
+		st.undo = append(st.undo, undo{w.key, old})
+	}
+	// Sorted, keeping the first write of each key: what it replaced is
+	// what the key held before the batch.
+	slices.SortStableFunc(st.undo, func(a, b undo) int { return strings.Compare(a.key, b.key) })
+	st.undo = slices.CompactFunc(st.undo, func(a, b undo) bool { return a.key == b.key })
+	x.steps = append(x.steps, st)
+	x.head = height
+	return nil
+}
+
+// prune drops the steps at or below the lowest view, and with them
+// their tombstones, which no view reads any more.
+func (x *index) prune() {
+	low := x.head
+	for _, v := range x.views {
+		low = min(low, v.savepoint)
+	}
+	n := 0
+	for ; n < len(x.steps) && x.steps[n].height <= low; n++ {
+		st := x.steps[n]
+		for i := 0; i < len(st.undo) && st.tombs > 0; i++ {
+			if e, _ := x.tree.Get(st.undo[i].key); e == &st.tomb {
+				x.tree.Delete(st.undo[i].key)
+				x.dead--
+				st.tombs--
+			}
+		}
+		clear(st.undo)
+		st.undo, st.batch, st.tombs = st.undo[:0], nil, 0
+		x.spare = append(x.spare, st)
+	}
+	if n > 0 {
+		k := copy(x.steps, x.steps[n:])
+		clear(x.steps[k:])
+		x.steps = x.steps[:k]
+	}
 }
 
 func (db *store) Savepoint() uint64 { return db.savepoint }
 
-func (db *store) Len() int { return db.index.Len() }
+func (db *store) Len() int {
+	x := db.idx
+	if db.savepoint != x.head {
+		return x.steps[x.above(db.savepoint)].live
+	}
+	return x.tree.Len() - x.dead
+}
 
+// Clone copies the index as the view reads it: the tree itself at a
+// head without tombstones, and otherwise a tree built from a Scan.
 func (db *store) Clone(int64) VersionedDB {
-	return &store{kind: db.kind, index: db.index.Clone(), savepoint: db.savepoint}
+	if x := db.idx; db.savepoint == x.head && x.dead == 0 {
+		return newStore(db.kind, x.tree.Clone(), db.savepoint)
+	}
+	var keys []string
+	var vals []*entry
+	for it := db.Scan("", ""); it.Valid(); it.Next() {
+		keys = append(keys, it.Key())
+		vals = append(vals, it.cur)
+	}
+	return newStore(db.kind, btree.Build(keys, vals), db.savepoint)
 }
