@@ -36,7 +36,7 @@ func InitState(cc chaincode.Chaincode, kind statedb.Kind) (statedb.VersionedDB, 
 	if err := cc.Init(stub); err != nil {
 		return nil, err
 	}
-	return statedb.Load(kind, stub.RWSet().Writes), nil
+	return statedb.Load(kind, stub.Writes()), nil
 }
 
 // Invoke runs one function on a fresh stub and returns the stub.

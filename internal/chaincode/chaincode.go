@@ -51,10 +51,14 @@ type Chaincode interface {
 }
 
 // Stub is the world-state access object handed to chaincode
-// invocations. It captures the read/write set and operation trace.
+// invocations. It captures the read/write set and operation trace. One
+// stub serves invocation after invocation: Reset readies it for the
+// next, and the sets it fills are scratch that RWSet copies out at
+// exact size, so a simulation allocates its rwset and nothing it
+// outgrows. A stub is not safe for concurrent use.
 type Stub struct {
 	db    statedb.VersionedDB
-	rwset *ledger.RWSet
+	rwset ledger.RWSet
 	trace costmodel.OpTrace
 	// readKey (keys already in the read set) and writes (key -> index
 	// into rwset.Writes) exist only once the set they index has outgrown
@@ -77,11 +81,48 @@ const scanLimit = 8
 
 // NewStub creates a stub executing against db.
 func NewStub(db statedb.VersionedDB) *Stub {
-	return &Stub{db: db, rwset: &ledger.RWSet{}}
+	s := &Stub{}
+	s.Reset(db)
+	return s
 }
 
-// RWSet returns the captured read/write set.
-func (s *Stub) RWSet() *ledger.RWSet { return s.rwset }
+// Reset readies s for a new invocation against db: empty sets (their
+// storage kept, its elements cleared so it holds nothing alive), a zero
+// trace and no look-up maps.
+func (s *Stub) Reset(db statedb.VersionedDB) {
+	s.db = db
+	clear(s.rwset.Reads)
+	clear(s.rwset.Writes)
+	clear(s.rwset.RangeQueries)
+	s.rwset.Reads = s.rwset.Reads[:0]
+	s.rwset.Writes = s.rwset.Writes[:0]
+	s.rwset.RangeQueries = s.rwset.RangeQueries[:0]
+	s.trace = costmodel.OpTrace{}
+	s.readKey, s.writes, s.unordered = nil, nil, false
+}
+
+// RWSet returns a copy of the captured read/write set, each set at
+// exact length (nil when empty). It shares no storage with the stub,
+// which later invocations reuse.
+func (s *Stub) RWSet() *ledger.RWSet {
+	return &ledger.RWSet{
+		Reads:        exact(s.rwset.Reads),
+		Writes:       exact(s.rwset.Writes),
+		RangeQueries: exact(s.rwset.RangeQueries),
+	}
+}
+
+// Writes returns the buffered write set itself, valid until the next
+// Reset: genesis loading reads Init's writes without a copy.
+func (s *Stub) Writes() []ledger.KVWrite { return s.rwset.Writes }
+
+// exact copies xs into a slice of its length, nil when it is empty.
+func exact[T any](xs []T) []T {
+	if len(xs) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(xs)), xs...)
+}
 
 // Trace returns the recorded operation counts for cost pricing.
 func (s *Stub) Trace() costmodel.OpTrace { return s.trace }

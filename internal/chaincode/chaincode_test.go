@@ -2,6 +2,8 @@ package chaincode
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ledger"
@@ -159,9 +161,9 @@ func TestWriteSetTurnsUnordered(t *testing.T) {
 
 func TestNewStubAllocatesNoMaps(t *testing.T) {
 	db := seeded(statedb.LevelDB)
-	// The stub and its rwset.
-	if n := testing.AllocsPerRun(100, func() { NewStub(db) }); n > 2 {
-		t.Errorf("NewStub allocates %.0f objects, want at most 2", n)
+	// The stub alone: its sets are scratch inside it.
+	if n := testing.AllocsPerRun(100, func() { NewStub(db) }); n > 1 {
+		t.Errorf("NewStub allocates %.0f objects, want at most 1", n)
 	}
 	if s := NewStub(db); s.readKey != nil || s.writes != nil {
 		t.Error("NewStub built a look-up map up front")
@@ -356,5 +358,131 @@ func TestDocAccessorsBookLikeGetPutState(t *testing.T) {
 	}
 	if n := len(doc.RWSet().Reads); n != 3 {
 		t.Errorf("%d reads recorded, want one per key (3)", n)
+	}
+}
+
+// invocation is a chaincode function body for the stub-reuse tests.
+type invocation func(s *Stub) error
+
+// outgrow reads and writes 3*scanLimit keys, the writes in descending
+// order: both look-up maps get built and the write set turns unordered.
+func outgrow(s *Stub) error {
+	for k := 3*scanLimit - 1; k >= 0; k-- {
+		s.GetState(fmt.Sprintf("k%d", k))
+		s.PutState(fmt.Sprintf("k%d", k), []byte("big"))
+	}
+	return nil
+}
+
+// overlap also outgrows scanLimit, on keys outgrow touched, so a stale
+// map would drop reads as repeats or rewrite the wrong position.
+func overlap(s *Stub) error {
+	for k := 0; k < 2*scanLimit; k++ {
+		s.GetState(fmt.Sprintf("k%d", k))
+		s.PutState(fmt.Sprintf("k%d", 2*scanLimit-k), []byte("small"))
+	}
+	s.PutState("k3", []byte("again"))
+	_, err := s.GetStateByRange("k1", "k3")
+	return err
+}
+
+// failing reads and writes, then fails on an empty key.
+func failing(s *Stub) error {
+	s.GetState("k1")
+	s.PutState("k2", []byte("lost"))
+	s.GetStateByRange("k1", "k3")
+	_, err := s.GetState("")
+	return err
+}
+
+// A reused stub yields what a fresh one does, whatever the invocation
+// before left behind: look-up maps, an unordered write set, or the
+// reads, writes and scans of an invocation that failed midway.
+func TestResetStubMatchesFresh(t *testing.T) {
+	db := seeded(statedb.LevelDB)
+	for _, c := range []struct {
+		name          string
+		before, after invocation
+	}{
+		{"after outgrowing scanLimit", outgrow, overlap},
+		{"after a failed invocation", failing, func(s *Stub) error { _, err := s.GetState("k3"); return err }},
+		{"failed, then outgrowing", failing, overlap},
+	} {
+		reused := NewStub(db)
+		c.before(reused)
+		reused.Reset(db)
+		if reused.readKey != nil || reused.writes != nil || reused.unordered {
+			t.Errorf("%s: Reset kept look-up state (reads indexed %v, writes indexed %v, unordered %v)",
+				c.name, reused.readKey != nil, reused.writes != nil, reused.unordered)
+		}
+		fresh := NewStub(db)
+		if err := c.after(reused); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := c.after(fresh); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := reused.RWSet(), fresh.RWSet(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reused stub's rwset\n%+v\nfresh stub's\n%+v", c.name, got, want)
+		}
+		if reused.Trace() != fresh.Trace() {
+			t.Errorf("%s: reused stub's trace %+v, fresh stub's %+v", c.name, reused.Trace(), fresh.Trace())
+		}
+	}
+}
+
+// An rwset RWSet handed off is exact-size and shares nothing with the
+// stub: later invocations on the same stub leave it as it was.
+func TestHandedOffRWSetOutlivesReuse(t *testing.T) {
+	db := seeded(statedb.LevelDB)
+	s := NewStub(db)
+	var kept []*ledger.RWSet
+	var want []ledger.RWSet
+	for i, inv := range []invocation{overlap, outgrow, failing, overlap} {
+		s.Reset(db)
+		inv(s)
+		rw := s.RWSet()
+		if cap(rw.Reads) != len(rw.Reads) || cap(rw.Writes) != len(rw.Writes) || cap(rw.RangeQueries) != len(rw.RangeQueries) {
+			t.Errorf("invocation %d: rwset slices are not exact-size (%d/%d reads, %d/%d writes, %d/%d scans)", i,
+				len(rw.Reads), cap(rw.Reads), len(rw.Writes), cap(rw.Writes), len(rw.RangeQueries), cap(rw.RangeQueries))
+		}
+		kept = append(kept, rw)
+		want = append(want, ledger.RWSet{
+			Reads:        slices.Clone(rw.Reads),
+			Writes:       slices.Clone(rw.Writes),
+			RangeQueries: slices.Clone(rw.RangeQueries),
+		})
+	}
+	for i, rw := range kept {
+		if !reflect.DeepEqual(*rw, want[i]) {
+			t.Errorf("invocation %d's rwset changed under later invocations:\n%+v\nwas\n%+v", i, *rw, want[i])
+		}
+	}
+}
+
+// handedOff keeps TestReusedStubAllocs's rwset on the heap, where a
+// simulation's goes.
+var handedOff *ledger.RWSet
+
+// An invocation on a reused stub allocates its rwset and the exact-size
+// copies of its read and write sets, nothing more: the sets it fills are
+// the stub's.
+func TestReusedStubAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own account")
+	}
+	db := seeded(statedb.LevelDB)
+	s := NewStub(db)
+	value := []byte(`{"n":9}`)
+	n := testing.AllocsPerRun(100, func() {
+		s.Reset(db)
+		s.GetState("k1")
+		s.GetState("k2")
+		s.PutState("k2", value)
+		s.PutState("k1", value)
+		handedOff = s.RWSet()
+	})
+	if n != 3 {
+		t.Errorf("a two-key invocation on a reused stub allocates %.0f objects, want 3 (the rwset, its reads, its writes)", n)
 	}
 }

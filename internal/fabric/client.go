@@ -138,6 +138,8 @@ type pendingTx struct {
 	legsLeft  int
 	legFailed bool
 	failCode  ledger.ValidationCode
+	// first is the first attempt's first leg (see legFor).
+	first leg
 }
 
 // newDriver builds the driver for members simulated clients whose
@@ -215,10 +217,7 @@ func (c *ClientDriver) Name() string { return c.name }
 // member, in member order — exactly the submission order the exact
 // simulation produces when its clients start in sequence.
 func (c *ClientDriver) openWindow() {
-	window := c.nw.cfg.InFlightPerClient
-	if window < 1 {
-		window = 1
-	}
+	window := max(c.nw.cfg.InFlightPerClient, 1)
 	for m := 0; m < c.members; m++ {
 		for i := 0; i < window; i++ {
 			c.submitJob(m)
@@ -261,15 +260,24 @@ func (c *ClientDriver) submitAttempt(j *pendingTx) {
 	j.lastSubmit = c.nw.eng.Now()
 	j.legsLeft = j.legs
 	j.legFailed = false
-	for l := 0; l < j.legs; l++ {
-		c.submitLeg(j, j.channels[l])
+	for i := 0; i < j.legs; i++ {
+		c.submitLeg(j, j.channels[i], j.legFor(i))
 	}
 }
 
-// submitLeg submits one channel's proposal of the current attempt:
-// collect endorsements from a policy-satisfying set of peers against
+// legFor returns the storage of the current attempt's leg i: the job's
+// own for the first attempt's first leg, a new one for the others.
+func (j *pendingTx) legFor(i int) *leg {
+	if j.attempts == 1 && i == 0 {
+		return &j.first
+	}
+	return new(leg)
+}
+
+// submitLeg submits one channel's proposal of the current attempt into
+// leg l: collect endorsements from a policy-satisfying set of peers on
 // the leg channel's replicas, then assemble and order on that channel.
-func (c *ClientDriver) submitLeg(j *pendingTx, channel int) {
+func (c *ClientDriver) submitLeg(j *pendingTx, channel int, l *leg) {
 	tx := &ledger.Transaction{
 		ID:         c.nw.nextTxID(c.firstID + j.member),
 		ClientID:   c.name,
@@ -285,7 +293,7 @@ func (c *ClientDriver) submitLeg(j *pendingTx, channel int) {
 	endorserOrgs := c.nw.pol.RequiredEndorsers(rot)
 	peerInOrg := rot % c.nw.cfg.PeersPerOrg
 
-	l := &leg{proposal: proposal{inv: j.inv, channel: channel}, c: c, j: j, tx: tx,
+	*l = leg{proposal: proposal{inv: j.inv, channel: channel}, c: c, j: j, tx: tx,
 		ends: make([]*ledger.Endorsement, 0, len(endorserOrgs))}
 	for _, org := range endorserOrgs {
 		peer := c.nw.peerOf(org, peerInOrg)
@@ -359,12 +367,12 @@ func (c *ClientDriver) assemble(j *pendingTx, tx *ledger.Transaction, channel in
 	tx.EndorseTime = c.nw.eng.Now()
 	tx.Endorsements = ends
 	tx.RWSet = ends[0].RWSet
-	// Deduplicate identical rwsets so a transaction holds one copy
-	// (DV endorsements carry 1000-key range observations). Endorsers
-	// that reused the proposal's simulation already share the pointer.
+	// Deduplicate identical rwsets (equal digests) so a transaction holds
+	// one copy (DV endorsements carry 1000-key range observations).
+	// Endorsers that reused the proposal's simulation share the pointer.
 	consistent := true
 	for _, e := range ends[1:] {
-		if e.RWSet.Equal(tx.RWSet) {
+		if e.Digest == ends[0].Digest {
 			e.RWSet = tx.RWSet
 		} else {
 			consistent = false

@@ -45,6 +45,8 @@ type Network struct {
 	dbCosts costmodel.DBCosts
 	variant Variant
 	txSeq   uint64
+	// stub is the one chaincode stub every simulation runs on.
+	stub *chaincode.Stub
 	// memoHits counts endorsements that reused their proposal's first
 	// simulation, memoMisses those that found one and had to simulate
 	// anyway because their replica differed on something it read (tests
@@ -98,6 +100,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		channels:      cfg.channels(),
 		dbCosts:       costmodel.ForKind(cfg.DBKind),
 		variant:       cfg.Variant,
+		stub:          chaincode.NewStub(nil),
 		ctl:           cfg.Control.resolve(cfg.ClosedLoop),
 		driversByName: map[string]*ClientDriver{},
 	}
@@ -114,7 +117,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err := cfg.Chaincode.Init(stub); err != nil {
 		return nil, fmt.Errorf("fabric: chaincode init: %w", err)
 	}
-	genesis := statedb.Load(cfg.DBKind, stub.RWSet().Writes)
+	genesis := statedb.Load(cfg.DBKind, stub.Writes())
 
 	// Each channel anchors its own hash chain with a genesis block 0.
 	for ch := 0; ch < nw.channels; ch++ {

@@ -225,7 +225,7 @@ func (os *OrderingService) cut() {
 		CutTime:        now,
 		CongestionHint: os.hint,
 	}
-	b.Hash = b.ComputeHash()
+	b.Hash = b.SealHash()
 	os.prevHash = b.Hash
 
 	// Validation outcome is deterministic; compute it once, in cut

@@ -146,8 +146,8 @@ func (p *Peer) work(prop *proposal, r replier, slot int, epoch uint64) {
 	var end *ledger.Endorsement
 	cost := p.nw.cfg.PeerCosts.EndorseBase
 	if err == nil {
-		se := &signedEndorsement{Endorsement: ledger.Endorsement{Org: p.org, PeerID: p.name, RWSet: res.rwset}}
-		se.Signature = p.identity.AppendSign(se.sig[:0], res.digest[:])
+		se := &signedEndorsement{Endorsement: ledger.Endorsement{Org: p.org, PeerID: p.name, RWSet: res.rwset, Digest: res.digest}}
+		se.Signature = p.identity.AppendSign(se.sig[:0], se.Digest[:])
 		end = &se.Endorsement
 		cost = costmodel.EndorseCost(p.nw.dbCosts, p.nw.cfg.PeerCosts, res.trace)
 	}

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"repro/internal/chaincode"
 	"repro/internal/costmodel"
 	"repro/internal/ledger"
 	"repro/internal/statedb"
@@ -23,9 +22,9 @@ import (
 type proposal struct {
 	inv     workload.Invocation
 	channel int
-	// memo is the first successful simulation (nil until then). It lives
-	// as long as the in-flight proposal.
-	memo *simulation
+	// memo is the first successful simulation (a nil rwset until then).
+	// It lives as long as the in-flight proposal.
+	memo simulation
 }
 
 // simulation is what one chaincode invocation produced on one replica.
@@ -42,21 +41,21 @@ type simulation struct {
 // resultOn returns what simulating the proposal on db, a replica of nw,
 // produces: the kept simulation when it holds on db, else a fresh one,
 // which is kept if it is the first to succeed and can be re-checked.
-func (prop *proposal) resultOn(nw *Network, db statedb.VersionedDB) (*simulation, error) {
-	if prop.memo != nil {
+func (prop *proposal) resultOn(nw *Network, db statedb.VersionedDB) (simulation, error) {
+	if prop.memo.rwset != nil {
 		if prop.memo.holdsOn(db) {
 			nw.memoHits++
 			return prop.memo, nil
 		}
 		nw.memoMisses++
 	}
-	stub := chaincode.NewStub(db)
-	if err := nw.cfg.Chaincode.Invoke(stub, prop.inv.Function, prop.inv.Args); err != nil {
-		return nil, err
+	nw.stub.Reset(db)
+	if err := nw.cfg.Chaincode.Invoke(nw.stub, prop.inv.Function, prop.inv.Args); err != nil {
+		return simulation{}, err
 	}
-	rw := stub.RWSet()
-	res := &simulation{rwset: rw, digest: rw.Digest(), trace: stub.Trace()}
-	if prop.memo == nil && res.reusable() {
+	rw := nw.stub.RWSet()
+	res := simulation{rwset: rw, digest: rw.Digest(), trace: nw.stub.Trace()}
+	if prop.memo.rwset == nil && res.reusable() {
 		res.markAbsent(db)
 		prop.memo = res
 	}

@@ -389,8 +389,8 @@ func TestRichQueryProposalIsNeverReused(t *testing.T) {
 	if r1.end == nil || r2.end == nil {
 		t.Fatalf("endorsements missing: %v, %v", r1.err, r2.err)
 	}
-	if prop.memo != nil || nw.memoHits != 0 {
-		t.Fatalf("memo %v, %d hits: a rich-query simulation must not be kept", prop.memo, nw.memoHits)
+	if prop.memo.rwset != nil || nw.memoHits != 0 {
+		t.Fatalf("memo %v, %d hits: a rich-query simulation must not be kept", prop.memo.rwset, nw.memoHits)
 	}
 	if r1.end.RWSet == r2.end.RWSet || !r1.end.RWSet.Equal(r2.end.RWSet) {
 		t.Fatal("identical replicas: want two separately simulated, equal rwsets")

@@ -21,9 +21,6 @@ type validator struct {
 	next uint64
 	// memo holds the outcome of every block some peer has yet to commit.
 	memo map[uint64]*valResult
-	// digest is vscc's scratch: the rwset digest it hands to MSP.Verify
-	// lives here rather than in a local that would escape per call.
-	digest [32]byte
 }
 
 // valResult is one block's cached outcome. It lives until the last
@@ -119,9 +116,7 @@ func (v *validator) validate(b *ledger.Block) *valResult {
 		// must not keep a decoded document alive.
 		tx.RWSet.DropDocs()
 		for _, e := range tx.Endorsements {
-			if e.RWSet != tx.RWSet {
-				e.RWSet.DropDocs()
-			}
+			e.RWSet.DropDocs()
 		}
 	}
 	if err := v.db.ApplyUpdates(res.batch, b.Number); err != nil {
@@ -134,27 +129,18 @@ func (v *validator) validate(b *ledger.Block) *valResult {
 // vscc checks the endorsement policy (§2 step 6): enough valid
 // signatures from the right orgs, and identical read/write sets across
 // all endorsers (Equation 1 — the paper's endorsement policy failure).
+// Each signature is verified against the digest its endorser carried,
+// and Equation 1 compares those digests: nothing is rehashed here.
 func (v *validator) vscc(tx *ledger.Transaction) ledger.ValidationCode {
 	if len(tx.Endorsements) == 0 {
 		return ledger.EndorsementPolicyFailure
 	}
 	orgs := map[string]bool{}
-	// Endorsers that agreed share one RWSet (the client deduplicates in
-	// assemble), so the digest is recomputed once per distinct rwset, not
-	// once per endorsement; every signature is still verified against it.
-	rw := tx.Endorsements[0].RWSet
-	first := rw.Digest()
-	v.digest = first
+	first := tx.Endorsements[0].Digest
 	for _, e := range tx.Endorsements {
-		if e.RWSet != rw {
-			rw, v.digest = e.RWSet, e.RWSet.Digest()
-		}
-		if !v.nw.msp.Verify(e.Org, e.PeerID, v.digest[:], e.Signature) {
-			return ledger.EndorsementPolicyFailure
-		}
-		if v.digest != first {
-			// World-state inconsistency between endorsers at
-			// simulation time: read/write set mismatch.
+		// A digest unlike the first is a world-state inconsistency
+		// between endorsers at simulation time: an rwset mismatch.
+		if !v.nw.msp.Verify(e.Org, e.PeerID, e.Digest[:], e.Signature) || e.Digest != first {
 			return ledger.EndorsementPolicyFailure
 		}
 		orgs[e.Org] = true

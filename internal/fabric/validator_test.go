@@ -23,7 +23,8 @@ func harness(t *testing.T) *Network {
 }
 
 // endorse produces a consistent endorsement set for an rwset from the
-// first peer of each org.
+// first peer of each org, each carrying the rwset's digest as a peer's
+// endorsement does.
 func endorse(nw *Network, rw *ledger.RWSet) []*ledger.Endorsement {
 	digest := rw.Digest()
 	var ends []*ledger.Endorsement
@@ -33,6 +34,7 @@ func endorse(nw *Network, rw *ledger.RWSet) []*ledger.Endorsement {
 			Org:       p.org,
 			PeerID:    p.name,
 			RWSet:     rw,
+			Digest:    digest,
 			Signature: p.identity.Sign(digest[:]),
 		})
 	}
@@ -69,6 +71,7 @@ func TestVSCCRejectsMismatchedRWSets(t *testing.T) {
 	// Second endorser saw a different version of the key (Eq. 1).
 	dB := rwB.Digest()
 	tx.Endorsements[1].RWSet = rwB
+	tx.Endorsements[1].Digest = dB
 	tx.Endorsements[1].Signature = nw.peerOf(nw.orgs[1], 0).identity.Sign(dB[:])
 	if code := nw.vals[0].vscc(tx); code != ledger.EndorsementPolicyFailure {
 		t.Fatalf("vscc = %v, want ENDORSEMENT_POLICY_FAILURE", code)

@@ -156,7 +156,7 @@ func endorsementsConsistent(tx *ledger.Transaction) bool {
 		return true
 	}
 	for _, e := range tx.Endorsements[1:] {
-		if !e.RWSet.Equal(tx.Endorsements[0].RWSet) {
+		if e.Digest != tx.Endorsements[0].Digest {
 			return false
 		}
 	}

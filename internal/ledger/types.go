@@ -285,11 +285,16 @@ func (c ValidationCode) IsMVCC() bool {
 }
 
 // Endorsement is one endorser's signed response: its identity, the
-// rwset it produced and a signature over the rwset digest.
+// rwset it produced, that rwset's digest and a signature over the
+// digest. The endorser computes Digest once, from the rwset it
+// simulated; VSCC verifies the signature against it and compares it
+// across endorsers (Equation 1), and the ordering service hashes it
+// into the block (Block.SealHash), so none of them rehashes the rwset.
 type Endorsement struct {
 	Org       string
 	PeerID    string
 	RWSet     *RWSet
+	Digest    [32]byte
 	Signature []byte
 }
 
@@ -338,9 +343,20 @@ type Block struct {
 }
 
 // ComputeHash derives the block hash from the previous hash, the block
-// number and the contained transaction IDs, chaining the ledger like
-// Fabric does.
-func (b *Block) ComputeHash() [32]byte {
+// number and each transaction's ID and rwset digest, chaining the
+// ledger like Fabric does. It recomputes every digest from its rwset,
+// so Chain.Verify binds the content to the hash.
+func (b *Block) ComputeHash() [32]byte { return b.hash(false) }
+
+// SealHash is ComputeHash with each transaction's digest read from its
+// first endorsement, the one whose rwset the transaction carries,
+// instead of recomputed; a transaction without endorsements is hashed
+// from its rwset. The ordering service seals each block it cuts with
+// it. The two agree whenever every such endorsement carries its own
+// rwset's digest.
+func (b *Block) SealHash() [32]byte { return b.hash(true) }
+
+func (b *Block) hash(carried bool) [32]byte {
 	h := sha256.New()
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], b.Number)
@@ -348,6 +364,10 @@ func (b *Block) ComputeHash() [32]byte {
 	h.Write(b.PrevHash[:])
 	for _, tx := range b.Transactions {
 		h.Write([]byte(tx.ID))
+		if carried && len(tx.Endorsements) > 0 {
+			h.Write(tx.Endorsements[0].Digest[:])
+			continue
+		}
 		d := tx.RWSet.Digest()
 		h.Write(d[:])
 	}

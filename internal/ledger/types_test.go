@@ -229,6 +229,28 @@ func TestChainDetectsTamper(t *testing.T) {
 	}
 }
 
+// SealHash reads each transaction's digest from its first endorsement
+// and agrees with ComputeHash exactly when that endorsement carries its
+// own rwset's digest; a transaction without endorsements is hashed from
+// its rwset either way.
+func TestSealHashReadsCarriedDigests(t *testing.T) {
+	endorsed := mkTx("t1")
+	rw := endorsed.RWSet
+	other := &RWSet{Writes: []KVWrite{{Key: "other"}}}
+	endorsed.Endorsements = []*Endorsement{{RWSet: rw, Digest: rw.Digest()}, {RWSet: other, Digest: other.Digest()}}
+	b := mkBlock(1, [32]byte{1}, mkTx("t0"), endorsed)
+	if b.SealHash() != b.Hash {
+		t.Fatal("SealHash differs from ComputeHash though every first endorsement carries its rwset's digest")
+	}
+	endorsed.Endorsements[0].Digest = other.Digest()
+	if b.SealHash() == b.Hash {
+		t.Fatal("SealHash ignored the first endorsement's carried digest")
+	}
+	if b.ComputeHash() != b.Hash {
+		t.Fatal("ComputeHash read a carried digest instead of the rwset")
+	}
+}
+
 // TestVerifyNamesStrippingNotTamper: freeing hashed range observations
 // after commit makes a block unverifiable, which Verify must report as
 // ErrStripped — never as the hash mismatch that means tampering.
