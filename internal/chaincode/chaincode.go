@@ -116,6 +116,11 @@ func (s *Stub) RWSet() *ledger.RWSet {
 // Reset: genesis loading reads Init's writes without a copy.
 func (s *Stub) Writes() []ledger.KVWrite { return s.rwset.Writes }
 
+// Grow makes room for n more writes, so that an Init that knows how
+// many keys it seeds allocates its write set once instead of regrowing
+// it.
+func (s *Stub) Grow(n int) { s.rwset.Writes = slices.Grow(s.rwset.Writes, n) }
+
 // exact copies xs into a slice of its length, nil when it is empty.
 func exact[T any](xs []T) []T {
 	if len(xs) == 0 {

@@ -49,16 +49,20 @@ func (id *Identity) AppendSign(dst, digest []byte) []byte {
 // MSP is the membership service provider: it registers identities and
 // verifies signatures against them.
 type MSP struct {
-	identities map[string]*Identity // "org/id" -> identity
-	orgs       map[string][]string  // org -> member ids (sorted)
+	identities map[member]*Identity
+	orgs       map[string][]string // org -> member ids (sorted)
 	secret     []byte
 }
+
+// member names an identity: a look-up keys by it without building the
+// qualified "org/id" string.
+type member struct{ org, id string }
 
 // NewMSP creates an empty registry. The secret seeds per-identity
 // keys deterministically.
 func NewMSP(secret string) *MSP {
 	return &MSP{
-		identities: map[string]*Identity{},
+		identities: map[member]*Identity{},
 		orgs:       map[string][]string{},
 		secret:     []byte(secret),
 	}
@@ -66,16 +70,17 @@ func NewMSP(secret string) *MSP {
 
 func qualify(org, id string) string { return org + "/" + id }
 
-// Register creates (or returns) the identity org/id.
+// Register creates (or returns) the identity org/id. Its key is derived
+// from the secret and the qualified name "org/id".
 func (m *MSP) Register(org, id string) *Identity {
-	q := qualify(org, id)
-	if existing, ok := m.identities[q]; ok {
+	k := member{org, id}
+	if existing, ok := m.identities[k]; ok {
 		return existing
 	}
 	mac := hmac.New(sha256.New, m.secret)
-	mac.Write([]byte(q))
+	mac.Write([]byte(qualify(org, id)))
 	ident := &Identity{Org: org, ID: id, mac: hmac.New(sha256.New, mac.Sum(nil))}
-	m.identities[q] = ident
+	m.identities[k] = ident
 	m.orgs[org] = append(m.orgs[org], id)
 	sort.Strings(m.orgs[org])
 	return ident
@@ -83,7 +88,7 @@ func (m *MSP) Register(org, id string) *Identity {
 
 // Lookup returns a registered identity or nil.
 func (m *MSP) Lookup(org, id string) *Identity {
-	return m.identities[qualify(org, id)]
+	return m.identities[member{org, id}]
 }
 
 // Verify checks that sig is a valid signature by org/id over digest.

@@ -75,9 +75,10 @@ type ClientDriver struct {
 	name    string
 
 	// rotation holds one endorser/orderer rotation counter per driven
-	// member — the only per-member state, a few bytes per simulated
-	// client.
-	rotation []int
+	// member — the only per-member state, four bytes per simulated
+	// client. A uint32 counts exactly what an int would while a member
+	// submits fewer than 2^32 times.
+	rotation []uint32
 
 	// pending maps an in-flight attempt's transaction id (one per leg
 	// for cross-channel transactions) to its logical transaction, for
@@ -153,7 +154,7 @@ func newDriver(nw *Network, index, firstID, members int) *ClientDriver {
 	}
 	c := &ClientDriver{
 		nw: nw, index: index, firstID: firstID, members: members, name: name,
-		rotation: make([]int, members),
+		rotation: make([]uint32, members),
 		pending:  map[string]*pendingTx{},
 		hints:    make([]float64, nw.channels),
 		ctl:      newController(nw.ctl.Retry),
@@ -289,7 +290,7 @@ func (c *ClientDriver) submitLeg(j *pendingTx, channel int, l *leg) {
 		c.pending[tx.ID] = j
 	}
 	c.rotation[j.member]++
-	rot := c.rotation[j.member]
+	rot := int(c.rotation[j.member])
 	endorserOrgs := c.nw.pol.RequiredEndorsers(rot)
 	peerInOrg := rot % c.nw.cfg.PeersPerOrg
 
@@ -395,7 +396,7 @@ func (c *ClientDriver) assemble(j *pendingTx, tx *ledger.Transaction, channel in
 	}
 	os := c.nw.orderers[channel]
 	tx.SnapshotHeight = c.nw.chains[channel].Height()
-	orderer := os.NodeName(c.rotation[j.member])
+	orderer := os.NodeName(int(c.rotation[j.member]))
 	c.nw.net.Send(c.name, orderer, func() { os.Submit(tx) })
 
 	// Client-side submission deadline (Config.Faults): if no commit or

@@ -253,6 +253,14 @@ func corpusRegimes() []*regime {
 			EndorseTimeout: time.Second,
 		})
 	}, engaged: predicate{"one recovery", func(r metrics.Report) bool { return r.Recovery.N == 1 }}})
+	// The metrics peer appends each block when it commits it: crashed, it
+	// appends the blocks it missed as its restart replays them.
+	rs = append(rs, &regime{name: "metrics-peer-crash", cfg: func() Config {
+		return faultConfig(4, &Faults{
+			Events:         []FaultEvent{{Kind: FaultCrashPeer, At: 5 * time.Second, For: 5 * time.Second, Target: 0}},
+			EndorseTimeout: time.Second,
+		})
+	}, engaged: predicate{"one recovery", func(r metrics.Report) bool { return r.Recovery.N == 1 }}})
 	for _, c := range []struct {
 		name string
 		cc   func() chaincode.Chaincode
@@ -282,13 +290,16 @@ func (g *regime) get() *regimeRun {
 }
 
 // simulate runs the regime with StripAfterCommit off and checks the
-// run, then reruns it with stripping on (and at Seed+1 for a reseed
+// run (checkRun, then cutRecorder's check of the blocks the chains
+// kept), then reruns it with stripping on (and at Seed+1 for a reseed
 // regime). Only the first build can fail: the others differ from it in
 // fields Validate does not read.
 func (g *regime) simulate() *regimeRun {
 	r := &regimeRun{}
 	cfg := g.cfg()
 	cfg.StripAfterCommit = false
+	cuts := recordCuts(cfg.Variant)
+	cfg.Variant = cuts
 	nw, err := NewNetwork(cfg)
 	if err != nil {
 		r.build = err
@@ -298,6 +309,9 @@ func (g *regime) simulate() *regimeRun {
 	r.rep = nw.Run()
 	r.tips, r.ctl, r.fingerprint = tipsOf(nw), nw.ctl, fingerprint(nw, r.rep)
 	r.check = checkRun(nw, r.rep, genesis)
+	if r.check == nil {
+		r.check = cuts.check(nw)
+	}
 	if r.check == nil && !g.engaged.holds(r.rep) {
 		r.check = fmt.Errorf("the run did not engage: want %s", g.engaged.what)
 	}

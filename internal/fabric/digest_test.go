@@ -28,8 +28,10 @@ import (
 // four chaincodes runs on each of the four systems with StripAfterCommit
 // off; on every chain every endorsement must carry its own rwset's
 // digest, every block's hash must be the one ComputeHash recomputes from
-// content, and Chain.Verify must pass. Changing one committed write's
-// value must then make Verify fail at that block.
+// content, and Chain.Verify must pass. Each chain must also hold the
+// blocks its orderer cut, with the codes and commit time the metrics
+// peer set (see cutRecorder). Changing one committed write's value must
+// then make Verify fail at that block.
 func TestDigestBinding(t *testing.T) {
 	systems := []struct {
 		name    string
@@ -56,7 +58,7 @@ func TestDigestBinding(t *testing.T) {
 			t.Run(c.name+"-"+sys.name, func(t *testing.T) {
 				cfg := docConfig(c.cc(), c.wl(), statedb.CouchDB)
 				cfg.Duration = 3 * time.Second
-				cfg.Variant = sys.variant()
+				cfg.Variant = fabric.RecordCuts(sys.variant())
 				cfg.StripAfterCommit = false
 				nw, err := fabric.NewNetwork(cfg)
 				if err != nil {
@@ -68,6 +70,9 @@ func TestDigestBinding(t *testing.T) {
 				// empty blocks reach that chain.
 				if emptyChain := sys.name == "fabricsharp" && c.name == "dv"; emptyChain != (rep.Valid == 0) {
 					t.Fatalf("%d valid transactions (want none: %v): %v", rep.Valid, emptyChain, rep)
+				}
+				if err := fabric.CheckCuts(nw); err != nil {
+					t.Error(err)
 				}
 				mismatched += checkDigests(t, nw, rep.Valid > 0)
 			})

@@ -53,3 +53,11 @@ func CheckRegime(t *testing.T, name string) {
 	t.Helper()
 	checked(t, name)
 }
+
+// RecordCuts wraps a variant so that CheckCuts can hold the chains of
+// the network it runs in to the blocks its ordering services cut.
+func RecordCuts(v Variant) Variant { return recordCuts(v) }
+
+// CheckCuts reports how nw's chains differ from the blocks its ordering
+// services cut (see cutRecorder); nw's variant must come from RecordCuts.
+func CheckCuts(nw *Network) error { return nw.variant.(*cutRecorder).check(nw) }

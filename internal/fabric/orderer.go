@@ -194,8 +194,10 @@ func txBytes(tx *ledger.Transaction) int {
 // samples are recorded, so any coordination effect is attributable to
 // the clients sharing their own estimates.
 func (os *OrderingService) cut() {
-	batch := os.pending
-	os.pending = nil
+	// The block gets an exact-size copy; the pending buffer is reused.
+	batch := append(make([]*ledger.Transaction, 0, len(os.pending)), os.pending...)
+	clear(os.pending)
+	os.pending = os.pending[:0]
 	os.pendingBytes = 0
 	os.timerArmed = false
 	os.timerEpoch++

@@ -193,7 +193,10 @@ func (p *Peer) DeliverBlock(b *ledger.Block) {
 		if p.epoch != epoch {
 			return // crashed mid-commit; the block is replayed on restart
 		}
-		p.inflight = p.inflight[1:]
+		// Pop by copying down: resliced past its head, it would regrow.
+		n := copy(p.inflight, p.inflight[1:])
+		p.inflight[n] = nil
+		p.inflight = p.inflight[:n]
 		p.commit(b, res)
 	})
 }
@@ -217,19 +220,10 @@ func (p *Peer) commit(b *ledger.Block, res *valResult) {
 	if p != p.nw.metricsPeer() {
 		return
 	}
+	// The chain keeps the cut block; only chain readers read these fields.
 	now := p.nw.eng.Now()
-	canonical := &ledger.Block{
-		Number:          b.Number,
-		PrevHash:        b.PrevHash,
-		Hash:            b.Hash,
-		Transactions:    b.Transactions,
-		Channel:         b.Channel,
-		CutTime:         b.CutTime,
-		CongestionHint:  b.CongestionHint,
-		ValidationCodes: res.codes,
-		CommitTime:      now,
-	}
-	if err := p.nw.chains[b.Channel].Append(canonical); err != nil {
+	b.ValidationCodes, b.CommitTime = res.codes, now
+	if err := p.nw.chains[b.Channel].Append(b); err != nil {
 		panic("fabric: canonical chain append: " + err.Error())
 	}
 	p.nw.col.RecordBlock()

@@ -21,6 +21,14 @@ type validator struct {
 	next uint64
 	// memo holds the outcome of every block some peer has yet to commit.
 	memo map[uint64]*valResult
+	// overlay and overlayDel hold the keys the block's earlier valid
+	// transactions wrote and deleted (the state the version check runs
+	// against), attempted those any earlier one wrote: Equation 3 calls a
+	// conflict intra-block whether or not its writer committed. validate
+	// clears all three for each block.
+	overlay    map[string]ledger.Height
+	overlayDel map[string]bool
+	attempted  map[string]bool
 }
 
 // valResult is one block's cached outcome. It lives until the last
@@ -36,7 +44,8 @@ type valResult struct {
 }
 
 func newValidator(nw *Network, db statedb.VersionedDB) *validator {
-	return &validator{nw: nw, db: db, memo: map[uint64]*valResult{}}
+	return &validator{nw: nw, db: db, memo: map[uint64]*valResult{},
+		overlay: map[string]ledger.Height{}, overlayDel: map[string]bool{}, attempted: map[string]bool{}}
 }
 
 // result returns the cached outcome for b, validating it if this is
@@ -75,15 +84,9 @@ func (v *validator) validate(b *ledger.Block) *valResult {
 		codes: make([]ledger.ValidationCode, len(b.Transactions)),
 		batch: &statedb.UpdateBatch{},
 	}
-	// overlay maps keys written by earlier valid txs of this block
-	// (the state the version check runs against); attempted
-	// additionally records keys written by *any* earlier transaction
-	// of the block, valid or not — Equation 3 classifies a conflict
-	// as intra-block by the existence of the dependency, not by
-	// whether the writer itself committed.
-	overlay := map[string]ledger.Height{}
-	overlayDel := map[string]bool{}
-	attempted := map[string]bool{}
+	clear(v.overlay)
+	clear(v.overlayDel)
+	clear(v.attempted)
 
 	nSub := v.nw.pol.SubPolicies()
 	for i, tx := range b.Transactions {
@@ -92,7 +95,7 @@ func (v *validator) validate(b *ledger.Block) *valResult {
 
 		code := v.vscc(tx)
 		if code == ledger.Valid && !v.nw.variant.SkipMVCC() {
-			code = v.mvcc(tx.RWSet, overlay, overlayDel, attempted)
+			code = v.mvcc(tx.RWSet)
 		}
 		res.codes[i] = code
 		if code == ledger.Valid {
@@ -100,16 +103,16 @@ func (v *validator) validate(b *ledger.Block) *valResult {
 			for _, w := range tx.RWSet.Writes {
 				res.batch.Add(w, h)
 				if w.IsDelete {
-					overlayDel[w.Key] = true
-					delete(overlay, w.Key)
+					v.overlayDel[w.Key] = true
+					delete(v.overlay, w.Key)
 				} else {
-					overlay[w.Key] = h
-					delete(overlayDel, w.Key)
+					v.overlay[w.Key] = h
+					delete(v.overlayDel, w.Key)
 				}
 			}
 		}
 		for _, w := range tx.RWSet.Writes {
-			attempted[w.Key] = true
+			v.attempted[w.Key] = true
 		}
 		// The batch now owns the documents of the valid writes and nothing
 		// will read the others: the chain keeps every transaction, so it
@@ -155,22 +158,22 @@ func (v *validator) vscc(tx *ledger.Transaction) ledger.ValidationCode {
 // validator replica plus the block-local overlay. attempted holds
 // every key written by an earlier transaction of the block (valid or
 // not) and drives the intra (Eq. 3) vs inter (Eq. 4) classification.
-func (v *validator) mvcc(rw *ledger.RWSet, overlay map[string]ledger.Height, overlayDel map[string]bool, attempted map[string]bool) ledger.ValidationCode {
+func (v *validator) mvcc(rw *ledger.RWSet) ledger.ValidationCode {
 	classify := func(key string) ledger.ValidationCode {
-		if attempted[key] {
+		if v.attempted[key] {
 			return ledger.MVCCConflictIntraBlock
 		}
 		return ledger.MVCCConflictInterBlock
 	}
 	// Plain reads: Equation 2.
 	for _, r := range rw.Reads {
-		if h, ok := overlay[r.Key]; ok {
+		if h, ok := v.overlay[r.Key]; ok {
 			if h != r.Version {
 				return classify(r.Key)
 			}
 			continue
 		}
-		if overlayDel[r.Key] {
+		if v.overlayDel[r.Key] {
 			return classify(r.Key)
 		}
 		if code := v.checkCommitted(r); code != ledger.Valid {
@@ -183,7 +186,7 @@ func (v *validator) mvcc(rw *ledger.RWSet, overlay map[string]ledger.Height, ove
 		if rq.Unchecked {
 			continue
 		}
-		if !rangeUnchanged(v.db, rq, overlay, overlayDel) {
+		if !rangeUnchanged(v.db, rq, v.overlay, v.overlayDel) {
 			return ledger.PhantomReadConflict
 		}
 	}

@@ -142,6 +142,9 @@ func GenChainSpec() ChaincodeSpec {
 // KeyName formats a seeded world-state key: fmt's "key_%06d".
 func KeyName(i int) string { return padded("key_", i, 6) }
 
+// keyLen is the length of KeyName(i) for every index a spec may seed.
+const keyLen = len("key_") + 6
+
 // padded returns prefix followed by i zero-padded to width characters,
 // a sign included, as fmt's "%0<width>d" prints it.
 func padded(prefix string, i, width int) string {
@@ -168,7 +171,23 @@ func insertKeyName(seq string) string { return "new_" + seq }
 type Chaincode struct {
 	spec ChaincodeSpec
 	byFn map[string]FunctionSpec
+	// keys is KeyName(0) … KeyName(spec.Keys-1) end to end: key reads
+	// each seeded key name as a substring of it, so neither genesis nor
+	// an invocation formats one, and a string header per key is not kept.
+	keys string
 }
+
+// updateValues are the values an update writes, {"v":1} … {"v":7}
+// (an insert writes the first), shared by every write like Init's
+// documents: a stored value is never written into, and each is capped
+// at its length.
+var updateValues = func() (vs [7][]byte) {
+	for i := range vs {
+		v := []byte(fmt.Sprintf(`{"v":%d}`, i+1))
+		vs[i] = v[:len(v):len(v)]
+	}
+	return vs
+}()
 
 // NewChaincode compiles a spec into an executable chaincode.
 func NewChaincode(spec ChaincodeSpec) (*Chaincode, error) {
@@ -179,7 +198,28 @@ func NewChaincode(spec ChaincodeSpec) (*Chaincode, error) {
 	for _, f := range spec.Functions {
 		cc.byFn[f.Name] = f
 	}
+	var keys strings.Builder
+	keys.Grow(spec.Keys * keyLen)
+	name := []byte(KeyName(0))
+	for i := 0; i < spec.Keys; i++ {
+		keys.Write(name)
+		// Count the digits up to the next index's name.
+		d := keyLen - 1
+		for ; name[d] == '9'; d-- {
+			name[d] = '0'
+		}
+		name[d]++
+	}
+	cc.keys = keys.String()
 	return cc, nil
+}
+
+// key returns KeyName(i), from the table when i is a seeded index.
+func (c *Chaincode) key(i int) string {
+	if uint(i) >= uint(c.spec.Keys) {
+		return KeyName(i)
+	}
+	return c.keys[i*keyLen : (i+1)*keyLen]
 }
 
 // MustChaincode is NewChaincode for known-good specs.
@@ -198,18 +238,19 @@ func (c *Chaincode) Name() string { return c.spec.Name }
 func (c *Chaincode) Spec() ChaincodeSpec { return c.spec }
 
 // Init seeds the world state with spec.Keys JSON documents, in
-// ascending key order. There are 97 distinct documents, encoded once
-// and shared by every key that holds one: a stored value is never
-// written into, and each is capped at its length so that an append to
-// one cannot either.
+// ascending key order, into a write set sized for them once. There are
+// 97 distinct documents, encoded once and shared by every key that
+// holds one: a stored value is never written into, and each is capped
+// at its length so that an append to one cannot either.
 func (c *Chaincode) Init(stub *chaincode.Stub) error {
 	var docs [97][]byte
 	for g := range docs {
 		doc := []byte(fmt.Sprintf(`{"v":0,"grp":%d}`, g))
 		docs[g] = doc[:len(doc):len(doc)]
 	}
+	stub.Grow(c.spec.Keys)
 	for i := 0; i < c.spec.Keys; i++ {
-		if err := stub.PutState(KeyName(i), docs[i%len(docs)]); err != nil {
+		if err := stub.PutState(c.key(i), docs[i%len(docs)]); err != nil {
 			return err
 		}
 	}
@@ -234,28 +275,28 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 		return a
 	}
 	for i := 0; i < f.Reads; i++ {
-		if _, err := stub.GetState(keyArg(next())); err != nil {
+		if _, err := stub.GetState(c.keyArg(next())); err != nil {
 			return err
 		}
 	}
 	for i := 0; i < f.Inserts; i++ {
-		if err := stub.PutState(insertKeyName(next()), []byte(`{"v":1}`)); err != nil {
+		if err := stub.PutState(insertKeyName(next()), updateValues[0]); err != nil {
 			return err
 		}
 	}
 	for i := 0; i < f.Updates; i++ {
-		key := keyArg(next())
+		key := c.keyArg(next())
 		raw, err := stub.GetState(key)
 		if err != nil {
 			return err
 		}
-		v := len(raw) % 7 // derive the new value from the old
-		if err := stub.PutState(key, []byte(fmt.Sprintf(`{"v":%d}`, v+1))); err != nil {
+		// Derive the new value, {"v":1+len(raw)%7}, from the old.
+		if err := stub.PutState(key, updateValues[len(raw)%7]); err != nil {
 			return err
 		}
 	}
 	for i := 0; i < f.Deletes; i++ {
-		if err := stub.DelState(keyArg(next())); err != nil {
+		if err := stub.DelState(c.keyArg(next())); err != nil {
 			return err
 		}
 	}
@@ -264,7 +305,7 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 		if err != nil {
 			return err
 		}
-		if _, err := stub.GetStateByRange(KeyName(start), KeyName(start+width)); err != nil {
+		if _, err := stub.GetStateByRange(c.key(start), c.key(start+width)); err != nil {
 			return err
 		}
 	}
@@ -273,7 +314,7 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 		if !stub.SupportsRichQueries() {
 			// Graceful degradation on LevelDB: a point read keeps the
 			// generated code runnable on either backend.
-			if _, err := stub.GetState(keyArg(grp)); err != nil {
+			if _, err := stub.GetState(c.keyArg(grp)); err != nil {
 				return err
 			}
 			continue
@@ -285,9 +326,10 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 	return nil
 }
 
-func keyArg(a string) string {
+// keyArg resolves a key argument: an index names a seeded key.
+func (c *Chaincode) keyArg(a string) string {
 	if n, err := strconv.Atoi(a); err == nil {
-		return KeyName(n)
+		return c.key(n)
 	}
 	return a // already a key name (insert sequence tokens etc.)
 }
