@@ -36,6 +36,9 @@ type Kafka struct {
 	// holdback reorders ack completions back into submission order.
 	holdback  map[uint64]interface{}
 	delivered uint64
+	// acks holds the entries whose replication round trip is under way,
+	// each under the time the ISR has acknowledged it.
+	acks *sim.Queue[entry]
 }
 
 type broker struct {
@@ -43,6 +46,14 @@ type broker struct {
 	alive bool
 	// lag is this broker's replication latency to the leader.
 	lag time.Duration
+	// inbox holds the payloads on the producer stream to this broker.
+	inbox *sim.Queue[interface{}]
+}
+
+// entry is a payload the leader appended at seq.
+type entry struct {
+	seq     uint64
+	payload interface{}
 }
 
 // KafkaConfig tunes the broker cluster.
@@ -74,12 +85,15 @@ func NewKafka(eng *sim.Engine, net *netem.Model, cfg KafkaConfig) *Kafka {
 		electionDelay: cfg.ElectionDelay,
 		holdback:      map[uint64]interface{}{},
 	}
+	k.acks = sim.NewQueue(eng, k.commit)
 	for i := 0; i < cfg.Brokers; i++ {
-		k.brokers = append(k.brokers, &broker{
+		b := &broker{
 			id:    fmt.Sprintf("kafka%d", i),
 			alive: true,
 			lag:   cfg.ReplicaLag,
-		})
+		}
+		b.inbox = sim.NewQueue(eng, func(payload interface{}) { k.append(b, payload) })
+		k.brokers = append(k.brokers, b)
 	}
 	return k
 }
@@ -103,33 +117,36 @@ func (k *Kafka) Submit(payload interface{}) {
 		k.pending = append(k.pending, payload)
 		return
 	}
-	leader := k.brokers[k.leader]
 	// Producer -> leader hop.
-	k.net.SendOrdered("producer", leader.id, func() {
-		if !leader.alive {
-			// Lost mid-flight: buffer for the next leader.
-			k.pending = append(k.pending, payload)
-			return
-		}
-		// Replication: the commit happens after the (minISR-1)'th
-		// follower ack round trip.
-		ackDelay := time.Duration(0)
-		if k.minISR > 1 {
-			ackDelay = k.eng.Jittered(2*leader.lag, 0.3)
-		}
-		seq := k.nextSeq
-		k.nextSeq++
-		k.eng.After(ackDelay, func() { k.commit(seq, payload) })
-	})
+	leader := k.brokers[k.leader]
+	leader.inbox.At(k.net.OrderedArrival("producer", leader.id), payload)
+}
+
+// append is payload reaching broker b, which was the leader when it was
+// sent.
+func (k *Kafka) append(b *broker, payload interface{}) {
+	if !b.alive {
+		// Lost mid-flight: buffer for the next leader.
+		k.pending = append(k.pending, payload)
+		return
+	}
+	// Replication: the commit happens after the (minISR-1)'th follower
+	// ack round trip.
+	ackDelay := time.Duration(0)
+	if k.minISR > 1 {
+		ackDelay = k.eng.Jittered(2*b.lag, 0.3)
+	}
+	k.acks.At(k.eng.Now()+sim.Time(ackDelay), entry{k.nextSeq, payload})
+	k.nextSeq++
 }
 
 // commit delivers entries in sequence order even if ack timers fire
 // out of order.
-func (k *Kafka) commit(seq uint64, payload interface{}) {
+func (k *Kafka) commit(e entry) {
 	// Sequence numbers are assigned in submission order at the
 	// leader; deliveries with jittered ack delays could overtake each
 	// other, so hold back until predecessors are in.
-	k.holdback[seq] = payload
+	k.holdback[e.seq] = e.payload
 	for {
 		p, ok := k.holdback[k.delivered]
 		if !ok {

@@ -85,6 +85,8 @@ type ClientDriver struct {
 	// commit-event correlation. Only populated when the network tracks
 	// outcomes.
 	pending map[string]*pendingTx
+	// outcomes is the inbox of outcome events, built with the first.
+	outcomes *sim.Queue[outcome]
 
 	// ctl is this driver's retry controller: the configured policy plus
 	// the hooks the signal path below feeds (see controller).
@@ -397,7 +399,9 @@ func (c *ClientDriver) assemble(j *pendingTx, tx *ledger.Transaction, channel in
 	os := c.nw.orderers[channel]
 	tx.SnapshotHeight = c.nw.chains[channel].Height()
 	orderer := os.NodeName(int(c.rotation[j.member]))
-	c.nw.net.Send(c.name, orderer, func() { os.Submit(tx) })
+	if at, ok := c.nw.net.Arrival(c.name, orderer); ok {
+		os.envelopes.At(at, tx)
+	}
 
 	// Client-side submission deadline (Config.Faults): if no commit or
 	// abort event arrives in time — the envelope died with a crashed
@@ -415,14 +419,22 @@ func (c *ClientDriver) assemble(j *pendingTx, tx *ledger.Transaction, channel in
 	}
 }
 
+// outcome is a commit or early-abort event (see deliverOutcome).
+type outcome struct {
+	txID    string
+	code    ledger.ValidationCode
+	hint    float64
+	channel int
+}
+
 // onOutcome handles a commit (or early-abort) event for one of this
 // driver's pending attempts. Events for unknown transaction ids still
 // refresh the channel's congestion hint — the orderer's signal is
 // fresh regardless of which attempt carried it — but are otherwise
 // ignored (the attempt was already resolved locally).
-func (c *ClientDriver) onOutcome(txID string, code ledger.ValidationCode, hint float64, channel int) {
+func (c *ClientDriver) onOutcome(o outcome) {
 	if c.paces && c.nw.ctl.HintSource.usesOrderer() {
-		c.hints[channel] = hint
+		c.hints[o.channel] = o.hint
 		// The one mode branch on the path. Scalar mode pushes the raw
 		// hint to the controller on every outcome event (on multi-channel
 		// runs "last hint seen", which is not the max over channels that
@@ -431,21 +443,21 @@ func (c *ClientDriver) onOutcome(txID string, code ledger.ValidationCode, hint f
 		// slide the controller's backoff, which the conflict estimate
 		// drives instead.
 		if c.nw.ctl.SplitSignal == nil {
-			c.ctl.observeHint(hint)
+			c.ctl.observeHint(o.hint)
 		}
 	}
-	j, ok := c.pending[txID]
+	j, ok := c.pending[o.txID]
 	if !ok {
 		// With fault injection, a Valid outcome for an attempt the
 		// client already timed out on means the transaction committed
 		// after its submitter gave up (and possibly resubmitted): an
 		// orphan — duplicate effect risk at the application layer.
-		if c.nw.faults != nil && code == ledger.Valid {
+		if c.nw.faults != nil && o.code == ledger.Valid {
 			c.nw.col.RecordOrphan()
 		}
 		return
 	}
-	c.legDone(j, txID, code)
+	c.legDone(j, o.txID, o.code)
 }
 
 // legDone resolves one leg of a logical transaction's current attempt.

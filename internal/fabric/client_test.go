@@ -113,26 +113,32 @@ var raceDetector bool
 // its rwset and exact-length read and write sets; the first attempt's
 // leg lives in its job. Per leg: the transaction, its id and the
 // endorsement slice. A grant or revoke copies one exact-length access
-// list: 21.66 objects per transaction, 25.3 with a stub, a simulation
-// and a leg allocated per use and sets grown by append.
+// list. The envelope hop, the Kafka producer hop and ack, the cut
+// timer, the block's ready event, its deliveries and its commits wait
+// in their receivers' queues (sim.Queue), and a block's outcome holds
+// its update batch: 18.30 objects per transaction, 21.40 with a
+// closure per message and a separate batch, 25.3 with a stub, a
+// simulation and a leg allocated per use and sets grown by append.
 func TestDefaultRunAllocsPerTransaction(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Duration = 30 * time.Second
 	cfg.Chaincode = ehr.New()
 	cfg.Workload = ehr.NewWorkload(1)
-	checkAllocsPerTx(t, cfg, 22)
+	checkAllocsPerTx(t, cfg, 19)
 }
 
 // TestControlPlaneAllocsPerTransaction pins the ehr-controlplane shape,
 // where gossip sends about 32 messages per simulated transaction: each
 // is a recycled gossipMsg, so the gossip path adds no object per
 // message (a closure per message made it 60 objects per transaction).
-// It runs 24.29 objects per transaction, 27.6 before the endorsement
-// path reused its stub, simulation and first leg (see the default run).
+// Outcome events wait in their driver's queue, built with its first
+// event, like the pipeline's messages (see the default run): 19.84
+// objects per transaction, 23.89 with a closure per message, 27.6
+// before the endorsement path reused its stub, simulation and first leg.
 func TestControlPlaneAllocsPerTransaction(t *testing.T) {
 	cfg := controlPlaneConfig(33)
 	cfg.Duration = 30 * time.Second
-	checkAllocsPerTx(t, cfg, 25)
+	checkAllocsPerTx(t, cfg, 20)
 }
 
 // TestRangeHeavyAllocsPerTransaction pins the genchain-range shape:
@@ -140,17 +146,40 @@ func TestControlPlaneAllocsPerTransaction(t *testing.T) {
 // keeps one slice of observations; the second endorser's memo check and
 // the validator's phantom re-scan walk the index in place, genChain
 // formats and parses its arguments without fmt, and it reads its key
-// names from a table and shares its update values: 21.65 objects per
-// transaction, 23.73 when it formatted each key name and value, 26.8
-// before the endorsement path reused its stub, simulation and first
-// leg, 41.4 when all three allocated.
+// names from a table and shares its update values. Messages wait in
+// their receivers' queues (see the default run): 18.55 objects per
+// transaction, 21.65 with a closure per message, 23.73 when genChain
+// formatted each key name and value, 26.8 before the endorsement path
+// reused its stub, simulation and first leg, 41.4 when all three
+// allocated.
 func TestRangeHeavyAllocsPerTransaction(t *testing.T) {
 	spec := gen.GenChainSpec()
 	cfg := DefaultConfig()
 	cfg.Duration = 30 * time.Second
 	cfg.Chaincode = gen.MustChaincode(spec)
 	cfg.Workload = gen.NewWorkload(spec, gen.RangeHeavy, 1)
-	checkAllocsPerTx(t, cfg, 22)
+	checkAllocsPerTx(t, cfg, 19)
+}
+
+// TestOneTxBlockAllocsPerTransaction pins Streamchain's shape (one
+// transaction per block, a 1 ms cut timer, its committer and cutter
+// costs) on genChain's update-heavy mix, where every per-block cost is
+// paid once per transaction. The cut timer, the ready event, the four
+// deliveries and the four commits wait in their receivers' queues
+// instead of taking a closure each, and the block's outcome holds its
+// update batch: 22.70 objects per transaction, 35.68 with a closure per
+// message.
+func TestOneTxBlockAllocsPerTransaction(t *testing.T) {
+	spec := gen.GenChainSpec()
+	cfg := DefaultConfig()
+	cfg.Duration = 30 * time.Second
+	cfg.Chaincode = gen.MustChaincode(spec)
+	cfg.Workload = gen.NewWorkload(spec, gen.UpdateHeavy, 1)
+	cfg.BlockSize = 1
+	cfg.BlockTimeout = time.Millisecond
+	cfg.PeerCosts.BlockBase = 2500 * time.Microsecond
+	cfg.OrdererCosts.BlockCut = 300 * time.Microsecond
+	checkAllocsPerTx(t, cfg, 24)
 }
 
 // TestGenesisAllocsPerKey pins what NewNetwork allocates to build a

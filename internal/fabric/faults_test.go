@@ -137,6 +137,67 @@ func TestPeerCrashHoldsValidatorMemoUntilReplay(t *testing.T) {
 	}
 }
 
+// TestPeerCrashLeavesStaleCommitsBehind: a peer that crashes with
+// commits queued and restarts before they are due leaves their entries
+// in its commit queue, due after the commits of the blocks it gets next
+// (its replay, then the orderer's next block). Each stale entry must
+// commit nothing, each block must commit exactly once, and the replica
+// must end equal to the chain.
+func TestPeerCrashLeavesStaleCommitsBehind(t *testing.T) {
+	cfg := testConfig(9)
+	cfg.PeerCosts.BlockBase = 10 * time.Second // commits queue up
+	nw, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	genesis := snapshotGenesis(nw)
+	for _, d := range nw.drivers {
+		d.start()
+	}
+	p, v := nw.peers[3], nw.vals[0]
+	var stale []sim.Time // due times of p's queued commits
+	for len(p.inflight) < 2 {
+		n := len(p.inflight)
+		nw.eng.RunUntil(nw.eng.Now() + sim.Time(time.Millisecond))
+		switch len(p.inflight) {
+		case n:
+		case n + 1:
+			stale = append(stale, p.busyUntil)
+		default:
+			t.Fatalf("%d blocks in flight, %d a millisecond before", len(p.inflight), n)
+		}
+	}
+	nw.cfg.PeerCosts.BlockBase = time.Millisecond
+	p.crash()
+	p.restart()
+	replayed := p.busyUntil
+	if replayed >= stale[0] {
+		t.Fatalf("the replay commits by %v, not before the stale entries at %v", replayed, stale)
+	}
+	for p.busyUntil == replayed { // until the orderer's next block arrives
+		nw.eng.RunUntil(nw.eng.Now() + sim.Time(time.Millisecond))
+	}
+	if p.busyUntil >= stale[0] {
+		t.Fatalf("the next block commits at %v, not before the stale entries at %v", p.busyUntil, stale)
+	}
+	for _, at := range stale {
+		nw.eng.RunUntil(at - 1)
+		committed, queued := p.committedBlocks, len(p.inflight)
+		nw.eng.RunUntil(at)
+		if p.committedBlocks != committed || len(p.inflight) != queued {
+			t.Errorf("the stale entry at %v committed %d blocks, %d were queued, %d are",
+				at, p.committedBlocks-committed, queued, len(p.inflight))
+		}
+	}
+	nw.eng.RunUntil(sim.Time(cfg.Duration + cfg.Drain))
+	if p.State() != NodeUp || uint64(p.committedBlocks) != v.next || len(p.inflight) != 0 {
+		t.Fatalf("peer ended %v with %d commits of %d blocks, %d in flight", p.State(), p.committedBlocks, v.next, len(p.inflight))
+	}
+	if err := checkReplicas(nw, genesis); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestFaultOverlapRejected: a fault window restores the state it found
 // when it ends, so two windows of one kind that intersect or touch on
 // one victim corrupt the run — a nested crash restarts the peer early

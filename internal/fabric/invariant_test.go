@@ -221,11 +221,14 @@ func checkReplicas(nw *Network, genesis [][]statedb.KV) error {
 // yet committed: in its commit pipeline, or missed while it was down.
 func queuedBlocks(p *Peer, ch int) uint64 {
 	n := uint64(0)
-	for _, q := range [][]*ledger.Block{p.inflight, p.backlog} {
-		for _, b := range q {
-			if b.Channel == ch {
-				n++
-			}
+	for _, f := range p.inflight {
+		if f.b.Channel == ch {
+			n++
+		}
+	}
+	for _, b := range p.backlog {
+		if b.Channel == ch {
+			n++
 		}
 	}
 	return n
@@ -268,7 +271,7 @@ func checkValidatorTail(val *validator, peers []*Peer, ch int) error {
 		if !ok {
 			return fmt.Errorf("validator, channel %d, block %d: outcome released before %s committed it", ch, n, lead.name)
 		}
-		if err := tail.ApplyUpdates(r.batch, n); err != nil {
+		if err := tail.ApplyUpdates(&r.batch, n); err != nil {
 			return err
 		}
 	}

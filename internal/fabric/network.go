@@ -205,7 +205,12 @@ func (nw *Network) deliverOutcome(src string, tx *ledger.Transaction, code ledge
 	if cl == nil {
 		return
 	}
-	nw.net.Send(src, cl.name, func() { cl.onOutcome(tx.ID, code, hint, channel) })
+	if cl.outcomes == nil { // built on first use, not in NewNetwork
+		cl.outcomes = sim.NewQueue(nw.eng, cl.onOutcome)
+	}
+	if at, ok := nw.net.Arrival(src, cl.name); ok {
+		cl.outcomes.At(at, outcome{tx.ID, code, hint, channel})
+	}
 }
 
 // channelOf routes an invocation to its home channel by hashing its

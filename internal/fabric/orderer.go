@@ -57,6 +57,13 @@ type OrderingService struct {
 	// names of the orderer nodes, for network addressing.
 	nodeNames []string
 
+	// Inboxes (sim.Queue): client envelopes, cut timers by epoch, cut
+	// blocks at their ready time, and each peer's deliver stream.
+	envelopes  *sim.Queue[*ledger.Transaction]
+	timer      *sim.Queue[uint64]
+	ready      *sim.Queue[*ledger.Block]
+	deliveries []*sim.Queue[*ledger.Block]
+
 	// state is the lifecycle state (see lifecycle.go; always NodeUp
 	// without Config.Faults). A crash drops the volatile pending batch
 	// and everything in flight; blockNum and prevHash survive — the
@@ -76,8 +83,13 @@ func newOrderingService(nw *Network, cons *consensus.Kafka, channel int) *Orderi
 			os.nodeNames = append(os.nodeNames, fmt.Sprintf("ch%d-orderer%d", channel, i))
 		}
 	}
-	gb := nw.chains[channel].Block(0)
-	os.prevHash = gb.Hash
+	os.prevHash = nw.chains[channel].Block(0).Hash
+	os.envelopes = sim.NewQueue(nw.eng, os.Submit)
+	os.timer = sim.NewQueue(nw.eng, os.timeout)
+	os.ready = sim.NewQueue(nw.eng, os.deliver)
+	for _, p := range nw.peers {
+		os.deliveries = append(os.deliveries, sim.NewQueue(nw.eng, p.DeliverBlock))
+	}
 	cons.OnCommit(func(payload interface{}) { os.ordered(payload.(*ledger.Transaction)) })
 	return os
 }
@@ -147,24 +159,26 @@ func (os *OrderingService) ordered(tx *ledger.Transaction) {
 		os.cut() // full by count or by bytes
 	case !os.timerArmed:
 		os.timerArmed = true
-		epoch := os.timerEpoch
-		os.nw.eng.After(os.nw.cfg.BlockTimeout, func() {
-			if os.timerEpoch != epoch {
-				// A cut (size, bytes or retune) consumed the batch this
-				// timer was armed for; that cut already disarmed the
-				// service, and any transactions ordered since have
-				// re-armed a fresh timer under the new epoch.
-				return
-			}
-			// This timer is spent either way: disarm before cutting so
-			// that even a drained pending queue can never strand the
-			// service armed-but-idle (a state where no future arrival
-			// would start a timeout clock).
-			os.timerArmed = false
-			if len(os.pending) > 0 {
-				os.cut()
-			}
-		})
+		os.timer.At(os.nw.eng.Now()+sim.Time(os.nw.cfg.BlockTimeout), os.timerEpoch)
+	}
+}
+
+// timeout is the cut timer armed under epoch expiring.
+func (os *OrderingService) timeout(epoch uint64) {
+	if os.timerEpoch != epoch {
+		// A cut (size, bytes or retune) consumed the batch this timer
+		// was armed for; that cut already disarmed the service, and any
+		// transactions ordered since have re-armed a fresh timer under
+		// the new epoch.
+		return
+	}
+	// This timer is spent either way: disarm before cutting so that
+	// even a drained pending queue can never strand the service
+	// armed-but-idle (a state where no future arrival would start a
+	// timeout clock).
+	os.timerArmed = false
+	if len(os.pending) > 0 {
+		os.cut()
 	}
 }
 
@@ -236,18 +250,16 @@ func (os *OrderingService) cut() {
 
 	service := os.nw.cfg.OrdererCosts.BlockCut + cost +
 		time.Duration(len(os.nw.peers))*os.nw.cfg.OrdererCosts.PerDeliver
-	ready := os.occupy(service)
+	os.ready.At(os.occupy(service), b)
+}
 
-	// Stream the block to every peer at the (serialized) ready time.
-	// Each peer is statically subscribed to one orderer node and the
-	// link is FIFO, so blocks arrive at every peer in cut order.
-	os.nw.eng.At(ready, func() {
-		for i, p := range os.nw.peers {
-			p := p
-			src := os.NodeName(i)
-			os.nw.net.SendOrdered(src, p.name, func() { p.DeliverBlock(b) })
-		}
-	})
+// deliver streams b to every peer at its (serialized) ready time. Each
+// peer is statically subscribed to one orderer node and the link is
+// FIFO, so blocks arrive at every peer in cut order.
+func (os *OrderingService) deliver(b *ledger.Block) {
+	for i, p := range os.nw.peers {
+		os.deliveries[i].At(os.nw.net.OrderedArrival(os.NodeName(i), p.name), b)
+	}
 }
 
 // CongestionHint reports the current smoothed backpressure hint

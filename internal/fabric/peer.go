@@ -39,26 +39,32 @@ type Peer struct {
 	committedBlocks int
 
 	// Lifecycle state (see lifecycle.go; always NodeUp without
-	// Config.Faults). epoch increments at every crash: closures
-	// scheduled before it — queued endorsements, their responses,
-	// in-flight commits — capture the epoch they were created under
-	// and die silently when it is stale. inflight tracks blocks
-	// delivered but not yet committed; backlog accumulates blocks
-	// delivered while crashed (the missed ledger suffix the restart
-	// replays). catchup counts replayed blocks still uncommitted
-	// during NodeRestarting and recoverStart stamps the restart for
-	// the recovery-latency metric.
+	// Config.Faults). epoch increments at every crash: work scheduled
+	// before it — queued endorsements, their responses, the commits
+	// queued on commits — carries the epoch it was created under and
+	// dies silently when it is stale. inflight tracks blocks delivered
+	// but not yet committed; backlog accumulates blocks delivered while
+	// crashed (the missed ledger suffix the restart replays). catchup
+	// counts replayed blocks still uncommitted during NodeRestarting and
+	// recoverStart stamps the restart for the recovery-latency metric.
 	state        NodeState
 	epoch        uint64
-	inflight     []*ledger.Block
+	commits      *sim.Queue[uint64]
+	inflight     []inflightBlock
 	backlog      []*ledger.Block
 	catchup      int
 	recoverStart sim.Time
 }
 
+// inflightBlock is a delivered block and its validation outcome.
+type inflightBlock struct {
+	b   *ledger.Block
+	res *valResult
+}
+
 func newPeer(nw *Network, org, name string, dbs []statedb.VersionedDB) *Peer {
 	workers := max(nw.cfg.PeerCosts.EndorserWorkers, 1)
-	return &Peer{
+	p := &Peer{
 		nw:            nw,
 		org:           org,
 		name:          name,
@@ -66,6 +72,8 @@ func newPeer(nw *Network, org, name string, dbs []statedb.VersionedDB) *Peer {
 		dbs:           dbs,
 		endorserSlots: make([]sim.Time, workers),
 	}
+	p.commits = sim.NewQueue(nw.eng, p.commitNext)
+	return p
 }
 
 // Name returns the peer's node name.
@@ -168,7 +176,7 @@ func (p *Peer) work(prop *proposal, r replier, slot int, epoch uint64) {
 // virtual service time and applies the batch at its own commit time.
 func (p *Peer) DeliverBlock(b *ledger.Block) {
 	if p.state == NodeCrashed {
-		// The deliver stream is reliable (netem.SendOrdered), but the
+		// The deliver stream is reliable (netem.OrderedArrival), but the
 		// process is not there to commit: the block queues as the
 		// missed ledger suffix and the restart replays it.
 		p.backlog = append(p.backlog, b)
@@ -185,26 +193,29 @@ func (p *Peer) DeliverBlock(b *ledger.Block) {
 	service := p.nw.eng.Jittered(fixed, p.nw.cfg.PeerCosts.Jitter) +
 		p.nw.eng.Jittered(variable, p.nw.cfg.PeerCosts.VarJitter)
 
-	done := max(p.busyUntil, p.nw.eng.Now()) + sim.Time(service)
-	p.busyUntil = done
-	p.inflight = append(p.inflight, b)
-	epoch := p.epoch
-	p.nw.eng.At(done, func() {
-		if p.epoch != epoch {
-			return // crashed mid-commit; the block is replayed on restart
-		}
-		// Pop by copying down: resliced past its head, it would regrow.
-		n := copy(p.inflight, p.inflight[1:])
-		p.inflight[n] = nil
-		p.inflight = p.inflight[:n]
-		p.commit(b, res)
-	})
+	p.busyUntil = max(p.busyUntil, p.nw.eng.Now()) + sim.Time(service)
+	p.inflight = append(p.inflight, inflightBlock{b, res})
+	p.commits.At(p.busyUntil, p.epoch)
+}
+
+// commitNext commits the oldest in-flight block, the one due now,
+// unless the peer crashed since epoch.
+func (p *Peer) commitNext(epoch uint64) {
+	if p.epoch != epoch {
+		return // crashed mid-commit; the block is replayed on restart
+	}
+	f := p.inflight[0]
+	// Pop by copying down: resliced past its head, it would regrow.
+	n := copy(p.inflight, p.inflight[1:])
+	p.inflight[n] = inflightBlock{}
+	p.inflight = p.inflight[:n]
+	p.commit(f.b, f.res)
 }
 
 // commit moves the peer's view to the block the validator applied and,
 // on the metrics peer, appends the canonical block and records metrics.
 func (p *Peer) commit(b *ledger.Block, res *valResult) {
-	if err := p.dbs[b.Channel].ApplyUpdates(res.batch, b.Number); err != nil {
+	if err := p.dbs[b.Channel].ApplyUpdates(&res.batch, b.Number); err != nil {
 		panic(fmt.Sprintf("fabric: %s, channel %d, block %d: commit: %v", p.name, b.Channel, b.Number, err))
 	}
 	p.nw.vals[b.Channel].committed(b.Number)
@@ -248,7 +259,9 @@ func (p *Peer) commit(b *ledger.Block, res *valResult) {
 func (p *Peer) crash() {
 	p.state = NodeCrashed
 	p.epoch++
-	p.backlog = p.inflight
+	for _, f := range p.inflight {
+		p.backlog = append(p.backlog, f.b)
+	}
 	p.inflight = nil
 }
 

@@ -36,7 +36,7 @@ type validator struct {
 // naming the batch the validator applied.
 type valResult struct {
 	codes        []ledger.ValidationCode
-	batch        *statedb.UpdateBatch
+	batch        statedb.UpdateBatch
 	validateCost time.Duration // VSCC+MVCC+phantom cost, pre-jitter
 	// pending counts the peers that have not committed the block. A
 	// crashed peer holds its count until its restart replays the block.
@@ -80,10 +80,7 @@ func (v *validator) committed(num uint64) {
 // re-execution of checked range queries. Valid writes are applied to
 // the channel's world state with version (blockNum, txNum).
 func (v *validator) validate(b *ledger.Block) *valResult {
-	res := &valResult{
-		codes: make([]ledger.ValidationCode, len(b.Transactions)),
-		batch: &statedb.UpdateBatch{},
-	}
+	res := &valResult{codes: make([]ledger.ValidationCode, len(b.Transactions))}
 	clear(v.overlay)
 	clear(v.overlayDel)
 	clear(v.attempted)
@@ -122,7 +119,7 @@ func (v *validator) validate(b *ledger.Block) *valResult {
 			e.RWSet.DropDocs()
 		}
 	}
-	if err := v.db.ApplyUpdates(res.batch, b.Number); err != nil {
+	if err := v.db.ApplyUpdates(&res.batch, b.Number); err != nil {
 		panic("fabric: validator apply: " + err.Error())
 	}
 	v.nw.variant.OnBlockValidated(b, res.codes)

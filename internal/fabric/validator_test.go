@@ -267,12 +267,13 @@ func TestValidateCostGrowsWithSubPolicies(t *testing.T) {
 }
 
 // TestValidateBlockAllocs pins what validating a block allocates once
-// the validator has validated one: the outcome, its codes, its update
-// batch (a state entry per written value) and what the world state
-// allocates to apply it, but no map. The block's overlay and
-// attempted-key sets are the validator's own, cleared per block; made
-// per block, sets of more than eight keys grew on the heap: 29 objects
-// per block here, 23 without them.
+// the validator has validated one: the outcome, which holds its update
+// batch, its codes, the batch's writes (a state entry per written value)
+// and what the world state allocates to apply them, but no map. The
+// block's overlay and attempted-key sets are the validator's own,
+// cleared per block; made per block, sets of more than eight keys grew
+// on the heap: 22 objects per block here, 23 with the batch a separate
+// object, 29 with per-block sets.
 func TestValidateBlockAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own account")
@@ -305,7 +306,7 @@ func TestValidateBlockAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.1f objects per block of 12 writes", perBlock)
-	if perBlock > 23 {
-		t.Errorf("validating a block allocates %.1f objects, want at most 23", perBlock)
+	if perBlock > 22 {
+		t.Errorf("validating a block allocates %.1f objects, want at most 22", perBlock)
 	}
 }

@@ -26,7 +26,7 @@ type Link struct {
 
 // link names one directed hop. It keys the FIFO table by value, so an
 // ordered message builds no key (the Kafka producer hop is one
-// SendOrdered per transaction).
+// OrderedArrival per transaction).
 type link struct{ from, to string }
 
 // Model is the cluster network model. Delays compose: base LAN latency
@@ -35,7 +35,7 @@ type Model struct {
 	eng      *sim.Engine
 	lan      Link
 	injected map[string]Link // node id -> extra delay on all its links
-	// lastArrival enforces FIFO per directed link for SendOrdered.
+	// lastArrival enforces FIFO per directed link for OrderedArrival.
 	lastArrival map[link]sim.Time
 
 	// Fault state (all empty by default — see faulty). down nodes drop
@@ -93,9 +93,9 @@ func (m *Model) Inject(node string, extra Link) (replaced Link) {
 }
 
 // SetDown marks a node crashed (down=true) or recovered (down=false).
-// While down, every unreliable message (Send) from or to the node is
-// dropped — in-flight RPCs die with the process. Ordered streams
-// (SendOrdered) still deliver; see SendOrdered for why.
+// While down, every unreliable message (Send, Arrival) from or to the
+// node is dropped — in-flight RPCs die with the process. Ordered
+// streams still deliver; see OrderedArrival for why.
 func (m *Model) SetDown(node string, down bool) {
 	if down {
 		m.down[node] = true
@@ -198,38 +198,47 @@ func (m *Model) one(l Link) time.Duration {
 }
 
 // Send schedules fn on the engine after one sampled link delay from
-// from to to. It is the only way components talk to each other, so
-// every hop pays a latency. Send is the *unreliable* datagram/RPC
-// path — endorsement requests and responses, envelope submissions,
-// commit events, gossip — and is subject to the fault primitives:
-// a down endpoint, a partition boundary or a loss regime silently
-// drops the message.
+// from to to. Send and Arrival are the unreliable datagram/RPC path —
+// endorsement requests and responses, envelope submissions, commit
+// events, gossip — and are subject to the fault primitives: a down
+// endpoint, a partition boundary or a loss regime silently drops the
+// message.
 func (m *Model) Send(from, to string, fn func()) {
-	if m.dropped(from, to) {
-		return
+	if at, ok := m.Arrival(from, to); ok {
+		m.eng.At(at, fn)
 	}
-	m.eng.After(m.sample(from, to), fn)
 }
 
-// SendOrdered is Send over a FIFO stream: messages on the same
-// directed link never overtake each other, like frames on one TCP
-// connection. Use it for ordered protocols — producer → broker
-// submission and orderer → peer block delivery.
+// Arrival is Send for a receiver that queues its own messages
+// (sim.Queue): it makes Send's drop decision and latency draw and
+// returns when the message arrives, or false if it is dropped.
+func (m *Model) Arrival(from, to string) (sim.Time, bool) {
+	if m.dropped(from, to) {
+		return 0, false
+	}
+	return m.eng.Now() + sim.Time(m.sample(from, to)), true
+}
+
+// OrderedArrival returns when a message sent now from from to to over a
+// FIFO stream arrives: messages on the same directed link never
+// overtake each other, like frames on one TCP connection. Use it for
+// ordered protocols — producer → broker submission and orderer → peer
+// block delivery.
 //
-// SendOrdered deliberately ignores the fault primitives: it models
+// OrderedArrival deliberately ignores the fault primitives: it models
 // Fabric's deliver service, where a peer's client re-fetches any block
 // range it missed, so the stream is reliable end-to-end even across
 // crashes and partitions. Crash semantics for block delivery live at
 // the receiving node instead — a crashed peer queues delivered blocks
 // as its missed ledger suffix and replays them on restart.
-func (m *Model) SendOrdered(from, to string, fn func()) {
+func (m *Model) OrderedArrival(from, to string) sim.Time {
 	key := link{from, to}
 	at := m.eng.Now() + sim.Time(m.sample(from, to))
 	if last := m.lastArrival[key]; at <= last {
 		at = last + 1 // nanosecond bump keeps strict FIFO
 	}
 	m.lastArrival[key] = at
-	m.eng.At(at, fn)
+	return at
 }
 
 // RTT estimates a round trip between two nodes (two samples).

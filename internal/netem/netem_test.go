@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -15,6 +16,34 @@ func TestSendPaysLatency(t *testing.T) {
 	eng.Run()
 	if arrived != sim.Time(10*time.Millisecond) {
 		t.Errorf("arrived at %v, want 10ms", arrived)
+	}
+}
+
+// Arrival is Send's decision without the callback: on a lossy link, the
+// same seed drops the same messages, draws the same latencies and leaves
+// the rng in the same place.
+func TestArrivalMatchesSend(t *testing.T) {
+	engA, engB := sim.NewEngine(3), sim.NewEngine(3)
+	a := New(engA, Link{Base: 5 * time.Millisecond, Jitter: 2 * time.Millisecond})
+	b := New(engB, Link{Base: 5 * time.Millisecond, Jitter: 2 * time.Millisecond})
+	a.SetLoss("n", 0.3)
+	b.SetLoss("n", 0.3)
+	var sent, arrived []sim.Time
+	for i := 0; i < 200; i++ {
+		i := i
+		a.Send("m", "n", func() { sent = append(sent, engA.Now()+sim.Time(i)<<40) })
+		if at, ok := b.Arrival("m", "n"); ok {
+			arrived = append(arrived, at+sim.Time(i)<<40)
+		}
+	}
+	engA.Run()
+	slices.Sort(sent)
+	if !slices.Equal(sent, arrived) || a.Drops() != b.Drops() || a.Drops() == 0 {
+		t.Fatalf("Send delivered %d (%d drops), Arrival %d (%d drops); want the same messages at the same times",
+			len(sent), a.Drops(), len(arrived), b.Drops())
+	}
+	if x, y := engA.Rand().Int63(), engB.Rand().Int63(); x != y {
+		t.Fatal("Arrival left the rng elsewhere than Send")
 	}
 }
 
@@ -84,20 +113,25 @@ func TestDefaultLANSane(t *testing.T) {
 	}
 }
 
-func TestSendOrderedFIFO(t *testing.T) {
+func TestOrderedArrivalFIFO(t *testing.T) {
 	eng := sim.NewEngine(7)
 	m := New(eng, Link{Base: 5 * time.Millisecond, Jitter: 4 * time.Millisecond})
 	var got []int
-	// A burst of messages on one link must arrive in send order even
-	// though each samples independent jitter.
+	var at []sim.Time
+	q := sim.NewQueue(eng, func(i int) { got, at = append(got, i), append(at, eng.Now()) })
+	// A burst of messages on one link must arrive in send order, each
+	// strictly after the one before, even though each samples
+	// independent jitter.
 	for i := 0; i < 200; i++ {
-		i := i
-		m.SendOrdered("a", "b", func() { got = append(got, i) })
+		q.At(m.OrderedArrival("a", "b"), i)
 	}
 	eng.Run()
+	if len(got) != 200 {
+		t.Fatalf("%d of 200 messages arrived", len(got))
+	}
 	for i, v := range got {
-		if v != i {
-			t.Fatalf("message %d arrived at position %d", v, i)
+		if v != i || i > 0 && at[i] <= at[i-1] {
+			t.Fatalf("message %d arrived at position %d, at %v after %v", v, i, at[i], at[max(i-1, 0)])
 		}
 	}
 }
@@ -106,9 +140,10 @@ func TestSendOrderedFIFO(t *testing.T) {
 var raceDetector bool
 
 // An ordered message on a link that has carried one before allocates
-// nothing of its own: the FIFO table is keyed by value, and the event
-// heap has room once the message before it was delivered.
-func TestSendOrderedWarmLinkAllocatesNothing(t *testing.T) {
+// nothing of its own: the FIFO table is keyed by value, and the
+// receiver's queue and the event heap have room once the message
+// before it was delivered.
+func TestOrderedArrivalWarmLinkAllocatesNothing(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own account")
 	}
@@ -116,11 +151,11 @@ func TestSendOrderedWarmLinkAllocatesNothing(t *testing.T) {
 	m := New(eng, DefaultLAN())
 	m.Inject("b", Link{Base: time.Millisecond, Jitter: time.Millisecond})
 	delivered := 0
-	fn := func() { delivered++ }
-	m.SendOrdered("a", "b", fn)
+	q := sim.NewQueue(eng, func(n int) { delivered += n })
+	q.At(m.OrderedArrival("a", "b"), 1)
 	eng.Run()
-	if n := testing.AllocsPerRun(100, func() { m.SendOrdered("a", "b", fn); eng.Run() }); n != 0 {
-		t.Errorf("SendOrdered on a warm link: %v allocations, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { q.At(m.OrderedArrival("a", "b"), 1); eng.Run() }); n != 0 {
+		t.Errorf("an ordered message on a warm link: %v allocations, want 0", n)
 	}
 	if delivered != 102 {
 		t.Errorf("%d messages delivered, want 102", delivered)
@@ -221,19 +256,24 @@ func TestSetLossDropsFraction(t *testing.T) {
 	}
 }
 
-func TestSendOrderedIgnoresFaults(t *testing.T) {
+func TestOrderedArrivalIgnoresFaults(t *testing.T) {
 	// The block-delivery stream models Fabric's re-fetching deliver
-	// service: reliable end-to-end even across down nodes and
-	// partitions.
+	// service: reliable end-to-end even across down nodes, partitions
+	// and lossy links, where the unreliable path drops the same message.
 	eng := sim.NewEngine(25)
 	m := New(eng, Link{Base: time.Millisecond})
 	m.SetDown("peer", true)
 	m.Partition([]string{"orderer0"})
-	delivered := 0
-	m.SendOrdered("orderer0", "peer", func() { delivered++ })
-	eng.Run()
-	if delivered != 1 {
-		t.Errorf("ordered stream dropped by faults")
+	m.SetLoss("peer", 1)
+	if _, ok := m.Arrival("orderer0", "peer"); ok {
+		t.Fatal("the unreliable path delivered across the faults")
+	}
+	drops := m.Drops()
+	if at := m.OrderedArrival("orderer0", "peer"); at != eng.Now()+sim.Time(time.Millisecond) {
+		t.Errorf("ordered message across the faults arrives at %v, want one link delay on", at)
+	}
+	if m.Drops() != drops {
+		t.Errorf("the ordered stream counted %d drops", m.Drops()-drops)
 	}
 }
 
@@ -267,23 +307,19 @@ func TestFaultFreeFastPathDrawsNoRng(t *testing.T) {
 	}
 }
 
-func TestSendOrderedIndependentLinks(t *testing.T) {
+// Each directed link is its own FIFO: a message on one link is not
+// bumped behind a message on another.
+func TestOrderedArrivalIndependentLinks(t *testing.T) {
 	eng := sim.NewEngine(8)
 	m := New(eng, Link{Base: time.Millisecond})
-	var first string
-	m.SendOrdered("a", "slow", func() {
-		if first == "" {
-			first = "slow"
-		}
-	})
+	slow := m.OrderedArrival("a", "slow")
 	m.Inject("fast", Link{}) // no-op injection, different link key
-	m.SendOrdered("a", "fast", func() {
-		if first == "" {
-			first = "fast"
-		}
-	})
-	eng.Run()
-	if first == "" {
-		t.Fatal("nothing delivered")
+	fast := m.OrderedArrival("a", "fast")
+	back := m.OrderedArrival("slow", "a")
+	if slow != fast || slow != back {
+		t.Fatalf("arrivals %v, %v and %v on three links, want one link delay each", slow, fast, back)
+	}
+	if again := m.OrderedArrival("a", "slow"); again != slow+1 {
+		t.Fatalf("second message on a link arrives at %v, want the FIFO bump to %v", again, slow+1)
 	}
 }

@@ -42,39 +42,40 @@ func (a *key) before(b *key) bool {
 	return a.seq < b.seq
 }
 
-// event is a scheduled callback.
-type event struct {
+// entry is a payload under the key it runs at: a callback in the
+// engine's queue, a value in a Queue.
+type entry[V any] struct {
 	key
-	fn func()
+	v V
 }
 
-// eventHeap is a binary min-heap of events held by value: scheduling an
+// keyHeap is a binary min-heap of entries held by value: scheduling an
 // event allocates nothing beyond the occasional growth of the slice
 // (container/heap would box every event into an interface).
-type eventHeap []event
+type keyHeap[V any] []entry[V]
 
-func (h *eventHeap) push(ev event) {
-	q := append(*h, ev)
+func (h *keyHeap[V]) push(x entry[V]) {
+	q := append(*h, x)
 	*h = q
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !ev.before(&q[parent].key) {
+		if !x.before(&q[parent].key) {
 			break
 		}
 		q[i] = q[parent]
 		i = parent
 	}
-	q[i] = ev
+	q[i] = x
 }
 
-// pop removes and returns the earliest event.
-func (h *eventHeap) pop() event {
+// pop removes and returns the earliest entry.
+func (h *keyHeap[V]) pop() entry[V] {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
 	last := q[n]
-	q[n] = event{} // release the callback
+	q[n] = entry[V]{} // release the payload
 	q = q[:n]
 	*h = q
 	i := 0
@@ -112,7 +113,7 @@ type lane struct {
 type Engine struct {
 	now     Time
 	seq     uint64
-	pq      eventHeap
+	pq      keyHeap[func()]
 	lanes   []lane     // Tick's series, one FIFO per interval beside pq
 	src     stream     // the generator; PermPrefix reads it directly
 	rng     *rand.Rand // over src, for every other draw
@@ -153,7 +154,7 @@ func (e *Engine) At(t Time, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	e.pq.push(event{key{t, e.seq}, fn})
+	e.pq.push(entry[func()]{key{t, e.seq}, fn})
 }
 
 // After schedules fn to run d after the current virtual time. Negative
@@ -209,7 +210,7 @@ func (e *Engine) step(deadline Time) bool {
 	}
 	e.processed++
 	if from < 0 {
-		e.pq.pop().fn()
+		e.pq.pop().v()
 		return true
 	}
 	l := &e.lanes[from]
