@@ -183,16 +183,10 @@ func (s *adaptiveState) observeClass(class SignalClass) {
 	switch class {
 	case SignalConflict:
 		if s.conflictWin.failureRate() >= aimdTarget {
-			s.cur = time.Duration(float64(s.cur) * aimdIncrease)
-			if s.cur > s.cfg.Ceiling {
-				s.cur = s.cfg.Ceiling
-			}
+			s.cur = min(time.Duration(float64(s.cur)*aimdIncrease), s.cfg.Ceiling)
 		}
 	case SignalNone:
-		s.cur -= s.cfg.Decrease
-		if s.cur < s.cfg.Floor {
-			s.cur = s.cfg.Floor
-		}
+		s.cur = max(s.cur-s.cfg.Decrease, s.cfg.Floor)
 	}
 }
 

@@ -186,9 +186,7 @@ func (tb *tokenBucket) refill(now sim.Time) {
 		if tb.adaptive && tb.rate > tb.base {
 			tb.rate = tb.base + (tb.rate-tb.base)*math.Pow(0.5, dt/adaptiveRelaxHalfLife)
 		}
-		if c := tb.cap(); tb.tokens > c {
-			tb.tokens = c
-		}
+		tb.tokens = min(tb.tokens, tb.cap())
 		tb.last = now
 	}
 }

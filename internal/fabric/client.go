@@ -85,8 +85,6 @@ type ClientDriver struct {
 	// commit-event correlation. Only populated when the network tracks
 	// outcomes.
 	pending map[string]*pendingTx
-	// outcomes is the inbox of outcome events, built with the first.
-	outcomes *sim.Queue[outcome]
 
 	// ctl is this driver's retry controller: the configured policy plus
 	// the hooks the signal path below feeds (see controller).
@@ -300,7 +298,7 @@ func (c *ClientDriver) submitLeg(j *pendingTx, channel int, l *leg) {
 		ends: make([]*ledger.Endorsement, 0, len(endorserOrgs))}
 	for _, org := range endorserOrgs {
 		peer := c.nw.peerOf(org, peerInOrg)
-		c.nw.net.Send(c.name, peer.name, func() { peer.endorse(&l.proposal, l) })
+		send(c.nw, c.name, peer.name, c.nw.requests, request{p: peer, prop: &l.proposal, r: l})
 	}
 
 	// Client-side endorsement deadline (Config.Faults): if a crashed
@@ -309,7 +307,7 @@ func (c *ClientDriver) submitLeg(j *pendingTx, channel int, l *leg) {
 	// normal retry path. Inert without fault injection or outcome
 	// tracking.
 	if ft := c.nw.faults; ft != nil && ft.EndorseTimeout > 0 && c.nw.ctl.tracking {
-		c.nw.eng.After(ft.EndorseTimeout, l.timedOut)
+		c.nw.endorseDeadlines.At(c.nw.eng.Now()+sim.Time(ft.EndorseTimeout), l)
 	}
 }
 
@@ -331,7 +329,14 @@ type leg struct {
 
 // endorsed is the reply hop: peer from answered the proposal.
 func (l *leg) endorsed(from *Peer, e *ledger.Endorsement, err error) {
-	l.c.nw.net.Send(from.name, l.c.name, func() { l.answer(e, err) })
+	send(l.c.nw, from.name, l.c.name, l.c.nw.replies, reply{l, e, err})
+}
+
+// reply is an endorser's answer on its way back to leg l.
+type reply struct {
+	l   *leg
+	e   *ledger.Endorsement
+	err error
 }
 
 // answer takes one endorser's response at the client.
@@ -350,7 +355,7 @@ func (l *leg) answer(e *ledger.Endorsement, err error) {
 	l.ends = append(l.ends, e)
 	if len(l.ends) == cap(l.ends) {
 		l.done = true
-		l.c.assemble(l.j, l.tx, l.channel, l.ends)
+		l.assemble()
 	}
 }
 
@@ -366,7 +371,8 @@ func (l *leg) timedOut() {
 
 // assemble builds the envelope from the collected endorsements and
 // sends it to an orderer node of the leg's channel (§2 step 3).
-func (c *ClientDriver) assemble(j *pendingTx, tx *ledger.Transaction, channel int, ends []*ledger.Endorsement) {
+func (l *leg) assemble() {
+	c, j, tx, channel, ends := l.c, l.j, l.tx, l.channel, l.ends
 	tx.EndorseTime = c.nw.eng.Now()
 	tx.Endorsements = ends
 	tx.RWSet = ends[0].RWSet
@@ -399,28 +405,30 @@ func (c *ClientDriver) assemble(j *pendingTx, tx *ledger.Transaction, channel in
 	os := c.nw.orderers[channel]
 	tx.SnapshotHeight = c.nw.chains[channel].Height()
 	orderer := os.NodeName(int(c.rotation[j.member]))
-	if at, ok := c.nw.net.Arrival(c.name, orderer); ok {
-		os.envelopes.At(at, tx)
-	}
+	send(c.nw, c.name, orderer, os.envelopes, tx)
 
 	// Client-side submission deadline (Config.Faults): if no commit or
 	// abort event arrives in time — the envelope died with a crashed
 	// orderer, or the event path is cut — the attempt fails as
-	// CLIENT_TIMEOUT and is retried. The pending-table check makes a
-	// late deadline a no-op; a transaction that commits after its
-	// client gave up is counted orphaned in onOutcome.
+	// CLIENT_TIMEOUT and is retried.
 	if ft := c.nw.faults; ft != nil && ft.SubmitTimeout > 0 && c.nw.ctl.tracking {
-		c.nw.eng.After(ft.SubmitTimeout, func() {
-			if cur, ok := c.pending[tx.ID]; ok && cur == j {
-				c.nw.col.RecordSubmitTimeout()
-				c.legDone(j, tx.ID, ledger.ClientTimeout)
-			}
-		})
+		c.nw.submitDeadlines.At(c.nw.eng.Now()+sim.Time(ft.SubmitTimeout), l)
 	}
 }
 
-// outcome is a commit or early-abort event (see deliverOutcome).
+// submitTimedOut is the client's submission deadline firing. The
+// pending-table check makes a late deadline a no-op; a transaction that
+// commits after its client gave up is counted orphaned in onOutcome.
+func (l *leg) submitTimedOut() {
+	if cur, ok := l.c.pending[l.tx.ID]; ok && cur == l.j {
+		l.c.nw.col.RecordSubmitTimeout()
+		l.c.legDone(l.j, l.tx.ID, ledger.ClientTimeout)
+	}
+}
+
+// outcome is a commit or early-abort event for driver c.
 type outcome struct {
+	c       *ClientDriver
 	txID    string
 	code    ledger.ValidationCode
 	hint    float64
@@ -544,10 +552,7 @@ func (c *ClientDriver) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
 				// delays this retry, so none of the pause counts as
 				// pacer-added time.
 				c.nw.col.RecordDeferStart()
-				c.nw.eng.After(wait, func() {
-					c.nw.col.RecordDeferEnd()
-					c.submitAttempt(j)
-				})
+				c.nw.retries.At(c.nw.eng.Now()+sim.Time(wait), jobTimer{c: c, j: j, deferred: true})
 				return
 			}
 			if unpaced := delay - pause; wait > unpaced {
@@ -559,11 +564,20 @@ func (c *ClientDriver) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
 		if pause > 0 {
 			c.nw.col.RecordPaced(pause)
 		}
-		c.nw.eng.After(delay, func() { c.submitAttempt(j) })
+		c.nw.retries.At(c.nw.eng.Now()+sim.Time(delay), jobTimer{c: c, j: j})
 		return
 	}
 	c.nw.col.RecordJob(j.attempts, false, j.firstSubmit, c.nw.eng.Now())
 	c.jobDone(j.member)
+}
+
+// jobTimer is driver c's wait before retrying job j (deferred: waiting
+// for a budget token), or before member's next job.
+type jobTimer struct {
+	c        *ClientDriver
+	j        *pendingTx
+	deferred bool
+	member   int
 }
 
 // signals resolves the two client signals from the configured
@@ -681,7 +695,8 @@ func (c *ClientDriver) gossipRound() {
 // merging it into the receiver's view by max-with-decay; a message the
 // network model drops is left to the GC. A merge only updates the view:
 // the controllers read it at their next backoff decision, the pacer at
-// its next pause.
+// its next pause. A sim.Queue would add a second heap push and pop to
+// every message of the mesh's heaviest traffic, and save no allocation.
 type gossipMsg struct {
 	to      *ClientDriver
 	est     SplitEstimate
@@ -732,10 +747,5 @@ func (c *ClientDriver) jobDone(member int) {
 		c.submitJob(member)
 		return
 	}
-	c.nw.eng.After(think, func() {
-		// The window may have closed while thinking.
-		if c.nw.eng.Now() < sim.Time(c.nw.cfg.Duration) {
-			c.submitJob(member)
-		}
-	})
+	c.nw.thinks.At(c.nw.eng.Now()+sim.Time(think), jobTimer{c: c, member: member})
 }

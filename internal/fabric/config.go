@@ -260,21 +260,11 @@ func (c *Config) Validate() error {
 func validRate(r float64) bool { return r > 0 && !math.IsInf(r, 1) }
 
 // channels resolves the configured channel count (0 means 1).
-func (c *Config) channels() int {
-	if c.Channels < 1 {
-		return 1
-	}
-	return c.Channels
-}
+func (c *Config) channels() int { return max(c.Channels, 1) }
 
 // cohortSize resolves the configured cohort size (0 means 1, the
 // exact per-client simulation).
-func (c *Config) cohortSize() int {
-	if c.CohortSize < 1 {
-		return 1
-	}
-	return c.CohortSize
-}
+func (c *Config) cohortSize() int { return max(c.CohortSize, 1) }
 
 // RatePhase is one segment of a time-varying arrival process.
 type RatePhase struct {

@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -123,19 +124,10 @@ func FaultScenarios() []string {
 	return []string{"crash", "partition", "flaky", "straggler", "slowdb", "chaos"}
 }
 
-func knownScenario(s string) bool {
-	for _, name := range FaultScenarios() {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Validate reports configuration errors with the offending values and
 // their units.
 func (f *Faults) Validate() error {
-	if f.Scenario != "" && !knownScenario(f.Scenario) {
+	if f.Scenario != "" && !slices.Contains(FaultScenarios(), f.Scenario) {
 		return fmt.Errorf("fabric: unknown fault scenario %q, want one of %s",
 			f.Scenario, strings.Join(FaultScenarios(), ", "))
 	}
@@ -325,7 +317,7 @@ func ParseFaults(s string) (*Faults, error) {
 	case "", "off":
 		return nil, nil
 	}
-	if knownScenario(s) {
+	if slices.Contains(FaultScenarios(), s) {
 		return &Faults{Scenario: s}, nil
 	}
 	var f Faults

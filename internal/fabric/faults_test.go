@@ -6,9 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaincodes/ehr"
 	"repro/internal/costmodel"
+	"repro/internal/ledger"
 	"repro/internal/netem"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // faultConfig is retryConfig (backoff retries, so outcome tracking is
@@ -134,6 +137,70 @@ func TestPeerCrashHoldsValidatorMemoUntilReplay(t *testing.T) {
 	}
 	if len(v.memo) != 0 {
 		t.Errorf("%d outcomes still held after the replay", len(v.memo))
+	}
+}
+
+// TestPeerCrashDropsQueuedEndorsements: a peer with one endorsement
+// worker crashes with one proposal in service and a second waiting for
+// the worker, and restarts before either is due. Neither is answered or
+// run (each handler drops what predates the crash), so each leg's
+// endorse deadline fires once, as CLIENT_TIMEOUT; a proposal sent after
+// the restart finds the worker free and is answered.
+func TestPeerCrashDropsQueuedEndorsements(t *testing.T) {
+	cfg := testConfig(10)
+	cfg.PeersPerOrg = 1 // every leg asks the same two peers
+	cfg.PeerCosts.EndorserWorkers = 1
+	cfg.PeerCosts.EndorseBase = 100 * time.Millisecond
+	cfg.PeerCosts.Jitter = 0
+	cfg.LAN = netem.Link{Base: time.Millisecond}
+	cfg.ClosedLoop = true // tracks outcomes; no job follows once the window closed
+	cfg.Duration = 50 * time.Millisecond
+	cfg.Faults = &Faults{EndorseTimeout: time.Second}
+	nw, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := nw.peers[0]
+	submit := func() *leg {
+		j := &pendingTx{inv: workload.Invocation{Chaincode: ehr.Name, Function: "readProfile", Args: []string{"5"}}, legs: 1}
+		nw.drivers[0].submitAttempt(j)
+		return &j.first
+	}
+	answered := func(l *leg) bool {
+		for _, e := range l.ends {
+			if e.PeerID == p.name {
+				return true
+			}
+		}
+		return false
+	}
+	inService, waiting := submit(), submit() // both arrive at 1 ms
+	nw.eng.RunUntil(sim.Time(50 * time.Millisecond))
+	if free := p.endorserSlots[0]; free <= nw.eng.Now() {
+		t.Fatalf("the worker is free at %v; the first proposal is not in service", free)
+	}
+	p.crash()
+	nw.eng.RunUntil(sim.Time(60 * time.Millisecond))
+	p.restart()
+	restarted := nw.eng.Now()
+	nw.eng.RunUntil(sim.Time(400 * time.Millisecond)) // past both proposals' pre-crash due times
+	if p.endorserSlots[0] != restarted {
+		t.Errorf("the worker is busy until %v after a restart at %v: a proposal queued before the crash ran", p.endorserSlots[0], restarted)
+	}
+	late := submit()
+	nw.eng.RunUntil(sim.Time(3 * time.Second))
+	for name, l := range map[string]*leg{"in service": inService, "waiting": waiting} {
+		if answered(l) {
+			t.Errorf("the proposal %s at the crash was answered by the crashed peer", name)
+		}
+	}
+	if !answered(late) {
+		t.Error("the proposal sent after the restart was not answered")
+	}
+	rep := nw.col.Report()
+	if rep.EndorseTimeouts != 2 || rep.AttemptBreakdown[1][ledger.ClientTimeout] != 2 {
+		t.Errorf("%d endorse deadlines fired, %d attempts failed as CLIENT_TIMEOUT; want one each per proposal lost, 2",
+			rep.EndorseTimeouts, rep.AttemptBreakdown[1][ledger.ClientTimeout])
 	}
 }
 

@@ -169,11 +169,7 @@ func DecayEstimate(e float64, age time.Duration, decayPerSec float64) float64 {
 // clamped estimates, so a merged view is never less alarmed than
 // either input.
 func MergeEstimates(a, b float64) float64 {
-	a, b = ClampEstimate(a), ClampEstimate(b)
-	if a > b {
-		return a
-	}
-	return b
+	return max(ClampEstimate(a), ClampEstimate(b))
 }
 
 // gossipState is one client's view of the gossiped signal: per signal
@@ -231,10 +227,7 @@ func (g *gossipState) estimate(now sim.Time) (est SplitEstimate, staleness time.
 	est.Conflict, staleness = g.conflict.estimate(now)
 	var age time.Duration
 	est.Congestion, age = g.congestion.estimate(now)
-	if age > staleness {
-		staleness = age
-	}
-	return est, staleness
+	return est, max(staleness, age)
 }
 
 // merge folds one received estimate (worth e at the sender's sentAt)

@@ -71,6 +71,13 @@ type Network struct {
 	// network: no lock). A steady-state round allocates nothing.
 	gossipPicks []int
 	gossipFree  []*gossipMsg
+	// Inboxes (sim.Queue) of what any peer or driver receives, by kind.
+	requests, starts                  *sim.Queue[request]
+	answers                           *sim.Queue[answer]
+	replies                           *sim.Queue[reply]
+	retries, thinks                   *sim.Queue[jobTimer]
+	endorseDeadlines, submitDeadlines *sim.Queue[*leg]
+	outcomes                          *sim.Queue[outcome]
 	// driversByName resolves a transaction's ClientID to its driver
 	// for commit-event delivery.
 	driversByName map[string]*ClientDriver
@@ -105,6 +112,24 @@ func NewNetwork(cfg Config) (*Network, error) {
 		driversByName: map[string]*ClientDriver{},
 	}
 	nw.net = netem.New(nw.eng, cfg.LAN)
+	nw.requests = sim.NewQueue(nw.eng, func(q request) { q.p.endorse(q.prop, q.r) })
+	nw.starts = sim.NewQueue(nw.eng, request.work)
+	nw.answers = sim.NewQueue(nw.eng, answer.send)
+	nw.replies = sim.NewQueue(nw.eng, func(m reply) { m.l.answer(m.e, m.err) })
+	nw.retries = sim.NewQueue(nw.eng, func(t jobTimer) {
+		if t.deferred {
+			nw.col.RecordDeferEnd()
+		}
+		t.c.submitAttempt(t.j)
+	})
+	nw.thinks = sim.NewQueue(nw.eng, func(t jobTimer) {
+		if nw.eng.Now() < sim.Time(nw.cfg.Duration) { // else the window closed while thinking
+			t.c.submitJob(t.member)
+		}
+	})
+	nw.endorseDeadlines = sim.NewQueue(nw.eng, (*leg).timedOut)
+	nw.submitDeadlines = sim.NewQueue(nw.eng, (*leg).submitTimedOut)
+	nw.outcomes = sim.NewQueue(nw.eng, func(o outcome) { o.c.onOutcome(o) })
 	nw.applySpeedFactor()
 
 	for i := 0; i < cfg.Orgs; i++ {
@@ -201,15 +226,15 @@ func (nw *Network) deliverOutcome(src string, tx *ledger.Transaction, code ledge
 	if !nw.ctl.tracking {
 		return
 	}
-	cl := nw.driversByName[tx.ClientID]
-	if cl == nil {
-		return
+	if cl := nw.driversByName[tx.ClientID]; cl != nil {
+		send(nw, src, cl.name, nw.outcomes, outcome{cl, tx.ID, code, hint, channel})
 	}
-	if cl.outcomes == nil { // built on first use, not in NewNetwork
-		cl.outcomes = sim.NewQueue(nw.eng, cl.onOutcome)
-	}
-	if at, ok := nw.net.Arrival(src, cl.name); ok {
-		cl.outcomes.At(at, outcome{tx.ID, code, hint, channel})
+}
+
+// send files v in q for when a message from from to to arrives, if it does.
+func send[T any](nw *Network, from, to string, q *sim.Queue[T], v T) {
+	if at, ok := nw.net.Arrival(from, to); ok {
+		q.At(at, v)
 	}
 }
 

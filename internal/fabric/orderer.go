@@ -128,10 +128,7 @@ func (os *OrderingService) Submit(tx *ledger.Transaction) {
 // SetBlockSize retunes the batch-size target; an undersized pending
 // batch is cut immediately when it already exceeds the new target.
 func (os *OrderingService) SetBlockSize(n int) {
-	if n < 1 {
-		n = 1
-	}
-	os.blockSize = n
+	os.blockSize = max(n, 1)
 	if len(os.pending) >= os.blockSize {
 		os.cut()
 	}
@@ -293,10 +290,7 @@ func (os *OrderingService) updateHint() {
 			raw += arrivalRate/svc - 1
 		}
 	}
-	if raw > 1 {
-		raw = 1
-	}
-	os.hint = hintSmoothing*raw + (1-hintSmoothing)*os.hint
+	os.hint = hintSmoothing*min(raw, 1) + (1-hintSmoothing)*os.hint
 	os.lastCutAt = now
 	os.lastOrdered = os.orderedCount
 	os.nw.col.RecordHintSample(os.hint)
@@ -334,19 +328,12 @@ func (os *OrderingService) crash() {
 // chain at the retained block number.
 func (os *OrderingService) restart() {
 	os.state = NodeUp
-	if now := os.nw.eng.Now(); os.busyUntil > now {
-		os.busyUntil = now
-	}
+	os.busyUntil = min(os.busyUntil, os.nw.eng.Now())
 }
 
 // occupy charges d of serial ordering-service time and returns the
 // completion time.
 func (os *OrderingService) occupy(d time.Duration) sim.Time {
-	start := os.busyUntil
-	if now := os.nw.eng.Now(); now > start {
-		start = now
-	}
-	end := start + sim.Time(d)
-	os.busyUntil = end
-	return end
+	os.busyUntil = max(os.busyUntil, os.nw.eng.Now()) + sim.Time(d)
+	return os.busyUntil
 }

@@ -112,6 +112,16 @@ type signedEndorsement struct {
 	sig [32]byte
 }
 
+// request is proposal prop for peer p, whose answers go to r: on its
+// way, or waiting for worker slot under the epoch it arrived in.
+type request struct {
+	p     *Peer
+	prop  *proposal
+	r     replier
+	slot  int
+	epoch uint64
+}
+
 // endorse is Endorse on a proposal the client shares between its
 // endorsers: a peer whose replica agrees with the proposal's first
 // simulation on everything that simulation read signs its result
@@ -134,20 +144,18 @@ func (p *Peer) endorse(prop *proposal, r replier) {
 	start := p.endorserSlots[slot]
 	if now := p.nw.eng.Now(); start <= now {
 		p.endorserSlots[slot] = now // claimed; updated in work
-		p.work(prop, r, slot, p.epoch)
+		request{p, prop, r, slot, p.epoch}.work()
 		return
 	}
 	p.endorserSlots[slot] = start // reserve until the worker frees up
-	epoch := p.epoch
-	p.nw.eng.At(start, func() { p.work(prop, r, slot, epoch) })
+	p.nw.starts.At(start, request{p, prop, r, slot, p.epoch})
 }
 
-// work runs prop on endorsement worker slot, which is free now, and
-// schedules the answer after the endorsement service time. epoch is
-// the peer's epoch when the proposal arrived: a proposal queued before
-// a crash died with it.
-func (p *Peer) work(prop *proposal, r replier, slot int, epoch uint64) {
-	if p.epoch != epoch {
+// work runs the proposal on worker q.slot, free now, unless the peer
+// crashed since it arrived, and files the answer after the service time.
+func (q request) work() {
+	p, prop := q.p, q.prop
+	if p.epoch != q.epoch {
 		return // the peer crashed; queued proposals died with it
 	}
 	res, err := prop.resultOn(p.nw, p.dbs[prop.channel])
@@ -160,13 +168,26 @@ func (p *Peer) work(prop *proposal, r replier, slot int, epoch uint64) {
 		cost = costmodel.EndorseCost(p.nw.dbCosts, p.nw.cfg.PeerCosts, res.trace)
 	}
 	cost = p.nw.eng.Jittered(cost, p.nw.cfg.PeerCosts.Jitter)
-	p.endorserSlots[slot] = p.nw.eng.Now() + sim.Time(cost)
-	p.nw.eng.After(cost, func() {
-		if p.epoch != epoch {
-			return // crashed mid-endorsement; the response is lost
-		}
-		r.endorsed(p, end, err)
-	})
+	p.endorserSlots[q.slot] = p.nw.eng.Now() + sim.Time(cost)
+	p.nw.answers.At(p.endorserSlots[q.slot], answer{p, q.r, q.epoch, end, err})
+}
+
+// answer is peer p's endorsement, or the proposal's error, for r; epoch
+// is the peer's when the proposal started.
+type answer struct {
+	p     *Peer
+	r     replier
+	epoch uint64
+	end   *ledger.Endorsement
+	err   error
+}
+
+// send answers, unless the peer crashed since it started the proposal.
+func (a answer) send() {
+	if a.p.epoch != a.epoch {
+		return // crashed mid-endorsement; the response is lost
+	}
+	a.r.endorsed(a.p, a.end, a.err)
 }
 
 // DeliverBlock enqueues a block from the ordering service. The

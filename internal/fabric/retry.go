@@ -107,10 +107,7 @@ func (p ExponentialBackoff) NextDelay(attempts int, rng *rand.Rand) (time.Durati
 	for i := 1; i < attempts && d < cap; i++ {
 		d *= 2
 	}
-	if d > cap {
-		d = cap
-	}
-	return jitterDelay(d, p.Jitter, rng), true
+	return jitterDelay(min(d, cap), p.Jitter, rng), true
 }
 
 // GiveUpAfter wraps a policy with a hard attempt budget: the inner
