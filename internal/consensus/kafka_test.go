@@ -46,78 +46,6 @@ func TestKafkaDeliversInOrder(t *testing.T) {
 	}
 }
 
-func TestKafkaLeaderFailover(t *testing.T) {
-	eng, k := newKafka(3)
-	fn, got := collect()
-	k.OnCommit(fn)
-	next := 0
-	submitBatch := func(n int) {
-		for i := 0; i < n; i++ {
-			k.Submit(next)
-			next++
-		}
-	}
-	eng.At(sim.Time(10*time.Millisecond), func() { submitBatch(10) })
-	eng.At(sim.Time(100*time.Millisecond), func() { k.Crash(k.Leader()) })
-	// Submissions during the leadership gap are buffered.
-	eng.At(sim.Time(200*time.Millisecond), func() { submitBatch(10) })
-	eng.Run()
-	if err := inOrder(*got, 20); err != nil {
-		t.Fatal(err)
-	}
-	if k.Leader() == 0 {
-		t.Error("leader did not change after crash")
-	}
-}
-
-// A leader that dies with payloads on their way to it loses them on
-// arrival, as its inbox hands them over one by one, and they are
-// buffered for the next leader: each commits exactly once, in
-// submission order, after the election.
-func TestKafkaLeaderDiesWithInboxQueued(t *testing.T) {
-	eng, k := newKafka(5)
-	var got []int
-	var at []sim.Time
-	k.OnCommit(func(p interface{}) { got, at = append(got, p.(int)), append(at, eng.Now()) })
-	crash := sim.Time(50 * time.Millisecond)
-	eng.At(sim.Time(10*time.Millisecond), func() { k.Submit(0) })
-	eng.At(crash, func() {
-		for i := 1; i <= 4; i++ {
-			k.Submit(i) // in the leader's inbox, one link delay out
-		}
-		k.Crash(k.Leader())
-	})
-	eng.Run()
-	if err := inOrder(got, 5); err != nil {
-		t.Fatal(err)
-	}
-	if at[0] >= crash {
-		t.Errorf("payload 0 committed at %v, after the crash", at[0])
-	}
-	for i, when := range at[1:] {
-		if elected := crash + sim.Time(DefaultKafkaConfig().ElectionDelay); when < elected {
-			t.Errorf("payload %d committed at %v, before the election at %v", i+1, when, elected)
-		}
-	}
-}
-
-func TestKafkaRecoverWhenAllDown(t *testing.T) {
-	eng, k := newKafka(4)
-	fn, got := collect()
-	k.OnCommit(fn)
-	eng.At(sim.Time(time.Millisecond), func() {
-		k.Crash(0)
-		k.Crash(1)
-		k.Crash(2)
-	})
-	eng.At(sim.Time(10*time.Second), func() { k.Submit(0) })
-	eng.At(sim.Time(11*time.Second), func() { k.Recover(1) })
-	eng.Run()
-	if err := inOrder(*got, 1); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestKafkaConfigValidation(t *testing.T) {
 	eng := sim.NewEngine(1)
 	net := netem.New(eng, netem.DefaultLAN())

@@ -3,7 +3,6 @@ package fabric
 import (
 	"testing"
 
-	"repro/internal/consensus"
 	"repro/internal/metrics"
 	"repro/internal/statedb"
 )
@@ -18,9 +17,6 @@ func (p *Peer) CommittedBlocks() int { return p.committedBlocks }
 
 // State reports the peer's lifecycle state.
 func (p *Peer) State() NodeState { return p.state }
-
-// Consenter exposes the Kafka cluster (failure injection).
-func (os *OrderingService) Consenter() *consensus.Kafka { return os.cons }
 
 // BlockSize returns the live batch-size target.
 func (os *OrderingService) BlockSize() int { return os.blockSize }

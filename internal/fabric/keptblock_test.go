@@ -88,12 +88,12 @@ func (r *cutRecorder) check(nw *Network) error {
 // commit time are set on the block the orderer cut, which every peer
 // also holds, so nothing but the chain's own readers may use them. In
 // the module's non-test code only the metrics peer's commit (which sets
-// them), ledger (the chain) and metrics.ParseChain (which walks it)
+// them), ledger (the chain) and Collector.RecordChain (which walks it)
 // name either field.
 func TestOnlyTheChainReadsCommitFields(t *testing.T) {
 	allowed := map[string]bool{
-		"internal/fabric/peer.go:commit":         true,
-		"internal/metrics/metrics.go:ParseChain": true,
+		"internal/fabric/peer.go:commit":          true,
+		"internal/metrics/metrics.go:RecordChain": true,
 	}
 	root := filepath.Join("..", "..")
 	var found []string

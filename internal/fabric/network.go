@@ -177,8 +177,8 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 
 	// One ordering service per channel, each with its own Kafka
-	// instance. Broker names are fixed ("kafka0", ...), so all channels
-	// share the brokers' network locations — like many Fabric channels
+	// instance. The leader's broker name is fixed ("kafka0"), so all
+	// channels share its network location — like many Fabric channels
 	// backed by one Kafka cluster.
 	kcfg := consensus.DefaultKafkaConfig()
 	kcfg.Brokers = cfg.Orderers
@@ -351,11 +351,15 @@ func appendZeroPadded(b []byte, v, lim uint64) []byte {
 }
 
 // Run executes the experiment: clients send for cfg.Duration, then the
-// network drains for up to cfg.Drain, and the report is computed.
+// network drains for up to cfg.Drain. The report reads each channel's
+// chain and what never reaches one (aborts, served reads, client events).
 func (nw *Network) Run() metrics.Report {
 	for _, d := range nw.drivers {
 		d.start()
 	}
 	nw.eng.RunUntil(sim.Time(nw.cfg.Duration + nw.cfg.Drain))
+	for _, chain := range nw.chains {
+		nw.col.RecordChain(chain)
+	}
 	return nw.col.Report()
 }

@@ -194,32 +194,6 @@ func TestTxBytesAccounting(t *testing.T) {
 	}
 }
 
-// TestKafkaCrashMidRun injects an orderer (kafka leader) crash during
-// a live run: the controller re-elects and the run completes with all
-// blocks delivered in order.
-func TestKafkaCrashMidRun(t *testing.T) {
-	cfg := testConfig(42)
-	nw, err := NewNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kafka := nw.Orderer().Consenter()
-	nw.Engine().At(sim.Time(5*time.Second), func() {
-		kafka.Crash(kafka.Leader())
-	})
-	rep := nw.Run()
-	if rep.Valid == 0 {
-		t.Fatal("no valid transactions after leader crash")
-	}
-	if err := nw.Chain().Verify(); err != nil {
-		t.Fatalf("chain broken after failover: %v", err)
-	}
-	// The 5s election gap shows up as elevated latency.
-	if rep.P95Latency < 2*time.Second {
-		t.Logf("p95 %v — failover gap absorbed faster than expected", rep.P95Latency)
-	}
-}
-
 // TestOrdererCountSizesTheKafkaCluster runs the deployment at every
 // orderer count up to the paper's three. Config.Orderers is the broker
 // count, and below DefaultKafkaConfig's MinISR of 2 NewNetwork must

@@ -234,7 +234,8 @@ func (p *Peer) commitNext(epoch uint64) {
 }
 
 // commit moves the peer's view to the block the validator applied and,
-// on the metrics peer, appends the canonical block and records metrics.
+// on the metrics peer, appends the canonical block and delivers its
+// outcome events. Run reads the chain-level metrics off the chains.
 func (p *Peer) commit(b *ledger.Block, res *valResult) {
 	if err := p.dbs[b.Channel].ApplyUpdates(&res.batch, b.Number); err != nil {
 		panic(fmt.Sprintf("fabric: %s, channel %d, block %d: commit: %v", p.name, b.Channel, b.Number, err))
@@ -253,14 +254,11 @@ func (p *Peer) commit(b *ledger.Block, res *valResult) {
 		return
 	}
 	// The chain keeps the cut block; only chain readers read these fields.
-	now := p.nw.eng.Now()
-	b.ValidationCodes, b.CommitTime = res.codes, now
+	b.ValidationCodes, b.CommitTime = res.codes, p.nw.eng.Now()
 	if err := p.nw.chains[b.Channel].Append(b); err != nil {
 		panic("fabric: canonical chain append: " + err.Error())
 	}
-	p.nw.col.RecordBlock()
 	for i, tx := range b.Transactions {
-		p.nw.col.RecordTx(res.codes[i], tx.SubmitTime, now)
 		// Commit-event delivery for retry/closed-loop clients: the
 		// metrics peer doubles as the event hub every client
 		// subscribes to. The block's congestion hint rides along, like

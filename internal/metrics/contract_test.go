@@ -87,8 +87,9 @@ func TestReportKeepsTheFieldsBenchReads(t *testing.T) {
 	}
 }
 
-// TestRecordTxDoesNotAllocate keeps the per-transaction hot path (the
-// benchmark ledger's metrics.record_tx) allocation-free.
+// TestRecordTxDoesNotAllocate keeps RecordTx allocation-free: the
+// chain walk calls it once per chain transaction, and the benchmark
+// ledger's metrics.record_tx times it.
 func TestRecordTxDoesNotAllocate(t *testing.T) {
 	c := NewCollector()
 	c.RecordTx(ledger.Valid, sec(0), sec(1)) // the map entry exists from here on

@@ -1,9 +1,10 @@
 // Package metrics collects and reports the study's performance
 // metrics (§4.5): per-failure-type percentages, average total
 // transaction latency over failed and successful transactions,
-// committed transaction throughput, and latency percentiles. Reports
-// can also be reproduced by parsing the blockchain after a run, which
-// is how the paper gathers them.
+// committed transaction throughput, and latency percentiles. As in the
+// paper, the chain-level metrics are read off the finished blockchain
+// (RecordChain); only what never reaches the chain — ordering aborts,
+// served reads, client events — is recorded as it happens.
 package metrics
 
 import (
@@ -126,12 +127,29 @@ func (c *Collector) touch(t sim.Time) {
 }
 
 // RecordTx records a transaction that reached the chain with the given
-// validation code and end-to-end latency.
+// validation code and end-to-end latency. RecordChain calls it once per
+// chain transaction.
 func (c *Collector) RecordTx(code ledger.ValidationCode, submit, done sim.Time) {
 	c.r.Counts[code]++
 	c.r.Total++
 	c.r.Committed++
 	c.record(submit, done)
+}
+
+// RecordChain records a finished chain, the way the paper collects its
+// metrics ("by parsing the blockchain after each experiment", §4.5):
+// every block after genesis, and each of its transactions with the
+// latency from its submission to the block's commit.
+func (c *Collector) RecordChain(chain *ledger.Chain) {
+	for _, b := range chain.Blocks() {
+		if b.Number == 0 {
+			continue // genesis
+		}
+		c.r.Blocks++
+		for i, tx := range b.Transactions {
+			c.RecordTx(b.ValidationCodes[i], tx.SubmitTime, b.CommitTime)
+		}
+	}
 }
 
 // RecordAbort records a transaction aborted in the ordering phase
@@ -189,9 +207,6 @@ func (c *Collector) RecordServedRead(submit, done sim.Time) {
 	c.r.ServedReads++
 	c.record(submit, done)
 }
-
-// RecordBlock counts one committed block.
-func (c *Collector) RecordBlock() { c.r.Blocks++ }
 
 // RecordAttempt records the outcome of one submission attempt of a
 // tracked logical transaction. attempt is 1-based (1 = the first
@@ -537,28 +552,6 @@ func (r Report) String() string {
 		r.InterBlockPct, r.PhantomPct, r.AbortedPct,
 		r.AvgLatency.Round(time.Millisecond), r.Throughput,
 		r.Goodput, r.RetryAmplification)
-}
-
-// ParseChain rebuilds the failure counts by walking the blockchain,
-// exactly like the paper's post-run metrics collection ("performance
-// metrics are collected by parsing the blockchain after each
-// experiment", §4.5). Latencies are not recoverable from the chain;
-// only counts and block statistics are filled in.
-func ParseChain(chain *ledger.Chain) Report {
-	r := Report{Counts: map[ledger.ValidationCode]int{}}
-	for _, b := range chain.Blocks() {
-		if len(b.Transactions) == 0 {
-			continue // genesis
-		}
-		r.Blocks++
-		for _, code := range b.ValidationCodes {
-			r.Counts[code]++
-			r.Total++
-			r.Committed++
-		}
-	}
-	r.fillPercentages() // AbortedPct stays 0: aborts never reach the chain
-	return r
 }
 
 // Table is a small fixed-width text table builder; internal/core's

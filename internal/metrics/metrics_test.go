@@ -19,8 +19,6 @@ func TestCollectorCountsAndPercentages(t *testing.T) {
 	c.RecordTx(ledger.MVCCConflictInterBlock, sec(1), sec(3))
 	c.RecordTx(ledger.EndorsementPolicyFailure, sec(2), sec(3))
 	c.RecordAbort(sec(2), sec(3))
-	c.RecordBlock()
-	c.RecordBlock()
 
 	r := c.Report()
 	if r.Total != 6 || r.Committed != 5 || r.Valid != 2 {
@@ -34,9 +32,6 @@ func TestCollectorCountsAndPercentages(t *testing.T) {
 	}
 	if r.AbortedPct != 100*1.0/6 {
 		t.Errorf("AbortedPct = %v", r.AbortedPct)
-	}
-	if r.Blocks != 2 {
-		t.Errorf("Blocks = %d", r.Blocks)
 	}
 }
 
@@ -160,29 +155,54 @@ func chainWith(t *testing.T, codes ...ledger.ValidationCode) *ledger.Chain {
 	return ch
 }
 
-func TestParseChain(t *testing.T) {
+// TestRecordChain walks a genesis-only chain, which counts nothing, and
+// a chain whose one block commits at 5 s four transactions submitted at
+// 0-3 s, merged with an ordering abort submitted at 4 s and resolved at
+// 6 s: every chain-level figure, latencies and rates included, comes
+// off the chain.
+func TestRecordChain(t *testing.T) {
+	genesis := ledger.NewChain()
+	gb := &ledger.Block{Number: 0}
+	gb.Hash = gb.ComputeHash()
+	if err := genesis.Append(gb); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCollector()
+	c.RecordChain(genesis)
+	if r := c.Report(); r.Total != 0 || r.Blocks != 0 || r.Duration != 0 {
+		t.Fatalf("genesis counted: %+v", r)
+	}
+
 	ch := chainWith(t,
 		ledger.Valid, ledger.Valid, ledger.MVCCConflictIntraBlock,
 		ledger.PhantomReadConflict)
-	r := ParseChain(ch)
-	if r.Total != 4 || r.Valid != 2 || r.Blocks != 1 {
-		t.Fatalf("parsed %+v", r)
+	b := ch.Block(1)
+	b.CommitTime = sec(5)
+	for i, tx := range b.Transactions {
+		tx.SubmitTime = sec(i) // latencies 5, 4, 3 and 2 s
 	}
-	if r.PhantomPct != 25 || r.IntraBlockPct != 25 {
+	c.RecordChain(ch)
+	c.RecordAbort(sec(4), sec(6)) // latency 2 s
+	r := c.Report()
+	if r.Total != 5 || r.Committed != 4 || r.Valid != 2 || r.Blocks != 1 {
+		t.Fatalf("counts %+v", r)
+	}
+	if r.PhantomPct != 20 || r.IntraBlockPct != 20 || r.AbortedPct != 20 || r.FailurePct != 60 {
 		t.Errorf("percentages %+v", r)
 	}
-}
-
-func TestParseChainSkipsGenesis(t *testing.T) {
-	ch := ledger.NewChain()
-	gb := &ledger.Block{Number: 0}
-	gb.Hash = gb.ComputeHash()
-	if err := ch.Append(gb); err != nil {
-		t.Fatal(err)
+	if r.AvgLatency != 3200*time.Millisecond || r.MaxLatency != 5*time.Second {
+		t.Errorf("mean %v, max %v; want 3.2s and 5s", r.AvgLatency, r.MaxLatency)
 	}
-	r := ParseChain(ch)
-	if r.Total != 0 || r.Blocks != 0 {
-		t.Errorf("genesis counted: %+v", r)
+	if p, exact := r.P50Latency, 3*time.Second; p < exact || p > exact+exact/16 {
+		t.Errorf("P50 = %v, want within [%v, %v]", p, exact, exact+exact/16)
+	}
+	if r.P95Latency != 5*time.Second {
+		t.Errorf("P95 = %v, want the 5s maximum", r.P95Latency)
+	}
+	// The window runs from the first submission to the abort's end.
+	if r.Duration != 6*time.Second || r.Throughput != 4.0/6 || r.Goodput != 2.0/6 {
+		t.Errorf("duration %v, throughput %v, goodput %v; want 6s, 4/6 and 2/6 tps",
+			r.Duration, r.Throughput, r.Goodput)
 	}
 }
 
