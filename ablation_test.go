@@ -3,9 +3,6 @@ package hyperledgerlab
 import (
 	"testing"
 	"time"
-
-	"repro/internal/adaptive"
-	"repro/internal/fabric"
 )
 
 // Ablation benchmarks: the design knobs this reproduction adds on top
@@ -26,36 +23,6 @@ func reportRun(b *testing.B, rep Report) {
 	b.ReportMetric(rep.FailurePct, "fail%")
 	b.ReportMetric(rep.AvgLatency.Seconds()*1000, "lat_ms")
 	b.ReportMetric(rep.Throughput, "tps")
-}
-
-// BenchmarkAblationAdaptiveBlockSize compares a static block size with
-// the §6.2 adaptive controller under a 20→150 tps rate ramp.
-func BenchmarkAblationAdaptiveBlockSize(b *testing.B) {
-	for _, mode := range []string{"static", "adaptive"} {
-		mode := mode
-		b.Run(mode, func(b *testing.B) {
-			var last Report
-			for i := 0; i < b.N; i++ {
-				cfg := ablationCfg(int64(i + 1))
-				cfg.Duration = 60 * time.Second
-				cfg.Drain = 30 * time.Second
-				cfg.BlockSize = 10
-				cfg.RateSchedule = []fabric.RatePhase{
-					{Duration: 30 * time.Second, Rate: 20},
-					{Duration: 30 * time.Second, Rate: 150},
-				}
-				nw, err := NewNetwork(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if mode == "adaptive" {
-					adaptive.Attach(nw, adaptive.DefaultConfig())
-				}
-				last = nw.Run()
-			}
-			reportRun(b, last)
-		})
-	}
 }
 
 // BenchmarkAblationReadOnlySubmission measures recommendation #4:

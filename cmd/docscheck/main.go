@@ -5,7 +5,9 @@
 // as new packages are added; and it fails when the root package — the
 // facade over internal/ — exports a name that neither examples/ nor a
 // root _test.go file refers to, so a re-export cannot outlive its last
-// user.
+// user. It also fails when README.md or a docs/*.md file names, in
+// backticks, a Go identifier or a repository path that the tree no
+// longer has, so a deletion cannot leave the prose behind.
 //
 // Usage:
 //
@@ -25,6 +27,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -59,7 +62,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "delete them from the facade (callers inside the module import internal/ directly)")
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: all %d packages documented, all %d root exports referenced\n", checked, exported)
+	stale, names, err := staleDocNames(root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "docscheck:", err)
+		os.Exit(1)
+	}
+	if len(stale) > 0 {
+		fmt.Fprintf(os.Stderr, "docscheck: %d of %d backticked names in the docs name nothing in the tree:\n  %s\n",
+			len(stale), names, strings.Join(stale, "\n  "))
+		fmt.Fprintln(os.Stderr, "reword or delete them")
+		os.Exit(1)
+	}
+	fmt.Printf("docscheck: all %d packages documented, all %d root exports referenced, all %d doc names resolved\n",
+		checked, exported, names)
 }
 
 // check walks every directory under root that contains non-test Go
@@ -143,15 +158,10 @@ func dirDocumented(dir string) (documented, found bool, err error) {
 // selector on its import of the module path. Matching is by name, not
 // by type-checked object.
 func unusedFacade(root string) (unused []string, exported int, err error) {
-	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	modPath, err := modulePath(root)
 	if err != nil {
 		return nil, 0, err
 	}
-	fields := strings.Fields(string(gomod))
-	if len(fields) < 2 || fields[0] != "module" {
-		return nil, 0, fmt.Errorf("%s: no module line", filepath.Join(root, "go.mod"))
-	}
-	modPath := fields[1]
 
 	fset := token.NewFileSet()
 	rootFiles, err := filepath.Glob(filepath.Join(root, "*.go"))
@@ -252,4 +262,153 @@ func unusedFacade(root string) (unused []string, exported int, err error) {
 	}
 	sort.Strings(unused)
 	return unused, len(facade), nil
+}
+
+var (
+	codeSpan = regexp.MustCompile("`([^`]+)`")
+	goName   = regexp.MustCompile(`^[A-Za-z_]\w*(\.[A-Za-z_]\w*)*$`)
+	repoPath = regexp.MustCompile(`^[\w.-]+/[\w./-]*$`)
+)
+
+// staleDocNames reports the backticked spans of README.md and
+// docs/*.md, outside fenced blocks, that name nothing in the tree, as
+// "file:line: `span`", and how many spans it checked. Two kinds are
+// checked:
+//   - a Go identifier whose last component is exported, alone or
+//     qualified (`Config`, `fabric.Config`, `Report.String()`): that
+//     component must be declared somewhere in the module, test files
+//     included. Matching is by that name alone. A name qualified by a
+//     package imported from outside the module (`json.Marshal`) is not
+//     checked;
+//   - a path whose first element exists at root (`internal/fabric`):
+//     it must exist too.
+func staleDocNames(root string) (stale []string, checked int, err error) {
+	declared, external, err := declaredNames(root)
+	if err != nil {
+		return nil, 0, err
+	}
+	docs, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, path := range append([]string{filepath.Join(root, "README.md")}, docs...) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return nil, 0, err
+		}
+		rel, _ := filepath.Rel(root, path)
+		fenced := false
+		for i, line := range strings.Split(string(src), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if fenced {
+				continue
+			}
+			for _, m := range codeSpan.FindAllStringSubmatch(line, -1) {
+				span := m[1]
+				resolved, ok := true, false
+				if name := strings.TrimSuffix(span, "()"); goName.MatchString(name) {
+					first, _, _ := strings.Cut(name, ".")
+					last := name[strings.LastIndex(name, ".")+1:]
+					if ast.IsExported(last) && (first == name || !external[first]) {
+						resolved, ok = declared[last], true
+					}
+				} else if repoPath.MatchString(span) {
+					if dir, _, _ := strings.Cut(span, "/"); exists(filepath.Join(root, dir)) {
+						resolved, ok = exists(filepath.Join(root, span)), true
+					}
+				}
+				if ok {
+					checked++
+				}
+				if !resolved {
+					stale = append(stale, fmt.Sprintf("%s:%d: `%s`", rel, i+1, span))
+				}
+			}
+		}
+	}
+	return stale, checked, nil
+}
+
+// declaredNames parses every Go file under root and returns each name
+// it declares — package, type, function, method, constant, variable,
+// struct field, interface method and parameter — and the local names
+// of the packages it imports from outside the module.
+func declaredNames(root string) (declared, external map[string]bool, err error) {
+	modPath, err := modulePath(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	declared, external = map[string]bool{}, map[string]bool{}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") && path != root {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		declared[f.Name.Name] = true
+		for _, imp := range f.Imports {
+			ip := strings.Trim(imp.Path.Value, `"`)
+			if ip == modPath || strings.HasPrefix(ip, modPath+"/") {
+				continue
+			}
+			name := ip[strings.LastIndex(ip, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			external[name] = true
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				declared[n.Name.Name] = true
+			case *ast.TypeSpec:
+				declared[n.Name.Name] = true
+			case *ast.ValueSpec:
+				for _, id := range n.Names {
+					declared[id.Name] = true
+				}
+			case *ast.Field:
+				for _, id := range n.Names {
+					declared[id.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	return declared, external, err
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
+// modulePath reads the module path from root's go.mod.
+func modulePath(root string) (string, error) {
+	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return "", err
+	}
+	fields := strings.Fields(string(gomod))
+	if len(fields) < 2 || fields[0] != "module" {
+		return "", fmt.Errorf("%s: no module line", filepath.Join(root, "go.mod"))
+	}
+	return fields[1], nil
 }

@@ -72,7 +72,7 @@ func TestServiceRateEstimate(t *testing.T) {
 	}
 	// Larger blocks amortize the fixed per-block cost: the estimated
 	// service rate must not shrink when the block size grows.
-	nw.orderers[0].blockSize = 1
+	nw.cfg.BlockSize = 1
 	if small := nw.orderers[0].serviceRate(); small >= svc {
 		t.Errorf("service rate at block 1 (%g) >= at block 100 (%g)", small, svc)
 	}

@@ -181,8 +181,7 @@ func newDriver(nw *Network, index, firstID, members int) *ClientDriver {
 // start schedules the driver's arrival process for the send window.
 // Closed loop: every member's in-flight window opens, in member order,
 // and each resolved transaction triggers the next. Open loop: Poisson
-// arrivals whose mean inter-arrival time tracks the (possibly
-// time-varying) configured rate — one aggregate process standing in
+// arrivals at the configured rate — one aggregate process standing in
 // for the members' independent arrivals (superposition), the
 // submitting member drawn uniformly per arrival.
 func (c *ClientDriver) start() {
@@ -191,11 +190,8 @@ func (c *ClientDriver) start() {
 		c.openWindow()
 		return
 	}
-	mean := func() time.Duration {
-		rate := c.nw.cfg.RateAt(time.Duration(c.nw.eng.Now()))
-		return time.Duration(float64(time.Second) * float64(c.nw.cfg.Clients) /
-			(rate * float64(c.members)))
-	}
+	mean := time.Duration(float64(time.Second) * float64(c.nw.cfg.Clients) /
+		(c.nw.cfg.Rate * float64(c.members)))
 	var arrive func()
 	arrive = func() {
 		if c.nw.eng.Now() >= sim.Time(c.nw.cfg.Duration) {
@@ -206,9 +202,9 @@ func (c *ClientDriver) start() {
 			member = c.nw.eng.Rand().Intn(c.members)
 		}
 		c.submitJob(member)
-		c.nw.eng.After(c.nw.eng.Exponential(mean()), arrive)
+		c.nw.eng.After(c.nw.eng.Exponential(mean), arrive)
 	}
-	c.nw.eng.After(c.nw.eng.Exponential(mean()), arrive)
+	c.nw.eng.After(c.nw.eng.Exponential(mean), arrive)
 }
 
 // Name returns the driver's network node name.

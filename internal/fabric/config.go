@@ -78,10 +78,6 @@ type Config struct {
 	Rate     float64       // transaction arrival rate, tps (all clients combined)
 	Duration time.Duration // send window (paper: 3 minutes)
 	Drain    time.Duration // extra virtual time to let in-flight txs finish
-	// RateSchedule optionally varies the arrival rate over the send
-	// window (e.g. the seasonal load of §6.1's block-size example).
-	// Phases play in order; any remaining window uses Rate.
-	RateSchedule []RatePhase
 
 	// Application.
 	Chaincode chaincode.Chaincode
@@ -228,11 +224,6 @@ func (c *Config) Validate() error {
 	case c.CrossChannel > 0 && c.Channels < 2:
 		return fmt.Errorf("fabric: cross-channel fraction %g needs >= 2 channels, got %d", c.CrossChannel, c.Channels)
 	}
-	for i, p := range c.RateSchedule {
-		if !validRate(p.Rate) {
-			return fmt.Errorf("fabric: rate schedule phase %d: arrival rate must be a finite rate > 0 tps, got %g", i, p.Rate)
-		}
-	}
 	if c.Channels > 1 && c.Variant != nil && c.Variant.Name() != (Vanilla{}).Name() {
 		return fmt.Errorf("fabric: multi-channel sharding (%d channels) supports only the vanilla fabric-1.4 variant, got %q", c.Channels, c.Variant.Name())
 	}
@@ -265,23 +256,6 @@ func (c *Config) channels() int { return max(c.Channels, 1) }
 // cohortSize resolves the configured cohort size (0 means 1, the
 // exact per-client simulation).
 func (c *Config) cohortSize() int { return max(c.CohortSize, 1) }
-
-// RatePhase is one segment of a time-varying arrival process.
-type RatePhase struct {
-	Duration time.Duration
-	Rate     float64 // tps across all clients
-}
-
-// RateAt resolves the configured arrival rate at virtual time t.
-func (c *Config) RateAt(t time.Duration) float64 {
-	for _, p := range c.RateSchedule {
-		if t < p.Duration {
-			return p.Rate
-		}
-		t -= p.Duration
-	}
-	return c.Rate
-}
 
 // Control is the client control plane of a run, one value: what a
 // client does about a failed transaction (Retry, RetryBudget) and which

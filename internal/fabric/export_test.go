@@ -18,9 +18,6 @@ func (p *Peer) CommittedBlocks() int { return p.committedBlocks }
 // State reports the peer's lifecycle state.
 func (p *Peer) State() NodeState { return p.state }
 
-// BlockSize returns the live batch-size target.
-func (os *OrderingService) BlockSize() int { return os.blockSize }
-
 // State reports the service's lifecycle state.
 func (os *OrderingService) State() NodeState { return os.state }
 

@@ -178,7 +178,6 @@ func TestConfigValidation(t *testing.T) {
 		{"cohort size must be >= 0 clients per cohort", func(c *Config) { c.CohortSize = -1 }},
 		{"cross-channel fraction must be in [0,1), got 1", func(c *Config) { c.Channels, c.CrossChannel = 2, 1 }},
 		{"cross-channel fraction 0.1 needs >= 2 channels, got 1", func(c *Config) { c.Channels, c.CrossChannel = 1, 0.1 }},
-		{"rate schedule phase 0", func(c *Config) { c.RateSchedule = []RatePhase{{time.Second, -1}} }},
 		{"supports only the vanilla fabric-1.4 variant", func(c *Config) { c.Channels, c.Variant = 2, namedVariant{name: "fabric++"} }},
 		{"think time needs a positive mean, got 0s", func(c *Config) { c.ThinkTime = ThinkTime{Kind: ThinkFixed} }},
 		// Each of these used to be accepted: the first nil-dereferenced

@@ -295,8 +295,8 @@ func (nw *Network) Chain() *ledger.Chain { return nw.chains[0] }
 // channel.
 func (nw *Network) Chains() []*ledger.Chain { return nw.chains }
 
-// Orderer exposes channel 0's ordering service (adaptive controllers,
-// tests, failure injection).
+// Orderer exposes channel 0's ordering service (tests, failure
+// injection).
 func (nw *Network) Orderer() *OrderingService { return nw.orderers[0] }
 
 // Orderers returns every channel's ordering service, indexed by

@@ -12,8 +12,9 @@ import (
 // OrderingService is the ordering phase (§2 steps 4–5): transactions
 // arrive from clients, pass through the variant's early-abort hook,
 // reach total order via the consenter, and are cut into blocks by
-// count, byte size or timeout. Cut blocks are validated (once,
-// deterministically) and streamed to every peer over FIFO links.
+// count (Config.BlockSize, fixed for the run), byte size or timeout.
+// Cut blocks are validated (once, deterministically) and streamed to
+// every peer over FIFO links.
 //
 // The service is a serial server: variant reordering cost (Fabric++'s
 // conflict graphs) and per-peer delivery cost occupy it, so expensive
@@ -37,13 +38,8 @@ type OrderingService struct {
 	blockNum uint64
 	prevHash [32]byte
 
-	// blockSize is the live batch-size target. It starts at
-	// cfg.BlockSize and can be retuned mid-run by an adaptive
-	// controller (the §6.2 research direction).
-	blockSize int
-
 	// orderedCount counts transactions that reached total order, for
-	// arrival-rate estimation.
+	// the backpressure hint's arrival-rate estimate.
 	orderedCount uint64
 
 	// Backpressure hint state (Config.Backpressure; inert otherwise):
@@ -73,7 +69,7 @@ type OrderingService struct {
 }
 
 func newOrderingService(nw *Network, cons *consensus.Kafka, channel int) *OrderingService {
-	os := &OrderingService{nw: nw, cons: cons, channel: channel, blockSize: nw.cfg.BlockSize}
+	os := &OrderingService{nw: nw, cons: cons, channel: channel}
 	for i := 0; i < nw.cfg.Orderers; i++ {
 		// Channel 0 keeps the historical names; higher channels get
 		// their own orderer nodes, prefixed with the channel id.
@@ -125,18 +121,6 @@ func (os *OrderingService) Submit(tx *ledger.Transaction) {
 	os.cons.Submit(tx)
 }
 
-// SetBlockSize retunes the batch-size target; an undersized pending
-// batch is cut immediately when it already exceeds the new target.
-func (os *OrderingService) SetBlockSize(n int) {
-	os.blockSize = max(n, 1)
-	if len(os.pending) >= os.blockSize {
-		os.cut()
-	}
-}
-
-// OrderedCount reports how many transactions have reached total order.
-func (os *OrderingService) OrderedCount() uint64 { return os.orderedCount }
-
 // ordered consumes the total-order stream and feeds the block cutter.
 func (os *OrderingService) ordered(tx *ledger.Transaction) {
 	if os.state == NodeCrashed {
@@ -151,7 +135,7 @@ func (os *OrderingService) ordered(tx *ledger.Transaction) {
 	os.pending = append(os.pending, tx)
 	os.pendingBytes += txBytes(tx)
 	switch {
-	case len(os.pending) >= os.blockSize,
+	case len(os.pending) >= os.nw.cfg.BlockSize,
 		os.nw.cfg.MaxBlockKB > 0 && os.pendingBytes >= os.nw.cfg.MaxBlockKB*1024:
 		os.cut() // full by count or by bytes
 	case !os.timerArmed:
@@ -163,8 +147,8 @@ func (os *OrderingService) ordered(tx *ledger.Transaction) {
 // timeout is the cut timer armed under epoch expiring.
 func (os *OrderingService) timeout(epoch uint64) {
 	if os.timerEpoch != epoch {
-		// A cut (size, bytes or retune) consumed the batch this timer
-		// was armed for; that cut already disarmed the service, and any
+		// A cut by count or bytes consumed the batch this timer was
+		// armed for; that cut already disarmed the service, and any
 		// transactions ordered since have re-armed a fresh timer under
 		// the new epoch.
 		return
@@ -303,7 +287,7 @@ func (os *OrderingService) updateHint() {
 func (os *OrderingService) serviceRate() float64 {
 	fixed := os.nw.cfg.OrdererCosts.BlockCut +
 		time.Duration(len(os.nw.peers))*os.nw.cfg.OrdererCosts.PerDeliver
-	perTx := os.nw.cfg.OrdererCosts.PerTx + fixed/time.Duration(os.blockSize)
+	perTx := os.nw.cfg.OrdererCosts.PerTx + fixed/time.Duration(os.nw.cfg.BlockSize)
 	if perTx <= 0 {
 		return 0
 	}

@@ -12,7 +12,6 @@ import (
 func TestBlockCutBySize(t *testing.T) {
 	nw := harness(t)
 	nw.cfg.BlockSize = 3
-	nw.orderers[0].blockSize = 3
 	for i := 0; i < 7; i++ {
 		tx := mkTx(nw, string(rune('a'+i)), &ledger.RWSet{})
 		tx.SubmitTime = nw.eng.Now()
@@ -68,37 +67,14 @@ func TestBlockCutByBytes(t *testing.T) {
 	}
 }
 
-func TestSetBlockSizeCutsOversizedPending(t *testing.T) {
-	nw := harness(t)
-	for i := 0; i < 5; i++ {
-		tx := mkTx(nw, string(rune('a'+i)), &ledger.RWSet{})
-		tx.SubmitTime = nw.eng.Now()
-		nw.orderers[0].Submit(tx)
-	}
-	nw.eng.RunUntil(sim.Time(100 * time.Millisecond))
-	if nw.orderers[0].blockNum != 0 {
-		t.Fatal("premature cut")
-	}
-	nw.orderers[0].SetBlockSize(4)
-	if nw.orderers[0].blockNum != 1 {
-		t.Fatalf("retune did not cut oversized pending batch: %d", nw.orderers[0].blockNum)
-	}
-	if nw.orderers[0].BlockSize() != 4 {
-		t.Fatalf("BlockSize = %d", nw.orderers[0].BlockSize())
-	}
-	nw.orderers[0].SetBlockSize(0)
-	if nw.orderers[0].BlockSize() != 1 {
-		t.Fatal("SetBlockSize(0) should clamp to 1")
-	}
-}
-
 // TestStaleTimeoutAfterEarlierCut drives the timeout/cut interleaving
-// of the batch-timer audit: a retune cut consumes the batch an armed
+// of the batch-timer audit: a count cut consumes the batch an armed
 // timer was waiting for, the stale timer must fire as a no-op, and
 // the very next transaction must be able to arm a fresh timer and cut
 // by timeout.
 func TestStaleTimeoutAfterEarlierCut(t *testing.T) {
 	nw := harness(t)
+	nw.cfg.BlockSize = 4
 	for i := 0; i < 3; i++ {
 		tx := mkTx(nw, string(rune('a'+i)), &ledger.RWSet{})
 		tx.SubmitTime = nw.eng.Now()
@@ -109,11 +85,14 @@ func TestStaleTimeoutAfterEarlierCut(t *testing.T) {
 		t.Fatal("partial batch did not arm the timeout")
 	}
 	epoch := nw.orderers[0].timerEpoch
-	// Retune below the pending depth: cuts immediately, superseding the
-	// armed timer.
-	nw.orderers[0].SetBlockSize(2)
+	// A fourth transaction fills the block: it is cut by count well
+	// before the armed timer expires, superseding it.
+	tx := mkTx(nw, "d", &ledger.RWSet{})
+	tx.SubmitTime = nw.eng.Now()
+	nw.orderers[0].Submit(tx)
+	nw.eng.RunUntil(nw.eng.Now() + sim.Time(100*time.Millisecond))
 	if nw.orderers[0].blockNum != 1 {
-		t.Fatalf("retune cut %d blocks, want 1", nw.orderers[0].blockNum)
+		t.Fatalf("count cut %d blocks, want 1", nw.orderers[0].blockNum)
 	}
 	if nw.orderers[0].timerArmed || nw.orderers[0].timerEpoch == epoch {
 		t.Fatal("cut left the timer armed or the epoch unbumped")
@@ -127,7 +106,7 @@ func TestStaleTimeoutAfterEarlierCut(t *testing.T) {
 		t.Fatal("stale timer left the service armed")
 	}
 	// A fresh transaction must arm a fresh timer and flush by timeout.
-	tx := mkTx(nw, "z", &ledger.RWSet{})
+	tx = mkTx(nw, "z", &ledger.RWSet{})
 	tx.SubmitTime = nw.eng.Now()
 	nw.orderers[0].Submit(tx)
 	nw.eng.RunUntil(nw.eng.Now() + sim.Time(100*time.Millisecond))
@@ -244,31 +223,4 @@ func TestSkipReadOnlySubmission(t *testing.T) {
 	}
 	t.Logf("baseline %v", baseRep)
 	t.Logf("skipRO   %v (+%d served reads)", rep, rep.ServedReads)
-}
-
-func TestRateSchedule(t *testing.T) {
-	cfg := testConfig(45)
-	cfg.RateSchedule = []RatePhase{
-		{Duration: 10 * time.Second, Rate: 10},
-		{Duration: 10 * time.Second, Rate: 100},
-	}
-	cfg.Duration = 20 * time.Second
-	if got := cfg.RateAt(5 * time.Second); got != 10 {
-		t.Fatalf("RateAt(5s) = %v", got)
-	}
-	if got := cfg.RateAt(15 * time.Second); got != 100 {
-		t.Fatalf("RateAt(15s) = %v", got)
-	}
-	if got := cfg.RateAt(25 * time.Second); got != cfg.Rate {
-		t.Fatalf("RateAt past schedule = %v, want fallback %v", got, cfg.Rate)
-	}
-	nw, err := NewNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := nw.Run()
-	// Expected volume ~ 10*10 + 10*100 = 1100 txs.
-	if rep.Total < 700 || rep.Total > 1500 {
-		t.Errorf("scheduled run produced %d txs, want ~1100", rep.Total)
-	}
 }

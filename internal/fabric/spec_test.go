@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestParseRetryBudget(t *testing.T) {
@@ -70,11 +69,6 @@ func TestNonFiniteAndNegativeRejected(t *testing.T) {
 		{"rate NaN", "arrival rate", func(c *Config) { c.Rate = nan }},
 		{"rate Inf", "arrival rate", func(c *Config) { c.Rate = inf }},
 		{"rate negative", "arrival rate", func(c *Config) { c.Rate = -5 }},
-		{"phase rate NaN", "rate schedule phase 1", func(c *Config) {
-			c.RateSchedule = []RatePhase{{time.Second, 10}, {time.Second, nan}}
-		}},
-		{"phase rate zero", "rate schedule phase 0", func(c *Config) { c.RateSchedule = []RatePhase{{time.Second, 0}} }},
-		{"phase rate Inf", "rate schedule phase 0", func(c *Config) { c.RateSchedule = []RatePhase{{time.Second, inf}} }},
 		{"budget refill NaN", "refill rate", func(c *Config) { c.RetryBudget = &RetryBudget{RefillPerSec: nan} }},
 		{"budget refill Inf", "refill rate", func(c *Config) { c.RetryBudget = &RetryBudget{RefillPerSec: inf} }},
 		{"budget burst NaN", "burst", func(c *Config) { c.RetryBudget = &RetryBudget{Burst: nan} }},
