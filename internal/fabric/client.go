@@ -138,8 +138,13 @@ type pendingTx struct {
 	legs      int
 	legsLeft  int
 	legFailed bool
-	failCode  ledger.ValidationCode
-	// first is the first attempt's first leg (see legFor).
+	// open says a tracked run may still resubmit the job; refs counts
+	// what queued names it: each endorser request until answered, each
+	// deadline until it fires (see unref).
+	open     bool
+	refs     int32
+	failCode ledger.ValidationCode
+	// first is the storage of an attempt's first leg (see submitAttempt).
 	first leg
 }
 
@@ -227,12 +232,9 @@ func (c *ClientDriver) openWindow() {
 // (Config.CrossChannel), and submits its first attempt on behalf of
 // the given member.
 func (c *ClientDriver) submitJob(member int) {
-	j := &pendingTx{
-		inv:         c.nw.cfg.Workload.Next(c.nw.eng.Rand()),
-		firstSubmit: c.nw.eng.Now(),
-		member:      member,
-		legs:        1,
-	}
+	j := c.nw.job()
+	j.inv = c.nw.cfg.Workload.Next(c.nw.eng.Rand())
+	j.firstSubmit, j.member, j.legs, j.open = c.nw.eng.Now(), member, 1, c.nw.ctl.tracking
 	j.channels[0] = c.nw.channelOf(j.inv)
 	if n := c.nw.channels; n > 1 && c.nw.cfg.CrossChannel > 0 &&
 		c.nw.eng.Rand().Float64() < c.nw.cfg.CrossChannel {
@@ -258,17 +260,33 @@ func (c *ClientDriver) submitAttempt(j *pendingTx) {
 	j.legsLeft = j.legs
 	j.legFailed = false
 	for i := 0; i < j.legs; i++ {
-		c.submitLeg(j, j.channels[i], j.legFor(i))
+		// The first leg takes the job's own storage unless a late answer
+		// or deadline could still land on it.
+		l := &j.first
+		if i > 0 || j.refs > 0 {
+			l = new(leg)
+		}
+		c.submitLeg(j, j.channels[i], l)
 	}
 }
 
-// legFor returns the storage of the current attempt's leg i: the job's
-// own for the first attempt's first leg, a new one for the others.
-func (j *pendingTx) legFor(i int) *leg {
-	if j.attempts == 1 && i == 0 {
-		return &j.first
+// job takes a job off the free list, or makes one.
+func (nw *Network) job() (j *pendingTx) {
+	if n := len(nw.jobFree); n > 0 {
+		j, nw.jobFree = nw.jobFree[n-1], nw.jobFree[:n-1]
+		return j
 	}
-	return new(leg)
+	return new(pendingTx)
+}
+
+// unref drops n of what names j, and puts j back on the free list,
+// zeroed, once nothing does and it is not open. Whatever held the job
+// must not touch it afterwards.
+func (nw *Network) unref(j *pendingTx, n int32) {
+	if j.refs -= n; j.refs == 0 && !j.open {
+		*j = pendingTx{}
+		nw.jobFree = append(nw.jobFree, j)
+	}
 }
 
 // submitLeg submits one channel's proposal of the current attempt into
@@ -292,6 +310,7 @@ func (c *ClientDriver) submitLeg(j *pendingTx, channel int, l *leg) {
 
 	*l = leg{proposal: proposal{inv: j.inv, channel: channel}, c: c, j: j, tx: tx,
 		ends: make([]*ledger.Endorsement, 0, len(endorserOrgs))}
+	j.refs += int32(len(endorserOrgs))
 	for _, org := range endorserOrgs {
 		peer := c.nw.peerOf(org, peerInOrg)
 		send(c.nw, c.name, peer.name, c.nw.requests, request{p: peer, prop: &l.proposal, r: l})
@@ -303,6 +322,7 @@ func (c *ClientDriver) submitLeg(j *pendingTx, channel int, l *leg) {
 	// normal retry path. Inert without fault injection or outcome
 	// tracking.
 	if ft := c.nw.faults; ft != nil && ft.EndorseTimeout > 0 && c.nw.ctl.tracking {
+		j.refs++
 		c.nw.endorseDeadlines.At(c.nw.eng.Now()+sim.Time(ft.EndorseTimeout), l)
 	}
 }
@@ -337,32 +357,32 @@ type reply struct {
 
 // answer takes one endorser's response at the client.
 func (l *leg) answer(e *ledger.Endorsement, err error) {
-	if l.done {
-		return
-	}
-	if err != nil {
+	switch {
+	case l.done:
+	case err != nil:
 		// Proposal error (chaincode rejected the call). Counted
 		// as an early abort: the attempt is dropped.
 		l.done = true
 		l.c.nw.col.RecordAbort(l.tx.SubmitTime, l.c.nw.eng.Now())
 		l.c.legDone(l.j, l.tx.ID, ledger.AbortedInOrdering)
-		return
+	default:
+		l.ends = append(l.ends, e)
+		if len(l.ends) == cap(l.ends) {
+			l.done = true
+			l.assemble()
+		}
 	}
-	l.ends = append(l.ends, e)
-	if len(l.ends) == cap(l.ends) {
-		l.done = true
-		l.assemble()
-	}
+	l.c.nw.unref(l.j, 1)
 }
 
 // timedOut is the client's endorsement deadline firing.
 func (l *leg) timedOut() {
-	if l.done {
-		return
+	if !l.done {
+		l.done = true
+		l.c.nw.col.RecordEndorseTimeout()
+		l.c.legDone(l.j, l.tx.ID, ledger.ClientTimeout)
 	}
-	l.done = true
-	l.c.nw.col.RecordEndorseTimeout()
-	l.c.legDone(l.j, l.tx.ID, ledger.ClientTimeout)
+	l.c.nw.unref(l.j, 1)
 }
 
 // assemble builds the envelope from the collected endorsements and
@@ -408,6 +428,7 @@ func (l *leg) assemble() {
 	// orderer, or the event path is cut — the attempt fails as
 	// CLIENT_TIMEOUT and is retried.
 	if ft := c.nw.faults; ft != nil && ft.SubmitTimeout > 0 && c.nw.ctl.tracking {
+		j.refs++
 		c.nw.submitDeadlines.At(c.nw.eng.Now()+sim.Time(ft.SubmitTimeout), l)
 	}
 }
@@ -420,6 +441,7 @@ func (l *leg) submitTimedOut() {
 		l.c.nw.col.RecordSubmitTimeout()
 		l.c.legDone(l.j, l.tx.ID, ledger.ClientTimeout)
 	}
+	l.c.nw.unref(l.j, 1)
 }
 
 // outcome is a commit or early-abort event for driver c.
@@ -496,7 +518,7 @@ func (c *ClientDriver) attemptResolved(j *pendingTx) {
 	c.nw.col.RecordAttempt(j.attempts, ledger.Valid)
 	c.observe(ledger.Valid, j)
 	c.nw.col.RecordJob(j.attempts, true, j.firstSubmit, c.nw.eng.Now())
-	c.jobDone(j.member)
+	c.jobDone(j)
 }
 
 // attemptFailed records a failed attempt and either schedules a
@@ -539,7 +561,7 @@ func (c *ClientDriver) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
 			if !granted {
 				c.nw.col.RecordBudgetExhausted()
 				c.nw.col.RecordJob(j.attempts, false, j.firstSubmit, c.nw.eng.Now())
-				c.jobDone(j.member)
+				c.jobDone(j)
 				return
 			}
 			if wait > delay {
@@ -564,7 +586,7 @@ func (c *ClientDriver) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
 		return
 	}
 	c.nw.col.RecordJob(j.attempts, false, j.firstSubmit, c.nw.eng.Now())
-	c.jobDone(j.member)
+	c.jobDone(j)
 }
 
 // jobTimer is driver c's wait before retrying job j (deferred: waiting
@@ -727,7 +749,10 @@ func (nw *Network) gossipMsg() *gossipMsg {
 // With no think time and no pacing the next job starts synchronously —
 // the historical behaviour, with no extra events and no extra rng
 // draws.
-func (c *ClientDriver) jobDone(member int) {
+func (c *ClientDriver) jobDone(j *pendingTx) {
+	member := j.member
+	j.open = false
+	c.nw.unref(j, 0)
 	if !c.nw.cfg.ClosedLoop || c.nw.eng.Now() >= sim.Time(c.nw.cfg.Duration) {
 		return
 	}

@@ -104,27 +104,29 @@ var raceDetector bool
 
 // TestDefaultRunAllocsPerTransaction pins what the paper's default run
 // (EHR, CouchDB, open loop 100 tps) allocates per simulated transaction.
-// Per endorser what is left is the Endorsement, whose signature and
-// digest live in the same object: the request, queued-worker start,
-// answer and reply hops wait in the network's queues (sim.Queue) as
-// values, the leg is the replier every endorser answers, and VSCC
+// Per endorser nothing is left: the Endorsement, whose signature and
+// digest live in the same object, comes off the network's free list and
+// goes back at the metrics peer's commit; the request, queued-worker
+// start, answer and reply hops wait in the network's queues (sim.Queue)
+// as values, the leg is the replier every endorser answers, and VSCC
 // verifies the carried digest into the identity's scratch. Per leg: the
-// transaction, its id and the endorsement slice; the first attempt's leg
-// lives in its job, which with its invocation's arguments is one more
-// object each. Per simulation, on the network's one stub: the rwset and
-// its exact-length read and write sets. A write stores one document and
-// a grant or revoke copies one exact-length access list. The pipeline's
-// messages wait in their receivers' queues too, and a block's outcome
-// holds its update batch: 12.30 objects per transaction, 18.30 with a
-// closure per endorsement hop, 21.40 with a closure per message and a
-// separate batch, 25.3 with a stub, a simulation and a leg allocated
-// per use and sets grown by append.
+// transaction, its id and the endorsement slice; the first leg lives in
+// its job, recycled through a free list too, and the invocation's
+// arguments are one more object. Per simulation, on the network's one
+// stub: the rwset and its exact-length read and write sets. A write
+// stores one document and a grant or revoke copies one exact-length
+// access list. The pipeline's messages wait in their receivers' queues
+// too, and a block's outcome holds its update batch: 9.40 objects per
+// transaction, 12.30 with a job and two endorsements made per
+// transaction, 18.30 with a closure per endorsement hop, 21.40 with a
+// closure per message and a separate batch, 25.3 with a stub, a
+// simulation and a leg allocated per use and sets grown by append.
 func TestDefaultRunAllocsPerTransaction(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Duration = 30 * time.Second
 	cfg.Chaincode = ehr.New()
 	cfg.Workload = ehr.NewWorkload(1)
-	checkAllocsPerTx(t, cfg, 13)
+	checkAllocsPerTx(t, cfg, 9.9)
 }
 
 // TestControlPlaneAllocsPerTransaction pins the ehr-controlplane shape,
@@ -132,15 +134,16 @@ func TestDefaultRunAllocsPerTransaction(t *testing.T) {
 // is a recycled gossipMsg, so the gossip path adds no object per
 // message (a closure per message made it 60 objects per transaction).
 // Outcome events, retry and think timers and the endorsement hops wait
-// in the network's queues like the pipeline's messages (see the default
-// run): 12.51 objects per transaction, 19.84 with a closure per
-// endorsement hop and client timer, 23.89 with a closure per message,
-// 27.6 before the endorsement path reused its stub, simulation and
-// first leg.
+// in the network's queues like the pipeline's messages, and jobs and
+// endorsements are recycled (see the default run): 9.64 objects per
+// transaction, 12.51 with a job and two endorsements made per
+// transaction, 19.84 with a closure per endorsement hop and client
+// timer, 23.89 with a closure per message, 27.6 before the endorsement
+// path reused its stub, simulation and first leg.
 func TestControlPlaneAllocsPerTransaction(t *testing.T) {
 	cfg := controlPlaneConfig(33)
 	cfg.Duration = 30 * time.Second
-	checkAllocsPerTx(t, cfg, 13)
+	checkAllocsPerTx(t, cfg, 10.1)
 }
 
 // TestRangeHeavyAllocsPerTransaction pins the genchain-range shape:
@@ -149,18 +152,20 @@ func TestControlPlaneAllocsPerTransaction(t *testing.T) {
 // the validator's phantom re-scan walk the index in place, genChain
 // formats and parses its arguments without fmt, and it reads its key
 // names from a table and shares its update values. Messages wait in
-// their receivers' queues (see the default run): 11.93 objects per
-// transaction, 18.55 with a closure per endorsement hop, 21.65 with a
-// closure per message, 23.73 when genChain formatted each key name and
-// value, 26.8 before the endorsement path reused its stub, simulation
-// and first leg, 41.4 when all three allocated.
+// their receivers' queues and jobs and endorsements are recycled (see
+// the default run): 9.04 objects per transaction, 11.93 with a job and
+// two endorsements made per transaction, 18.55 with a closure per
+// endorsement hop, 21.65 with a closure per message, 23.73 when genChain
+// formatted each key name and value, 26.8 before the endorsement path
+// reused its stub, simulation and first leg, 41.4 when all three
+// allocated.
 func TestRangeHeavyAllocsPerTransaction(t *testing.T) {
 	spec := gen.GenChainSpec()
 	cfg := DefaultConfig()
 	cfg.Duration = 30 * time.Second
 	cfg.Chaincode = gen.MustChaincode(spec)
 	cfg.Workload = gen.NewWorkload(spec, gen.RangeHeavy, 1)
-	checkAllocsPerTx(t, cfg, 12.5)
+	checkAllocsPerTx(t, cfg, 9.5)
 }
 
 // TestOneTxBlockAllocsPerTransaction pins Streamchain's shape (one
@@ -168,9 +173,11 @@ func TestRangeHeavyAllocsPerTransaction(t *testing.T) {
 // costs) on genChain's update-heavy mix, where every per-block cost is
 // paid once per transaction. The cut timer, the ready event, the four
 // deliveries, the four commits and the endorsement hops wait in their
-// receivers' queues instead of taking a closure each, and the block's
-// outcome holds its update batch: 16.70 objects per transaction, 22.70
-// with a closure per endorsement hop, 35.68 with a closure per message.
+// receivers' queues instead of taking a closure each, the block's
+// outcome holds its update batch, and jobs and endorsements are
+// recycled: 13.73 objects per transaction, 16.70 with a job and two
+// endorsements made per transaction, 22.70 with a closure per
+// endorsement hop, 35.68 with a closure per message.
 func TestOneTxBlockAllocsPerTransaction(t *testing.T) {
 	spec := gen.GenChainSpec()
 	cfg := DefaultConfig()
@@ -181,7 +188,7 @@ func TestOneTxBlockAllocsPerTransaction(t *testing.T) {
 	cfg.BlockTimeout = time.Millisecond
 	cfg.PeerCosts.BlockBase = 2500 * time.Microsecond
 	cfg.OrdererCosts.BlockCut = 300 * time.Microsecond
-	checkAllocsPerTx(t, cfg, 17.5)
+	checkAllocsPerTx(t, cfg, 14.2)
 }
 
 // TestGenesisAllocsPerKey pins what NewNetwork allocates to build a

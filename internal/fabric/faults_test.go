@@ -156,18 +156,21 @@ func TestPeerCrashDropsQueuedEndorsements(t *testing.T) {
 	cfg.ClosedLoop = true // tracks outcomes; no job follows once the window closed
 	cfg.Duration = 50 * time.Millisecond
 	cfg.Faults = &Faults{EndorseTimeout: time.Second}
+	cfg.StripAfterCommit = false // the chain keeps each transaction's endorsements
 	nw, err := NewNetwork(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := nw.peers[0]
-	submit := func() *leg {
+	// A job goes back on the free list once resolved: read what each
+	// proposal gathered off its transaction, which outlives it.
+	submit := func() *ledger.Transaction {
 		j := &pendingTx{inv: workload.Invocation{Chaincode: ehr.Name, Function: "readProfile", Args: []string{"5"}}, legs: 1}
 		nw.drivers[0].submitAttempt(j)
-		return &j.first
+		return j.first.tx
 	}
-	answered := func(l *leg) bool {
-		for _, e := range l.ends {
+	answered := func(tx *ledger.Transaction) bool {
+		for _, e := range tx.Endorsements {
 			if e.PeerID == p.name {
 				return true
 			}
@@ -189,8 +192,8 @@ func TestPeerCrashDropsQueuedEndorsements(t *testing.T) {
 	}
 	late := submit()
 	nw.eng.RunUntil(sim.Time(3 * time.Second))
-	for name, l := range map[string]*leg{"in service": inService, "waiting": waiting} {
-		if answered(l) {
+	for name, tx := range map[string]*ledger.Transaction{"in service": inService, "waiting": waiting} {
+		if answered(tx) {
 			t.Errorf("the proposal %s at the crash was answered by the crashed peer", name)
 		}
 	}
@@ -376,8 +379,8 @@ func TestOrdererCrashSubmitTimeouts(t *testing.T) {
 	if rep.SubmitTimeouts == 0 {
 		t.Error("no submission timeouts during a 5s orderer outage")
 	}
-	if nw.Orderer().State() != NodeUp {
-		t.Errorf("orderer ended the run %v, want up", nw.Orderer().State())
+	if os := nw.orderers[0]; os.State() != NodeUp {
+		t.Errorf("orderer ended the run %v, want up", os.State())
 	}
 	// Chain continuity: the restarted service continued the same chain.
 	if err := nw.Chain().Verify(); err != nil {

@@ -47,12 +47,12 @@ type Network struct {
 	txSeq   uint64
 	// stub is the one chaincode stub every simulation runs on.
 	stub *chaincode.Stub
-	// memoHits counts endorsements that reused their proposal's first
-	// simulation, memoMisses those that found one and had to simulate
-	// anyway because their replica differed on something it read (tests
-	// only: a change that disables the reuse must fail a test, not just a
-	// benchmark).
-	memoHits, memoMisses uint64
+	// memoSame, memoHits and memoMisses count endorsements that took
+	// their proposal's first simulation at the state it ran on, that
+	// re-checked it at another and took it, and that re-checked it and
+	// simulated (tests only: a change that disables the reuse must fail a
+	// test, not just a benchmark).
+	memoSame, memoHits, memoMisses uint64
 
 	// ctl is the resolved client control plane (see resolvedControl).
 	ctl resolvedControl
@@ -71,6 +71,10 @@ type Network struct {
 	// network: no lock). A steady-state round allocates nothing.
 	gossipPicks []int
 	gossipFree  []*gossipMsg
+	// jobFree and endFree hold the jobs and the endorsements nothing
+	// names any more (see pendingTx.refs and Network.strip).
+	jobFree []*pendingTx
+	endFree []*ledger.Endorsement
 	// Inboxes (sim.Queue) of what any peer or driver receives, by kind.
 	requests, starts                  *sim.Queue[request]
 	answers                           *sim.Queue[answer]
@@ -294,10 +298,6 @@ func (nw *Network) Chain() *ledger.Chain { return nw.chains[0] }
 // Chains returns every channel's canonical ledger, indexed by
 // channel.
 func (nw *Network) Chains() []*ledger.Chain { return nw.chains }
-
-// Orderer exposes channel 0's ordering service (tests, failure
-// injection).
-func (nw *Network) Orderer() *OrderingService { return nw.orderers[0] }
 
 // Orderers returns every channel's ordering service, indexed by
 // channel.

@@ -112,6 +112,18 @@ type signedEndorsement struct {
 	sig [32]byte
 }
 
+// endorsement takes an endorsement off the free list, or makes one; its
+// Signature is empty, over storage for a signature.
+func (nw *Network) endorsement() (e *ledger.Endorsement) {
+	if n := len(nw.endFree); n > 0 {
+		e, nw.endFree = nw.endFree[n-1], nw.endFree[:n-1]
+		return e
+	}
+	se := &signedEndorsement{}
+	se.Signature = se.sig[:0]
+	return &se.Endorsement
+}
+
 // request is proposal prop for peer p, whose answers go to r: on its
 // way, or waiting for worker slot under the epoch it arrived in.
 type request struct {
@@ -162,9 +174,9 @@ func (q request) work() {
 	var end *ledger.Endorsement
 	cost := p.nw.cfg.PeerCosts.EndorseBase
 	if err == nil {
-		se := &signedEndorsement{Endorsement: ledger.Endorsement{Org: p.org, PeerID: p.name, RWSet: res.rwset, Digest: res.digest}}
-		se.Signature = p.identity.AppendSign(se.sig[:0], se.Digest[:])
-		end = &se.Endorsement
+		end = p.nw.endorsement()
+		end.Org, end.PeerID, end.RWSet, end.Digest = p.org, p.name, res.rwset, res.digest
+		end.Signature = p.identity.AppendSign(end.Signature, end.Digest[:])
 		cost = costmodel.EndorseCost(p.nw.dbCosts, p.nw.cfg.PeerCosts, res.trace)
 	}
 	cost = p.nw.eng.Jittered(cost, p.nw.cfg.PeerCosts.Jitter)
@@ -265,7 +277,7 @@ func (p *Peer) commit(b *ledger.Block, res *valResult) {
 		// metadata in a Fabric block event.
 		p.nw.deliverOutcome(p.name, tx, res.codes[i], b.CongestionHint, b.Channel)
 		if p.nw.cfg.StripAfterCommit {
-			stripTx(tx)
+			p.nw.strip(tx)
 		}
 	}
 }
@@ -311,10 +323,15 @@ func (p *Peer) restart() {
 	}
 }
 
-// stripTx frees heavy payloads once a transaction is measured: the
+// strip frees heavy payloads once a transaction is measured: the
 // endorsement list and range-query observations can hold thousands of
-// reads (DV scans all 1000 voters per vote).
-func stripTx(tx *ledger.Transaction) {
+// reads (DV scans all 1000 voters per vote). The endorsements go back on
+// the free list: VSCC and SealHash, the last to read them, ran at cut.
+func (nw *Network) strip(tx *ledger.Transaction) {
+	for _, e := range tx.Endorsements {
+		*e = ledger.Endorsement{Signature: e.Signature[:0]}
+		nw.endFree = append(nw.endFree, e)
+	}
 	tx.Endorsements = nil
 	if tx.RWSet != nil {
 		tx.RWSet.StripRangeReads()

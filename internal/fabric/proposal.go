@@ -11,14 +11,14 @@ import (
 // the client sends it to. Chaincode is deterministic, so two endorsers
 // whose replicas agree on everything the invocation read produce the
 // same read/write set; the proposal therefore keeps the first
-// successful simulation and a later endorser re-checks that
-// simulation's observations against its own replica instead of running
-// the chaincode again. The re-check is the same test validation
-// applies to a read set (versions of plain reads, re-scan of checked
-// ranges), so an endorser reuses a result exactly when simulating would
-// have reproduced it, and simulates — yielding the differing rwset of
-// Equation 1 — whenever its replica is ahead or behind on a key that
-// was read.
+// successful simulation. A later endorser whose view reads the very
+// state it ran on takes it as it is; one at another state re-checks its
+// observations against its own replica instead of running the chaincode
+// again. The re-check is the same test validation applies to a read set
+// (versions of plain reads, re-scan of checked ranges), so an endorser
+// reuses a result exactly when simulating would have reproduced it, and
+// simulates — yielding the differing rwset of Equation 1 — whenever its
+// replica is ahead or behind on a key that was read.
 type proposal struct {
 	inv     workload.Invocation
 	channel int
@@ -36,36 +36,44 @@ type simulation struct {
 	// Version cannot say so: an absent key reads as ledger.ZeroHeight,
 	// which is also the version of the first genesis write.
 	absent uint64
+	on     statedb.State // the state it ran on
 }
 
 // resultOn returns what simulating the proposal on db, a replica of nw,
-// produces: the kept simulation when it holds on db, else a fresh one,
-// which is kept if it is the first to succeed and can be re-checked.
+// produces: the kept simulation when db reads its state or it holds on
+// db, else a fresh one, kept if it is the first to succeed.
 func (prop *proposal) resultOn(nw *Network, db statedb.VersionedDB) (simulation, error) {
-	if prop.memo.rwset != nil {
-		if prop.memo.holdsOn(db) {
+	on := db.State()
+	if m := &prop.memo; m.rwset != nil {
+		switch {
+		case m.on == on:
+			nw.memoSame++
+			return *m, nil
+		case !m.reusable():
+		case m.holdsOn(db):
 			nw.memoHits++
-			return prop.memo, nil
+			return *m, nil
+		default:
+			nw.memoMisses++
 		}
-		nw.memoMisses++
 	}
 	nw.stub.Reset(db)
 	if err := nw.cfg.Chaincode.Invoke(nw.stub, prop.inv.Function, prop.inv.Args); err != nil {
 		return simulation{}, err
 	}
 	rw := nw.stub.RWSet()
-	res := simulation{rwset: rw, digest: rw.Digest(), trace: nw.stub.Trace()}
-	if prop.memo.rwset == nil && res.reusable() {
+	res := simulation{rwset: rw, digest: rw.Digest(), trace: nw.stub.Trace(), on: on}
+	if prop.memo.rwset == nil {
 		res.markAbsent(db)
 		prop.memo = res
 	}
 	return res, nil
 }
 
-// reusable reports whether a later endorser may check s instead of
-// simulating: every observation must be one holdsOn can re-check. Rich
-// query results are not (nothing re-executes them, as in validation),
-// and the presence mask covers 64 plain reads.
+// reusable reports whether an endorser at another state may check s
+// instead of simulating: every observation must be one holdsOn can
+// re-check. Rich query results are not (nothing re-executes them, as in
+// validation), and the presence mask covers 64 plain reads.
 func (s *simulation) reusable() bool {
 	if len(s.rwset.Reads) > 64 {
 		return false

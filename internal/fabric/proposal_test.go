@@ -91,19 +91,45 @@ func commitOn(t *testing.T, nw *Network, p *Peer, block uint64, fn string, args 
 	}
 }
 
+// advance applies the writes of invoking fn at the channel's head as
+// block `block` and moves p's view there: p reads the index its fellow
+// endorsers read, at a savepoint they have not reached.
+func advance(t *testing.T, nw *Network, p *Peer, block uint64, fn string, args ...string) {
+	t.Helper()
+	head := nw.vals[0].db
+	stub, err := cctest.Invoke(nw.cfg.Chaincode, head, fn, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := &statedb.UpdateBatch{}
+	for i, w := range stub.RWSet().Writes {
+		batch.Add(w, ledger.Height{BlockNum: block, TxNum: uint64(i)})
+	}
+	if err := head.ApplyUpdates(batch, block); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.dbs[0].ApplyUpdates(batch, block); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// reuses counts the endorsements that took a proposal's kept simulation,
+// at its state or after a check.
+func reuses(nw *Network) uint64 { return nw.memoSame + nw.memoHits }
+
 // endorsePair endorses one fresh proposal on first and then on second,
 // and returns both responses and how the second fared against the memo.
 func endorsePair(t *testing.T, nw *Network, first, second *Peer, fn string, args ...string) (r1, r2 *response, hit, miss bool) {
 	t.Helper()
 	prop := &proposal{inv: workload.Invocation{Function: fn, Args: args}}
 	r1 = endorseOn(t, nw, first, prop)
-	hits, misses := nw.memoHits, nw.memoMisses
+	hits, misses := reuses(nw), nw.memoMisses
 	r2 = endorseOn(t, nw, second, prop)
 	nw.eng.Run()
 	if r1.end == nil || r2.end == nil {
 		t.Fatalf("%s%v: endorsements missing (errors %v, %v)", fn, args, r1.err, r2.err)
 	}
-	return r1, r2, nw.memoHits == hits+1, nw.memoMisses == misses+1
+	return r1, r2, reuses(nw) == hits+1, nw.memoMisses == misses+1
 }
 
 // Differential test: on a live, contended network whose replicas keep
@@ -147,9 +173,9 @@ func TestMemoisedEndorsementEqualsFreshSimulation(t *testing.T) {
 		pr := &probe{inv: gen.Next(rng)}
 		prop := &proposal{inv: pr.inv}
 		pr.first = endorseOn(t, nw, a, prop)
-		hits, misses := nw.memoHits, nw.memoMisses
+		hits, misses := reuses(nw), nw.memoMisses
 		pr.shared = endorseOn(t, nw, b, prop)
-		pr.hit, pr.missedMemo = nw.memoHits == hits+1, nw.memoMisses == misses+1
+		pr.hit, pr.missedMemo = reuses(nw) == hits+1, nw.memoMisses == misses+1
 		pr.fresh = &response{}
 		fresh := pr.fresh
 		b.Endorse(pr.inv, 0, func(e *ledger.Endorsement, err error) {
@@ -193,8 +219,9 @@ func TestMemoisedEndorsementEqualsFreshSimulation(t *testing.T) {
 			}
 		}
 	}
-	if hits == 0 || misses == 0 {
-		t.Fatalf("%d hits, %d misses: the probes must exercise both", hits, misses)
+	if hits == 0 || misses == 0 || nw.memoSame == 0 || nw.memoHits == 0 {
+		t.Fatalf("%d hits (%d at the memo's state, %d checked), %d misses: the probes must exercise all three",
+			hits, nw.memoSame, nw.memoHits, misses)
 	}
 	t.Logf("%d probes: %d hits, %d misses", len(probes), hits, misses)
 }
@@ -310,6 +337,12 @@ func (edgeCC) Invoke(stub *chaincode.Stub, fn string, args []string) error {
 	case "rich": // unchecked rich query
 		_, err := stub.GetQueryResult(`{"selector":{"n":{"$gte":0}}}`)
 		return err
+	case "need": // a proposal error when the key is absent
+		v, err := stub.GetState(args[0])
+		if err == nil && v == nil {
+			err = fmt.Errorf("edge: no %s", args[0])
+		}
+		return err
 	}
 	return fmt.Errorf("edge: unknown function %q", fn)
 }
@@ -379,31 +412,46 @@ func TestRangeProposalMissesAfterChangeInInterval(t *testing.T) {
 }
 
 // Rich-query observations are unchecked — nothing can re-validate them —
-// so a simulation that made one is never handed to a second endorser.
-func TestRichQueryProposalIsNeverReused(t *testing.T) {
+// so a simulation that made one is handed only to an endorser whose view
+// reads the very state it ran on: a view of the same index at the same
+// savepoint. One at another savepoint, or a clone of the index, simulates.
+func TestRichQueryProposalIsReusedOnlyAtItsState(t *testing.T) {
 	nw, a, b := probeNetwork(t, edgeCC{}, statedb.CouchDB)
+	same, clone := nw.peerOf(nw.orgs[0], 1), nw.peerOf(nw.orgs[1], 1)
+	clone.dbs[0] = clone.dbs[0].Clone(0)
+	advance(t, nw, a, 1, "put", "k9")
 	prop := &proposal{inv: workload.Invocation{Function: "rich"}}
-	r1 := endorseOn(t, nw, a, prop)
-	r2 := endorseOn(t, nw, b, prop)
+	var rs []*response
+	for _, p := range []*Peer{b, same, a, clone} {
+		rs = append(rs, endorseOn(t, nw, p, prop))
+	}
 	nw.eng.Run()
-	if r1.end == nil || r2.end == nil {
-		t.Fatalf("endorsements missing: %v, %v", r1.err, r2.err)
+	for i, r := range rs {
+		if r.end == nil {
+			t.Fatalf("endorsement %d missing: %v", i, r.err)
+		}
 	}
-	if prop.memo.rwset != nil || nw.memoHits != 0 {
-		t.Fatalf("memo %v, %d hits: a rich-query simulation must not be kept", prop.memo.rwset, nw.memoHits)
+	first, atState, ahead, cloned := rs[0].end.RWSet, rs[1].end.RWSet, rs[2].end.RWSet, rs[3].end.RWSet
+	if len(first.RangeQueries) != 1 || !first.RangeQueries[0].Unchecked {
+		t.Fatalf("rwset %+v: want one unchecked observation", first)
 	}
-	if r1.end.RWSet == r2.end.RWSet || !r1.end.RWSet.Equal(r2.end.RWSet) {
-		t.Fatal("identical replicas: want two separately simulated, equal rwsets")
+	if nw.memoSame != 1 || nw.memoHits+nw.memoMisses != 0 || atState != first {
+		t.Fatalf("%d reused at the memo's state, %d checked: the view at its state must take the kept rwset, and none may check it",
+			nw.memoSame, nw.memoHits+nw.memoMisses)
 	}
-	if len(r1.end.RWSet.RangeQueries) != 1 || !r1.end.RWSet.RangeQueries[0].Unchecked {
-		t.Fatalf("rwset %+v: want one unchecked observation", r1.end.RWSet)
+	if ahead == first || len(ahead.RangeQueries[0].Reads) != len(first.RangeQueries[0].Reads)+1 {
+		t.Fatalf("the view a block ahead answered %+v: want its own simulation, which finds k9", ahead.RangeQueries)
+	}
+	if cloned == first || !cloned.Equal(first) {
+		t.Fatal("a clone of the state: want its own simulation, equal to the first")
 	}
 }
 
 // On the default EHR run nearly every second endorser finds its replica
-// in step with the first one's. A change that silently stops the reuse
-// fails here, not just on the benchmark; and the misses that remain are
-// the endorsement policy failures of §3.2.1.
+// in step with the first one's, most of them at the very savepoint the
+// first simulation ran on. A change that silently stops the reuse fails
+// here, not just on the benchmark; and the misses that remain are the
+// endorsement policy failures of §3.2.1.
 func TestMemoHitRateOnDefaultEHRRun(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Duration = 30 * time.Second
@@ -411,13 +459,18 @@ func TestMemoHitRateOnDefaultEHRRun(t *testing.T) {
 	cfg.Chaincode = ehr.New()
 	cfg.Workload = ehr.NewWorkload(1)
 	nw, rep := run(t, cfg)
-	checked := nw.memoHits + nw.memoMisses
-	if checked < uint64(rep.Total)*9/10 {
-		t.Fatalf("%d memo checks for %d transactions endorsed by two orgs", checked, rep.Total)
+	found := reuses(nw) + nw.memoMisses
+	if found < uint64(rep.Total)*9/10 {
+		t.Fatalf("%d memo look-ups for %d transactions endorsed by two orgs", found, rep.Total)
 	}
-	if rate := float64(nw.memoHits) / float64(checked); rate < 0.95 {
-		t.Fatalf("memo hit rate %.3f (%d of %d), want >= 0.95", rate, nw.memoHits, checked)
+	if rate := float64(reuses(nw)) / float64(found); rate < 0.95 {
+		t.Fatalf("memo hit rate %.3f (%d of %d), want >= 0.95", rate, reuses(nw), found)
 	}
+	if nw.memoSame < found*9/10 || nw.memoHits == 0 {
+		t.Fatalf("%d of %d look-ups at the memo's state and %d checked hits: want most at its state and some checked",
+			nw.memoSame, found, nw.memoHits)
+	}
+	t.Logf("%d look-ups: %d at the memo's state, %d checked hits, %d misses", found, nw.memoSame, nw.memoHits, nw.memoMisses)
 	if nw.memoMisses == 0 || rep.Counts[ledger.EndorsementPolicyFailure] == 0 {
 		t.Fatalf("%d misses, %d endorsement policy failures: replica skew must still show",
 			nw.memoMisses, rep.Counts[ledger.EndorsementPolicyFailure])

@@ -137,6 +137,8 @@ type VersionedDB interface {
 	ApplyUpdates(batch *UpdateBatch, height uint64) error
 	// Savepoint is the block height up to which updates are applied.
 	Savepoint() uint64
+	// State names what the database reads now (see State).
+	State() State
 	// Len reports the number of live keys.
 	Len() int
 	// Clone returns an independent database holding what this one
@@ -530,6 +532,16 @@ func (x *index) prune() {
 }
 
 func (db *store) Savepoint() uint64 { return db.savepoint }
+
+// State is an index at a savepoint. Every view with one State reads the
+// same world state; a Clone has an index of its own, so it never shares
+// a State with the database it was cloned from.
+type State struct {
+	idx       *index
+	savepoint uint64
+}
+
+func (db *store) State() State { return State{db.idx, db.savepoint} }
 
 func (db *store) Len() int {
 	x := db.idx
