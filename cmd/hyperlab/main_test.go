@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -24,19 +25,38 @@ func config(t *testing.T, line string) error {
 }
 
 // TestAdhocConfigSmokeLines resolves the ad-hoc command lines CI
-// smoke-runs (.github/workflows/ci.yml) and the usage examples: each
-// must build a config that validates.
+// smoke-runs, read from .github/workflows/ci.yml so the two cannot
+// drift: each must build a config that validates.
 func TestAdhocConfigSmokeLines(t *testing.T) {
+	ci, err := os.ReadFile("../../.github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cmd = "go run ./cmd/hyperlab "
+	var lines int
+	for _, line := range strings.Split(string(ci), "\n") {
+		_, args, ok := strings.Cut(line, cmd)
+		if !ok || !strings.Contains(args, "-adhoc") {
+			continue
+		}
+		lines++
+		if err := config(t, args); err != nil {
+			t.Errorf("%s: %v", args, err)
+		}
+	}
+	if lines < 5 {
+		t.Errorf("found %d ad-hoc smoke lines in ci.yml, want >= 5", lines)
+	}
+}
+
+// TestTableFlags resolves every name -cluster, -db and -system take;
+// TestAdhocConfigRejectsHostileLines holds the spellings they refuse.
+func TestTableFlags(t *testing.T) {
 	for _, line := range []string{
-		"-adhoc",
-		"-adhoc -faults chaos -retry backoff -duration 5s",
-		"-adhoc -retry hinted -backpressure on -gossip 2:500ms -hintsource gossip -duration 5s",
-		"-adhoc -retry hinted -backpressure on -gossip on -hintsource gossip -split on -budget 1:3:drop:adaptive -duration 5s",
-		"-adhoc -clients 100000 -cohort 1000 -channels 4 -crosschannel 0.1 -retry backoff -duration 5s",
-		"-adhoc -chaincode ehr -rate 100 -block 50 -db leveldb -system fabric++",
-		"-adhoc -retry adaptive -budget 1:3:drop -closedloop -think exp:500ms",
-		"-adhoc -chaincode genchain -cluster C2 -skew 0 -system streamchain",
-		"-adhoc -faults partition:1@5s+10s,etimeout=2s",
+		"-adhoc -cluster C2 -db LevelDB -system streamchain",
+		"-adhoc -cluster C1 -db CouchDB -system fabric-1.4",
+		"-adhoc -system fabric++",
+		"-adhoc -system fabricsharp",
 	} {
 		if err := config(t, line); err != nil {
 			t.Errorf("%s: %v", line, err)
@@ -44,10 +64,26 @@ func TestAdhocConfigSmokeLines(t *testing.T) {
 	}
 }
 
+// TestControlFlagResolvesRungs: every rung the studies run is one
+// -control label away, with the very control its ladder runs.
+func TestControlFlagResolvesRungs(t *testing.T) {
+	for _, r := range core.Rungs() {
+		fs := flag.NewFlagSet("hyperlab", flag.ContinueOnError)
+		c, err := parseFlags(fs, []string{"-adhoc", "-control", r.Label})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := adhocConfig(c)
+		if err != nil || !reflect.DeepEqual(cfg.Control, r.Control) {
+			t.Errorf("-control %s: %+v, %v; want %+v", r.Label, cfg.Control, err, r.Control)
+		}
+	}
+}
+
 // TestAdhocConfigRejectsHostileLines pins the robustness list: each of
 // these used to hang the simulator, panic in the Zipfian sampler, run
 // with NaN in a control loop, or silently ignore -adhoc. Each must now
-// be an error naming the offending field.
+// be an error naming the offending field or the values it takes.
 func TestAdhocConfigRejectsHostileLines(t *testing.T) {
 	for _, c := range []struct{ line, want string }{
 		{"-adhoc -rate NaN", "arrival rate"},
@@ -56,15 +92,12 @@ func TestAdhocConfigRejectsHostileLines(t *testing.T) {
 		{"-adhoc -skew -1", "skew"},
 		{"-adhoc -skew NaN", "skew"},
 		{"-adhoc -skew Inf", "skew"},
-		{"-adhoc -budget NaN:3", "retry budget rate"},
-		{"-adhoc -budget 1:NaN", "retry budget burst"},
-		{"-adhoc -budget 1:Inf", "retry budget burst"},
-		// The spec forms of the knobs that became constants; each names
-		// the grammar that is left.
-		{"-adhoc -backpressure NaN:1s", "want off or on"},
-		{"-adhoc -backpressure 0.5:1s:2s", "want off or on"},
-		{"-adhoc -gossip 2:500ms:0.5", "want off, on or fanout:period"},
-		{"-adhoc -split 3s", "want off or on"},
+		// The control plane and fault schedule are named, not spelled
+		// out: an unknown name lists the known ones, and the spec flags
+		// are gone.
+		{"-adhoc -control nope", `unknown control "nope", want one of none, immediate(3), backoff(5), backoff-cap2, static,`},
+		{"-adhoc -faults crash-peer:1@5s+10s", "want off, crash, partition, flaky, straggler, slowdb or chaos"},
+		{"-adhoc -budget 1:3", "flag provided but not defined: -budget"},
 		{"-adhoc -closedloop -think lognormal:1s:0.8", "want a mean, e.g. lognormal:500ms"},
 		{"-adhoc -think lognormal:1s:NaN -closedloop", "want a mean, e.g. lognormal:500ms"},
 		{"-adhoc -exp fig7", "cannot be combined with -exp"},
@@ -76,6 +109,10 @@ func TestAdhocConfigRejectsHostileLines(t *testing.T) {
 		{"-exp fig7 -smoke", "flag provided but not defined: -smoke"},
 		{"-adhoc -chaincode nope", "unknown chaincode"},
 		{"-adhoc -system fabric3", "unknown system"},
+		// -cluster, -db and -system take one spelling per value.
+		{"-adhoc -cluster c2", `unknown cluster "c2", want C1 or C2`},
+		{"-adhoc -db leveldb", `unknown db "leveldb", want CouchDB or LevelDB`},
+		{"-adhoc -system fabric", `unknown system "fabric", want fabric-1.4, fabric++, streamchain or fabricsharp`},
 		// -clients -5 used to fall back to the cluster default and
 		// -dump -1 to wrap through uint64 and dump every block.
 		{"-adhoc -clients -5", "-clients must be >= 0 clients"},

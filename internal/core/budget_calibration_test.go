@@ -35,7 +35,7 @@ func TestBudgetCalibrationPerChaincode(t *testing.T) {
 		builds[i] = func(seed int64) fabric.Config {
 			cfg := baseConfig(C1, cc, 1, Fabric14)(seed)
 			cfg.BlockSize = 100
-			cfg.Retry = StaticBackoff
+			cfg.Retry = staticBackoff
 			cfg.RetryBudget = &budget
 			return cfg
 		}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/fabric"
@@ -23,11 +26,10 @@ func (r Rung) Apply(cfg *fabric.Config) { cfg.Control = r.Control }
 // policies cap at 5 submissions so grids stay comparable. The configs
 // behind the pointers are read-only: a network copies what it resolves.
 var (
-	// StaticBackoff is the capped exponential backoff with
+	// staticBackoff is the capped exponential backoff with
 	// deterministic jitter — a fixed schedule that ignores what the
-	// network is doing. It is the baseline of every ladder and the
-	// CLI's `-retry backoff`.
-	StaticBackoff = fabric.ExponentialBackoff{
+	// network is doing. It is the baseline of every ladder.
+	staticBackoff = fabric.ExponentialBackoff{
 		Initial:     200 * time.Millisecond,
 		Cap:         2 * time.Second,
 		MaxAttempts: 5,
@@ -60,23 +62,26 @@ var (
 	defaultSplit  = &fabric.SplitSignal{}
 )
 
-// RetryPolicies returns the policy ladder compared by the
-// retry-policies sweep: fire-and-forget (the paper's clients), capped
-// immediate resubmission, capped exponential backoff with
-// deterministic jitter, and an unlimited backoff truncated to a
-// give-up-after-N budget.
-func RetryPolicies() []fabric.RetryPolicy {
-	return []fabric.RetryPolicy{
+// retryLadder is the policy ladder the retry-policies sweep compares,
+// each rung labelled by its policy's name: fire-and-forget (the
+// paper's clients), capped immediate resubmission, capped exponential
+// backoff with deterministic jitter, and an unlimited backoff truncated
+// to a give-up-after-N budget.
+var retryLadder = func() (rungs []Rung) {
+	for _, p := range []fabric.RetryPolicy{
 		fabric.NoRetry{},
 		fabric.ImmediateRetry{MaxAttempts: 3},
-		StaticBackoff,
+		staticBackoff,
 		fabric.GiveUpAfter(fabric.ExponentialBackoff{
 			Initial: 100 * time.Millisecond,
 			Cap:     time.Second,
 			Jitter:  0.5,
 		}, 2),
+	} {
+		rungs = append(rungs, Rung{p.Name(), fabric.Control{Retry: p}})
 	}
-}
+	return rungs
+}()
 
 // cotuneLadder is the five retry-control strategies the co-tuning
 // study compares, all capped at 5 submissions so grids stay
@@ -98,11 +103,11 @@ func RetryPolicies() []fabric.RetryPolicy {
 //     stop burning thousands of drops against a rate tuned for EHR,
 //     while an idle full bucket decays back to the base rate.
 var cotuneLadder = []Rung{
-	{"static", fabric.Control{Retry: StaticBackoff}},
+	{"static", fabric.Control{Retry: staticBackoff}},
 	{"adaptive", fabric.Control{Retry: aimdPolicy}},
-	{"budgeted", fabric.Control{Retry: StaticBackoff, RetryBudget: dropBucket}},
-	{"paced", fabric.Control{Retry: StaticBackoff, RetryBudget: deferBucket}},
-	{"budgeted-adaptive", fabric.Control{Retry: StaticBackoff, RetryBudget: adaptiveBucket}},
+	{"budgeted", fabric.Control{Retry: staticBackoff, RetryBudget: dropBucket}},
+	{"paced", fabric.Control{Retry: staticBackoff, RetryBudget: deferBucket}},
+	{"budgeted-adaptive", fabric.Control{Retry: staticBackoff, RetryBudget: adaptiveBucket}},
 }
 
 // hinted builds a shared-signal rung: hintedPolicy backing off from,
@@ -162,6 +167,34 @@ var (
 // coordination study, so their healthy-scenario rows are directly
 // comparable with the retry-coordination grid.
 var (
-	rungBackoff = Rung{"backoff", fabric.Control{Retry: StaticBackoff}}
+	rungBackoff = Rung{"backoff", fabric.Control{Retry: staticBackoff}}
 	faultLadder = []Rung{rungBackoff, rungAIMD, rungHintedOrderer, rungHintedGossip}
 )
+
+// Rungs lists every rung the control studies run, each label once, in
+// ladder order: retry-policies, retry-cotune, retry-coordination, then
+// the faults study's baseline. A label two ladders share names one
+// control.
+func Rungs() []Rung {
+	var rungs []Rung
+	for _, ladder := range [][]Rung{retryLadder, cotuneLadder, coordinationLadder, faultLadder} {
+		for _, r := range ladder {
+			if !slices.ContainsFunc(rungs, func(k Rung) bool { return k.Label == r.Label }) {
+				rungs = append(rungs, r)
+			}
+		}
+	}
+	return rungs
+}
+
+// LookupRung finds a rung of Rungs by its label.
+func LookupRung(label string) (Rung, error) {
+	var labels []string
+	for _, r := range Rungs() {
+		if r.Label == label {
+			return r, nil
+		}
+		labels = append(labels, r.Label)
+	}
+	return Rung{}, fmt.Errorf("core: unknown control %q, want one of %s", label, strings.Join(labels, ", "))
+}

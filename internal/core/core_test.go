@@ -236,17 +236,18 @@ func TestRetryPoliciesExperimentRegistered(t *testing.T) {
 
 func TestRetryGridShape(t *testing.T) {
 	cells := retryGrid(false)
-	if len(RetryPolicies()) < 3 || len(RetrySkews) < 3 {
+	if len(retryLadder) < 3 || len(RetrySkews) < 3 {
 		t.Fatalf("acceptance needs >= 3 policies x 3 skews, got %d x %d",
-			len(RetryPolicies()), len(RetrySkews))
+			len(retryLadder), len(RetrySkews))
 	}
-	// Policy names must be distinct (they are table keys).
+	// Policy names must be distinct (they are table keys) and label
+	// their rungs.
 	names := map[string]bool{}
-	for _, p := range RetryPolicies() {
-		if names[p.Name()] {
-			t.Errorf("duplicate policy name %q", p.Name())
+	for _, r := range retryLadder {
+		if names[r.Label] || r.Label != r.Retry.Name() {
+			t.Errorf("rung %q: duplicate, or not its policy's name %q", r.Label, r.Retry.Name())
 		}
-		names[p.Name()] = true
+		names[r.Label] = true
 	}
 	// Every chaincode covers the full policy x skew plane.
 	type pair struct {
@@ -258,10 +259,10 @@ func TestRetryGridShape(t *testing.T) {
 		seen[pair{c.cc.Name, c.ctl.Retry.Name(), c.skew}] = true
 	}
 	for _, cc := range []string{"ehr", "dv", "scm", "drm"} {
-		for _, p := range RetryPolicies() {
+		for _, r := range retryLadder {
 			for _, skew := range RetrySkews {
-				if !seen[pair{cc, p.Name(), skew}] {
-					t.Errorf("grid misses cell %s/%s/skew=%v", cc, p.Name(), skew)
+				if !seen[pair{cc, r.Label, skew}] {
+					t.Errorf("grid misses cell %s/%s/skew=%v", cc, r.Label, skew)
 				}
 			}
 		}
@@ -323,6 +324,32 @@ func TestControlApplyReplacesWholeStack(t *testing.T) {
 	}
 	if d := fabric.DefaultConfig(); cfg.BlockSize != d.BlockSize || cfg.Rate != d.Rate {
 		t.Error("Apply touched a non-control field")
+	}
+}
+
+// TestLookupRung: every rung of every ladder the studies run is found
+// by its label, with the very control that ladder runs, so no two
+// ladders give one label two controls; an unknown label is an error
+// that lists them all.
+func TestLookupRung(t *testing.T) {
+	labels := map[string]bool{}
+	for _, ladder := range [][]Rung{retryLadder, cotuneLadder, coordinationLadder, faultLadder} {
+		for _, r := range ladder {
+			got, err := LookupRung(r.Label)
+			if err != nil || !reflect.DeepEqual(got, r) {
+				t.Errorf("LookupRung(%q) = %+v, %v; want the ladder's %+v", r.Label, got, err, r)
+			}
+			labels[r.Label] = true
+		}
+	}
+	if len(Rungs()) != len(labels) {
+		t.Errorf("Rungs lists %d rungs, the ladders %d labels", len(Rungs()), len(labels))
+	}
+	_, err := LookupRung("nope")
+	for label := range labels {
+		if err == nil || !strings.Contains(err.Error(), label) {
+			t.Errorf("LookupRung(nope) = %v, want an error listing %q", err, label)
+		}
 	}
 }
 

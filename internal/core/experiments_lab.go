@@ -36,17 +36,13 @@ func labChaincodes(smoke bool) []CCFactory {
 // retryGrid enumerates the retry-policies sweep in deterministic row
 // order: chaincode, policy, skew, block size.
 func retryGrid(smoke bool) []cell {
-	var rungs []Rung
-	for _, p := range RetryPolicies() {
-		rungs = append(rungs, Rung{p.Name(), fabric.Control{Retry: p}})
-	}
 	var cells []cell
 	for _, cc := range labChaincodes(smoke) {
 		sizes := LabBlockSizes
 		if cc.Name == dv.Name || cc.Name == scm.Name {
 			sizes = []int{100}
 		}
-		cells = append(cells, cross(on(C1, cc), byControl(rungs...), bySkew(RetrySkews...), byBlockSize(sizes...))...)
+		cells = append(cells, cross(on(C1, cc), byControl(retryLadder...), bySkew(RetrySkews...), byBlockSize(sizes...))...)
 	}
 	return cells
 }
@@ -217,7 +213,7 @@ func scaleGrid(smoke bool) []cell {
 		clients, channels = []int{100, 1_000}, []int{1, 4}
 	}
 	base := on(C1, EHR)
-	base.skew, base.rate, base.ctl.Retry = 2, 200, StaticBackoff
+	base.skew, base.rate, base.ctl.Retry = 2, 200, staticBackoff
 	return cross(base,
 		axis(clients, func(c *cell, n int) { c.clients = n }),
 		axis(channels, func(c *cell, n int) { c.channels = n }))

@@ -158,7 +158,7 @@ func TestGoldenFullReports(t *testing.T) {
 			cfg.SkipReadOnlySubmission = true
 		})},
 		{"chaos", on(C1, EHR).with(func(cfg *fabric.Config) {
-			cfg.Control = fabric.Control{Retry: StaticBackoff, RetryBudget: deferBucket}
+			cfg.Control = fabric.Control{Retry: staticBackoff, RetryBudget: deferBucket}
 			cfg.Faults = &fabric.Faults{Scenario: "chaos", SubmitTimeout: time.Second}
 		})},
 		{"fireforget", on(C1, EHR).build()},

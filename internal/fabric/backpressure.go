@@ -50,15 +50,6 @@ func pacePause(hint float64) time.Duration {
 	return min(time.Duration(hint*float64(pacingGain)), maxPause)
 }
 
-// ParseBackpressure parses the CLI syntax for the backpressure switch:
-// "off" (or "") disables it and "on" enables it.
-func ParseBackpressure(s string) (*Backpressure, error) {
-	if on, err := parseToggled("backpressure", "", s); !on || err != nil {
-		return nil, err
-	}
-	return &Backpressure{}, nil
-}
-
 // BackpressurePolicy is the orderer-hinted retry policy: instead of a
 // private backoff schedule (ExponentialBackoff) or a private failure
 // window (AdaptivePolicy), every resubmission waits a delay derived

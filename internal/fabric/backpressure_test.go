@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -20,23 +19,6 @@ func TestBackpressurePause(t *testing.T) {
 	}
 	if got := pacePause(3); got != 2*time.Second {
 		t.Errorf("pause(3) = %v, want the 2s cap", got)
-	}
-}
-
-func TestParseBackpressure(t *testing.T) {
-	if bp, err := ParseBackpressure(""); err != nil || bp != nil {
-		t.Errorf("ParseBackpressure(\"\") = %+v, %v", bp, err)
-	}
-	if bp, err := ParseBackpressure("off"); err != nil || bp != nil {
-		t.Errorf("ParseBackpressure(off) = %+v, %v", bp, err)
-	}
-	if bp, err := ParseBackpressure("on"); err != nil || bp == nil {
-		t.Errorf("ParseBackpressure(on) = %+v, %v", bp, err)
-	}
-	for _, in := range []string{"x", "0.3", "0.5:1s:2s", "0.3:500ms", "NaN:1s"} {
-		if bp, err := ParseBackpressure(in); err == nil || bp != nil || !strings.Contains(err.Error(), "want off or on") {
-			t.Errorf("ParseBackpressure(%q) = %+v, %v, want an error naming off|on", in, bp, err)
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package fabric
 import (
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"repro/internal/sim"
@@ -86,46 +85,6 @@ func (b RetryBudget) Validate() error {
 		return fmt.Errorf("fabric: retry budget burst must be a finite count >= 0 tokens, got %g", b.Burst)
 	}
 	return nil
-}
-
-// ParseRetryBudget parses the CLI syntax for the retry budget: ""
-// means no budget, and "rate:burst[:drop|defer][:adaptive]" — e.g.
-// "1:3", "2:5:drop", "1:3:drop:adaptive" — sets the bucket (default
-// mode defer). Rate and burst must be > 0 here: a zero would silently
-// take the documented default instead of meaning "none".
-func ParseRetryBudget(s string) (*RetryBudget, error) {
-	if s == "" {
-		return nil, nil
-	}
-	const usage = "rate:burst[:drop|defer][:adaptive]"
-	parts := strings.Split(s, ":")
-	if len(parts) > 4 {
-		return nil, fmt.Errorf("fabric: retry budget %q: want %s", s, usage)
-	}
-	var b RetryBudget
-	err := parseFields("retry budget", usage, parts[:min(2, len(parts))],
-		req("rate", &b.RefillPerSec), req("burst", &b.Burst))
-	if err != nil {
-		return nil, err
-	}
-	if b.RefillPerSec <= 0 || b.Burst <= 0 {
-		return nil, fmt.Errorf("fabric: retry budget rate and burst must be > 0 (got %g tokens/s, burst %g tokens); omit the budget for none", b.RefillPerSec, b.Burst)
-	}
-	for _, mode := range parts[2:] {
-		switch mode {
-		case "drop":
-			b.DropOnEmpty = true
-		case "defer":
-		case "adaptive":
-			b.Adaptive = true
-		default:
-			return nil, fmt.Errorf("fabric: retry budget mode %q: want drop, defer or adaptive", mode)
-		}
-	}
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	return &b, nil
 }
 
 // tokenBucket is the per-client budget state. It operates in virtual

@@ -459,7 +459,7 @@ type outcome struct {
 // fresh regardless of which attempt carried it — but are otherwise
 // ignored (the attempt was already resolved locally).
 func (c *ClientDriver) onOutcome(o outcome) {
-	if c.paces && c.nw.ctl.HintSource.usesOrderer() {
+	if c.paces && c.nw.ctl.ordererFeeds {
 		c.hints[o.channel] = o.hint
 		// The one mode branch on the path. Scalar mode pushes the raw
 		// hint to the controller on every outcome event (on multi-channel
@@ -541,7 +541,7 @@ func (c *ClientDriver) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
 	// below. The two values route apart: the conflict signal slides the
 	// hint-consuming controller's backoff, the congestion signal
 	// (orderer hints included) drives the pacer.
-	gossipFeeds := c.ctl.consumesHint() && c.gossip != nil && c.nw.ctl.HintSource.usesGossip()
+	gossipFeeds := c.ctl.consumesHint() && c.nw.ctl.gossipFeeds
 	var hint float64
 	if gossipFeeds || c.paces {
 		conflict, congestion := c.signals()
@@ -608,14 +608,14 @@ type jobTimer struct {
 // collapses the pair to its max: one number for backoff and pacing
 // alike.
 func (c *ClientDriver) signals() (conflict, congestion float64) {
-	if c.nw.ctl.HintSource.usesOrderer() {
+	if c.nw.ctl.ordererFeeds {
 		for _, ch := range c.hints {
 			if ch > congestion {
 				congestion = ch
 			}
 		}
 	}
-	if c.gossip != nil && c.nw.ctl.HintSource.usesGossip() {
+	if c.nw.ctl.gossipFeeds {
 		e, stale := c.gossip.estimate(c.nw.eng.Now())
 		c.nw.col.RecordGossipUse(stale)
 		conflict = e.Conflict

@@ -322,19 +322,10 @@ func (c Control) Validate() error {
 	if err := c.HintSource.Validate(); err != nil {
 		return err
 	}
-	if c.HintSource.usesGossip() && c.Gossip == nil {
+	if c.Gossip == nil && (c.HintSource == HintGossip || c.HintSource == HintBoth) {
 		return fmt.Errorf("fabric: hint source %q needs Config.Gossip", string(c.HintSource))
 	}
 	return nil
-}
-
-// HintProducers reports which producers actually feed the hint path:
-// the orderer's when backpressure is on and HintSource includes it, the
-// gossip estimate when gossip is on and HintSource includes it. With
-// neither, a hint-consuming policy sees a constant zero.
-func (c Control) HintProducers() (orderer, gossip bool) {
-	return c.Backpressure != nil && c.HintSource.usesOrderer(),
-		c.Gossip != nil && c.HintSource.usesGossip()
 }
 
 // resolvedControl is the control stack a network runs: Retry never nil,
@@ -343,10 +334,14 @@ func (c Control) HintProducers() (orderer, gossip bool) {
 // on this run nil — no events, no rng draws. tracking
 // reports whether clients track pending transactions and receive commit
 // events at all; when false the commit-event plumbing is inert and the
-// run is the paper's fire-and-forget one.
+// run is the paper's fire-and-forget one. ordererFeeds and gossipFeeds
+// report which producers actually feed the hint path: the orderer's
+// when backpressure is on and HintSource includes it, the gossip
+// estimate when gossip survives and HintSource includes it. With
+// neither, a hint-consuming policy sees a constant zero.
 type resolvedControl struct {
 	Control
-	tracking bool
+	tracking, ordererFeeds, gossipFeeds bool
 }
 
 // resolve applies defaults and the outcome-tracking rule (see Control).
@@ -365,7 +360,9 @@ func (c Control) resolve(closedLoop bool) resolvedControl {
 		g := c.Gossip.withDefaults()
 		c.Gossip = &g
 	}
-	return resolvedControl{c, tracking}
+	return resolvedControl{c, tracking,
+		c.Backpressure != nil && c.HintSource != HintGossip,
+		c.Gossip != nil && (c.HintSource == HintGossip || c.HintSource == HintBoth)}
 }
 
 // Variant is a pluggable Fabric fork. The zero behaviour (vanilla

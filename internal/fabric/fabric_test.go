@@ -264,8 +264,8 @@ func TestResolveDropsInertSubsystems(t *testing.T) {
 	if r.RetryBudget != nil || r.Gossip != nil || r.SplitSignal != nil {
 		t.Errorf("inert subsystems survived: %+v", r.Control)
 	}
-	if orderer, gossip := r.HintProducers(); !orderer || gossip {
-		t.Errorf("orderer hint must survive alone: orderer=%v gossip=%v", orderer, gossip)
+	if !r.ordererFeeds || r.gossipFeeds {
+		t.Errorf("orderer hint must survive alone: orderer=%v gossip=%v", r.ordererFeeds, r.gossipFeeds)
 	}
 	for _, r := range []resolvedControl{
 		full.resolve(true),

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -165,11 +166,11 @@ func (ev FaultEvent) validate() error {
 	}
 	switch ev.Kind {
 	case FaultLoss:
-		if ev.Factor <= 0 || ev.Factor > 1 {
+		if !(ev.Factor > 0 && ev.Factor <= 1) { // NaN fails too
 			return fmt.Errorf("loss probability must be in (0,1], got %g", ev.Factor)
 		}
 	case FaultSlowDB:
-		if ev.Factor < 1 {
+		if !inRange(ev.Factor, 1, math.MaxFloat64) {
 			return fmt.Errorf("slowdb cost multiplier must be >= 1, got %g", ev.Factor)
 		}
 	case FaultStraggler:
@@ -183,8 +184,8 @@ func (ev FaultEvent) validate() error {
 	return nil
 }
 
-// clause renders the event like the `-faults` clause that declares it,
-// without the kind-specific parameter: "crash-peer:3@5s+6s".
+// clause names the event in error messages by kind, target and
+// window: "crash-peer:3@5s+6s".
 func (ev FaultEvent) clause() string {
 	return fmt.Sprintf("%s:%d@%v+%v", string(ev.Kind), ev.Target, ev.At, ev.For)
 }
@@ -293,118 +294,6 @@ func (f Faults) resolve(seed int64, dur time.Duration, peers, orgs, channels int
 		}
 	}
 	return f
-}
-
-// ParseFaults parses the CLI `-faults` spec. "off" (or "") disables
-// fault injection. A bare scenario name ("crash", "chaos", ...)
-// selects that predefined script. Otherwise the spec is a
-// comma-separated clause list:
-//
-//	kind[:target]@start+dur[:param]   one fault window
-//	etimeout=DUR                      client endorsement deadline
-//	stimeout=DUR                      client submission deadline
-//
-// where kind is crash-peer, crash-orderer, partition, straggler, loss
-// or slowdb; target is the victim index (peer, channel or org,
-// defaulting to 0); start and dur are Go durations on the virtual
-// clock; and param is kind-specific — straggler "base[~jitter]"
-// (default 100ms~10ms), loss drop probability (default 0.1), slowdb
-// cost multiplier (default 4). Example:
-//
-//	crash-peer:1@5s+10s,partition:1@20s+5s,etimeout=2s,stimeout=4s
-func ParseFaults(s string) (*Faults, error) {
-	switch strings.ToLower(s) {
-	case "", "off":
-		return nil, nil
-	}
-	if slices.Contains(FaultScenarios(), s) {
-		return &Faults{Scenario: s}, nil
-	}
-	var f Faults
-	for _, clause := range strings.Split(s, ",") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			return nil, fmt.Errorf("fabric: faults %q: empty clause", s)
-		}
-		if v, ok := strings.CutPrefix(clause, "etimeout="); ok {
-			if err := parseValue("faults endorsement timeout", v, &f.EndorseTimeout); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if v, ok := strings.CutPrefix(clause, "stimeout="); ok {
-			if err := parseValue("faults submission timeout", v, &f.SubmitTimeout); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		ev, err := parseFaultEvent(clause)
-		if err != nil {
-			return nil, err
-		}
-		f.Events = append(f.Events, ev)
-	}
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
-// parseFaultEvent parses one `kind[:target]@start+dur[:param]` clause.
-func parseFaultEvent(clause string) (FaultEvent, error) {
-	var ev FaultEvent
-	head, tail, ok := strings.Cut(clause, "@")
-	if !ok {
-		return ev, fmt.Errorf("fabric: fault clause %q: want kind[:target]@start+dur[:param]", clause)
-	}
-	kind, target, hasTarget := strings.Cut(head, ":")
-	ev.Kind = FaultKind(kind)
-	if hasTarget {
-		if err := parseValue("fault target", target, &ev.Target); err != nil {
-			return ev, err
-		}
-	}
-	startStr, durStr, ok := strings.Cut(tail, "+")
-	if !ok {
-		return ev, fmt.Errorf("fabric: fault window %q: want start+dur", tail)
-	}
-	durStr, param, hasParam := strings.Cut(durStr, ":")
-	if err := parseValue("fault window start", startStr, &ev.At); err != nil {
-		return ev, err
-	}
-	if err := parseValue("fault window length", durStr, &ev.For); err != nil {
-		return ev, err
-	}
-
-	// Each kind's parameter is one more typed field with a default.
-	var err error
-	switch ev.Kind {
-	case FaultStraggler:
-		ev.Extra = netem.Link{Base: 100 * time.Millisecond, Jitter: 10 * time.Millisecond}
-		if hasParam {
-			ev.Extra.Jitter = 0
-			err = parseFields("straggler", "base[~jitter]", strings.Split(param, "~"),
-				req("delay", &ev.Extra.Base), opt("jitter", &ev.Extra.Jitter))
-		}
-	case FaultLoss:
-		ev.Factor = 0.1
-		if hasParam {
-			err = parseValue("loss probability", param, &ev.Factor)
-		}
-	case FaultSlowDB:
-		ev.Factor = 4
-		if hasParam {
-			err = parseValue("slowdb multiplier", param, &ev.Factor)
-		}
-	default:
-		if hasParam {
-			err = fmt.Errorf("fabric: fault kind %q takes no parameter, got %q", string(ev.Kind), param)
-		}
-	}
-	if err == nil {
-		err = ev.validate()
-	}
-	return ev, err
 }
 
 // scheduleFaults arms the resolved fault schedule on the virtual

@@ -268,51 +268,64 @@ func TestPeerCrashLeavesStaleCommitsBehind(t *testing.T) {
 	}
 }
 
+// win is one fault window of kind on target, opening at second at and
+// lasting dur seconds. factor parameterizes loss and slowdb; a
+// straggler adds 100ms±10ms.
+func win(kind FaultKind, target, at, dur int, factor float64) FaultEvent {
+	ev := FaultEvent{Kind: kind, Target: target, At: time.Duration(at) * time.Second,
+		For: time.Duration(dur) * time.Second, Factor: factor}
+	if kind == FaultStraggler {
+		ev.Extra = netem.Link{Base: 100 * time.Millisecond, Jitter: 10 * time.Millisecond}
+	}
+	return ev
+}
+
 // TestFaultOverlapRejected: a fault window restores the state it found
 // when it ends, so two windows of one kind that intersect or touch on
 // one victim corrupt the run — a nested crash restarts the peer early
 // with its backlog overwritten (it ends blocks short of its savepoint),
-// a nested slowdb leaves the scaled cost table in place for good. Both
-// are parseable -faults specs; Config.Validate, which knows the
-// topology the targets wrap in, must refuse them and name both events.
+// a nested slowdb leaves the scaled cost table in place for good. Each
+// window is valid on its own; Config.Validate, which knows the topology
+// the targets wrap in, must refuse the pair and name both events.
 func TestFaultOverlapRejected(t *testing.T) {
 	cases := []struct {
-		name, spec string
-		channels   int
-		want       []string // both clauses, as the message names them
+		name     string
+		events   []FaultEvent
+		channels int
+		want     []string // both events, as the message names them
 	}{
-		{"nested crash-peer", "crash-peer:3@5s+6s,crash-peer:3@7s+1s", 1,
+		{"nested crash-peer", []FaultEvent{win(FaultCrashPeer, 3, 5, 6, 0), win(FaultCrashPeer, 3, 7, 1, 0)}, 1,
 			[]string{"crash-peer:3@5s+6s", "crash-peer:3@7s+1s", "crash-peer windows"}},
-		{"nested slowdb", "slowdb@2s+6s:4,slowdb@4s+1s:2", 1,
+		{"nested slowdb", []FaultEvent{win(FaultSlowDB, 0, 2, 6, 4), win(FaultSlowDB, 0, 4, 1, 2)}, 1,
 			[]string{"slowdb:0@2s+6s", "slowdb:0@4s+1s", "slowdb windows"}},
-		{"crash-peer aliases on 4 peers", "crash-peer:1@5s+2s,crash-peer:5@6s+2s", 1,
+		{"crash-peer aliases on 4 peers", []FaultEvent{win(FaultCrashPeer, 1, 5, 2, 0), win(FaultCrashPeer, 5, 6, 2, 0)}, 1,
 			[]string{"crash-peer:1@5s+2s", "crash-peer:5@6s+2s"}},
-		{"crash-orderer aliases on 2 channels", "crash-orderer:0@5s+2s,crash-orderer:2@6s+2s", 2,
+		{"crash-orderer aliases on 2 channels", []FaultEvent{win(FaultCrashOrderer, 0, 5, 2, 0), win(FaultCrashOrderer, 2, 6, 2, 0)}, 2,
 			[]string{"crash-orderer:0@5s+2s", "crash-orderer:2@6s+2s"}},
-		{"partitions of two orgs share the cut", "partition:0@5s+2s,partition:1@6s+2s", 1,
+		{"partitions of two orgs share the cut", []FaultEvent{win(FaultPartition, 0, 5, 2, 0), win(FaultPartition, 1, 6, 2, 0)}, 1,
 			[]string{"partition:0@5s+2s", "partition:1@6s+2s"}},
-		{"slowdb targets are ignored", "slowdb:1@5s+2s,slowdb:2@6s+2s", 1,
+		{"slowdb targets are ignored", []FaultEvent{win(FaultSlowDB, 1, 5, 2, 4), win(FaultSlowDB, 2, 6, 2, 4)}, 1,
 			[]string{"slowdb:1@5s+2s", "slowdb:2@6s+2s"}},
-		{"partial straggler overlap", "straggler:2@1s+3s,straggler:2@3s+3s", 1,
+		{"partial straggler overlap", []FaultEvent{win(FaultStraggler, 2, 1, 3, 0), win(FaultStraggler, 2, 3, 3, 0)}, 1,
 			[]string{"straggler:2@1s+3s", "straggler:2@3s+3s"}},
-		{"loss, later window listed first", "loss:0@6s+2s,loss:0@5s+2s", 1,
+		{"loss, later window listed first", []FaultEvent{win(FaultLoss, 0, 6, 2, 0.1), win(FaultLoss, 0, 5, 2, 0.1)}, 1,
 			[]string{"loss:0@6s+2s", "loss:0@5s+2s"}},
-		{"back to back", "crash-peer:3@5s+2s,crash-peer:3@7s+2s", 1,
+		{"back to back", []FaultEvent{win(FaultCrashPeer, 3, 5, 2, 0), win(FaultCrashPeer, 3, 7, 2, 0)}, 1,
 			[]string{"crash-peer:3@5s+2s", "crash-peer:3@7s+2s", "overlap or touch"}},
-		{"back to back, later window listed first", "crash-peer:3@7s+2s,crash-peer:3@5s+2s", 1,
+		{"back to back, later window listed first", []FaultEvent{win(FaultCrashPeer, 3, 7, 2, 0), win(FaultCrashPeer, 3, 5, 2, 0)}, 1,
 			[]string{"crash-peer:3@7s+2s", "crash-peer:3@5s+2s", "overlap or touch"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f, err := ParseFaults(tc.spec)
-			if err != nil {
-				t.Fatalf("the spec must parse, the topology decides: %v", err)
+			f := &Faults{Events: tc.events}
+			if err := f.Validate(); err != nil {
+				t.Fatalf("each window must validate alone, the topology decides: %v", err)
 			}
 			cfg := faultConfig(4, f)
 			cfg.Channels = tc.channels
-			err = cfg.Validate()
+			err := cfg.Validate()
 			if err == nil {
-				t.Fatalf("Config.Validate accepted %s", tc.spec)
+				t.Fatalf("Config.Validate accepted %s", tc.name)
 			}
 			for _, want := range tc.want {
 				if !strings.Contains(err.Error(), want) {
@@ -333,32 +346,35 @@ func TestFaultOverlapRejected(t *testing.T) {
 // with nothing left in the validator's memo and the base cost table
 // back.
 func TestFaultOverlapAllowsIndependentWindows(t *testing.T) {
-	for _, spec := range []string{
-		"crash-peer:3@5s+4s,straggler:3@6s+1s,loss:3@4s+6s:0.2,slowdb@5s+4s:2,partition:1@12s+1s",
-		"crash-peer:2@5s+3s,crash-peer:3@6s+3s",
-		"crash-peer:3@5s+2s,crash-peer:3@8s+1s,slowdb@2s+1s:4,slowdb@4s+1s:2",
-		"crash-peer:3@8s+1s,crash-peer:3@5s+2s,slowdb@4s+1s:2,slowdb@2s+1s:4",
+	for _, c := range []struct {
+		name   string
+		events []FaultEvent
+	}{
+		{"five kinds on peer 3", []FaultEvent{win(FaultCrashPeer, 3, 5, 4, 0), win(FaultStraggler, 3, 6, 1, 0),
+			win(FaultLoss, 3, 4, 6, 0.2), win(FaultSlowDB, 0, 5, 4, 2), win(FaultPartition, 1, 12, 1, 0)}},
+		{"two peers at once", []FaultEvent{win(FaultCrashPeer, 2, 5, 3, 0), win(FaultCrashPeer, 3, 6, 3, 0)}},
+		{"after a gap", []FaultEvent{win(FaultCrashPeer, 3, 5, 2, 0), win(FaultCrashPeer, 3, 8, 1, 0),
+			win(FaultSlowDB, 0, 2, 1, 4), win(FaultSlowDB, 0, 4, 1, 2)}},
+		{"after a gap, later window listed first", []FaultEvent{win(FaultCrashPeer, 3, 8, 1, 0), win(FaultCrashPeer, 3, 5, 2, 0),
+			win(FaultSlowDB, 0, 4, 1, 2), win(FaultSlowDB, 0, 2, 1, 4)}},
 	} {
-		f, err := ParseFaults(spec + ",etimeout=1s,stimeout=4s")
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := &Faults{Events: c.events, EndorseTimeout: time.Second, SubmitTimeout: 4 * time.Second}
 		nw, rep := run(t, faultConfig(4, f))
 		if rep.FaultWindows != len(f.Events) {
-			t.Errorf("%s: %d windows opened, want %d", spec, rep.FaultWindows, len(f.Events))
+			t.Errorf("%s: %d windows opened, want %d", c.name, rep.FaultWindows, len(f.Events))
 		}
 		v := nw.vals[0]
 		for _, p := range nw.peers {
 			if p.State() != NodeUp || uint64(p.committedBlocks) != v.next || p.DB().Savepoint() != v.next {
 				t.Errorf("%s: peer %s ended %v with %d of %d blocks, savepoint %d",
-					spec, p.name, p.State(), p.committedBlocks, v.next, p.DB().Savepoint())
+					c.name, p.name, p.State(), p.committedBlocks, v.next, p.DB().Savepoint())
 			}
 		}
 		if len(v.memo) != 0 {
-			t.Errorf("%s: %d validation outcomes still held at drain", spec, len(v.memo))
+			t.Errorf("%s: %d validation outcomes still held at drain", c.name, len(v.memo))
 		}
 		if nw.dbCosts != costmodel.ForKind(nw.cfg.DBKind) {
-			t.Errorf("%s: the run ended with cost table %+v", spec, nw.dbCosts)
+			t.Errorf("%s: the run ended with cost table %+v", c.name, nw.dbCosts)
 		}
 	}
 }
@@ -672,122 +688,4 @@ func TestValidateFaultsKnobs(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestParseFaults table-tests the -faults grammar.
-func TestParseFaults(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    *Faults
-		wantErr string // substring; "" = must parse
-	}{
-		{"", nil, ""},
-		{"off", nil, ""},
-		{"crash", &Faults{Scenario: "crash"}, ""},
-		{"chaos", &Faults{Scenario: "chaos"}, ""},
-		{"crash-peer:1@5s+10s", &Faults{Events: []FaultEvent{
-			{Kind: FaultCrashPeer, At: 5 * time.Second, For: 10 * time.Second, Target: 1},
-		}}, ""},
-		{"crash-orderer@1s+2s,etimeout=2s,stimeout=4s", &Faults{
-			Events: []FaultEvent{
-				{Kind: FaultCrashOrderer, At: time.Second, For: 2 * time.Second},
-			},
-			EndorseTimeout: 2 * time.Second,
-			SubmitTimeout:  4 * time.Second,
-		}, ""},
-		{"loss:2@1s+4s:0.2", &Faults{Events: []FaultEvent{
-			{Kind: FaultLoss, At: time.Second, For: 4 * time.Second, Target: 2, Factor: 0.2},
-		}}, ""},
-		{"loss@1s+4s", &Faults{Events: []FaultEvent{
-			{Kind: FaultLoss, At: time.Second, For: 4 * time.Second, Factor: 0.1},
-		}}, ""},
-		{"slowdb@1s+2s:8", &Faults{Events: []FaultEvent{
-			{Kind: FaultSlowDB, At: time.Second, For: 2 * time.Second, Factor: 8},
-		}}, ""},
-		{"straggler:3@1s+2s:50ms~5ms", &Faults{Events: []FaultEvent{
-			{Kind: FaultStraggler, At: time.Second, For: 2 * time.Second, Target: 3,
-				Extra: netem.Link{Base: 50 * time.Millisecond, Jitter: 5 * time.Millisecond}},
-		}}, ""},
-		{"straggler@1s+2s", &Faults{Events: []FaultEvent{
-			{Kind: FaultStraggler, At: time.Second, For: 2 * time.Second,
-				Extra: netem.Link{Base: 100 * time.Millisecond, Jitter: 10 * time.Millisecond}},
-		}}, ""},
-		{"bogus", nil, "want kind[:target]@start+dur[:param]"},
-		{"crash-peer@5s", nil, "want start+dur"},
-		{"crash-peer:x@5s+1s", nil, "fault target"},
-		{"crash-peer@5s+1s:3", nil, "takes no parameter"},
-		{"loss@1s+2s:nope", nil, "loss probability"},
-		{"loss@1s+2s:2", nil, "must be in (0,1]"},
-		{"etimeout=fast", nil, "endorsement timeout"},
-		{"stimeout=", nil, "submission timeout"},
-		{"crash,partition", nil, "want kind[:target]@start+dur[:param]"},
-		{",", nil, "empty clause"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.in, func(t *testing.T) {
-			got, err := ParseFaults(tc.in)
-			if tc.wantErr != "" {
-				if err == nil {
-					t.Fatalf("ParseFaults(%q) accepted, want error mentioning %q", tc.in, tc.wantErr)
-				}
-				if !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("error %q does not mention %q", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("ParseFaults(%q): %v", tc.in, err)
-			}
-			if (got == nil) != (tc.want == nil) {
-				t.Fatalf("ParseFaults(%q) = %+v, want %+v", tc.in, got, tc.want)
-			}
-			if got == nil {
-				return
-			}
-			if got.Scenario != tc.want.Scenario ||
-				got.EndorseTimeout != tc.want.EndorseTimeout ||
-				got.SubmitTimeout != tc.want.SubmitTimeout ||
-				len(got.Events) != len(tc.want.Events) {
-				t.Fatalf("ParseFaults(%q) = %+v, want %+v", tc.in, got, tc.want)
-			}
-			for i := range got.Events {
-				if got.Events[i] != tc.want.Events[i] {
-					t.Errorf("event %d = %+v, want %+v", i, got.Events[i], tc.want.Events[i])
-				}
-			}
-		})
-	}
-}
-
-// FuzzFaultSpec fuzzes the -faults parser: it must never panic, and
-// anything it accepts must validate and carry a printable name (the
-// same contract the CLI relies on).
-func FuzzFaultSpec(f *testing.F) {
-	for _, seed := range []string{
-		"", "off", "crash", "chaos", "slowdb",
-		"crash-peer:1@5s+10s,etimeout=2s",
-		"partition:1@2s+3s",
-		"loss:0@1s+4s:0.2",
-		"straggler:2@1s+2s:100ms~10ms",
-		"slowdb@1s+2s:4",
-		"crash-orderer@1s+2s,stimeout=4s",
-		"bogus", "crash-peer@5s", "loss@1s+2s:2", ",", "etimeout=",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		flt, err := ParseFaults(s)
-		if err != nil {
-			if flt != nil {
-				t.Errorf("ParseFaults(%q) returned both a schedule and %v", s, err)
-			}
-			return
-		}
-		if flt == nil {
-			return // disabled
-		}
-		if verr := flt.Validate(); verr != nil {
-			t.Errorf("ParseFaults(%q) accepted a schedule that fails Validate: %v", s, verr)
-		}
-	})
 }

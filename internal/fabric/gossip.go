@@ -3,7 +3,6 @@ package fabric
 import (
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"repro/internal/sim"
@@ -73,21 +72,6 @@ func (g Gossip) Validate() error {
 	return nil
 }
 
-// ParseGossip parses the CLI syntax for the gossip spec: "off" (or
-// "") disables it, "on" enables it with the documented defaults, and
-// "fanout:period" — e.g. "2:500ms" — sets the knobs explicitly.
-func ParseGossip(s string) (*Gossip, error) {
-	var g Gossip
-	on, err := parseToggled("gossip", "fanout:period", s, req("fanout", &g.Fanout), req("period", &g.Period))
-	if err != nil || !on {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return &g, nil
-}
-
 // HintSource selects which producer feeds the congestion hint that
 // clients pace by and that BackpressurePolicy reads.
 type HintSource string
@@ -109,13 +93,6 @@ const (
 	HintBoth HintSource = "both"
 )
 
-// usesOrderer reports whether the orderer's hint feeds clients (the
-// zero value is the orderer).
-func (s HintSource) usesOrderer() bool { return s != HintGossip }
-
-// usesGossip reports whether the gossip estimate feeds clients.
-func (s HintSource) usesGossip() bool { return s == HintGossip || s == HintBoth }
-
 // Validate reports unknown hint sources.
 func (s HintSource) Validate() error {
 	switch s {
@@ -123,19 +100,6 @@ func (s HintSource) Validate() error {
 		return nil
 	}
 	return fmt.Errorf("fabric: hint source %q: want orderer, gossip or both", string(s))
-}
-
-// ParseHintSource parses the CLI syntax for Config.HintSource ("" and
-// "orderer" both mean the default orderer producer).
-func ParseHintSource(s string) (HintSource, error) {
-	src := HintSource(strings.ToLower(s))
-	if src == "" {
-		src = HintOrderer
-	}
-	if err := src.Validate(); err != nil {
-		return "", err
-	}
-	return src, nil
 }
 
 // ClampEstimate bounds a congestion estimate to [0,1]; NaN maps to 0

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -42,55 +41,22 @@ func TestHintSourceValidation(t *testing.T) {
 	if err := HintSource("fleet").Validate(); err == nil {
 		t.Error("unknown hint source validated")
 	}
-	if !HintSource("").usesOrderer() || HintSource("").usesGossip() {
-		t.Error("empty source must resolve to orderer-only")
-	}
-	if !HintBoth.usesOrderer() || !HintBoth.usesGossip() {
-		t.Error("both must use both producers")
-	}
-	if HintGossip.usesOrderer() || !HintGossip.usesGossip() {
-		t.Error("gossip source must not use the orderer")
+	// Which producers feed the hint path is resolved once, per source.
+	for _, c := range []struct {
+		src             HintSource
+		orderer, gossip bool
+	}{{"", true, false}, {HintOrderer, true, false}, {HintGossip, false, true}, {HintBoth, true, true}} {
+		ctl := Control{Retry: ImmediateRetry{}, Backpressure: &Backpressure{}, Gossip: &Gossip{}, HintSource: c.src}
+		if r := ctl.resolve(false); r.ordererFeeds != c.orderer || r.gossipFeeds != c.gossip {
+			t.Errorf("source %q: orderer feeds %v, gossip feeds %v; want %v, %v",
+				c.src, r.ordererFeeds, r.gossipFeeds, c.orderer, c.gossip)
+		}
 	}
 	// gossip/both without Config.Gossip is a config error.
 	cfg := retryConfig(1, ImmediateRetry{MaxAttempts: 3})
 	cfg.HintSource = HintGossip
 	if _, err := NewNetwork(cfg); err == nil {
 		t.Error("hint source gossip accepted without Config.Gossip")
-	}
-}
-
-func TestParseGossip(t *testing.T) {
-	if g, err := ParseGossip(""); err != nil || g != nil {
-		t.Errorf("ParseGossip(\"\") = %+v, %v", g, err)
-	}
-	if g, err := ParseGossip("off"); err != nil || g != nil {
-		t.Errorf("ParseGossip(off) = %+v, %v", g, err)
-	}
-	if g, err := ParseGossip("on"); err != nil || g == nil || *g != (Gossip{}) {
-		t.Errorf("ParseGossip(on) = %+v, %v", g, err)
-	}
-	want := Gossip{Fanout: 3, Period: 250 * time.Millisecond}
-	if g, err := ParseGossip("3:250ms"); err != nil || g == nil || *g != want {
-		t.Errorf("ParseGossip(3:250ms) = %+v, %v", g, err)
-	}
-	for _, in := range []string{"x", "3", "a:1s", "3:zz", "3:1s:zz", "-1:1s", "3:1s:0.5:9"} {
-		if _, err := ParseGossip(in); err == nil {
-			t.Errorf("ParseGossip(%q) accepted", in)
-		}
-	}
-	for _, in := range []string{"2:500ms:0.5", "x"} {
-		if _, err := ParseGossip(in); err == nil || !strings.Contains(err.Error(), "want off, on or fanout:period") {
-			t.Errorf("ParseGossip(%q) = %v, want an error naming the grammar", in, err)
-		}
-	}
-	if src, err := ParseHintSource(""); err != nil || src != HintOrderer {
-		t.Errorf("ParseHintSource(\"\") = %q, %v", src, err)
-	}
-	if src, err := ParseHintSource("BOTH"); err != nil || src != HintBoth {
-		t.Errorf("ParseHintSource(BOTH) = %q, %v", src, err)
-	}
-	if _, err := ParseHintSource("fleet"); err == nil {
-		t.Error("ParseHintSource(fleet) accepted")
 	}
 }
 

@@ -375,7 +375,7 @@ func checkHintRange(ctl resolvedControl, rep metrics.Report) error {
 	} else if rep.PacedSubmissions != 0 || rep.Paced != (metrics.Series[time.Duration]{}) {
 		return fmt.Errorf("no pacer runs but paced=%d pauses %+v", rep.PacedSubmissions, rep.Paced)
 	}
-	if orderer, _ := ctl.HintProducers(); !orderer && rep.Hint != (metrics.Series[float64]{}) {
+	if !ctl.ordererFeeds && rep.Hint != (metrics.Series[float64]{}) {
 		return fmt.Errorf("orderer hints off but trajectory %+v", rep.Hint)
 	}
 	if ctl.Gossip == nil && (rep.GossipMessages != 0 || rep.GossipMerges != 0 ||

@@ -196,7 +196,7 @@ func (os *OrderingService) cut() {
 	os.pendingBytes = 0
 	os.timerArmed = false
 	os.timerEpoch++
-	if orderer, _ := os.nw.ctl.HintProducers(); orderer {
+	if os.nw.ctl.ordererFeeds {
 		os.updateHint()
 	}
 

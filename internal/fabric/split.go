@@ -87,15 +87,6 @@ func ClassifyOutcome(code ledger.ValidationCode) SignalClass {
 // existed (byte-identical, pinned by every pre-split golden).
 type SplitSignal struct{}
 
-// ParseSplitSignal parses the CLI syntax for the split-signal switch:
-// "off" (or "") disables it and "on" enables it.
-func ParseSplitSignal(s string) (*SplitSignal, error) {
-	if on, err := parseToggled("split signal", "", s); !on || err != nil {
-		return nil, err
-	}
-	return &SplitSignal{}, nil
-}
-
 // SplitEstimate is the client signal every gossip message carries: the
 // conflict and congestion estimates, each in [0,1] and each merged and
 // decayed independently — a fleet-wide conflict storm must not

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -43,20 +42,7 @@ func TestClassifyOutcome(t *testing.T) {
 	}
 }
 
-func TestSplitSignalValidateAndParse(t *testing.T) {
-	for _, off := range []string{"", "off"} {
-		if sp, err := ParseSplitSignal(off); err != nil || sp != nil {
-			t.Errorf("ParseSplitSignal(%q) = %v, %v, want nil, nil", off, sp, err)
-		}
-	}
-	if sp, err := ParseSplitSignal("on"); err != nil || sp == nil {
-		t.Errorf("ParseSplitSignal(on) = %v, %v", sp, err)
-	}
-	for _, in := range []string{"wat", "3s"} {
-		if sp, err := ParseSplitSignal(in); err == nil || sp != nil || !strings.Contains(err.Error(), "want off or on") {
-			t.Errorf("ParseSplitSignal(%q) = %v, %v, want an error naming off|on", in, sp, err)
-		}
-	}
+func TestSplitSignalValidate(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.SplitSignal = &SplitSignal{}
 	if err := cfg.Validate(); err != nil {

@@ -93,14 +93,14 @@ func (t ThinkTime) sample(eng *sim.Engine) time.Duration {
 // ParseThinkTime parses the CLI syntax for a think-time spec:
 // "none", "fixed:500ms", "exp:2s" or "lognormal:1s".
 func ParseThinkTime(s string) (ThinkTime, error) {
-	parts := strings.Split(s, ":")
+	name, mean, hasMean := strings.Cut(s, ":")
 	var t ThinkTime
-	switch strings.ToLower(parts[0]) {
+	switch strings.ToLower(name) {
 	case "", "none":
-		if len(parts) > 1 {
-			return ThinkTime{}, fmt.Errorf("fabric: think time %q: none takes no arguments", s)
+		if hasMean {
+			return t, fmt.Errorf("fabric: think time %q: none takes no arguments", s)
 		}
-		return ThinkTime{}, nil
+		return t, nil
 	case "fixed":
 		t.Kind = ThinkFixed
 	case "exp", "exponential":
@@ -108,13 +108,13 @@ func ParseThinkTime(s string) (ThinkTime, error) {
 	case "lognormal":
 		t.Kind = ThinkLogNormal
 	default:
-		return ThinkTime{}, fmt.Errorf("fabric: unknown think time distribution %q", parts[0])
+		return t, fmt.Errorf("fabric: unknown think time distribution %q", name)
 	}
-	err := parseFields(parts[0]+" think time", "a mean, e.g. "+parts[0]+":500ms", parts[1:], req("mean", &t.Mean))
-	if err == nil {
-		err = t.Validate()
+	var err error
+	if t.Mean, err = time.ParseDuration(mean); err != nil {
+		return ThinkTime{}, fmt.Errorf("fabric: think time %q: want a mean, e.g. %s:500ms", s, name)
 	}
-	if err != nil {
+	if err := t.Validate(); err != nil {
 		return ThinkTime{}, err
 	}
 	return t, nil
