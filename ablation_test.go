@@ -68,29 +68,3 @@ func BenchmarkAblationClientCheck(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationDatabase compares the state-database backends on
-// the same load (the Fig 11 knob as a microbenchmark).
-func BenchmarkAblationDatabase(b *testing.B) {
-	for _, kind := range []struct {
-		name string
-		kind interface{ String() string }
-	}{{"couchdb", CouchDB}, {"leveldb", LevelDB}} {
-		kind := kind
-		b.Run(kind.name, func(b *testing.B) {
-			var last Report
-			for i := 0; i < b.N; i++ {
-				cfg := ablationCfg(int64(i + 1))
-				if kind.name == "leveldb" {
-					cfg.DBKind = LevelDB
-				}
-				nw, err := NewNetwork(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = nw.Run()
-			}
-			reportRun(b, last)
-		})
-	}
-}

@@ -45,6 +45,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -53,6 +54,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/gen"
+	"repro/internal/metrics"
 	"repro/internal/statedb"
 )
 
@@ -283,49 +285,7 @@ func adhoc(c *cli) {
 		c.control, cfg.Retry.Name(), mode,
 		cfg.Duration, time.Since(start).Round(time.Millisecond))
 	fmt.Println(rep)
-	if _, none := cfg.Retry.(fabric.NoRetry); !none || cfg.ClosedLoop {
-		fmt.Printf("effective: jobs=%d eventual-valid=%d gave-up=%d attempts=%d e2e=%v\n",
-			rep.Jobs, rep.EventualValid, rep.GaveUp, rep.Attempts,
-			rep.AvgEndToEnd.Round(time.Millisecond))
-	}
-	if cfg.RetryBudget != nil {
-		fmt.Printf("budget: exhausted=%d deferred=%d max-deferred-depth=%d\n",
-			rep.BudgetExhausted, rep.DeferredRetries, rep.MaxDeferredDepth)
-	}
-	if rep.Backoff.Max > 0 {
-		fmt.Printf("adaptive backoff: avg=%v max=%v final=%v\n",
-			rep.Backoff.Avg().Round(time.Millisecond),
-			rep.Backoff.Max.Round(time.Millisecond),
-			rep.Backoff.Last.Round(time.Millisecond))
-	}
-	if cfg.Backpressure != nil {
-		fmt.Printf("backpressure: hint avg=%.3f max=%.3f final=%.3f paced=%d time-paced=%v\n",
-			rep.Hint.Avg(), rep.Hint.Max,
-			rep.Hint.Last, rep.PacedSubmissions,
-			rep.Paced.Sum.Round(time.Millisecond))
-	}
-	if cfg.Gossip != nil {
-		fmt.Printf("gossip via %s: msgs=%d merges=%d est avg=%.3f max=%.3f final=%.3f stale avg=%v max=%v\n",
-			cfg.HintSource, rep.GossipMessages, rep.GossipMerges,
-			rep.GossipEstimate.Avg(), rep.GossipEstimate.Max, rep.GossipEstimate.Last,
-			rep.GossipStaleness.Avg().Round(time.Millisecond),
-			rep.GossipStaleness.Max.Round(time.Millisecond))
-	}
-	if cfg.SplitSignal != nil {
-		fmt.Printf("split: conflict avg=%.3f max=%.3f final=%.3f congestion avg=%.3f max=%.3f final=%.3f\n",
-			rep.ConflictEst.Avg(), rep.ConflictEst.Max,
-			rep.ConflictEst.Last, rep.CongestEst.Avg(), rep.CongestEst.Max,
-			rep.CongestEst.Last)
-	}
-	if cfg.Faults != nil {
-		fmt.Printf("faults %s: windows=%d crashes=%d downtime=%v eto=%d sto=%d orphans=%d recoveries=%d recov avg=%v max=%v\n",
-			c.faults, rep.FaultWindows, rep.NodeCrashes,
-			rep.NodeDowntime.Round(time.Millisecond),
-			rep.EndorseTimeouts, rep.SubmitTimeouts, rep.OrphanedTxs,
-			rep.Recovery.N,
-			rep.Recovery.Avg().Round(time.Millisecond),
-			rep.Recovery.Max.Round(time.Millisecond))
-	}
+	summarize(os.Stdout, cfg, rep)
 	for ch, chain := range nw.Chains() {
 		if err := chain.Verify(); err != nil {
 			fatal(fmt.Errorf("channel %d chain verification failed: %w", ch, err))
@@ -346,5 +306,56 @@ func adhoc(c *cli) {
 			fatal(err)
 		}
 		fmt.Println(string(summary))
+	}
+}
+
+// summarize writes the ad-hoc run's summary lines below its report line:
+// the effective (job-level) metrics when clients track outcomes, and one
+// line per control subsystem or fault scenario the run configures.
+func summarize(w io.Writer, cfg fabric.Config, rep metrics.Report) {
+	if _, none := cfg.Retry.(fabric.NoRetry); !none || cfg.ClosedLoop {
+		fmt.Fprintf(w, "effective: jobs=%d eventual-valid=%d gave-up=%d attempts=%d e2e=%v\n",
+			rep.Jobs, rep.EventualValid, rep.GaveUp, rep.Attempts,
+			rep.AvgEndToEnd.Round(time.Millisecond))
+	}
+	if cfg.RetryBudget != nil {
+		fmt.Fprintf(w, "budget: exhausted=%d deferred=%d max-deferred-depth=%d\n",
+			rep.BudgetExhausted, rep.DeferredRetries, rep.MaxDeferredDepth)
+	}
+	if rep.Backoff.Max > 0 {
+		fmt.Fprintf(w, "adaptive backoff: avg=%v max=%v final=%v\n",
+			rep.Backoff.Avg().Round(time.Millisecond),
+			rep.Backoff.Max.Round(time.Millisecond),
+			rep.Backoff.Last.Round(time.Millisecond))
+	}
+	if cfg.Backpressure != nil {
+		fmt.Fprint(w, "backpressure:")
+		if cfg.HintSource != fabric.HintGossip {
+			// Under a gossip hint source the orderer computes no hint.
+			fmt.Fprintf(w, " hint avg=%.3f max=%.3f final=%.3f", rep.Hint.Avg(), rep.Hint.Max, rep.Hint.Last)
+		}
+		fmt.Fprintf(w, " paced=%d time-paced=%v\n", rep.PacedSubmissions, rep.Paced.Sum.Round(time.Millisecond))
+	}
+	if cfg.Gossip != nil {
+		fmt.Fprintf(w, "gossip via %s: msgs=%d merges=%d est avg=%.3f max=%.3f final=%.3f stale avg=%v max=%v\n",
+			cfg.HintSource, rep.GossipMessages, rep.GossipMerges,
+			rep.GossipEstimate.Avg(), rep.GossipEstimate.Max, rep.GossipEstimate.Last,
+			rep.GossipStaleness.Avg().Round(time.Millisecond),
+			rep.GossipStaleness.Max.Round(time.Millisecond))
+	}
+	if cfg.SplitSignal != nil {
+		fmt.Fprintf(w, "split: conflict avg=%.3f max=%.3f final=%.3f congestion avg=%.3f max=%.3f final=%.3f\n",
+			rep.ConflictEst.Avg(), rep.ConflictEst.Max,
+			rep.ConflictEst.Last, rep.CongestEst.Avg(), rep.CongestEst.Max,
+			rep.CongestEst.Last)
+	}
+	if cfg.Faults != nil {
+		fmt.Fprintf(w, "faults %s: windows=%d crashes=%d downtime=%v eto=%d sto=%d orphans=%d recoveries=%d recov avg=%v max=%v\n",
+			cfg.Faults.Scenario, rep.FaultWindows, rep.NodeCrashes,
+			rep.NodeDowntime.Round(time.Millisecond),
+			rep.EndorseTimeouts, rep.SubmitTimeouts, rep.OrphanedTxs,
+			rep.Recovery.N,
+			rep.Recovery.Avg().Round(time.Millisecond),
+			rep.Recovery.Max.Round(time.Millisecond))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 )
 
 // config parses one command line the way main does and resolves it.
@@ -26,7 +27,8 @@ func config(t *testing.T, line string) error {
 
 // TestAdhocConfigSmokeLines resolves the ad-hoc command lines CI
 // smoke-runs, read from .github/workflows/ci.yml so the two cannot
-// drift: each must build a config that validates.
+// drift: each must build a config that validates. A command ends at a
+// pipe into the step's check of its output.
 func TestAdhocConfigSmokeLines(t *testing.T) {
 	ci, err := os.ReadFile("../../.github/workflows/ci.yml")
 	if err != nil {
@@ -39,6 +41,7 @@ func TestAdhocConfigSmokeLines(t *testing.T) {
 		if !ok || !strings.Contains(args, "-adhoc") {
 			continue
 		}
+		args, _, _ = strings.Cut(args, "|")
 		lines++
 		if err := config(t, args); err != nil {
 			t.Errorf("%s: %v", args, err)
@@ -76,6 +79,39 @@ func TestControlFlagResolvesRungs(t *testing.T) {
 		cfg, err := adhocConfig(c)
 		if err != nil || !reflect.DeepEqual(cfg.Control, r.Control) {
 			t.Errorf("-control %s: %+v, %v; want %+v", r.Label, cfg.Control, err, r.Control)
+		}
+	}
+}
+
+// TestSummaryFollowsTheHintSource: the backpressure line prints the
+// orderer's hint only when the orderer feeds it, so a gossip-paced run
+// shows its pacing beside the gossip line and no all-zero hint.
+func TestSummaryFollowsTheHintSource(t *testing.T) {
+	for _, c := range []struct {
+		control, backpressure string
+		gossip                bool
+	}{
+		{"hinted-gossip", "backpressure: paced=", true},
+		{"hinted-orderer", "backpressure: hint avg=", false},
+	} {
+		fs := flag.NewFlagSet("hyperlab", flag.ContinueOnError)
+		cl, err := parseFlags(fs, []string{"-adhoc", "-control", c.control, "-duration", "2s"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := adhocConfig(cl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw, err := fabric.NewNetwork(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		summarize(&out, cfg, nw.Run())
+		got := out.String()
+		if !strings.Contains(got, "\n"+c.backpressure) || strings.Contains(got, "gossip via gossip:") != c.gossip {
+			t.Errorf("-control %s: summary\n%s\nwant a line starting %q and a gossip line: %v", c.control, got, c.backpressure, c.gossip)
 		}
 	}
 }
