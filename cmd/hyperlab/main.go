@@ -330,8 +330,9 @@ func summarize(w io.Writer, cfg fabric.Config, rep metrics.Report) {
 	}
 	if cfg.Backpressure != nil {
 		fmt.Fprint(w, "backpressure:")
-		if cfg.HintSource != fabric.HintGossip {
-			// Under a gossip hint source the orderer computes no hint.
+		if rep.Hint.N > 0 {
+			// The orderer samples its hint only when it feeds the
+			// clients' pacing; under a gossip hint source it has none.
 			fmt.Fprintf(w, " hint avg=%.3f max=%.3f final=%.3f", rep.Hint.Avg(), rep.Hint.Max, rep.Hint.Last)
 		}
 		fmt.Fprintf(w, " paced=%d time-paced=%v\n", rep.PacedSubmissions, rep.Paced.Sum.Round(time.Millisecond))
